@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 from .structure import (BlochPoint, Harmonic, HarmonicSet, RegionDiagram,
                         StructureParams, ThresholdError, ambient_dispersion,
                         classify_harmonics, region_diagram, waveguide_bands)
-from .scattering import (IncidentField, ScatteringSolution, ScatteringSystem,
-                         assemble_system, reconstruct_field, scan_transmission,
+from .scattering import (IncidentField, NonPropagatingIncidenceError,
+                         ScatteringSolution, ScatteringSystem, assemble_system,
+                         reconstruct_field, scan_transmission,
                          solve_scattering)
 from .dtn import (TruncatedSolution, cross_validate, default_truncation,
                   dtn_apply, dtn_matrix, solve_truncated)

@@ -13,21 +13,17 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .structure import (BlochPoint, StructureParams, ThresholdError,
-                        classify_harmonics, region_diagram, waveguide_bands)
-from .scattering import (IncidentField, column_flux, lattice_residual,
-                         reconstruct_field, scan_transmission,
-                         solve_scattering)
-from .dtn import cross_validate, default_truncation, solve_truncated
-from .guided import (continue_and_fit_dispersion, find_guided_modes,
-                     sigma_min)
+from .structure import (BlochPoint, StructureParams, classify_harmonics,
+                        region_diagram, waveguide_bands)
+from .scattering import IncidentField, scan_transmission, solve_scattering
+from .dtn import cross_validate, solve_truncated
+from .guided import continue_and_fit_dispersion, find_guided_modes
 from .resonance import (approx_transmission, enhancement_scan, fit_anomaly,
-                        find_bifurcation, peak_dip_curves, trace_branch)
+                        trace_branch)
 from .timedomain import LatticeState, evolve, gaussian_pulse
 from .discrete import identity_residuals
 
@@ -68,13 +64,6 @@ def _params(args) -> StructureParams:
     return StructureParams.from_json(args.config)
 
 
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -102,18 +91,28 @@ def cmd_bands(args):
     return 0
 
 
+def _amplitudes(spec, N, flag):
+    """Parse a JSON list of at most N incident amplitudes, zero-padded to N."""
+    values = json.loads(spec) if spec else []
+    if not isinstance(values, list) or len(values) > N:
+        raise ValueError(f"{flag} must be a JSON list of at most N={N} "
+                         f"amplitudes, got {spec}")
+    amp = np.zeros(N, dtype=complex)
+    try:
+        for i, v in enumerate(values):
+            amp[i] = complex(v["re"], v.get("im", 0.0)) if isinstance(v, dict) else v
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{flag} entries must be numbers or {{re, im}} "
+                         f"objects, got {spec}") from exc
+    return amp
+
+
 def _incident_from_args(args, N):
-    a = np.zeros(N, dtype=complex)
-    b = np.zeros(N, dtype=complex)
     if args.a_inc:
-        for i, v in enumerate(json.loads(args.a_inc)):
-            a[i] = complex(v["re"], v.get("im", 0.0)) if isinstance(v, dict) else v
+        a = _amplitudes(args.a_inc, N, "--a-inc")
     else:
-        a[args.order] = 1.0
-    if args.b_inc:
-        for i, v in enumerate(json.loads(args.b_inc)):
-            b[i] = complex(v["re"], v.get("im", 0.0)) if isinstance(v, dict) else v
-    return IncidentField(a, b)
+        a = IncidentField.unit_left(N, args.order).a_inc
+    return IncidentField(a, _amplitudes(args.b_inc, N, "--b-inc"))
 
 
 def _cnum(z) -> dict:
@@ -152,22 +151,16 @@ def cmd_scatter(args):
 
 def cmd_scan(args):
     params = _params(args)
-    kappas = _grid(args.kappa_grid)
-    omegas = _grid(args.omega_grid)
-
-    def one(kap):
-        return scan_transmission(params, [kap], omegas, args.order)
-
-    chunks = _pmap(one, kappas, args.threads)
+    rows = scan_transmission(params, _grid(args.kappa_grid),
+                             _grid(args.omega_grid), args.order)
     lines = ["kappa,omega,T,R,energy_residual,flags"]
-    for rows in chunks:
-        for kap, om, T, R, resid, flags in rows:
-            lines.append(",".join([
-                _fnum(kap), _fnum(om),
-                "nan" if np.isnan(T) else _fnum(T),
-                "nan" if np.isnan(R) else _fnum(R),
-                "nan" if np.isnan(resid) else _fnum(resid),
-                flags]))
+    for kap, om, T, R, resid, flags in rows:
+        lines.append(",".join([
+            _fnum(kap), _fnum(om),
+            "nan" if np.isnan(T) else _fnum(T),
+            "nan" if np.isnan(R) else _fnum(R),
+            "nan" if np.isnan(resid) else _fnum(resid),
+            flags]))
     _emit(args.out, lines)
     return 0
 
@@ -331,10 +324,7 @@ def cmd_validate(args):
     while tried < 50:
         kap = rng.uniform(-0.5, 0.5)
         om = rng.uniform(0.05, 7.95)
-        try:
-            hs = classify_harmonics(params, BlochPoint(kap, om))
-        except ThresholdError:
-            continue
+        hs = classify_harmonics(params, BlochPoint(kap, om))
         if not hs.propagating or hs.has_threshold:
             continue
         a = np.zeros(params.N, dtype=complex)
@@ -354,10 +344,7 @@ def cmd_validate(args):
     while tried < 5:
         kap = rng.uniform(-0.5, 0.5)
         om = rng.uniform(0.3, 7.7)
-        try:
-            hs = classify_harmonics(params, BlochPoint(kap, om))
-        except ThresholdError:
-            continue
+        hs = classify_harmonics(params, BlochPoint(kap, om))
         if 0 not in hs.propagating or hs.has_threshold:
             continue
         taus = [h.theta.imag for h in hs.harmonics if h.theta.imag > 0]
@@ -399,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--threads", type=int,
                        default=os.cpu_count() or 1,
-                       help="parallel workers for grid scans")
+                       help="accepted for compatibility; has no effect on "
+                            "results or speed")
 
     p = sub.add_parser("regions", help="propagating-order count diagram")
     common(p)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .structure import (BlochPoint, HarmonicSet, StructureParams,
-                        classify_harmonics)
+                        classify_harmonics, waveguide_band_matrix)
 from .scattering import (IncidentField, reconstruct_field, solve_scattering)
 
 TWO_PI = 2.0 * np.pi
@@ -154,20 +154,11 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
             if m == 0:
                 add(r, nu + n, -np.conj(params.gammas[n]))
             r += 1
-    # chain equation omega z = Omega1 z + (coupling) u at m=0
-    kvec, Mvec = params.springs, params.masses
+    # chain equation (omega - A) z = gamma u at m = 0
+    chain = omega * np.eye(N) - waveguide_band_matrix(params, kappa)
     for n in range(N):
-        kn, knm = kvec[n], kvec[(n - 1) % N]
-        Mn, Mnp, Mnm = Mvec[n], Mvec[(n + 1) % N], Mvec[(n - 1) % N]
-        add(r, nu + n, omega - (kn + knm) / Mn)
-        if n + 1 < N:
-            add(r, nu + n + 1, kn / np.sqrt(Mn * Mnp))
-        else:
-            add(r, nu + 0, kn / np.sqrt(Mn * Mnp) * tw)
-        if n - 1 >= 0:
-            add(r, nu + n - 1, knm / np.sqrt(Mn * Mnm))
-        else:
-            add(r, nu + N - 1, knm / np.sqrt(Mn * Mnm) / tw)
+        for n2 in np.flatnonzero(chain[n]):
+            add(r, nu + n2, chain[n, n2])
         add(r, uid(0, n), -params.gammas[n])
         r += 1
     # DtN boundary rows at m = -M (halo -M-1, incidence from the left) and

@@ -1,11 +1,11 @@
 """Guided-mode location, the explicit N=2 criteria, and dispersion fitting.
 
 A guided mode is a sourceless solution whose propagating coefficients all
-vanish: an isolated real pair (kappa0, omega0) where the homogeneous system,
-restricted to the evanescent and chain unknowns, becomes singular.  Around
-such a pair the zero set of the tracked eigenvalue of the full system defines
-a complex dispersion curve omega_gm(kappa) whose local quadratic expansion
-drives every resonance quantity downstream.
+vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
+system, restricted to the evanescent and chain unknowns, becomes singular.
+Around such a pair the zero set of the tracked eigenvalue of the N x N chain
+kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
+whose local quadratic expansion drives every resonance quantity downstream.
 """
 
 from __future__ import annotations
@@ -19,15 +19,26 @@ from scipy.optimize import fsolve, minimize
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _harmonic_arrays)
-from .scattering import _assemble, IncidentField
+from .scattering import _assemble, _chain_kernel, _harmonics_off_threshold
 
 TWO_PI = 2.0 * np.pi
 
 
-def _homogeneous_matrix(params, kappa, omega):
-    zero = np.zeros(params.N, dtype=complex)
-    B, _, phi, theta, kinds, prop = _assemble(params, kappa, omega, zero, zero)
-    return B, prop
+def _reduced_homogeneous(params, kappa, omega):
+    """The homogeneous 3N system without its propagating outgoing columns.
+
+    Returns the 3N x (3N - 2 |P|) matrix and the (kind, order) label of each
+    kept column: evanescent a_minus, evanescent b_plus, then every c.
+    """
+    N = params.N
+    zero = np.zeros(N, dtype=complex)
+    B, _, prop = _assemble(params, kappa, omega, zero, zero)
+    prop = set(prop.tolist())
+    labels = ([("a_minus", l) for l in range(N) if l not in prop]
+              + [("b_plus", l) for l in range(N) if l not in prop]
+              + [("c", l) for l in range(N)])
+    offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
+    return B[:, [offset[kind] + l for kind, l in labels]], labels
 
 
 def sigma_min(params: StructureParams, point: BlochPoint) -> float:
@@ -38,30 +49,16 @@ def sigma_min(params: StructureParams, point: BlochPoint) -> float:
     3N x (3N - 2 |P|) matrix; the ratio of its smallest to largest singular
     value vanishes exactly at a guided mode.
     """
-    N = params.N
-    B, prop = _homogeneous_matrix(params, point.kappa, point.omega)
-    prop = set(int(p) for p in prop)
-    keep = ([l for l in range(N) if l not in prop]
-            + [N + l for l in range(N) if l not in prop]
-            + [2 * N + l for l in range(N)])
-    s = np.linalg.svd(B[:, keep], compute_uv=False)
+    B, _ = _reduced_homogeneous(params, point.kappa, point.omega)
+    s = np.linalg.svd(B, compute_uv=False)
     return float(s[-1] / s[0])
 
 
 def null_vector(params: StructureParams, point: BlochPoint):
     """Reduced null vector (evanescent a_minus, b_plus, then c) at a mode."""
-    N = params.N
-    B, prop = _homogeneous_matrix(params, point.kappa, point.omega)
-    prop = set(int(p) for p in prop)
-    keep = ([l for l in range(N) if l not in prop]
-            + [N + l for l in range(N) if l not in prop]
-            + [2 * N + l for l in range(N)])
-    _, _, Vh = np.linalg.svd(B[:, keep])
-    vec = Vh[-1].conj()
-    labels = ([("a_minus", l) for l in range(N) if l not in prop]
-              + [("b_plus", l) for l in range(N) if l not in prop]
-              + [("c", l) for l in range(N)])
-    return vec, labels
+    B, labels = _reduced_homogeneous(params, point.kappa, point.omega)
+    _, _, Vh = np.linalg.svd(B)
+    return Vh[-1].conj(), labels
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,6 @@ def guided_mode_criteria_n2(params: StructureParams, kappa: float,
           + (k0 + k1) * (1 / M1 - 1 / M0)
           + 2j * np.sin(np.pi * kappa) * (k1 - k0) / np.sqrt(M0 * M1))
     return c1, c2
-
-
-def _in_single_prop_region(params, kappa, omega):
-    _, _, kinds, prop = _harmonic_arrays(params.N, kappa, omega)
-    return len(prop) >= 1 and "linear-threshold" not in kinds
 
 
 def find_guided_modes(params: StructureParams, window, density: int = 400,
@@ -194,7 +186,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
 
 
 class EigenvalueTracker:
-    """Follow the smallest-magnitude eigenvalue of the full system matrix.
+    """Follow the smallest-magnitude eigenvalue of the chain kernel K.
 
     Eigenvalues are matched between calls by eigenvector overlap rather than
     magnitude sorting, so the tracked branch does not swap near its zero.
@@ -209,8 +201,9 @@ class EigenvalueTracker:
         self._vref = None
 
     def value(self, kappa, omega):
-        B, _ = _homogeneous_matrix(self.params, kappa, omega)
-        w, V = np.linalg.eig(B)
+        phi, theta, _, _ = _harmonics_off_threshold(self.params.N, kappa, omega)
+        K, *_ = _chain_kernel(self.params, kappa, omega, phi, theta)
+        w, V = np.linalg.eig(K)
         if self._vref is None:
             i = int(np.argmin(np.abs(w)))
         else:
@@ -242,7 +235,7 @@ class EigenvalueTracker:
 
 def eigenvalue_ell(params: StructureParams, point: BlochPoint,
                    tracker: EigenvalueTracker = None) -> complex:
-    """Smallest-magnitude eigenvalue of the full 3N x 3N system at a point."""
+    """Smallest-magnitude eigenvalue of the N x N chain kernel K at a point."""
     if tracker is None:
         tracker = EigenvalueTracker(params)
     return tracker.value(point.kappa, point.omega)

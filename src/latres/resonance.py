@@ -19,8 +19,7 @@ from scipy.optimize import brentq, fsolve, least_squares
 
 from .structure import BlochPoint, StructureParams
 from .scattering import IncidentField, solve_scattering
-from .guided import (DispersionFit, GuidedMode, find_guided_modes,
-                     guided_mode_criteria_n2, null_vector, sigma_min)
+from .guided import DispersionFit, GuidedMode, guided_mode_criteria_n2
 
 
 def _outgoing_pair(params, kappa, omega, order=0):
@@ -249,7 +248,7 @@ def enhancement_scan(params: StructureParams, mode: GuidedMode,
     rows = []
     for kt in kt_list:
         om_opt = mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
-        # direct solve even when B is badly conditioned: at the optimal
+        # direct solve even when K is badly conditioned: at the optimal
         # detuning the system sits close to the dispersion curve by design,
         # and the least-squares fallback would suppress the resonant response
         sol = solve_scattering(params, BlochPoint(mode.kappa0 + kt, om_opt),

@@ -5,7 +5,9 @@ line m = 0, u_{mn} = sum_l (incoming + outgoing) e^{2 pi i (theta_l m + phi_l n)
 and the chain displacement z_n = sum_l c_l e^{2 pi i phi_l n}.  Matching the
 two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
 n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
-(a_minus, b_plus) and the chain coefficients c.
+(a_minus, b_plus) and the chain coefficients c (`assemble_system`).
+Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
+chain system K(kappa, omega) z = gamma * u_inc that `solve_scattering` solves.
 """
 
 from __future__ import annotations
@@ -14,10 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import (BlochPoint, HarmonicSet, StructureParams, ThresholdError,
-                        _harmonic_arrays, classify_harmonics)
+from .structure import (LINEAR_THRESHOLD, BlochPoint, HarmonicSet,
+                        StructureParams, ThresholdError, _harmonic_arrays,
+                        classify_harmonics, waveguide_band_matrix)
 
 TWO_PI = 2.0 * np.pi
+
+
+def _unit_amplitudes(N, order):
+    """Unit amplitude on one order, which must be one of 0..N-1."""
+    if not 0 <= order < N:
+        raise ValueError(f"incident order {order} outside 0..{N - 1}")
+    amp = np.zeros(N, dtype=complex)
+    amp[order] = 1.0
+    return amp
 
 
 @dataclass(frozen=True)
@@ -37,15 +49,13 @@ class IncidentField:
 
     @staticmethod
     def unit_left(N: int, order: int = 0) -> "IncidentField":
-        a = np.zeros(N, dtype=complex)
-        a[order] = 1.0
-        return IncidentField(a, np.zeros(N, dtype=complex))
+        return IncidentField(_unit_amplitudes(N, order),
+                             np.zeros(N, dtype=complex))
 
     @staticmethod
     def unit_right(N: int, order: int = 0) -> "IncidentField":
-        b = np.zeros(N, dtype=complex)
-        b[order] = 1.0
-        return IncidentField(np.zeros(N, dtype=complex), b)
+        return IncidentField(np.zeros(N, dtype=complex),
+                             _unit_amplitudes(N, order))
 
     @staticmethod
     def none(N: int) -> "IncidentField":
@@ -70,26 +80,43 @@ class ScatteringSystem:
     harmonics: HarmonicSet
 
 
-def _phase_matrices(N, phi, theta):
-    """P[n, l] = e^{2 pi i phi_l n} plus its n+-1 shifts and E_l = e^{2 pi i theta_l}."""
-    n = np.arange(N)
-    P = np.exp(2j * np.pi * np.outer(n, phi))
-    shift = np.exp(2j * np.pi * phi)
-    return P, P * shift[None, :], P / shift[None, :], np.exp(2j * np.pi * theta)
+class NonPropagatingIncidenceError(ValueError):
+    """Incident amplitude on an order that does not propagate."""
 
 
-def _assemble(params, kappa, omega, a_full, b_full, threshold_tol=1e-9):
-    """Core assembly on plain scalars/arrays; returns (B, F, phi, theta, prop)."""
-    N = params.N
-    phi, theta, kinds, prop = _harmonic_arrays(N, kappa, omega, threshold_tol)
-    if any(k == "linear-threshold" for k in kinds):
+def _harmonics_off_threshold(N, kappa, omega):
+    """_harmonic_arrays, refusing points where an order sits on a threshold."""
+    phi, theta, kinds, prop = _harmonic_arrays(N, kappa, omega)
+    if LINEAR_THRESHOLD in kinds:
         raise ThresholdError(
             f"harmonic on a threshold curve at (kappa={kappa}, omega={omega})")
-    P, Pp, Pm, E = _phase_matrices(N, phi, theta)
+    return phi, theta, kinds, prop
+
+
+def _chain_kernel(params, kappa, omega, phi, theta):
+    """The reduced chain matrix K, P, P^-1 and s = 2i sin 2 pi theta.
+
+    K = omega - A(kappa) - diag(gamma) P diag(1/s) P^-1 diag(conj gamma), with
+    A the chain's band matrix, P[n, l] = e^{2 pi i phi_l n} and, as the phi_l
+    differ by l/N, P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N if kappa is real).
+    """
+    N = params.N
+    P = np.exp(2j * np.pi * np.outer(np.arange(N), phi))
+    Pinv = np.exp(-2j * np.pi * np.outer(phi, np.arange(N))) / N
+    s = 2j * np.sin(TWO_PI * theta)
     gam = params.gammas
-    Mn = params.masses
-    kn = params.springs
-    knm = np.roll(kn, 1)
+    K = (omega * np.eye(N) - waveguide_band_matrix(params, kappa)
+         - (gam[:, None] * P / s) @ (Pinv * np.conj(gam)))
+    return K, P, Pinv, s
+
+
+def _assemble(params, kappa, omega, a_full, b_full):
+    """Assemble the 3N system; returns (B, F, prop)."""
+    N = params.N
+    phi, theta, _, prop = _harmonics_off_threshold(N, kappa, omega)
+    P = np.exp(2j * np.pi * np.outer(np.arange(N), phi))
+    E = np.exp(2j * np.pi * theta)
+    gam = params.gammas
 
     B = np.zeros((3 * N, 3 * N), dtype=complex)
     F = np.zeros(3 * N, dtype=complex)
@@ -106,25 +133,22 @@ def _assemble(params, kappa, omega, a_full, b_full, threshold_tol=1e-9):
     B[N:2 * N, 2 * N:] = -np.conj(gam)[:, None] * P
     F[N:2 * N] = P @ (b_full * E) - P @ (a_full / E)
 
-    # (iii) chain equation with nearest-neighbor springs and Bloch wrap
-    diag = omega - (kn + knm) / Mn
-    B[2 * N:, 2 * N:] = (diag[:, None] * P
-                         + (kn / np.sqrt(Mn * np.roll(Mn, -1)))[:, None] * Pp
-                         + (knm / np.sqrt(Mn * np.roll(Mn, 1)))[:, None] * Pm)
+    # (iii) chain equation (omega - A) z = gamma u at m = 0
+    B[2 * N:, 2 * N:] = (omega * np.eye(N)
+                         - waveguide_band_matrix(params, kappa)) @ P
     B[2 * N:, N:2 * N] = -gam[:, None] * P
     F[2 * N:] = gam * (P @ b_full)
 
-    return B, F, phi, theta, kinds, prop
+    return B, F, prop
 
 
 def assemble_system(params: StructureParams, point: BlochPoint,
                     incident: IncidentField = None) -> ScatteringSystem:
-    """Build the 3N x 3N system at a Bloch point."""
-    N = params.N
+    """Build the 3N x 3N system at a Bloch point (the reference for K)."""
     if incident is None:
-        incident = IncidentField.none(N)
-    B, F, *_ = _assemble(params, point.kappa, point.omega,
-                         incident.a_inc, incident.b_inc)
+        incident = IncidentField.none(params.N)
+    B, F, _ = _assemble(params, point.kappa, point.omega,
+                        incident.a_inc, incident.b_inc)
     hs = classify_harmonics(params, point)
     return ScatteringSystem(B=B, F=F, harmonics=hs)
 
@@ -163,35 +187,46 @@ def _flux_quantities(theta, prop, a_inc, b_inc, a_minus, b_plus):
 def solve_scattering(params: StructureParams, point: BlochPoint,
                      incident: IncidentField = None,
                      cond_limit: float = 1e12) -> ScatteringSolution:
-    """Solve B X = F and package the solution with T, R, and diagnostics.
+    """Solve the N x N chain system K z = gamma * u_inc and recover T, R.
 
-    In the single-propagating regime with unit left incidence, T = |b_plus|
-    and R = |a_minus| on the propagating order.  With several propagating
+    The outgoing coefficients follow from z through the common trace U:
+    a_minus = U - a_inc, b_plus = U - b_inc, and c = P^-1 z.  In the
+    single-propagating regime with unit left incidence, T = |b_plus| and
+    R = |a_minus| on the propagating order.  With several propagating
     orders, T and R are flux-weighted aggregates (flagged in the output).
-    When B is nearly singular (at guided-mode parameters) a minimum-norm
-    least-squares solution is returned and flagged.
+    `condition` is the 2-norm condition number of K; when it exceeds
+    cond_limit (at guided-mode parameters) a minimum-norm least-squares
+    solution is returned and flagged.
     """
     N = params.N
     if incident is None:
         incident = IncidentField.unit_left(N)
-    B, F, phi, theta, kinds, prop = _assemble(
-        params, point.kappa, point.omega, incident.a_inc, incident.b_inc)
+    hs = classify_harmonics(params, point)
+    if hs.has_threshold:
+        raise ThresholdError(f"harmonic on a threshold curve at "
+                             f"(kappa={point.kappa}, omega={point.omega})")
+    theta, prop = hs.theta, np.array(hs.propagating, dtype=int)
     if point.is_real:
         bad = [l for l in range(N) if l not in prop
                and (incident.a_inc[l] != 0 or incident.b_inc[l] != 0)]
         if bad:
-            raise ValueError(
+            raise NonPropagatingIncidenceError(
                 f"incident amplitude on non-propagating order(s) {bad}")
 
-    sv = np.linalg.svd(B, compute_uv=False)
+    K, P, Pinv, s = _chain_kernel(params, point.kappa, point.omega, hs.phi,
+                                  theta)
+    u_inc = incident.a_inc + incident.b_inc
+    rhs = params.gammas * (P @ u_inc)
+    sv = np.linalg.svd(K, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     flags = []
     if cond > cond_limit:
-        X, *_ = np.linalg.lstsq(B, F, rcond=1e-12)
+        z, *_ = np.linalg.lstsq(K, rhs, rcond=1e-12)
         flags.append("near_singular")
     else:
-        X = np.linalg.solve(B, F)
-    a_minus, b_plus, c = X[:N], X[N:2 * N], X[2 * N:]
+        z = np.linalg.solve(K, rhs)
+    U = u_inc + Pinv @ (np.conj(params.gammas) * z) / s
+    a_minus, b_plus, c = U - incident.a_inc, U - incident.b_inc, Pinv @ z
 
     if point.is_real and len(prop) > 0:
         inc, out_t, out_r, resid = _flux_quantities(
@@ -208,7 +243,6 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
         if not point.is_real:
             flags.append("complex_point")
 
-    hs = classify_harmonics(params, point)
     return ScatteringSolution(
         params=params, point=point, incident=incident, harmonics=hs,
         a_minus=a_minus, b_plus=b_plus, c=c, T=T, R=R,
@@ -258,20 +292,20 @@ def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
     """T, R, and the conservation residual over a (kappa, omega) grid.
 
     Yields rows (kappa, omega, T, R, energy_residual, flags); threshold
-    points are skipped in place with a 'threshold' sentinel flag and NaNs.
+    points are skipped in place with a 'threshold' sentinel flag and NaNs,
+    and points where the incident order does not propagate with an
+    'incident_not_propagating' one.  Any other error reaches the caller.
     """
+    incident = IncidentField.unit_left(params.N, incident_order)
     rows = []
     for kap in np.asarray(kappa_grid, dtype=float):
         for om in np.asarray(omega_grid, dtype=float):
-            point = BlochPoint(kap, om)
             try:
-                sol = solve_scattering(
-                    params, point,
-                    IncidentField.unit_left(params.N, incident_order))
+                sol = solve_scattering(params, BlochPoint(kap, om), incident)
             except ThresholdError:
                 rows.append((kap, om, np.nan, np.nan, np.nan, "threshold"))
                 continue
-            except ValueError:
+            except NonPropagatingIncidenceError:
                 rows.append((kap, om, np.nan, np.nan, np.nan,
                              "incident_not_propagating"))
                 continue

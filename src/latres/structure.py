@@ -233,21 +233,14 @@ def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
     """
     N = params.N
     M, k = params.masses, params.springs
-    tw = np.exp(2j * np.pi * kappa)
     B = np.zeros((N, N), dtype=complex)
     for n in range(N):
-        kn, knm = k[n], k[(n - 1) % N]
-        B[n, n] += (kn + knm) / M[n]
-        cp = -kn / np.sqrt(M[n] * M[(n + 1) % N])
-        cm = -knm / np.sqrt(M[n] * M[(n - 1) % N])
-        if n + 1 < N:
-            B[n, n + 1] += cp
-        else:
-            B[n, 0] += cp * tw
-        if n - 1 >= 0:
-            B[n, n - 1] += cm
-        else:
-            B[n, N - 1] += cm / tw
+        up = (n + 1) % N
+        c = -k[n] / np.sqrt(M[n] * M[up])  # coupling of sites n and n + 1
+        wrap = np.exp(2j * np.pi * kappa) if up == 0 else 1.0
+        B[n, n] += (k[n] + k[n - 1]) / M[n]
+        B[n, up] += c * wrap
+        B[up, n] += c / wrap
     return B
 
 

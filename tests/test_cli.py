@@ -97,6 +97,25 @@ def test_scatter_threshold_error_exit_code(config1):
                  "--kappa=0", "--omega=4"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scatter", "--order=5"], "incident order 5 outside 0..1"),
+    (["scatter", "--order=-1"], "incident order -1 outside 0..1"),
+    (["scatter", "--a-inc=[1,0,0]"], "--a-inc must be a JSON list"),
+    (["scatter", "--b-inc=[0,0,1]"], "--b-inc must be a JSON list"),
+    (["scatter", '--a-inc=[{"im": 1}]'], "--a-inc entries must be"),
+    (["scatter", "--b-inc=[[1, 2]]"], "--b-inc entries must be"),
+    (["scan", "--order=3"], "incident order 3 outside 0..1"),
+    (["scan", "--order=-1"], "incident order -1 outside 0..1"),
+])
+def test_malformed_incidence_exit_code(config1, capsys, argv, message):
+    point = (["--kappa=0.2", "--omega=1.5"] if argv[0] == "scatter" else
+             ["--kappa-grid=0.2,0.2,1", "--omega-grid=1.5,1.5,1"])
+    assert main(argv[:1] + ["--config", config1] + point + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+
+
 def test_scan_csv_and_threads(config1, tmp_path):
     out = str(tmp_path / "scan.csv")
     assert main(["scan", "--config", config1, "--out", out,

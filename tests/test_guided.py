@@ -69,6 +69,10 @@ def test_n3_antisymmetric_mode(n3_params):
 def test_eigenvalue_zero_at_mode(fixture1, mode1):
     ell = eigenvalue_ell(fixture1, BlochPoint(mode1.kappa0, mode1.omega0))
     assert abs(ell) < 1e-10
+    # the tracked eigenvalue is one of the N x N chain kernel's
+    tracker = EigenvalueTracker(fixture1)
+    tracker.value(mode1.kappa0, mode1.omega0)
+    assert tracker.eigenvector().shape == (fixture1.N,)
 
 
 def test_tracker_newton_recovers_mode_frequency(fixture1, mode1):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from latres.structure import BlochPoint, ThresholdError, classify_harmonics
-from latres.scattering import (IncidentField, assemble_system, column_flux,
-                               lattice_residual, reconstruct_field,
-                               scan_transmission, solve_scattering)
+from latres.structure import (BlochPoint, StructureParams, ThresholdError,
+                              classify_harmonics)
+from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
+                               assemble_system, column_flux, lattice_residual,
+                               reconstruct_field, scan_transmission,
+                               solve_scattering)
 
 POINT = BlochPoint(0.2, 1.5)
 
@@ -16,6 +18,45 @@ def test_assembled_shapes(fixture1):
     assert sys_.B.shape == (6, 6)
     assert sys_.F.shape == (6,)
     assert sys_.harmonics.propagating == (0,)
+
+
+def test_chain_kernel_matches_full_system():
+    # solve_scattering works on the N x N chain kernel K; the 3N x 3N Fourier
+    # system it was reduced from is the reference.  N = 1 puts both wrap
+    # entries of the chain stencil on one site; the last draws per N take a
+    # complex kappa, where P^-1 is not P^H / N.
+    rng = np.random.default_rng(2011)
+    worst, solved = 0.0, set()
+    for N in range(1, 9):
+        for draw in range(6):
+            gammas = rng.uniform(0.2, 3.0, N)
+            if draw % 2:
+                gammas = gammas * np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+            params = StructureParams(N, rng.uniform(0.5, 2.0, N),
+                                     rng.uniform(0.5, 2.0, N), gammas)
+            while True:
+                point = BlochPoint(rng.uniform(-0.5, 0.5)
+                                   + 0.05j * (draw >= 4),
+                                   rng.uniform(0.05, 7.95))
+                hs = classify_harmonics(params, point)
+                if hs.propagating and not hs.has_threshold:
+                    break
+            for side in ("left", "right"):
+                amp = np.zeros(N, dtype=complex)
+                amp[list(hs.propagating)] = (
+                    rng.standard_normal(len(hs.propagating))
+                    + 1j * rng.standard_normal(len(hs.propagating)))
+                zero = np.zeros(N, dtype=complex)
+                incident = (IncidentField(amp, zero) if side == "left"
+                            else IncidentField(zero, amp))
+                sol = solve_scattering(params, point, incident)
+                ref = assemble_system(params, point, incident)
+                X = np.linalg.solve(ref.B, ref.F)
+                got = np.concatenate([sol.a_minus, sol.b_plus, sol.c])
+                worst = max(worst, float(np.max(np.abs(got - X))))
+                solved.add((N, side, draw % 2, draw >= 4))
+    assert len(solved) == 8 * 2 * 2 * 2
+    assert worst <= 1e-11
 
 
 def test_frozen_solution_values(fixture1):
@@ -71,7 +112,7 @@ def test_column_flux_independent_of_m(fixture1):
 
 def test_incident_on_evanescent_order_rejected(fixture1):
     # at this point order 1 is evanescent: incidence on it is unphysical
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPropagatingIncidenceError, match="non-propagating"):
         solve_scattering(fixture1, POINT, IncidentField.unit_left(2, order=1))
 
 
@@ -128,3 +169,15 @@ def test_scan_rows_and_sentinels(fixture1):
     # a point where order 0 does not propagate
     rows = scan_transmission(fixture1, [0.2], [7.9])
     assert rows[0][5] == "incident_not_propagating"
+
+
+def test_scan_raises_other_value_errors():
+    # only non-propagating incidence becomes a sentinel row; a NaN coupling
+    # makes the solve itself fail, and that failure reaches the caller
+    params = StructureParams(N=2, masses=[2.0, 1.0], springs=[1.0, 1.0],
+                             gammas=[np.nan, 7.0])
+    with pytest.raises(ValueError) as exc:
+        scan_transmission(params, [0.2], [1.5])
+    assert not isinstance(exc.value, NonPropagatingIncidenceError)
+    with pytest.raises(ValueError, match="incident order 2 outside 0..1"):
+        scan_transmission(params, [0.2], [1.5], incident_order=2)
