@@ -13,9 +13,9 @@ from .structure import (BlochPoint, Harmonic, HarmonicSet, RegionDiagram,
                         StructureParams, ThresholdError, ambient_dispersion,
                         classify_harmonics, region_diagram, waveguide_bands)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
-                         ScatteringSolution, ScatteringSystem, assemble_system,
-                         reconstruct_field, scan_transmission,
-                         solve_scattering)
+                         ScatteringRow, ScatteringSolution, ScatteringSystem,
+                         assemble_system, reconstruct_field,
+                         scan_transmission, solve_row, solve_scattering)
 from .dtn import (TruncatedSolution, cross_validate, default_truncation,
                   dtn_apply, dtn_matrix, solve_truncated)
 from .guided import (DispersionFit, EigenvalueTracker, GuidedMode,

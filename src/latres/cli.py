@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .structure import (BlochPoint, StructureParams, classify_harmonics,
                         region_diagram, waveguide_bands)
-from .scattering import IncidentField, scan_transmission, solve_scattering
+from .scattering import (IncidentField, scan_transmission, solve_row,
+                         solve_scattering)
 from .dtn import cross_validate, solve_truncated
 from .guided import continue_and_fit_dispersion, find_guided_modes
 from .resonance import (approx_transmission, enhancement_scan, fit_anomaly,
@@ -153,15 +154,9 @@ def cmd_scan(args):
     params = _params(args)
     rows = scan_transmission(params, _grid(args.kappa_grid),
                              _grid(args.omega_grid), args.order)
-    lines = ["kappa,omega,T,R,energy_residual,flags"]
-    for kap, om, T, R, resid, flags in rows:
-        lines.append(",".join([
-            _fnum(kap), _fnum(om),
-            "nan" if np.isnan(T) else _fnum(T),
-            "nan" if np.isnan(R) else _fnum(R),
-            "nan" if np.isnan(resid) else _fnum(resid),
-            flags]))
-    _emit(args.out, lines)
+    row_fmt = ",".join([FMT] * 5 + ["%s"])  # NaN prints as "nan"
+    _emit(args.out, ["kappa,omega,T,R,energy_residual,flags"]
+          + [row_fmt % row for row in rows])
     return 0
 
 
@@ -227,13 +222,13 @@ def cmd_anomaly(args):
     lines = ["kappa,omega,T_direct,T_approx"]
     for kt in (-0.003, -0.002, -0.001, 0.001, 0.002, 0.003):
         half = 8.0 * abs(afit.curvature) * kt ** 2
-        for w in -afit.slope * kt + np.linspace(-half, half, 11):
-            sol = solve_scattering(
-                params, BlochPoint(afit.kappa0 + kt, afit.omega0 + w))
-            t_model = approx_transmission(afit, kt, w, "two_sided")
-            lines.append(",".join([
-                _fnum(afit.kappa0 + kt), _fnum(afit.omega0 + w),
-                _fnum(sol.T), _fnum(t_model)]))
+        ws = -afit.slope * kt + np.linspace(-half, half, 11)
+        row = solve_row(params, afit.kappa0 + kt, afit.omega0 + ws,
+                        strict=True)
+        t_model = approx_transmission(afit, kt, ws, "two_sided")
+        for om, T, tm in zip(row.omega, row.T, t_model):
+            lines.append(",".join([_fnum(afit.kappa0 + kt), _fnum(om),
+                                   _fnum(T), _fnum(tm)]))
     _emit(args.out, lines)
     meta = {
         "kappa0": afit.kappa0, "omega0": afit.omega0,

@@ -3,6 +3,10 @@
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
 system, restricted to the evanescent and chain unknowns, becomes singular.
+`find_guided_modes` evaluates sigma_min on its coarse grid one kappa row at
+a time: the 3N system is assembled for the whole row at once, its points
+grouped by propagating set (which fixes the deleted columns) and each group
+takes one stacked SVD.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
 kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
 whose local quadratic expansion drives every resonance quantity downstream.
@@ -10,35 +14,69 @@ whose local quadratic expansion drives every resonance quantity downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import logging
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import fsolve, minimize
 
-from .structure import (BlochPoint, StructureParams, ThresholdError,
+from .structure import (BlochPoint, StructureParams, _classify_real,
                         _harmonic_arrays)
-from .scattering import _assemble, _chain_kernel, _harmonics_off_threshold
+from .scattering import (_assemble, _chain_kernel, _chunks,
+                         _harmonics_off_threshold)
 
 TWO_PI = 2.0 * np.pi
+
+log = logging.getLogger("latres")
+
+
+def _kept_columns(N, prop):
+    """Labels and indices of the 3N system's columns kept for the set prop.
+
+    Kept are the evanescent a_minus, the evanescent b_plus, then every c;
+    each label is (kind, order).
+    """
+    labels = ([("a_minus", l) for l in range(N) if l not in prop]
+              + [("b_plus", l) for l in range(N) if l not in prop]
+              + [("c", l) for l in range(N)])
+    offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
+    return labels, [offset[kind] + l for kind, l in labels]
 
 
 def _reduced_homogeneous(params, kappa, omega):
     """The homogeneous 3N system without its propagating outgoing columns.
 
-    Returns the 3N x (3N - 2 |P|) matrix and the (kind, order) label of each
-    kept column: evanescent a_minus, evanescent b_plus, then every c.
+    Returns the 3N x (3N - 2 |P|) matrix and the label of each kept column.
+    """
+    phi, theta, _, prop = _harmonics_off_threshold(params.N, kappa, omega)
+    labels, cols = _kept_columns(params.N, set(prop.tolist()))
+    return _assemble(params, kappa, omega, phi, theta)[:, cols], labels
+
+
+def _sigma_min_row(params, kappa, omegas):
+    """sigma_min at one real kappa over real omegas; inf at thresholds.
+
+    The 3N system is assembled for the row at once (in chunks of at most
+    STACK_BYTES); its points are grouped by propagating set, which fixes
+    the deleted columns, and each group takes one stacked SVD.
     """
     N = params.N
-    zero = np.zeros(N, dtype=complex)
-    B, _, prop = _assemble(params, kappa, omega, zero, zero)
-    prop = set(prop.tolist())
-    labels = ([("a_minus", l) for l in range(N) if l not in prop]
-              + [("b_plus", l) for l in range(N) if l not in prop]
-              + [("c", l) for l in range(N)])
-    offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
-    return B[:, [offset[kind] + l for kind, l in labels]], labels
+    phi = (kappa + np.arange(N)) / N
+    theta, prop, thr = _classify_real(phi, omegas)
+    # the propagating set of each point as a bit pattern; -1 at thresholds
+    key = np.where(thr.any(axis=-1), -1, prop @ (1 << np.arange(N)))
+    sigma = np.full(len(omegas), np.inf)
+    for part in _chunks(len(omegas), 16 * 9 * N * N):
+        B = _assemble(params, kappa, omegas[part], phi, theta[part])
+        for k in np.unique(key[part]):
+            if k < 0:
+                continue
+            members = np.flatnonzero(key[part] == k)
+            _, cols = _kept_columns(N, {l for l in range(N) if k >> l & 1})
+            sv = np.linalg.svd(B[members][..., cols], compute_uv=False)
+            sigma[part.start + members] = sv[:, -1] / sv[:, 0]
+    return sigma
 
 
 def sigma_min(params: StructureParams, point: BlochPoint) -> float:
@@ -114,21 +152,20 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                       tol: float = 1e-8, coarse_tol: float = 0.05):
     """Scan sigma_min over a window and polish its deep local minima.
 
-    window = (kappa_min, kappa_max, omega_min, omega_max).  Grid local minima
-    below coarse_tol are refined by Nelder-Mead; candidates whose refined
-    sigma_min falls below tol are kept, then +-kappa duplicates are merged
-    (the representative has kappa0 >= 0).
+    window = (kappa_min, kappa_max, omega_min, omega_max).  The coarse
+    density x density grid takes one stacked sigma_min evaluation per kappa
+    row.  Grid local minima below coarse_tol are refined by Nelder-Mead;
+    candidates whose refined sigma_min falls below tol are kept, then
+    +-kappa duplicates are merged (the representative has kappa0 >= 0).
+    A DEBUG line on the `latres` logger counts the grid and threshold
+    points, the candidates, those rejected by tol or merged, and the modes.
     """
     kmin, kmax, wmin, wmax = window
     kappas = np.linspace(kmin, kmax, density)
     omegas = np.linspace(wmin, wmax, density)
-    grid = np.full((density, density), np.inf)
+    grid = np.empty((density, density))
     for i, kap in enumerate(kappas):
-        for j, om in enumerate(omegas):
-            try:
-                grid[i, j] = sigma_min(params, BlochPoint(kap, om))
-            except ThresholdError:
-                continue
+        grid[i] = _sigma_min_row(params, kap, omegas)
 
     candidates = []
     interior = grid[1:-1, 1:-1]
@@ -145,6 +182,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
 
     modes = []
     seen = []
+    rejected = 0
     for kap, om in candidates:
         f = lambda x: sigma_min(params, BlochPoint(x[0], x[1]))
         res = minimize(f, [kap, om], method="Nelder-Mead",
@@ -167,6 +205,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
             except (ValueError, FloatingPointError):
                 pass
         if sig > tol:
+            rejected += 1
             continue
         if abs(kap0) < 1e-7:
             # below the +-kappa merge scale: a symmetric standing mode
@@ -182,6 +221,11 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                                 null_labels=tuple(labels),
                                 region_size=len(prop)))
     modes.sort(key=lambda m: (m.kappa0, m.omega0))
+    log.debug("guided-mode search: %d grid points, %d threshold, %d "
+              "candidates, %d rejected by tol, %d merged as duplicates, "
+              "%d modes", grid.size, int(np.sum(np.isinf(grid))),
+              len(candidates), rejected, len(candidates) - rejected
+              - len(modes), len(modes))
     return modes
 
 

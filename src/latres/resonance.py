@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq, fsolve, least_squares
 
 from .structure import BlochPoint, StructureParams
-from .scattering import IncidentField, solve_scattering
+from .scattering import IncidentField, solve_row, solve_scattering
 from .guided import DispersionFit, GuidedMode, guided_mode_criteria_n2
 
 
@@ -27,6 +27,15 @@ def _outgoing_pair(params, kappa, omega, order=0):
     sol = solve_scattering(params, BlochPoint(kappa, omega),
                            IncidentField.unit_left(params.N, order))
     return sol.a_minus[order], sol.b_plus[order], sol.c
+
+
+def _row_pairs(params, kappa, omegas, order=0):
+    """(a_minus, b_plus) on one order over real omegas at one kappa.
+
+    One row solve; a refused point raises the single-point solver's error.
+    """
+    row = solve_row(params, kappa, omegas, order, strict=True)
+    return row.a_minus[:, order], row.b_plus[:, order]
 
 
 def _window_root(params, kappa, center, halfw, which, order=0,
@@ -43,7 +52,7 @@ def _window_root(params, kappa, center, halfw, which, order=0,
     c, h = center, halfw
     for _ in range(zooms):
         ws = np.linspace(c - h, c + h, grid_pts)
-        vals = [abs(_outgoing_pair(params, kappa, w, order)[idx]) for w in ws]
+        vals = np.abs(_row_pairs(params, kappa, ws, order)[idx])
         i = int(np.argmin(vals))
         c, h = ws[i], 2.2 * (ws[1] - ws[0])
         if vals[i] < 1e-3:
@@ -150,8 +159,7 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
     # excluding the resonance point itself
     wt = np.linspace(-0.004, 0.004, 33)
     wt = wt[np.abs(wt) > 1e-6]
-    Ts = np.array([abs(_outgoing_pair(params, mode.kappa0,
-                                      mode.omega0 + w)[1]) for w in wt])
+    Ts = np.abs(_row_pairs(params, mode.kappa0, mode.omega0 + wt)[1])
     p = np.polyfit(wt, Ts, 2)
     t_bg = float(p[2])
     r_bg = float(np.sqrt(max(0.0, 1.0 - t_bg ** 2)))
@@ -162,10 +170,9 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
     for kt in (-0.006, -0.004, -0.002, 0.002, 0.004, 0.006):
         ws = -fit.slope * kt + np.linspace(-12 * abs(fit.curvature) * kt ** 2,
                                            12 * abs(fit.curvature) * kt ** 2, 40)
-        for w in ws:
-            data.append((kt, w, abs(_outgoing_pair(
-                params, mode.kappa0 + kt, mode.omega0 + w)[1])))
-    data = np.array(data)
+        Ts = np.abs(_row_pairs(params, mode.kappa0 + kt, mode.omega0 + ws)[1])
+        data.append(np.column_stack([np.full(len(ws), kt), ws, Ts]))
+    data = np.concatenate(data)
 
     def model(p_, kt, w):
         t0, eta, r2_, t2_ = p_
@@ -227,11 +234,11 @@ def approx_error_sup(params: StructureParams, fit: AnomalyFit,
         if abs(kt) < 0.05 * kt_max:
             continue
         half = window_scale * abs(fit.curvature) * kt ** 2
-        for w in -fit.slope * kt + np.linspace(-half, half, num_w):
-            t_direct = abs(_outgoing_pair(params, fit.kappa0 + kt,
-                                          fit.omega0 + w)[1])
-            t_model = approx_transmission(fit, kt, w, variant)
-            worst = max(worst, abs(t_model - t_direct))
+        ws = -fit.slope * kt + np.linspace(-half, half, num_w)
+        t_direct = np.abs(_row_pairs(params, fit.kappa0 + kt,
+                                     fit.omega0 + ws)[1])
+        t_model = approx_transmission(fit, kt, ws, variant)
+        worst = max(worst, float(np.max(np.abs(t_model - t_direct))))
     return worst
 
 

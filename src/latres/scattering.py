@@ -8,19 +8,48 @@ n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
 (a_minus, b_plus) and the chain coefficients c (`assemble_system`).
 Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
 chain system K(kappa, omega) z = gamma * u_inc that `solve_scattering` solves.
+
+Grids are solved one kappa row at a time (`solve_row`, which
+`scan_transmission` calls once per row): P and P^-1 depend on kappa only, so
+K is stacked over the row's frequencies by broadcasting, one stacked SVD gives
+the condition numbers and one stacked solve the well-conditioned members.
+The kernel, assembly and flux helpers broadcast over leading batch axes, and
+the single-point solver uses the same helpers.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .structure import (LINEAR_THRESHOLD, BlochPoint, HarmonicSet,
-                        StructureParams, ThresholdError, _harmonic_arrays,
-                        classify_harmonics, waveguide_band_matrix)
+                        StructureParams, ThresholdError, _classify_real,
+                        _harmonic_arrays, classify_harmonics,
+                        waveguide_band_matrix)
 
 TWO_PI = 2.0 * np.pi
+
+log = logging.getLogger("latres")
+
+# A row is solved in chunks of at most this many bytes of stacked matrices,
+# so that its memory stays bounded however many frequencies it has.
+STACK_BYTES = 64 * 2 ** 20
+
+# condition number of K above which a solve falls back to least squares
+COND_LIMIT = 1e12
+
+# flags of the points a row refuses (NaN results)
+THRESHOLD = "threshold"
+NOT_PROPAGATING = "incident_not_propagating"
+
+
+def _chunks(count, item_bytes):
+    """Slices of range(count), each holding at most STACK_BYTES of items."""
+    step = max(1, STACK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _unit_amplitudes(N, order):
@@ -93,62 +122,110 @@ def _harmonics_off_threshold(N, kappa, omega):
     return phi, theta, kinds, prop
 
 
+def _fourier(phi):
+    """P[n, l] = e^{2 pi i phi_l n} and, as the phi_l differ by l/N, its
+    inverse P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N if kappa is real)."""
+    n = np.arange(len(phi))
+    return (np.exp(2j * np.pi * (n[:, None] * phi)),
+            np.exp(-2j * np.pi * (phi[:, None] * n)) / len(phi))
+
+
 def _chain_kernel(params, kappa, omega, phi, theta):
     """The reduced chain matrix K, P, P^-1 and s = 2i sin 2 pi theta.
 
     K = omega - A(kappa) - diag(gamma) P diag(1/s) P^-1 diag(conj gamma), with
-    A the chain's band matrix, P[n, l] = e^{2 pi i phi_l n} and, as the phi_l
-    differ by l/N, P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N if kappa is real).
+    A the chain's band matrix and P, P^-1 from `_fourier`.  omega may carry
+    leading batch axes, theta then has shape omega.shape + (N,) and K shape
+    omega.shape + (N, N); P and P^-1 depend on kappa only.
     """
     N = params.N
-    P = np.exp(2j * np.pi * np.outer(np.arange(N), phi))
-    Pinv = np.exp(-2j * np.pi * np.outer(phi, np.arange(N))) / N
+    P, Pinv = _fourier(phi)
     s = 2j * np.sin(TWO_PI * theta)
     gam = params.gammas
-    K = (omega * np.eye(N) - waveguide_band_matrix(params, kappa)
-         - (gam[:, None] * P / s) @ (Pinv * np.conj(gam)))
+    K = (np.asarray(omega)[..., None, None] * np.eye(N)
+         - waveguide_band_matrix(params, kappa)
+         - (gam[:, None] * P / s[..., None, :]) @ (Pinv * np.conj(gam)))
     return K, P, Pinv, s
 
 
-def _assemble(params, kappa, omega, a_full, b_full):
-    """Assemble the 3N system; returns (B, F, prop)."""
+def _solve_stack(K, rhs, cond_limit):
+    """Solve a stack of chain systems K z = rhs; returns (z, cond, near).
+
+    One stacked SVD gives the 2-norm condition numbers.  Members at or under
+    cond_limit share one stacked solve; the others (near a guided mode) get a
+    minimum-norm least-squares solution each, since one exactly singular
+    member would make the stacked solve raise for the whole stack.
+    """
+    sv = np.linalg.svd(K, compute_uv=False)
+    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
+                     where=sv[:, -1] > 0)
+    near = cond > cond_limit
+    if not near.any():
+        return np.linalg.solve(K, rhs[..., None])[..., 0], cond, near
+    z = np.empty(rhs.shape, dtype=complex)
+    well = ~near
+    if well.any():
+        z[well] = np.linalg.solve(K[well], rhs[well][..., None])[..., 0]
+    for i in np.flatnonzero(near):
+        z[i] = np.linalg.lstsq(K[i], rhs[i], rcond=1e-12)[0]
+    return z, cond, near
+
+
+def _outgoing(Pinv, s, gammas, a_inc, b_inc, z):
+    """(a_minus, b_plus) from the chain solution z, over any batch axes.
+
+    Both follow from the common trace U = u_inc + P^-1 (conj(gamma) z) / s:
+    a_minus = U - a_inc and b_plus = U - b_inc.
+    """
+    U = (a_inc + b_inc
+         + (Pinv @ (np.conj(gammas) * z)[..., None])[..., 0] / s)
+    return U - a_inc, U - b_inc
+
+
+def _assemble(params, kappa, omega, phi, theta):
+    """The 3N x 3N matrix B of the Fourier system (see ScatteringSystem).
+
+    omega may carry leading batch axes, theta then has shape
+    omega.shape + (N,) and B shape omega.shape + (3N, 3N).
+    """
     N = params.N
-    phi, theta, _, prop = _harmonics_off_threshold(N, kappa, omega)
-    P = np.exp(2j * np.pi * np.outer(np.arange(N), phi))
-    E = np.exp(2j * np.pi * theta)
+    omega = np.asarray(omega)
+    P, _ = _fourier(phi)
+    E = np.exp(2j * np.pi * theta)[..., None, :]
     gam = params.gammas
 
-    B = np.zeros((3 * N, 3 * N), dtype=complex)
-    F = np.zeros(3 * N, dtype=complex)
+    B = np.zeros(omega.shape + (3 * N, 3 * N), dtype=complex)
 
     # (i) continuity of the two expansions at m = 0
-    B[:N, :N] = P
-    B[:N, N:2 * N] = -P
-    F[:N] = P @ (b_full - a_full)
+    B[..., :N, :N] = P
+    B[..., :N, N:2 * N] = -P
 
     # (ii) lattice equation on the coupling line m = 0, with u at m = -1 from
     # the left expansion and m = +1 from the right expansion
-    B[N:2 * N, :N] = P * E[None, :]
-    B[N:2 * N, N:2 * N] = -P / E[None, :]
-    B[N:2 * N, 2 * N:] = -np.conj(gam)[:, None] * P
-    F[N:2 * N] = P @ (b_full * E) - P @ (a_full / E)
+    B[..., N:2 * N, :N] = P * E
+    B[..., N:2 * N, N:2 * N] = -P / E
+    B[..., N:2 * N, 2 * N:] = -np.conj(gam)[:, None] * P
 
     # (iii) chain equation (omega - A) z = gamma u at m = 0
-    B[2 * N:, 2 * N:] = (omega * np.eye(N)
-                         - waveguide_band_matrix(params, kappa)) @ P
-    B[2 * N:, N:2 * N] = -gam[:, None] * P
-    F[2 * N:] = gam * (P @ b_full)
-
-    return B, F, prop
+    B[..., 2 * N:, 2 * N:] = (omega[..., None, None] * np.eye(N)
+                              - waveguide_band_matrix(params, kappa)) @ P
+    B[..., 2 * N:, N:2 * N] = -gam[:, None] * P
+    return B
 
 
 def assemble_system(params: StructureParams, point: BlochPoint,
                     incident: IncidentField = None) -> ScatteringSystem:
     """Build the 3N x 3N system at a Bloch point (the reference for K)."""
+    N = params.N
     if incident is None:
-        incident = IncidentField.none(params.N)
-    B, F, _ = _assemble(params, point.kappa, point.omega,
-                        incident.a_inc, incident.b_inc)
+        incident = IncidentField.none(N)
+    phi, theta, _, _ = _harmonics_off_threshold(N, point.kappa, point.omega)
+    B = _assemble(params, point.kappa, point.omega, phi, theta)
+    P, _ = _fourier(phi)
+    E = np.exp(2j * np.pi * theta)
+    a, b = incident.a_inc, incident.b_inc
+    F = np.concatenate([P @ (b - a), P @ (b * E) - P @ (a / E),
+                        params.gammas * (P @ b)])
     hs = classify_harmonics(params, point)
     return ScatteringSystem(B=B, F=F, harmonics=hs)
 
@@ -173,20 +250,22 @@ class ScatteringSolution:
 
 
 def _flux_quantities(theta, prop, a_inc, b_inc, a_minus, b_plus):
-    """Per-order flux sums; conservation residual per the flux identity."""
-    s = np.sin(TWO_PI * np.real(theta[prop]))
-    inc = np.sum((np.abs(a_inc[prop]) ** 2 + np.abs(b_inc[prop]) ** 2) * s)
-    out_t = np.sum(np.abs(b_plus[prop]) ** 2 * s)
-    out_r = np.sum(np.abs(a_minus[prop]) ** 2 * s)
-    resid = abs(np.sum(
-        ((np.abs(b_plus[prop]) ** 2 + np.abs(a_minus[prop]) ** 2)
-         - (np.abs(a_inc[prop]) ** 2 + np.abs(b_inc[prop]) ** 2)) * s))
-    return inc, out_t, out_r, resid
+    """Flux sums over the orders in the mask prop (last axis, any batch axes).
+
+    Returns the incident, transmitted and reflected fluxes and the
+    conservation residual per the flux identity.
+    """
+    s = np.where(prop, np.sin(TWO_PI * np.real(theta)), 0.0)
+    inc_o = np.abs(a_inc) ** 2 + np.abs(b_inc) ** 2
+    out_t, out_r = np.abs(b_plus) ** 2, np.abs(a_minus) ** 2
+    return ((inc_o * s).sum(axis=-1), (out_t * s).sum(axis=-1),
+            (out_r * s).sum(axis=-1),
+            np.abs((((out_t + out_r) - inc_o) * s).sum(axis=-1)))
 
 
 def solve_scattering(params: StructureParams, point: BlochPoint,
                      incident: IncidentField = None,
-                     cond_limit: float = 1e12) -> ScatteringSolution:
+                     cond_limit: float = COND_LIMIT) -> ScatteringSolution:
     """Solve the N x N chain system K z = gamma * u_inc and recover T, R.
 
     The outgoing coefficients follow from z through the common trace U:
@@ -206,31 +285,28 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
         raise ThresholdError(f"harmonic on a threshold curve at "
                              f"(kappa={point.kappa}, omega={point.omega})")
     theta, prop = hs.theta, np.array(hs.propagating, dtype=int)
+    mask = np.zeros(N, dtype=bool)
+    mask[prop] = True
     if point.is_real:
-        bad = [l for l in range(N) if l not in prop
-               and (incident.a_inc[l] != 0 or incident.b_inc[l] != 0)]
+        bad = np.flatnonzero(((incident.a_inc != 0) | (incident.b_inc != 0))
+                             & ~mask).tolist()
         if bad:
             raise NonPropagatingIncidenceError(
                 f"incident amplitude on non-propagating order(s) {bad}")
 
     K, P, Pinv, s = _chain_kernel(params, point.kappa, point.omega, hs.phi,
                                   theta)
-    u_inc = incident.a_inc + incident.b_inc
-    rhs = params.gammas * (P @ u_inc)
-    sv = np.linalg.svd(K, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    flags = []
-    if cond > cond_limit:
-        z, *_ = np.linalg.lstsq(K, rhs, rcond=1e-12)
-        flags.append("near_singular")
-    else:
-        z = np.linalg.solve(K, rhs)
-    U = u_inc + Pinv @ (np.conj(params.gammas) * z) / s
-    a_minus, b_plus, c = U - incident.a_inc, U - incident.b_inc, Pinv @ z
+    rhs = params.gammas * (P @ (incident.a_inc + incident.b_inc))
+    z, cond, near = _solve_stack(K[None], rhs[None], cond_limit)
+    z, cond = z[0], cond[0]
+    flags = ["near_singular"] if near[0] else []
+    a_minus, b_plus = _outgoing(Pinv, s, params.gammas, incident.a_inc,
+                                incident.b_inc, z)
+    c = Pinv @ z
 
     if point.is_real and len(prop) > 0:
         inc, out_t, out_r, resid = _flux_quantities(
-            theta, prop, incident.a_inc, incident.b_inc, a_minus, b_plus)
+            theta, mask, incident.a_inc, incident.b_inc, a_minus, b_plus)
         if len(prop) == 1:
             T, R = float(np.abs(b_plus[prop[0]])), float(np.abs(a_minus[prop[0]]))
         else:
@@ -287,28 +363,121 @@ def column_flux(sol: ScatteringSolution, m: int) -> float:
     return float(np.imag(np.sum(np.conj(u0) * (u1 - u0))))
 
 
+@dataclass(frozen=True)
+class ScatteringRow:
+    """Unit left incidence on one order at one real kappa, over real omegas.
+
+    Every array runs over `omega`; a_minus and b_plus have a trailing order
+    axis.  `flags` holds each point's scan flags; refused points (flag
+    `threshold` or `incident_not_propagating`) carry NaN in every array.
+    """
+
+    kappa: float
+    omega: np.ndarray
+    a_minus: np.ndarray
+    b_plus: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    energy_residual: np.ndarray
+    condition: np.ndarray
+    flags: tuple
+
+
+# flags of a row point, indexed by 2 * multi_prop + near_singular for solved
+# points and by 4 / 5 for the two refusals
+_ROW_FLAGS = ("", "near_singular", "multi_prop_flux_weighted",
+              "near_singular;multi_prop_flux_weighted", THRESHOLD,
+              NOT_PROPAGATING)
+
+
+def solve_row(params: StructureParams, kappa: float, omega_grid,
+              incident_order: int = 0, strict: bool = False) -> ScatteringRow:
+    """`solve_scattering` with unit left incidence over a row of real omegas.
+
+    The numbers equal the single-point solver's, point by point.  The row is
+    classified at once; K is stacked over the solvable points by
+    broadcasting, one stacked SVD gives the condition numbers and one
+    stacked solve handles the members at or under COND_LIMIT; the rest get
+    least-squares solutions and the `near_singular` flag.  Rows with more
+    than STACK_BYTES of K are solved in chunks.  Points on a threshold or
+    where the incident order does not propagate are refused with a flag, or,
+    if strict, the first of them raises the single-point solver's error.
+    """
+    N = params.N
+    incident = IncidentField.unit_left(N, incident_order)
+    omega = np.asarray(omega_grid, dtype=float)
+    phi = (kappa + np.arange(N)) / N
+    theta, prop, thr = _classify_real(phi, omega)
+    thr = thr.any(axis=-1)
+    ok = ~thr & prop[:, incident_order]
+    if strict and not ok.all():
+        i = int(np.argmin(ok))
+        if thr[i]:
+            raise ThresholdError(f"harmonic on a threshold curve at "
+                                 f"(kappa={kappa}, omega={omega[i]})")
+        raise NonPropagatingIncidenceError(
+            f"incident amplitude on non-propagating order(s) "
+            f"[{incident_order}]")
+
+    W = len(omega)
+    a_minus = np.full((W, N), np.nan, dtype=complex)
+    b_plus = a_minus.copy()
+    cond = np.full(W, np.nan)
+    near = np.zeros(W, dtype=bool)
+    idx = np.flatnonzero(ok)
+    for part in _chunks(len(idx), 16 * N * N):
+        i = idx[part]
+        K, P, Pinv, s = _chain_kernel(params, kappa, omega[i], phi, theta[i])
+        rhs = params.gammas * (P @ (incident.a_inc + incident.b_inc))
+        z, cond[i], near[i] = _solve_stack(
+            K, np.broadcast_to(rhs, (len(i), N)), COND_LIMIT)
+        a_minus[i], b_plus[i] = _outgoing(Pinv, s, params.gammas,
+                                          incident.a_inc, incident.b_inc, z)
+
+    # unit incidence on a propagating order: inc > 0, and with one
+    # propagating order that order is the incident one
+    multi = prop.sum(axis=-1) > 1
+    inc, out_t, out_r, res = _flux_quantities(
+        theta[ok], prop[ok], incident.a_inc, incident.b_inc, a_minus[ok],
+        b_plus[ok])
+    T, R, resid = np.full((3, W), np.nan)
+    T[ok] = np.where(multi[ok], np.sqrt(out_t / inc),
+                     np.abs(b_plus[ok, incident_order]))
+    R[ok] = np.where(multi[ok], np.sqrt(out_r / inc),
+                     np.abs(a_minus[ok, incident_order]))
+    resid[ok] = res
+    flag = np.where(thr, 4, np.where(ok, near + 2 * multi, 5))
+    return ScatteringRow(kappa=kappa, omega=omega, a_minus=a_minus,
+                         b_plus=b_plus, T=T, R=R, energy_residual=resid,
+                         condition=cond,
+                         flags=tuple(_ROW_FLAGS[f] for f in flag.tolist()))
+
+
 def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
                       incident_order: int = 0):
     """T, R, and the conservation residual over a (kappa, omega) grid.
 
-    Yields rows (kappa, omega, T, R, energy_residual, flags); threshold
-    points are skipped in place with a 'threshold' sentinel flag and NaNs,
-    and points where the incident order does not propagate with an
+    One `solve_row` call, that is one stacked solve, per kappa row.  Yields
+    rows (kappa, omega, T, R, energy_residual, flags); threshold points are
+    skipped in place with a 'threshold' sentinel flag and NaNs, and points
+    where the incident order does not propagate with an
     'incident_not_propagating' one.  Any other error reaches the caller.
+    A DEBUG line on the `latres` logger counts the points solved and
+    refused, the `near_singular` ones and the worst condition number.
     """
-    incident = IncidentField.unit_left(params.N, incident_order)
-    rows = []
+    _unit_amplitudes(params.N, incident_order)
+    omega = np.asarray(omega_grid, dtype=float)
+    rows, counts, worst = [], Counter(), np.nan
     for kap in np.asarray(kappa_grid, dtype=float):
-        for om in np.asarray(omega_grid, dtype=float):
-            try:
-                sol = solve_scattering(params, BlochPoint(kap, om), incident)
-            except ThresholdError:
-                rows.append((kap, om, np.nan, np.nan, np.nan, "threshold"))
-                continue
-            except NonPropagatingIncidenceError:
-                rows.append((kap, om, np.nan, np.nan, np.nan,
-                             "incident_not_propagating"))
-                continue
-            rows.append((kap, om, sol.T, sol.R, sol.energy_residual,
-                         ";".join(sol.flags)))
+        row = solve_row(params, kap, omega, incident_order)
+        rows.extend(zip([kap] * len(omega), omega.tolist(), row.T.tolist(),
+                        row.R.tolist(), row.energy_residual.tolist(),
+                        row.flags))
+        counts.update(row.flags)
+        worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
+    refused = counts[THRESHOLD] + counts[NOT_PROPAGATING]
+    log.debug("scan: %d points solved, %d threshold, %d incident not "
+              "propagating, %d near_singular, worst condition %.3g",
+              len(rows) - refused, counts[THRESHOLD], counts[NOT_PROPAGATING],
+              sum(n for f, n in counts.items() if "near_singular" in f), worst)
     return rows

@@ -139,23 +139,48 @@ def ambient_dispersion(theta, phi):
     return 4.0 - 2.0 * np.cos(TWO_PI * theta) - 2.0 * np.cos(TWO_PI * phi)
 
 
+def _classify_real(phi, omega, threshold_tol=1e-9):
+    """Exponents and classes of every order at real frequencies.
+
+    omega may be a scalar or an array; returns (theta, prop, thr), each of
+    shape omega.shape + (N,), with prop and thr the masks of the propagating
+    and the threshold orders.  An order within threshold_tol > 0 of
+    chi = +-1 is a threshold, theta = 0 or 1/2; an order with |chi| < 1
+    propagates, theta = arccos(chi) / 2 pi; the others decay,
+    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.
+    """
+    chi = np.real(np.subtract.outer((4.0 - omega) / 2.0,
+                                    np.cos(TWO_PI * phi)))
+    mag = np.abs(chi)
+    # exact for |chi| in [1/2, 2], so that gap <= -tol is |chi| < 1 off the
+    # thresholds
+    gap = mag - 1.0
+    thr = np.abs(gap) < threshold_tol
+    prop = gap <= -threshold_tol
+    # arccos(+-1) / 2 pi is exactly 0 or 1/2, and arccosh(1) is 0
+    theta = (np.arccos(np.where(prop, chi, np.sign(chi))) / TWO_PI
+             + 1j * (np.arccosh(np.where(gap < threshold_tol, 1.0, mag))
+                     / TWO_PI))
+    return theta, prop, thr
+
+
 def _harmonic_arrays(N, kappa, omega, threshold_tol=1e-9):
-    """Vectorized classification core.
+    """Classification core for one point.
 
     Returns (phi, theta, kinds, prop) where kinds is a list of class strings
     and prop is the array of propagating order indices.
     """
     phi = (kappa + np.arange(N)) / N
-    chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
-    theta = np.zeros(N, dtype=complex)
-    kinds = [None] * N
 
-    if np.iscomplexobj(np.asarray(omega)) and np.imag(omega) != 0.0:
+    if np.imag(omega) != 0.0:
         # Analytic continuation from the real-omega branch along a straight
         # path in omega.  The principal arccos already continues the
         # propagating branch; for decaying orders pick the sign that keeps
         # the field bounded.
+        chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
         chi_re = (4.0 - np.real(omega)) / 2.0 - np.cos(TWO_PI * np.real(phi))
+        theta = np.zeros(N, dtype=complex)
+        kinds = [None] * N
         for l in range(N):
             p = np.arccos(chi[l] + 0j) / TWO_PI
             if -1.0 < chi_re[l] < 1.0:
@@ -166,25 +191,15 @@ def _harmonic_arrays(N, kappa, omega, threshold_tol=1e-9):
                 theta[l] = cand - np.floor(np.real(cand))
                 kinds[l] = EVANESCENT if chi_re[l] > 0 else BAND_EDGE_EVANESCENT
         _check_sign_law(theta, kinds, omega)
-    else:
-        chi = np.real(chi)
-        for l in range(N):
-            x = chi[l]
-            if abs(x - 1.0) < threshold_tol or abs(x + 1.0) < threshold_tol:
-                theta[l] = 0.0 if x > 0 else 0.5
-                kinds[l] = LINEAR_THRESHOLD
-            elif -1.0 < x < 1.0:
-                theta[l] = np.arccos(x) / TWO_PI
-                kinds[l] = PROPAGATING
-            elif x > 1.0:
-                theta[l] = 1j * np.arccosh(x) / TWO_PI
-                kinds[l] = EVANESCENT
-            else:
-                theta[l] = 0.5 + 1j * np.arccosh(-x) / TWO_PI
-                kinds[l] = BAND_EDGE_EVANESCENT
+        prop = np.array([l for l in range(N) if kinds[l] == PROPAGATING],
+                        dtype=int)
+        return phi, theta, kinds, prop
 
-    prop = np.array([l for l in range(N) if kinds[l] == PROPAGATING], dtype=int)
-    return phi, theta, kinds, prop
+    theta, prop, thr = _classify_real(phi, np.real(omega), threshold_tol)
+    kinds = [LINEAR_THRESHOLD if t else PROPAGATING if p
+             else EVANESCENT if th.real == 0.0 else BAND_EDGE_EVANESCENT
+             for th, p, t in zip(theta.tolist(), prop.tolist(), thr.tolist())]
+    return phi, theta, kinds, prop.nonzero()[0]
 
 
 def _check_sign_law(theta, kinds, omega):
@@ -260,21 +275,24 @@ class RegionDiagram:
 
 
 def region_diagram(params: StructureParams, kappa_grid, omega_grid) -> RegionDiagram:
-    """Count propagating orders at every grid point."""
+    """Count propagating orders at every grid point, one kappa row at a time.
+
+    Orders within the classifier's threshold tolerance count as thresholds,
+    not as propagating, exactly as in `propagating_count`.
+    """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     counts = np.zeros((len(kappa_grid), len(omega_grid)), dtype=int)
     thresh = np.zeros_like(counts, dtype=bool)
     for i, kap in enumerate(kappa_grid):
-        # chi for all orders and omegas at once
-        phi = (kap + np.arange(params.N)) / params.N
-        chi = (4.0 - omega_grid[:, None]) / 2.0 - np.cos(TWO_PI * phi)[None, :]
-        counts[i] = np.sum((chi > -1.0) & (chi < 1.0), axis=1)
-        thresh[i] = np.any(np.abs(np.abs(chi) - 1.0) < 1e-9, axis=1)
+        _, prop, thr = _classify_real((kap + np.arange(params.N)) / params.N,
+                                      omega_grid)
+        counts[i] = prop.sum(axis=-1)
+        thresh[i] = thr.any(axis=-1)
     return RegionDiagram(kappa_grid, omega_grid, counts, thresh)
 
 
 def propagating_count(params: StructureParams, kappa: float, omega: float) -> int:
     """|P| at a single real point."""
-    _, _, _, prop = _harmonic_arrays(params.N, kappa, omega)
-    return len(prop)
+    _, prop, _ = _classify_real((kappa + np.arange(params.N)) / params.N, omega)
+    return int(prop.sum())

@@ -1,10 +1,14 @@
 """Guided-mode location, explicit N=2 criteria, and dispersion continuation."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from latres.structure import BlochPoint
-from latres.guided import (EigenvalueTracker, eigenvalue_ell,
+import latres.scattering
+from latres.structure import BlochPoint, ThresholdError
+from latres.scattering import scan_transmission
+from latres.guided import (EigenvalueTracker, _sigma_min_row, eigenvalue_ell,
                            find_guided_modes, guided_mode_criteria_n2,
                            sigma_min)
 
@@ -104,3 +108,65 @@ def test_bifurcation_fixture_dispersion_is_even(bif_fit):
 def test_bifurcation_mode_is_standing(bif_mode):
     assert bif_mode.kappa0 == 0.0
     assert bif_mode.omega0 == pytest.approx(0.9778859327860294, abs=1e-9)
+
+
+def _row_with_thresholds(params, kappa, omegas):
+    """omegas plus the frequencies where some order of the row sits exactly
+    on a threshold curve, sorted."""
+    cos = np.cos(2 * np.pi * (kappa + np.arange(params.N)) / params.N)
+    edges = np.concatenate([4.0 - 2.0 * (1.0 + cos), 4.0 - 2.0 * (cos - 1.0)])
+    inside = (edges > omegas[0]) & (edges < omegas[-1])
+    return np.sort(np.concatenate([omegas, edges[inside]]))
+
+
+@pytest.mark.parametrize("which, window, crosses", [
+    ("fixture1", (-0.5, 0.5, 0.7, 1.25), True),
+    ("n3_params", (-0.05, 0.05, 1.1, 1.3), False),
+])
+def test_sigma_min_row_matches_scalar(which, window, crosses, request):
+    # the coarse grid's stacked sigma_min, one kappa row at a time, against
+    # the scalar sigma_min that Nelder-Mead and criterion 02 use; threshold
+    # points (none in the N=3 window) are inf in the row and raise
+    # ThresholdError in the scalar
+    params = request.getfixturevalue(which)
+    thresholds = 0
+    for kap in np.linspace(window[0], window[1], 9):
+        omegas = _row_with_thresholds(params, kap,
+                                      np.linspace(window[2], window[3], 41))
+        row = _sigma_min_row(params, kap, omegas)
+        for om, got in zip(omegas, row):
+            try:
+                want = sigma_min(params, BlochPoint(kap, om))
+            except ThresholdError:
+                assert got == np.inf
+                thresholds += 1
+                continue
+            assert abs(got - want) <= 1e-14
+    assert (thresholds > 0) == crosses
+
+
+def test_rows_split_into_chunks_match(fixture1, n3_params, monkeypatch):
+    # a chunk limit far below one row's stack must leave every scan row and
+    # every sigma_min value bit for bit as the unsplit run
+    kappas = np.linspace(-0.5, 0.5, 5)
+    omegas = _row_with_thresholds(fixture1, 0.0, np.linspace(0.5, 4.5, 61))
+
+    def run():
+        rows = scan_transmission(fixture1, kappas, omegas)
+        numbers = np.array([r[:5] for r in rows], dtype=float)
+        sig = np.array([_sigma_min_row(p, kap, omegas)
+                        for p in (fixture1, n3_params) for kap in kappas])
+        return numbers.tobytes(), [r[5] for r in rows], sig.tobytes()
+
+    whole = run()
+    monkeypatch.setattr(latres.scattering, "STACK_BYTES", 1000)
+    assert run() == whole
+
+
+def test_mode_search_logs_counts(fixture1, caplog):
+    caplog.set_level(logging.DEBUG, logger="latres")
+    modes = find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=30)
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 1
+    assert lines[0].startswith("guided-mode search: 900 grid points, ")
+    assert lines[0].endswith(f", {len(modes)} modes")

@@ -1,8 +1,12 @@
 """Fourier scattering solver: frozen values, conservation, field residuals."""
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
+from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
                               classify_harmonics)
 from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
@@ -11,6 +15,8 @@ from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
                                solve_scattering)
 
 POINT = BlochPoint(0.2, 1.5)
+MODE1_KAPPA = 0.06167366437892
+MODE1_OMEGA = 0.97916666666667
 
 
 def test_assembled_shapes(fixture1):
@@ -181,3 +187,116 @@ def test_scan_raises_other_value_errors():
     assert not isinstance(exc.value, NonPropagatingIncidenceError)
     with pytest.raises(ValueError, match="incident order 2 outside 0..1"):
         scan_transmission(params, [0.2], [1.5], incident_order=2)
+
+
+def _point_rows(params, kappa_grid, omega_grid, order=0):
+    """The scan rows, one solve_scattering call per point."""
+    incident = IncidentField.unit_left(params.N, order)
+    rows = []
+    for kap in kappa_grid:
+        for om in omega_grid:
+            try:
+                sol = solve_scattering(params, BlochPoint(kap, om), incident)
+            except ThresholdError:
+                rows.append((np.nan, np.nan, np.nan, "threshold"))
+                continue
+            except NonPropagatingIncidenceError:
+                rows.append((np.nan, np.nan, np.nan,
+                             "incident_not_propagating"))
+                continue
+            rows.append((sol.T, sol.R, sol.energy_residual,
+                         ";".join(sol.flags)))
+    return rows
+
+
+def _assert_rows_match(params, kappa_grid, omega_grid, order=0):
+    """scan_transmission (one stacked solve per kappa row) against point
+    solves: T, R and residual within 1e-12, identical flags."""
+    rows = scan_transmission(params, kappa_grid, omega_grid, order)
+    ref = _point_rows(params, kappa_grid, omega_grid, order)
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        assert row[5] == want[3]
+        got, exp = np.array(row[2:5]), np.array(want[:3])
+        assert np.array_equal(np.isnan(got), np.isnan(exp))
+        ok = ~np.isnan(exp)
+        assert np.all(np.abs(got[ok] - exp[ok]) <= 1e-12)
+    return {flag for row in rows for flag in row[5].split(";")}
+
+
+def test_scan_rows_match_point_solves():
+    # seeded structures, N = 1..8, real and complex couplings; every row
+    # carries the exact threshold frequencies of two of its orders, so it
+    # crosses thresholds, and spans the multi-propagating band and points
+    # where the incident order does not propagate
+    rng = np.random.default_rng(44)
+    flags, orders = set(), set()
+    for N in range(1, 9):
+        for complex_gamma in (False, True):
+            gammas = rng.uniform(0.2, 3.0, N)
+            if complex_gamma:
+                gammas = gammas * np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+            params = StructureParams(N, rng.uniform(0.5, 2.0, N),
+                                     rng.uniform(0.5, 2.0, N), gammas)
+            kap = rng.uniform(-0.5, 0.5)
+            cos = np.cos(2 * np.pi * (kap + np.arange(N)) / N)
+            omegas = np.sort(np.concatenate([
+                np.linspace(0.05, 7.95, 60),
+                4.0 - 2.0 * (1.0 + cos[:2]), 4.0 - 2.0 * (-1.0 + cos[:2])]))
+            order = int(rng.integers(N))
+            orders.add(order)
+            flags |= _assert_rows_match(params, [kap, -kap], omegas, order)
+    assert {"threshold", "incident_not_propagating",
+            "multi_prop_flux_weighted", ""} <= flags
+    assert max(orders) > 0
+
+
+def test_scan_row_through_guided_mode(fixture1):
+    # the row at the embedded mode's kappa contains its frequency exactly:
+    # K is singular to working precision there, so that point takes the
+    # least-squares path while the rest of the row is solved stacked
+    omegas = np.sort(np.append(np.linspace(0.9, 1.05, 31), MODE1_OMEGA))
+    flags = _assert_rows_match(fixture1, [MODE1_KAPPA], omegas)
+    assert "near_singular" in flags
+    rows = scan_transmission(fixture1, [MODE1_KAPPA], omegas)
+    assert [r[5] for r in rows].count("near_singular") == 1
+
+
+def test_scan_empty_omega_grid(tmp_path, fixture1):
+    config = tmp_path / "structure.json"
+    config.write_text(json.dumps(fixture1.to_dict()))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(config), "--out", str(out),
+                 "--kappa-grid=0,0.5,3", "--omega-grid=1,2,0"]) == 0
+    assert out.read_text() == "kappa,omega,T,R,energy_residual,flags\n"
+
+
+def test_scan_logs_counts(fixture1, caplog):
+    # one solved point, the near-singular mode point, a threshold point and
+    # a point where order 0 does not propagate
+    caplog.set_level(logging.DEBUG, logger="latres")
+    scan_transmission(fixture1, [MODE1_KAPPA], [1.5, MODE1_OMEGA, 7.9])
+    scan_transmission(fixture1, [0.0], [4.0])
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "scan: 2 points solved, 0 threshold, 1 incident not propagating, "
+        "1 near_singular, worst condition ")
+    assert float(lines[0].rsplit(" ", 1)[1]) > 1e12
+    assert lines[1] == ("scan: 0 points solved, 1 threshold, 0 incident not "
+                        "propagating, 0 near_singular, worst condition nan")
+
+
+def test_scan_csv_unchanged_by_debug_log(tmp_path, fixture1, monkeypatch,
+                                         capsys):
+    config = tmp_path / "structure.json"
+    config.write_text(json.dumps(fixture1.to_dict()))
+    texts = []
+    for level in ("WARNING", "DEBUG"):
+        monkeypatch.setenv("LATRES_LOG", level)
+        out = tmp_path / f"{level}.csv"
+        assert main(["scan", "--config", str(config), "--out", str(out),
+                     "--kappa-grid=0,0.5,3", "--omega-grid=0.5,3.5,7"]) == 0
+        texts.append(out.read_text())
+        assert capsys.readouterr().out == ""
+    assert texts[0] == texts[1]

@@ -8,6 +8,8 @@ from latres.structure import (BlochPoint, StructureParams, ambient_dispersion,
                               region_diagram, waveguide_band_matrix,
                               waveguide_bands, _harmonic_arrays)
 
+TWO_PI = 2.0 * np.pi
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -113,6 +115,28 @@ def test_region_diagram_counts(fixture1):
             if not diag.threshold_mask[i, j]:
                 assert diag.counts[i, j] == propagating_count(fixture1, kap, om)
     assert diag.counts.max() <= fixture1.N
+
+
+def test_region_diagram_counts_match_classifier(n3_params):
+    # every point, thresholds included: orders 1e-10 from a threshold are
+    # classified linear-threshold and not counted as propagating
+    kg = np.linspace(-0.5, 0.5, 11)
+    cos = np.cos(TWO_PI * (kg[3] + np.arange(3)) / 3)
+    edges = np.concatenate([4.0 - 2.0 * (1.0 + cos), 4.0 - 2.0 * (cos - 1.0)])
+    wg = np.sort(np.concatenate([np.linspace(0.1, 7.9, 27),
+                                 edges + 1e-10, edges - 1e-10]))
+    diag = region_diagram(n3_params, kg, wg)
+    near = 0
+    for i, kap in enumerate(kg):
+        chi = ((4.0 - wg[:, None]) / 2.0
+               - np.cos(TWO_PI * (kap + np.arange(3)) / 3))
+        inside = np.sum(np.abs(chi) < 1.0, axis=1)
+        for j, om in enumerate(wg):
+            assert diag.counts[i, j] == propagating_count(n3_params, kap, om)
+            assert diag.threshold_mask[i, j] == classify_harmonics(
+                n3_params, BlochPoint(kap, om)).has_threshold
+            near += int(diag.counts[i, j] < inside[j])
+    assert near > 0
 
 
 def test_harmonic_arrays_phi_ladder():
