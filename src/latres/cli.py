@@ -28,8 +28,6 @@ from .resonance import (approx_transmission, enhancement_scan, fit_anomaly,
 from .timedomain import LatticeState, evolve, gaussian_pulse
 from .discrete import identity_residuals
 
-log = logging.getLogger("latres")
-
 FMT = "%.17g"
 
 
@@ -92,6 +90,15 @@ def cmd_bands(args):
     return 0
 
 
+def _complex(v) -> complex:
+    """A JSON number, or an object {re, im} with im defaulting to 0."""
+    if isinstance(v, dict):
+        return complex(v["re"], v.get("im", 0.0))
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return complex(v)
+    raise TypeError(f"not a number or {{re, im}} object: {v!r}")
+
+
 def _amplitudes(spec, N, flag):
     """Parse a JSON list of at most N incident amplitudes, zero-padded to N."""
     values = json.loads(spec) if spec else []
@@ -100,8 +107,7 @@ def _amplitudes(spec, N, flag):
                          f"amplitudes, got {spec}")
     amp = np.zeros(N, dtype=complex)
     try:
-        for i, v in enumerate(values):
-            amp[i] = complex(v["re"], v.get("im", 0.0)) if isinstance(v, dict) else v
+        amp[:len(values)] = [_complex(v) for v in values]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{flag} entries must be numbers or {{re, im}} "
                          f"objects, got {spec}") from exc
@@ -280,16 +286,29 @@ def cmd_enhance(args):
     return 0
 
 
+def _init_state(path, N, kappa) -> LatticeState:
+    """The --init-file state: lists z (N entries) and u (rows of N entries)."""
+    if not path:
+        raise ValueError("--init file requires --init-file")
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        z = [_complex(v) for v in doc["z"]]
+        u = [[_complex(v) for v in row] for row in doc["u"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("--init-file must hold lists z and u of numbers or "
+                         f"{{re, im}} objects: {exc}") from exc
+    if len(z) != N:
+        raise ValueError(f"--init-file z must have N={N} entries, "
+                         f"got {len(z)}")
+    return LatticeState(z=np.array(z, dtype=complex),
+                        u=np.array(u, dtype=complex), kappa=kappa)
+
+
 def cmd_evolve(args):
     params = _params(args)
     if args.init == "file":
-        with open(args.init_file) as fh:
-            doc = json.load(fh)
-        state = LatticeState(
-            z=np.array([complex(v["re"], v.get("im", 0)) for v in doc["z"]]),
-            u=np.array([[complex(v["re"], v.get("im", 0)) for v in row]
-                        for row in doc["u"]]),
-            kappa=args.kappa)
+        state = _init_state(args.init_file, params.N, args.kappa)
     else:
         state = gaussian_pulse(params, args.mx, args.kappa,
                                center=-args.mx / 2.0, width=args.mx / 8.0,

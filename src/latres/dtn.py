@@ -1,15 +1,17 @@
 """Truncated-strip solver closed by the Dirichlet-to-Neumann boundary map.
 
-A second, independent discretization of the same scattering problem: unknowns
-are the field values on the strip |m| <= M (plus one halo column on each
-side) and the chain amplitudes z_n.  Outgoing radiation is imposed exactly
-through the per-order multiplier (1 - e^{2 pi i theta_l}) acting on boundary
-traces, so the truncation error is zero per harmonic and the solver serves as
-a cross-validation oracle for the Fourier solver.
+A second, independent discretization of the same scattering problem: the
+system is omega - H, with H the `structure.strip_operator` of |m| <= M + 1
+that the time-domain integrator also uses, and its halo rows m = +-(M + 1)
+replaced by boundary rows.  These impose outgoing radiation exactly through
+the per-order multiplier (1 - e^{2 pi i theta_l}) acting on boundary traces,
+so the truncation error is zero per harmonic and the solver serves as a
+cross-validation oracle for the Fourier solver.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +19,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .structure import (BlochPoint, HarmonicSet, StructureParams,
-                        classify_harmonics, waveguide_band_matrix)
+                        ThresholdError, classify_harmonics, strip_operator)
 from .scattering import (IncidentField, reconstruct_field, solve_scattering)
 
 TWO_PI = 2.0 * np.pi
+
+log = logging.getLogger("latres")
 
 
 def dtn_multipliers(harmonics: HarmonicSet) -> np.ndarray:
@@ -30,14 +34,15 @@ def dtn_multipliers(harmonics: HarmonicSet) -> np.ndarray:
 
 def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray,
               kappa: float = None) -> np.ndarray:
-    """Apply the boundary map to a length-N trace.
+    """Apply the boundary map to a length-N trace (or to each along the last
+    axis).
 
     Unwind the Bloch twist so the trace is plain-periodic, take the discrete
     Fourier transform, multiply order l by (1 - e^{2 pi i theta_l}), and
     transform back.
     """
     trace = np.asarray(trace, dtype=complex)
-    N = len(trace)
+    N = trace.shape[-1]
     if kappa is None:
         kappa = np.real(harmonics.point.kappa)
     n = np.arange(N)
@@ -49,13 +54,7 @@ def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray,
 
 def dtn_matrix(harmonics: HarmonicSet, kappa: float = None) -> np.ndarray:
     """Dense N x N matrix of the boundary map in the site basis."""
-    N = len(harmonics.harmonics)
-    out = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        e = np.zeros(N, dtype=complex)
-        e[j] = 1.0
-        out[:, j] = dtn_apply(harmonics, e, kappa)
-    return out
+    return dtn_apply(harmonics, np.eye(len(harmonics.harmonics)), kappa).T
 
 
 def default_truncation(harmonics: HarmonicSet, tol: float = 1e-10,
@@ -98,93 +97,58 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
                     M: int = None) -> TruncatedSolution:
     """Solve the truncated scattering problem with DtN closure at m = -+M.
 
-    Rows: the bulk lattice equation for |m| <= M (with the chain coupling on
-    m = 0), the chain equation, and one boundary row per site of each
-    boundary column, (u_halo - u_boundary) + (boundary map on the trace)
+    Rows: (omega - H) s = 0 on the chain and on |m| <= M, with H the
+    `strip_operator` of |m| <= M + 1, and in place of each halo row one
+    boundary row, (u_halo - u_boundary) + (boundary map on the trace)
     = the matching normal-difference data of the incident field, which per
     propagating order reduces to -2i sin(2 pi theta_l) times its boundary
-    value.
+    value.  Raises ThresholdError on a threshold curve.
     """
     N = params.N
     if incident is None:
         incident = IncidentField.unit_left(N)
     hs = classify_harmonics(params, point)
     if hs.has_threshold:
-        raise ValueError("cannot truncate on a threshold curve")
+        raise ThresholdError("cannot truncate on a threshold curve")
     if M is None:
         M = default_truncation(hs)
     if M < 2:
         raise ValueError("truncation half-width M must be >= 2")
 
-    kappa = np.real(point.kappa)
-    omega = point.omega
     phi, theta, prop = hs.phi, hs.theta, list(hs.propagating)
 
-    ms = np.arange(-M - 1, M + 2)
-    nu = len(ms) * N
-    dim = nu + N
-    tw = np.exp(2j * np.pi * kappa)
+    H = strip_operator(params, np.real(point.kappa), M + 1).tocoo()
+    dim = H.shape[0]
+    site = N + np.arange(dim - N).reshape(2 * M + 3, N)
+    bulk = np.r_[0:N, site[1:-1].ravel()]   # the chain and |m| <= M
+    keep = np.isin(H.row, bulk)
+    rows, cols = [H.row[keep], bulk], [H.col[keep], bulk]
+    vals = [-H.data[keep], np.full(len(bulk), point.omega)]
 
-    def uid(m, n):
-        return (m + M + 1) * N + n
-
-    rows, cols, vals = [], [], []
+    # DtN boundary rows in the halo rows m = -M-1 (incidence from the left,
+    # trace at m = -M) and m = M+1 (incidence from the right, trace at m = M)
+    Tmat = dtn_matrix(hs)
+    waves = np.exp(2j * np.pi * np.outer(phi[prop], np.arange(N)))
     F = np.zeros(dim, dtype=complex)
+    for h, b, amp in ((site[0], site[1], incident.a_inc),
+                      (site[-1], site[-2], incident.b_inc)):
+        rows += [h, h, np.repeat(h, N)]
+        cols += [h, b, np.tile(b, N)]
+        vals += [np.ones(N), -np.ones(N), Tmat.ravel()]
+        F[h] = (-2j * np.sin(TWO_PI * theta[prop]) * amp[prop]
+                * np.exp(-2j * np.pi * theta[prop] * M)) @ waves
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    r = 0
-    # bulk lattice equation omega u = (coupling) + Omega2 u for |m| <= M
-    for m in range(-M, M + 1):
-        for n in range(N):
-            add(r, uid(m, n), omega - 4.0)
-            add(r, uid(m - 1, n), 1.0)
-            add(r, uid(m + 1, n), 1.0)
-            if n + 1 < N:
-                add(r, uid(m, n + 1), 1.0)
-            else:
-                add(r, uid(m, 0), tw)
-            if n - 1 >= 0:
-                add(r, uid(m, n - 1), 1.0)
-            else:
-                add(r, uid(m, N - 1), 1.0 / tw)
-            if m == 0:
-                add(r, nu + n, -np.conj(params.gammas[n]))
-            r += 1
-    # chain equation (omega - A) z = gamma u at m = 0
-    chain = omega * np.eye(N) - waveguide_band_matrix(params, kappa)
-    for n in range(N):
-        for n2 in np.flatnonzero(chain[n]):
-            add(r, nu + n2, chain[n, n2])
-        add(r, uid(0, n), -params.gammas[n])
-        r += 1
-    # DtN boundary rows at m = -M (halo -M-1, incidence from the left) and
-    # m = +M (halo M+1, incidence from the right)
-    Tmat = dtn_matrix(hs, kappa)
-    for side, amp in ((-1, incident.a_inc), (+1, incident.b_inc)):
-        bm = side * M
-        for n in range(N):
-            add(r, uid(bm + side, n), 1.0)
-            add(r, uid(bm, n), -1.0)
-            for n2 in range(N):
-                add(r, uid(bm, n2), Tmat[n, n2])
-            if prop:
-                F[r] = np.sum([
-                    -2j * np.sin(TWO_PI * theta[l]) * amp[l]
-                    * np.exp(-2j * np.pi * theta[l] * M)
-                    * np.exp(2j * np.pi * phi[l] * n)
-                    for l in prop])
-            r += 1
-    assert r == dim, (r, dim)
-
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
+    A = sp.csc_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dim, dim))
     X = spla.spsolve(A, F)
-    return TruncatedSolution(params=params, point=point, incident=incident,
-                             M=M, m_values=ms, u=X[:nu].reshape(len(ms), N),
-                             z=X[nu:], residual_vector=A @ X - F)
+    trunc = TruncatedSolution(params=params, point=point, incident=incident,
+                              M=M, m_values=np.arange(-M - 1, M + 2),
+                              u=X[N:].reshape(2 * M + 3, N), z=X[:N],
+                              residual_vector=A @ X - F)
+    log.debug("solve_truncated: M=%d, %d unknowns, residual %.3e", M, dim,
+              trunc.residual)
+    return trunc
 
 
 def cross_validate(params: StructureParams, point: BlochPoint,
@@ -194,14 +158,10 @@ def cross_validate(params: StructureParams, point: BlochPoint,
         incident = IncidentField.unit_left(params.N)
     trunc = solve_truncated(params, point, incident, M)
     four = solve_scattering(params, point, incident)
-    n = np.arange(params.N)
-    err = 0.0
-    for i, m in enumerate(trunc.m_values):
-        u_ref, _ = reconstruct_field(four, int(m), n)
-        err = max(err, float(np.max(np.abs(trunc.u[i] - u_ref))))
-    _, z_ref = reconstruct_field(four, 0, n)
-    err = max(err, float(np.max(np.abs(trunc.z - z_ref))))
-    return err
+    u_ref, z_ref = reconstruct_field(four, trunc.m_values[:, None],
+                                     np.arange(params.N))
+    return float(max(np.max(np.abs(trunc.u - u_ref)),
+                     np.max(np.abs(trunc.z - z_ref))))
 
 
 def variational_residual(trunc: TruncatedSolution, num_tests: int = 8,

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 TWO_PI = 2.0 * np.pi
 
@@ -257,6 +258,36 @@ def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
         B[n, up] += c * wrap
         B[up, n] += c / wrap
     return B
+
+
+def strip_operator(params: StructureParams, kappa: float,
+                   mx: int) -> sp.csr_matrix:
+    """The Hermitian generator H of the chain coupled to the strip |m| <= mx.
+
+    H acts on s = (z, u.ravel()) with u of shape (2 mx + 1, N), rows
+    m = -mx..mx, and zero Dirichlet data beyond them.  The chain block is
+    `waveguide_band_matrix`; the lattice block is 4 u minus the four
+    neighbours, with the factor e^{+-2 pi i kappa} across the n-wrap; the
+    coupling feeds gamma_n u_{0n} into chain row n and conj(gamma_n) z_n
+    into lattice site (0, n).
+    """
+    N = params.N
+    n = np.arange(N)
+    site = N + np.arange((2 * mx + 1) * N).reshape(2 * mx + 1, N)
+    nxt = site[:, (n + 1) % N]
+    # the hop from (m, n) to (m, n + 1) picks up the twist on the wrap
+    hop = np.where(n == N - 1, np.exp(2j * np.pi * kappa), 1.0)
+    chain = waveguide_band_matrix(params, kappa)
+    cr, cc = np.nonzero(chain)
+    blocks = [(cr, cc, chain[cr, cc]), (n, site[mx], params.gammas),
+              (site[mx], n, np.conj(params.gammas)), (site, site, 4.0),
+              (site[1:], site[:-1], -1.0), (site[:-1], site[1:], -1.0),
+              (site, nxt, -hop), (nxt, site, -1.0 / hop)]
+    rows, cols, vals = (np.concatenate(
+        [np.broadcast_to(b[k], b[0].shape).ravel() for b in blocks])
+        for k in range(3))
+    dim = N + site.size
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def waveguide_bands(params: StructureParams, kappa: float) -> np.ndarray:

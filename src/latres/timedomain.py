@@ -1,19 +1,23 @@
 """Explicit time integration of the coupled chain-lattice dynamics.
 
-The state s = (z, u) evolves by ds/dt = -i H s where H is the Hermitian block
-operator combining the chain, the lattice Laplacian-type stencil, and the
-coupling along m = 0.  The strip is closed with zero-Dirichlet walls at
-m = +-Mx and a Bloch-twisted wrap in n, which keeps H exactly Hermitian so
-norm conservation is limited only by the integrator.
+The state s = (z, u) evolves by ds/dt = -i H s, where H is the sparse
+`structure.strip_operator`: chain, lattice stencil and coupling along m = 0
+on the strip |m| <= Mx, closed with zero-Dirichlet walls at m = +-Mx and a
+Bloch-twisted wrap in n.  That keeps H exactly Hermitian, so norm
+conservation is limited only by the integrator.  `evolve` builds H once;
+`rk4_step` and `apply_omega` build it per call.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .structure import StructureParams, waveguide_band_matrix
+from .structure import StructureParams, strip_operator
+
+log = logging.getLogger("latres")
 
 
 @dataclass(frozen=True)
@@ -45,52 +49,35 @@ class LatticeState:
         return float(np.sum(np.abs(self.z) ** 2))
 
 
+def _flat(state: LatticeState) -> np.ndarray:
+    return np.concatenate([state.z, state.u.ravel()])
+
+
+def _unflat(state: LatticeState, s: np.ndarray, t: float) -> LatticeState:
+    N = len(state.z)
+    return replace(state, z=s[:N], u=s[N:].reshape(state.u.shape), t=t)
+
+
 def apply_omega(params: StructureParams, state: LatticeState):
-    """The Hermitian generator applied to a state: (H1 z + G u, G* z + H2 u).
-
-    The chain block is the Bloch-reduced band matrix; the lattice block is
-    4u minus the four neighbors with a kappa twist across the n-wrap and zero
-    Dirichlet data beyond m = +-Mx; the coupling feeds gamma_n u_{0n} into
-    the chain and conj(gamma_n) z_n into the line m = 0.
-    """
-    z, u = state.z, state.u
-    mid = state.mx
-    tw = np.exp(2j * np.pi * state.kappa)
-
-    dz = waveguide_band_matrix(params, state.kappa) @ z + params.gammas * u[mid]
-
-    du = 4.0 * u
-    du[1:] -= u[:-1]
-    du[:-1] -= u[1:]
-    du -= np.roll(u, -1, axis=1) * np.where(
-        np.arange(u.shape[1]) == u.shape[1] - 1, tw, 1.0)
-    du -= np.roll(u, 1, axis=1) * np.where(
-        np.arange(u.shape[1]) == 0, 1.0 / tw, 1.0)
-    du[mid] += np.conj(params.gammas) * z
-    return dz, du
+    """The Hermitian generator applied to a state: (H1 z + G u, G* z + H2 u)."""
+    hs = strip_operator(params, state.kappa, state.mx) @ _flat(state)
+    return hs[:len(state.z)], hs[len(state.z):].reshape(state.u.shape)
 
 
-def _rhs(params, state):
-    dz, du = apply_omega(params, state)
-    return -1j * dz, -1j * du
+def _rk4(H, s, dt):
+    """One classical Runge-Kutta step of ds/dt = -i H s on a flat vector."""
+    k1 = -1j * (H @ s)
+    k2 = -1j * (H @ (s + 0.5 * dt * k1))
+    k3 = -1j * (H @ (s + 0.5 * dt * k2))
+    k4 = -1j * (H @ (s + dt * k3))
+    return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4_step(params: StructureParams, state: LatticeState,
              dt: float) -> LatticeState:
     """One classical Runge-Kutta step of ds/dt = -i H s."""
-    z, u = state.z, state.u
-    k1z, k1u = _rhs(params, state)
-    s2 = replace(state, z=z + 0.5 * dt * k1z, u=u + 0.5 * dt * k1u)
-    k2z, k2u = _rhs(params, s2)
-    s3 = replace(state, z=z + 0.5 * dt * k2z, u=u + 0.5 * dt * k2u)
-    k3z, k3u = _rhs(params, s3)
-    s4 = replace(state, z=z + dt * k3z, u=u + dt * k3u)
-    k4z, k4u = _rhs(params, s4)
-    return replace(
-        state,
-        z=z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
-        u=u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
-        t=state.t + dt)
+    H = strip_operator(params, state.kappa, state.mx)
+    return _unflat(state, _rk4(H, _flat(state), dt), state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -109,12 +96,20 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
            steps: int, record_every: int = 1,
            drift_limit: float = 1e-4) -> EvolutionResult:
     """Integrate for `steps` RK4 steps, recording norm and chain energy."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    H = strip_operator(params, state.kappa, state.mx)
+    s, t = _flat(state), state.t
     times = [state.t]
     norms = [state.norm()]
     wg = [state.waveguide_energy()]
     for i in range(steps):
-        state = rk4_step(params, state, dt)
+        s = _rk4(H, s, dt)
+        t = t + dt
         if (i + 1) % record_every == 0 or i + 1 == steps:
+            state = _unflat(state, s, t)
             times.append(state.t)
             norms.append(state.norm())
             wg.append(state.waveguide_energy())
@@ -122,9 +117,13 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
                 raise RuntimeError(
                     f"norm drift {abs(norms[-1] - norms[0]):.3e} exceeds "
                     f"{drift_limit}; reduce dt")
-    return EvolutionResult(state=state, times=np.array(times),
-                           norms=np.array(norms),
-                           waveguide_energy=np.array(wg))
+    result = EvolutionResult(state=state, times=np.array(times),
+                             norms=np.array(norms),
+                             waveguide_energy=np.array(wg))
+    log.debug("evolve: %d steps of dt %g, %d unknowns, max relative norm "
+              "drift %.3e", steps, dt, len(s),
+              result.norm_drift / (norms[0] or 1.0))
+    return result
 
 
 def antisymmetrize(state: LatticeState) -> LatticeState:
@@ -161,25 +160,11 @@ def hermiticity_residual(params: StructureParams, kappa: float, mx: int,
                          seed: int = 0, trials: int = 4) -> float:
     """Max |<H s1, s2> - <s1, H s2>| over random unit states."""
     rng = np.random.default_rng(seed)
-    N = params.N
-
-    def rand_state():
-        z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        u = rng.standard_normal((2 * mx + 1, N)) + 1j * rng.standard_normal(
-            (2 * mx + 1, N))
-        s = LatticeState(z=z, u=u, kappa=kappa)
-        nrm = s.norm()
-        return replace(s, z=z / nrm, u=u / nrm)
-
-    def inner(a, b):
-        return np.vdot(a.z, b.z) + np.vdot(a.u.ravel(), b.u.ravel())
-
+    H = strip_operator(params, kappa, mx)
     worst = 0.0
     for _ in range(trials):
-        s1, s2 = rand_state(), rand_state()
-        h1z, h1u = apply_omega(params, s1)
-        h2z, h2u = apply_omega(params, s2)
-        hs1 = replace(s1, z=h1z, u=h1u)
-        hs2 = replace(s2, z=h2z, u=h2u)
-        worst = max(worst, abs(inner(hs1, s2) - inner(s1, hs2)))
+        s1, s2 = (rng.standard_normal((2, H.shape[0]))
+                  + 1j * rng.standard_normal((2, H.shape[0])))
+        s1, s2 = s1 / np.linalg.norm(s1), s2 / np.linalg.norm(s2)
+        worst = max(worst, abs(np.vdot(H @ s1, s2) - np.vdot(s1, H @ s2)))
     return worst

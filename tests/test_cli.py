@@ -240,3 +240,65 @@ def test_log_env_variable(config1, tmp_path, monkeypatch):
     out = str(tmp_path / "bands.csv")
     assert main(["bands", "--config", config1, "--out", out,
                  "--kappa-grid=0,0.5,3"]) == 0
+
+
+@pytest.mark.parametrize("flags, doc, message", [
+    (["--record-every=0"], None, "record_every must be >= 1, got 0"),
+    (["--steps=-1"], None, "steps must be >= 0, got -1"),
+    (["--init=file"], None, "--init file requires --init-file"),
+    (["--init=file"], {"z": ["1", 0], "u": [[0, 0]]},
+     "--init-file must hold lists z and u"),
+    (["--init=file"], {"z": [{"im": 1}, 0], "u": [[0, 0]]},
+     "--init-file must hold lists z and u"),
+    (["--init=file"], {"z": [0, 0], "u": [0, 0]},
+     "--init-file must hold lists z and u"),
+    (["--init=file"], {"u": [[0, 0]]}, "--init-file must hold lists z and u"),
+    (["--init=file"], {"z": [0, 0, 0], "u": [[0, 0, 0]]},
+     "--init-file z must have N=2 entries, got 3"),
+    (["--init=file"], {"z": [0, 0], "u": [[0, 0], [0, 0]]},
+     "u must be 2-d with an odd number of rows"),
+])
+def test_malformed_evolve_exit_code(config1, tmp_path, capsys, flags, doc,
+                                    message):
+    if doc is not None:
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps(doc))
+        flags = flags + ["--init-file", str(path)]
+    assert main(["evolve", "--config", config1, "--steps=10", "--mx=4"]
+                + flags) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+
+
+def test_evolve_init_file_entry_forms(config1, tmp_path):
+    # plain numbers and {re, im} objects decode to the same state
+    z = [0.5, -1.0]
+    u = [[0.0, 1.0], [2.0, -0.5], [0.25, 0.0]]
+    docs = {"plain": {"z": z, "u": u},
+            "objects": {"z": [{"re": v} for v in z],
+                        "u": [[{"re": v, "im": 0.0} for v in row]
+                              for row in u]}}
+    texts = []
+    for name, doc in docs.items():
+        init, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        init.write_text(json.dumps(doc))
+        assert main(["evolve", "--config", config1, "--out", str(out),
+                     "--steps=20", "--record-every=5", "--init=file",
+                     "--init-file", str(init)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--steps=30", "--mx=10", "--record-every=10"],
+    ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn", "--M=6"],
+])
+def test_output_unchanged_by_debug_log(config1, monkeypatch, capsys, argv):
+    outs = []
+    for level in ("WARNING", "DEBUG"):
+        monkeypatch.setenv("LATRES_LOG", level)
+        assert main(argv[:1] + ["--config", config1] + argv[1:]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""

@@ -1,9 +1,12 @@
 """Truncated-strip solver with the outgoing boundary map."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from latres.structure import BlochPoint, classify_harmonics
+from latres.structure import (BlochPoint, StructureParams, ThresholdError,
+                              classify_harmonics)
 from latres.scattering import IncidentField, solve_scattering, reconstruct_field
 from latres.dtn import (cross_validate, default_truncation, dtn_apply,
                         dtn_matrix, dtn_multipliers, solve_truncated,
@@ -65,6 +68,28 @@ def test_cross_validation_right_incidence(fixture1):
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_cross_validation_complex_coupling(N):
+    # complex gamma tells the coupling from its conjugate; N = 1 puts both
+    # wraps of the lattice stencil on one site
+    rng = np.random.default_rng(100 + N)
+    params = StructureParams(
+        N, rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N),
+        rng.uniform(0.2, 3.0, N) * np.exp(1j * rng.uniform(-np.pi, np.pi, N)))
+    checked = 0
+    while checked < 3:
+        point = BlochPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 7.7))
+        hs = classify_harmonics(params, point)
+        taus = [h.theta.imag for h in hs.harmonics if h.theta.imag > 0]
+        if (0 not in hs.propagating or hs.has_threshold
+                or min(taus, default=1.0) < 0.05):
+            continue
+        for incident in (IncidentField.unit_left(N),
+                         IncidentField.unit_right(N)):
+            assert cross_validate(params, point, incident) < 1e-11
+        checked += 1
+
+
 def test_truncated_matches_fourier_chain(fixture1):
     trunc = solve_truncated(fixture1, POINT, M=12)
     four = solve_scattering(fixture1, POINT)
@@ -78,5 +103,15 @@ def test_minimum_width_enforced(fixture1):
 
 
 def test_threshold_rejected(fixture1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ThresholdError):
         solve_truncated(fixture1, BlochPoint(0.0, 4.0))
+
+
+def test_solve_logs_size_and_residual(fixture1, caplog):
+    caplog.set_level(logging.DEBUG, logger="latres")
+    trunc = solve_truncated(fixture1, POINT, M=8)
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 1
+    assert lines[0].startswith("solve_truncated: M=8, 40 unknowns, residual ")
+    assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
+        trunc.residual, rel=1e-3)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from latres.scattering import (IncidentField, reconstruct_field,
+                               solve_scattering)
 from latres.structure import (BlochPoint, StructureParams, ambient_dispersion,
                               classify_harmonics, propagating_count,
-                              region_diagram, waveguide_band_matrix,
-                              waveguide_bands, _harmonic_arrays)
+                              region_diagram, strip_operator,
+                              waveguide_band_matrix, waveguide_bands,
+                              _harmonic_arrays)
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,3 +146,32 @@ def test_harmonic_arrays_phi_ladder():
     phi, theta, kinds, prop = _harmonic_arrays(4, 0.3, 2.0)
     assert np.allclose(phi, (0.3 + np.arange(4)) / 4.0)
     assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_generator_matches_fourier_solution(N):
+    # a Fourier solution sampled on the strip satisfies H s = omega s in
+    # every row whose stencil stays inside the strip, that is all but the
+    # wall rows m = +-mx; complex gamma tells gamma from conj(gamma), and
+    # N > 1 tells the Bloch twist from its inverse
+    rng = np.random.default_rng(N)
+    params = StructureParams(
+        N, rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N),
+        rng.uniform(0.2, 3.0, N) * np.exp(1j * rng.uniform(-np.pi, np.pi, N)))
+    mx = 6
+    for _ in range(4):
+        while True:
+            point = BlochPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 7.95))
+            hs = classify_harmonics(params, point)
+            if hs.propagating and not hs.has_threshold:
+                break
+        sol = solve_scattering(params, point,
+                               IncidentField.unit_left(N, hs.propagating[0]))
+        u, z = reconstruct_field(sol, np.arange(-mx, mx + 1)[:, None],
+                                 np.arange(N))
+        s = np.concatenate([z, u.ravel()])
+        H = strip_operator(params, point.kappa.real, mx)
+        assert H.shape == (len(s), len(s))
+        res = H @ s - point.omega * s
+        off_walls = np.r_[0:N, 2 * N:len(s) - N]
+        assert np.max(np.abs(res[off_walls])) <= 1e-12

@@ -1,5 +1,7 @@
 """Time integration: Hermiticity, norm conservation, symmetry decoupling."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,16 @@ def test_apply_omega_matches_quadratic_form(fixture1, rng):
     hz, hu = apply_omega(fixture1, state)
     q = np.vdot(z, hz) + np.vdot(u.ravel(), hu.ravel())
     assert abs(q.imag) < 1e-12
+
+
+def test_evolve_logs_steps_and_drift(fixture1, caplog):
+    caplog.set_level(logging.DEBUG, logger="latres")
+    state = gaussian_pulse(fixture1, mx=10, kappa=0.1, center=-5.0,
+                           width=2.0)
+    result = evolve(fixture1, state, dt=0.01, steps=30, record_every=10)
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 1
+    assert lines[0].startswith("evolve: 30 steps of dt 0.01, 44 unknowns, "
+                               "max relative norm drift ")
+    assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
+        result.norm_drift / result.norms[0], rel=1e-3)
