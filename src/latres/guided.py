@@ -3,32 +3,53 @@
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
 system, restricted to the evanescent and chain unknowns, becomes singular.
-`find_guided_modes` evaluates sigma_min on its coarse grid one kappa row at
-a time: the 3N system is assembled for the whole row at once, its points
-grouped by propagating set (which fixes the deleted columns) and each group
-takes one stacked SVD.
+`find_guided_modes` detects candidates on a coarse sigma_min grid, evaluated
+one kappa row at a time: the 3N system is assembled for the whole row at
+once, its points grouped by propagating set (which fixes the deleted
+columns) and each group takes one stacked SVD.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
 kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
 whose local quadratic expansion drives every resonance quantity downstream.
+Candidates are polished on that curve with the exact derivatives K_omega
+and K_kappa: Newton in complex omega finds omega_gm(kappa), and a bracketed
+root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm peaks at 0,
+gives kappa0.  The real zero of det K is degenerate (the curve only touches
+the real plane), so it is not solved for directly.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import fsolve, minimize
+from scipy.optimize import brentq
 
-from .structure import (BlochPoint, StructureParams, _classify_real,
-                        _harmonic_arrays)
-from .scattering import (_assemble, _chain_kernel, _chunks,
-                         _harmonics_off_threshold)
+from .structure import (BlochPoint, StructureParams, ThresholdError,
+                        _classify_real, _harmonic_arrays, propagating_count)
+from .scattering import (_assemble, _chain_kernel, _chain_kernel_derivatives,
+                         _chunks, _harmonics_off_threshold)
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
+# |Im omega_gm(0)| / |omega_gm(0)| at or below which kappa = 0 holds a
+# standing mode
+STANDING_IM_TOL = 1e-13
+# where the bracket starts, as a fraction of its reach, on the candidate's
+# side of kappa = 0 once kappa = 0 is refused (h(0) = 0 for mirror-symmetric
+# structures)
+SIDE_OFFSET = 1e-6
+# bracket growth steps before a candidate is given up
+GROW_STEPS = 4
+# |h| at or below which its sign is roundoff (h vanishes where K is
+# Hermitian)
+H_FLOOR = 1e-12
 
 log = logging.getLogger("latres")
+
+
+class ConvergenceError(RuntimeError):
+    """An iteration ran out of steps before meeting its stopping test."""
 
 
 def _kept_columns(N, prop):
@@ -109,6 +130,12 @@ class GuidedMode:
     null_vector: np.ndarray
     null_labels: tuple
     region_size: int
+    # certificate: |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K at
+    # (kappa0, omega0), and h'(kappa0) with h = Im d omega_gm / d kappa
+    # (0 on the robust branch, where the modes form a curve)
+    im_omega: float = float("nan")
+    min_eigenvalue: float = float("nan")
+    h_prime: float = float("nan")
 
     @property
     def c(self) -> np.ndarray:
@@ -148,17 +175,102 @@ def guided_mode_criteria_n2(params: StructureParams, kappa: float,
     return c1, c2
 
 
+def _polish(params, kappa, omega, reach):
+    """The mode a coarse-grid candidate (kappa, omega) points to.
+
+    Returns (kappa0, omega_gm(kappa0), h'(kappa0)), with omega_gm complex,
+    or None when the candidate leads to no mode.  Without a propagating
+    order K is Hermitian and its zero set is a curve (the robust branch):
+    only omega is solved, at the candidate's kappa, and h' = 0.  Otherwise
+    kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
+    Im omega_gm peaks.  Each omega_gm(kappa) continues from the nearest
+    kappa solved so far, along its tangent and from its eigenvector.  The
+    bracket starts at kappa +- reach and, while h keeps one sign on it,
+    steps towards rising Im omega_gm, by a reach that doubles each time, at
+    most GROW_STEPS times; an end where |h| <= H_FLOOR has no sign to trust.
+    Once the bracket holds kappa = 0, a standing mode there
+    (|Im omega_gm(0)| at roundoff) is taken; if there is none, the bracket
+    keeps only the candidate's side of kappa = 0.
+    """
+    tracker = EigenvalueTracker(params)
+    if propagating_count(params, kappa, omega) == 0:
+        return kappa, complex(tracker.solve_omega(kappa, omega, real=True)), 0.0
+    solved = []  # (kappa, omega_gm, d omega_gm / d kappa, eigenvector)
+
+    def h(kap):
+        seed = complex(omega)
+        if solved:
+            k1, om1, slope1, v1 = min(solved, key=lambda p: abs(p[0] - kap))
+            tracker.reset(v1)
+            seed = om1 + slope1 * (kap - k1)
+        om = tracker.solve_omega(kap, seed)
+        slope = -tracker.d_kappa / tracker.d_omega
+        solved.append((kap, om, slope, tracker.eigenvector()))
+        return slope.imag
+
+    h(kappa)
+    lo, hi = kappa - reach, kappa + reach
+    h_lo, h_hi = h(lo), h(hi)
+    step, tried_zero = reach, False
+    for _ in range(GROW_STEPS + 1):
+        if lo < 0.0 < hi and not tried_zero:
+            tried_zero = True
+            h(0.0)
+            om = solved[-1][1]
+            if abs(om.imag) <= STANDING_IM_TOL * abs(om):
+                return 0.0, om, _h_slope(h, 0.0)
+            if kappa >= 0.0:
+                lo = SIDE_OFFSET * reach
+                h_lo = h(lo)
+            else:
+                hi = -SIDE_OFFSET * reach
+                h_hi = h(hi)
+        if min(abs(h_lo), abs(h_hi)) <= H_FLOOR:
+            return None
+        if h_lo * h_hi < 0.0:
+            kap0 = brentq(h, lo, hi, xtol=1e-15)
+            h(kap0)
+            om0 = solved[-1][1]
+            return kap0, om0, _h_slope(h, kap0)
+        step *= 2.0
+        if h_hi > 0.0:
+            lo, h_lo = hi, h_hi
+            hi += step
+            h_hi = h(hi)
+        else:
+            hi, h_hi = lo, h_lo
+            lo -= step
+            h_lo = h(lo)
+    return None
+
+
+def _h_slope(h, kappa, delta=1e-6):
+    """h'(kappa) by a central difference."""
+    return (h(kappa + delta) - h(kappa - delta)) / (2.0 * delta)
+
+
 def find_guided_modes(params: StructureParams, window, density: int = 400,
                       tol: float = 1e-8, coarse_tol: float = 0.05):
     """Scan sigma_min over a window and polish its deep local minima.
 
     window = (kappa_min, kappa_max, omega_min, omega_max).  The coarse
     density x density grid takes one stacked sigma_min evaluation per kappa
-    row.  Grid local minima below coarse_tol are refined by Nelder-Mead;
-    candidates whose refined sigma_min falls below tol are kept, then
-    +-kappa duplicates are merged (the representative has kappa0 >= 0).
-    A DEBUG line on the `latres` logger counts the grid and threshold
-    points, the candidates, those rejected by tol or merged, and the modes.
+    row; its local minima below coarse_tol are the candidates.  Each is
+    polished on the chain kernel K with its exact derivatives: Newton in
+    complex omega follows the zero omega_gm(kappa) of K's tracked
+    eigenvalue, and a bracketed root of h(kappa) = Im d omega_gm / d kappa
+    within two grid steps of the candidate gives kappa0 (at kappa = 0 a
+    standing mode is tried first).  Candidates without a propagating order
+    lie on the robust branch, a curve of modes, and are solved in omega at
+    their grid kappa.  A polished mode is kept when (kappa0, Re omega_gm)
+    lies in the window and sigma_min there falls below tol; candidates
+    whose polish fails or ends elsewhere are rejected.  +-kappa duplicates
+    are then merged (the representative has kappa0 >= 0).  Each mode
+    carries its certificate: |Im omega_gm(kappa0)|, the smallest
+    |eigenvalue| of K, h'(kappa0) and sigma_min.  A DEBUG line on the
+    `latres` logger counts the grid and threshold points, the candidates,
+    those rejected or merged, and the modes, and lists each mode's
+    certificate.
     """
     kmin, kmax, wmin, wmax = window
     kappas = np.linspace(kmin, kmax, density)
@@ -180,52 +292,48 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     for i, j in zip(ii + 1, jj + 1):
         candidates.append((kappas[i], omegas[j]))
 
+    reach = 2.0 * (kmax - kmin) / max(density - 1, 1)
     modes = []
     seen = []
     rejected = 0
     for kap, om in candidates:
-        f = lambda x: sigma_min(params, BlochPoint(x[0], x[1]))
-        res = minimize(f, [kap, om], method="Nelder-Mead",
-                       options=dict(xatol=1e-13, fatol=1e-16, maxiter=2000))
-        kap0, om0 = res.x
-        sig = res.fun
-        if params.N == 2 and sig < 1e-4:
-            # polish against the explicit criteria when they apply; fsolve
-            # grumbles once the residual hits roundoff, which is the goal here
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    root = fsolve(
-                        lambda x: [np.real(v) for v in
-                                   guided_mode_criteria_n2(params, x[0], x[1])],
-                        [kap0, om0], xtol=1e-14)
-                trial = sigma_min(params, BlochPoint(root[0], root[1]))
-                if trial < sig:
-                    kap0, om0, sig = root[0], root[1], trial
-            except (ValueError, FloatingPointError):
-                pass
+        try:
+            found = _polish(params, kap, om, reach)
+        except (ConvergenceError, ThresholdError):
+            found = None
+        sig = np.inf
+        if found is not None:
+            kap0, om_gm, h_prime = found
+            om0 = om_gm.real
+            if kmin <= kap0 <= kmax and wmin <= om0 <= wmax:
+                sig = sigma_min(params, BlochPoint(kap0, om0))
         if sig > tol:
             rejected += 1
             continue
-        if abs(kap0) < 1e-7:
-            # below the +-kappa merge scale: a symmetric standing mode
-            kap0 = 0.0
         kap0 = abs(kap0)  # +-kappa representative
         if any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6 for a, b in seen):
             continue
         seen.append((kap0, om0))
-        vec, labels = null_vector(params, BlochPoint(kap0, om0))
+        point = BlochPoint(kap0, om0)
+        vec, labels = null_vector(params, point)
         _, _, _, prop = _harmonic_arrays(params.N, kap0, om0)
-        modes.append(GuidedMode(kappa0=float(kap0), omega0=float(om0),
-                                sigma=float(sig), null_vector=vec,
-                                null_labels=tuple(labels),
-                                region_size=len(prop)))
+        modes.append(GuidedMode(
+            kappa0=float(kap0), omega0=float(om0), sigma=float(sig),
+            null_vector=vec, null_labels=tuple(labels),
+            region_size=len(prop), im_omega=float(abs(om_gm.imag)),
+            min_eigenvalue=_min_abs_eigenvalue(params, kap0, om0),
+            h_prime=float(h_prime)))
     modes.sort(key=lambda m: (m.kappa0, m.omega0))
+    certificates = "; ".join(
+        f"({m.kappa0:.15g}, {m.omega0:.15g}): |Im omega_gm| {m.im_omega:.2g}"
+        f", min|eig K| {m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
+        f"sigma_min {m.sigma:.2g}" for m in modes)
     log.debug("guided-mode search: %d grid points, %d threshold, %d "
-              "candidates, %d rejected by tol, %d merged as duplicates, "
-              "%d modes", grid.size, int(np.sum(np.isinf(grid))),
-              len(candidates), rejected, len(candidates) - rejected
-              - len(modes), len(modes))
+              "candidates, %d rejected, %d merged as duplicates, "
+              "certificates [%s], %d modes", grid.size,
+              int(np.sum(np.isinf(grid))), len(candidates), rejected,
+              len(candidates) - rejected - len(modes), certificates,
+              len(modes))
     return modes
 
 
@@ -234,19 +342,23 @@ class EigenvalueTracker:
 
     Eigenvalues are matched between calls by eigenvector overlap rather than
     magnitude sorting, so the tracked branch does not swap near its zero.
+    Each `value` call also leaves the eigenvalue's exact derivatives in
+    d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
+    y the left one, normalised so that y v = 1.
     """
 
     def __init__(self, params: StructureParams, overlap_min: float = 0.7):
         self.params = params
         self.overlap_min = overlap_min
         self._vref = None
+        self.d_omega = self.d_kappa = None
 
-    def reset(self):
-        self._vref = None
+    def reset(self, vref=None):
+        """Forget the tracked eigenvector, or track the one closest to vref."""
+        self._vref = vref
 
     def value(self, kappa, omega):
-        phi, theta, _, _ = _harmonics_off_threshold(self.params.N, kappa, omega)
-        K, *_ = _chain_kernel(self.params, kappa, omega, phi, theta)
+        K, K_om, K_kap = _chain_kernel_derivatives(self.params, kappa, omega)
         w, V = np.linalg.eig(K)
         if self._vref is None:
             i = int(np.argmin(np.abs(w)))
@@ -254,27 +366,48 @@ class EigenvalueTracker:
             ov = np.abs(self._vref.conj() @ V)
             i = int(np.argmax(ov))
             if ov[i] < self.overlap_min * np.linalg.norm(V[:, i]):
-                raise RuntimeError(
+                raise ConvergenceError(
                     f"lost eigenvalue track at (kappa={kappa}, omega={omega}): "
                     f"best overlap {ov[i]:.3f}")
-        self._vref = V[:, i] / np.linalg.norm(V[:, i])
+        v = V[:, i]
+        # row i of V^-1
+        y = np.linalg.solve(V.T, np.eye(len(w))[i])
+        self._vref = v / np.linalg.norm(v)
+        self.d_omega = y @ K_om @ v
+        self.d_kappa = y @ K_kap @ v
         return w[i]
 
     def eigenvector(self):
         return self._vref
 
     def solve_omega(self, kappa, omega_seed, tol: float = 1e-13,
-                    max_iter: int = 80):
-        """Newton in complex omega for a zero of the tracked eigenvalue."""
-        om = complex(omega_seed)
+                    max_iter: int = 80, real: bool = False):
+        """Newton in omega for a zero of the tracked eigenvalue.
+
+        The step is lambda / (d lambda / d omega), with the exact derivative.
+        Stops after the step at which |lambda| < tol or the step is at
+        roundoff, |step| <= 4 eps |omega|; d_omega, d_kappa and the tracked
+        eigenvector are then those of the last point before that step.
+        Raises ConvergenceError after max_iter steps.  With real, omega stays real (the robust branch, where K is
+        Hermitian and its eigenvalues are real on real omega).
+        """
+        om = float(omega_seed) if real else complex(omega_seed)
         for _ in range(max_iter):
             val = self.value(kappa, om)
-            if abs(val) < tol:
+            step = val / self.d_omega
+            om = om - (step.real if real else step)
+            if abs(val) < tol or abs(step) <= 4.0 * EPS * abs(om):
                 return om
-            h = 1e-7 * (1.0 + abs(om))
-            val2 = self.value(kappa, om + h)
-            om = om - val / ((val2 - val) / h)
-        raise RuntimeError(f"eigenvalue Newton did not converge at kappa={kappa}")
+        raise ConvergenceError(
+            f"eigenvalue Newton did not converge at kappa={kappa}: "
+            f"|lambda| = {abs(val):.2e} after {max_iter} steps")
+
+
+def _min_abs_eigenvalue(params, kappa, omega):
+    """Smallest |eigenvalue| of K at one point."""
+    phi, theta, _, _ = _harmonics_off_threshold(params.N, kappa, omega)
+    K, *_ = _chain_kernel(params, kappa, omega, phi, theta)
+    return float(np.min(np.abs(np.linalg.eigvals(K))))
 
 
 def eigenvalue_ell(params: StructureParams, point: BlochPoint,

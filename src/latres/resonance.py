@@ -19,7 +19,10 @@ from scipy.optimize import brentq, fsolve, least_squares
 
 from .structure import BlochPoint, StructureParams
 from .scattering import IncidentField, solve_row, solve_scattering
-from .guided import DispersionFit, GuidedMode, guided_mode_criteria_n2
+from .guided import (ConvergenceError, DispersionFit, GuidedMode,
+                     guided_mode_criteria_n2)
+
+EPS = np.finfo(float).eps
 
 
 def _outgoing_pair(params, kappa, omega, order=0):
@@ -39,14 +42,19 @@ def _row_pairs(params, kappa, omegas, order=0):
 
 
 def _window_root(params, kappa, center, halfw, which, order=0,
-                 grid_pts: int = 81, zooms: int = 6, tol: float = 1e-13):
+                 grid_pts: int = 81, zooms: int = 6, tol: float = 1e-13,
+                 max_iter: int = 60, f_bound: float = 1e-8):
     """Zero of the reflection ('a') or transmission ('b') coefficient in omega.
 
     The resonance is much narrower than the search window (its width scales
     with Im(curvature) * kt^2), so a naive Newton from the window center jumps
     to remote roots.  Instead: iteratively zoom a coarse modulus grid onto the
     minimum, then polish with an unclamped complex-secant Newton and demand
-    the root lands back on the real axis inside the window.
+    the root lands back on the real axis inside the window.  The secant
+    stops when |f| < tol or its step is at roundoff, |step| <= 4 eps |omega|
+    (f itself cannot get much below its roundoff, 1e-12 to 1e-10 here); if
+    max_iter steps pass with |f| still above f_bound it raises
+    ConvergenceError.
     """
     idx = 0 if which == "a" else 1
     c, h = center, halfw
@@ -58,13 +66,21 @@ def _window_root(params, kappa, center, halfw, which, order=0,
         if vals[i] < 1e-3:
             break
     om = complex(c)
-    for _ in range(60):
+    for _ in range(max_iter):
         f = _outgoing_pair(params, kappa, om, order)[idx]
         if abs(f) < tol:
             break
         hs = 1e-10 * (1.0 + abs(om))
         f2 = _outgoing_pair(params, kappa, om + hs, order)[idx]
-        om = om - f / ((f2 - f) / hs)
+        step = f / ((f2 - f) / hs)
+        om = om - step
+        if abs(step) <= 4.0 * EPS * abs(om):
+            break
+    else:
+        if abs(f) > f_bound:
+            raise ConvergenceError(
+                f"secant for omega_{which} at kappa={kappa} stopped after "
+                f"{max_iter} steps with |f| = {abs(f):.2e}")
     if abs(om.imag) > 1e-8:
         raise RuntimeError(f"root left the real axis: Im omega = {om.imag}")
     if abs(om.real - center) > 4.0 * halfw:
@@ -174,18 +190,45 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
         data.append(np.column_stack([np.full(len(ws), kt), ws, Ts]))
     data = np.concatenate(data)
 
-    def model(p_, kt, w):
+    kt, w, T = data.T
+    lin = w + fit.slope * kt
+
+    def model(p_):
+        """The model's |T| on the data and its Jacobian in p_.
+
+        With q = num / den = |T|^2 and den = rest + num,
+        dq = (rest dnum - num drest) / den^2 and d|T| = dq / (2 |T|).
+        """
         t0, eta, r2_, t2_ = p_
-        num = (t0 ** 2 * np.abs(w + fit.slope * kt + t2_ * kt ** 2) ** 2
-               * np.abs(1 + eta * w) ** 2)
-        den = ((1 - t0 ** 2)
-               * np.abs(w + fit.slope * kt + r2_ * kt ** 2) ** 2 + num)
-        return np.sqrt(num / den)
+        dip, peak, bg = lin + t2_ * kt ** 2, lin + r2_ * kt ** 2, 1 + eta * w
+        num = t0 ** 2 * dip ** 2 * bg ** 2
+        rest = (1 - t0 ** 2) * peak ** 2
+        den = rest + num
+        T_ = np.sqrt(num / den)
+        jac = np.column_stack([
+            2 * t0 * dip ** 2 * bg ** 2 * peak ** 2,
+            rest * t0 ** 2 * dip ** 2 * 2 * bg * w,
+            -num * (1 - t0 ** 2) * 2 * peak * kt ** 2,
+            rest * t0 ** 2 * bg ** 2 * 2 * dip * kt ** 2,
+        ]) / (2 * T_ * den ** 2)[:, None]
+        return T_, jac
 
     res = least_squares(
-        lambda p_: model(p_, data[:, 0], data[:, 1]) - data[:, 2],
-        [max(t_bg, 0.1), bg_slope, peak_curv.real, dip_curv.real])
-    eta = float(res.x[1])
+        lambda p_: model(p_)[0] - T, [max(t_bg, 0.1), bg_slope,
+                                       peak_curv.real, dip_curv.real],
+        jac=lambda p_: model(p_)[1], method="lm", xtol=1e-15, ftol=1e-15,
+        gtol=1e-15)
+    # the fit stops once the cost no longer resolves a step, about 3e-8
+    # short in eta (the Jacobian's condition number is about 2500); plain
+    # Gauss-Newton steps drive the gradient itself to roundoff
+    p_ = res.x
+    for _ in range(10):
+        T_, jac = model(p_)
+        step = np.linalg.lstsq(jac, T - T_, rcond=None)[0]
+        p_ = p_ + step
+        if np.max(np.abs(step)) <= 4.0 * EPS * np.max(np.abs(p_)):
+            break
+    eta = float(p_[1])
 
     return AnomalyFit(
         kappa0=mode.kappa0, omega0=mode.omega0, slope=fit.slope,

@@ -1,13 +1,16 @@
 """Guided-mode location, explicit N=2 criteria, and dispersion continuation."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import latres.scattering
-from latres.structure import BlochPoint, ThresholdError
-from latres.scattering import scan_transmission
+from latres.structure import (BlochPoint, StructureParams, ThresholdError,
+                              waveguide_bands)
+from latres.scattering import _chain_kernel_derivatives, scan_transmission
 from latres.guided import (EigenvalueTracker, _sigma_min_row, eigenvalue_ell,
                            find_guided_modes, guided_mode_criteria_n2,
                            sigma_min)
@@ -125,7 +128,7 @@ def _row_with_thresholds(params, kappa, omegas):
 ])
 def test_sigma_min_row_matches_scalar(which, window, crosses, request):
     # the coarse grid's stacked sigma_min, one kappa row at a time, against
-    # the scalar sigma_min that Nelder-Mead and criterion 02 use; threshold
+    # the scalar sigma_min that the tol check and criterion 02 use; threshold
     # points (none in the N=3 window) are inf in the row and raise
     # ThresholdError in the scalar
     params = request.getfixturevalue(which)
@@ -170,3 +173,105 @@ def test_mode_search_logs_counts(fixture1, caplog):
     assert len(lines) == 1
     assert lines[0].startswith("guided-mode search: 900 grid points, ")
     assert lines[0].endswith(f", {len(modes)} modes")
+    m = modes[0]
+    assert (f"certificates [({m.kappa0:.15g}, {m.omega0:.15g}): "
+            f"|Im omega_gm| {m.im_omega:.2g}, min|eig K| "
+            f"{m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
+            f"sigma_min {m.sigma:.2g}]") in lines[0]
+
+
+def _differences(f, x, h=1e-5):
+    """Fourth-order central difference of f at x from four points."""
+    return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (
+        12.0 * h)
+
+
+@pytest.mark.parametrize("complex_gamma", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_kernel_derivatives_match_differences(N, complex_gamma):
+    rng = np.random.default_rng([N, complex_gamma])
+    gammas = rng.uniform(0.5, 3.0, N) + 1j * complex_gamma * rng.uniform(
+        0.2, 1.0, N)
+    params = StructureParams(N=N, masses=rng.uniform(0.5, 2.0, N),
+                             springs=rng.uniform(0.5, 2.0, N), gammas=gammas)
+    checked = 0
+    for kap in (0.13, -0.31):
+        for om in (0.9, 1.7, 2.9, 5.3):
+            chi = (4.0 - om) / 2.0 - np.cos(2 * np.pi * (kap + np.arange(N))
+                                            / N)
+            if np.min(np.abs(np.abs(chi) - 1.0)) < 0.05:
+                continue  # the differences would straddle a threshold
+            for omega in (om, om - 0.01j):
+                _, K_om, K_kap = _chain_kernel_derivatives(params, kap, omega)
+                want_om = _differences(
+                    lambda w: _chain_kernel_derivatives(params, kap, w)[0],
+                    omega)
+                want_kap = _differences(
+                    lambda k: _chain_kernel_derivatives(params, k, omega)[0],
+                    kap)
+                for got, want in ((K_om, want_om), (K_kap, want_kap)):
+                    assert (np.max(np.abs(got - want))
+                            <= 1e-8 * np.max(np.abs(want)))
+                checked += 2
+    assert checked >= 8
+
+
+def test_mode_search_raises_no_warning(fixture1):
+    # criterion 01's window at the benchmark's density
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modes = find_guided_modes(fixture1, (-0.5, 0.5, 0.7, 1.25),
+                                  density=60)
+    assert [m.region_size for m in modes].count(1) == 1
+
+
+def test_mode1_certificate(mode1, fit1):
+    # h'(kappa0) = -2 Im(curvature): the eigenvalue derivatives against the
+    # polynomial fit of the continued dispersion curve
+    assert mode1.im_omega <= 1e-14
+    assert mode1.min_eigenvalue <= 1e-12
+    assert mode1.h_prime == pytest.approx(-2.0 * fit1.curvature.imag,
+                                          rel=1e-6)
+
+
+def _assert_standing(mode):
+    assert mode.kappa0 == 0.0
+    assert mode.region_size == 1
+    assert mode.im_omega <= 1e-13 * mode.omega0
+    assert mode.min_eigenvalue <= 1e-12
+    assert mode.sigma <= 1e-12
+    assert mode.h_prime < 0.0  # Im omega_gm peaks at kappa = 0
+    # antisymmetric under n -> -n: c_l = -c_{N-l}, c_0 = 0
+    c = mode.c / np.max(np.abs(mode.c))
+    assert np.max(np.abs(c + np.roll(c[::-1], 1))) <= 1e-8
+
+
+def test_standing_mode_n3_complex_coupling_matches_chain_oracle():
+    # mirror symmetry n -> -n (M1 = M2, k0 = k2, gamma1 = gamma2): the
+    # antisymmetric chain vector v = (0, 1, -1) has the band value
+    # lambda_a = (k0 + 2 k1) / M1 at kappa = 0, and it only meets the
+    # antisymmetric, evanescent orders l = 1, 2, which share
+    # chi = (5 - omega) / 2 and s = -2 sqrt(chi^2 - 1).  So K v = 0 reduces
+    # to omega - lambda_a = |gamma1|^2 / s.
+    g1 = 1.1 - 0.4j
+    params = StructureParams(N=3, masses=[1.5, 2.0, 2.0],
+                             springs=[1.2, 0.7, 1.2],
+                             gammas=[0.8 + 0.3j, g1, g1])
+    lam_a = (1.2 + 2 * 0.7) / 2.0
+    assert np.min(np.abs(waveguide_bands(params, 0.0) - lam_a)) <= 1e-14
+    want = brentq(lambda w: w - lam_a + abs(g1) ** 2 / (
+        2.0 * np.sqrt(((5.0 - w) / 2.0) ** 2 - 1.0)), 0.1, lam_a,
+                  xtol=1e-15)
+    modes = find_guided_modes(params, (-0.05, 0.05, 0.6, 1.35), density=40)
+    assert len(modes) == 1
+    _assert_standing(modes[0])
+    assert abs(modes[0].omega0 - want) <= 1e-12
+
+
+def test_standing_mode_n5_complex_coupling():
+    params = StructureParams(
+        N=5, masses=[1.0, 2.5, 3.0, 3.0, 2.5], springs=[0.9, 1.3, 0.8, 1.3, 0.9],
+        gammas=[1.2 + 0.2j, 0.7 - 0.5j, 1.4 + 0.6j, 1.4 + 0.6j, 0.7 - 0.5j])
+    modes = find_guided_modes(params, (-0.05, 0.05, 0.2, 1.35), density=40)
+    assert len(modes) == 1
+    _assert_standing(modes[0])

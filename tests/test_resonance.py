@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
-from latres.resonance import (approx_error_sup, approx_transmission,
-                              enhancement_scan, find_bifurcation, fit_anomaly,
-                              peak_dip_curves, trace_branch)
+from latres import resonance
+from latres.guided import ConvergenceError
+from latres.resonance import (_window_root, approx_error_sup,
+                              approx_transmission, enhancement_scan,
+                              find_bifurcation, fit_anomaly, peak_dip_curves,
+                              trace_branch)
 
 GAMMA0_STAR = 1.0296335133904082
+
+# omega_a and omega_b on fixture 1 at kt = -0.006, -0.002, 0.002, 0.006, as
+# the secant found them when it ran to its 60-step cap
+FROZEN_KT = (-0.006, -0.002, 0.002, 0.006)
+FROZEN_OMEGA_A = (0.9810502611590445, 0.97981582358711, 0.9784962326859492,
+                  0.9770915808182997)
+FROZEN_OMEGA_B = (0.9810587878445012, 0.9798168363818331, 0.97849731300084,
+                  0.9771019304784208)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +66,53 @@ def test_background_energy_balance(anomaly1):
     assert anomaly1.r_bg ** 2 + anomaly1.t_bg ** 2 == pytest.approx(1.0,
                                                                     abs=1e-12)
     assert anomaly1.bg_slope == pytest.approx(0.76995, abs=1e-3)
+
+
+def _root_window(mode, fit, kt):
+    """The window `peak_dip_curves` searches at kt."""
+    return (mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2,
+            max(10.0 * abs(fit.curvature) * kt ** 2, 1e-9))
+
+
+def test_window_root_stops_when_converged(fixture1, mode1, fit1,
+                                          monkeypatch):
+    calls = []
+    pair = resonance._outgoing_pair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "_outgoing_pair", counted)
+    for kt, want_a, want_b in zip(FROZEN_KT, FROZEN_OMEGA_A, FROZEN_OMEGA_B):
+        for which, want in (("a", want_a), ("b", want_b)):
+            calls.clear()
+            got = _window_root(fixture1, mode1.kappa0 + kt,
+                               *_root_window(mode1, fit1, kt), which)
+            assert len(calls) <= 10
+            assert abs(got - want) <= 1e-14
+
+
+def test_window_root_raises_when_out_of_steps(fixture1, mode1, fit1):
+    # one secant step from the zoomed grid leaves |f| far above 1e-8
+    with pytest.raises(ConvergenceError):
+        _window_root(fixture1, mode1.kappa0 + 0.002,
+                     *_root_window(mode1, fit1, 0.002), "b", max_iter=1)
+    assert issubclass(ConvergenceError, RuntimeError)  # the CLI exits 2
+
+
+def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,
+                                  anomaly1, monkeypatch):
+    pairs = resonance._row_pairs
+
+    def nudged(*args, **kwargs):
+        a, b = pairs(*args, **kwargs)
+        return a, (np.nextafter(b.real, np.inf)
+                   + 1j * np.nextafter(b.imag, np.inf))
+
+    monkeypatch.setattr(resonance, "_row_pairs", nudged)
+    moved = fit_anomaly(fixture1, mode1, fit1, curves1)
+    assert abs(moved.eta - anomaly1.eta) < 1e-9
 
 
 def test_approx_transmission_limits(anomaly1):

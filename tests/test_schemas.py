@@ -89,3 +89,17 @@ def test_error_schema(config1, capsys):
                  "--kappa=0", "--omega=4"]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("error.json").validate(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--config", "{missing}"],
+    ["evolve", "--config", "{config}", "--init=file", "--steps=1",
+     "--init-file", "{missing}"],
+])
+def test_missing_file_error_schema(config1, tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.json")
+    argv = [a.format(missing=missing, config=config1) for a in argv]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    _validator("error.json").validate(err)
+    assert err["error"] == "FileNotFoundError"
