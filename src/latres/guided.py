@@ -194,7 +194,7 @@ def _polish(params, kappa, omega, reach):
     """
     tracker = EigenvalueTracker(params)
     if propagating_count(params, kappa, omega) == 0:
-        return kappa, complex(tracker.solve_omega(kappa, omega, real=True)), 0.0
+        return kappa, tracker.solve_omega(kappa, omega), 0.0
     solved = []  # (kappa, omega_gm, d omega_gm / d kappa, eigenvector)
 
     def h(kap):
@@ -381,21 +381,20 @@ class EigenvalueTracker:
         return self._vref
 
     def solve_omega(self, kappa, omega_seed, tol: float = 1e-13,
-                    max_iter: int = 80, real: bool = False):
+                    max_iter: int = 80):
         """Newton in omega for a zero of the tracked eigenvalue.
 
         The step is lambda / (d lambda / d omega), with the exact derivative.
         Stops after the step at which |lambda| < tol or the step is at
         roundoff, |step| <= 4 eps |omega|; d_omega, d_kappa and the tracked
         eigenvector are then those of the last point before that step.
-        Raises ConvergenceError after max_iter steps.  With real, omega stays real (the robust branch, where K is
-        Hermitian and its eigenvalues are real on real omega).
+        Raises ConvergenceError after max_iter steps.
         """
-        om = float(omega_seed) if real else complex(omega_seed)
+        om = complex(omega_seed)
         for _ in range(max_iter):
             val = self.value(kappa, om)
             step = val / self.d_omega
-            om = om - (step.real if real else step)
+            om = om - step
             if abs(val) < tol or abs(step) <= 4.0 * EPS * abs(om):
                 return om
         raise ConvergenceError(

@@ -19,10 +19,12 @@ from scipy.optimize import brentq, fsolve, least_squares
 
 from .structure import BlochPoint, StructureParams
 from .scattering import IncidentField, solve_row, solve_scattering
-from .guided import (ConvergenceError, DispersionFit, GuidedMode,
+from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
                      guided_mode_criteria_n2)
 
-EPS = np.finfo(float).eps
+# step limit of the peak/dip secant, and the |f| it must reach by then
+SECANT_STEPS = 60
+SECANT_F_BOUND = 1e-8
 
 
 def _outgoing_pair(params, kappa, omega, order=0):
@@ -42,8 +44,7 @@ def _row_pairs(params, kappa, omegas, order=0):
 
 
 def _window_root(params, kappa, center, halfw, which, order=0,
-                 grid_pts: int = 81, zooms: int = 6, tol: float = 1e-13,
-                 max_iter: int = 60, f_bound: float = 1e-8):
+                 grid_pts: int = 81, zooms: int = 6, tol: float = 1e-13):
     """Zero of the reflection ('a') or transmission ('b') coefficient in omega.
 
     The resonance is much narrower than the search window (its width scales
@@ -52,8 +53,8 @@ def _window_root(params, kappa, center, halfw, which, order=0,
     minimum, then polish with an unclamped complex-secant Newton and demand
     the root lands back on the real axis inside the window.  The secant
     stops when |f| < tol or its step is at roundoff, |step| <= 4 eps |omega|
-    (f itself cannot get much below its roundoff, 1e-12 to 1e-10 here); if
-    max_iter steps pass with |f| still above f_bound it raises
+    (f itself cannot get much below its roundoff, 1e-12 to 1e-9 here); if
+    SECANT_STEPS steps pass with |f| still above SECANT_F_BOUND it raises
     ConvergenceError.
     """
     idx = 0 if which == "a" else 1
@@ -66,7 +67,7 @@ def _window_root(params, kappa, center, halfw, which, order=0,
         if vals[i] < 1e-3:
             break
     om = complex(c)
-    for _ in range(max_iter):
+    for _ in range(SECANT_STEPS):
         f = _outgoing_pair(params, kappa, om, order)[idx]
         if abs(f) < tol:
             break
@@ -77,10 +78,10 @@ def _window_root(params, kappa, center, halfw, which, order=0,
         if abs(step) <= 4.0 * EPS * abs(om):
             break
     else:
-        if abs(f) > f_bound:
+        if abs(f) > SECANT_F_BOUND:
             raise ConvergenceError(
                 f"secant for omega_{which} at kappa={kappa} stopped after "
-                f"{max_iter} steps with |f| = {abs(f):.2e}")
+                f"{SECANT_STEPS} steps with |f| = {abs(f):.2e}")
     if abs(om.imag) > 1e-8:
         raise RuntimeError(f"root left the real axis: Im omega = {om.imag}")
     if abs(om.real - center) > 4.0 * halfw:

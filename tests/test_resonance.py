@@ -93,11 +93,13 @@ def test_window_root_stops_when_converged(fixture1, mode1, fit1,
             assert abs(got - want) <= 1e-14
 
 
-def test_window_root_raises_when_out_of_steps(fixture1, mode1, fit1):
+def test_window_root_raises_when_out_of_steps(fixture1, mode1, fit1,
+                                             monkeypatch):
     # one secant step from the zoomed grid leaves |f| far above 1e-8
+    monkeypatch.setattr(resonance, "SECANT_STEPS", 1)
     with pytest.raises(ConvergenceError):
         _window_root(fixture1, mode1.kappa0 + 0.002,
-                     *_root_window(mode1, fit1, 0.002), "b", max_iter=1)
+                     *_root_window(mode1, fit1, 0.002), "b")
     assert issubclass(ConvergenceError, RuntimeError)  # the CLI exits 2
 
 
