@@ -12,8 +12,8 @@ kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
 whose local quadratic expansion drives every resonance quantity downstream.
 Candidates are polished on that curve with the exact derivatives K_omega
 and K_kappa: Newton in complex omega finds omega_gm(kappa), and a bracketed
-root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm peaks at 0,
-gives kappa0.  The real zero of det K is degenerate (the curve only touches
+root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its
+maximum, 0, gives kappa0.  The real zero of det K is degenerate (the curve only touches
 the real plane), so it is not solved for directly.
 """
 
@@ -208,7 +208,7 @@ def _polish(params, kappa, omega, reach):
         solved.append((kap, om, slope, tracker.eigenvector()))
         return slope.imag
 
-    h(kappa)
+    h(kappa)  # omega_gm at the candidate seeds the bracket ends
     lo, hi = kappa - reach, kappa + reach
     h_lo, h_hi = h(lo), h(hi)
     step, tried_zero = reach, False
@@ -314,8 +314,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         if any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6 for a, b in seen):
             continue
         seen.append((kap0, om0))
-        point = BlochPoint(kap0, om0)
-        vec, labels = null_vector(params, point)
+        vec, labels = null_vector(params, BlochPoint(kap0, om0))
         _, _, _, prop = _harmonic_arrays(params.N, kap0, om0)
         modes.append(GuidedMode(
             kappa0=float(kap0), omega0=float(om0), sigma=float(sig),

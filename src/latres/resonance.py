@@ -53,7 +53,7 @@ def _window_root(params, kappa, center, halfw, which, order=0,
     minimum, then polish with an unclamped complex-secant Newton and demand
     the root lands back on the real axis inside the window.  The secant
     stops when |f| < tol or its step is at roundoff, |step| <= 4 eps |omega|
-    (f itself cannot get much below its roundoff, 1e-12 to 1e-9 here); if
+    (f cannot get much below its roundoff, 1e-12 to 2e-9 on fixture 1); if
     SECANT_STEPS steps pass with |f| still above SECANT_F_BOUND it raises
     ConvergenceError.
     """
@@ -219,9 +219,10 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
                                        peak_curv.real, dip_curv.real],
         jac=lambda p_: model(p_)[1], method="lm", xtol=1e-15, ftol=1e-15,
         gtol=1e-15)
-    # the fit stops once the cost no longer resolves a step, about 3e-8
-    # short in eta (the Jacobian's condition number is about 2500); plain
-    # Gauss-Newton steps drive the gradient itself to roundoff
+    # the fit stops once the cost no longer resolves a step, which on
+    # fixture 1 leaves eta 3e-8 short (the Jacobian's condition number is
+    # about 2500 there); plain Gauss-Newton steps drive the gradient itself
+    # to roundoff
     p_ = res.x
     for _ in range(10):
         T_, jac = model(p_)

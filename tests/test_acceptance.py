@@ -8,12 +8,10 @@ printed so the discrepancy is inspectable:
 * criterion 01 -- the located mode sits at kappa0 = 0.0616737, which agrees
   with a 40-digit mpmath root of the 1D equation h(kappa) = Im d omega_gm /
   d kappa = 0, with K written out in mpmath and omega_gm the zero of det K:
-  kappa0 = 0.061673664378923471537460100518, omega0 = 47/48 to 40 digits
-  (the earlier 11-digit quote, 0.06167366436, was off in its last two
-  digits).  It is 7.4e-5 from the printed
-  target 0.0616, outside the 5e-5 gate (the frequency passes).  The printed
-  omega0 = 0.9792 is the rounded value of 0.9791667; rounded the same way,
-  kappa0 would print as 0.0617.  Whether the published kappa0 was truncated,
+  kappa0 = 0.061673664378923471537460100518, omega0 = 47/48 to 40 digits.
+  It is 7.4e-5 from the printed target 0.0616, outside the 5e-5 gate (the
+  frequency passes).  The printed omega0 = 0.9792 is the rounded value of
+  0.9791667; rounded the same way, kappa0 would print as 0.0617.  Whether the published kappa0 was truncated,
   computed less precisely or belongs to a slightly different model is open.
 * criterion 08 -- the background amplitude at the mode is t0 = 0.2883, not
   0.3143.  Four routes agree on the measured value: the direct solve
