@@ -1,144 +1,21 @@
-"""Discrete difference calculus on integer lattices.
+"""Discrete summation identities as self-checks on the solver's operators.
 
-Forward/backward differences, the five-point Laplacian, and the summation
-identities (product rules, telescoping, summation by parts, divergence
-theorem, Green identity) that the frequency- and time-domain solvers rely on.
-Output windows shrink by the stencil footprint; no padding conventions.
+Product rules, telescoping, summation by parts and the divergence theorem
+hold for any lattice arrays.  The two Green identities take their operator
+from the solver itself: the chain identity applies `waveguide_band_matrix`,
+the lattice identity applies the 5-point block of `strip_operator`, so a
+wrong stencil in either fails its check.  `green_identity_field` checks
+`strip_operator` against a computed scattering field, where the identity's
+imaginary part is the energy balance between two columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .scattering import ScatteringSolution, reconstruct_field
+from .structure import StructureParams, strip_operator, waveguide_band_matrix
 
-@dataclass(frozen=True)
-class Field1D:
-    """Complex samples v_n for n = offset .. offset + len - 1.
-
-    Optional pseudo-period metadata (N, kappa): v_{n+N} = e^{2 pi i kappa} v_n.
-    """
-
-    values: np.ndarray
-    offset: int = 0
-    period: int = None
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    def __len__(self):
-        return len(self.values)
-
-    def at(self, n: int) -> complex:
-        return self.values[n - self.offset]
-
-    def check_pseudo_periodic(self, tol: float = 1e-12) -> bool:
-        if self.period is None or len(self.values) <= self.period:
-            return True
-        v = self.values
-        tw = np.exp(2j * np.pi * self.kappa)
-        return np.max(np.abs(v[self.period:] - tw * v[:-self.period])) <= tol * (
-            1.0 + np.max(np.abs(v)))
-
-
-@dataclass(frozen=True)
-class Field2D:
-    """Complex samples u_{mn} on a rectangle; indices (m, n) start at offsets."""
-
-    values: np.ndarray  # shape (num_m, num_n)
-    m_offset: int = 0
-    n_offset: int = 0
-    period: int = None
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if self.values.ndim != 2:
-            raise ValueError("Field2D values must be a 2-d array")
-
-    def at(self, m: int, n: int) -> complex:
-        return self.values[m - self.m_offset, n - self.n_offset]
-
-
-class WindowTooSmall(ValueError):
-    """The difference stencil does not fit in the field's window."""
-
-
-def _need(cond):
-    if not cond:
-        raise WindowTooSmall("field window too small for stencil")
-
-
-def forward_x(f):
-    """(v_x)_n = v_{n+1} - v_n; works on Field1D (index n) or Field2D (index m)."""
-    if isinstance(f, Field1D):
-        _need(len(f.values) >= 2)
-        return Field1D(f.values[1:] - f.values[:-1], f.offset)
-    _need(f.values.shape[0] >= 2)
-    return Field2D(f.values[1:, :] - f.values[:-1, :], f.m_offset, f.n_offset)
-
-
-def backward_x(f):
-    """(v_xbar)_n = v_n - v_{n-1}; window start shifts up by one."""
-    if isinstance(f, Field1D):
-        _need(len(f.values) >= 2)
-        return Field1D(f.values[1:] - f.values[:-1], f.offset + 1)
-    _need(f.values.shape[0] >= 2)
-    return Field2D(f.values[1:, :] - f.values[:-1, :], f.m_offset + 1, f.n_offset)
-
-
-def forward_y(f: Field2D) -> Field2D:
-    _need(f.values.shape[1] >= 2)
-    return Field2D(f.values[:, 1:] - f.values[:, :-1], f.m_offset, f.n_offset)
-
-
-def backward_y(f: Field2D) -> Field2D:
-    _need(f.values.shape[1] >= 2)
-    return Field2D(f.values[:, 1:] - f.values[:, :-1], f.m_offset, f.n_offset + 1)
-
-
-def divergence_minus(fx: Field2D, fy: Field2D) -> Field2D:
-    """(div- F)_{mn} = (F1_x-bar + F2_y-bar)_{mn} on the common window."""
-    dx = backward_x(fx)
-    dy = backward_y(fy)
-    m0 = max(dx.m_offset, dy.m_offset)
-    n0 = max(dx.n_offset, dy.n_offset)
-    m1 = min(dx.m_offset + dx.values.shape[0], dy.m_offset + dy.values.shape[0])
-    n1 = min(dx.n_offset + dx.values.shape[1], dy.n_offset + dy.values.shape[1])
-    _need(m1 > m0 and n1 > n0)
-    a = dx.values[m0 - dx.m_offset:m1 - dx.m_offset, n0 - dx.n_offset:n1 - dx.n_offset]
-    b = dy.values[m0 - dy.m_offset:m1 - dy.m_offset, n0 - dy.n_offset:n1 - dy.n_offset]
-    return Field2D(a + b, m0, n0)
-
-
-def laplacian(f: Field2D) -> Field2D:
-    """Five-point Laplacian u_{m+1,n}+u_{m-1,n}+u_{m,n+1}+u_{m,n-1}-4u_{mn}."""
-    v = f.values
-    _need(v.shape[0] >= 3 and v.shape[1] >= 3)
-    out = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
-           - 4.0 * v[1:-1, 1:-1])
-    return Field2D(out, f.m_offset + 1, f.n_offset + 1)
-
-
-def difference_ops(f, which: str):
-    """Dispatch by operator name; mirrors the stencil naming used in tests."""
-    ops = {
-        "forward_x": forward_x,
-        "backward_x": backward_x,
-        "forward_y": forward_y,
-        "backward_y": backward_y,
-        "laplacian": laplacian,
-    }
-    if which not in ops:
-        raise ValueError(f"unknown difference operator {which!r}")
-    return ops[which](f)
-
-
-# ---------------------------------------------------------------------------
-# identity residuals
-# ---------------------------------------------------------------------------
 
 def product_rule_residuals(v: np.ndarray, w: np.ndarray) -> dict:
     """Pointwise residuals of the four discrete product rules.
@@ -149,13 +26,12 @@ def product_rule_residuals(v: np.ndarray, w: np.ndarray) -> dict:
     w = np.asarray(w, dtype=complex)
     vw = v * w
     fx = lambda a: a[1:] - a[:-1]
-    res = {
+    return {
         "forward_a": np.max(np.abs(fx(vw) - (fx(v) * w[1:] + v[:-1] * fx(w)))),
         "forward_b": np.max(np.abs(fx(vw) - (fx(v) * w[:-1] + v[1:] * fx(w)))),
         "backward_a": np.max(np.abs(fx(vw) - (fx(v) * w[:-1] + v[1:] * fx(w)))),
         "backward_b": np.max(np.abs(fx(vw) - (fx(v) * w[1:] + v[:-1] * fx(w)))),
     }
-    return res
 
 
 def telescoping_residual(v: np.ndarray) -> float:
@@ -199,13 +75,20 @@ def green_identity_residual(v: np.ndarray, u: np.ndarray) -> float:
 
     sum_R (v Delta u) = boundary flux sums of v u_x and v u_y minus
     sum_R (grad- v . grad- u), on the interior of the supplied rectangle.
+    Delta u is -(H u) with H the `strip_operator` of an uncoupled unit chain
+    at kappa = 0, whose lattice block is 4 u minus the four neighbours; on
+    the interior neither its walls nor its n-wrap are reached.
     """
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    # interior indices 1..-2 of each axis play the role of [m1+1, m2] etc.,
-    # with one halo row/column on every side for the stencils.
-    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
-           - 4.0 * u[1:-1, 1:-1])
+    rows, cols = u.shape
+    # an even row count gets one zero row below, outside every stencil used
+    strip = np.vstack([u, np.zeros((1 - rows % 2, cols))])
+    chain = StructureParams(cols, np.ones(cols), np.ones(cols),
+                            np.zeros(cols))
+    hs = strip_operator(chain, 0.0, rows // 2) @ np.concatenate(
+        [np.zeros(cols), strip.ravel()])
+    lap = -hs[cols:].reshape(strip.shape)[1:rows - 1, 1:-1]
     lhs = np.sum(v[1:-1, 1:-1] * lap)
     ux = u[1:, :] - u[:-1, :]   # (u_x)_{mn} = u_{m+1,n} - u_{mn}
     uy = u[:, 1:] - u[:, :-1]
@@ -213,11 +96,9 @@ def green_identity_residual(v: np.ndarray, u: np.ndarray) -> float:
     bx = np.sum(v[-2, 1:-1] * ux[-1, 1:-1] - v[0, 1:-1] * ux[0, 1:-1])
     by = np.sum(v[1:-1, -2] * uy[1:-1, -1] - v[1:-1, 0] * uy[1:-1, 0])
     dvx = v[1:, :] - v[:-1, :]  # backward diff sampled at the upper index
-    dux = u[1:, :] - u[:-1, :]
     dvy = v[:, 1:] - v[:, :-1]
-    duy = u[:, 1:] - u[:, :-1]
-    grad = np.sum(dvx[:-1, 1:-1] * dux[:-1, 1:-1]) + \
-        np.sum(dvy[1:-1, :-1] * duy[1:-1, :-1])
+    grad = np.sum(dvx[:-1, 1:-1] * ux[:-1, 1:-1]) + \
+        np.sum(dvy[1:-1, :-1] * uy[1:-1, :-1])
     rhs = bx + by - grad
     return abs(lhs - rhs)
 
@@ -226,37 +107,55 @@ def waveguide_green_residual(z: np.ndarray, masses: np.ndarray,
                              springs: np.ndarray) -> float:
     """Residual of the chain summation-by-parts formula on a window.
 
-    With zeta_n = z_n / sqrt(M_n) and the chain operator
-    (A z)_n = ((k_n + k_{n-1})/M_n) z_n - (k_n/sqrt(M_n M_{n+1})) z_{n+1}
-    - (k_{n-1}/sqrt(M_n M_{n-1})) z_{n-1}, one has
+    With zeta_n = z_n / sqrt(M_n) and the chain operator A of
+    `waveguide_band_matrix`, one has
 
     sum_{n=n1}^{n2} conj(z)_n (A z)_n
         = -k_{n2} conj(zeta)_{n2} (zeta_{n2+1} - zeta_{n2})
           + k_{n1-1} conj(zeta)_{n1} (zeta_{n1} - zeta_{n1-1})
-          + sum_{n=n1}^{n2-1} k_n |zeta-difference|-type bond products.
+          + sum_{n=n1}^{n2-1} k_n |zeta_{n+1} - zeta_n|^2.
 
-    The arrays z, masses, springs are given on [n1-1, n2+1] (one-cell halo);
-    masses/springs indexed the same way.
+    The arrays z, masses, springs are given on [n1-1, n2+1] (one-cell halo).
+    A is the band matrix of this window as a chain of period L = len(z) at
+    kappa = 0; its wrap entries touch only the halo rows 0 and L-1.
     """
     z = np.asarray(z, dtype=complex)
     M = np.asarray(masses, dtype=float)
     k = np.asarray(springs, dtype=float)
     if not (len(z) == len(M) == len(k)) or len(z) < 3:
         raise ValueError("need arrays of equal length >= 3 (window plus halo)")
+    A = waveguide_band_matrix(StructureParams(len(z), M, k, np.zeros(len(z))),
+                              0.0)
+    lhs = np.sum(np.conj(z[1:-1]) * (A @ z)[1:-1])
     zeta = z / np.sqrt(M)
-    # interior window is indices 1..-2
-    n1, n2 = 1, len(z) - 2
-    lhs = 0.0 + 0.0j
-    for n in range(n1, n2 + 1):
-        az = ((k[n] + k[n - 1]) / M[n]) * z[n] \
-            - (k[n] / np.sqrt(M[n] * M[n + 1])) * z[n + 1] \
-            - (k[n - 1] / np.sqrt(M[n] * M[n - 1])) * z[n - 1]
-        lhs += np.conj(z[n]) * az
-    bonds = sum(k[n] * np.conj(zeta[n + 1] - zeta[n]) * (zeta[n + 1] - zeta[n])
-                for n in range(n1, n2))
-    rhs = -k[n2] * np.conj(zeta[n2]) * (zeta[n2 + 1] - zeta[n2]) \
-        + k[n1 - 1] * np.conj(zeta[n1]) * (zeta[n1] - zeta[n1 - 1]) + bonds
+    d = zeta[1:] - zeta[:-1]    # d_n = zeta_{n+1} - zeta_n
+    bonds = np.sum(k[1:-2] * np.conj(d[1:-1]) * d[1:-1])
+    rhs = -k[-2] * np.conj(zeta[-2]) * d[-1] \
+        + k[0] * np.conj(zeta[1]) * d[0] + bonds
     return abs(lhs - rhs)
+
+
+def green_identity_field(sol: ScatteringSolution, mx: int) -> float:
+    """Green identity of `strip_operator` on a computed scattering field.
+
+    With s = (z, u on rows -mx..mx) and H = strip_operator(params, kappa,
+    mx), whose zero walls drop the hops to rows -+(mx + 1),
+
+    s^H (omega - H) s = -sum_n conj(u_{mx,n}) u_{mx+1,n}
+                        - sum_n conj(u_{-mx,n}) u_{-mx-1,n}.
+
+    Im of the right side is column_flux(-mx - 1) - column_flux(mx), the
+    strip's energy balance.  The full complex value is compared: at real
+    omega, Im of the left side is 0 for any Hermitian H, wrong or not.
+    Returns |lhs - rhs| / ||s||^2.
+    """
+    m = np.arange(-mx - 1, mx + 2)
+    u, z = reconstruct_field(sol, m[:, None], np.arange(sol.params.N))
+    s = np.concatenate([z, u[1:-1].ravel()])
+    H = strip_operator(sol.params, sol.point.kappa, mx)
+    lhs = np.vdot(s, sol.point.omega * s - H @ s)
+    rhs = -np.vdot(u[-2], u[-1]) - np.vdot(u[1], u[0])
+    return float(abs(lhs - rhs) / np.vdot(s, s).real)
 
 
 def identity_residuals(v2d: np.ndarray, w2d: np.ndarray,

@@ -44,6 +44,13 @@ GROW_STEPS = 4
 # |h| at or below which its sign is roundoff (h vanishes where K is
 # Hermitian)
 H_FLOOR = 1e-12
+# sigma_min below which a local minimum of the coarse grid is a candidate
+COARSE_TOL = 0.05
+# eigenvector overlap below which the tracker reports a lost track
+OVERLAP_MIN = 0.7
+# kt samples on each side of kappa0 and polynomial degree of the dispersion fit
+DISPERSION_SAMPLES = 10
+DISPERSION_DEGREE = 4
 
 log = logging.getLogger("latres")
 
@@ -250,12 +257,12 @@ def _h_slope(h, kappa, delta=1e-6):
 
 
 def find_guided_modes(params: StructureParams, window, density: int = 400,
-                      tol: float = 1e-8, coarse_tol: float = 0.05):
+                      tol: float = 1e-8):
     """Scan sigma_min over a window and polish its deep local minima.
 
     window = (kappa_min, kappa_max, omega_min, omega_max).  The coarse
     density x density grid takes one stacked sigma_min evaluation per kappa
-    row; its local minima below coarse_tol are the candidates.  Each is
+    row; its local minima below COARSE_TOL are the candidates.  Each is
     polished on the chain kernel K with its exact derivatives: Newton in
     complex omega follows the zero omega_gm(kappa) of K's tracked
     eigenvalue, and a bracketed root of h(kappa) = Im d omega_gm / d kappa
@@ -288,7 +295,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                 continue
             is_min &= interior <= grid[1 + di:density - 1 + di,
                                        1 + dj:density - 1 + dj]
-    ii, jj = np.where(is_min & (interior < coarse_tol))
+    ii, jj = np.where(is_min & (interior < COARSE_TOL))
     for i, j in zip(ii + 1, jj + 1):
         candidates.append((kappas[i], omegas[j]))
 
@@ -346,9 +353,8 @@ class EigenvalueTracker:
     y the left one, normalised so that y v = 1.
     """
 
-    def __init__(self, params: StructureParams, overlap_min: float = 0.7):
+    def __init__(self, params: StructureParams):
         self.params = params
-        self.overlap_min = overlap_min
         self._vref = None
         self.d_omega = self.d_kappa = None
 
@@ -364,7 +370,7 @@ class EigenvalueTracker:
         else:
             ov = np.abs(self._vref.conj() @ V)
             i = int(np.argmax(ov))
-            if ov[i] < self.overlap_min * np.linalg.norm(V[:, i]):
+            if ov[i] < OVERLAP_MIN * np.linalg.norm(V[:, i]):
                 raise ConvergenceError(
                     f"lost eigenvalue track at (kappa={kappa}, omega={omega}): "
                     f"best overlap {ov[i]:.3f}")
@@ -436,16 +442,16 @@ class DispersionFit:
 
 
 def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
-                                radius: float = 0.004, num: int = 10,
-                                degree: int = 4) -> DispersionFit:
+                                radius: float = 0.004) -> DispersionFit:
     """Continue the eigenvalue zero to complex omega on both sides of kappa0.
 
     Newton-solves the tracked eigenvalue for complex omega at real
-    kappa = kappa0 + kt, marching outward in both directions, then
-    least-squares fits a degree-`degree` polynomial in kt and reads the
-    linear and quadratic coefficients.
+    kappa = kappa0 + kt at DISPERSION_SAMPLES points out to radius, marching
+    outward in both directions, then least-squares fits a polynomial of
+    degree DISPERSION_DEGREE in kt and reads the linear and quadratic
+    coefficients.
     """
-    kts = np.linspace(0.0, radius, num + 1)[1:]
+    kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
     pts = [(0.0, complex(mode.omega0))]
     for sgn in (1.0, -1.0):
         tracker = EigenvalueTracker(params)
@@ -457,7 +463,7 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     pts.sort()
     kk = np.array([p[0] for p in pts])
     oo = np.array([p[1] for p in pts])
-    V = np.vander(kk, degree + 1, increasing=True)
+    V = np.vander(kk, DISPERSION_DEGREE + 1, increasing=True)
     coef, res, *_ = np.linalg.lstsq(V, oo, rcond=None)
     slope = -coef[1]
     curvature = -coef[2]

@@ -25,13 +25,23 @@ from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
 # step limit of the peak/dip secant, and the |f| it must reach by then
 SECANT_STEPS = 60
 SECANT_F_BOUND = 1e-8
+# peak/dip root search: modulus-grid points, zoom levels, secant stop |f|
+ROOT_GRID_PTS = 81
+ROOT_ZOOMS = 6
+ROOT_F_TOL = 1e-13
+# half-width of the peak/dip search window in units of |curvature| kt^2
+PEAK_DIP_WINDOW_SCALE = 10.0
+# approx_error_sup: kt samples, omega samples, window half-width scale
+ERROR_SUP_KT = 6
+ERROR_SUP_OMEGA = 25
+ERROR_SUP_WINDOW_SCALE = 8.0
 
 
 def _outgoing_pair(params, kappa, omega, order=0):
     """Complex reflection and transmission coefficients (a_minus, b_plus)."""
     sol = solve_scattering(params, BlochPoint(kappa, omega),
                            IncidentField.unit_left(params.N, order))
-    return sol.a_minus[order], sol.b_plus[order], sol.c
+    return sol.a_minus[order], sol.b_plus[order]
 
 
 def _row_pairs(params, kappa, omegas, order=0):
@@ -43,8 +53,7 @@ def _row_pairs(params, kappa, omegas, order=0):
     return row.a_minus[:, order], row.b_plus[:, order]
 
 
-def _window_root(params, kappa, center, halfw, which, order=0,
-                 grid_pts: int = 81, zooms: int = 6, tol: float = 1e-13):
+def _window_root(params, kappa, center, halfw, which, order=0):
     """Zero of the reflection ('a') or transmission ('b') coefficient in omega.
 
     The resonance is much narrower than the search window (its width scales
@@ -52,15 +61,15 @@ def _window_root(params, kappa, center, halfw, which, order=0,
     to remote roots.  Instead: iteratively zoom a coarse modulus grid onto the
     minimum, then polish with an unclamped complex-secant Newton and demand
     the root lands back on the real axis inside the window.  The secant
-    stops when |f| < tol or its step is at roundoff, |step| <= 4 eps |omega|
-    (f cannot get much below its roundoff, 1e-12 to 2e-9 on fixture 1); if
-    SECANT_STEPS steps pass with |f| still above SECANT_F_BOUND it raises
-    ConvergenceError.
+    stops when |f| < ROOT_F_TOL or its step is at roundoff,
+    |step| <= 4 eps |omega| (f cannot get much below its roundoff, 1e-12 to
+    2e-9 on fixture 1); if SECANT_STEPS steps pass with |f| still above
+    SECANT_F_BOUND it raises ConvergenceError.
     """
     idx = 0 if which == "a" else 1
     c, h = center, halfw
-    for _ in range(zooms):
-        ws = np.linspace(c - h, c + h, grid_pts)
+    for _ in range(ROOT_ZOOMS):
+        ws = np.linspace(c - h, c + h, ROOT_GRID_PTS)
         vals = np.abs(_row_pairs(params, kappa, ws, order)[idx])
         i = int(np.argmin(vals))
         c, h = ws[i], 2.2 * (ws[1] - ws[0])
@@ -69,7 +78,7 @@ def _window_root(params, kappa, center, halfw, which, order=0,
     om = complex(c)
     for _ in range(SECANT_STEPS):
         f = _outgoing_pair(params, kappa, om, order)[idx]
-        if abs(f) < tol:
+        if abs(f) < ROOT_F_TOL:
             break
         hs = 1e-10 * (1.0 + abs(om))
         f2 = _outgoing_pair(params, kappa, om + hs, order)[idx]
@@ -103,12 +112,11 @@ class PeakDipCurves:
 
 
 def peak_dip_curves(params: StructureParams, mode: GuidedMode,
-                    fit: DispersionFit, kt_samples=None,
-                    window_scale: float = 10.0) -> PeakDipCurves:
+                    fit: DispersionFit, kt_samples=None) -> PeakDipCurves:
     """Root-find omega_a (reflection zero) and omega_b (transmission zero).
 
-    The search window for each kt is centered on the real part of the
-    continued dispersion curve with half-width window_scale*|curvature|*kt^2.
+    The search window for each kt is centered on the continued dispersion
+    curve's real part, half-width PEAK_DIP_WINDOW_SCALE |curvature| kt^2.
     """
     if kt_samples is None:
         kt_samples = np.concatenate([np.linspace(-0.006, -0.00075, 8),
@@ -117,7 +125,8 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
     oa, ob, tpk, tdp = [], [], [], []
     for kt in kt_samples:
         center = mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
-        halfw = max(window_scale * abs(fit.curvature) * kt ** 2, 1e-9)
+        halfw = max(PEAK_DIP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2,
+                    1e-9)
         wa = _window_root(params, mode.kappa0 + kt, center, halfw, "a")
         wb = _window_root(params, mode.kappa0 + kt, center, halfw, "b")
         oa.append(wa)
@@ -270,16 +279,14 @@ def approx_transmission(fit: AnomalyFit, kt, wt, variant: str = "one_sided"):
 
 
 def approx_error_sup(params: StructureParams, fit: AnomalyFit,
-                     kt_max: float, num_kt: int = 6, num_w: int = 25,
-                     window_scale: float = 8.0,
-                     variant: str = "two_sided") -> float:
+                     kt_max: float, variant: str = "two_sided") -> float:
     """Sup of |T_model - T_direct| over the anomaly window of half-width kt_max."""
     worst = 0.0
-    for kt in np.linspace(-kt_max, kt_max, num_kt):
+    for kt in np.linspace(-kt_max, kt_max, ERROR_SUP_KT):
         if abs(kt) < 0.05 * kt_max:
             continue
-        half = window_scale * abs(fit.curvature) * kt ** 2
-        ws = -fit.slope * kt + np.linspace(-half, half, num_w)
+        half = ERROR_SUP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2
+        ws = -fit.slope * kt + np.linspace(-half, half, ERROR_SUP_OMEGA)
         t_direct = np.abs(_row_pairs(params, fit.kappa0 + kt,
                                      fit.omega0 + ws)[1])
         t_model = approx_transmission(fit, kt, ws, variant)

@@ -91,9 +91,6 @@ class IncidentField:
         z = np.zeros(N, dtype=complex)
         return IncidentField(z, z.copy())
 
-    def scaled(self, alpha: complex) -> "IncidentField":
-        return IncidentField(alpha * self.a_inc, alpha * self.b_inc)
-
 
 @dataclass(frozen=True)
 class ScatteringSystem:

@@ -23,6 +23,9 @@ EVANESCENT = "evanescent"
 BAND_EDGE_EVANESCENT = "band-edge-evanescent"
 LINEAR_THRESHOLD = "linear-threshold"
 
+# |chi| within this of 1 classifies an order as a threshold
+THRESHOLD_TOL = 1e-9
+
 
 class ThresholdError(ValueError):
     """Raised when an operation cannot proceed on a threshold curve."""
@@ -140,14 +143,14 @@ def ambient_dispersion(theta, phi):
     return 4.0 - 2.0 * np.cos(TWO_PI * theta) - 2.0 * np.cos(TWO_PI * phi)
 
 
-def _classify_real(phi, omega, threshold_tol=1e-9):
+def _classify_real(phi, omega):
     """Exponents and classes of every order at real frequencies.
 
     omega may be a scalar or an array; returns (theta, prop, thr), each of
     shape omega.shape + (N,), with prop and thr the masks of the propagating
-    and the threshold orders.  An order within threshold_tol > 0 of
-    chi = +-1 is a threshold, theta = 0 or 1/2; an order with |chi| < 1
-    propagates, theta = arccos(chi) / 2 pi; the others decay,
+    and the threshold orders.  An order within THRESHOLD_TOL of chi = +-1
+    is a threshold, theta = 0 or 1/2; an order with |chi| < 1 propagates,
+    theta = arccos(chi) / 2 pi; the others decay,
     theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.
     """
     chi = np.real(np.subtract.outer((4.0 - omega) / 2.0,
@@ -156,16 +159,16 @@ def _classify_real(phi, omega, threshold_tol=1e-9):
     # exact for |chi| in [1/2, 2], so that gap <= -tol is |chi| < 1 off the
     # thresholds
     gap = mag - 1.0
-    thr = np.abs(gap) < threshold_tol
-    prop = gap <= -threshold_tol
+    thr = np.abs(gap) < THRESHOLD_TOL
+    prop = gap <= -THRESHOLD_TOL
     # arccos(+-1) / 2 pi is exactly 0 or 1/2, and arccosh(1) is 0
     theta = (np.arccos(np.where(prop, chi, np.sign(chi))) / TWO_PI
-             + 1j * (np.arccosh(np.where(gap < threshold_tol, 1.0, mag))
+             + 1j * (np.arccosh(np.where(gap < THRESHOLD_TOL, 1.0, mag))
                      / TWO_PI))
     return theta, prop, thr
 
 
-def _harmonic_arrays(N, kappa, omega, threshold_tol=1e-9):
+def _harmonic_arrays(N, kappa, omega):
     """Classification core for one point.
 
     Returns (phi, theta, kinds, prop) where kinds is a list of class strings
@@ -196,7 +199,7 @@ def _harmonic_arrays(N, kappa, omega, threshold_tol=1e-9):
                         dtype=int)
         return phi, theta, kinds, prop
 
-    theta, prop, thr = _classify_real(phi, np.real(omega), threshold_tol)
+    theta, prop, thr = _classify_real(phi, np.real(omega))
     kinds = [LINEAR_THRESHOLD if t else PROPAGATING if p
              else EVANESCENT if th.real == 0.0 else BAND_EDGE_EVANESCENT
              for th, p, t in zip(theta.tolist(), prop.tolist(), thr.tolist())]
@@ -222,17 +225,17 @@ def _check_sign_law(theta, kinds, omega):
             )
 
 
-def classify_harmonics(params: StructureParams, point: BlochPoint,
-                       threshold_tol: float = 1e-9) -> HarmonicSet:
+def classify_harmonics(params: StructureParams,
+                       point: BlochPoint) -> HarmonicSet:
     """Classify the N Fourier orders at a Bloch point.
 
-    Orders within threshold_tol of a threshold are flagged (not silently
+    Orders within THRESHOLD_TOL of a threshold are flagged (not silently
     classified); callers that cannot handle thresholds should check
     HarmonicSet.has_threshold or catch ThresholdError from assembly.
     """
     kappa = point.kappa if point.kappa.imag else point.kappa.real
     omega = point.omega if np.imag(point.omega) else np.real(point.omega)
-    phi, theta, kinds, prop = _harmonic_arrays(params.N, kappa, omega, threshold_tol)
+    phi, theta, kinds, prop = _harmonic_arrays(params.N, kappa, omega)
     harms = tuple(
         Harmonic(order=l, phi=phi[l], theta=theta[l], kind=kinds[l])
         for l in range(params.N)

@@ -1,58 +1,22 @@
-"""Difference operators and the summation identities on random fields."""
+"""The summation identities on random fields, and on the solver's operators."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from latres.discrete import (Field1D, Field2D, WindowTooSmall, backward_x,
-                             divergence_minus, divergence_theorem_residual,
-                             forward_x, forward_y, green_identity_residual,
-                             identity_residuals, laplacian,
-                             product_rule_residuals,
+from latres import discrete
+from latres.discrete import (divergence_theorem_residual,
+                             green_identity_field, green_identity_residual,
+                             identity_residuals, product_rule_residuals,
                              summation_by_parts_1d_residual,
                              telescoping_residual, waveguide_green_residual)
+from latres.scattering import IncidentField, solve_scattering
+from latres.structure import (BlochPoint, StructureParams, classify_harmonics,
+                              strip_operator, waveguide_band_matrix)
 
 
 def _rand2(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_forward_backward_offsets():
-    f = Field1D(np.array([1.0, 4.0, 9.0]), offset=5)
-    fx = forward_x(f)
-    assert np.allclose(fx.values, [3.0, 5.0])
-    assert fx.offset == 5
-    bx = backward_x(f)
-    assert np.allclose(bx.values, [3.0, 5.0])
-    assert bx.offset == 6
-
-
-def test_window_too_small():
-    with pytest.raises(WindowTooSmall):
-        forward_x(Field1D(np.array([1.0])))
-    with pytest.raises(WindowTooSmall):
-        laplacian(Field2D(np.ones((2, 5))))
-
-
-def test_laplacian_matches_divergence_of_gradient(rng):
-    u = _rand2(rng, (7, 8))
-    f = Field2D(u)
-    lap = laplacian(f)
-    div = divergence_minus(forward_x(f), forward_y(f))
-    # compare on the common interior window
-    a = lap.values
-    b = div.values[lap.m_offset - div.m_offset:, lap.n_offset - div.n_offset:]
-    b = b[:a.shape[0], :a.shape[1]]
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_pseudo_periodic_check():
-    kappa = 0.31
-    n = np.arange(9)
-    v = np.exp(2j * np.pi * kappa * n / 3)
-    f = Field1D(v, period=3, kappa=kappa)
-    assert f.check_pseudo_periodic()
-    bad = Field1D(v + np.array([0.0] * 8 + [0.1]), period=3, kappa=kappa)
-    assert not bad.check_pseudo_periodic()
 
 
 def test_product_rules_random(rng):
@@ -96,3 +60,66 @@ def test_identity_bundle(rng):
     assert set(res) == {"summation_by_parts_1d", "divergence_theorem",
                         "green_identity", "waveguide_green"}
     assert max(res.values()) < 1e-12
+
+
+def test_scaled_band_diagonal_fails_chain_identity(rng, monkeypatch):
+    def scaled(params, kappa):
+        B = waveguide_band_matrix(params, kappa)
+        return B + 0.1 * np.diag(np.diag(B))
+
+    z = _rand2(rng, 9)
+    masses = rng.uniform(0.5, 3.0, 9)
+    springs = rng.uniform(0.5, 3.0, 9)
+    assert waveguide_green_residual(z, masses, springs) < 1e-12
+    monkeypatch.setattr(discrete, "waveguide_band_matrix", scaled)
+    assert waveguide_green_residual(z, masses, springs) > 1e-12
+
+
+def test_wrong_lattice_diagonal_fails_green_identity(rng, monkeypatch):
+    def shifted(params, kappa, mx):
+        H = strip_operator(params, kappa, mx)
+        lattice = np.r_[np.zeros(params.N), np.ones(H.shape[0] - params.N)]
+        return H + 1e-3 * sp.diags(lattice)
+
+    v = _rand2(rng, (7, 6))
+    u = _rand2(rng, (7, 6))
+    assert green_identity_residual(v, u) < 1e-12
+    monkeypatch.setattr(discrete, "strip_operator", shifted)
+    assert green_identity_residual(v, u) > 1e-12
+
+
+def _random_solution(rng, N):
+    """A scattering solution on a random structure with complex couplings.
+
+    Random left incidence on the propagating orders, at a point off every
+    threshold with kappa away from 0 and 1/2, where the Bloch twist and its
+    inverse differ.
+    """
+    params = StructureParams(N, rng.uniform(0.5, 2.0, N),
+                             rng.uniform(0.5, 2.0, N),
+                             _rand2(rng, N))
+    while True:
+        point = BlochPoint(rng.uniform(0.05, 0.45), rng.uniform(0.05, 7.95))
+        hs = classify_harmonics(params, point)
+        if hs.propagating and not hs.has_threshold:
+            break
+    a = np.zeros(N, dtype=complex)
+    a[list(hs.propagating)] = _rand2(rng, len(hs.propagating))
+    return solve_scattering(params, point,
+                            IncidentField(a, np.zeros(N, dtype=complex)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_green_identity_field_on_solutions(rng, N):
+    for _ in range(3):
+        assert green_identity_field(_random_solution(rng, N), 6) < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 8])
+def test_flipped_twist_fails_green_identity_field(rng, N, monkeypatch):
+    sols = [_random_solution(rng, N) for _ in range(3)]
+    assert max(green_identity_field(sol, 6) for sol in sols) < 1e-12
+    monkeypatch.setattr(discrete, "strip_operator",
+                        lambda params, kappa, mx:
+                        strip_operator(params, -kappa, mx))
+    assert min(green_identity_field(sol, 6) for sol in sols) > 1e-12
