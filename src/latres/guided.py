@@ -1,4 +1,4 @@
-"""Guided-mode location, the explicit N=2 criteria, and dispersion fitting.
+"""Guided-mode location, dispersion fitting, and the explicit N=2 criteria.
 
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
@@ -13,8 +13,10 @@ whose local quadratic expansion drives every resonance quantity downstream.
 Candidates are polished on that curve with the exact derivatives K_omega
 and K_kappa: Newton in complex omega finds omega_gm(kappa), and a bracketed
 root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its
-maximum, 0, gives kappa0.  The real zero of det K is degenerate (the curve only touches
-the real plane), so it is not solved for directly.
+maximum, 0, gives kappa0.  The real zero of det K is degenerate (the curve
+only touches the real plane), so it is not solved for directly.  The same
+h (`_continued_h`) locates the coupling bifurcation in `resonance`; the
+explicit N=2 criteria are only an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ H_FLOOR = 1e-12
 COARSE_TOL = 0.05
 # eigenvector overlap below which the tracker reports a lost track
 OVERLAP_MIN = 0.7
+# the tracker's Newton: |lambda| stop, step limit; the kappa step of h'
+NEWTON_TOL = 1e-13
+NEWTON_STEPS = 80
+H_SLOPE_DELTA = 1e-6
 # kt samples on each side of kappa0 and polynomial degree of the dispersion fit
 DISPERSION_SAMPLES = 10
 DISPERSION_DEGREE = 4
@@ -155,9 +161,10 @@ def guided_mode_criteria_n2(params: StructureParams, kappa: float,
                             omega: float):
     """The two complex residuals whose common zero marks an N=2 guided mode.
 
-    Valid in the single-propagating region where the second order is
-    evanescent; there sin(2 pi theta_1) = i sqrt(chi_1^2 - 1) with
-    chi_1 = 2 - omega/2 + cos(pi kappa).
+    A closed form that no production path uses: the tests' independent
+    oracle for the chain-kernel route.  Valid in the single-propagating region
+    where the second order is evanescent; there sin(2 pi theta_1) =
+    i sqrt(chi_1^2 - 1) with chi_1 = 2 - omega/2 + cos(pi kappa).
     """
     if params.N != 2:
         raise ValueError("criteria are specific to period N=2")
@@ -190,8 +197,7 @@ def _polish(params, kappa, omega, reach):
     order K is Hermitian and its zero set is a curve (the robust branch):
     only omega is solved, at the candidate's kappa, and h' = 0.  Otherwise
     kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
-    Im omega_gm peaks.  Each omega_gm(kappa) continues from the nearest
-    kappa solved so far, along its tangent and from its eigenvector.  The
+    Im omega_gm peaks, continued from the candidate (`_continued_h`).  The
     bracket starts at kappa +- reach and, while h keeps one sign on it,
     steps towards rising Im omega_gm, by a reach that doubles each time, at
     most GROW_STEPS times; an end where |h| <= H_FLOOR has no sign to trust.
@@ -199,22 +205,9 @@ def _polish(params, kappa, omega, reach):
     (|Im omega_gm(0)| at roundoff) is taken; if there is none, the bracket
     keeps only the candidate's side of kappa = 0.
     """
-    tracker = EigenvalueTracker(params)
     if propagating_count(params, kappa, omega) == 0:
-        return kappa, tracker.solve_omega(kappa, omega), 0.0
-    solved = []  # (kappa, omega_gm, d omega_gm / d kappa, eigenvector)
-
-    def h(kap):
-        seed = complex(omega)
-        if solved:
-            k1, om1, slope1, v1 = min(solved, key=lambda p: abs(p[0] - kap))
-            tracker.reset(v1)
-            seed = om1 + slope1 * (kap - k1)
-        om = tracker.solve_omega(kap, seed)
-        slope = -tracker.d_kappa / tracker.d_omega
-        solved.append((kap, om, slope, tracker.eigenvector()))
-        return slope.imag
-
+        return kappa, EigenvalueTracker(params).solve_omega(kappa, omega), 0.0
+    h, solved = _continued_h(params, (kappa, complex(omega), 0.0, None))
     h(kappa)  # omega_gm at the candidate seeds the bracket ends
     lo, hi = kappa - reach, kappa + reach
     h_lo, h_hi = h(lo), h(hi)
@@ -251,9 +244,31 @@ def _polish(params, kappa, omega, reach):
     return None
 
 
-def _h_slope(h, kappa, delta=1e-6):
+def _h_slope(h, kappa):
     """h'(kappa) by a central difference."""
-    return (h(kappa + delta) - h(kappa - delta)) / (2.0 * delta)
+    return (h(kappa + H_SLOPE_DELTA) - h(kappa - H_SLOPE_DELTA)) / (
+        2.0 * H_SLOPE_DELTA)
+
+
+def _continued_h(params, start):
+    """h(kappa) = Im d omega_gm / d kappa on one structure, and its points.
+
+    Points are (kappa, omega_gm, d omega_gm / d kappa, eigenvector).  Each
+    solve continues from the nearest point solved so far along its tangent,
+    the first from start (of any structure; eigenvector None: the smallest).
+    """
+    tracker, solved = EigenvalueTracker(params), []
+
+    def h(kappa):
+        k1, om1, slope1, v1 = min(solved or [start],
+                                  key=lambda p: abs(p[0] - kappa))
+        tracker.reset(v1)
+        om = tracker.solve_omega(kappa, om1 + slope1 * (kappa - k1))
+        slope = -tracker.d_kappa / tracker.d_omega
+        solved.append((kappa, om, slope, tracker.eigenvector()))
+        return slope.imag
+
+    return h, solved
 
 
 def find_guided_modes(params: StructureParams, window, density: int = 400,
@@ -350,20 +365,22 @@ class EigenvalueTracker:
     magnitude sorting, so the tracked branch does not swap near its zero.
     Each `value` call also leaves the eigenvalue's exact derivatives in
     d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
-    y the left one, normalised so that y v = 1.
+    y the left one, normalised so that y v = 1.  d_kappa forms K_kappa when
+    it is read.
     """
 
     def __init__(self, params: StructureParams):
         self.params = params
         self._vref = None
-        self.d_omega = self.d_kappa = None
+        self.d_omega = None
 
     def reset(self, vref=None):
         """Forget the tracked eigenvector, or track the one closest to vref."""
         self._vref = vref
 
     def value(self, kappa, omega):
-        K, K_om, K_kap = _chain_kernel_derivatives(self.params, kappa, omega)
+        K, K_om, self._K_kappa = _chain_kernel_derivatives(self.params,
+                                                           kappa, omega)
         w, V = np.linalg.eig(K)
         if self._vref is None:
             i = int(np.argmin(np.abs(w)))
@@ -379,32 +396,35 @@ class EigenvalueTracker:
         y = np.linalg.solve(V.T, np.eye(len(w))[i])
         self._vref = v / np.linalg.norm(v)
         self.d_omega = y @ K_om @ v
-        self.d_kappa = y @ K_kap @ v
+        self._y, self._v = y, v
         return w[i]
+
+    @property
+    def d_kappa(self):
+        return self._y @ self._K_kappa() @ self._v
 
     def eigenvector(self):
         return self._vref
 
-    def solve_omega(self, kappa, omega_seed, tol: float = 1e-13,
-                    max_iter: int = 80):
+    def solve_omega(self, kappa, omega_seed):
         """Newton in omega for a zero of the tracked eigenvalue.
 
         The step is lambda / (d lambda / d omega), with the exact derivative.
-        Stops after the step at which |lambda| < tol or the step is at
+        Stops after the step at which |lambda| < NEWTON_TOL or the step is at
         roundoff, |step| <= 4 eps |omega|; d_omega, d_kappa and the tracked
         eigenvector are then those of the last point before that step.
-        Raises ConvergenceError after max_iter steps.
+        Raises ConvergenceError after NEWTON_STEPS steps.
         """
         om = complex(omega_seed)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_STEPS):
             val = self.value(kappa, om)
             step = val / self.d_omega
             om = om - step
-            if abs(val) < tol or abs(step) <= 4.0 * EPS * abs(om):
+            if abs(val) < NEWTON_TOL or abs(step) <= 4.0 * EPS * abs(om):
                 return om
         raise ConvergenceError(
             f"eigenvalue Newton did not converge at kappa={kappa}: "
-            f"|lambda| = {abs(val):.2e} after {max_iter} steps")
+            f"|lambda| = {abs(val):.2e} after {NEWTON_STEPS} steps")
 
 
 def _min_abs_eigenvalue(params, kappa, omega):

@@ -8,19 +8,22 @@ anomaly through a closed-form approximation.  The chain amplitude at the
 optimally detuned frequency scales like |Im omega_gm(kappa0 + kt)|^(-1/2):
 it diverges like 1/kt when Im(curvature) != 0, and like 1/kt^2 at the
 critical coupling, where Im(curvature) = 0 and the decay is quartic in kt.
+That coupling, and the mode branch born there, are traced on the chain
+kernel K for any N.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, fsolve, least_squares
+from scipy.optimize import brentq, least_squares
 
 from .structure import BlochPoint, StructureParams
 from .scattering import IncidentField, solve_row, solve_scattering
 from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
-                     guided_mode_criteria_n2)
+                     _continued_h, _h_slope, _sigma_min_row)
 
 # step limit of the peak/dip secant, and the |f| it must reach by then
 SECANT_STEPS = 60
@@ -35,6 +38,14 @@ PEAK_DIP_WINDOW_SCALE = 10.0
 ERROR_SUP_KT = 6
 ERROR_SUP_OMEGA = 25
 ERROR_SUP_WINDOW_SCALE = 8.0
+# critical-coupling secant: second point, stop step, step limit; the
+# largest branch kappa0
+GAMMA_STEP = 1e-3
+GAMMA_TOL = 1e-9
+GAMMA_STEPS = 30
+BRANCH_KAPPA_MAX = 0.2
+
+log = logging.getLogger("latres")
 
 
 def _outgoing_pair(params, kappa, omega, order=0):
@@ -329,98 +340,101 @@ class BifurcationBranch:
     g_curvature_sign: int
 
 
-def find_bifurcation(params: StructureParams, gamma0_bracket,
-                     omega_seed: float = None, gamma_index: int = 0):
-    """Critical coupling where the mode pair is created at kappa = 0.
+def _critical_coupling(params, gamma0_bracket):
+    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, solve count.
 
-    Solves the two real criterion equations at kappa = 0 for
-    (omega, gamma0) by Newton, seeded from the bracket midpoint.
-    Returns (gamma0_star, omega0_star).
+    gamma0* is the root of Im(curvature) = -h'(0)/2 in gamma0 = gammas[0],
+    found by a secant from the bracket midpoint (omega starts at sigma_min's
+    minimum at kappa = 0) and a point GAMMA_STEP above; each gamma0
+    continues omega_gm(0) from the last.
     """
     lo, hi = gamma0_bracket
-    g_seed = 0.5 * (lo + hi)
-    if omega_seed is None:
-        # coarse scan of the criterion residuals at kappa = 0 for a seed
-        p0 = params.replace_gamma(gamma_index, g_seed)
-        ws = np.linspace(0.05, 3.95, 160)
-        resid = [sum(abs(v) ** 2 for v in guided_mode_criteria_n2(p0, 0.0, w))
-                 for w in ws]
-        omega_seed = float(ws[int(np.argmin(resid))])
+    omegas = np.linspace(0.05, 3.95, 160)
+    sigma = _sigma_min_row(params.replace_gamma(0, (lo + hi) / 2), 0.0, omegas)
+    point, solves = (0.0, complex(omegas[np.argmin(sigma)]), 0.0, None), 0
 
-    def eqs(x):
-        om, g0 = x
-        p = params.replace_gamma(gamma_index, g0)
-        c1, c2 = guided_mode_criteria_n2(p, 0.0, om)
-        return [np.real(c1), np.real(c2)]
+    def h_prime(g0):
+        nonlocal point, solves
+        h, solved = _continued_h(params.replace_gamma(0, g0), point)
+        h(0.0)
+        f = _h_slope(h, 0.0)
+        point, solves = solved[0], solves + len(solved)
+        return f
 
-    root, info, ok, msg = fsolve(eqs, [omega_seed, g_seed], xtol=1e-14,
-                                 full_output=True)
-    if ok != 1:
-        raise RuntimeError(f"bifurcation solve failed: {msg}")
-    om_star, g_star = float(root[0]), float(root[1])
-    if not (lo <= g_star <= hi):
+    g_old, g = (lo + hi) / 2, (lo + hi) / 2 + GAMMA_STEP
+    f_old, f = h_prime(g_old), h_prime(g)
+    for _ in range(GAMMA_STEPS):
+        slope = (f - f_old) / (g - g_old)
+        g_old, f_old = g, f
+        g -= f / slope
+        f = h_prime(g)
+        if abs(g - g_old) <= GAMMA_TOL:
+            break
+    else:
+        raise ConvergenceError(f"critical-coupling secant did not converge "
+                               f"in {GAMMA_STEPS} steps")
+    if not (lo <= g <= hi):
         raise RuntimeError(
-            f"bifurcation root gamma0={g_star} escaped bracket {gamma0_bracket}")
-    return g_star, om_star
+            f"bifurcation root gamma0={g} escaped bracket {gamma0_bracket}")
+    return g, point, slope, solves
 
 
-def _gamma_of_kappa(params, kappa, seed, gamma_index=0):
-    """Coupling value at which a guided mode sits at the given kappa.
+def find_bifurcation(params: StructureParams, gamma0_bracket):
+    """(gamma0*, omega0*): the coupling gammas[0] where the mode pair is born.
 
-    Inverts the criteria: solves them in (omega, gamma0) at fixed kappa.
-    Returns (gamma0, omega0).
+    For any N, gamma0* is the root of Im(curvature) of omega_gm(0) on the
+    chain kernel K, and omega0* = Re omega_gm(0) there.
     """
-    def eqs(x):
-        om, g0 = x
-        p = params.replace_gamma(gamma_index, g0)
-        c1, c2 = guided_mode_criteria_n2(p, kappa, om)
-        return [np.real(c1), np.real(c2)]
-
-    root = fsolve(eqs, seed, xtol=1e-12)
-    return float(root[1]), float(root[0])
+    g_star, point, _, _ = _critical_coupling(params, gamma0_bracket)
+    return g_star, point[1].real
 
 
 def trace_branch(params: StructureParams, gamma0_values,
-                 gamma0_bracket=None, gamma_index: int = 0,
-                 kappa_max: float = 0.2) -> BifurcationBranch:
-    """Follow the mode pair from the bifurcation point down in gamma0.
+                 gamma0_bracket=None) -> BifurcationBranch:
+    """Follow the mode pair from the bifurcation point away in gammas[0].
 
-    For each requested gamma0 the branch position kappa0 solves
-    g(kappa0) = gamma0, where g(kappa) is the coupling that puts a mode at
-    kappa (a well-conditioned scalar equation bracketed by bisection); the
-    square-root law kappa0 ~ sqrt(gamma0* - gamma0) is then fitted on a
-    log-log scale.
+    The branch lies on the side g_curvature_sign = -sign(d Im(curvature) /
+    d gamma0) of gamma0*; a gamma0 on the other side, or with no root below
+    BRANCH_KAPPA_MAX, raises RuntimeError.  Outwards from gamma0*, each
+    kappa0 is the root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0),
+    continued from the last, bracketed by (1e-6, 1e-3) with its top doubled
+    until h changes sign, then around the square-root law; the law is fitted
+    on a log-log scale.  A DEBUG line on the `latres` logger gives gamma0*,
+    omega0*, |Im omega_gm(0)|, d Im(curvature) / d gamma0, the tracker solve
+    count and each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
     """
     if gamma0_bracket is None:
         gmin = min(gamma0_values)
         gamma0_bracket = (gmin - 0.5, max(gamma0_values) + 0.5)
-    g_star, om_star = find_bifurcation(params, gamma0_bracket,
-                                       gamma_index=gamma_index)
-
-    seed = [om_star, g_star]
-
-    def g_of_kappa(kap):
-        g0, _ = _gamma_of_kappa(params, kap, seed, gamma_index)
-        return g0
-
-    # curvature sign of g at 0: does the branch live below or above g_star
-    h = 1e-3
-    sign = int(np.sign(g_of_kappa(h) - g_star))
-
-    samples = []
+    g_star, star, h_prime_slope, solves = _critical_coupling(params,
+                                                             gamma0_bracket)
+    sign = int(np.sign(h_prime_slope))  # d Im(curvature) = -d h'(0) / 2
+    point, samples, certificates = star, [], []
     for g0 in sorted(gamma0_values, reverse=(sign < 0)):
-        target = g0
-        f = lambda kap: g_of_kappa(kap) - target
+        if np.sign(g0 - g_star) != sign:
+            raise RuntimeError(f"no branch point for gamma0={g0}: the branch "
+                               f"lies on the other side of gamma0*={g_star}")
+        h, solved = _continued_h(params.replace_gamma(0, g0), point)
         lo, hi = 1e-6, 1e-3
-        while f(lo) * f(hi) > 0:
+        if samples:  # within 2x of the square-root law from the last one
+            g1, k1, _ = samples[-1]
+            guess = k1 * np.sqrt((g0 - g_star) / (g1 - g_star))
+            lo, hi = guess / 2.0, guess * 2.0
+        h_lo, h_hi = h(lo), h(hi)
+        while h_lo * h_hi > 0.0:
             hi *= 2.0
-            if hi > kappa_max:
-                raise RuntimeError(
-                    f"no branch point for gamma0={g0} below kappa={kappa_max}")
-        kap0 = brentq(f, lo, hi, xtol=1e-14)
-        _, om0 = _gamma_of_kappa(params, kap0, seed, gamma_index)
-        samples.append((float(g0), float(kap0), float(om0)))
-
+            if hi > BRANCH_KAPPA_MAX:
+                raise RuntimeError(f"no branch point for gamma0={g0} below "
+                                   f"kappa={BRANCH_KAPPA_MAX}")
+            h_hi = h(hi)
+        kap0 = brentq(h, lo, hi, xtol=1e-13)
+        h(kap0)
+        point = solved[-1]
+        samples.append((float(g0), float(kap0), float(point[1].real)))
+        if log.isEnabledFor(logging.DEBUG):  # h' costs two more solves
+            certificates.append((g0, kap0, abs(point[1].imag),
+                                 _h_slope(h, kap0)))
+        solves += len(solved)
     gs = np.array([s[0] for s in samples])
     ks = np.array([s[1] for s in samples])
     dist = np.abs(g_star - gs)
@@ -428,6 +442,12 @@ def trace_branch(params: StructureParams, gamma0_values,
         slope = float(np.polyfit(np.log(dist), np.log(ks), 1)[0])
     else:
         slope = float("nan")
-    return BifurcationBranch(gamma0_star=g_star, omega0_star=om_star,
+    log.debug("bifurcation branch: gamma0* %.15g, omega0* %.15g, "
+              "|Im omega_gm(0)| %.2g, d Im(curvature)/d gamma0 %.6g, %d "
+              "tracker solves, samples (gamma0, kappa0, |Im omega_gm|, h') "
+              "[%s]", g_star, star[1].real, abs(star[1].imag),
+              -h_prime_slope / 2.0, solves, "; ".join(
+                  "(%.15g, %.15g, %.2g, %.6g)" % c for c in certificates))
+    return BifurcationBranch(gamma0_star=g_star, omega0_star=star[1].real,
                              samples=tuple(samples), sqrt_slope=slope,
                              g_curvature_sign=sign)

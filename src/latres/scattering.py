@@ -146,7 +146,7 @@ def _chain_kernel(params, kappa, omega, phi, theta):
 
 
 def _chain_kernel_derivatives(params, kappa, omega):
-    """K at one point with its exact derivatives K_omega and K_kappa.
+    """K at one point, its exact K_omega, and a function that forms K_kappa.
 
     With X = P diag(1/s) P^-1, K = omega - A - diag(gamma) X diag(conj gamma).
     The ambient dispersion omega = 4 - 2 cos 2 pi theta - 2 cos 2 pi phi
@@ -156,23 +156,26 @@ def _chain_kernel_derivatives(params, kappa, omega):
     (P^-1)' = -2 pi i P^-1 D with D = diag(n / N).  A' comes from the wrap
     entries, the only ones that depend on kappa: they carry e^{+-2 pi i kappa},
     so A' = 2 pi (A(kappa + 1/4) - (A(kappa) + A(kappa + 1/2)) / 2).
+    K_kappa, the costly part, is formed only when asked for.
     """
     N = params.N
     phi, theta, _, _ = _harmonics_off_threshold(N, kappa, omega)
     K, P, Pinv, s = _chain_kernel(params, kappa, omega, phi, theta)
     gam = params.gammas
     s_om = 1j / np.tan(TWO_PI * theta)
-    s_kap = -s_om * 4.0 * np.pi * np.sin(TWO_PI * phi) / N
-    X = (P / s) @ Pinv
-    D = np.arange(N)[:, None] / N
-    A_kap = TWO_PI * (waveguide_band_matrix(params, kappa + 0.25)
-                      - 0.5 * (waveguide_band_matrix(params, kappa)
-                               + waveguide_band_matrix(params, kappa + 0.5)))
     outer = gam[:, None] * np.conj(gam)
     K_om = np.eye(N) + outer * ((P * (s_om / s ** 2)) @ Pinv)
-    K_kap = -A_kap - outer * (2j * np.pi * (D * X - X * D.T)
-                              - (P * (s_kap / s ** 2)) @ Pinv)
-    return K, K_om, K_kap
+
+    def K_kappa():
+        s_kap = -s_om * 4.0 * np.pi * np.sin(TWO_PI * phi) / N
+        X = (P / s) @ Pinv
+        D = np.arange(N)[:, None] / N
+        A = [waveguide_band_matrix(params, kappa + d) for d in (0, 0.25, 0.5)]
+        A_kap = TWO_PI * (A[1] - 0.5 * (A[0] + A[2]))
+        return -A_kap - outer * (2j * np.pi * (D * X - X * D.T)
+                                 - (P * (s_kap / s ** 2)) @ Pinv)
+
+    return K, K_om, K_kappa
 
 
 def _solve_stack(K, rhs, cond_limit):

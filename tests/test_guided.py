@@ -202,7 +202,9 @@ def test_kernel_derivatives_match_differences(N, complex_gamma):
             if np.min(np.abs(np.abs(chi) - 1.0)) < 0.05:
                 continue  # the differences would straddle a threshold
             for omega in (om, om - 0.01j):
-                _, K_om, K_kap = _chain_kernel_derivatives(params, kap, omega)
+                _, K_om, K_kappa = _chain_kernel_derivatives(params, kap,
+                                                             omega)
+                K_kap = K_kappa()
                 want_om = _differences(
                     lambda w: _chain_kernel_derivatives(params, kap, w)[0],
                     omega)

@@ -1,16 +1,23 @@
 """Anomaly curves, local fits, enhancement law, and the coupling bifurcation."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
-from latres import resonance
-from latres.guided import ConvergenceError
+from latres import StructureParams, resonance
+from latres.guided import (ConvergenceError, find_guided_modes,
+                           guided_mode_criteria_n2)
 from latres.resonance import (_window_root, approx_error_sup,
                               approx_transmission, enhancement_scan,
                               find_bifurcation, fit_anomaly, peak_dip_curves,
                               trace_branch)
 
 GAMMA0_STAR = 1.0296335133904082
+# the benchmark's seed-0 branch couplings on fixture 1
+BENCH_GAMMAS = (1.0296271473759782, 1.0296319015821522, 1.0296325566015647,
+                1.0296332409316922, 1.0296332915931812, 1.029633338618303)
 
 # omega_a and omega_b on fixture 1 at kt = -0.006, -0.002, 0.002, 0.006, as
 # the secant found them when it ran to its 60-step cap
@@ -183,3 +190,62 @@ def test_branch_matches_printed_sample(fixture1):
     g0, kap0, om0 = branch.samples[0]
     assert kap0 == pytest.approx(0.003564296929, abs=1e-6)
     assert om0 == pytest.approx(0.9778903229, abs=1e-7)
+
+
+def test_branch_raises_no_warning(fixture1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        branch = trace_branch(fixture1, BENCH_GAMMAS,
+                              gamma0_bracket=(0.8, 1.3))
+    assert len(branch.samples) == len(BENCH_GAMMAS)
+
+
+def test_branch_solves_n2_criteria(fixture1):
+    # the explicit N=2 criteria are an independent oracle for the chain
+    # kernel route: both complex residuals vanish at gamma0* and on the branch
+    branch = trace_branch(fixture1, BENCH_GAMMAS, gamma0_bracket=(0.8, 1.3))
+    points = [(branch.gamma0_star, 0.0, branch.omega0_star)]
+    points += list(branch.samples)
+    for g0, kap0, om0 in points:
+        c1, c2 = guided_mode_criteria_n2(fixture1.replace_gamma(0, g0), kap0,
+                                         om0)
+        assert abs(c1) <= 1e-9 and abs(c2) <= 1e-9
+
+
+def test_branch_n3():
+    params = StructureParams(N=3, masses=[2.0, 1.0, 1.0],
+                             springs=[1.0, 1.0, 1.0], gammas=[0.7, 7.0, 7.0])
+    bracket = (0.5, 0.95)
+    g_star, om_star = find_bifurcation(params, bracket)
+    assert g_star == pytest.approx(0.7208130, abs=1e-6)
+    assert om_star == pytest.approx(0.9264065, abs=1e-6)
+    window = (-0.1, 0.1, om_star - 0.03, om_star + 0.03)
+    assert find_guided_modes(params.replace_gamma(0, g_star + 1e-3), window,
+                             density=60) == []
+    modes = find_guided_modes(params.replace_gamma(0, g_star - 1e-3), window,
+                              density=60)
+    assert len(modes) == 1
+    branch = trace_branch(params, [g_star - 1e-3], gamma0_bracket=bracket)
+    _, kap0, om0 = branch.samples[0]
+    assert kap0 == pytest.approx(modes[0].kappa0, abs=1e-8)
+    assert om0 == pytest.approx(modes[0].omega0, abs=1e-8)
+    branch = trace_branch(params, [g_star - d for d in np.logspace(-7, -4, 6)],
+                          gamma0_bracket=bracket)
+    assert branch.sqrt_slope == pytest.approx(0.5, abs=0.05)
+    with pytest.raises(RuntimeError, match="^no branch point for gamma0="):
+        trace_branch(params, [g_star + 1e-3], gamma0_bracket=bracket)
+
+
+def test_branch_logs_certificates(fixture1, caplog):
+    caplog.set_level(logging.DEBUG, logger="latres")
+    branch = trace_branch(fixture1, BENCH_GAMMAS[:2],
+                          gamma0_bracket=(0.8, 1.3))
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"bifurcation branch: gamma0* {branch.gamma0_star:.15g}, omega0* "
+        f"{branch.omega0_star:.15g}, |Im omega_gm(0)| ")
+    assert " tracker solves, samples (gamma0, kappa0, |Im omega_gm|, h') [(" \
+        in lines[0]
+    for g0, kap0, _ in branch.samples:
+        assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
