@@ -15,8 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .structure import (BlochPoint, HarmonicSet, StructureParams,
                         ThresholdError, classify_harmonics, strip_operator)
@@ -104,6 +102,9 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
     propagating order reduces to -2i sin(2 pi theta_l) times its boundary
     value.  Raises ThresholdError on a threshold curve.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     N = params.N
     if incident is None:
         incident = IncidentField.unit_left(N)

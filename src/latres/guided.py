@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _classify_real, _harmonic_arrays, propagating_count)
@@ -205,6 +204,8 @@ def _polish(params, kappa, omega, reach):
     (|Im omega_gm(0)| at roundoff) is taken; if there is none, the bracket
     keeps only the candidate's side of kappa = 0.
     """
+    from scipy.optimize import brentq
+
     if propagating_count(params, kappa, omega) == 0:
         return kappa, EigenvalueTracker(params).solve_omega(kappa, omega), 0.0
     h, solved = _continued_h(params, (kappa, complex(omega), 0.0, None))

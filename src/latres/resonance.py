@@ -18,7 +18,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .structure import BlochPoint, StructureParams
 from .scattering import IncidentField, solve_row, solve_scattering
@@ -75,7 +74,8 @@ def _window_root(params, kappa, center, halfw, which, order=0):
     stops when |f| < ROOT_F_TOL or its step is at roundoff,
     |step| <= 4 eps |omega| (f cannot get much below its roundoff, 1e-12 to
     2e-9 on fixture 1); if SECANT_STEPS steps pass with |f| still above
-    SECANT_F_BOUND it raises ConvergenceError.
+    SECANT_F_BOUND it raises ConvergenceError.  A DEBUG line on the `latres`
+    logger gives the root, its secant step count and the last |f|.
     """
     idx = 0 if which == "a" else 1
     c, h = center, halfw
@@ -86,7 +86,7 @@ def _window_root(params, kappa, center, halfw, which, order=0):
         c, h = ws[i], 2.2 * (ws[1] - ws[0])
         if vals[i] < 1e-3:
             break
-    om = complex(c)
+    om, steps = complex(c), 0
     for _ in range(SECANT_STEPS):
         f = _outgoing_pair(params, kappa, om, order)[idx]
         if abs(f) < ROOT_F_TOL:
@@ -95,6 +95,7 @@ def _window_root(params, kappa, center, halfw, which, order=0):
         f2 = _outgoing_pair(params, kappa, om + hs, order)[idx]
         step = f / ((f2 - f) / hs)
         om = om - step
+        steps += 1
         if abs(step) <= 4.0 * EPS * abs(om):
             break
     else:
@@ -102,6 +103,10 @@ def _window_root(params, kappa, center, halfw, which, order=0):
             raise ConvergenceError(
                 f"secant for omega_{which} at kappa={kappa} stopped after "
                 f"{SECANT_STEPS} steps with |f| = {abs(f):.2e}")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d "
+                  "secant steps, last |f| %.2e", which, kappa, om.real, steps,
+                  abs(f))
     if abs(om.imag) > 1e-8:
         raise RuntimeError(f"root left the real axis: Im omega = {om.imag}")
     if abs(om.real - center) > 4.0 * halfw:
@@ -180,6 +185,8 @@ class AnomalyFit:
 def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
                 curves: PeakDipCurves = None) -> AnomalyFit:
     """Extract the anomaly coefficients from direct solves around the mode."""
+    from scipy.optimize import least_squares
+
     if curves is None:
         curves = peak_dip_curves(params, mode, fit)
     kk = np.concatenate([[0.0], curves.kt])
@@ -403,6 +410,8 @@ def trace_branch(params: StructureParams, gamma0_values,
     omega0*, |Im omega_gm(0)|, d Im(curvature) / d gamma0, the tracker solve
     count and each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
     """
+    from scipy.optimize import brentq
+
     if gamma0_bracket is None:
         gmin = min(gamma0_values)
         gamma0_bracket = (gmin - 0.5, max(gamma0_values) + 0.5)

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TWO_PI = 2.0 * np.pi
 
@@ -274,6 +277,8 @@ def strip_operator(params: StructureParams, kappa: float,
     coupling feeds gamma_n u_{0n} into chain row n and conj(gamma_n) z_n
     into lattice site (0, n).
     """
+    import scipy.sparse as sp
+
     N = params.N
     n = np.arange(N)
     site = N + np.arange((2 * mx + 1) * N).reshape(2 * mx + 1, N)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latres
 from latres.cli import main
 from latres.resonance import peak_dip_curves
 
@@ -90,6 +94,41 @@ def test_scatter_json_dtn_agrees(config1, tmp_path):
     expected = ((0.16764957417194712 - 0.4110823510747128j)
                 + (0.014311328437585065 - 0.035091854961057094j))
     assert z0 == pytest.approx(expected, abs=1e-10)
+
+
+# run in a fresh interpreter: the test process has scipy loaded already
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import latres, latres.cli
+config = sys.argv[1]
+doc = {"import": sorted(m for m in ("scipy.optimize", "scipy.sparse")
+                        if m in sys.modules)}
+for argv in (["scan", "--kappa-grid=0.1,0.3,3", "--omega-grid=1.2,1.8,4"],
+             ["scatter", "--kappa=0.2", "--omega=1.5"],
+             ["bands", "--kappa-grid=0,0.5,3"],
+             ["regions", "--kappa-grid=0,0.5,3", "--omega-grid=0,8,3"],
+             ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = latres.cli.main(argv[:1] + ["--config", config] + argv[1:])
+    doc[" ".join(argv[:1] + argv[3:])] = [
+        rc, sorted(m for m in ("scipy", "scipy.sparse", "scipy.optimize")
+                   if m in sys.modules)]
+print(json.dumps(doc))
+"""
+
+
+def test_cli_loads_scipy_only_where_called(config1):
+    src = str(Path(latres.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, config1],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc.pop("import") == []
+    assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
+    assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
+                   "regions": [0, []]}
 
 
 def test_scatter_threshold_error_exit_code(config1):

@@ -100,6 +100,31 @@ def test_window_root_stops_when_converged(fixture1, mode1, fit1,
             assert abs(got - want) <= 1e-14
 
 
+def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,
+                                            monkeypatch):
+    calls = []
+    pair = resonance._outgoing_pair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "_outgoing_pair", counted)
+    caplog.set_level(logging.DEBUG, logger="latres")
+    kt = FROZEN_KT[1]
+    got = _window_root(fixture1, mode1.kappa0 + kt,
+                       *_root_window(mode1, fit1, kt), "b")
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert len(lines) == 1
+    head = (f"window root omega_b at kappa {mode1.kappa0 + kt:.15g}: "
+            f"omega {got:.15g}, ")
+    assert lines[0].startswith(head)
+    steps, rest = lines[0][len(head):].split(" secant steps, last |f| ")
+    # each step solves twice, plus one solve if |f| stopped the secant
+    assert 2 * int(steps) <= len(calls) <= 2 * int(steps) + 1
+    assert 0.0 <= float(rest) <= resonance.SECANT_F_BOUND
+
+
 def test_window_root_raises_when_out_of_steps(fixture1, mode1, fit1,
                                              monkeypatch):
     # one secant step from the zoomed grid leaves |f| far above 1e-8
