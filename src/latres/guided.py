@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
-                        _classify_real, _harmonic_arrays, propagating_count)
+                        _classify, _classify_off_threshold, propagating_count)
 from .scattering import (_assemble, _chain_kernel, _chain_kernel_derivatives,
-                         _chunks, _harmonics_off_threshold)
+                         _chunks)
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -65,13 +65,13 @@ class ConvergenceError(RuntimeError):
 
 
 def _kept_columns(N, prop):
-    """Labels and indices of the 3N system's columns kept for the set prop.
+    """Labels and indices of the 3N system's columns kept for the mask prop.
 
     Kept are the evanescent a_minus, the evanescent b_plus, then every c;
     each label is (kind, order).
     """
-    labels = ([("a_minus", l) for l in range(N) if l not in prop]
-              + [("b_plus", l) for l in range(N) if l not in prop]
+    labels = ([("a_minus", l) for l in range(N) if not prop[l]]
+              + [("b_plus", l) for l in range(N) if not prop[l]]
               + [("c", l) for l in range(N)])
     offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
     return labels, [offset[kind] + l for kind, l in labels]
@@ -82,8 +82,8 @@ def _reduced_homogeneous(params, kappa, omega):
 
     Returns the 3N x (3N - 2 |P|) matrix and the label of each kept column.
     """
-    phi, theta, _, prop = _harmonics_off_threshold(params.N, kappa, omega)
-    labels, cols = _kept_columns(params.N, set(prop.tolist()))
+    phi, theta, prop = _classify_off_threshold(params.N, kappa, omega)
+    labels, cols = _kept_columns(params.N, prop)
     return _assemble(params, kappa, omega, phi, theta)[:, cols], labels
 
 
@@ -95,8 +95,7 @@ def _sigma_min_row(params, kappa, omegas):
     the deleted columns, and each group takes one stacked SVD.
     """
     N = params.N
-    phi = (kappa + np.arange(N)) / N
-    theta, prop, thr = _classify_real(phi, omegas)
+    phi, theta, prop, thr = _classify(N, kappa, omegas)
     # the propagating set of each point as a bit pattern; -1 at thresholds
     key = np.where(thr.any(axis=-1), -1, prop @ (1 << np.arange(N)))
     sigma = np.full(len(omegas), np.inf)
@@ -106,7 +105,7 @@ def _sigma_min_row(params, kappa, omegas):
             if k < 0:
                 continue
             members = np.flatnonzero(key[part] == k)
-            _, cols = _kept_columns(N, {l for l in range(N) if k >> l & 1})
+            _, cols = _kept_columns(N, prop[part.start + members[0]])
             sv = np.linalg.svd(B[members][..., cols], compute_uv=False)
             sigma[part.start + members] = sv[:, -1] / sv[:, 0]
     return sigma
@@ -338,11 +337,11 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
             continue
         seen.append((kap0, om0))
         vec, labels = null_vector(params, BlochPoint(kap0, om0))
-        _, _, _, prop = _harmonic_arrays(params.N, kap0, om0)
         modes.append(GuidedMode(
             kappa0=float(kap0), omega0=float(om0), sigma=float(sig),
             null_vector=vec, null_labels=tuple(labels),
-            region_size=len(prop), im_omega=float(abs(om_gm.imag)),
+            region_size=propagating_count(params, kap0, om0),
+            im_omega=float(abs(om_gm.imag)),
             min_eigenvalue=_min_abs_eigenvalue(params, kap0, om0),
             h_prime=float(h_prime)))
     modes.sort(key=lambda m: (m.kappa0, m.omega0))
@@ -430,7 +429,7 @@ class EigenvalueTracker:
 
 def _min_abs_eigenvalue(params, kappa, omega):
     """Smallest |eigenvalue| of K at one point."""
-    phi, theta, _, _ = _harmonics_off_threshold(params.N, kappa, omega)
+    phi, theta, _ = _classify_off_threshold(params.N, kappa, omega)
     K, *_ = _chain_kernel(params, kappa, omega, phi, theta)
     return float(np.min(np.abs(np.linalg.eigvals(K))))
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import (LINEAR_THRESHOLD, BlochPoint, HarmonicSet,
-                        StructureParams, ThresholdError, _classify_real,
-                        _harmonic_arrays, classify_harmonics,
-                        waveguide_band_matrix)
+from .structure import (BlochPoint, HarmonicSet, StructureParams,
+                        ThresholdError, _classify, _classify_off_threshold,
+                        classify_harmonics, waveguide_band_matrix)
 
 TWO_PI = 2.0 * np.pi
 
@@ -110,15 +109,6 @@ class NonPropagatingIncidenceError(ValueError):
     """Incident amplitude on an order that does not propagate."""
 
 
-def _harmonics_off_threshold(N, kappa, omega):
-    """_harmonic_arrays, refusing points where an order sits on a threshold."""
-    phi, theta, kinds, prop = _harmonic_arrays(N, kappa, omega)
-    if LINEAR_THRESHOLD in kinds:
-        raise ThresholdError(
-            f"harmonic on a threshold curve at (kappa={kappa}, omega={omega})")
-    return phi, theta, kinds, prop
-
-
 def _fourier(phi):
     """P[n, l] = e^{2 pi i phi_l n} and, as the phi_l differ by l/N, its
     inverse P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N if kappa is real)."""
@@ -159,7 +149,7 @@ def _chain_kernel_derivatives(params, kappa, omega):
     K_kappa, the costly part, is formed only when asked for.
     """
     N = params.N
-    phi, theta, _, _ = _harmonics_off_threshold(N, kappa, omega)
+    phi, theta, _ = _classify_off_threshold(N, kappa, omega)
     K, P, Pinv, s = _chain_kernel(params, kappa, omega, phi, theta)
     gam = params.gammas
     s_om = 1j / np.tan(TWO_PI * theta)
@@ -249,7 +239,7 @@ def assemble_system(params: StructureParams, point: BlochPoint,
     N = params.N
     if incident is None:
         incident = IncidentField.none(N)
-    phi, theta, _, _ = _harmonics_off_threshold(N, point.kappa, point.omega)
+    phi, theta, _ = _classify_off_threshold(N, point.kappa, point.omega)
     B = _assemble(params, point.kappa, point.omega, phi, theta)
     P, _ = _fourier(phi)
     E = np.exp(2j * np.pi * theta)
@@ -436,8 +426,7 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
     N = params.N
     incident = IncidentField.unit_left(N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
-    phi = (kappa + np.arange(N)) / N
-    theta, prop, thr = _classify_real(phi, omega)
+    phi, theta, prop, thr = _classify(N, kappa, omega)
     thr = thr.any(axis=-1)
     ok = ~thr & prop[:, incident_order]
     if strict and not ok.all():

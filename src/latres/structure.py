@@ -146,16 +146,46 @@ def ambient_dispersion(theta, phi):
     return 4.0 - 2.0 * np.cos(TWO_PI * theta) - 2.0 * np.cos(TWO_PI * phi)
 
 
-def _classify_real(phi, omega):
-    """Exponents and classes of every order at real frequencies.
+def _classify(N, kappa, omega):
+    """Exponents and classes of the N orders at kappa and omega.
 
-    omega may be a scalar or an array; returns (theta, prop, thr), each of
-    shape omega.shape + (N,), with prop and thr the masks of the propagating
-    and the threshold orders.  An order within THRESHOLD_TOL of chi = +-1
-    is a threshold, theta = 0 or 1/2; an order with |chi| < 1 propagates,
+    Returns (phi, theta, prop, thr) with phi_l = (kappa + l) / N and theta,
+    prop and thr of shape omega.shape + (N,), prop and thr the masks of the
+    propagating and the threshold orders.  Real omega may be a scalar or an
+    array: an order within THRESHOLD_TOL of chi = +-1 is a threshold,
+    theta = 0 or 1/2; an order with |chi| < 1 propagates,
     theta = arccos(chi) / 2 pi; the others decay,
-    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.
+    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  Complex
+    omega must be a scalar (a Python complex or numpy.complex128); theta is
+    then continued from the real-omega branch along a straight path in
+    omega, no order is a threshold, and each continued propagating order is
+    checked against the sign law.
     """
+    phi = (kappa + np.arange(N)) / N
+    if isinstance(omega, complex) and omega.imag != 0.0:
+        # The principal arccos already continues the propagating branch; for
+        # decaying orders pick the sign that keeps the field bounded.
+        chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
+        chi_re = (4.0 - np.real(omega)) / 2.0 - np.cos(TWO_PI * np.real(phi))
+        theta = np.zeros(N, dtype=complex)
+        prop = np.zeros(N, dtype=bool)
+        for l in range(N):
+            p = np.arccos(chi[l] + 0j) / TWO_PI
+            if -1.0 < chi_re[l] < 1.0:
+                theta[l], prop[l] = p, True
+                # the imaginary part of the ambient dispersion with real phi:
+                # sin(2 pi Re theta) 2 sinh(2 pi Im theta) = Im omega, so a
+                # continued order has sign(Im theta) = sign(Im omega)
+                lhs = np.sin(TWO_PI * p.real) * 2.0 * np.sinh(TWO_PI * p.imag)
+                if abs(lhs - np.imag(omega)) > 1e-8 * (1.0 + abs(omega)):
+                    raise ValueError(
+                        f"branch-continuation sign law violated at order {l}: "
+                        f"{lhs} vs Im omega = {np.imag(omega)}")
+            else:
+                cand = p if np.imag(p) > 0 else -p
+                theta[l] = cand - np.floor(np.real(cand))
+        return phi, theta, prop, np.zeros(N, dtype=bool)
+
     chi = np.real(np.subtract.outer((4.0 - omega) / 2.0,
                                     np.cos(TWO_PI * phi)))
     mag = np.abs(chi)
@@ -168,64 +198,16 @@ def _classify_real(phi, omega):
     theta = (np.arccos(np.where(prop, chi, np.sign(chi))) / TWO_PI
              + 1j * (np.arccosh(np.where(gap < THRESHOLD_TOL, 1.0, mag))
                      / TWO_PI))
-    return theta, prop, thr
+    return phi, theta, prop, thr
 
 
-def _harmonic_arrays(N, kappa, omega):
-    """Classification core for one point.
-
-    Returns (phi, theta, kinds, prop) where kinds is a list of class strings
-    and prop is the array of propagating order indices.
-    """
-    phi = (kappa + np.arange(N)) / N
-
-    if np.imag(omega) != 0.0:
-        # Analytic continuation from the real-omega branch along a straight
-        # path in omega.  The principal arccos already continues the
-        # propagating branch; for decaying orders pick the sign that keeps
-        # the field bounded.
-        chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
-        chi_re = (4.0 - np.real(omega)) / 2.0 - np.cos(TWO_PI * np.real(phi))
-        theta = np.zeros(N, dtype=complex)
-        kinds = [None] * N
-        for l in range(N):
-            p = np.arccos(chi[l] + 0j) / TWO_PI
-            if -1.0 < chi_re[l] < 1.0:
-                theta[l] = p
-                kinds[l] = PROPAGATING
-            else:
-                cand = p if np.imag(p) > 0 else -p
-                theta[l] = cand - np.floor(np.real(cand))
-                kinds[l] = EVANESCENT if chi_re[l] > 0 else BAND_EDGE_EVANESCENT
-        _check_sign_law(theta, kinds, omega)
-        prop = np.array([l for l in range(N) if kinds[l] == PROPAGATING],
-                        dtype=int)
-        return phi, theta, kinds, prop
-
-    theta, prop, thr = _classify_real(phi, np.real(omega))
-    kinds = [LINEAR_THRESHOLD if t else PROPAGATING if p
-             else EVANESCENT if th.real == 0.0 else BAND_EDGE_EVANESCENT
-             for th, p, t in zip(theta.tolist(), prop.tolist(), thr.tolist())]
-    return phi, theta, kinds, prop.nonzero()[0]
-
-
-def _check_sign_law(theta, kinds, omega):
-    """Check Im(dispersion) consistency of the continued branch.
-
-    Taking the imaginary part of omega = 4 - 2cos(2 pi theta) - 2cos(2 pi phi)
-    with real phi gives sin(2 pi Re theta) * 2 sinh(2 pi Im theta) = Im omega;
-    in particular a formerly propagating order must satisfy
-    sign(Im theta) = sign(Im omega).
-    """
-    for l, (th, kind) in enumerate(zip(theta, kinds)):
-        if kind != PROPAGATING:
-            continue
-        lhs = np.sin(TWO_PI * th.real) * 2.0 * np.sinh(TWO_PI * th.imag)
-        if abs(lhs - np.imag(omega)) > 1e-8 * (1.0 + abs(omega)):
-            raise ValueError(
-                f"branch-continuation sign law violated at order {l}: "
-                f"{lhs} vs Im omega = {np.imag(omega)}"
-            )
+def _classify_off_threshold(N, kappa, omega):
+    """_classify at one point, refusing it when an order is a threshold."""
+    phi, theta, prop, thr = _classify(N, kappa, omega)
+    if thr.any():
+        raise ThresholdError(
+            f"harmonic on a threshold curve at (kappa={kappa}, omega={omega})")
+    return phi, theta, prop
 
 
 def classify_harmonics(params: StructureParams,
@@ -237,13 +219,19 @@ def classify_harmonics(params: StructureParams,
     HarmonicSet.has_threshold or catch ThresholdError from assembly.
     """
     kappa = point.kappa if point.kappa.imag else point.kappa.real
-    omega = point.omega if np.imag(point.omega) else np.real(point.omega)
-    phi, theta, kinds, prop = _harmonic_arrays(params.N, kappa, omega)
+    phi, theta, prop, thr = _classify(params.N, kappa, point.omega)
+    # a decaying order has Re theta near 0 (or 1) when chi > 0, near 1/2
+    # when chi < 0
+    kinds = [LINEAR_THRESHOLD if t else PROPAGATING if p
+             else BAND_EDGE_EVANESCENT if 0.25 < th.real < 0.75
+             else EVANESCENT
+             for th, p, t in zip(theta.tolist(), prop.tolist(), thr.tolist())]
     harms = tuple(
         Harmonic(order=l, phi=phi[l], theta=theta[l], kind=kinds[l])
         for l in range(params.N)
     )
-    return HarmonicSet(point=point, harmonics=harms, propagating=tuple(prop))
+    return HarmonicSet(point=point, harmonics=harms,
+                       propagating=tuple(prop.nonzero()[0]))
 
 
 def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
@@ -324,8 +312,7 @@ def region_diagram(params: StructureParams, kappa_grid, omega_grid) -> RegionDia
     counts = np.zeros((len(kappa_grid), len(omega_grid)), dtype=int)
     thresh = np.zeros_like(counts, dtype=bool)
     for i, kap in enumerate(kappa_grid):
-        _, prop, thr = _classify_real((kap + np.arange(params.N)) / params.N,
-                                      omega_grid)
+        _, _, prop, thr = _classify(params.N, kap, omega_grid)
         counts[i] = prop.sum(axis=-1)
         thresh[i] = thr.any(axis=-1)
     return RegionDiagram(kappa_grid, omega_grid, counts, thresh)
@@ -333,5 +320,4 @@ def region_diagram(params: StructureParams, kappa_grid, omega_grid) -> RegionDia
 
 def propagating_count(params: StructureParams, kappa: float, omega: float) -> int:
     """|P| at a single real point."""
-    _, prop, _ = _classify_real((kappa + np.arange(params.N)) / params.N, omega)
-    return int(prop.sum())
+    return int(_classify(params.N, kappa, omega)[2].sum())

@@ -9,7 +9,7 @@ from latres.structure import (BlochPoint, StructureParams, ambient_dispersion,
                               classify_harmonics, propagating_count,
                               region_diagram, strip_operator,
                               waveguide_band_matrix, waveguide_bands,
-                              _harmonic_arrays)
+                              _classify)
 
 TWO_PI = 2.0 * np.pi
 
@@ -91,6 +91,41 @@ def test_complex_omega_continuation_sign_law(fixture1):
     assert abs(w - (1.5 - 1e-4j)) < 1e-10
 
 
+@pytest.mark.parametrize("structure, kappa, omega", [
+    ("fixture1", 0.2, 1.5), ("fixture1", 0.1, 7.5), ("n3_params", 0.13, 2.9)])
+def test_complex_omega_keeps_kinds(request, structure, kappa, omega):
+    # slightly below the real axis every order keeps its real-omega kind;
+    # at the N = 3 point the evanescent order's Re theta sits just below 1
+    params = request.getfixturevalue(structure)
+    real = classify_harmonics(params, BlochPoint(kappa, omega))
+    cont = classify_harmonics(params, BlochPoint(kappa, omega - 1e-4j))
+    assert ([h.kind for h in cont.harmonics]
+            == [h.kind for h in real.harmonics])
+    assert cont.propagating == real.propagating
+    assert not cont.has_threshold
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_single_point_matches_row_at_thresholds(N):
+    # a seeded row with every order's two threshold frequencies in it: each
+    # point classifies exactly as its row entry
+    rng = np.random.default_rng(N)
+    params = StructureParams(N, np.ones(N), np.ones(N), np.ones(N))
+    for kappa in rng.uniform(-0.5, 0.5, 3):
+        cos = np.cos(TWO_PI * (kappa + np.arange(N)) / N)
+        omegas = np.concatenate([rng.uniform(0.0, 8.0, 20),
+                                 2.0 - 2.0 * cos, 6.0 - 2.0 * cos])
+        phi, theta, prop, thr = _classify(N, kappa, omegas)
+        assert thr.sum() >= 2 * N
+        for j, om in enumerate(omegas):
+            hs = classify_harmonics(params, BlochPoint(kappa, om))
+            assert np.all(hs.phi == phi)
+            assert np.all(hs.theta == theta[j])
+            assert hs.propagating == tuple(np.flatnonzero(prop[j]))
+            assert [h.kind == "linear-threshold" for h in hs.harmonics] == (
+                thr[j].tolist())
+
+
 def test_waveguide_bands_hermitian_and_range(fixture1):
     for kap in (0.0, 0.17, 0.5):
         B = waveguide_band_matrix(fixture1, kap)
@@ -142,10 +177,10 @@ def test_region_diagram_counts_match_classifier(n3_params):
     assert near > 0
 
 
-def test_harmonic_arrays_phi_ladder():
-    phi, theta, kinds, prop = _harmonic_arrays(4, 0.3, 2.0)
+def test_classify_phi_ladder():
+    phi, theta, prop, thr = _classify(4, 0.3, 2.0)
     assert np.allclose(phi, (0.3 + np.arange(4)) / 4.0)
-    assert len(kinds) == 4
+    assert theta.shape == prop.shape == thr.shape == (4,)
 
 
 @pytest.mark.parametrize("N", [1, 3, 8])
