@@ -53,9 +53,11 @@ OVERLAP_MIN = 0.7
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
 H_SLOPE_DELTA = 1e-6
-# kt samples on each side of kappa0 and polynomial degree of the dispersion fit
+# kt samples on each side of kappa0 and polynomial degree of the dispersion
+# fit; the samples are symmetric in kt, so an even degree would let the first
+# unmodelled odd term leak into the slope
 DISPERSION_SAMPLES = 10
-DISPERSION_DEGREE = 4
+DISPERSION_DEGREE = 5
 
 log = logging.getLogger("latres")
 

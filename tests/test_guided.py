@@ -11,7 +11,8 @@ import latres.scattering
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
                               waveguide_bands)
 from latres.scattering import _chain_kernel_derivatives, scan_transmission
-from latres.guided import (EigenvalueTracker, _sigma_min_row, eigenvalue_ell,
+from latres.guided import (EigenvalueTracker, _sigma_min_row,
+                           continue_and_fit_dispersion, eigenvalue_ell,
                            find_guided_modes, guided_mode_criteria_n2,
                            sigma_min)
 
@@ -95,6 +96,22 @@ def test_dispersion_fit_frozen_coefficients(fit1):
     assert fit1.curvature.imag == pytest.approx(0.072210750373, rel=1e-4)
     assert fit1.fit_residual < 1e-10
     assert abs(fit1.slope_imag) < 1e-8
+
+
+@pytest.mark.parametrize("gammas, window", [
+    ([1.0, 7.0], (0.02, 0.11, 0.93, 1.02)),
+    ([1.0, 5.0], (0.2, 0.3, 0.9, 1.0))])
+def test_dispersion_slope_matches_exact_slope(gammas, window):
+    # the fitted slope against -d omega_gm / d kappa = d_kappa / d_omega from
+    # the tracker's exact derivatives at (kappa0, omega_gm)
+    params = StructureParams(2, [2.0, 1.0], [1.0, 1.0], gammas)
+    mode, = find_guided_modes(params, window, density=80)
+    tracker = EigenvalueTracker(params)
+    tracker.solve_omega(mode.kappa0, mode.omega0)
+    exact = tracker.d_kappa / tracker.d_omega
+    fit = continue_and_fit_dispersion(params, mode)
+    assert fit.slope == pytest.approx(exact.real, rel=1e-11)
+    assert abs(fit.slope_imag) < 1e-10
 
 
 def test_dispersion_stays_in_lower_half_plane(fit1, bif_fit):
