@@ -145,7 +145,7 @@ def _chain_kernel_derivatives(params, kappa, omega):
     ds/d kappa = -(ds/d omega) 4 pi sin(2 pi phi) / N.  P' = 2 pi i D P and
     (P^-1)' = -2 pi i P^-1 D with D = diag(n / N).  A' comes from the wrap
     entries, the only ones that depend on kappa: they carry e^{+-2 pi i kappa},
-    so A' = 2 pi (A(kappa + 1/4) - (A(kappa) + A(kappa + 1/2)) / 2).
+    so A' = pi (A(kappa + 1/4) - A(kappa - 1/4)).
     K_kappa, the costly part, is formed only when asked for.
     """
     N = params.N
@@ -160,8 +160,8 @@ def _chain_kernel_derivatives(params, kappa, omega):
         s_kap = -s_om * 4.0 * np.pi * np.sin(TWO_PI * phi) / N
         X = (P / s) @ Pinv
         D = np.arange(N)[:, None] / N
-        A = [waveguide_band_matrix(params, kappa + d) for d in (0, 0.25, 0.5)]
-        A_kap = TWO_PI * (A[1] - 0.5 * (A[0] + A[2]))
+        A_kap = np.pi * (waveguide_band_matrix(params, kappa + 0.25)
+                         - waveguide_band_matrix(params, kappa - 0.25))
         return -A_kap - outer * (2j * np.pi * (D * X - X * D.T)
                                  - (P * (s_kap / s ** 2)) @ Pinv)
 
