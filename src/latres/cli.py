@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .structure import (BlochPoint, StructureParams, classify_harmonics,
-                        region_diagram, waveguide_bands)
+from .structure import (BlochPoint, StructureParams, _complex,
+                        classify_harmonics, region_diagram, waveguide_bands)
 from .scattering import (IncidentField, scan_transmission, solve_row,
                          solve_scattering)
 from .dtn import cross_validate, solve_truncated
@@ -90,15 +90,6 @@ def cmd_bands(args):
     return 0
 
 
-def _complex(v) -> complex:
-    """A JSON number, or an object {re, im} with im defaulting to 0."""
-    if isinstance(v, dict):
-        return complex(v["re"], v.get("im", 0.0))
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    raise TypeError(f"not a number or {{re, im}} object: {v!r}")
-
-
 def _amplitudes(spec, N, flag):
     """Parse a JSON list of at most N incident amplitudes, zero-padded to N."""
     values = json.loads(spec) if spec else []
@@ -108,7 +99,7 @@ def _amplitudes(spec, N, flag):
     amp = np.zeros(N, dtype=complex)
     try:
         amp[:len(values)] = [_complex(v) for v in values]
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"{flag} entries must be numbers or {{re, im}} "
                          f"objects, got {spec}") from exc
     return amp

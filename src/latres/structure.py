@@ -34,6 +34,21 @@ class ThresholdError(ValueError):
     """Raised when an operation cannot proceed on a threshold curve."""
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _complex(v) -> complex:
+    """A JSON number (not a bool), or an object {re, im} of numbers with im
+    defaulting to 0; anything else raises TypeError."""
+    if _is_number(v):
+        return complex(v)
+    if (isinstance(v, dict) and "re" in v and set(v) <= {"re", "im"}
+            and all(map(_is_number, v.values()))):
+        return complex(v["re"], v.get("im", 0.0))
+    raise TypeError(f"not a number or {{re, im}} object: {v!r}")
+
+
 @dataclass(frozen=True)
 class StructureParams:
     """Periodic waveguide structure: period, masses, springs, couplings.
@@ -69,16 +84,32 @@ class StructureParams:
 
     @staticmethod
     def from_dict(doc: dict) -> "StructureParams":
-        def as_complex(x):
-            if isinstance(x, dict):
-                return complex(x.get("re", 0.0), x.get("im", 0.0))
-            return complex(x)
+        """Parameters from a config document; ValueError if it is malformed.
 
+        The document is an object with keys N (an integer), masses, springs
+        and gammas; each gamma is a number or an object {re, im} with im
+        optional.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"structure config must be a JSON object, "
+                             f"got {type(doc).__name__}")
+        missing = [k for k in ("N", "masses", "springs", "gammas")
+                   if k not in doc]
+        if missing:
+            raise ValueError(f"structure config lacks {', '.join(missing)}")
+        N = doc["N"]
+        if not _is_number(N) or N % 1:
+            raise ValueError(f"N must be an integer, got {N!r}")
+        try:
+            gammas = [_complex(g) for g in doc["gammas"]]
+        except TypeError as exc:
+            raise ValueError(f"gammas must be a list of numbers or {{re, im}} "
+                             f"objects: {exc}") from exc
         return StructureParams(
-            N=int(doc["N"]),
+            N=int(N),
             masses=np.array(doc["masses"], dtype=float),
             springs=np.array(doc["springs"], dtype=float),
-            gammas=np.array([as_complex(g) for g in doc["gammas"]], dtype=complex),
+            gammas=np.array(gammas, dtype=complex),
         )
 
     @staticmethod

@@ -155,6 +155,35 @@ def test_malformed_incidence_exit_code(config1, capsys, argv, message):
     assert message in err["message"]
 
 
+GOOD = {"N": 2, "masses": [2, 1], "springs": [1, 1], "gammas": [1, 7]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "structure config must be a JSON object, got list"),
+    ({k: v for k, v in GOOD.items() if k != "gammas"},
+     "structure config lacks gammas"),
+    ({k: v for k, v in GOOD.items() if k != "N"}, "structure config lacks N"),
+    (dict(GOOD, N="2"), "N must be an integer, got '2'"),
+    (dict(GOOD, N=2.5), "N must be an integer, got 2.5"),
+    (dict(GOOD, N=True), "N must be an integer, got True"),
+    (dict(GOOD, gammas=[{"real": 1}, 7]), "gammas must be a list of numbers"),
+    (dict(GOOD, gammas=[{"im": 1}, 7]), "gammas must be a list of numbers"),
+    (dict(GOOD, gammas=[{"re": "1"}, 7]), "gammas must be a list of numbers"),
+    (dict(GOOD, gammas=["1+2j", 7]), "gammas must be a list of numbers"),
+    (dict(GOOD, gammas=[True, 7]), "gammas must be a list of numbers"),
+    (dict(GOOD, gammas=7), "gammas must be a list of numbers"),
+])
+def test_malformed_config_exit_code(tmp_path, capsys, doc, message):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scatter", "--config", str(path), "--kappa=0.2",
+                 "--omega=1.5"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+
+
 def test_scan_csv_and_threads(config1, tmp_path):
     out = str(tmp_path / "scan.csv")
     assert main(["scan", "--config", config1, "--out", out,
