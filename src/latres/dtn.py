@@ -21,6 +21,13 @@ from .structure import (BlochPoint, HarmonicSet, StructureParams,
 from .scattering import (IncidentField, reconstruct_field, solve_scattering)
 
 TWO_PI = 2.0 * np.pi
+# default_truncation: the decay the slowest evanescent order must reach over
+# the half-width, and the largest half-width
+TRUNCATION_TOL = 1e-10
+TRUNCATION_MAX = 200
+# variational_residual: the number of random test vectors and their seed
+VARIATIONAL_TESTS = 8
+VARIATIONAL_SEED = 0
 
 log = logging.getLogger("latres")
 
@@ -30,8 +37,7 @@ def dtn_multipliers(harmonics: HarmonicSet) -> np.ndarray:
     return 1.0 - np.exp(2j * np.pi * harmonics.theta)
 
 
-def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray,
-              kappa: float = None) -> np.ndarray:
+def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray) -> np.ndarray:
     """Apply the boundary map to a length-N trace (or to each along the last
     axis).
 
@@ -41,8 +47,7 @@ def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray,
     """
     trace = np.asarray(trace, dtype=complex)
     N = trace.shape[-1]
-    if kappa is None:
-        kappa = np.real(harmonics.point.kappa)
+    kappa = np.real(harmonics.point.kappa)
     n = np.arange(N)
     twist = np.exp(2j * np.pi * kappa * n / N)
     vhat = np.fft.fft(trace / twist) / N   # coefficients of e^{2 pi i l n / N}
@@ -50,17 +55,17 @@ def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray,
     return np.fft.ifft(vhat) * N * twist
 
 
-def dtn_matrix(harmonics: HarmonicSet, kappa: float = None) -> np.ndarray:
+def dtn_matrix(harmonics: HarmonicSet) -> np.ndarray:
     """Dense N x N matrix of the boundary map in the site basis."""
-    return dtn_apply(harmonics, np.eye(len(harmonics.harmonics)), kappa).T
+    return dtn_apply(harmonics, np.eye(len(harmonics.harmonics))).T
 
 
-def default_truncation(harmonics: HarmonicSet, tol: float = 1e-10,
-                       max_width: int = 200) -> int:
-    """Half-width M such that the slowest evanescent order decays below tol.
+def default_truncation(harmonics: HarmonicSet) -> int:
+    """Half-width M such that the slowest evanescent order decays below
+    TRUNCATION_TOL, at most TRUNCATION_MAX.
 
-    e^{-2 pi tau_min M} < tol with tau_min the smallest Im(theta) among
-    non-propagating orders; when every order propagates any M works (the
+    e^{-2 pi tau_min M} < TRUNCATION_TOL with tau_min the smallest Im(theta)
+    among non-propagating orders; when every order propagates any M works (the
     boundary map is exact per harmonic) and a small default is returned.
     """
     taus = [h.theta.imag for h in harmonics.harmonics
@@ -68,8 +73,8 @@ def default_truncation(harmonics: HarmonicSet, tol: float = 1e-10,
     if not taus:
         return 8
     tau_min = min(taus)
-    M = int(np.ceil(np.log(1.0 / tol) / (TWO_PI * tau_min)))
-    return max(2, min(M, max_width))
+    M = int(np.ceil(np.log(1.0 / TRUNCATION_TOL) / (TWO_PI * tau_min)))
+    return max(2, min(M, TRUNCATION_MAX))
 
 
 @dataclass(frozen=True)
@@ -165,18 +170,18 @@ def cross_validate(params: StructureParams, point: BlochPoint,
                      np.max(np.abs(trunc.z - z_ref))))
 
 
-def variational_residual(trunc: TruncatedSolution, num_tests: int = 8,
-                         seed: int = 0) -> float:
-    """Worst bilinear pairing |<test, A x - F>| over random unit test vectors.
+def variational_residual(trunc: TruncatedSolution) -> float:
+    """Worst bilinear pairing |<test, A x - F>| over VARIATIONAL_TESTS random
+    unit test vectors.
 
     The weak form of the truncated problem is equivalent to the assembled
     system, so its executable content is that every test-field pairing with
     the discrete residual vanishes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VARIATIONAL_SEED)
     res = trunc.residual_vector
     worst = 0.0
-    for _ in range(num_tests):
+    for _ in range(VARIATIONAL_TESTS):
         v = rng.standard_normal(len(res)) + 1j * rng.standard_normal(len(res))
         v /= np.linalg.norm(v)
         worst = max(worst, abs(np.vdot(v, res)))

@@ -436,12 +436,9 @@ def _min_abs_eigenvalue(params, kappa, omega):
     return float(np.min(np.abs(np.linalg.eigvals(K))))
 
 
-def eigenvalue_ell(params: StructureParams, point: BlochPoint,
-                   tracker: EigenvalueTracker = None) -> complex:
+def eigenvalue_ell(params: StructureParams, point: BlochPoint) -> complex:
     """Smallest-magnitude eigenvalue of the N x N chain kernel K at a point."""
-    if tracker is None:
-        tracker = EigenvalueTracker(params)
-    return tracker.value(point.kappa, point.omega)
+    return EigenvalueTracker(params).value(point.kappa, point.omega)
 
 
 @dataclass(frozen=True)

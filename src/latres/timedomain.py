@@ -19,6 +19,12 @@ from .structure import StructureParams, strip_operator
 
 log = logging.getLogger("latres")
 
+# largest relative norm drift `evolve` accepts
+DRIFT_LIMIT = 1e-4
+# hermiticity_residual: the number of random state pairs and their seed
+HERMITICITY_TRIALS = 4
+HERMITICITY_SEED = 0
+
 
 @dataclass(frozen=True)
 class LatticeState:
@@ -93,9 +99,12 @@ class EvolutionResult:
 
 
 def evolve(params: StructureParams, state: LatticeState, dt: float,
-           steps: int, record_every: int = 1,
-           drift_limit: float = 1e-4) -> EvolutionResult:
-    """Integrate for `steps` RK4 steps, recording norm and chain energy."""
+           steps: int, record_every: int = 1) -> EvolutionResult:
+    """Integrate for `steps` RK4 steps, recording norm and chain energy.
+
+    Raises RuntimeError once the norm drifts by more than DRIFT_LIMIT
+    relative to max(1, initial norm).
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
@@ -113,10 +122,10 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
             times.append(state.t)
             norms.append(state.norm())
             wg.append(state.waveguide_energy())
-            if abs(norms[-1] - norms[0]) > drift_limit * max(1.0, norms[0]):
+            if abs(norms[-1] - norms[0]) > DRIFT_LIMIT * max(1.0, norms[0]):
                 raise RuntimeError(
                     f"norm drift {abs(norms[-1] - norms[0]):.3e} exceeds "
-                    f"{drift_limit}; reduce dt")
+                    f"{DRIFT_LIMIT}; reduce dt")
     result = EvolutionResult(state=state, times=np.array(times),
                              norms=np.array(norms),
                              waveguide_energy=np.array(wg))
@@ -156,13 +165,14 @@ def gaussian_pulse(params: StructureParams, mx: int, kappa: float,
     return LatticeState(z=np.zeros(params.N, dtype=complex), u=u, kappa=kappa)
 
 
-def hermiticity_residual(params: StructureParams, kappa: float, mx: int,
-                         seed: int = 0, trials: int = 4) -> float:
-    """Max |<H s1, s2> - <s1, H s2>| over random unit states."""
-    rng = np.random.default_rng(seed)
+def hermiticity_residual(params: StructureParams, kappa: float,
+                         mx: int) -> float:
+    """Max |<H s1, s2> - <s1, H s2>| over HERMITICITY_TRIALS pairs of random
+    unit states."""
+    rng = np.random.default_rng(HERMITICITY_SEED)
     H = strip_operator(params, kappa, mx)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(HERMITICITY_TRIALS):
         s1, s2 = (rng.standard_normal((2, H.shape[0]))
                   + 1j * rng.standard_normal((2, H.shape[0])))
         s1, s2 = s1 / np.linalg.norm(s1), s2 / np.linalg.norm(s2)

@@ -43,7 +43,7 @@ def test_matrix_matches_apply(fixture1, rng):
 
 def test_default_truncation_decay_rule(fixture1):
     hs = classify_harmonics(fixture1, POINT)
-    M = default_truncation(hs, tol=1e-10)
+    M = default_truncation(hs)
     tau = min(h.theta.imag for h in hs.harmonics if h.theta.imag > 0)
     assert np.exp(-2 * np.pi * tau * M) < 1e-10
     assert np.exp(-2 * np.pi * tau * (M - 1)) >= 1e-10
