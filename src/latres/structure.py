@@ -86,9 +86,9 @@ class StructureParams:
     def from_dict(doc: dict) -> "StructureParams":
         """Parameters from a config document; ValueError if it is malformed.
 
-        The document is an object with keys N (an integer), masses, springs
-        and gammas; each gamma is a number or an object {re, im} with im
-        optional.
+        The document is an object with keys N (an integer), masses and
+        springs (lists of numbers) and gammas; each gamma is a number or an
+        object {re, im} with im optional.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"structure config must be a JSON object, "
@@ -100,6 +100,10 @@ class StructureParams:
         N = doc["N"]
         if not _is_number(N) or N % 1:
             raise ValueError(f"N must be an integer, got {N!r}")
+        for key in ("masses", "springs"):
+            values = doc[key]
+            if not isinstance(values, list) or not all(map(_is_number, values)):
+                raise ValueError(f"{key} must be a list of numbers")
         try:
             gammas = [_complex(g) for g in doc["gammas"]]
         except TypeError as exc:
@@ -197,7 +201,7 @@ def _classify(N, kappa, omega):
         # The principal arccos already continues the propagating branch; for
         # decaying orders pick the sign that keeps the field bounded.
         chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
-        chi_re = (4.0 - np.real(omega)) / 2.0 - np.cos(TWO_PI * np.real(phi))
+        chi_re = (4.0 - omega.real) / 2.0 - np.cos(TWO_PI * np.real(phi))
         theta = np.zeros(N, dtype=complex)
         prop = np.zeros(N, dtype=bool)
         for l in range(N):
@@ -208,10 +212,10 @@ def _classify(N, kappa, omega):
                 # sin(2 pi Re theta) 2 sinh(2 pi Im theta) = Im omega, so a
                 # continued order has sign(Im theta) = sign(Im omega)
                 lhs = np.sin(TWO_PI * p.real) * 2.0 * np.sinh(TWO_PI * p.imag)
-                if abs(lhs - np.imag(omega)) > 1e-8 * (1.0 + abs(omega)):
+                if abs(lhs - omega.imag) > 1e-8 * (1.0 + abs(omega)):
                     raise ValueError(
                         f"branch-continuation sign law violated at order {l}: "
-                        f"{lhs} vs Im omega = {np.imag(omega)}")
+                        f"{lhs} vs Im omega = {omega.imag}")
             else:
                 cand = p if np.imag(p) > 0 else -p
                 theta[l] = cand - np.floor(np.real(cand))

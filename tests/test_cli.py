@@ -166,6 +166,8 @@ GOOD = {"N": 2, "masses": [2, 1], "springs": [1, 1], "gammas": [1, 7]}
     (dict(GOOD, N="2"), "N must be an integer, got '2'"),
     (dict(GOOD, N=2.5), "N must be an integer, got 2.5"),
     (dict(GOOD, N=True), "N must be an integer, got True"),
+    (dict(GOOD, masses={"a": 1}), "masses must be a list of numbers"),
+    (dict(GOOD, springs=[True, 1]), "springs must be a list of numbers"),
     (dict(GOOD, gammas=[{"real": 1}, 7]), "gammas must be a list of numbers"),
     (dict(GOOD, gammas=[{"im": 1}, 7]), "gammas must be a list of numbers"),
     (dict(GOOD, gammas=[{"re": "1"}, 7]), "gammas must be a list of numbers"),
