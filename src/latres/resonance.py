@@ -2,7 +2,8 @@
 
 Near a guided mode the transmission swings between exactly 0 and 1 along two
 real-analytic frequency curves omega_a(kappa) (peak) and omega_b(kappa) (dip)
-that emanate from (kappa0, omega0).  Their quadratic expansions, together
+that emanate from (kappa0, omega0), where two real determinants of the chain
+kernel change sign (see `_window_root`).  Their quadratic expansions, together
 with the complex dispersion curve and a smooth background, reproduce the full
 anomaly through a closed-form approximation.  The chain amplitude at the
 optimally detuned frequency scales like |Im omega_gm(kappa0 + kt)|^(-1/2):
@@ -14,25 +15,22 @@ kernel K for any N.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import BlochPoint, StructureParams
-from .scattering import IncidentField, solve_row, solve_scattering
+from .structure import BlochPoint, StructureParams, _classify_off_threshold
+from .scattering import (IncidentField, NonPropagatingIncidenceError,
+                         _chain_kernel, solve_row, solve_scattering)
 from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
                      _continued_h, _h_slope, _sigma_min_row)
 
-# step limit of the peak/dip secant, and the |f| it must reach by then
-SECANT_STEPS = 60
-SECANT_F_BOUND = 1e-8
-# peak/dip root search: modulus-grid points, zoom levels, secant stop |f|
-ROOT_GRID_PTS = 81
-ROOT_ZOOMS = 6
-ROOT_F_TOL = 1e-13
 # half-width of the peak/dip search window in units of |curvature| kt^2
 PEAK_DIP_WINDOW_SCALE = 10.0
+# step limit of the two-sided anomaly model's Gauss-Newton fit
+ANOMALY_GN_STEPS = 30
 # approx_error_sup: kt samples, omega samples, window half-width scale
 ERROR_SUP_KT = 6
 ERROR_SUP_OMEGA = 25
@@ -47,71 +45,62 @@ BRANCH_KAPPA_MAX = 0.2
 log = logging.getLogger("latres")
 
 
-def _outgoing_pair(params, kappa, omega, order=0):
-    """Complex reflection and transmission coefficients (a_minus, b_plus)."""
-    sol = solve_scattering(params, BlochPoint(kappa, omega),
-                           IncidentField.unit_left(params.N, order))
-    return sol.a_minus[order], sol.b_plus[order]
+def _outgoing_pair(params, kappa, omega):
+    """Order 0's (a_minus, b_plus) under unit left incidence on order 0."""
+    sol = solve_scattering(params, BlochPoint(kappa, omega))
+    return sol.a_minus[0], sol.b_plus[0]
 
 
-def _row_pairs(params, kappa, omegas, order=0):
-    """(a_minus, b_plus) on one order over real omegas at one kappa.
+def _row_pairs(params, kappa, omegas):
+    """Order 0's (a_minus, b_plus) over real omegas at one kappa.
 
     One row solve; a refused point raises the single-point solver's error.
     """
-    row = solve_row(params, kappa, omegas, order, strict=True)
-    return row.a_minus[:, order], row.b_plus[:, order]
+    row = solve_row(params, kappa, omegas, strict=True)
+    return row.a_minus[:, 0], row.b_plus[:, 0]
 
 
-def _window_root(params, kappa, center, halfw, which, order=0):
-    """Zero of the reflection ('a') or transmission ('b') coefficient in omega.
+def _window_root(params, kappa, center, halfw, which):
+    """omega of T = 1 ('a') or T = 0 ('b') in center +- halfw, by brentq.
 
-    The resonance is much narrower than the search window (its width scales
-    with Im(curvature) * kt^2), so a naive Newton from the window center jumps
-    to remote roots.  Instead: iteratively zoom a coarse modulus grid onto the
-    minimum, then polish with an unclamped complex-secant Newton and demand
-    the root lands back on the real axis inside the window.  The secant
-    stops when |f| < ROOT_F_TOL or its step is at roundoff,
-    |step| <= 4 eps |omega| (f cannot get much below its roundoff, 1e-12 to
-    2e-9 on fixture 1); if SECANT_STEPS steps pass with |f| still above
-    SECANT_F_BOUND it raises ConvergenceError.  A DEBUG line on the `latres`
-    logger gives the root, its secant step count and the last |f|.
+    With order 0 the only propagating order, K_t = K + w w^H / (N s_0),
+    w = gamma * P[:, 0], is K without order 0's radiation term; it is
+    Hermitian, as P^-1 = P^H / N and the other s_l are real.  By the matrix
+    determinant lemma and Sherman-Morrison, t_0 = det K_t / det K and
+    r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where det K_t = 0
+    and T = 1 where the real det [[K_t, w], [w^H, 0]] = -det K_t g = 0.  A
+    DEBUG line on the `latres` logger gives the root, brentq's evaluations
+    and its final bracket width.
     """
-    idx = 0 if which == "a" else 1
-    c, h = center, halfw
-    for _ in range(ROOT_ZOOMS):
-        ws = np.linspace(c - h, c + h, ROOT_GRID_PTS)
-        vals = np.abs(_row_pairs(params, kappa, ws, order)[idx])
-        i = int(np.argmin(vals))
-        c, h = ws[i], 2.2 * (ws[1] - ws[0])
-        if vals[i] < 1e-3:
-            break
-    om, steps = complex(c), 0
-    for _ in range(SECANT_STEPS):
-        f = _outgoing_pair(params, kappa, om, order)[idx]
-        if abs(f) < ROOT_F_TOL:
-            break
-        hs = 1e-10 * (1.0 + abs(om))
-        f2 = _outgoing_pair(params, kappa, om + hs, order)[idx]
-        step = f / ((f2 - f) / hs)
-        om = om - step
-        steps += 1
-        if abs(step) <= 4.0 * EPS * abs(om):
-            break
-    else:
-        if abs(f) > SECANT_F_BOUND:
-            raise ConvergenceError(
-                f"secant for omega_{which} at kappa={kappa} stopped after "
-                f"{SECANT_STEPS} steps with |f| = {abs(f):.2e}")
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d "
-                  "secant steps, last |f| %.2e", which, kappa, om.real, steps,
-                  abs(f))
-    if abs(om.imag) > 1e-8:
-        raise RuntimeError(f"root left the real axis: Im omega = {om.imag}")
-    if abs(om.real - center) > 4.0 * halfw:
-        raise RuntimeError("root escaped the search window")
-    return float(om.real)
+    from scipy.optimize import brentq
+
+    N, last = params.N, {True: np.nan, False: np.nan}
+
+    @functools.cache  # brentq starts from the two ends checked below
+    def det(omega):
+        phi, theta, prop = _classify_off_threshold(N, kappa, omega)
+        if not prop[0] or prop.sum() > 1:
+            error = ValueError if prop[0] else NonPropagatingIncidenceError
+            raise error(f"T = 1 and T = 0 need order 0 to be the only "
+                        f"propagating order; orders {np.flatnonzero(prop)} "
+                        f"propagate at (kappa={kappa}, omega={omega})")
+        K, P, _, s = _chain_kernel(params, kappa, omega, phi, theta)
+        w = params.gammas * P[:, 0]
+        K_t = K + np.outer(w, w.conj()) / (N * s[0])
+        M = np.concatenate([np.column_stack([K_t, w]), [[*w.conj(), 0.0]]])
+        d = np.linalg.det(M if which == "a" else K_t).real
+        last[d > 0.0] = omega  # brentq's bracket ends at the last of each sign
+        return d
+
+    lo, hi = center - halfw, center + halfw
+    if det(lo) * det(hi) > 0.0:
+        raise RuntimeError(f"omega_{which}'s determinant keeps one sign at "
+                           f"kappa={kappa} over omega in [{lo}, {hi}]")
+    root, info = brentq(det, lo, hi, xtol=1e-16, full_output=True)
+    log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d brentq "
+              "evaluations, final bracket %.2e", which, kappa, root,
+              info.function_calls, abs(last[True] - last[False]))
+    return float(root)
 
 
 @dataclass(frozen=True)
@@ -160,11 +149,12 @@ class AnomalyFit:
     """All coefficients of the local transmission model around a mode.
 
     slope/curvature come from the dispersion fit; peak_curvature and
-    dip_curvature from cubic fits of the peak/dip curves (their shared linear
-    coefficient must equal -slope); t_bg is the background transmission at
-    kappa0 extrapolated to omega0 with r_bg = sqrt(1 - t_bg^2); bg_slope is
+    dip_curvature from cubic fits of the peak/dip curves, the sign changes
+    of det [[K_t, w], [w^H, 0]] and det K_t (see `_window_root`; their shared
+    linear coefficient must equal -slope); t_bg is the background transmission
+    at kappa0 extrapolated to omega0 with r_bg = sqrt(1 - t_bg^2); bg_slope is
     the linear frequency coefficient of the background; eta is the background
-    parameter of the two-sided model fitted globally over the window.
+    parameter of the two-sided model, fitted over the window by Gauss-Newton.
     """
 
     kappa0: float
@@ -185,8 +175,6 @@ class AnomalyFit:
 def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
                 curves: PeakDipCurves = None) -> AnomalyFit:
     """Extract the anomaly coefficients from direct solves around the mode."""
-    from scipy.optimize import least_squares
-
     if curves is None:
         curves = peak_dip_curves(params, mode, fit)
     kk = np.concatenate([[0.0], curves.kt])
@@ -241,22 +229,19 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
         ]) / (2 * T_ * den ** 2)[:, None]
         return T_, jac
 
-    res = least_squares(
-        lambda p_: model(p_)[0] - T, [max(t_bg, 0.1), bg_slope,
-                                       peak_curv.real, dip_curv.real],
-        jac=lambda p_: model(p_)[1], method="lm", xtol=1e-15, ftol=1e-15,
-        gtol=1e-15)
-    # the fit stops once the cost no longer resolves a step, which on
-    # fixture 1 leaves eta 3e-8 short (the Jacobian's condition number is
-    # about 2500 there); plain Gauss-Newton steps drive the gradient itself
-    # to roundoff
-    p_ = res.x
-    for _ in range(10):
+    p_ = np.array([max(t_bg, 0.1), bg_slope, peak_curv, dip_curv])
+    for _ in range(ANOMALY_GN_STEPS):
         T_, jac = model(p_)
-        step = np.linalg.lstsq(jac, T - T_, rcond=None)[0]
+        step, _, rank, sv = np.linalg.lstsq(jac, T - T_, rcond=None)
+        if rank < len(p_):
+            raise ConvergenceError(f"anomaly fit: Jacobian of rank {rank}")
         p_ = p_ + step
-        if np.max(np.abs(step)) <= 4.0 * EPS * np.max(np.abs(p_)):
+        # roundoff in T - T_ moves the step by up to about eps cond(jac) |p|
+        if np.abs(step).max() * sv[-1] <= 4.0 * EPS * sv[0] * np.abs(p_).max():
             break
+    else:
+        raise ConvergenceError(f"anomaly fit: no convergence in "
+                               f"{ANOMALY_GN_STEPS} Gauss-Newton steps")
     eta = float(p_[1])
 
     return AnomalyFit(

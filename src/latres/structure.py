@@ -86,17 +86,20 @@ class StructureParams:
     def from_dict(doc: dict) -> "StructureParams":
         """Parameters from a config document; ValueError if it is malformed.
 
-        The document is an object with keys N (an integer), masses and
-        springs (lists of numbers) and gammas; each gamma is a number or an
-        object {re, im} with im optional.
+        The document is an object with exactly the keys N (an integer),
+        masses and springs (lists of numbers) and gammas; each gamma is a
+        number or an object {re, im} with im optional.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"structure config must be a JSON object, "
                              f"got {type(doc).__name__}")
-        missing = [k for k in ("N", "masses", "springs", "gammas")
-                   if k not in doc]
+        keys = ("N", "masses", "springs", "gammas")
+        missing = [k for k in keys if k not in doc]
         if missing:
             raise ValueError(f"structure config lacks {', '.join(missing)}")
+        unknown = [k for k in doc if k not in keys]
+        if unknown:
+            raise ValueError(f"structure config has unknown keys {unknown}")
         N = doc["N"]
         if not _is_number(N) or N % 1:
             raise ValueError(f"N must be an integer, got {N!r}")

@@ -174,6 +174,8 @@ GOOD = {"N": 2, "masses": [2, 1], "springs": [1, 1], "gammas": [1, 7]}
     (dict(GOOD, gammas=["1+2j", 7]), "gammas must be a list of numbers"),
     (dict(GOOD, gammas=[True, 7]), "gammas must be a list of numbers"),
     (dict(GOOD, gammas=7), "gammas must be a list of numbers"),
+    (dict(GOOD, extra=3), "structure config has unknown keys ['extra']"),
+    (dict(GOOD, gamma=[1, 7]), "structure config has unknown keys ['gamma']"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, doc, message):
     path = tmp_path / "structure.json"

@@ -6,9 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from latres import StructureParams, resonance
-from latres.guided import (ConvergenceError, find_guided_modes,
-                           guided_mode_criteria_n2)
+from latres import BlochPoint, StructureParams, resonance
+from latres.guided import (ConvergenceError, continue_and_fit_dispersion,
+                           find_guided_modes, guided_mode_criteria_n2)
+from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
+                               solve_scattering)
+from latres.structure import _classify
 from latres.resonance import (_window_root, approx_error_sup,
                               approx_transmission, enhancement_scan,
                               find_bifurcation, fit_anomaly, peak_dip_curves,
@@ -20,7 +23,8 @@ BENCH_GAMMAS = (1.0296271473759782, 1.0296319015821522, 1.0296325566015647,
                 1.0296332409316922, 1.0296332915931812, 1.029633338618303)
 
 # omega_a and omega_b on fixture 1 at kt = -0.006, -0.002, 0.002, 0.006, as
-# the secant found them when it ran to its 60-step cap
+# the complex secant that preceded the determinant search found them when it
+# ran to its 60-step cap
 FROZEN_KT = (-0.006, -0.002, 0.002, 0.006)
 FROZEN_OMEGA_A = (0.9810502611590445, 0.97981582358711, 0.9784962326859492,
                   0.9770915808182997)
@@ -78,38 +82,37 @@ def test_background_energy_balance(anomaly1):
 def _root_window(mode, fit, kt):
     """The window `peak_dip_curves` searches at kt."""
     return (mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2,
-            max(10.0 * abs(fit.curvature) * kt ** 2, 1e-9))
+            max(resonance.PEAK_DIP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2,
+                1e-9))
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of resonance.<name> from here on."""
+    calls, fn = [], getattr(resonance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, name, counted)
+    return calls
 
 
 def test_window_root_stops_when_converged(fixture1, mode1, fit1,
                                           monkeypatch):
-    calls = []
-    pair = resonance._outgoing_pair
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return pair(*args, **kwargs)
-
-    monkeypatch.setattr(resonance, "_outgoing_pair", counted)
+    # the determinants need no scattering solve
+    calls = _counted(monkeypatch, "_outgoing_pair")
     for kt, want_a, want_b in zip(FROZEN_KT, FROZEN_OMEGA_A, FROZEN_OMEGA_B):
         for which, want in (("a", want_a), ("b", want_b)):
-            calls.clear()
             got = _window_root(fixture1, mode1.kappa0 + kt,
                                *_root_window(mode1, fit1, kt), which)
-            assert len(calls) <= 10
             assert abs(got - want) <= 1e-14
+    assert calls == []
 
 
 def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,
                                             monkeypatch):
-    calls = []
-    pair = resonance._outgoing_pair
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return pair(*args, **kwargs)
-
-    monkeypatch.setattr(resonance, "_outgoing_pair", counted)
+    calls = _counted(monkeypatch, "_chain_kernel")
     caplog.set_level(logging.DEBUG, logger="latres")
     kt = FROZEN_KT[1]
     got = _window_root(fixture1, mode1.kappa0 + kt,
@@ -119,20 +122,79 @@ def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,
     head = (f"window root omega_b at kappa {mode1.kappa0 + kt:.15g}: "
             f"omega {got:.15g}, ")
     assert lines[0].startswith(head)
-    steps, rest = lines[0][len(head):].split(" secant steps, last |f| ")
-    # each step solves twice, plus one solve if |f| stopped the secant
-    assert 2 * int(steps) <= len(calls) <= 2 * int(steps) + 1
-    assert 0.0 <= float(rest) <= resonance.SECANT_F_BOUND
+    evals, width = lines[0][len(head):].split(
+        " brentq evaluations, final bracket ")
+    # brentq's evaluations include the two sign checks at the window's ends
+    assert len(calls) == int(evals)
+    # brentq stops once the bracket is under xtol + 4 eps |omega|
+    assert 0.0 <= float(width) <= 1e-16 + 4.0 * np.finfo(float).eps * got
 
 
-def test_window_root_raises_when_out_of_steps(fixture1, mode1, fit1,
-                                             monkeypatch):
-    # one secant step from the zoomed grid leaves |f| far above 1e-8
-    monkeypatch.setattr(resonance, "SECANT_STEPS", 1)
-    with pytest.raises(ConvergenceError):
-        _window_root(fixture1, mode1.kappa0 + 0.002,
-                     *_root_window(mode1, fit1, 0.002), "b")
-    assert issubclass(ConvergenceError, RuntimeError)  # the CLI exits 2
+def test_window_root_identities():
+    # at real (kappa, omega) with order 0 the only propagating order,
+    # K_t = K + w w^H / (N s_0), w = gamma * P[:, 0], is Hermitian,
+    # t_0 = det K_t / det K and r_0 = g / (N s_0 - g), g = w^H K_t^-1 w
+    rng = np.random.default_rng(2011)
+    for N in range(1, 9):
+        params = StructureParams(
+            N=N, masses=rng.uniform(0.5, 2.0, N),
+            springs=rng.uniform(0.5, 2.0, N),
+            gammas=rng.uniform(0.5, 3.0, N) + 1j * rng.uniform(-1.0, 1.0, N))
+        found = 0
+        while found < 5:
+            kappa, omega = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 8.0)
+            phi, theta, prop, thr = _classify(N, kappa, omega)
+            if thr.any() or prop.tolist() != [True] + [False] * (N - 1):
+                continue
+            found += 1
+            K, P, _, s = _chain_kernel(params, kappa, omega, phi, theta)
+            w = params.gammas * P[:, 0]
+            K_t = K + np.outer(w, w.conj()) / (N * s[0])
+            assert (np.max(np.abs(K_t - K_t.conj().T))
+                    <= 1e-11 * np.max(np.abs(K_t)))
+            sol = solve_scattering(params, BlochPoint(kappa, omega))
+            t0, r0 = sol.b_plus[0], sol.a_minus[0]
+            assert abs(t0 - np.linalg.det(K_t) / np.linalg.det(K)) <= 1e-13
+            g = w.conj() @ np.linalg.solve(K_t, w)
+            assert abs(r0 - g / (N * s[0] - g)) <= 1e-13
+
+
+def test_peak_dip_curves_n3_complex_coupling():
+    # the N = 3 complex-coupling standing mode of test_guided
+    g1 = 1.1 - 0.4j
+    params = StructureParams(N=3, masses=[1.5, 2.0, 2.0],
+                             springs=[1.2, 0.7, 1.2],
+                             gammas=[0.8 + 0.3j, g1, g1])
+    modes = find_guided_modes(params, (-0.05, 0.05, 0.6, 1.35), density=40)
+    assert len(modes) == 1
+    fit = continue_and_fit_dispersion(params, modes[0])
+    curves = peak_dip_curves(params, modes[0], fit, kt_samples=FROZEN_KT)
+    want_a = (0.9150630554038091, 0.9153037807217475, 0.9153037807217475,
+              0.9150630554038092)
+    want_b = (0.9151053758969963, 0.9153084865857709, 0.9153084865857708,
+              0.9151053758969963)
+    assert np.max(np.abs(curves.omega_a - want_a)) <= 1e-14
+    assert np.max(np.abs(curves.omega_b - want_b)) <= 1e-14
+    assert np.min(curves.t_at_peak) >= 1.0 - 1e-9
+    assert np.max(curves.t_at_dip) <= 1e-9
+
+
+def test_window_root_refuses_two_propagating_orders(fixture1):
+    # at kappa = 0.3, omega = 4 both orders of fixture 1 propagate
+    phi, theta, prop, thr = _classify(2, 0.3, 4.0)
+    assert prop.all() and not thr.any()
+    with pytest.raises(ValueError, match="only propagating order") as exc:
+        _window_root(fixture1, 0.3, 4.0, 1e-3, "a")
+    assert not isinstance(exc.value, NonPropagatingIncidenceError)
+
+
+def test_window_root_raises_without_sign_change(fixture1, mode1, fit1):
+    # a window just above the dip holds no zero of det K_t
+    kt = FROZEN_KT[1]
+    with pytest.raises(RuntimeError, match="omega_b's determinant keeps one "
+                                           "sign at kappa="):
+        _window_root(fixture1, mode1.kappa0 + kt,
+                     FROZEN_OMEGA_B[1] + 1e-4, 1e-6, "b")
 
 
 def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,
@@ -147,6 +209,31 @@ def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,
     monkeypatch.setattr(resonance, "_row_pairs", nudged)
     moved = fit_anomaly(fixture1, mode1, fit1, curves1)
     assert abs(moved.eta - anomaly1.eta) < 1e-9
+
+
+def test_anomaly_fit_raises_when_out_of_steps(fixture1, mode1, fit1, curves1,
+                                              monkeypatch):
+    # one Gauss-Newton step from the initial guess is far from converged
+    monkeypatch.setattr(resonance, "ANOMALY_GN_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 Gauss-Newton steps"):
+        fit_anomaly(fixture1, mode1, fit1, curves1)
+    # the CLI exits 2 on a RuntimeError
+    assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_anomaly_fit_raises_on_rank_deficient_jacobian(fixture1, mode1, fit1,
+                                                       curves1, monkeypatch):
+    # a zero singular value would make the stop test's eps cond(jac) |p|
+    # infinite and accept the first iterate
+    lstsq = np.linalg.lstsq
+
+    def deficient(a, b, rcond=None):
+        x, res, rank, sv = lstsq(a, b, rcond=rcond)
+        return x, res, rank - 1, np.append(sv[:-1], 0.0)
+
+    monkeypatch.setattr(np.linalg, "lstsq", deficient)
+    with pytest.raises(ConvergenceError, match="Jacobian of rank 3"):
+        fit_anomaly(fixture1, mode1, fit1, curves1)
 
 
 def test_approx_transmission_limits(anomaly1):
