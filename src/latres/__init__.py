@@ -19,8 +19,8 @@ from .scattering import (IncidentField, NonPropagatingIncidenceError,
 from .dtn import (TruncatedSolution, cross_validate, default_truncation,
                   dtn_apply, dtn_matrix, solve_truncated)
 from .guided import (DispersionFit, EigenvalueTracker, GuidedMode,
-                     continue_and_fit_dispersion, eigenvalue_ell,
-                     find_guided_modes, guided_mode_criteria_n2, sigma_min)
+                     continue_and_fit_dispersion, find_guided_modes,
+                     guided_mode_criteria_n2, sigma_min)
 from .resonance import (AnomalyFit, BifurcationBranch, PeakDipCurves,
                         approx_transmission, enhancement_scan, find_bifurcation,
                         fit_anomaly, peak_dip_curves, trace_branch)

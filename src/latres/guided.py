@@ -436,11 +436,6 @@ def _min_abs_eigenvalue(params, kappa, omega):
     return float(np.min(np.abs(np.linalg.eigvals(K))))
 
 
-def eigenvalue_ell(params: StructureParams, point: BlochPoint) -> complex:
-    """Smallest-magnitude eigenvalue of the N x N chain kernel K at a point."""
-    return EigenvalueTracker(params).value(point.kappa, point.omega)
-
-
 @dataclass(frozen=True)
 class DispersionFit:
     """Local expansion omega_gm(kappa0 + kt) = omega0 - slope*kt - curvature*kt^2.

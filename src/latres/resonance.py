@@ -45,12 +45,6 @@ BRANCH_KAPPA_MAX = 0.2
 log = logging.getLogger("latres")
 
 
-def _outgoing_pair(params, kappa, omega):
-    """Order 0's (a_minus, b_plus) under unit left incidence on order 0."""
-    sol = solve_scattering(params, BlochPoint(kappa, omega))
-    return sol.a_minus[0], sol.b_plus[0]
-
-
 def _row_pairs(params, kappa, omegas):
     """Order 0's (a_minus, b_plus) over real omegas at one kappa.
 
@@ -136,8 +130,9 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
         wb = _window_root(params, mode.kappa0 + kt, center, halfw, "b")
         oa.append(wa)
         ob.append(wb)
-        tpk.append(abs(_outgoing_pair(params, mode.kappa0 + kt, wa)[1]))
-        tdp.append(abs(_outgoing_pair(params, mode.kappa0 + kt, wb)[1]))
+        t_a, t_b = np.abs(_row_pairs(params, mode.kappa0 + kt, [wa, wb])[1])
+        tpk.append(t_a)
+        tdp.append(t_b)
     return PeakDipCurves(kappa0=mode.kappa0, omega0=mode.omega0,
                          kt=kt_samples, omega_a=np.array(oa),
                          omega_b=np.array(ob), t_at_peak=np.array(tpk),

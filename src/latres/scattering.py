@@ -7,21 +7,22 @@ two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
 n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
 (a_minus, b_plus) and the chain coefficients c (`assemble_system`).
 Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
-chain system K(kappa, omega) z = gamma * u_inc that `solve_scattering` solves.
+chain system K(kappa, omega) z = gamma * (P u_inc).
 
-Grids are solved one kappa row at a time (`solve_row`, which
-`scan_transmission` calls once per row): P and P^-1 depend on kappa only, so
-K is stacked over the row's frequencies by broadcasting, one stacked SVD gives
-the condition numbers and one stacked solve the well-conditioned members.
-The kernel, assembly and flux helpers broadcast over leading batch axes, and
-the single-point solver uses the same helpers.
+Every solve takes one path, `_solve_chain`, over a row of frequencies at one
+kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
+broadcasting, one stacked SVD gives the condition numbers and one stacked
+solve the well-conditioned members, and the refusals and the T/R and flux
+rules act on the whole row.  `solve_row` (which `scan_transmission` calls
+once per kappa row) runs it with unit left incidence and `solve_scattering`
+on a row of one point, so the two agree point by point by construction.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,9 +47,10 @@ NOT_PROPAGATING = "incident_not_propagating"
 
 
 def _chunks(count, item_bytes):
-    """Slices of range(count), each holding at most STACK_BYTES of items."""
+    """Slices of range(count), each holding at most STACK_BYTES of items;
+    one (empty) slice when count is 0."""
     step = max(1, STACK_BYTES // item_bytes)
-    return [slice(i, i + step) for i in range(0, count, step)]
+    return [slice(i, i + step) for i in range(0, max(count, 1), step)]
 
 
 def _unit_amplitudes(N, order):
@@ -169,7 +171,8 @@ def _chain_kernel_derivatives(params, kappa, omega):
 
 
 def _solve_stack(K, rhs, cond_limit):
-    """Solve a stack of chain systems K z = rhs; returns (z, cond, near).
+    """Solve a stack of chain systems K z = rhs, one rhs for all members;
+    returns (z, cond, near).
 
     One stacked SVD gives the 2-norm condition numbers.  Members at or under
     cond_limit share one stacked solve; the others (near a guided mode) get a
@@ -181,25 +184,14 @@ def _solve_stack(K, rhs, cond_limit):
                      where=sv[:, -1] > 0)
     near = cond > cond_limit
     if not near.any():
-        return np.linalg.solve(K, rhs[..., None])[..., 0], cond, near
-    z = np.empty(rhs.shape, dtype=complex)
+        return np.linalg.solve(K, rhs), cond, near
+    z = np.empty(K.shape[:-1], dtype=complex)
     well = ~near
     if well.any():
-        z[well] = np.linalg.solve(K[well], rhs[well][..., None])[..., 0]
+        z[well] = np.linalg.solve(K[well], rhs)
     for i in np.flatnonzero(near):
-        z[i] = np.linalg.lstsq(K[i], rhs[i], rcond=1e-12)[0]
+        z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
     return z, cond, near
-
-
-def _outgoing(Pinv, s, gammas, a_inc, b_inc, z):
-    """(a_minus, b_plus) from the chain solution z, over any batch axes.
-
-    Both follow from the common trace U = u_inc + P^-1 (conj(gamma) z) / s:
-    a_minus = U - a_inc and b_plus = U - b_inc.
-    """
-    U = (a_inc + b_inc
-         + (Pinv @ (np.conj(gammas) * z)[..., None])[..., 0] / s)
-    return U - a_inc, U - b_inc
 
 
 def _assemble(params, kappa, omega, phi, theta):
@@ -269,81 +261,124 @@ class ScatteringSolution:
     flags: tuple = field(default=())
 
 
-def _flux_quantities(theta, prop, a_inc, b_inc, a_minus, b_plus):
-    """Flux sums over the orders in the mask prop (last axis, any batch axes).
+def _spread(ok, x):
+    """x, given at the points of the mask ok, over the row; NaN elsewhere."""
+    out = np.full(ok.shape + x.shape[1:], np.nan, dtype=x.dtype)
+    out[ok] = x
+    return out
 
-    Returns the incident, transmitted and reflected fluxes and the
-    conservation residual per the flux identity.
+
+def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
+                 strict=False):
+    """The chain system K z = gamma * (P u_inc) at kappa over the 1-D omega.
+
+    classified is `_classify`'s output for the row.  A point on a threshold,
+    or with incident amplitude on an order that does not propagate there,
+    is refused: flagged with NaN results, or, if strict, the first refused
+    point raises ThresholdError or NonPropagatingIncidenceError.  K is
+    stacked over the other points and solved by `_solve_stack`.  Both
+    outgoing amplitudes follow from the common trace
+    U = u_inc + P^-1 (conj(gamma) z) / s: a_minus = U - a_inc and
+    b_plus = U - b_inc; and c = P^-1 z.  The fluxes are sums over the
+    propagating orders weighted by sin 2 pi theta, and the energy residual
+    is |outgoing - incident flux|.  With one propagating order,
+    T = |b_plus| and R = |a_minus| on that order; with several, T and R are
+    flux-weighted (0 without incident flux) and flagged; with none they are
+    NaN.
     """
-    s = np.where(prop, np.sin(TWO_PI * np.real(theta)), 0.0)
+    N, gam = params.N, params.gammas
+    phi, theta, prop, thr = classified
+    a_inc, b_inc = incident.a_inc, incident.b_inc
+    om = omega
+    bad = thr | (((a_inc != 0) | (b_inc != 0)) > prop)
+    refused = bad.any()
+    if refused:
+        ok = ~bad.any(axis=-1)
+        if strict:
+            i = int(np.argmin(ok))
+            if thr[i].any():
+                raise ThresholdError(f"harmonic on a threshold curve at "
+                                     f"(kappa={kappa}, omega={omega[i]})")
+            raise NonPropagatingIncidenceError(
+                f"incident amplitude on non-propagating order(s) "
+                f"{np.flatnonzero(bad[i]).tolist()}")
+        om, theta, prop = om[ok], theta[ok], prop[ok]
+
+    u_inc = a_inc + b_inc
+    K, P, Pinv, s = _chain_kernel(params, kappa, om, phi, theta)
+    z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
+    U = u_inc + (Pinv @ (np.conj(gam) * z)[..., None])[..., 0] / s
+    a_minus, b_plus = U - a_inc, U - b_inc
+    c = z @ Pinv.T
+
+    weight = np.where(prop, np.sin(TWO_PI * theta.real), 0.0)
     inc_o = np.abs(a_inc) ** 2 + np.abs(b_inc) ** 2
-    out_t, out_r = np.abs(b_plus) ** 2, np.abs(a_minus) ** 2
-    return ((inc_o * s).sum(axis=-1), (out_t * s).sum(axis=-1),
-            (out_r * s).sum(axis=-1),
-            np.abs((((out_t + out_r) - inc_o) * s).sum(axis=-1)))
+    amp = np.abs([b_plus, a_minus])
+    out = amp ** 2
+    inc = (inc_o * weight).sum(axis=-1)
+    resid = np.abs(((out[0] + out[1] - inc_o) * weight).sum(axis=-1))
+    # the moduli on the one propagating order: fmax skips the NaN put on
+    # the other orders, and is NaN where no order propagates
+    TR = np.fmax.reduce(np.where(prop, amp, np.nan), axis=-1)
+    multi = prop.sum(axis=-1) > 1
+    if multi.any():
+        TR = np.where(multi, np.sqrt(np.divide(
+            (out * weight).sum(axis=-1), inc, out=np.zeros(TR.shape),
+            where=inc > 0)), TR)
+    T, R = TR
+    flag = near + 2 * multi
+    if refused:
+        a_minus, b_plus, c, T, R, inc, resid, cond = (
+            _spread(ok, x) for x in (a_minus, b_plus, c, T, R, inc, resid,
+                                     cond))
+        solved, flag = flag, np.where(thr.any(axis=-1), 4, 5)
+        flag[ok] = solved
+    return ScatteringRow(kappa=kappa, omega=omega, a_minus=a_minus,
+                         b_plus=b_plus, c=c, T=T, R=R, energy_residual=resid,
+                         incident_flux=inc, condition=cond,
+                         flags=tuple(map(_ROW_FLAGS.__getitem__,
+                                         flag.tolist())))
 
 
 def solve_scattering(params: StructureParams, point: BlochPoint,
                      incident: IncidentField = None,
                      cond_limit: float = COND_LIMIT) -> ScatteringSolution:
-    """Solve the N x N chain system K z = gamma * u_inc and recover T, R.
+    """Solve the N x N chain system K z = gamma * (P u_inc) at one point.
 
-    The outgoing coefficients follow from z through the common trace U:
-    a_minus = U - a_inc, b_plus = U - b_inc, and c = P^-1 z.  In the
-    single-propagating regime with unit left incidence, T = |b_plus| and
-    R = |a_minus| on the propagating order.  With several propagating
-    orders, T and R are flux-weighted aggregates (flagged in the output).
-    `condition` is the 2-norm condition number of K; when it exceeds
-    cond_limit (at guided-mode parameters) a minimum-norm least-squares
-    solution is returned and flagged.
+    The point is classified once and solved as a row of one by
+    `_solve_chain`, which holds the refusals and the T/R rules.
+    `condition` is the 2-norm condition number of K; above cond_limit (at
+    guided-mode parameters) the solution is the minimum-norm least-squares
+    one, flagged `near_singular`.  A complex point takes incidence on any
+    order, has T = R = NaN and no flux balance, and is flagged
+    `complex_point`.
     """
     N = params.N
     if incident is None:
         incident = IncidentField.unit_left(N)
     hs = classify_harmonics(params, point)
-    if hs.has_threshold:
-        raise ThresholdError(f"harmonic on a threshold curve at "
-                             f"(kappa={point.kappa}, omega={point.omega})")
-    theta, prop = hs.theta, np.array(hs.propagating, dtype=int)
-    mask = np.zeros(N, dtype=bool)
-    mask[prop] = True
-    if point.is_real:
-        bad = np.flatnonzero(((incident.a_inc != 0) | (incident.b_inc != 0))
-                             & ~mask).tolist()
-        if bad:
-            raise NonPropagatingIncidenceError(
-                f"incident amplitude on non-propagating order(s) {bad}")
-
-    K, P, Pinv, s = _chain_kernel(params, point.kappa, point.omega, hs.phi,
-                                  theta)
-    rhs = params.gammas * (P @ (incident.a_inc + incident.b_inc))
-    z, cond, near = _solve_stack(K[None], rhs[None], cond_limit)
-    z, cond = z[0], cond[0]
-    flags = ["near_singular"] if near[0] else []
-    a_minus, b_plus = _outgoing(Pinv, s, params.gammas, incident.a_inc,
-                                incident.b_inc, z)
-    c = Pinv @ z
-
-    if point.is_real and len(prop) > 0:
-        inc, out_t, out_r, resid = _flux_quantities(
-            theta, mask, incident.a_inc, incident.b_inc, a_minus, b_plus)
-        if len(prop) == 1:
-            T, R = float(np.abs(b_plus[prop[0]])), float(np.abs(a_minus[prop[0]]))
-        else:
-            T = float(np.sqrt(out_t / inc)) if inc > 0 else 0.0
-            R = float(np.sqrt(out_r / inc)) if inc > 0 else 0.0
-            flags.append("multi_prop_flux_weighted")
+    real = point.is_real
+    prop = hs.propagating_mask
+    if not real:  # no incidence is refused; T, R and the fluxes are reset
+        prop = prop | (incident.a_inc != 0) | (incident.b_inc != 0)
+    row = _solve_chain(params, point.kappa, np.array([point.omega]),
+                       (hs.phi, hs.theta[None], prop[None],
+                        hs.threshold_mask[None]),
+                       incident, cond_limit, strict=True)
+    cond = float(row.condition[0])
+    if real:
+        T, R = float(row.T[0]), float(row.R[0])
+        inc, resid = row.incident_flux[0], row.energy_residual[0]
+        flags = tuple(filter(None, row.flags[0].split(";")))
     else:
-        inc, resid = 0.0, 0.0
         T = R = float("nan")
-        if not point.is_real:
-            flags.append("complex_point")
-
+        inc = resid = 0.0
+        flags = ("near_singular",) * (cond > cond_limit) + ("complex_point",)
     return ScatteringSolution(
         params=params, point=point, incident=incident, harmonics=hs,
-        a_minus=a_minus, b_plus=b_plus, c=c, T=T, R=R,
+        a_minus=row.a_minus[0], b_plus=row.b_plus[0], c=row.c[0], T=T, R=R,
         energy_residual=float(resid), incident_flux=float(inc),
-        condition=float(cond), flags=tuple(flags))
+        condition=cond, flags=flags)
 
 
 def reconstruct_field(sol: ScatteringSolution, m, n):
@@ -385,10 +420,10 @@ def column_flux(sol: ScatteringSolution, m: int) -> float:
 
 @dataclass(frozen=True)
 class ScatteringRow:
-    """Unit left incidence on one order at one real kappa, over real omegas.
+    """Chain solves at one kappa over a row of frequencies, one incidence.
 
-    Every array runs over `omega`; a_minus and b_plus have a trailing order
-    axis.  `flags` holds each point's scan flags; refused points (flag
+    Every array runs over `omega`; a_minus, b_plus and c have a trailing
+    order axis.  `flags` holds each point's scan flags; refused points (flag
     `threshold` or `incident_not_propagating`) carry NaN in every array.
     """
 
@@ -396,9 +431,11 @@ class ScatteringRow:
     omega: np.ndarray
     a_minus: np.ndarray
     b_plus: np.ndarray
+    c: np.ndarray
     T: np.ndarray
     R: np.ndarray
     energy_residual: np.ndarray
+    incident_flux: np.ndarray
     condition: np.ndarray
     flags: tuple
 
@@ -412,64 +449,30 @@ _ROW_FLAGS = ("", "near_singular", "multi_prop_flux_weighted",
 
 def solve_row(params: StructureParams, kappa: float, omega_grid,
               incident_order: int = 0, strict: bool = False) -> ScatteringRow:
-    """`solve_scattering` with unit left incidence over a row of real omegas.
+    """Unit left incidence on one order over a row of real omegas.
 
-    The numbers equal the single-point solver's, point by point.  The row is
-    classified at once; K is stacked over the solvable points by
-    broadcasting, one stacked SVD gives the condition numbers and one
-    stacked solve handles the members at or under COND_LIMIT; the rest get
-    least-squares solutions and the `near_singular` flag.  Rows with more
-    than STACK_BYTES of K are solved in chunks.  Points on a threshold or
-    where the incident order does not propagate are refused with a flag, or,
-    if strict, the first of them raises the single-point solver's error.
+    The row is classified at once and solved by `_solve_chain`, the path
+    `solve_scattering` takes on a row of one point, so the numbers equal
+    the single-point solver's by construction.  Rows with more than
+    STACK_BYTES of K are solved in chunks.  Points on a threshold or where
+    the incident order does not propagate are refused with a flag, or, if
+    strict, the first of them raises the single-point solver's error.
     """
     N = params.N
     incident = IncidentField.unit_left(N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
     phi, theta, prop, thr = _classify(N, kappa, omega)
-    thr = thr.any(axis=-1)
-    ok = ~thr & prop[:, incident_order]
-    if strict and not ok.all():
-        i = int(np.argmin(ok))
-        if thr[i]:
-            raise ThresholdError(f"harmonic on a threshold curve at "
-                                 f"(kappa={kappa}, omega={omega[i]})")
-        raise NonPropagatingIncidenceError(
-            f"incident amplitude on non-propagating order(s) "
-            f"[{incident_order}]")
-
-    W = len(omega)
-    a_minus = np.full((W, N), np.nan, dtype=complex)
-    b_plus = a_minus.copy()
-    cond = np.full(W, np.nan)
-    near = np.zeros(W, dtype=bool)
-    idx = np.flatnonzero(ok)
-    for part in _chunks(len(idx), 16 * N * N):
-        i = idx[part]
-        K, P, Pinv, s = _chain_kernel(params, kappa, omega[i], phi, theta[i])
-        rhs = params.gammas * (P @ (incident.a_inc + incident.b_inc))
-        z, cond[i], near[i] = _solve_stack(
-            K, np.broadcast_to(rhs, (len(i), N)), COND_LIMIT)
-        a_minus[i], b_plus[i] = _outgoing(Pinv, s, params.gammas,
-                                          incident.a_inc, incident.b_inc, z)
-
-    # unit incidence on a propagating order: inc > 0, and with one
-    # propagating order that order is the incident one
-    multi = prop.sum(axis=-1) > 1
-    inc, out_t, out_r, res = _flux_quantities(
-        theta[ok], prop[ok], incident.a_inc, incident.b_inc, a_minus[ok],
-        b_plus[ok])
-    T, R, resid = np.full((3, W), np.nan)
-    T[ok] = np.where(multi[ok], np.sqrt(out_t / inc),
-                     np.abs(b_plus[ok, incident_order]))
-    R[ok] = np.where(multi[ok], np.sqrt(out_r / inc),
-                     np.abs(a_minus[ok, incident_order]))
-    resid[ok] = res
-    flag = np.where(thr, 4, np.where(ok, near + 2 * multi, 5))
-    return ScatteringRow(kappa=kappa, omega=omega, a_minus=a_minus,
-                         b_plus=b_plus, T=T, R=R, energy_residual=resid,
-                         condition=cond,
-                         flags=tuple(_ROW_FLAGS[f] for f in flag.tolist()))
+    rows = [_solve_chain(params, kappa, omega[part],
+                         (phi, theta[part], prop[part], thr[part]), incident,
+                         COND_LIMIT, strict)
+            for part in _chunks(len(omega), 16 * N * N)]
+    if len(rows) == 1:
+        return rows[0]
+    # join the chunks' per-point arrays, the fields between omega and flags
+    arrays = (np.concatenate([getattr(r, f.name) for r in rows])
+              for f in fields(ScatteringRow)[2:-1])
+    return ScatteringRow(kappa, omega, *arrays,
+                         sum((r.flags for r in rows), ()))
 
 
 def scan_transmission(params: StructureParams, kappa_grid, omega_grid,

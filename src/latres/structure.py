@@ -10,6 +10,7 @@ per-order exponents (phi_l, theta_l) computed here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -160,23 +161,35 @@ class Harmonic:
 
 @dataclass(frozen=True)
 class HarmonicSet:
-    """All N harmonics at a Bloch point plus the set of propagating orders."""
+    """All N harmonics at a Bloch point: `_classify`'s exponents phi and
+    theta and its masks of the propagating and the threshold orders."""
 
     point: BlochPoint
-    harmonics: tuple
-    propagating: tuple
+    phi: np.ndarray
+    theta: np.ndarray
+    propagating_mask: np.ndarray
+    threshold_mask: np.ndarray
 
     @property
-    def phi(self) -> np.ndarray:
-        return np.array([h.phi for h in self.harmonics])
+    def harmonics(self) -> tuple:
+        # a decaying order has Re theta near 0 (or 1) when chi > 0, near 1/2
+        # when chi < 0
+        return tuple(
+            Harmonic(order=l, phi=ph, theta=th,
+                     kind=LINEAR_THRESHOLD if t else PROPAGATING if p
+                     else BAND_EDGE_EVANESCENT if 0.25 < th.real < 0.75
+                     else EVANESCENT)
+            for l, (ph, th, p, t) in enumerate(zip(
+                self.phi.tolist(), self.theta.tolist(),
+                self.propagating_mask.tolist(), self.threshold_mask.tolist())))
 
     @property
-    def theta(self) -> np.ndarray:
-        return np.array([h.theta for h in self.harmonics], dtype=complex)
+    def propagating(self) -> tuple:
+        return tuple(np.flatnonzero(self.propagating_mask))
 
     @property
     def has_threshold(self) -> bool:
-        return any(h.kind == LINEAR_THRESHOLD for h in self.harmonics)
+        return bool(self.threshold_mask.any())
 
 
 def ambient_dispersion(theta, phi):
@@ -193,14 +206,16 @@ def _classify(N, kappa, omega):
     array: an order within THRESHOLD_TOL of chi = +-1 is a threshold,
     theta = 0 or 1/2; an order with |chi| < 1 propagates,
     theta = arccos(chi) / 2 pi; the others decay,
-    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  Complex
-    omega must be a scalar (a Python complex or numpy.complex128); theta is
-    then continued from the real-omega branch along a straight path in
-    omega, no order is a threshold, and each continued propagating order is
-    checked against the sign law.
+    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  At a complex
+    point (complex kappa or omega, given as a Python complex or
+    numpy.complex128) both must be scalars; theta is then continued from
+    the real point's branch along a straight path, no order is a threshold,
+    and at real kappa each continued propagating order is checked against
+    the sign law.
     """
     phi = (kappa + np.arange(N)) / N
-    if isinstance(omega, complex) and omega.imag != 0.0:
+    real_kappa = not (isinstance(kappa, complex) and kappa.imag != 0.0)
+    if not real_kappa or isinstance(omega, complex) and omega.imag != 0.0:
         # The principal arccos already continues the propagating branch; for
         # decaying orders pick the sign that keeps the field bounded.
         chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
@@ -215,7 +230,8 @@ def _classify(N, kappa, omega):
                 # sin(2 pi Re theta) 2 sinh(2 pi Im theta) = Im omega, so a
                 # continued order has sign(Im theta) = sign(Im omega)
                 lhs = np.sin(TWO_PI * p.real) * 2.0 * np.sinh(TWO_PI * p.imag)
-                if abs(lhs - omega.imag) > 1e-8 * (1.0 + abs(omega)):
+                tol = 1e-8 * (1.0 + abs(omega))
+                if real_kappa and abs(lhs - omega.imag) > tol:
                     raise ValueError(
                         f"branch-continuation sign law violated at order {l}: "
                         f"{lhs} vs Im omega = {omega.imag}")
@@ -224,8 +240,7 @@ def _classify(N, kappa, omega):
                 theta[l] = cand - np.floor(np.real(cand))
         return phi, theta, prop, np.zeros(N, dtype=bool)
 
-    chi = np.real(np.subtract.outer((4.0 - omega) / 2.0,
-                                    np.cos(TWO_PI * phi)))
+    chi = np.subtract.outer((4.0 - omega) / 2.0, np.cos(TWO_PI * phi)).real
     mag = np.abs(chi)
     # exact for |chi| in [1/2, 2], so that gap <= -tol is |chi| < 1 off the
     # thresholds
@@ -257,19 +272,7 @@ def classify_harmonics(params: StructureParams,
     HarmonicSet.has_threshold or catch ThresholdError from assembly.
     """
     kappa = point.kappa if point.kappa.imag else point.kappa.real
-    phi, theta, prop, thr = _classify(params.N, kappa, point.omega)
-    # a decaying order has Re theta near 0 (or 1) when chi > 0, near 1/2
-    # when chi < 0
-    kinds = [LINEAR_THRESHOLD if t else PROPAGATING if p
-             else BAND_EDGE_EVANESCENT if 0.25 < th.real < 0.75
-             else EVANESCENT
-             for th, p, t in zip(theta.tolist(), prop.tolist(), thr.tolist())]
-    harms = tuple(
-        Harmonic(order=l, phi=phi[l], theta=theta[l], kind=kinds[l])
-        for l in range(params.N)
-    )
-    return HarmonicSet(point=point, harmonics=harms,
-                       propagating=tuple(prop.nonzero()[0]))
+    return HarmonicSet(point, *_classify(params.N, kappa, point.omega))
 
 
 def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
@@ -280,11 +283,12 @@ def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
     the Bloch factor e^{+-2 pi i kappa}.
     """
     N = params.N
-    M, k = params.masses, params.springs
+    # Python floats: their arithmetic is numpy's, without its per-scalar cost
+    M, k = params.masses.tolist(), params.springs.tolist()
     B = np.zeros((N, N), dtype=complex)
     for n in range(N):
         up = (n + 1) % N
-        c = -k[n] / np.sqrt(M[n] * M[up])  # coupling of sites n and n + 1
+        c = -k[n] / math.sqrt(M[n] * M[up])  # coupling of sites n and n + 1
         wrap = np.exp(2j * np.pi * kappa) if up == 0 else 1.0
         B[n, n] += (k[n] + k[n - 1]) / M[n]
         B[n, up] += c * wrap

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latres import StructureParams
 from latres.guided import continue_and_fit_dispersion, find_guided_modes
+
+# property tests draw the same examples on every run, with no time limit per
+# example and no saved examples replayed from earlier runs
+settings.register_profile("latres", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("latres")
 
 # critical coupling of the standing-mode bifurcation for the (2,1)-mass chain
 GAMMA0_STAR = 1.0296335133904082

@@ -101,13 +101,14 @@ def _counted(monkeypatch, name):
 def test_window_root_stops_when_converged(fixture1, mode1, fit1,
                                           monkeypatch):
     # the determinants need no scattering solve
-    calls = _counted(monkeypatch, "_outgoing_pair")
+    calls = [_counted(monkeypatch, name)
+             for name in ("solve_row", "solve_scattering")]
     for kt, want_a, want_b in zip(FROZEN_KT, FROZEN_OMEGA_A, FROZEN_OMEGA_B):
         for which, want in (("a", want_a), ("b", want_b)):
             got = _window_root(fixture1, mode1.kappa0 + kt,
                                *_root_window(mode1, fit1, kt), which)
             assert abs(got - want) <= 1e-14
-    assert calls == []
+    assert calls == [[], []]
 
 
 def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,

@@ -5,14 +5,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
-                              classify_harmonics)
+                              ambient_dispersion, classify_harmonics)
 from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
                                assemble_system, column_flux, lattice_residual,
                                reconstruct_field, scan_transmission,
-                               solve_scattering)
+                               solve_row, solve_scattering)
 
 POINT = BlochPoint(0.2, 1.5)
 MODE1_KAPPA = 0.06167366437892
@@ -63,6 +64,67 @@ def test_chain_kernel_matches_full_system():
                 solved.add((N, side, draw % 2, draw >= 4))
     assert len(solved) == 8 * 2 * 2 * 2
     assert worst <= 1e-11
+
+
+def test_complex_kappa_continues_theta(fixture1):
+    # at complex kappa every order's theta is continued from the real point,
+    # so the orders keep the ambient dispersion and the field solves the
+    # lattice equation off the coupling line
+    sol = solve_scattering(fixture1, BlochPoint(0.2 + 0.05j, 1.5))
+    hs = sol.harmonics
+    assert np.max(np.abs(ambient_dispersion(hs.theta, hs.phi) - 1.5)) <= 1e-13
+    for m in (-4, -2, -1, 1, 2, 5):
+        for n in range(-1, 4):
+            assert lattice_residual(sol, m, n) <= 1e-12
+    assert sol.flags == ("complex_point",)
+
+
+_unit = st.floats(0.5, 2.0)
+_amplitude = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                allow_infinity=False)
+
+
+@st.composite
+def _scattering_cases(draw):
+    """A structure with N in 1..8 and complex couplings, a real point off the
+    thresholds with a propagating order, and random incidence from both
+    sides on the propagating orders."""
+    N = draw(st.integers(1, 8))
+    params = StructureParams(
+        N, draw(st.lists(_unit, min_size=N, max_size=N)),
+        draw(st.lists(_unit, min_size=N, max_size=N)),
+        draw(st.lists(_amplitude, min_size=N, max_size=N)))
+    point = BlochPoint(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.05, 7.95)))
+    hs = classify_harmonics(params, point)
+    assume(hs.propagating and not hs.has_threshold)
+    a, b = (np.where(hs.propagating_mask, draw(st.lists(
+        _amplitude, min_size=N, max_size=N)), 0.0) for _ in "ab")
+    return params, point, hs, IncidentField(a, b)
+
+
+@settings(max_examples=60)
+@given(_scattering_cases())
+def test_point_solve_properties(case):
+    params, point, hs, incident = case
+    # the 3N x 3N Fourier system is the independent reference
+    sol = solve_scattering(params, point, incident)
+    ref = assemble_system(params, point, incident)
+    X = np.linalg.solve(ref.B, ref.F)
+    got = np.concatenate([sol.a_minus, sol.b_plus, sol.c])
+    assert np.max(np.abs(got - X)) <= 1e-11
+    assert sol.energy_residual <= 1e-12 * sol.incident_flux
+    # a point is a row of one: a 5-point row through it gives the same numbers
+    order = hs.propagating[0]
+    one = solve_scattering(params, point, IncidentField.unit_left(params.N,
+                                                                 order))
+    row = solve_row(params, point.kappa,
+                    point.omega + np.array([-0.02, -0.01, 0.0, 0.01, 0.02]),
+                    order)
+    assert row.flags[2] == ";".join(one.flags)
+    for got, want in ((row.a_minus[2], one.a_minus), (row.b_plus[2], one.b_plus),
+                      (row.c[2], one.c), (row.T[2], one.T), (row.R[2], one.R),
+                      (row.energy_residual[2], one.energy_residual)):
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_frozen_solution_values(fixture1):
