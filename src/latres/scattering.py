@@ -183,12 +183,13 @@ def _solve_stack(K, rhs, cond_limit):
     cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
                      where=sv[:, -1] > 0)
     near = cond > cond_limit
+    b = rhs[None, :, None]  # NumPy 1.x reads a 1-D b as a stack of vectors
     if not near.any():
-        return np.linalg.solve(K, rhs), cond, near
+        return np.linalg.solve(K, b)[..., 0], cond, near
     z = np.empty(K.shape[:-1], dtype=complex)
     well = ~near
     if well.any():
-        z[well] = np.linalg.solve(K[well], rhs)
+        z[well] = np.linalg.solve(K[well], b)[..., 0]
     for i in np.flatnonzero(near):
         z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
     return z, cond, near
@@ -365,7 +366,6 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
                        (hs.phi, hs.theta[None], prop[None],
                         hs.threshold_mask[None]),
                        incident, cond_limit, strict=True)
-    cond = float(row.condition[0])
     if real:
         T, R = float(row.T[0]), float(row.R[0])
         inc, resid = row.incident_flux[0], row.energy_residual[0]
@@ -373,12 +373,13 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
     else:
         T = R = float("nan")
         inc = resid = 0.0
-        flags = ("near_singular",) * (cond > cond_limit) + ("complex_point",)
+        flags = (("near_singular",) * row.flags[0].startswith("near_singular")
+                 + ("complex_point",))
     return ScatteringSolution(
         params=params, point=point, incident=incident, harmonics=hs,
         a_minus=row.a_minus[0], b_plus=row.b_plus[0], c=row.c[0], T=T, R=R,
         energy_residual=float(resid), incident_flux=float(inc),
-        condition=cond, flags=flags)
+        condition=float(row.condition[0]), flags=flags)
 
 
 def reconstruct_field(sol: ScatteringSolution, m, n):

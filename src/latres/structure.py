@@ -159,7 +159,7 @@ class Harmonic:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicSet:
     """All N harmonics at a Bloch point: `_classify`'s exponents phi and
     theta and its masks of the propagating and the threshold orders."""

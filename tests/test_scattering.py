@@ -224,6 +224,12 @@ def test_near_singular_flagged_at_mode(fixture1, mode1):
         fixture1, BlochPoint(mode1.kappa0, mode1.omega0))
     assert "near_singular" in sol.flags
     assert sol.condition > 1e12
+    # a complex point keeps the core's near-singular flag
+    for eps, flags in ((1e-13, ("near_singular", "complex_point")),
+                       (1e-10, ("complex_point",))):
+        sol = solve_scattering(
+            fixture1, BlochPoint(mode1.kappa0, complex(mode1.omega0, -eps)))
+        assert sol.flags == flags
 
 
 def test_scan_rows_and_sentinels(fixture1):

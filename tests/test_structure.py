@@ -81,6 +81,14 @@ def test_threshold_flagging(fixture1):
     assert all(h.kind == "linear-threshold" for h in hs.harmonics)
 
 
+def test_harmonic_sets_compare_by_identity(n3_params):
+    # the fields are arrays, so a set is equal only to itself and hashable
+    pt = BlochPoint(0.13, 2.9)
+    hs = classify_harmonics(n3_params, pt)
+    assert hs == hs and hs != classify_harmonics(n3_params, pt)
+    assert len({hs, hs}) == 1
+
+
 def test_complex_omega_continuation_sign_law(fixture1):
     # continued propagating order must move into the matching half plane
     hs = classify_harmonics(fixture1, BlochPoint(0.2, 1.5 - 1e-4j))
