@@ -13,14 +13,12 @@ from .structure import (BlochPoint, Harmonic, HarmonicSet, RegionDiagram,
                         StructureParams, ThresholdError, ambient_dispersion,
                         classify_harmonics, region_diagram, waveguide_bands)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
-                         ScatteringRow, ScatteringSolution, ScatteringSystem,
-                         assemble_system, reconstruct_field,
+                         ScatteringRow, ScatteringSolution, reconstruct_field,
                          scan_transmission, solve_row, solve_scattering)
 from .dtn import (TruncatedSolution, cross_validate, default_truncation,
                   dtn_apply, dtn_matrix, solve_truncated)
 from .guided import (DispersionFit, EigenvalueTracker, GuidedMode,
-                     continue_and_fit_dispersion, find_guided_modes,
-                     guided_mode_criteria_n2, sigma_min)
+                     continue_and_fit_dispersion, find_guided_modes, sigma_min)
 from .resonance import (AnomalyFit, BifurcationBranch, PeakDipCurves,
                         approx_transmission, enhancement_scan, find_bifurcation,
                         fit_anomaly, peak_dip_curves, trace_branch)

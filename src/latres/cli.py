@@ -31,10 +31,6 @@ from .discrete import green_identity_field, identity_residuals
 FMT = "%.17g"
 
 
-def _fnum(x) -> str:
-    return FMT % x
-
-
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
@@ -51,6 +47,15 @@ def _emit(path, lines):
             fh.close()
 
 
+def _csv(path, header, rows):
+    """Write tuple rows under header: numbers as FMT, strings (the scan
+    flags) as they are, each column typed by the first row."""
+    rows = list(rows)
+    fmt = ",".join("%s" if isinstance(v, str) else FMT
+                   for v in (rows[0] if rows else ()))
+    _emit(path, [header] + [fmt % row for row in rows])
+
+
 def _grid(spec: str) -> np.ndarray:
     """Parse 'min,max,num' into a linspace."""
     lo, hi, num = spec.split(",")
@@ -59,7 +64,7 @@ def _grid(spec: str) -> np.ndarray:
 
 def _params(args) -> StructureParams:
     if not args.config:
-        raise SystemExit("a --config JSON file with the structure is required")
+        raise ValueError("a --config JSON file with the structure is required")
     return StructureParams.from_json(args.config)
 
 
@@ -71,22 +76,18 @@ def cmd_regions(args):
     params = _params(args)
     diagram = region_diagram(params, _grid(args.kappa_grid),
                              _grid(args.omega_grid))
-    lines = ["kappa,omega,num_propagating"]
-    for i, kap in enumerate(diagram.kappa_grid):
-        for j, om in enumerate(diagram.omega_grid):
-            lines.append(f"{_fnum(kap)},{_fnum(om)},{diagram.counts[i, j]}")
-    _emit(args.out, lines)
+    _csv(args.out, "kappa,omega,num_propagating",
+         ((kap, om, diagram.counts[i, j])
+          for i, kap in enumerate(diagram.kappa_grid)
+          for j, om in enumerate(diagram.omega_grid)))
     return 0
 
 
 def cmd_bands(args):
     params = _params(args)
-    header = "kappa," + ",".join(f"band_{j}" for j in range(params.N))
-    lines = [header]
-    for kap in _grid(args.kappa_grid):
-        bands = waveguide_bands(params, kap)
-        lines.append(",".join([_fnum(kap)] + [_fnum(b) for b in bands]))
-    _emit(args.out, lines)
+    _csv(args.out, "kappa," + ",".join(f"band_{j}" for j in range(params.N)),
+         ((kap, *waveguide_bands(params, kap))
+          for kap in _grid(args.kappa_grid)))
     return 0
 
 
@@ -151,9 +152,7 @@ def cmd_scan(args):
     params = _params(args)
     rows = scan_transmission(params, _grid(args.kappa_grid),
                              _grid(args.omega_grid), args.order)
-    row_fmt = ",".join([FMT] * 5 + ["%s"])  # NaN prints as "nan"
-    _emit(args.out, ["kappa,omega,T,R,energy_residual,flags"]
-          + [row_fmt % row for row in rows])
+    _csv(args.out, "kappa,omega,T,R,energy_residual,flags", rows)
     return 0
 
 
@@ -183,9 +182,9 @@ def _locate_mode(params, args):
     window = tuple(float(x) for x in args.window.split(","))
     modes = find_guided_modes(params, window, density=args.density)
     if not modes:
-        raise SystemExit("no guided mode found in the window")
-    if args.mode_index >= len(modes):
-        raise SystemExit(f"mode index {args.mode_index} out of range "
+        raise ValueError("no guided mode found in the window")
+    if not 0 <= args.mode_index < len(modes):
+        raise ValueError(f"mode index {args.mode_index} out of range "
                          f"({len(modes)} found)")
     return modes[args.mode_index]
 
@@ -194,11 +193,8 @@ def cmd_dispersion(args):
     params = _params(args)
     mode = _locate_mode(params, args)
     fit = continue_and_fit_dispersion(params, mode, radius=args.radius)
-    lines = ["kappa,re_omega,im_omega"]
-    for kt, om in fit.samples:
-        lines.append(",".join([_fnum(mode.kappa0 + kt), _fnum(om.real),
-                               _fnum(om.imag)]))
-    _emit(args.out, lines)
+    _csv(args.out, "kappa,re_omega,im_omega",
+         ((mode.kappa0 + kt, om.real, om.imag) for kt, om in fit.samples))
     meta = {
         "kappa0": fit.kappa0, "omega0": fit.omega0,
         "linear_coefficient": fit.slope,
@@ -216,17 +212,16 @@ def cmd_anomaly(args):
     dfit = continue_and_fit_dispersion(params, mode)
     afit = fit_anomaly(params, mode, dfit)
     # direct vs closed-form transmission across the anomaly window
-    lines = ["kappa,omega,T_direct,T_approx"]
+    rows = []
     for kt in (-0.003, -0.002, -0.001, 0.001, 0.002, 0.003):
         half = 8.0 * abs(afit.curvature) * kt ** 2
         ws = -afit.slope * kt + np.linspace(-half, half, 11)
         row = solve_row(params, afit.kappa0 + kt, afit.omega0 + ws,
                         strict=True)
         t_model = approx_transmission(afit, kt, ws, "two_sided")
-        for om, T, tm in zip(row.omega, row.T, t_model):
-            lines.append(",".join([_fnum(afit.kappa0 + kt), _fnum(om),
-                                   _fnum(T), _fnum(tm)]))
-    _emit(args.out, lines)
+        rows += [(afit.kappa0 + kt, om, T, tm)
+                 for om, T, tm in zip(row.omega, row.T, t_model)]
+    _csv(args.out, "kappa,omega,T_direct,T_approx", rows)
     meta = {
         "kappa0": afit.kappa0, "omega0": afit.omega0,
         "linear_coefficient": afit.slope,
@@ -250,10 +245,7 @@ def cmd_bifurcate(args):
     branch = trace_branch(params, list(grid),
                           gamma0_bracket=(args.gamma0_min - 0.5,
                                           args.gamma0_max + 0.5))
-    lines = ["gamma0,kappa0,omega0"]
-    for g0, kap0, om0 in branch.samples:
-        lines.append(",".join([_fnum(g0), _fnum(kap0), _fnum(om0)]))
-    _emit(args.out, lines)
+    _csv(args.out, "gamma0,kappa0,omega0", branch.samples)
     meta = {
         "gamma0_star": branch.gamma0_star,
         "omega0_star": branch.omega0_star,
@@ -270,10 +262,7 @@ def cmd_enhance(args):
     fit = continue_and_fit_dispersion(params, mode)
     kts = np.logspace(np.log10(args.kt_min), np.log10(args.kt_max), args.num)
     rows = enhancement_scan(params, mode, fit, kts)
-    lines = ["kappa_tilde,omega_opt,amplitude"]
-    for kt, om, amp in rows:
-        lines.append(",".join([_fnum(kt), _fnum(om), _fnum(amp)]))
-    _emit(args.out, lines)
+    _csv(args.out, "kappa_tilde,omega_opt,amplitude", rows)
     return 0
 
 
@@ -306,11 +295,8 @@ def cmd_evolve(args):
                                symmetry=args.init)
     result = evolve(params, state, args.dt, args.steps,
                     record_every=args.record_every)
-    lines = ["t,norm,waveguide_energy"]
-    for t, nrm, wg in zip(result.times, result.norms,
-                          result.waveguide_energy):
-        lines.append(",".join([_fnum(t), _fnum(nrm), _fnum(wg)]))
-    _emit(args.out, lines)
+    _csv(args.out, "t,norm,waveguide_energy",
+         zip(result.times, result.norms, result.waveguide_energy))
     return 0
 
 
@@ -355,8 +341,8 @@ def cmd_validate(args):
     # cross-oracle on a few points with order 0 propagating and no slowly
     # decaying order
     def resolved(hs):
-        taus = [h.theta.imag for h in hs.harmonics if h.theta.imag > 0]
-        return 0 in hs.propagating and not (taus and min(taus) < 0.08)
+        taus = hs.theta.imag[~(hs.propagating_mask | hs.threshold_mask)]
+        return hs.propagating_mask[0] and not (taus < 0.08).any()
 
     record("cross_oracle", max(
         cross_validate(params, _random_point(params, rng, (0.3, 7.7),

@@ -25,9 +25,6 @@ TWO_PI = 2.0 * np.pi
 # the half-width, and the largest half-width
 TRUNCATION_TOL = 1e-10
 TRUNCATION_MAX = 200
-# variational_residual: the number of random test vectors and their seed
-VARIATIONAL_TESTS = 8
-VARIATIONAL_SEED = 0
 
 log = logging.getLogger("latres")
 
@@ -57,7 +54,7 @@ def dtn_apply(harmonics: HarmonicSet, trace: np.ndarray) -> np.ndarray:
 
 def dtn_matrix(harmonics: HarmonicSet) -> np.ndarray:
     """Dense N x N matrix of the boundary map in the site basis."""
-    return dtn_apply(harmonics, np.eye(len(harmonics.harmonics))).T
+    return dtn_apply(harmonics, np.eye(len(harmonics.phi))).T
 
 
 def default_truncation(harmonics: HarmonicSet) -> int:
@@ -68,12 +65,11 @@ def default_truncation(harmonics: HarmonicSet) -> int:
     among non-propagating orders; when every order propagates any M works (the
     boundary map is exact per harmonic) and a small default is returned.
     """
-    taus = [h.theta.imag for h in harmonics.harmonics
-            if h.kind in ("evanescent", "band-edge-evanescent")]
-    if not taus:
+    taus = harmonics.theta.imag[~(harmonics.propagating_mask
+                                  | harmonics.threshold_mask)]
+    if not taus.size:
         return 8
-    tau_min = min(taus)
-    M = int(np.ceil(np.log(1.0 / TRUNCATION_TOL) / (TWO_PI * tau_min)))
+    M = int(np.ceil(np.log(1.0 / TRUNCATION_TOL) / (TWO_PI * taus.min())))
     return max(2, min(M, TRUNCATION_MAX))
 
 
@@ -168,21 +164,3 @@ def cross_validate(params: StructureParams, point: BlochPoint,
                                      np.arange(params.N))
     return float(max(np.max(np.abs(trunc.u - u_ref)),
                      np.max(np.abs(trunc.z - z_ref))))
-
-
-def variational_residual(trunc: TruncatedSolution) -> float:
-    """Worst bilinear pairing |<test, A x - F>| over VARIATIONAL_TESTS random
-    unit test vectors.
-
-    The weak form of the truncated problem is equivalent to the assembled
-    system, so its executable content is that every test-field pairing with
-    the discrete residual vanishes.
-    """
-    rng = np.random.default_rng(VARIATIONAL_SEED)
-    res = trunc.residual_vector
-    worst = 0.0
-    for _ in range(VARIATIONAL_TESTS):
-        v = rng.standard_normal(len(res)) + 1j * rng.standard_normal(len(res))
-        v /= np.linalg.norm(v)
-        worst = max(worst, abs(np.vdot(v, res)))
-    return worst

@@ -1,4 +1,4 @@
-"""Guided-mode location, dispersion fitting, and the explicit N=2 criteria.
+"""Guided-mode location and dispersion fitting.
 
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
@@ -15,8 +15,7 @@ and K_kappa: Newton in complex omega finds omega_gm(kappa), and a bracketed
 root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its
 maximum, 0, gives kappa0.  The real zero of det K is degenerate (the curve
 only touches the real plane), so it is not solved for directly.  The same
-h (`_continued_h`) locates the coupling bifurcation in `resonance`; the
-explicit N=2 criteria are only an independent oracle for the tests.
+h (`_continued_h`) locates the coupling bifurcation in `resonance`.
 """
 
 from __future__ import annotations
@@ -155,38 +154,6 @@ class GuidedMode:
         """Chain coefficients of the null vector."""
         idx = [i for i, (kind, _) in enumerate(self.null_labels) if kind == "c"]
         return self.null_vector[idx]
-
-
-def guided_mode_criteria_n2(params: StructureParams, kappa: float,
-                            omega: float):
-    """The two complex residuals whose common zero marks an N=2 guided mode.
-
-    A closed form that no production path uses: the tests' independent
-    oracle for the chain-kernel route.  Valid in the single-propagating region
-    where the second order is evanescent; there sin(2 pi theta_1) =
-    i sqrt(chi_1^2 - 1) with chi_1 = 2 - omega/2 + cos(pi kappa).
-    """
-    if params.N != 2:
-        raise ValueError("criteria are specific to period N=2")
-    g0, g1 = params.gammas
-    g0c, g1c = np.conj(g0), np.conj(g1)
-    M0, M1 = params.masses
-    k0, k1 = params.springs
-    chi1 = 2.0 - omega / 2.0 + np.cos(np.pi * kappa)
-    s = 1j * np.sqrt(chi1 ** 2 - 1.0 + 0j)
-    c1 = ((g1c - g0c) / (g0c + g1c)
-          * ((k0 + k1) * (1 / M1 - 1 / M0)
-             + 2j * np.sin(np.pi * kappa) / np.sqrt(M0 * M1) * (k0 - k1))
-          - g0c * g1c * (g0 + g1) / ((g0c + g1c) * 1j * s)
-          + 2 * omega
-          + (k0 + k1) * (-1 / M0 - 1 / M1 - 2 * np.cos(np.pi * kappa) / np.sqrt(M0 * M1)))
-    c2 = ((g1c - g0c) / (g0c + g1c)
-          * (2 * omega + (k0 + k1) * (2 * np.cos(np.pi * kappa) / np.sqrt(M0 * M1)
-                                      - 1 / M0 - 1 / M1))
-          + g0c * g1c * (g1 - g0) / ((g0c + g1c) * 1j * s)
-          + (k0 + k1) * (1 / M1 - 1 / M0)
-          + 2j * np.sin(np.pi * kappa) * (k1 - k0) / np.sqrt(M0 * M1))
-    return c1, c2
 
 
 def _polish(params, kappa, omega, reach):

@@ -277,8 +277,9 @@ def approx_transmission(fit: AnomalyFit, kt, wt, variant: str = "one_sided"):
 
 
 def approx_error_sup(params: StructureParams, fit: AnomalyFit,
-                     kt_max: float, variant: str = "two_sided") -> float:
-    """Sup of |T_model - T_direct| over the anomaly window of half-width kt_max."""
+                     kt_max: float) -> float:
+    """Sup of |T_model - T_direct| over the anomaly window of half-width
+    kt_max, with the two-sided model."""
     worst = 0.0
     for kt in np.linspace(-kt_max, kt_max, ERROR_SUP_KT):
         if abs(kt) < 0.05 * kt_max:
@@ -287,7 +288,7 @@ def approx_error_sup(params: StructureParams, fit: AnomalyFit,
         ws = -fit.slope * kt + np.linspace(-half, half, ERROR_SUP_OMEGA)
         t_direct = np.abs(_row_pairs(params, fit.kappa0 + kt,
                                      fit.omega0 + ws)[1])
-        t_model = approx_transmission(fit, kt, ws, variant)
+        t_model = approx_transmission(fit, kt, ws, "two_sided")
         worst = max(worst, float(np.max(np.abs(t_model - t_direct))))
     return worst
 

@@ -5,9 +5,10 @@ line m = 0, u_{mn} = sum_l (incoming + outgoing) e^{2 pi i (theta_l m + phi_l n)
 and the chain displacement z_n = sum_l c_l e^{2 pi i phi_l n}.  Matching the
 two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
 n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
-(a_minus, b_plus) and the chain coefficients c (`assemble_system`).
-Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
-chain system K(kappa, omega) z = gamma * (P u_inc).
+(a_minus, b_plus) and the chain coefficients c (its matrix is `_assemble`,
+which the guided-mode detector uses).  Eliminating the continuity and m = 0
+lattice rows by hand leaves the N x N chain system
+K(kappa, omega) z = gamma * (P u_inc).
 
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
@@ -86,25 +87,6 @@ class IncidentField:
     def unit_right(N: int, order: int = 0) -> "IncidentField":
         return IncidentField(np.zeros(N, dtype=complex),
                              _unit_amplitudes(N, order))
-
-    @staticmethod
-    def none(N: int) -> "IncidentField":
-        z = np.zeros(N, dtype=complex)
-        return IncidentField(z, z.copy())
-
-
-@dataclass(frozen=True)
-class ScatteringSystem:
-    """The assembled linear system B X = F.
-
-    Unknown ordering: (a_minus_0..a_minus_{N-1}, b_plus_0.., c_0..).
-    Row ordering: continuity at m=0 (n=0..N-1), the m=0 lattice equation,
-    then the chain equation.
-    """
-
-    B: np.ndarray
-    F: np.ndarray
-    harmonics: HarmonicSet
 
 
 class NonPropagatingIncidenceError(ValueError):
@@ -196,9 +178,11 @@ def _solve_stack(K, rhs, cond_limit):
 
 
 def _assemble(params, kappa, omega, phi, theta):
-    """The 3N x 3N matrix B of the Fourier system (see ScatteringSystem).
+    """The 3N x 3N matrix B of the Fourier system.
 
-    omega may carry leading batch axes, theta then has shape
+    Unknowns (columns): a_minus_0..a_minus_{N-1}, b_plus_0.., c_0..; rows:
+    continuity at m = 0 (n = 0..N-1), the m = 0 lattice equation, then the
+    chain equation.  omega may carry leading batch axes, theta then has shape
     omega.shape + (N,) and B shape omega.shape + (3N, 3N).
     """
     N = params.N
@@ -224,23 +208,6 @@ def _assemble(params, kappa, omega, phi, theta):
                               - waveguide_band_matrix(params, kappa)) @ P
     B[..., 2 * N:, N:2 * N] = -gam[:, None] * P
     return B
-
-
-def assemble_system(params: StructureParams, point: BlochPoint,
-                    incident: IncidentField = None) -> ScatteringSystem:
-    """Build the 3N x 3N system at a Bloch point (the reference for K)."""
-    N = params.N
-    if incident is None:
-        incident = IncidentField.none(N)
-    phi, theta, _ = _classify_off_threshold(N, point.kappa, point.omega)
-    B = _assemble(params, point.kappa, point.omega, phi, theta)
-    P, _ = _fourier(phi)
-    E = np.exp(2j * np.pi * theta)
-    a, b = incident.a_inc, incident.b_inc
-    F = np.concatenate([P @ (b - a), P @ (b * E) - P @ (a / E),
-                        params.gammas * (P @ b)])
-    hs = classify_harmonics(params, point)
-    return ScatteringSystem(B=B, F=F, harmonics=hs)
 
 
 @dataclass(frozen=True)
@@ -396,15 +363,6 @@ def reconstruct_field(sol: ScatteringSolution, m, n):
     u = np.sum(coef * ey, axis=-1)
     z = ey @ sol.c
     return u, z
-
-
-def lattice_residual(sol: ScatteringSolution, m: int, n: int) -> float:
-    """Residual of the bulk lattice equation at an interior site (m != 0)."""
-    omega = sol.point.omega
-    u_c, _ = reconstruct_field(sol, m, n)
-    stencil = sum(reconstruct_field(sol, m + dm, n + dn)[0]
-                  for dm, dn in ((1, 0), (-1, 0), (0, 1), (0, -1)))
-    return abs(omega * u_c - (4.0 * u_c - stencil))
 
 
 def column_flux(sol: ScatteringSolution, m: int) -> float:

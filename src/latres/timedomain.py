@@ -21,9 +21,6 @@ log = logging.getLogger("latres")
 
 # largest relative norm drift `evolve` accepts
 DRIFT_LIMIT = 1e-4
-# hermiticity_residual: the number of random state pairs and their seed
-HERMITICITY_TRIALS = 4
-HERMITICITY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -163,18 +160,3 @@ def gaussian_pulse(params: StructureParams, mx: int, kappa: float,
     trans = np.exp(2j * np.pi * kappa * n / params.N)
     u = np.outer(prof, trans)
     return LatticeState(z=np.zeros(params.N, dtype=complex), u=u, kappa=kappa)
-
-
-def hermiticity_residual(params: StructureParams, kappa: float,
-                         mx: int) -> float:
-    """Max |<H s1, s2> - <s1, H s2>| over HERMITICITY_TRIALS pairs of random
-    unit states."""
-    rng = np.random.default_rng(HERMITICITY_SEED)
-    H = strip_operator(params, kappa, mx)
-    worst = 0.0
-    for _ in range(HERMITICITY_TRIALS):
-        s1, s2 = (rng.standard_normal((2, H.shape[0]))
-                  + 1j * rng.standard_normal((2, H.shape[0])))
-        s1, s2 = s1 / np.linalg.norm(s1), s2 / np.linalg.norm(s2)
-        worst = max(worst, abs(np.vdot(H @ s1, s2) - np.vdot(s1, H @ s2)))
-    return worst

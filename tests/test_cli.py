@@ -13,6 +13,8 @@ import latres
 from latres.cli import main
 from latres.resonance import peak_dip_curves
 
+ERROR_SCHEMA = Path(__file__).resolve().parent.parent / "docs/schemas/error.json"
+
 
 @pytest.fixture()
 def config1(tmp_path, fixture1):
@@ -41,9 +43,36 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-def test_missing_config_exits(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["bands", "--kappa-grid=0,0.5,3"])
+def _error_doc(capsys):
+    """The last stderr line, validated against the error.json schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    jsonschema.validate(err, json.loads(ERROR_SCHEMA.read_text()))
+    return err
+
+
+def test_missing_config_exits(capsys):
+    assert main(["bands", "--kappa-grid=0,0.5,3"]) == 2
+    assert _error_doc(capsys) == {
+        "error": "ValueError",
+        "message": "a --config JSON file with the structure is required"}
+
+
+@pytest.mark.parametrize("gammas, window, argv, message", [
+    ([1.0, 1.0], "0.0,0.3,0.7,1.2", [], "no guided mode found in the window"),
+    ([1.0, 7.0], "0.02,0.11,0.93,1.02", ["--mode-index=5"],
+     "mode index 5 out of range (1 found)"),
+    ([1.0, 7.0], "0.02,0.11,0.93,1.02", ["--mode-index=-1"],
+     "mode index -1 out of range (1 found)"),
+])
+def test_mode_not_found_exit_code(tmp_path, capsys, gammas, window, argv,
+                                  message):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(dict(N=2, masses=[2, 1], springs=[1, 1],
+                                    gammas=gammas)))
+    assert main(["dispersion", "--config", str(path), f"--window={window}",
+                 "--density=60"] + argv) == 2
+    assert _error_doc(capsys) == {"error": "ValueError", "message": message}
 
 
 def test_regions_csv(config1, tmp_path):

@@ -13,7 +13,8 @@ from latres.structure import (BlochPoint, StructureParams, ThresholdError,
 from latres.scattering import _chain_kernel_derivatives, scan_transmission
 from latres.guided import (EigenvalueTracker, _sigma_min_row,
                            continue_and_fit_dispersion, find_guided_modes,
-                           guided_mode_criteria_n2, sigma_min)
+                           sigma_min)
+from oracles import guided_mode_criteria_n2
 
 MODE1_KAPPA = 0.06167366437892
 MODE1_OMEGA = 0.97916666666667

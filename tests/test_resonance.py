@@ -8,7 +8,7 @@ import pytest
 
 from latres import BlochPoint, StructureParams, resonance
 from latres.guided import (ConvergenceError, continue_and_fit_dispersion,
-                           find_guided_modes, guided_mode_criteria_n2)
+                           find_guided_modes)
 from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
                                solve_scattering)
 from latres.structure import _classify
@@ -16,6 +16,7 @@ from latres.resonance import (_window_root, approx_error_sup,
                               approx_transmission, enhancement_scan,
                               find_bifurcation, fit_anomaly, peak_dip_curves,
                               trace_branch)
+from oracles import guided_mode_criteria_n2
 
 GAMMA0_STAR = 1.0296335133904082
 # the benchmark's seed-0 branch couplings on fixture 1
@@ -250,8 +251,8 @@ def test_approx_transmission_limits(anomaly1):
 
 
 def test_model_error_halves_with_window(fixture1, anomaly1):
-    e_full = approx_error_sup(fixture1, anomaly1, 0.004, variant="two_sided")
-    e_half = approx_error_sup(fixture1, anomaly1, 0.002, variant="two_sided")
+    e_full = approx_error_sup(fixture1, anomaly1, 0.004)
+    e_half = approx_error_sup(fixture1, anomaly1, 0.002)
     ratio = e_half / e_full
     assert 0.35 <= ratio <= 0.65
 

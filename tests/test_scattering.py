@@ -11,9 +11,9 @@ from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
                               ambient_dispersion, classify_harmonics)
 from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
-                               assemble_system, column_flux, lattice_residual,
-                               reconstruct_field, scan_transmission,
-                               solve_row, solve_scattering)
+                               column_flux, reconstruct_field,
+                               scan_transmission, solve_row, solve_scattering)
+from oracles import assemble_system, lattice_residual
 
 POINT = BlochPoint(0.2, 1.5)
 MODE1_KAPPA = 0.06167366437892

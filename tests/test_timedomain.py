@@ -5,9 +5,9 @@ import logging
 import numpy as np
 import pytest
 
+from latres.structure import StructureParams, strip_operator
 from latres.timedomain import (LatticeState, antisymmetrize, apply_omega,
-                               evolve, gaussian_pulse, hermiticity_residual,
-                               rk4_step)
+                               evolve, gaussian_pulse, rk4_step)
 
 
 def test_state_validation():
@@ -18,8 +18,13 @@ def test_state_validation():
 
 
 def test_generator_is_hermitian(fixture1):
-    for kappa in (0.0, 0.23):
-        assert hermiticity_residual(fixture1, kappa, mx=10) < 1e-12
+    # entrywise, on fixture 1 and on an N = 3 structure with complex gamma
+    n3 = StructureParams(3, [1.0, 2.0, 1.5], [1.0, 0.7, 1.3],
+                         [1.0, 2.0 - 1.0j, 0.5j])
+    for params in (fixture1, n3):
+        for kappa in (0.0, 0.23):
+            H = strip_operator(params, kappa, 10)
+            assert abs(H - H.conj().T).max() <= 1e-15
 
 
 def test_rk4_norm_drift(fixture1):
