@@ -218,7 +218,7 @@ def cmd_anomaly(args):
         ws = -afit.slope * kt + np.linspace(-half, half, 11)
         row = solve_row(params, afit.kappa0 + kt, afit.omega0 + ws,
                         strict=True)
-        t_model = approx_transmission(afit, kt, ws, "two_sided")
+        t_model = approx_transmission(afit, kt, ws)
         rows += [(afit.kappa0 + kt, om, T, tm)
                  for om, T, tm in zip(row.omega, row.T, t_model)]
     _csv(args.out, "kappa,omega,T_direct,T_approx", rows)

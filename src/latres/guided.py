@@ -27,8 +27,7 @@ import numpy as np
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _classify, _classify_off_threshold, propagating_count)
-from .scattering import (_assemble, _chain_kernel, _chain_kernel_derivatives,
-                         _chunks)
+from .scattering import _assemble, _chain_kernel_derivatives, _chunks
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -179,37 +178,29 @@ def _polish(params, kappa, omega, reach):
     h, solved = _continued_h(params, (kappa, complex(omega), 0.0, None))
     h(kappa)  # omega_gm at the candidate seeds the bracket ends
     lo, hi = kappa - reach, kappa + reach
-    h_lo, h_hi = h(lo), h(hi)
     step, tried_zero = reach, False
     for _ in range(GROW_STEPS + 1):
         if lo < 0.0 < hi and not tried_zero:
             tried_zero = True
             h(0.0)
-            om = solved[-1][1]
+            om = solved[0.0][1]
             if abs(om.imag) <= STANDING_IM_TOL * abs(om):
                 return 0.0, om, _h_slope(h, 0.0)
             if kappa >= 0.0:
                 lo = SIDE_OFFSET * reach
-                h_lo = h(lo)
             else:
                 hi = -SIDE_OFFSET * reach
-                h_hi = h(hi)
-        if min(abs(h_lo), abs(h_hi)) <= H_FLOOR:
+        if min(abs(h(lo)), abs(h(hi))) <= H_FLOOR:
             return None
-        if h_lo * h_hi < 0.0:
+        if h(lo) * h(hi) < 0.0:
             kap0 = brentq(h, lo, hi, xtol=1e-15)
             h(kap0)
-            om0 = solved[-1][1]
-            return kap0, om0, _h_slope(h, kap0)
+            return kap0, solved[kap0][1], _h_slope(h, kap0)
         step *= 2.0
-        if h_hi > 0.0:
-            lo, h_lo = hi, h_hi
-            hi += step
-            h_hi = h(hi)
+        if h(hi) > 0.0:
+            lo, hi = hi, hi + step
         else:
-            hi, h_hi = lo, h_lo
-            lo -= step
-            h_lo = h(lo)
+            lo, hi = lo - step, lo
     return None
 
 
@@ -222,20 +213,23 @@ def _h_slope(h, kappa):
 def _continued_h(params, start):
     """h(kappa) = Im d omega_gm / d kappa on one structure, and its points.
 
-    Points are (kappa, omega_gm, d omega_gm / d kappa, eigenvector).  Each
-    solve continues from the nearest point solved so far along its tangent,
-    the first from start (of any structure; eigenvector None: the smallest).
+    Points are (kappa, omega_gm, d omega_gm / d kappa, eigenvector), held in
+    a dict by kappa: each kappa is solved once, and h answers a solved kappa
+    from it.  Each solve continues from the nearest point solved so far
+    along its tangent, the first from start (of any structure; eigenvector
+    None: the smallest).
     """
-    tracker, solved = EigenvalueTracker(params), []
+    tracker, solved = EigenvalueTracker(params), {}
 
     def h(kappa):
-        k1, om1, slope1, v1 = min(solved or [start],
-                                  key=lambda p: abs(p[0] - kappa))
-        tracker.reset(v1)
-        om = tracker.solve_omega(kappa, om1 + slope1 * (kappa - k1))
-        slope = -tracker.d_kappa / tracker.d_omega
-        solved.append((kappa, om, slope, tracker.eigenvector()))
-        return slope.imag
+        if kappa not in solved:
+            k1, om1, slope1, v1 = min(solved.values() or [start],
+                                      key=lambda p: abs(p[0] - kappa))
+            tracker.reset(v1)
+            om = tracker.solve_omega(kappa, om1 + slope1 * (kappa - k1))
+            solved[kappa] = (kappa, om, -tracker.d_kappa / tracker.d_omega,
+                             tracker.eigenvector())
+        return solved[kappa][2].imag
 
     return h, solved
 
@@ -306,12 +300,14 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
             continue
         seen.append((kap0, om0))
         vec, labels = null_vector(params, BlochPoint(kap0, om0))
+        # a tracker without a reference takes the smallest |eigenvalue| of K
+        lam = EigenvalueTracker(params).value(kap0, om0)
         modes.append(GuidedMode(
             kappa0=float(kap0), omega0=float(om0), sigma=float(sig),
             null_vector=vec, null_labels=tuple(labels),
             region_size=propagating_count(params, kap0, om0),
             im_omega=float(abs(om_gm.imag)),
-            min_eigenvalue=_min_abs_eigenvalue(params, kap0, om0),
+            min_eigenvalue=float(abs(lam)),
             h_prime=float(h_prime)))
     modes.sort(key=lambda m: (m.kappa0, m.omega0))
     certificates = "; ".join(
@@ -394,13 +390,6 @@ class EigenvalueTracker:
         raise ConvergenceError(
             f"eigenvalue Newton did not converge at kappa={kappa}: "
             f"|lambda| = {abs(val):.2e} after {NEWTON_STEPS} steps")
-
-
-def _min_abs_eigenvalue(params, kappa, omega):
-    """Smallest |eigenvalue| of K at one point."""
-    phi, theta, _ = _classify_off_threshold(params.N, kappa, omega)
-    K, *_ = _chain_kernel(params, kappa, omega, phi, theta)
-    return float(np.min(np.abs(np.linalg.eigvals(K))))
 
 
 @dataclass(frozen=True)

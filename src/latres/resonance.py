@@ -41,6 +41,9 @@ GAMMA_STEP = 1e-3
 GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
 BRANCH_KAPPA_MAX = 0.2
+# brentq's stop on a branch kappa0: near gamma0* h' is about 1e-6 and h
+# carries roundoff of about 1e-16, so kappa0 is known to about 1e-10
+BRANCH_XTOL = 1e-10
 
 log = logging.getLogger("latres")
 
@@ -247,39 +250,30 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
         eta=eta, ordering_sign=ordering)
 
 
-def approx_transmission(fit: AnomalyFit, kt, wt, variant: str = "one_sided"):
-    """Closed-form local transmission model.
+def approx_transmission(fit: AnomalyFit, kt, wt):
+    """Closed-form local transmission model: the energy-balanced two-sided form.
 
-    one_sided: T = t_bg |wt + slope*kt + dip_curvature*kt^2|
-                   / |wt + slope*kt + curvature*kt^2| * |1 + bg_slope*wt|.
-    two_sided: the energy-balanced form with both peak and dip quadratics and
-    the eta background.
+    T^2 = t_bg^2 dip^2 (1 + eta*wt)^2
+          / (r_bg^2 peak^2 + t_bg^2 dip^2 (1 + eta*wt)^2),
+    with dip = wt + slope*kt + dip_curvature*kt^2 and peak the same with
+    peak_curvature; T = t_bg where both vanish.
     """
     kt = np.asarray(kt, dtype=float)
     wt = np.asarray(wt, dtype=float)
     num_lin = wt + fit.slope * kt
-    if variant == "one_sided":
-        num = np.abs(num_lin + fit.dip_curvature * kt ** 2)
-        den = np.abs(num_lin + fit.curvature * kt ** 2)
-        out = np.where(den == 0.0, fit.t_bg,
-                       fit.t_bg * np.divide(num, np.where(den == 0, 1.0, den))
-                       * np.abs(1.0 + fit.bg_slope * wt))
-        return out if out.ndim else float(out)
-    if variant == "two_sided":
-        num = (fit.t_bg ** 2 * np.abs(num_lin + fit.dip_curvature * kt ** 2) ** 2
-               * np.abs(1.0 + fit.eta * wt) ** 2)
-        den = (fit.r_bg ** 2 * np.abs(num_lin + fit.peak_curvature * kt ** 2) ** 2
-               + num)
-        out = np.where(den == 0.0, fit.t_bg, np.sqrt(np.divide(
-            num, np.where(den == 0, 1.0, den))))
-        return out if out.ndim else float(out)
-    raise ValueError(f"unknown variant {variant!r}")
+    num = (fit.t_bg ** 2 * np.abs(num_lin + fit.dip_curvature * kt ** 2) ** 2
+           * np.abs(1.0 + fit.eta * wt) ** 2)
+    den = (fit.r_bg ** 2 * np.abs(num_lin + fit.peak_curvature * kt ** 2) ** 2
+           + num)
+    out = np.where(den == 0.0, fit.t_bg, np.sqrt(np.divide(
+        num, np.where(den == 0, 1.0, den))))
+    return out if out.ndim else float(out)
 
 
 def approx_error_sup(params: StructureParams, fit: AnomalyFit,
                      kt_max: float) -> float:
     """Sup of |T_model - T_direct| over the anomaly window of half-width
-    kt_max, with the two-sided model."""
+    kt_max."""
     worst = 0.0
     for kt in np.linspace(-kt_max, kt_max, ERROR_SUP_KT):
         if abs(kt) < 0.05 * kt_max:
@@ -288,7 +282,7 @@ def approx_error_sup(params: StructureParams, fit: AnomalyFit,
         ws = -fit.slope * kt + np.linspace(-half, half, ERROR_SUP_OMEGA)
         t_direct = np.abs(_row_pairs(params, fit.kappa0 + kt,
                                      fit.omega0 + ws)[1])
-        t_model = approx_transmission(fit, kt, ws, "two_sided")
+        t_model = approx_transmission(fit, kt, ws)
         worst = max(worst, float(np.max(np.abs(t_model - t_direct))))
     return worst
 
@@ -346,7 +340,7 @@ def _critical_coupling(params, gamma0_bracket):
         h, solved = _continued_h(params.replace_gamma(0, g0), point)
         h(0.0)
         f = _h_slope(h, 0.0)
-        point, solves = solved[0], solves + len(solved)
+        point, solves = solved[0.0], solves + len(solved)
         return f
 
     g_old, g = (lo + hi) / 2, (lo + hi) / 2 + GAMMA_STEP
@@ -386,10 +380,11 @@ def trace_branch(params: StructureParams, gamma0_values,
     BRANCH_KAPPA_MAX, raises RuntimeError.  Outwards from gamma0*, each
     kappa0 is the root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0),
     continued from the last, bracketed by (1e-6, 1e-3) with its top doubled
-    until h changes sign, then around the square-root law; the law is fitted
-    on a log-log scale.  A DEBUG line on the `latres` logger gives gamma0*,
-    omega0*, |Im omega_gm(0)|, d Im(curvature) / d gamma0, the tracker solve
-    count and each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
+    until h changes sign, then around the square-root law, and solved by
+    brentq to BRANCH_XTOL; the law is fitted on a log-log scale.  A DEBUG
+    line on the `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)|,
+    d Im(curvature) / d gamma0, the tracker solve count (distinct kappa per
+    structure) and each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
     """
     from scipy.optimize import brentq
 
@@ -410,16 +405,14 @@ def trace_branch(params: StructureParams, gamma0_values,
             g1, k1, _ = samples[-1]
             guess = k1 * np.sqrt((g0 - g_star) / (g1 - g_star))
             lo, hi = guess / 2.0, guess * 2.0
-        h_lo, h_hi = h(lo), h(hi)
-        while h_lo * h_hi > 0.0:
+        while h(lo) * h(hi) > 0.0:
             hi *= 2.0
             if hi > BRANCH_KAPPA_MAX:
                 raise RuntimeError(f"no branch point for gamma0={g0} below "
                                    f"kappa={BRANCH_KAPPA_MAX}")
-            h_hi = h(hi)
-        kap0 = brentq(h, lo, hi, xtol=1e-13)
+        kap0 = brentq(h, lo, hi, xtol=BRANCH_XTOL)
         h(kap0)
-        point = solved[-1]
+        point = solved[kap0]
         samples.append((float(g0), float(kap0), float(point[1].real)))
         if log.isEnabledFor(logging.DEBUG):  # h' costs two more solves
             certificates.append((g0, kap0, abs(point[1].imag),

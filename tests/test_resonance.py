@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from latres import BlochPoint, StructureParams, resonance
-from latres.guided import (ConvergenceError, continue_and_fit_dispersion,
-                           find_guided_modes)
+from latres.guided import (ConvergenceError, EigenvalueTracker,
+                           continue_and_fit_dispersion, find_guided_modes)
 from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
                                solve_scattering)
 from latres.structure import _classify
@@ -239,15 +239,25 @@ def test_anomaly_fit_raises_on_rank_deficient_jacobian(fixture1, mode1, fit1,
 
 
 def test_approx_transmission_limits(anomaly1):
-    # far from the resonance the model returns the background level
-    t_far = approx_transmission(anomaly1, 0.004, 0.0, variant="one_sided")
-    assert 0.0 <= t_far <= 1.0
-    # at the dip curve the model vanishes
-    kt = 0.003
-    wt = -anomaly1.slope * kt - anomaly1.dip_curvature * kt ** 2
-    assert approx_transmission(anomaly1, kt, wt, "one_sided") < 1e-10
-    with pytest.raises(ValueError):
-        approx_transmission(anomaly1, 0.0, 0.0, variant="nope")
+    # T = 1 on the peak curve and T = 0 on the dip curve
+    for kt in (-0.004, -0.001, 0.002, 0.005):
+        lin = -anomaly1.slope * kt
+        peak = approx_transmission(anomaly1, kt,
+                                   lin - anomaly1.peak_curvature * kt ** 2)
+        dip = approx_transmission(anomaly1, kt,
+                                  lin - anomaly1.dip_curvature * kt ** 2)
+        assert abs(peak - 1.0) <= 1e-12
+        assert dip <= 1e-12
+    # at the mode both quadratics vanish and the model returns t_bg
+    assert approx_transmission(anomaly1, 0.0, 0.0) == anomaly1.t_bg
+    # a grid across the anomaly: wt runs over +-4 |curvature| kt^2 around
+    # the line wt = -slope kt
+    kt = np.linspace(-0.006, 0.006, 25)[:, None]
+    wt = -anomaly1.slope * kt + np.linspace(-1.0, 1.0, 81) * (
+        4.0 * abs(anomaly1.curvature) * kt ** 2)
+    T = approx_transmission(anomaly1, kt, wt)
+    assert T.shape == (25, 81)
+    assert np.all((0.0 <= T) & (T <= 1.0))
 
 
 def test_model_error_halves_with_window(fixture1, anomaly1):
@@ -363,3 +373,21 @@ def test_branch_logs_certificates(fixture1, caplog):
         in lines[0]
     for g0, kap0, _ in branch.samples:
         assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
+
+
+def test_each_kappa_solved_once(fixture1, monkeypatch):
+    # within one continued h no kappa is solved twice: brentq's bracket ends
+    # and each root's point are read back from the solves already made
+    solves = []
+    solve_omega = EigenvalueTracker.solve_omega
+
+    def recording(tracker, kappa, omega_seed):
+        solves.append((tracker, kappa))  # held, so no tracker id is reused
+        return solve_omega(tracker, kappa, omega_seed)
+
+    monkeypatch.setattr(EigenvalueTracker, "solve_omega", recording)
+    find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=80)
+    trace_branch(fixture1, BENCH_GAMMAS[:3], gamma0_bracket=(0.8, 1.3))
+    keys = [(id(tracker), kappa) for tracker, kappa in solves]
+    assert len(solves) > 0
+    assert len(set(keys)) == len(keys)
