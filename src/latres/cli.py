@@ -9,6 +9,7 @@ variable selects the logging level (DEBUG/INFO/WARNING/...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -372,7 +373,10 @@ def cmd_validate(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The latres parser, built once per process: every parse_args call
+    returns a fresh Namespace, and no default is a mutable object."""
     ap = argparse.ArgumentParser(
         prog="latres",
         description="Scattering, guided modes, and resonances of a periodic "

@@ -101,11 +101,9 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
     boundary row, (u_halo - u_boundary) + (boundary map on the trace)
     = the matching normal-difference data of the incident field, which per
     propagating order reduces to -2i sin(2 pi theta_l) times its boundary
-    value.  Raises ThresholdError on a threshold curve.
+    value.  Raises ThresholdError on a threshold curve and ValueError for
+    M < 2, both before scipy loads.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     N = params.N
     if incident is None:
         incident = IncidentField.unit_left(N)
@@ -116,6 +114,8 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
         M = default_truncation(hs)
     if M < 2:
         raise ValueError("truncation half-width M must be >= 2")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     phi, theta, prop = hs.phi, hs.theta, list(hs.propagating)
 

@@ -67,10 +67,10 @@ def _window_root(params, kappa, center, halfw, which):
     r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where det K_t = 0
     and T = 1 where the real det [[K_t, w], [w^H, 0]] = -det K_t g = 0.  A
     DEBUG line on the `latres` logger gives the root, brentq's evaluations
-    and its final bracket width.
+    and its final bracket width.  A window whose ends do not have order 0
+    as the only propagating order, or where the determinant keeps one sign,
+    is refused before scipy loads.
     """
-    from scipy.optimize import brentq
-
     N, last = params.N, {True: np.nan, False: np.nan}
 
     @functools.cache  # brentq starts from the two ends checked below
@@ -93,6 +93,8 @@ def _window_root(params, kappa, center, halfw, which):
     if det(lo) * det(hi) > 0.0:
         raise RuntimeError(f"omega_{which}'s determinant keeps one sign at "
                            f"kappa={kappa} over omega in [{lo}, {hi}]")
+    from scipy.optimize import brentq
+
     root, info = brentq(det, lo, hi, xtol=1e-16, full_output=True)
     log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d brentq "
               "evaluations, final bracket %.2e", which, kappa, root,
@@ -376,29 +378,33 @@ def trace_branch(params: StructureParams, gamma0_values,
     """Follow the mode pair from the bifurcation point away in gammas[0].
 
     The branch lies on the side g_curvature_sign = -sign(d Im(curvature) /
-    d gamma0) of gamma0*; a gamma0 on the other side, or with no root below
-    BRANCH_KAPPA_MAX, raises RuntimeError.  Outwards from gamma0*, each
-    kappa0 is the root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0),
-    continued from the last, bracketed by (1e-6, 1e-3) with its top doubled
-    until h changes sign, then around the square-root law, and solved by
-    brentq to BRANCH_XTOL; the law is fitted on a log-log scale.  A DEBUG
-    line on the `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)|,
-    d Im(curvature) / d gamma0, the tracker solve count (distinct kappa per
-    structure) and each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
+    d gamma0) of gamma0*.  A gamma0 on the other side raises RuntimeError
+    before any branch solve, so the refusal loads no scipy; a gamma0 with no
+    root below BRANCH_KAPPA_MAX raises it when its own solve gets there.
+    Outwards from gamma0*, each kappa0 is the root on kappa > 0 of
+    h = Im d omega_gm / d kappa (h(0) = 0), continued from the last,
+    bracketed by (1e-6, 1e-3) with its top doubled until h changes sign,
+    then around the square-root law, and solved by brentq to BRANCH_XTOL;
+    the law is fitted on a log-log scale.  A DEBUG line on the `latres`
+    logger gives gamma0*, omega0*, |Im omega_gm(0)|, d Im(curvature) /
+    d gamma0, the tracker solve count (distinct kappa per structure) and
+    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
     """
-    from scipy.optimize import brentq
-
     if gamma0_bracket is None:
         gmin = min(gamma0_values)
         gamma0_bracket = (gmin - 0.5, max(gamma0_values) + 0.5)
     g_star, star, h_prime_slope, solves = _critical_coupling(params,
                                                              gamma0_bracket)
     sign = int(np.sign(h_prime_slope))  # d Im(curvature) = -d h'(0) / 2
-    point, samples, certificates = star, [], []
-    for g0 in sorted(gamma0_values, reverse=(sign < 0)):
+    outwards = sorted(gamma0_values, reverse=(sign < 0))
+    for g0 in outwards:
         if np.sign(g0 - g_star) != sign:
             raise RuntimeError(f"no branch point for gamma0={g0}: the branch "
                                f"lies on the other side of gamma0*={g_star}")
+    from scipy.optimize import brentq
+
+    point, samples, certificates = star, [], []
+    for g0 in outwards:
         h, solved = _continued_h(params.replace_gamma(0, g0), point)
         lo, hi = 1e-6, 1e-3
         if samples:  # within 2x of the square-root law from the last one

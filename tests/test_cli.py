@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import latres
-from latres.cli import main
+from latres.cli import build_parser, main
 from latres.resonance import peak_dip_curves
 
 ERROR_SCHEMA = Path(__file__).resolve().parent.parent / "docs/schemas/error.json"
@@ -132,16 +132,22 @@ import latres, latres.cli
 config = sys.argv[1]
 doc = {"import": sorted(m for m in ("scipy.optimize", "scipy.sparse")
                         if m in sys.modules)}
-for argv in (["scan", "--kappa-grid=0.1,0.3,3", "--omega-grid=1.2,1.8,4"],
-             ["scatter", "--kappa=0.2", "--omega=1.5"],
-             ["bands", "--kappa-grid=0,0.5,3"],
-             ["regions", "--kappa-grid=0,0.5,3", "--omega-grid=0,8,3"],
-             ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn"]):
+# the refusals run before the dtn solve, which loads scipy.sparse
+for name, argv in (
+        ("scan", ["scan", "--kappa-grid=0.1,0.3,3", "--omega-grid=1.2,1.8,4"]),
+        ("scatter", ["scatter", "--kappa=0.2", "--omega=1.5"]),
+        ("bands", ["bands", "--kappa-grid=0,0.5,3"]),
+        ("regions", ["regions", "--kappa-grid=0,0.5,3", "--omega-grid=0,8,3"]),
+        ("bifurcate refused",
+         ["bifurcate", "--gamma0-min=1.0", "--gamma0-max=1.03"]),
+        ("scatter --method=dtn refused",
+         ["scatter", "--kappa=0", "--omega=4", "--method=dtn"]),
+        ("scatter --method=dtn",
+         ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn"])):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = latres.cli.main(argv[:1] + ["--config", config] + argv[1:])
-    doc[" ".join(argv[:1] + argv[3:])] = [
-        rc, sorted(m for m in ("scipy", "scipy.sparse", "scipy.optimize")
-                   if m in sys.modules)]
+    doc[name] = [rc, sorted(m for m in ("scipy", "scipy.sparse",
+                                        "scipy.optimize") if m in sys.modules)]
 print(json.dumps(doc))
 """
 
@@ -157,7 +163,33 @@ def test_cli_loads_scipy_only_where_called(config1):
     assert doc.pop("import") == []
     assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
     assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
-                   "regions": [0, []]}
+                   "regions": [0, []], "bifurcate refused": [2, []],
+                   "scatter --method=dtn refused": [2, []]}
+
+
+def test_cached_parser_reused(config1, capsys):
+    """The parser is built once per process, and a request answers the same
+    on the first call, after a usage error and after another subcommand."""
+    build_parser.cache_clear()
+    argv = ["scatter", "--config", config1, "--kappa=0.2", "--omega=1.5"]
+
+    def scatter():
+        rc = main(argv)
+        return rc, capsys.readouterr().out
+
+    first = scatter()
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", "--config", config1, "--omega=1.5"])
+    assert exc.value.code == 2
+    assert "--kappa" in capsys.readouterr().err
+    after_usage_error = scatter()
+    assert main(["bands", "--config", config1, "--kappa-grid=0,0.5,3"]) == 0
+    assert capsys.readouterr().out.startswith("kappa,band_0,band_1")
+    after_bands = scatter()
+    assert first[0] == 0 and '"method": "fourier"' in first[1]
+    assert after_usage_error == first
+    assert after_bands == first
 
 
 def test_scatter_threshold_error_exit_code(config1):
