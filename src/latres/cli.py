@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--window", required=True,
                    help="kappa_min,kappa_max,omega_min,omega_max")
-    p.add_argument("--density", type=int, default=400)
+    p.add_argument("--density", type=int, default=400,
+                   help="kappa rows of the crossing search")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_guided)
 
@@ -435,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p)
         p.add_argument("--window", required=True)
-        p.add_argument("--density", type=int, default=400)
+        p.add_argument("--density", type=int, default=400,
+                       help="kappa rows of the crossing search")
         p.add_argument("--mode-index", type=int, default=0)
         if name == "dispersion":
             p.add_argument("--radius", type=float, default=0.004)

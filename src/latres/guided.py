@@ -2,11 +2,10 @@
 
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
-system, restricted to the evanescent and chain unknowns, becomes singular.
-`find_guided_modes` detects candidates on a coarse sigma_min grid, evaluated
-one kappa row at a time: the 3N system is assembled for the whole row at
-once, its points grouped by propagating set (which fixes the deleted
-columns) and each group takes one stacked SVD.
+system, restricted to the evanescent and chain unknowns, becomes singular;
+equivalently K_H z = 0 and W^H z = 0 (`scattering._hermitian_kernel`).
+`find_guided_modes` takes its candidates from the zero crossings of K_H's
+eigenvalues, which Sylvester's inertia counts in each threshold region.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
 kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
 whose local quadratic expansion drives every resonance quantity downstream.
@@ -26,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
-                        _classify, _classify_off_threshold, propagating_count)
-from .scattering import _assemble, _chain_kernel_derivatives, _chunks
+                        _classify_off_threshold, _thresholds,
+                        propagating_count)
+from .scattering import (_assemble, _chain_kernel_derivatives, _chunks,
+                         _hermitian_kernel)
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -43,11 +44,13 @@ GROW_STEPS = 4
 # |h| at or below which its sign is roundoff (h vanishes where K is
 # Hermitian)
 H_FLOOR = 1e-12
-# sigma_min below which a local minimum of the coarse grid is a candidate
-COARSE_TOL = 0.05
+# how far inside its thresholds a region is probed; |chi| - 1 moves half as
+# far, well outside THRESHOLD_TOL
+PROBE_OFFSET = 1e-7
 # eigenvector overlap below which the tracker reports a lost track
 OVERLAP_MIN = 0.7
-# the tracker's Newton: |lambda| stop, step limit; the kappa step of h'
+# the tracker's and the crossings' Newton: |lambda| stop (relative to
+# max(1, ||K_H||) for the crossings), step limit; the kappa step of h'
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
 H_SLOPE_DELTA = 1e-6
@@ -64,51 +67,20 @@ class ConvergenceError(RuntimeError):
     """An iteration ran out of steps before meeting its stopping test."""
 
 
-def _kept_columns(N, prop):
-    """Labels and indices of the 3N system's columns kept for the mask prop.
+def _reduced_homogeneous(params, kappa, omega):
+    """The homogeneous 3N system without its propagating outgoing columns.
 
-    Kept are the evanescent a_minus, the evanescent b_plus, then every c;
-    each label is (kind, order).
+    Returns the 3N x (3N - 2 |P|) matrix and the label (kind, order) of each
+    kept column: the evanescent a_minus, the evanescent b_plus, then every c.
     """
+    N = params.N
+    _, theta, prop = _classify_off_threshold(N, kappa, omega)
     labels = ([("a_minus", l) for l in range(N) if not prop[l]]
               + [("b_plus", l) for l in range(N) if not prop[l]]
               + [("c", l) for l in range(N)])
     offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
-    return labels, [offset[kind] + l for kind, l in labels]
-
-
-def _reduced_homogeneous(params, kappa, omega):
-    """The homogeneous 3N system without its propagating outgoing columns.
-
-    Returns the 3N x (3N - 2 |P|) matrix and the label of each kept column.
-    """
-    phi, theta, prop = _classify_off_threshold(params.N, kappa, omega)
-    labels, cols = _kept_columns(params.N, prop)
-    return _assemble(params, kappa, omega, phi, theta)[:, cols], labels
-
-
-def _sigma_min_row(params, kappa, omegas):
-    """sigma_min at one real kappa over real omegas; inf at thresholds.
-
-    The 3N system is assembled for the row at once (in chunks of at most
-    STACK_BYTES); its points are grouped by propagating set, which fixes
-    the deleted columns, and each group takes one stacked SVD.
-    """
-    N = params.N
-    phi, theta, prop, thr = _classify(N, kappa, omegas)
-    # the propagating set of each point as a bit pattern; -1 at thresholds
-    key = np.where(thr.any(axis=-1), -1, prop @ (1 << np.arange(N)))
-    sigma = np.full(len(omegas), np.inf)
-    for part in _chunks(len(omegas), 16 * 9 * N * N):
-        B = _assemble(params, kappa, omegas[part], phi, theta[part])
-        for k in np.unique(key[part]):
-            if k < 0:
-                continue
-            members = np.flatnonzero(key[part] == k)
-            _, cols = _kept_columns(N, prop[part.start + members[0]])
-            sv = np.linalg.svd(B[members][..., cols], compute_uv=False)
-            sigma[part.start + members] = sv[:, -1] / sv[:, 0]
-    return sigma
+    cols = [offset[kind] + l for kind, l in labels]
+    return _assemble(params, kappa, omega, theta)[:, cols], labels
 
 
 def sigma_min(params: StructureParams, point: BlochPoint) -> float:
@@ -156,7 +128,7 @@ class GuidedMode:
 
 
 def _polish(params, kappa, omega, reach):
-    """The mode a coarse-grid candidate (kappa, omega) points to.
+    """The mode a candidate (kappa, omega) points to.
 
     Returns (kappa0, omega_gm(kappa0), h'(kappa0)), with omega_gm complex,
     or None when the candidate leads to no mode.  Without a propagating
@@ -234,48 +206,121 @@ def _continued_h(params, start):
     return h, solved
 
 
+def _crossings(params, kappas, wmin, wmax):
+    """Every zero crossing of K_H's eigenvalues on kappa rows in [wmin, wmax].
+
+    In a threshold region each sorted eigenvalue lambda_j of K_H rises, so
+    it crosses 0 at most once, and does when j lies between the counts of
+    negative eigenvalues (Sylvester's inertia) at the region's ends, probed
+    PROBE_OFFSET inside.  All crossings are then solved in one active-set
+    loop of Newton steps on lambda_j with the slope v^H K_H' v
+    (Hellmann-Feynman), bisecting the bracket where a step would leave it or
+    not halve the last step, until |lambda_j| <= NEWTON_TOL max(1, ||K_H||)
+    or the step is at most 4 eps |omega|; stacks go in STACK_BYTES chunks.
+    Returns the regions probed and, per crossing: row, region (each order's
+    state, 0 below its band, 1 in it, 2 above, as base-3 digits), j, nprop,
+    omega, q = ||W^H v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and
+    its Newton steps.
+    """
+    N = params.N
+    kappas = np.asarray(kappas, dtype=float)
+    thr = _thresholds(N, kappas)
+    ends = np.sort(thr, axis=-1)
+    edge = np.full((len(kappas), 1), np.inf)
+    lo = np.maximum(np.concatenate([-edge, ends], axis=1) + PROBE_OFFSET, wmin)
+    hi = np.minimum(np.concatenate([ends, edge], axis=1) - PROBE_OFFSET, wmax)
+    row, reg = np.nonzero(lo < hi)
+    lo, hi = lo[row, reg], hi[row, reg]
+    mid = (lo + hi)[:, None] / 2.0
+    state = (mid > thr[row, :N]).astype(int) + (mid > thr[row, N:])
+    # the bytes of one point's stacked matrices: K_H, dK_H, W, A, P, ...
+    item = 8 * 16 * N * N
+    neg = np.empty((len(row), 2), dtype=int)
+    for part in _chunks(len(row), 2 * item)[:len(row)]:  # none if no region
+        K_H = _hermitian_kernel(params, kappas[row[part], None],
+                                np.column_stack([lo[part], hi[part]]))[0]
+        neg[part] = np.sum(np.linalg.eigvalsh(K_H) < 0.0, axis=-1)
+    count = np.maximum(neg[:, 0] - neg[:, 1], 0)
+    at = np.repeat(np.arange(len(row)), count)
+    j = neg[at, 1] + np.arange(len(at)) - np.repeat(np.cumsum(count) - count,
+                                                    count)
+    kap, a, b = kappas[row[at]], lo[at], hi[at]
+    om, dx = (a + b) / 2.0, b - a
+    q, steps = np.zeros(len(at)), np.zeros(len(at), dtype=int)
+    active = np.arange(len(at))
+    for _ in range(NEWTON_STEPS):
+        if not active.size:
+            break
+        steps[active] += 1
+        done = np.empty(active.size, dtype=bool)
+        for part in _chunks(active.size, item):
+            p = active[part]
+            K_H, dK_H, W, _ = _hermitian_kernel(params, kap[p], om[p])
+            lam, V = np.linalg.eigh(K_H)
+            f, v = lam[np.arange(len(p)), j[p]], V[np.arange(len(p)), :, j[p]]
+            a[p] = np.where(f < 0.0, om[p], a[p])
+            b[p] = np.where(f > 0.0, om[p], b[p])
+            step = f / np.einsum("pi,pik,pk->p", v.conj(), dK_H(), v).real
+            # a converged step is taken even where it rounds onto the bracket
+            small = ((np.abs(f) <= NEWTON_TOL * np.maximum(
+                          1.0, np.abs(lam).max(axis=-1)))
+                     | (np.abs(step) <= 4.0 * EPS * np.abs(om[p])))
+            bisect = ~small & ((om[p] - step <= a[p]) | (om[p] - step >= b[p])
+                               | (np.abs(step) > 0.5 * dx[p]))
+            dx[p] = np.where(bisect, (b[p] - a[p]) / 2.0, np.abs(step))
+            om[p] = np.where(bisect, (a[p] + b[p]) / 2.0, om[p] - step)
+            norm = np.linalg.norm(W, axis=(-2, -1))
+            q[p] = np.divide(np.linalg.norm(np.einsum(
+                "pil,pi->pl", W.conj(), v), axis=-1), norm,
+                out=np.zeros(len(p)), where=norm > 0.0)
+            done[part] = small | (dx[p] <= 4.0 * EPS * np.abs(om[p]))
+        active = active[~done]
+    if active.size:
+        raise ConvergenceError(
+            f"crossing Newton did not converge at kappa={kap[active[0]]}: "
+            f"{active.size} crossings left after {NEWTON_STEPS} steps")
+    return len(row), {"row": row[at], "j": j, "omega": om, "q": q,
+                      "region": (state @ 3 ** np.arange(N))[at],
+                      "nprop": np.sum(state == 1, axis=-1)[at], "steps": steps}
+
+
 def find_guided_modes(params: StructureParams, window, density: int = 400,
                       tol: float = 1e-8):
-    """Scan sigma_min over a window and polish its deep local minima.
+    """Polish the candidates among K_H's zero crossings on density kappa rows.
 
-    window = (kappa_min, kappa_max, omega_min, omega_max).  The coarse
-    density x density grid takes one stacked sigma_min evaluation per kappa
-    row; its local minima below COARSE_TOL are the candidates.  Each is
+    window = (kappa_min, kappa_max, omega_min, omega_max).  The crossings
+    from `_crossings` are linked along kappa into branches by region and
+    eigenvalue index; the candidates are the points of a branch with a
+    propagating order where q = ||W^H v|| / ||W|| (0 at a mode) is no
+    larger than at its neighbours, and every point without one.  Each is
     polished on the chain kernel K with its exact derivatives: Newton in
     complex omega follows the zero omega_gm(kappa) of K's tracked
     eigenvalue, and a bracketed root of h(kappa) = Im d omega_gm / d kappa
-    within two grid steps of the candidate gives kappa0 (at kappa = 0 a
+    within two row steps of the candidate gives kappa0 (at kappa = 0 a
     standing mode is tried first).  Candidates without a propagating order
     lie on the robust branch, a curve of modes, and are solved in omega at
-    their grid kappa.  A polished mode is kept when (kappa0, Re omega_gm)
+    their row's kappa.  A polished mode is kept when (kappa0, Re omega_gm)
     lies in the window and sigma_min there falls below tol; candidates
     whose polish fails or ends elsewhere are rejected.  +-kappa duplicates
     are then merged (the representative has kappa0 >= 0).  Each mode
     carries its certificate: |Im omega_gm(kappa0)|, the smallest
     |eigenvalue| of K, h'(kappa0) and sigma_min.  A DEBUG line on the
-    `latres` logger counts the grid and threshold points, the candidates,
-    those rejected or merged, and the modes, and lists each mode's
-    certificate.
+    `latres` logger counts the kappa rows, regions probed, crossings solved
+    and their most Newton steps, the candidates, those rejected or merged,
+    and the modes, and lists each mode's certificate.
     """
     kmin, kmax, wmin, wmax = window
     kappas = np.linspace(kmin, kmax, density)
-    omegas = np.linspace(wmin, wmax, density)
-    grid = np.empty((density, density))
-    for i, kap in enumerate(kappas):
-        grid[i] = _sigma_min_row(params, kap, omegas)
-
-    candidates = []
-    interior = grid[1:-1, 1:-1]
-    is_min = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            is_min &= interior <= grid[1 + di:density - 1 + di,
-                                       1 + dj:density - 1 + dj]
-    ii, jj = np.where(is_min & (interior < COARSE_TOL))
-    for i, j in zip(ii + 1, jj + 1):
-        candidates.append((kappas[i], omegas[j]))
+    probed, cross = _crossings(params, kappas, wmin, wmax)
+    branch = cross["region"] * params.N + cross["j"]
+    order = np.lexsort((cross["row"], branch))
+    branch, q = branch[order], cross["q"][order]
+    pick = cross["nprop"][order] == 0
+    pick[1:-1] |= ((branch[1:-1] == branch[:-2]) & (branch[1:-1] == branch[2:])
+                   & (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))
+    pick = order[pick]
+    pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
+    candidates = zip(kappas[cross["row"][pick]], cross["omega"][pick])
 
     reach = 2.0 * (kmax - kmin) / max(density - 1, 1)
     modes = []
@@ -314,12 +359,12 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         f"({m.kappa0:.15g}, {m.omega0:.15g}): |Im omega_gm| {m.im_omega:.2g}"
         f", min|eig K| {m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
         f"sigma_min {m.sigma:.2g}" for m in modes)
-    log.debug("guided-mode search: %d grid points, %d threshold, %d "
-              "candidates, %d rejected, %d merged as duplicates, "
-              "certificates [%s], %d modes", grid.size,
-              int(np.sum(np.isinf(grid))), len(candidates), rejected,
-              len(candidates) - rejected - len(modes), certificates,
-              len(modes))
+    log.debug("guided-mode search: %d kappa rows, %d regions probed, %d "
+              "crossings solved, at most %d Newton steps, %d candidates, %d "
+              "rejected, %d merged as duplicates, certificates [%s], %d "
+              "modes", density, probed, len(cross["omega"]),
+              cross["steps"].max(initial=0), len(pick), rejected,
+              len(pick) - rejected - len(modes), certificates, len(modes))
     return modes
 
 

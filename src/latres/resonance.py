@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import BlochPoint, StructureParams, _classify_off_threshold
+from .structure import BlochPoint, StructureParams, _thresholds
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
-                         _chain_kernel, solve_row, solve_scattering)
-from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
-                     _continued_h, _h_slope, _sigma_min_row)
+                         _fourier, _hermitian_kernel, solve_row,
+                         solve_scattering)
+from .guided import (EPS, PROBE_OFFSET, ConvergenceError, DispersionFit,
+                     GuidedMode, _continued_h, _crossings, _h_slope)
 
-# half-width of the peak/dip search window in units of |curvature| kt^2
-PEAK_DIP_WINDOW_SCALE = 10.0
 # step limit of the two-sided anomaly model's Gauss-Newton fit
 ANOMALY_GN_STEPS = 30
 # approx_error_sup: kt samples, omega samples, window half-width scale
@@ -57,49 +56,74 @@ def _row_pairs(params, kappa, omegas):
     return row.a_minus[:, 0], row.b_plus[:, 0]
 
 
-def _window_root(params, kappa, center, halfw, which):
-    """omega of T = 1 ('a') or T = 0 ('b') in center +- halfw, by brentq.
+def _window_root(params, kappa, omega):
+    """(omega_a, omega_b): the T = 1 and the T = 0 point next to omega.
 
     With order 0 the only propagating order, K_t = K + w w^H / (N s_0),
-    w = gamma * P[:, 0], is K without order 0's radiation term; it is
-    Hermitian, as P^-1 = P^H / N and the other s_l are real.  By the matrix
+    w = gamma * P[:, 0], is `_hermitian_kernel`'s K_H.  By the matrix
     determinant lemma and Sherman-Morrison, t_0 = det K_t / det K and
-    r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where det K_t = 0
-    and T = 1 where the real det [[K_t, w], [w^H, 0]] = -det K_t g = 0.  A
-    DEBUG line on the `latres` logger gives the root, brentq's evaluations
-    and its final bracket width.  A window whose ends do not have order 0
-    as the only propagating order, or where the determinant keeps one sign,
-    is refused before scipy loads.
+    r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where
+    det K_t = 0, and T = 1 where det [[K_t, w], [w^H, 0]] = -det K_t g =
+    -||w||^2 det K_c = 0, K_c = Q^H K_t Q with Q an orthonormal basis of
+    w's complement.  The eigenvalues of K_t and K_c rise with slope at
+    least 1, so the one nearest 0 at omega, lambda, crosses 0 between omega
+    and omega - lambda.  brentq finds each root on that bracket, widened by
+    the eigenvalues' roundoff and cut to omega's threshold region (probed
+    PROBE_OFFSET inside), once Sylvester's inertia at its ends counts
+    exactly one crossing.  A DEBUG line on the `latres` logger gives each
+    root, brentq's evaluations and its final bracket width.  A point where
+    order 0 is not the only propagating order, or a bracket without exactly
+    one crossing, is refused before scipy loads.
     """
-    N, last = params.N, {True: np.nan, False: np.nan}
-
-    @functools.cache  # brentq starts from the two ends checked below
-    def det(omega):
-        phi, theta, prop = _classify_off_threshold(N, kappa, omega)
+    @functools.cache  # the inertia checks and brentq share their points
+    def kernel(omega):
+        K_t, _, _, prop = _hermitian_kernel(params, kappa, omega)
         if not prop[0] or prop.sum() > 1:
             error = ValueError if prop[0] else NonPropagatingIncidenceError
             raise error(f"T = 1 and T = 0 need order 0 to be the only "
                         f"propagating order; orders {np.flatnonzero(prop)} "
                         f"propagate at (kappa={kappa}, omega={omega})")
-        K, P, _, s = _chain_kernel(params, kappa, omega, phi, theta)
-        w = params.gammas * P[:, 0]
-        K_t = K + np.outer(w, w.conj()) / (N * s[0])
-        M = np.concatenate([np.column_stack([K_t, w]), [[*w.conj(), 0.0]]])
-        d = np.linalg.det(M if which == "a" else K_t).real
-        last[d > 0.0] = omega  # brentq's bracket ends at the last of each sign
-        return d
+        return Q.conj().T @ K_t @ Q, K_t
 
-    lo, hi = center - halfw, center + halfw
-    if det(lo) * det(hi) > 0.0:
-        raise RuntimeError(f"omega_{which}'s determinant keeps one sign at "
-                           f"kappa={kappa} over omega in [{lo}, {hi}]")
-    from scipy.optimize import brentq
+    def root(which):
+        def matrix(x):
+            return kernel(x)["ab".index(which)]
 
-    root, info = brentq(det, lo, hi, xtol=1e-16, full_output=True)
-    log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d brentq "
-              "evaluations, final bracket %.2e", which, kappa, root,
-              info.function_calls, abs(last[True] - last[False]))
-    return float(root)
+        here = np.linalg.eigvalsh(matrix(omega))
+        lam = min(here, key=abs, default=0.0)
+        # eigenvalues carry roundoff of about eps ||K||: the bracket reaches
+        # that far past the slope bound, and past omega where lam is in it
+        tol = 64.0 * EPS * max(1.0, np.abs(here).max(initial=0.0))
+        far = min(max(omega - lam - np.copysign(tol, lam), lo), hi)
+        near = omega if abs(lam) > tol else omega + np.copysign(tol, lam)
+        ends = sorted((near, far))
+        crossings = np.subtract(*(np.sum(np.linalg.eigvalsh(matrix(x)) < 0.0)
+                                  for x in ends))
+        if crossings != 1:
+            raise RuntimeError(f"omega_{which}'s matrix has {crossings} zero "
+                               f"crossings at kappa={kappa} over "
+                               f"[{ends[0]}, {ends[1]}], not one")
+        last = {True: np.nan, False: np.nan}
+
+        def det(x):
+            d = np.linalg.det(matrix(x)).real
+            last[d > 0.0] = x  # brentq's bracket ends at the last of each sign
+            return d
+
+        from scipy.optimize import brentq
+
+        x, info = brentq(det, *ends, xtol=1e-16, full_output=True)
+        log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d "
+                  "brentq evaluations, final bracket %.2e", which, kappa, x,
+                  info.function_calls, abs(last[True] - last[False]))
+        return float(x)
+
+    w = params.gammas * _fourier(params.N, kappa)[0][:, 0]
+    Q = np.linalg.svd(w[:, None])[0][:, 1:]
+    t = _thresholds(params.N, kappa)
+    lo = t[t < omega].max(initial=-np.inf) + PROBE_OFFSET
+    hi = t[t > omega].min(initial=np.inf) - PROBE_OFFSET
+    return root("a"), root("b")
 
 
 @dataclass(frozen=True)
@@ -119,8 +143,8 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
                     fit: DispersionFit, kt_samples=None) -> PeakDipCurves:
     """Root-find omega_a (reflection zero) and omega_b (transmission zero).
 
-    The search window for each kt is centered on the continued dispersion
-    curve's real part, half-width PEAK_DIP_WINDOW_SCALE |curvature| kt^2.
+    At each kt both are the roots next to the continued dispersion curve's
+    real part (`_window_root`).
     """
     if kt_samples is None:
         kt_samples = np.concatenate([np.linspace(-0.006, -0.00075, 8),
@@ -129,10 +153,7 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
     oa, ob, tpk, tdp = [], [], [], []
     for kt in kt_samples:
         center = mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
-        halfw = max(PEAK_DIP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2,
-                    1e-9)
-        wa = _window_root(params, mode.kappa0 + kt, center, halfw, "a")
-        wb = _window_root(params, mode.kappa0 + kt, center, halfw, "b")
+        wa, wb = _window_root(params, mode.kappa0 + kt, center)
         oa.append(wa)
         ob.append(wb)
         t_a, t_b = np.abs(_row_pairs(params, mode.kappa0 + kt, [wa, wb])[1])
@@ -328,14 +349,19 @@ def _critical_coupling(params, gamma0_bracket):
     """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, solve count.
 
     gamma0* is the root of Im(curvature) = -h'(0)/2 in gamma0 = gammas[0],
-    found by a secant from the bracket midpoint (omega starts at sigma_min's
-    minimum at kappa = 0) and a point GAMMA_STEP above; each gamma0
-    continues omega_gm(0) from the last.
+    found by a secant from the bracket midpoint and a point GAMMA_STEP
+    above; each gamma0 continues omega_gm(0) from the last.  omega starts at
+    the crossing of K_H's eigenvalues at kappa = 0, omega in [0.05, 3.95],
+    with the smallest q (`_crossings`) at the midpoint.
     """
     lo, hi = gamma0_bracket
-    omegas = np.linspace(0.05, 3.95, 160)
-    sigma = _sigma_min_row(params.replace_gamma(0, (lo + hi) / 2), 0.0, omegas)
-    point, solves = (0.0, complex(omegas[np.argmin(sigma)]), 0.0, None), 0
+    _, cross = _crossings(params.replace_gamma(0, (lo + hi) / 2), [0.0],
+                          0.05, 3.95)
+    q = np.where(cross["nprop"] > 0, cross["q"], np.inf)
+    if not np.isfinite(q).any():
+        raise RuntimeError("no crossing of K_H with a propagating order at "
+                           "kappa = 0 to start the critical coupling from")
+    point, solves = (0.0, complex(cross["omega"][np.argmin(q)]), 0.0, None), 0
 
     def h_prime(g0):
         nonlocal point, solves

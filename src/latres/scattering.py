@@ -21,6 +21,7 @@ on a row of one point, so the two agree point by point by construction.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -93,15 +94,20 @@ class NonPropagatingIncidenceError(ValueError):
     """Incident amplitude on an order that does not propagate."""
 
 
-def _fourier(phi):
-    """P[n, l] = e^{2 pi i phi_l n} and, as the phi_l differ by l/N, its
-    inverse P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N if kappa is real)."""
-    n = np.arange(len(phi))
-    return (np.exp(2j * np.pi * (n[:, None] * phi)),
-            np.exp(-2j * np.pi * (phi[:, None] * n)) / len(phi))
+@functools.lru_cache(maxsize=64)  # a tracker asks for one kappa many times
+def _fourier(N, kappa):
+    """P[n, l] = e^{2 pi i phi_l n}, phi_l = (kappa + l) / N, and, as the phi_l
+    differ by l/N, its inverse P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N
+    if kappa is real); read-only, as callers share them."""
+    phi = (kappa + np.arange(N)) / N
+    n = np.arange(N)
+    P = np.exp(2j * np.pi * (n[:, None] * phi))
+    Pinv = np.exp(-2j * np.pi * (phi[:, None] * n)) / N
+    P.flags.writeable = Pinv.flags.writeable = False
+    return P, Pinv
 
 
-def _chain_kernel(params, kappa, omega, phi, theta):
+def _chain_kernel(params, kappa, omega, theta):
     """The reduced chain matrix K, P, P^-1 and s = 2i sin 2 pi theta.
 
     K = omega - A(kappa) - diag(gamma) P diag(1/s) P^-1 diag(conj gamma), with
@@ -110,7 +116,7 @@ def _chain_kernel(params, kappa, omega, phi, theta):
     omega.shape + (N, N); P and P^-1 depend on kappa only.
     """
     N = params.N
-    P, Pinv = _fourier(phi)
+    P, Pinv = _fourier(N, kappa)
     s = 2j * np.sin(TWO_PI * theta)
     gam = params.gammas
     K = (np.asarray(omega)[..., None, None] * np.eye(N)
@@ -134,7 +140,7 @@ def _chain_kernel_derivatives(params, kappa, omega):
     """
     N = params.N
     phi, theta, _ = _classify_off_threshold(N, kappa, omega)
-    K, P, Pinv, s = _chain_kernel(params, kappa, omega, phi, theta)
+    K, P, Pinv, s = _chain_kernel(params, kappa, omega, theta)
     gam = params.gammas
     s_om = 1j / np.tan(TWO_PI * theta)
     outer = gam[:, None] * np.conj(gam)
@@ -150,6 +156,40 @@ def _chain_kernel_derivatives(params, kappa, omega):
                                  - (P * (s_kap / s ** 2)) @ Pinv)
 
     return K, K_om, K_kappa
+
+
+def _hermitian_kernel(params, kappa, omega):
+    """K_H, a function forming dK_H / d omega, W and the propagating mask.
+
+    kappa and omega are real arrays of one shape S, one point per entry;
+    the matrices have shape S + (N, N).  K_H = K + sum_{l in P} w_l w_l^H /
+    (N s_l), w_l = gamma * P[:, l], is K without the radiation terms of the
+    propagating orders P, and W holds their w_l (zero columns elsewhere).
+    As P^-1 = P^H / N and s_l is real on a decaying order, K_H is Hermitian,
+    and dK_H / d omega = I + sum_{l not in P} (s_l' / s_l^2) w_l w_l^H / N
+    with s_l' / s_l^2 > 0, so each eigenvalue rises with slope at least 1.
+    A and P are built once per distinct kappa.
+    """
+    N = params.N
+    kappa, omega = np.broadcast_arrays(np.asarray(kappa, dtype=float),
+                                       np.asarray(omega, dtype=float))
+    _, theta, prop = _classify_off_threshold(N, kappa, omega)
+    rows = {}  # each distinct kappa and its index
+    at = [rows.setdefault(k, len(rows)) for k in kappa.ravel().tolist()]
+    A, P = (np.array(m)[at].reshape(kappa.shape + (N, N)) for m in zip(*(
+        (waveguide_band_matrix(params, k), _fourier(N, k)[0]) for k in rows)))
+    V = params.gammas[:, None] * P  # the w_l of every order
+    Vh = V.conj().swapaxes(-1, -2)
+    # 1 / (N s_l), s_l = 2i sin 2 pi theta_l, on the decaying orders only
+    inv_s = np.where(prop, 0.0, -0.5j / (N * np.sin(TWO_PI * theta)))
+
+    def dK_H():  # s_l' = i cot 2 pi theta_l
+        s_om = 1j / np.tan(TWO_PI * theta)
+        return np.eye(N) + (V * (N * s_om * inv_s ** 2)[..., None, :]) @ Vh
+
+    return (omega[..., None, None] * np.eye(N) - A
+            - (V * inv_s[..., None, :]) @ Vh, dK_H, V * prop[..., None, :],
+            prop)
 
 
 def _solve_stack(K, rhs, cond_limit):
@@ -177,7 +217,7 @@ def _solve_stack(K, rhs, cond_limit):
     return z, cond, near
 
 
-def _assemble(params, kappa, omega, phi, theta):
+def _assemble(params, kappa, omega, theta):
     """The 3N x 3N matrix B of the Fourier system.
 
     Unknowns (columns): a_minus_0..a_minus_{N-1}, b_plus_0.., c_0..; rows:
@@ -187,7 +227,7 @@ def _assemble(params, kappa, omega, phi, theta):
     """
     N = params.N
     omega = np.asarray(omega)
-    P, _ = _fourier(phi)
+    P, _ = _fourier(N, kappa)
     E = np.exp(2j * np.pi * theta)[..., None, :]
     gam = params.gammas
 
@@ -255,7 +295,7 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     NaN.
     """
     N, gam = params.N, params.gammas
-    phi, theta, prop, thr = classified
+    _, theta, prop, thr = classified
     a_inc, b_inc = incident.a_inc, incident.b_inc
     om = omega
     bad = thr | (((a_inc != 0) | (b_inc != 0)) > prop)
@@ -273,7 +313,7 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         om, theta, prop = om[ok], theta[ok], prop[ok]
 
     u_inc = a_inc + b_inc
-    K, P, Pinv, s = _chain_kernel(params, kappa, om, phi, theta)
+    K, P, Pinv, s = _chain_kernel(params, kappa, om, theta)
     z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
     U = u_inc + (Pinv @ (np.conj(gam) * z)[..., None])[..., 0] / s
     a_minus, b_plus = U - a_inc, U - b_inc

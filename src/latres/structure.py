@@ -203,7 +203,8 @@ def _classify(N, kappa, omega):
     Returns (phi, theta, prop, thr) with phi_l = (kappa + l) / N and theta,
     prop and thr of shape omega.shape + (N,), prop and thr the masks of the
     propagating and the threshold orders.  Real omega may be a scalar or an
-    array: an order within THRESHOLD_TOL of chi = +-1 is a threshold,
+    array, and real kappa an array of omega's shape too (phi then gets that
+    shape + (N,)): an order within THRESHOLD_TOL of chi = +-1 is a threshold,
     theta = 0 or 1/2; an order with |chi| < 1 propagates,
     theta = arccos(chi) / 2 pi; the others decay,
     theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  At a complex
@@ -213,7 +214,7 @@ def _classify(N, kappa, omega):
     and at real kappa each continued propagating order is checked against
     the sign law.
     """
-    phi = (kappa + np.arange(N)) / N
+    phi = (np.asarray(kappa)[..., None] + np.arange(N)) / N
     real_kappa = not (isinstance(kappa, complex) and kappa.imag != 0.0)
     if not real_kappa or isinstance(omega, complex) and omega.imag != 0.0:
         # The principal arccos already continues the propagating branch; for
@@ -240,7 +241,8 @@ def _classify(N, kappa, omega):
                 theta[l] = cand - np.floor(np.real(cand))
         return phi, theta, prop, np.zeros(N, dtype=bool)
 
-    chi = np.subtract.outer((4.0 - omega) / 2.0, np.cos(TWO_PI * phi)).real
+    chi = (np.asarray((4.0 - omega) / 2.0)[..., None]
+           - np.cos(TWO_PI * phi)).real
     mag = np.abs(chi)
     # exact for |chi| in [1/2, 2], so that gap <= -tol is |chi| < 1 off the
     # thresholds
@@ -254,8 +256,16 @@ def _classify(N, kappa, omega):
     return phi, theta, prop, thr
 
 
+def _thresholds(N, kappa):
+    """The frequencies 2 - 2 cos 2 pi phi_l, then 6 - 2 cos 2 pi phi_l, where
+    chi_l = +-1 at real kappa; shape kappa.shape + (2N,)."""
+    c = 2.0 * np.cos(TWO_PI * ((np.asarray(kappa)[..., None] + np.arange(N))
+                               / N))
+    return np.concatenate([2.0 - c, 6.0 - c], axis=-1)
+
+
 def _classify_off_threshold(N, kappa, omega):
-    """_classify at one point, refusing it when an order is a threshold."""
+    """_classify, refusing the points when an order is a threshold."""
     phi, theta, prop, thr = _classify(N, kappa, omega)
     if thr.any():
         raise ThresholdError(

@@ -31,10 +31,10 @@ class ScatteringSystem:
 def assemble_system(params: StructureParams, point: BlochPoint,
                     incident: IncidentField) -> ScatteringSystem:
     """Build the 3N x 3N system at a Bloch point (the reference for K)."""
-    phi, theta, _ = _classify_off_threshold(params.N, point.kappa,
-                                            point.omega)
-    B = _assemble(params, point.kappa, point.omega, phi, theta)
-    P, _ = _fourier(phi)
+    _, theta, _ = _classify_off_threshold(params.N, point.kappa,
+                                          point.omega)
+    B = _assemble(params, point.kappa, point.omega, theta)
+    P, _ = _fourier(params.N, point.kappa)
     E = np.exp(2j * np.pi * theta)
     a, b = incident.a_inc, incident.b_inc
     F = np.concatenate([P @ (b - a), P @ (b * E) - P @ (a / E),

@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq
 
 import latres.scattering
-from latres.structure import (BlochPoint, StructureParams, ThresholdError,
-                              waveguide_bands)
-from latres.scattering import _chain_kernel_derivatives, scan_transmission
-from latres.guided import (EigenvalueTracker, _sigma_min_row,
+from latres.structure import (BlochPoint, StructureParams, _classify,
+                              _thresholds, waveguide_bands)
+from latres.scattering import (_chain_kernel_derivatives, _hermitian_kernel,
+                               scan_transmission)
+from latres.guided import (PROBE_OFFSET, EigenvalueTracker, _crossings,
                            continue_and_fit_dispersion, find_guided_modes,
                            sigma_min)
 from oracles import guided_mode_criteria_n2
@@ -137,48 +139,43 @@ def _row_with_thresholds(params, kappa, omegas):
     return np.sort(np.concatenate([omegas, edges[inside]]))
 
 
-@pytest.mark.parametrize("which, window, crosses", [
-    ("fixture1", (-0.5, 0.5, 0.7, 1.25), True),
-    ("n3_params", (-0.05, 0.05, 1.1, 1.3), False),
-])
-def test_sigma_min_row_matches_scalar(which, window, crosses, request):
-    # the coarse grid's stacked sigma_min, one kappa row at a time, against
-    # the scalar sigma_min that the tol check and criterion 02 use; threshold
-    # points (none in the N=3 window) are inf in the row and raise
-    # ThresholdError in the scalar
-    params = request.getfixturevalue(which)
-    thresholds = 0
-    for kap in np.linspace(window[0], window[1], 9):
-        omegas = _row_with_thresholds(params, kap,
-                                      np.linspace(window[2], window[3], 41))
-        row = _sigma_min_row(params, kap, omegas)
-        for om, got in zip(omegas, row):
-            try:
-                want = sigma_min(params, BlochPoint(kap, om))
-            except ThresholdError:
-                assert got == np.inf
-                thresholds += 1
-                continue
-            assert abs(got - want) <= 1e-14
-    assert (thresholds > 0) == crosses
-
-
-def test_rows_split_into_chunks_match(fixture1, n3_params, monkeypatch):
-    # a chunk limit far below one row's stack must leave every scan row and
-    # every sigma_min value bit for bit as the unsplit run
+def test_rows_split_into_chunks_match(fixture1, monkeypatch):
+    # a chunk limit far below one row's stack must leave every scan row bit
+    # for bit as the unsplit run
     kappas = np.linspace(-0.5, 0.5, 5)
     omegas = _row_with_thresholds(fixture1, 0.0, np.linspace(0.5, 4.5, 61))
 
     def run():
         rows = scan_transmission(fixture1, kappas, omegas)
         numbers = np.array([r[:5] for r in rows], dtype=float)
-        sig = np.array([_sigma_min_row(p, kap, omegas)
-                        for p in (fixture1, n3_params) for kap in kappas])
-        return numbers.tobytes(), [r[5] for r in rows], sig.tobytes()
+        return numbers.tobytes(), [r[5] for r in rows]
 
     whole = run()
     monkeypatch.setattr(latres.scattering, "STACK_BYTES", 1000)
     assert run() == whole
+
+
+def test_mode_search_split_into_chunks_match(fixture1, n3_params,
+                                             monkeypatch):
+    # with a chunk limit of about one point per stack the crossing search
+    # returns the same modes, bit for bit: criterion 01's window at the
+    # benchmark's density (the embedded pair, the robust branch and two
+    # regions on some rows) and the N = 3 standing mode
+    def run():
+        found = []
+        for params, window, density in (
+                (fixture1, (-0.5, 0.5, 0.7, 1.25), 60),
+                (n3_params, (-0.05, 0.05, 1.1, 1.3), 40)):
+            for m in find_guided_modes(params, window, density=density):
+                found.append((m.kappa0, m.omega0, m.sigma, m.im_omega,
+                              m.min_eigenvalue, m.h_prime,
+                              m.null_vector.tobytes()))
+        return found
+
+    whole = run()
+    monkeypatch.setattr(latres.scattering, "STACK_BYTES", 1000)
+    assert run() == whole
+    assert len(whole) > 2
 
 
 def test_mode_search_logs_counts(fixture1, caplog):
@@ -186,13 +183,71 @@ def test_mode_search_logs_counts(fixture1, caplog):
     modes = find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=30)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
     assert len(lines) == 1
-    assert lines[0].startswith("guided-mode search: 900 grid points, ")
+    assert lines[0].startswith("guided-mode search: 30 kappa rows, 30 regions "
+                               "probed, 30 crossings solved, at most ")
+    assert " Newton steps, 1 candidates, 0 rejected, 0 merged as " \
+        "duplicates, " in lines[0]
     assert lines[0].endswith(f", {len(modes)} modes")
     m = modes[0]
     assert (f"certificates [({m.kappa0:.15g}, {m.omega0:.15g}): "
             f"|Im omega_gm| {m.im_omega:.2g}, min|eig K| "
             f"{m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
             f"sigma_min {m.sigma:.2g}]") in lines[0]
+
+
+_unit = st.floats(0.5, 2.0)
+
+
+@st.composite
+def _hermitian_cases(draw):
+    """A structure with N in 1..8 and complex couplings, a real kappa and
+    real omegas at least 1e-6 from every threshold."""
+    N = draw(st.integers(1, 8))
+    gammas = [complex(draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)))
+              for _ in range(N)]
+    params = StructureParams(N, draw(st.lists(_unit, min_size=N, max_size=N)),
+                             draw(st.lists(_unit, min_size=N, max_size=N)),
+                             gammas)
+    kappa = draw(st.floats(-0.5, 0.5))
+    omegas = np.array(draw(st.lists(st.floats(-0.5, 8.5), min_size=1,
+                                    max_size=4)))
+    gap = np.abs(omegas[:, None] - _thresholds(N, kappa)).min(axis=-1)
+    assume(gap.min() >= 1e-6)
+    return params, kappa, omegas
+
+
+@given(_hermitian_cases())
+def test_hermitian_kernel_property(case):
+    # K_H is Hermitian and dK_H / d omega - I is positive semidefinite at
+    # real points; on the whole spectrum at kappa every threshold region
+    # holds as many crossings as the inertia of K_H at its ends counts, each
+    # a zero of an eigenvalue of K_H
+    params, kappa, omegas = case
+    K_H, dK_H, W, prop = _hermitian_kernel(params, kappa, omegas)
+    dK_H = dK_H()
+    scale = np.maximum(1.0, np.abs(K_H).max(axis=(-2, -1)))
+    assert np.all(np.abs(K_H - K_H.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+                  <= 1e-13 * scale)
+    assert np.all(np.linalg.eigvalsh(dK_H - np.eye(params.N)).min(axis=-1)
+                  >= -1e-12 * np.abs(dK_H).max(axis=(-2, -1)))
+    assert np.array_equal(prop, _classify(params.N, kappa, omegas)[2])
+    assert np.array_equal(W != 0, np.broadcast_to(prop[..., None, :],
+                                                  W.shape))
+
+    _, cross = _crossings(params, [kappa], -0.5, 8.5)
+    ends = np.concatenate([[-np.inf], np.sort(_thresholds(params.N, kappa)),
+                           [np.inf]])
+    for a, b in zip(ends[:-1], ends[1:]):
+        lo, hi = max(a + PROBE_OFFSET, -0.5), min(b - PROBE_OFFSET, 8.5)
+        if lo >= hi:
+            continue
+        neg = [np.sum(np.linalg.eigvalsh(
+            _hermitian_kernel(params, kappa, x)[0]) < 0.0) for x in (lo, hi)]
+        roots = cross["omega"][(cross["omega"] > lo) & (cross["omega"] < hi)]
+        assert len(roots) == neg[0] - neg[1]
+        for x in roots:
+            lam = np.linalg.eigvalsh(_hermitian_kernel(params, kappa, x)[0])
+            assert np.abs(lam).min() <= 1e-11 * max(1.0, np.abs(lam).max())
 
 
 def _differences(f, x, h=1e-5):
@@ -240,6 +295,26 @@ def test_mode_search_raises_no_warning(fixture1):
         modes = find_guided_modes(fixture1, (-0.5, 0.5, 0.7, 1.25),
                                   density=60)
     assert [m.region_size for m in modes].count(1) == 1
+
+
+def test_robust_branch_one_entry_per_row(fixture1):
+    # every kappa row that holds a crossing without a propagating order (the
+    # robust branch) gives one entry; the +-kappa rows merge
+    kappas = np.linspace(-0.5, 0.5, 60)
+    _, cross = _crossings(fixture1, kappas, 0.7, 1.25)
+    rows = np.abs(kappas[np.unique(cross["row"][cross["nprop"] == 0])])
+    robust = [m.kappa0 for m in find_guided_modes(
+        fixture1, (-0.5, 0.5, 0.7, 1.25), density=60) if m.region_size == 0]
+    assert len(robust) >= 2
+    assert np.allclose(sorted(robust), np.unique(rows.round(12)), atol=1e-12)
+
+
+def test_decoupled_standing_mode(decoupled):
+    # with gamma = 0, W = 0 and every crossing meets W^H v = 0 (q = 0), so
+    # the chain's band value 3 at kappa = 0 is found as a standing mode
+    modes = find_guided_modes(decoupled, (-0.1, 0.1, 2.9, 3.1), density=40)
+    assert [(m.kappa0, m.region_size) for m in modes] == [(0.0, 1)]
+    assert abs(modes[0].omega0 - 3.0) <= 1e-12
 
 
 def test_mode1_certificate(mode1, fit1):

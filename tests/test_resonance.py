@@ -80,11 +80,9 @@ def test_background_energy_balance(anomaly1):
     assert anomaly1.bg_slope == pytest.approx(0.76995, abs=1e-3)
 
 
-def _root_window(mode, fit, kt):
-    """The window `peak_dip_curves` searches at kt."""
-    return (mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2,
-            max(resonance.PEAK_DIP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2,
-                1e-9))
+def _center(mode, fit, kt):
+    """The point `peak_dip_curves` brackets both roots from at kt."""
+    return mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
 
 
 def _counted(monkeypatch, name):
@@ -105,31 +103,45 @@ def test_window_root_stops_when_converged(fixture1, mode1, fit1,
     calls = [_counted(monkeypatch, name)
              for name in ("solve_row", "solve_scattering")]
     for kt, want_a, want_b in zip(FROZEN_KT, FROZEN_OMEGA_A, FROZEN_OMEGA_B):
-        for which, want in (("a", want_a), ("b", want_b)):
-            got = _window_root(fixture1, mode1.kappa0 + kt,
-                               *_root_window(mode1, fit1, kt), which)
-            assert abs(got - want) <= 1e-14
+        got_a, got_b = _window_root(fixture1, mode1.kappa0 + kt,
+                                    _center(mode1, fit1, kt))
+        assert abs(got_a - want_a) <= 1e-14
+        assert abs(got_b - want_b) <= 1e-14
     assert calls == [[], []]
+
+
+def test_window_root_near_the_mode(fixture1, mode1, fit1):
+    # as kt -> 0 the eigenvalue that brackets each root falls to roundoff;
+    # both roots still sit within the quadratic term of the curve's real part
+    for kt in (0.0, 1e-9, -1e-7, 1e-6):
+        center = _center(mode1, fit1, kt)
+        for got in _window_root(fixture1, mode1.kappa0 + kt, center):
+            assert abs(got - center) <= 4.0 * abs(fit1.curvature) * kt ** 2 \
+                + 1e-15
 
 
 def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,
                                             monkeypatch):
-    calls = _counted(monkeypatch, "_chain_kernel")
+    calls = _counted(monkeypatch, "_hermitian_kernel")
     caplog.set_level(logging.DEBUG, logger="latres")
     kt = FROZEN_KT[1]
-    got = _window_root(fixture1, mode1.kappa0 + kt,
-                       *_root_window(mode1, fit1, kt), "b")
+    roots = _window_root(fixture1, mode1.kappa0 + kt, _center(mode1, fit1, kt))
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert len(lines) == 1
-    head = (f"window root omega_b at kappa {mode1.kappa0 + kt:.15g}: "
-            f"omega {got:.15g}, ")
-    assert lines[0].startswith(head)
-    evals, width = lines[0][len(head):].split(
-        " brentq evaluations, final bracket ")
-    # brentq's evaluations include the two sign checks at the window's ends
-    assert len(calls) == int(evals)
-    # brentq stops once the bracket is under xtol + 4 eps |omega|
-    assert 0.0 <= float(width) <= 1e-16 + 4.0 * np.finfo(float).eps * got
+    assert len(lines) == 2
+    evals = 0
+    for line, which, got in zip(lines, "ab", roots):
+        head = (f"window root omega_{which} at kappa "
+                f"{mode1.kappa0 + kt:.15g}: omega {got:.15g}, ")
+        assert line.startswith(head)
+        count, width = line[len(head):].split(
+            " brentq evaluations, final bracket ")
+        evals += int(count)
+        # brentq stops once the bracket is under xtol + 4 eps |omega|
+        assert 0.0 <= float(width) <= 1e-16 + 4.0 * np.finfo(float).eps * got
+    # each point is evaluated once: brentq's evaluations include the two
+    # ends of its bracket, which the inertia check evaluated first, and both
+    # brackets start at the given omega
+    assert len(calls) == evals - 1
 
 
 def test_window_root_identities():
@@ -149,7 +161,7 @@ def test_window_root_identities():
             if thr.any() or prop.tolist() != [True] + [False] * (N - 1):
                 continue
             found += 1
-            K, P, _, s = _chain_kernel(params, kappa, omega, phi, theta)
+            K, P, _, s = _chain_kernel(params, kappa, omega, theta)
             w = params.gammas * P[:, 0]
             K_t = K + np.outer(w, w.conj()) / (N * s[0])
             assert (np.max(np.abs(K_t - K_t.conj().T))
@@ -186,17 +198,21 @@ def test_window_root_refuses_two_propagating_orders(fixture1):
     phi, theta, prop, thr = _classify(2, 0.3, 4.0)
     assert prop.all() and not thr.any()
     with pytest.raises(ValueError, match="only propagating order") as exc:
-        _window_root(fixture1, 0.3, 4.0, 1e-3, "a")
+        _window_root(fixture1, 0.3, 4.0)
     assert not isinstance(exc.value, NonPropagatingIncidenceError)
 
 
-def test_window_root_raises_without_sign_change(fixture1, mode1, fit1):
-    # a window just above the dip holds no zero of det K_t
-    kt = FROZEN_KT[1]
-    with pytest.raises(RuntimeError, match="omega_b's determinant keeps one "
-                                           "sign at kappa="):
-        _window_root(fixture1, mode1.kappa0 + kt,
-                     FROZEN_OMEGA_B[1] + 1e-4, 1e-6, "b")
+def test_window_root_refuses_without_one_crossing(fixture1):
+    # at kappa = 0.4 order 0 alone propagates for omega in
+    # (2 - 2 cos 0.4 pi, 2 + 2 cos 0.4 pi), and the T = 1 matrix's
+    # eigenvalue nearest 0 at omega = 2 does not cross 0 in that region
+    phi, theta, prop, thr = _classify(2, 0.4, 2.0)
+    assert prop.tolist() == [True, False] and not thr.any()
+    lo = 2.0 - 2.0 * np.cos(0.4 * np.pi) + resonance.PROBE_OFFSET
+    with pytest.raises(RuntimeError, match=(
+            rf"^omega_a's matrix has 0 zero crossings at kappa=0.4 over "
+            rf"\[{lo}, 2.0\], not one$")):
+        _window_root(fixture1, 0.4, 2.0)
 
 
 def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,
