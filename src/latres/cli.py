@@ -243,6 +243,10 @@ def cmd_anomaly(args):
 def cmd_bifurcate(args):
     params = _params(args)
     grid = np.linspace(args.gamma0_min, args.gamma0_max, args.num)
+    if len(np.unique(grid)) < 2:
+        raise ValueError("bifurcate fits the square-root law to at least two "
+                         "distinct gamma0 values: give --num >= 2 and "
+                         "--gamma0-min != --gamma0-max")
     branch = trace_branch(params, list(grid),
                           gamma0_bracket=(args.gamma0_min - 0.5,
                                           args.gamma0_max + 0.5))

@@ -130,11 +130,10 @@ class GuidedMode:
 def _polish(params, kappa, omega, reach):
     """The mode a candidate (kappa, omega) points to.
 
-    Returns (kappa0, omega_gm(kappa0), h'(kappa0)), with omega_gm complex,
-    or None when the candidate leads to no mode.  Without a propagating
-    order K is Hermitian and its zero set is a curve (the robust branch):
-    only omega is solved, at the candidate's kappa, and h' = 0.  Otherwise
-    kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
+    The candidate has a propagating order (one without lies on the robust
+    branch and is a mode already).  Returns (kappa0, omega_gm(kappa0),
+    h'(kappa0)), with omega_gm complex, or None when the candidate leads to
+    no mode.  kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
     Im omega_gm peaks, continued from the candidate (`_continued_h`).  The
     bracket starts at kappa +- reach and, while h keeps one sign on it,
     steps towards rising Im omega_gm, by a reach that doubles each time, at
@@ -145,8 +144,6 @@ def _polish(params, kappa, omega, reach):
     """
     from scipy.optimize import brentq
 
-    if propagating_count(params, kappa, omega) == 0:
-        return kappa, EigenvalueTracker(params).solve_omega(kappa, omega), 0.0
     h, solved = _continued_h(params, (kappa, complex(omega), 0.0, None))
     h(kappa)  # omega_gm at the candidate seeds the bracket ends
     lo, hi = kappa - reach, kappa + reach
@@ -206,11 +203,14 @@ def _continued_h(params, start):
     return h, solved
 
 
-def _crossings(params, kappas, wmin, wmax):
+def _crossings(params, kappas, wmin, wmax, Q=None):
     """Every zero crossing of K_H's eigenvalues on kappa rows in [wmin, wmax].
 
-    In a threshold region each sorted eigenvalue lambda_j of K_H rises, so
-    it crosses 0 at most once, and does when j lies between the counts of
+    wmin and wmax may be columns, one entry per row.  Given Q (rows x N x
+    (N - 1), orthonormal columns per row), K_H stands for Q^H K_H Q and its
+    omega-derivative for Q^H K_H' Q, which is I plus a PSD matrix too.  In a
+    threshold region each sorted eigenvalue lambda_j of K_H rises, so it
+    crosses 0 at most once, and does when j lies between the counts of
     negative eigenvalues (Sylvester's inertia) at the region's ends, probed
     PROBE_OFFSET inside.  All crossings are then solved in one active-set
     loop of Newton steps on lambda_j with the slope v^H K_H' v
@@ -219,7 +219,7 @@ def _crossings(params, kappas, wmin, wmax):
     or the step is at most 4 eps |omega|; stacks go in STACK_BYTES chunks.
     Returns the regions probed and, per crossing: row, region (each order's
     state, 0 below its band, 1 in it, 2 above, as base-3 digits), j, nprop,
-    omega, q = ||W^H v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and
+    omega, q = ||W^H Q v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and
     its Newton steps.
     """
     N = params.N
@@ -233,18 +233,28 @@ def _crossings(params, kappas, wmin, wmax):
     lo, hi = lo[row, reg], hi[row, reg]
     mid = (lo + hi)[:, None] / 2.0
     state = (mid > thr[row, :N]).astype(int) + (mid > thr[row, N:])
+
+    def compress(M, rows):
+        """M, or Q^H M Q with the Q of each point's row."""
+        if Q is None:
+            return M
+        B = Q[rows]
+        return B.conj().swapaxes(-1, -2) @ M @ B
+
     # the bytes of one point's stacked matrices: K_H, dK_H, W, A, P, ...
     item = 8 * 16 * N * N
     neg = np.empty((len(row), 2), dtype=int)
     for part in _chunks(len(row), 2 * item)[:len(row)]:  # none if no region
         K_H = _hermitian_kernel(params, kappas[row[part], None],
                                 np.column_stack([lo[part], hi[part]]))[0]
-        neg[part] = np.sum(np.linalg.eigvalsh(K_H) < 0.0, axis=-1)
+        neg[part] = np.sum(np.linalg.eigvalsh(compress(K_H, row[part, None]))
+                           < 0.0, axis=-1)
     count = np.maximum(neg[:, 0] - neg[:, 1], 0)
     at = np.repeat(np.arange(len(row)), count)
     j = neg[at, 1] + np.arange(len(at)) - np.repeat(np.cumsum(count) - count,
                                                     count)
-    kap, a, b = kappas[row[at]], lo[at], hi[at]
+    r, a, b = row[at], lo[at], hi[at]  # r: each crossing's row
+    kap = kappas[r]
     om, dx = (a + b) / 2.0, b - a
     q, steps = np.zeros(len(at)), np.zeros(len(at), dtype=int)
     active = np.arange(len(at))
@@ -256,11 +266,14 @@ def _crossings(params, kappas, wmin, wmax):
         for part in _chunks(active.size, item):
             p = active[part]
             K_H, dK_H, W, _ = _hermitian_kernel(params, kap[p], om[p])
-            lam, V = np.linalg.eigh(K_H)
+            lam, V = np.linalg.eigh(compress(K_H, r[p]))
             f, v = lam[np.arange(len(p)), j[p]], V[np.arange(len(p)), :, j[p]]
             a[p] = np.where(f < 0.0, om[p], a[p])
             b[p] = np.where(f > 0.0, om[p], b[p])
-            step = f / np.einsum("pi,pik,pk->p", v.conj(), dK_H(), v).real
+            step = f / np.einsum("pi,pik,pk->p", v.conj(),
+                                 compress(dK_H(), r[p]), v).real
+            if Q is not None:
+                v = np.einsum("pik,pk->pi", Q[r[p]], v)
             # a converged step is taken even where it rounds onto the bracket
             small = ((np.abs(f) <= NEWTON_TOL * np.maximum(
                           1.0, np.abs(lam).max(axis=-1)))
@@ -279,7 +292,7 @@ def _crossings(params, kappas, wmin, wmax):
         raise ConvergenceError(
             f"crossing Newton did not converge at kappa={kap[active[0]]}: "
             f"{active.size} crossings left after {NEWTON_STEPS} steps")
-    return len(row), {"row": row[at], "j": j, "omega": om, "q": q,
+    return len(row), {"row": r, "j": j, "omega": om, "q": q,
                       "region": (state @ 3 ** np.arange(N))[at],
                       "nprop": np.sum(state == 1, axis=-1)[at], "steps": steps}
 
@@ -292,19 +305,20 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     from `_crossings` are linked along kappa into branches by region and
     eigenvalue index; the candidates are the points of a branch with a
     propagating order where q = ||W^H v|| / ||W|| (0 at a mode) is no
-    larger than at its neighbours, and every point without one.  Each is
-    polished on the chain kernel K with its exact derivatives: Newton in
-    complex omega follows the zero omega_gm(kappa) of K's tracked
-    eigenvalue, and a bracketed root of h(kappa) = Im d omega_gm / d kappa
-    within two row steps of the candidate gives kappa0 (at kappa = 0 a
-    standing mode is tried first).  Candidates without a propagating order
-    lie on the robust branch, a curve of modes, and are solved in omega at
-    their row's kappa.  A polished mode is kept when (kappa0, Re omega_gm)
-    lies in the window and sigma_min there falls below tol; candidates
-    whose polish fails or ends elsewhere are rejected.  +-kappa duplicates
-    are then merged (the representative has kappa0 >= 0).  Each mode
-    carries its certificate: |Im omega_gm(kappa0)|, the smallest
-    |eigenvalue| of K, h'(kappa0) and sigma_min.  A DEBUG line on the
+    larger than at its neighbours, and every point without one.  Those with
+    a propagating order are polished on the chain kernel K with its exact
+    derivatives (`_polish`): Newton in complex omega follows the zero
+    omega_gm(kappa) of K's tracked eigenvalue, and a bracketed root of
+    h(kappa) = Im d omega_gm / d kappa within two row steps of the candidate
+    gives kappa0 (at kappa = 0 a standing mode is tried first).  The others
+    lie on the robust branch, a curve of modes where K = K_H, so each is a
+    mode as solved, with Im omega_gm = 0 and h' = 0.  A mode is kept when
+    (kappa0, Re omega_gm) lies in the window and sigma_min there falls below
+    tol; candidates whose polish fails or ends elsewhere are rejected.
+    +-kappa duplicates are then merged (the representative has
+    kappa0 >= 0).  Each mode carries its certificate: |Im omega_gm(kappa0)|,
+    the smallest |eigenvalue| of K, h'(kappa0) and sigma_min.  A DEBUG line
+    on the
     `latres` logger counts the kappa rows, regions probed, crossings solved
     and their most Newton steps, the candidates, those rejected or merged,
     and the modes, and lists each mode's certificate.
@@ -320,15 +334,17 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                    & (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))
     pick = order[pick]
     pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
-    candidates = zip(kappas[cross["row"][pick]], cross["omega"][pick])
+    candidates = zip(kappas[cross["row"][pick]], cross["omega"][pick],
+                     cross["nprop"][pick])
 
     reach = 2.0 * (kmax - kmin) / max(density - 1, 1)
     modes = []
     seen = []
     rejected = 0
-    for kap, om in candidates:
+    for kap, om, nprop in candidates:
         try:
-            found = _polish(params, kap, om, reach)
+            found = (_polish(params, kap, om, reach) if nprop
+                     else (kap, om, 0.0))
         except (ConvergenceError, ThresholdError):
             found = None
         sig = np.inf

@@ -2,10 +2,11 @@
 
 Near a guided mode the transmission swings between exactly 0 and 1 along two
 real-analytic frequency curves omega_a(kappa) (peak) and omega_b(kappa) (dip)
-that emanate from (kappa0, omega0), where two real determinants of the chain
-kernel change sign (see `_window_root`).  Their quadratic expansions, together
-with the complex dispersion curve and a smooth background, reproduce the full
-anomaly through a closed-form approximation.  The chain amplitude at the
+that emanate from (kappa0, omega0), where eigenvalues of two Hermitian
+matrices built from the chain kernel cross zero (`guided._crossings`, see
+`peak_dip_curves`).  Their quadratic expansions, together with the complex
+dispersion curve and a smooth background, reproduce the full anomaly through
+a closed-form approximation.  The chain amplitude at the
 optimally detuned frequency scales like |Im omega_gm(kappa0 + kt)|^(-1/2):
 it diverges like 1/kt when Im(curvature) != 0, and like 1/kt^2 at the
 critical coupling, where Im(curvature) = 0 and the decay is quartic in kt.
@@ -15,18 +16,17 @@ kernel K for any N.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import BlochPoint, StructureParams, _thresholds
+from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
+                        _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
-                         _fourier, _hermitian_kernel, solve_row,
-                         solve_scattering)
-from .guided import (EPS, PROBE_OFFSET, ConvergenceError, DispersionFit,
-                     GuidedMode, _continued_h, _crossings, _h_slope)
+                         _fourier, solve_row, solve_scattering)
+from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
+                     _continued_h, _crossings, _h_slope)
 
 # step limit of the two-sided anomaly model's Gauss-Newton fit
 ANOMALY_GN_STEPS = 30
@@ -56,76 +56,6 @@ def _row_pairs(params, kappa, omegas):
     return row.a_minus[:, 0], row.b_plus[:, 0]
 
 
-def _window_root(params, kappa, omega):
-    """(omega_a, omega_b): the T = 1 and the T = 0 point next to omega.
-
-    With order 0 the only propagating order, K_t = K + w w^H / (N s_0),
-    w = gamma * P[:, 0], is `_hermitian_kernel`'s K_H.  By the matrix
-    determinant lemma and Sherman-Morrison, t_0 = det K_t / det K and
-    r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where
-    det K_t = 0, and T = 1 where det [[K_t, w], [w^H, 0]] = -det K_t g =
-    -||w||^2 det K_c = 0, K_c = Q^H K_t Q with Q an orthonormal basis of
-    w's complement.  The eigenvalues of K_t and K_c rise with slope at
-    least 1, so the one nearest 0 at omega, lambda, crosses 0 between omega
-    and omega - lambda.  brentq finds each root on that bracket, widened by
-    the eigenvalues' roundoff and cut to omega's threshold region (probed
-    PROBE_OFFSET inside), once Sylvester's inertia at its ends counts
-    exactly one crossing.  A DEBUG line on the `latres` logger gives each
-    root, brentq's evaluations and its final bracket width.  A point where
-    order 0 is not the only propagating order, or a bracket without exactly
-    one crossing, is refused before scipy loads.
-    """
-    @functools.cache  # the inertia checks and brentq share their points
-    def kernel(omega):
-        K_t, _, _, prop = _hermitian_kernel(params, kappa, omega)
-        if not prop[0] or prop.sum() > 1:
-            error = ValueError if prop[0] else NonPropagatingIncidenceError
-            raise error(f"T = 1 and T = 0 need order 0 to be the only "
-                        f"propagating order; orders {np.flatnonzero(prop)} "
-                        f"propagate at (kappa={kappa}, omega={omega})")
-        return Q.conj().T @ K_t @ Q, K_t
-
-    def root(which):
-        def matrix(x):
-            return kernel(x)["ab".index(which)]
-
-        here = np.linalg.eigvalsh(matrix(omega))
-        lam = min(here, key=abs, default=0.0)
-        # eigenvalues carry roundoff of about eps ||K||: the bracket reaches
-        # that far past the slope bound, and past omega where lam is in it
-        tol = 64.0 * EPS * max(1.0, np.abs(here).max(initial=0.0))
-        far = min(max(omega - lam - np.copysign(tol, lam), lo), hi)
-        near = omega if abs(lam) > tol else omega + np.copysign(tol, lam)
-        ends = sorted((near, far))
-        crossings = np.subtract(*(np.sum(np.linalg.eigvalsh(matrix(x)) < 0.0)
-                                  for x in ends))
-        if crossings != 1:
-            raise RuntimeError(f"omega_{which}'s matrix has {crossings} zero "
-                               f"crossings at kappa={kappa} over "
-                               f"[{ends[0]}, {ends[1]}], not one")
-        last = {True: np.nan, False: np.nan}
-
-        def det(x):
-            d = np.linalg.det(matrix(x)).real
-            last[d > 0.0] = x  # brentq's bracket ends at the last of each sign
-            return d
-
-        from scipy.optimize import brentq
-
-        x, info = brentq(det, *ends, xtol=1e-16, full_output=True)
-        log.debug("window root omega_%s at kappa %.15g: omega %.15g, %d "
-                  "brentq evaluations, final bracket %.2e", which, kappa, x,
-                  info.function_calls, abs(last[True] - last[False]))
-        return float(x)
-
-    w = params.gammas * _fourier(params.N, kappa)[0][:, 0]
-    Q = np.linalg.svd(w[:, None])[0][:, 1:]
-    t = _thresholds(params.N, kappa)
-    lo = t[t < omega].max(initial=-np.inf) + PROBE_OFFSET
-    hi = t[t > omega].min(initial=np.inf) - PROBE_OFFSET
-    return root("a"), root("b")
-
-
 @dataclass(frozen=True)
 class PeakDipCurves:
     """Sampled peak (T=1) and dip (T=0) frequency curves around a mode."""
@@ -143,26 +73,71 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
                     fit: DispersionFit, kt_samples=None) -> PeakDipCurves:
     """Root-find omega_a (reflection zero) and omega_b (transmission zero).
 
-    At each kt both are the roots next to the continued dispersion curve's
-    real part (`_window_root`).
+    With order 0 the only propagating order, K_t = K + w w^H / (N s_0),
+    w = gamma * P[:, 0], is `_hermitian_kernel`'s K_H.  By the matrix
+    determinant lemma and Sherman-Morrison, t_0 = det K_t / det K and
+    r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where K_t is
+    singular, and T = 1 where det [[K_t, w], [w^H, 0]] = -det K_t g =
+    -||w||^2 det K_c vanishes, K_c = Q^H K_t Q with Q an orthonormal basis
+    of w's complement.  Both are zero crossings of eigenvalues that rise
+    with slope at least 1, solved for every kt at once by `_crossings`: one
+    call on K_t for omega_b, one with Q for omega_a.  Each kt's row is the
+    threshold region that holds its centre, the continued dispersion
+    curve's real part omega0 - slope kt - Re(curvature) kt^2, and takes the
+    crossing nearest that centre.  A centre on a threshold, one where order
+    0 is not the only propagating order, and a region without a crossing
+    are refused.  A DEBUG line on the `latres` logger gives the kt rows, the
+    crossings solved for each curve, the most Newton steps and the largest
+    |root - centre|.
     """
     if kt_samples is None:
         kt_samples = np.concatenate([np.linspace(-0.006, -0.00075, 8),
                                      np.linspace(0.00075, 0.006, 8)])
-    kt_samples = np.asarray(kt_samples, dtype=float)
-    oa, ob, tpk, tdp = [], [], [], []
-    for kt in kt_samples:
-        center = mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
-        wa, wb = _window_root(params, mode.kappa0 + kt, center)
-        oa.append(wa)
-        ob.append(wb)
-        t_a, t_b = np.abs(_row_pairs(params, mode.kappa0 + kt, [wa, wb])[1])
-        tpk.append(t_a)
-        tdp.append(t_b)
-    return PeakDipCurves(kappa0=mode.kappa0, omega0=mode.omega0,
-                         kt=kt_samples, omega_a=np.array(oa),
-                         omega_b=np.array(ob), t_at_peak=np.array(tpk),
-                         t_at_dip=np.array(tdp))
+    kt = np.asarray(kt_samples, dtype=float)
+    N, kappa = params.N, mode.kappa0 + kt
+    centre = mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
+    _, _, prop, thr = _classify(N, kappa, centre)
+    bad = thr.any(axis=-1) | ~prop[:, 0] | (prop.sum(axis=-1) > 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = f"(kappa={kappa[i]}, omega={centre[i]})"
+        if thr[i].any():
+            raise ThresholdError(f"harmonic on a threshold curve at {at}")
+        error = ValueError if prop[i, 0] else NonPropagatingIncidenceError
+        raise error(f"T = 1 and T = 0 need order 0 to be the only "
+                    f"propagating order; orders {np.flatnonzero(prop[i])} "
+                    f"propagate at {at}")
+    t = _thresholds(N, kappa)
+    lo = np.where(t < centre[:, None], t, -np.inf).max(axis=1, keepdims=True)
+    hi = np.where(t > centre[:, None], t, np.inf).min(axis=1, keepdims=True)
+    w = params.gammas * np.reshape([_fourier(N, k)[0][:, 0] for k in kappa],
+                                   (-1, N))
+    roots, counts, steps = {}, [], 0
+    for which, Q in (("a", np.linalg.svd(w[..., None])[0][..., 1:]),
+                     ("b", None)):
+        _, cross = _crossings(params, kappa, lo, hi, Q)
+        gap = np.abs(cross["omega"] - centre[cross["row"]])
+        order = np.lexsort((gap, cross["row"]))
+        rows, first = np.unique(cross["row"][order], return_index=True)
+        missing = np.setdiff1d(np.arange(len(kt)), rows)
+        if missing.size:
+            i = missing[0]
+            raise RuntimeError(f"omega_{which}: no zero crossing at "
+                               f"kappa={kappa[i]} in the threshold region "
+                               f"({lo[i, 0]}, {hi[i, 0]})")
+        roots[which] = cross["omega"][order[first]]
+        counts.append(len(gap))
+        steps = max(steps, cross["steps"].max(initial=0))
+    log.debug("peak/dip curves: %d kt rows, %d omega_a and %d omega_b "
+              "crossings solved, at most %d Newton steps, max |root - centre| "
+              "%.2e", len(kt), *counts, steps, np.abs(np.stack(
+                  [roots["a"], roots["b"]]) - centre).max(initial=0.0))
+    t_ab = np.reshape([np.abs(_row_pairs(params, k, [wa, wb])[1])
+                       for k, wa, wb in zip(kappa, roots["a"], roots["b"])],
+                      (-1, 2))
+    return PeakDipCurves(kappa0=mode.kappa0, omega0=mode.omega0, kt=kt,
+                         omega_a=roots["a"], omega_b=roots["b"],
+                         t_at_peak=t_ab[:, 0], t_at_dip=t_ab[:, 1])
 
 
 @dataclass(frozen=True)
@@ -170,10 +145,10 @@ class AnomalyFit:
     """All coefficients of the local transmission model around a mode.
 
     slope/curvature come from the dispersion fit; peak_curvature and
-    dip_curvature from cubic fits of the peak/dip curves, the sign changes
-    of det [[K_t, w], [w^H, 0]] and det K_t (see `_window_root`; their shared
-    linear coefficient must equal -slope); t_bg is the background transmission
-    at kappa0 extrapolated to omega0 with r_bg = sqrt(1 - t_bg^2); bg_slope is
+    dip_curvature from cubic fits of the peak/dip curves, the zero crossings
+    of K_c = Q^H K_t Q and K_t (see `peak_dip_curves`; their shared linear
+    coefficient must equal -slope); t_bg is the background transmission at
+    kappa0 extrapolated to omega0 with r_bg = sqrt(1 - t_bg^2); bg_slope is
     the linear frequency coefficient of the background; eta is the background
     parameter of the two-sided model, fitted over the window by Gauss-Newton.
     """

@@ -5,10 +5,11 @@ line m = 0, u_{mn} = sum_l (incoming + outgoing) e^{2 pi i (theta_l m + phi_l n)
 and the chain displacement z_n = sum_l c_l e^{2 pi i phi_l n}.  Matching the
 two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
 n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
-(a_minus, b_plus) and the chain coefficients c (its matrix is `_assemble`,
-which the guided-mode detector uses).  Eliminating the continuity and m = 0
-lattice rows by hand leaves the N x N chain system
-K(kappa, omega) z = gamma * (P u_inc).
+(a_minus, b_plus) and the chain coefficients c.  Its matrix, `_assemble`,
+serves only `guided.sigma_min` and `guided.null_vector`, which check a mode
+and give its field; modes are found on `_hermitian_kernel`'s K_H.
+Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
+chain system K(kappa, omega) z = gamma * (P u_inc).
 
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by

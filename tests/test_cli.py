@@ -16,6 +16,15 @@ from latres.resonance import peak_dip_curves
 ERROR_SCHEMA = Path(__file__).resolve().parent.parent / "docs/schemas/error.json"
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _loads(text):
+    """JSON as the CLI must write it: NaN and +-Infinity are refused."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 @pytest.fixture()
 def config1(tmp_path, fixture1):
     path = tmp_path / "structure.json"
@@ -46,7 +55,7 @@ def test_version(capsys):
 def _error_doc(capsys):
     """The last stderr line, validated against the error.json schema."""
     jsonschema = pytest.importorskip("jsonschema")
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     jsonschema.validate(err, json.loads(ERROR_SCHEMA.read_text()))
     return err
 
@@ -101,7 +110,7 @@ def test_scatter_json_fourier(config1, tmp_path):
     out = str(tmp_path / "scatter.json")
     assert main(["scatter", "--config", config1, "--out", out,
                  "--kappa=0.2", "--omega=1.5"]) == 0
-    doc = json.loads(open(out).read())
+    doc = _loads(open(out).read())
     assert doc["method"] == "fourier"
     assert doc["T"] == pytest.approx(0.3776283265443278, abs=1e-12)
     assert doc["R"] == pytest.approx(0.925957259808103, abs=1e-12)
@@ -114,7 +123,7 @@ def test_scatter_json_dtn_agrees(config1, tmp_path):
     assert main(["scatter", "--config", config1, "--out", out,
                  "--kappa=0.2", "--omega=1.5",
                  "--method=dtn", "--M", "12"]) == 0
-    doc = json.loads(open(out).read())
+    doc = _loads(open(out).read())
     assert doc["method"] == "dtn"
     assert doc["linear_residual"] < 1e-12
     # the truncated solver reports the chain field z_n; at n=0 that is the
@@ -159,7 +168,7 @@ def test_cli_loads_scipy_only_where_called(config1):
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, config1],
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    doc = json.loads(proc.stdout)
+    doc = _loads(proc.stdout)
     assert doc.pop("import") == []
     assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
     assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
@@ -211,7 +220,7 @@ def test_malformed_incidence_exit_code(config1, capsys, argv, message):
     point = (["--kappa=0.2", "--omega=1.5"] if argv[0] == "scatter" else
              ["--kappa-grid=0.2,0.2,1", "--omega-grid=1.5,1.5,1"])
     assert main(argv[:1] + ["--config", config1] + point + argv[1:]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
     assert message in err["message"]
 
@@ -243,7 +252,7 @@ def test_malformed_config_exit_code(tmp_path, capsys, doc, message):
     path.write_text(json.dumps(doc))
     assert main(["scatter", "--config", str(path), "--kappa=0.2",
                  "--omega=1.5"]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert set(err) == {"error", "message"}
     assert err["error"] == "ValueError"
     assert message in err["message"]
@@ -286,7 +295,7 @@ def test_guided_json(config1, tmp_path):
     out = str(tmp_path / "guided.json")
     assert main(["guided", "--config", config1, "--out", out,
                  "--window=0.02,0.11,0.93,1.02", "--density=80"]) == 0
-    modes = json.loads(open(out).read())
+    modes = _loads(open(out).read())
     assert len(modes) == 1
     assert modes[0]["kappa0"] == pytest.approx(0.0616737, abs=1e-6)
     assert modes[0]["omega0"] == pytest.approx(0.9791667, abs=1e-6)
@@ -304,7 +313,7 @@ def test_dispersion_csv(config1, tmp_path, capsys):
     assert header == ["kappa", "re_omega", "im_omega"]
     assert len(rows) == 21
     assert all(float(r[2]) <= 1e-12 for r in rows)
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert meta["linear_coefficient"] == pytest.approx(0.3299, abs=1e-3)
 
 
@@ -317,7 +326,7 @@ def test_anomaly_csv_and_meta(config1, tmp_path, capsys):
     assert len(rows) == 66
     err = max(abs(float(r[2]) - float(r[3])) for r in rows)
     assert err < 0.05
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert meta["peak_curvature"] == pytest.approx(2.6596, abs=1e-3)
     assert meta["dip_curvature"] == pytest.approx(2.3975, abs=1e-3)
     assert meta["ordering_sign"] == -1
@@ -326,15 +335,38 @@ def test_anomaly_csv_and_meta(config1, tmp_path, capsys):
 def test_bifurcate_csv(config1, tmp_path, capsys):
     out = str(tmp_path / "branch.csv")
     assert main(["bifurcate", "--config", config1, "--out", out,
-                 "--gamma0-min=1.029533513", "--gamma0-max=1.029533513",
-                 "--num=1"]) == 0
+                 "--gamma0-min=1.0294", "--gamma0-max=1.029533513",
+                 "--num=2"]) == 0
     header, rows = _read_csv(out)
     assert header == ["gamma0", "kappa0", "omega0"]
-    assert float(rows[0][1]) == pytest.approx(0.003564296929, abs=1e-6)
-    assert float(rows[0][2]) == pytest.approx(0.9778903229, abs=1e-7)
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    rows = {float(r[0]): r for r in rows}
+    assert sorted(rows) == [1.0294, 1.029533513]
+    row = rows[1.029533513]
+    assert float(row[1]) == pytest.approx(0.003564296929, abs=1e-6)
+    assert float(row[2]) == pytest.approx(0.9778903229, abs=1e-7)
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert meta["gamma0_star"] == pytest.approx(1.029633513, abs=1e-6)
     assert meta["omega0_star"] == pytest.approx(0.9778859328, abs=1e-6)
+    assert meta["sqrt_slope"] == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma0-min=1.0294", "--gamma0-max=1.0295", "--num=1"],
+    ["--gamma0-min=1.0294", "--gamma0-max=1.0295", "--num=0"],
+    ["--gamma0-min=1.0295", "--gamma0-max=1.0295", "--num=8"],
+])
+def test_bifurcate_refuses_one_gamma0(config1, capsys, monkeypatch, argv):
+    # one gamma0 has no square-root law to fit (its slope would print as
+    # NaN, which is not JSON); the refusal comes before any solve
+    def solve(*args, **kwargs):
+        raise AssertionError("trace_branch ran")
+
+    monkeypatch.setattr(latres.cli, "trace_branch", solve)
+    assert main(["bifurcate", "--config", config1, *argv]) == 2
+    err = _error_doc(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("bifurcate fits the square-root law to "
+                                     "at least two distinct gamma0 values")
 
 
 def test_enhance_csv(config1, tmp_path):
@@ -401,7 +433,7 @@ def test_malformed_evolve_exit_code(config1, tmp_path, capsys, flags, doc,
         flags = flags + ["--init-file", str(path)]
     assert main(["evolve", "--config", config1, "--steps=10", "--mx=4"]
                 + flags) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
     assert message in err["message"]
 

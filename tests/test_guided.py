@@ -9,10 +9,11 @@ from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq
 
 import latres.scattering
+from latres import guided
 from latres.structure import (BlochPoint, StructureParams, _classify,
-                              _thresholds, waveguide_bands)
-from latres.scattering import (_chain_kernel_derivatives, _hermitian_kernel,
-                               scan_transmission)
+                              _thresholds, propagating_count, waveguide_bands)
+from latres.scattering import (_chain_kernel_derivatives, _fourier,
+                               _hermitian_kernel, scan_transmission)
 from latres.guided import (PROBE_OFFSET, EigenvalueTracker, _crossings,
                            continue_and_fit_dispersion, find_guided_modes,
                            sigma_min)
@@ -234,20 +235,30 @@ def test_hermitian_kernel_property(case):
     assert np.array_equal(W != 0, np.broadcast_to(prop[..., None, :],
                                                   W.shape))
 
-    _, cross = _crossings(params, [kappa], -0.5, 8.5)
+    # the same for Q^H K_H Q, Q spanning the complement of gamma * P[:, 0]
+    # (the peak curve's matrix)
+    w = params.gammas * _fourier(params.N, kappa)[0][:, 0]
     ends = np.concatenate([[-np.inf], np.sort(_thresholds(params.N, kappa)),
                            [np.inf]])
-    for a, b in zip(ends[:-1], ends[1:]):
-        lo, hi = max(a + PROBE_OFFSET, -0.5), min(b - PROBE_OFFSET, 8.5)
-        if lo >= hi:
-            continue
-        neg = [np.sum(np.linalg.eigvalsh(
-            _hermitian_kernel(params, kappa, x)[0]) < 0.0) for x in (lo, hi)]
-        roots = cross["omega"][(cross["omega"] > lo) & (cross["omega"] < hi)]
-        assert len(roots) == neg[0] - neg[1]
-        for x in roots:
-            lam = np.linalg.eigvalsh(_hermitian_kernel(params, kappa, x)[0])
-            assert np.abs(lam).min() <= 1e-11 * max(1.0, np.abs(lam).max())
+    for Q in (None, np.linalg.svd(w[:, None])[0][:, 1:]):
+        def eigenvalues(x):
+            K = _hermitian_kernel(params, kappa, x)[0]
+            return np.linalg.eigvalsh(K if Q is None else Q.conj().T @ K @ Q)
+
+        _, cross = _crossings(params, [kappa], -0.5, 8.5,
+                              None if Q is None else Q[None])
+        for a, b in zip(ends[:-1], ends[1:]):
+            lo, hi = max(a + PROBE_OFFSET, -0.5), min(b - PROBE_OFFSET, 8.5)
+            if lo >= hi:
+                continue
+            neg = [np.sum(eigenvalues(x) < 0.0) for x in (lo, hi)]
+            roots = cross["omega"][(cross["omega"] > lo)
+                                   & (cross["omega"] < hi)]
+            assert len(roots) == neg[0] - neg[1]
+            for x in roots:
+                lam = eigenvalues(x)
+                assert np.abs(lam).min() <= 1e-11 * max(1.0,
+                                                        np.abs(lam).max())
 
 
 def _differences(f, x, h=1e-5):
@@ -307,6 +318,33 @@ def test_robust_branch_one_entry_per_row(fixture1):
         fixture1, (-0.5, 0.5, 0.7, 1.25), density=60) if m.region_size == 0]
     assert len(robust) >= 2
     assert np.allclose(sorted(robust), np.unique(rows.round(12)), atol=1e-12)
+
+
+def test_robust_branch_needs_no_tracker(fixture1, monkeypatch):
+    # a candidate without a propagating order is a root of K already (K =
+    # K_H there): the tracker runs only while candidates with one are
+    # polished, and the robust-branch entries certify Im omega_gm = 0
+    polishing, calls = [], []
+    polish, solve = guided._polish, EigenvalueTracker.solve_omega
+
+    def polish_(params, kappa, omega, reach):
+        polishing.append(propagating_count(params, kappa, omega))
+        try:
+            return polish(params, kappa, omega, reach)
+        finally:
+            polishing.pop()
+
+    def solve_(self, kappa, omega_seed):
+        calls.append(polishing[-1] if polishing else None)
+        return solve(self, kappa, omega_seed)
+
+    monkeypatch.setattr(guided, "_polish", polish_)
+    monkeypatch.setattr(EigenvalueTracker, "solve_omega", solve_)
+    modes = find_guided_modes(fixture1, (-0.5, 0.5, 0.7, 1.25), density=60)
+    assert calls and all(n is not None and n > 0 for n in calls)
+    robust = [m for m in modes if m.region_size == 0]
+    assert robust
+    assert all(m.im_omega == 0.0 and m.h_prime == 0.0 for m in robust)
 
 
 def test_decoupled_standing_mode(decoupled):

@@ -1,6 +1,8 @@
 """Anomaly curves, local fits, enhancement law, and the coupling bifurcation."""
 
+import dataclasses
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -11,11 +13,10 @@ from latres.guided import (ConvergenceError, EigenvalueTracker,
                            continue_and_fit_dispersion, find_guided_modes)
 from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
                                solve_scattering)
-from latres.structure import _classify
-from latres.resonance import (_window_root, approx_error_sup,
-                              approx_transmission, enhancement_scan,
-                              find_bifurcation, fit_anomaly, peak_dip_curves,
-                              trace_branch)
+from latres.structure import ThresholdError, _classify, _thresholds
+from latres.resonance import (approx_error_sup, approx_transmission,
+                              enhancement_scan, find_bifurcation, fit_anomaly,
+                              peak_dip_curves, trace_branch)
 from oracles import guided_mode_criteria_n2
 
 GAMMA0_STAR = 1.0296335133904082
@@ -24,8 +25,9 @@ BENCH_GAMMAS = (1.0296271473759782, 1.0296319015821522, 1.0296325566015647,
                 1.0296332409316922, 1.0296332915931812, 1.029633338618303)
 
 # omega_a and omega_b on fixture 1 at kt = -0.006, -0.002, 0.002, 0.006, as
-# the complex secant that preceded the determinant search found them when it
-# ran to its 60-step cap
+# a complex secant run to its 60-step cap found them; brentq on the
+# determinants of K_t and K_c, and now the zero-crossing solve of
+# `guided._crossings`, reproduce them to 1e-14
 FROZEN_KT = (-0.006, -0.002, 0.002, 0.006)
 FROZEN_OMEGA_A = (0.9810502611590445, 0.97981582358711, 0.9784962326859492,
                   0.9770915808182997)
@@ -81,67 +83,77 @@ def test_background_energy_balance(anomaly1):
 
 
 def _center(mode, fit, kt):
-    """The point `peak_dip_curves` brackets both roots from at kt."""
+    """Where `peak_dip_curves` looks for both roots at kt."""
     return mode.omega0 - fit.slope * kt - fit.curvature.real * kt ** 2
 
 
+def _aimed(mode, fit, kappa, omega):
+    """mode and fit moved so that the centre at kt = 0 is (kappa, omega)."""
+    return (dataclasses.replace(mode, kappa0=kappa, omega0=omega),
+            dataclasses.replace(fit, slope=0.0, curvature=0j))
+
+
 def _counted(monkeypatch, name):
-    """Count the calls of resonance.<name> from here on."""
+    """The arguments of each call of resonance.<name> from here on."""
     calls, fn = [], getattr(resonance, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(resonance, name, counted)
     return calls
 
 
-def test_window_root_stops_when_converged(fixture1, mode1, fit1,
-                                          monkeypatch):
-    # the determinants need no scattering solve
-    calls = [_counted(monkeypatch, name)
-             for name in ("solve_row", "solve_scattering")]
-    for kt, want_a, want_b in zip(FROZEN_KT, FROZEN_OMEGA_A, FROZEN_OMEGA_B):
-        got_a, got_b = _window_root(fixture1, mode1.kappa0 + kt,
-                                    _center(mode1, fit1, kt))
-        assert abs(got_a - want_a) <= 1e-14
-        assert abs(got_b - want_b) <= 1e-14
-    assert calls == [[], []]
+def test_peak_dip_curves_frozen_roots(fixture1, mode1, fit1, monkeypatch):
+    # the root search needs no scattering solve: solve_row runs once per kt,
+    # for t at the two roots
+    rows, points = (_counted(monkeypatch, name)
+                    for name in ("solve_row", "solve_scattering"))
+    curves = peak_dip_curves(fixture1, mode1, fit1, kt_samples=FROZEN_KT)
+    assert np.max(np.abs(curves.omega_a - FROZEN_OMEGA_A)) <= 1e-14
+    assert np.max(np.abs(curves.omega_b - FROZEN_OMEGA_B)) <= 1e-14
+    assert points == []
+    assert [(kappa, list(omegas)) for _, kappa, omegas in rows] == [
+        (mode1.kappa0 + kt, [a, b]) for kt, a, b in
+        zip(FROZEN_KT, curves.omega_a, curves.omega_b)]
 
 
-def test_window_root_near_the_mode(fixture1, mode1, fit1):
-    # as kt -> 0 the eigenvalue that brackets each root falls to roundoff;
-    # both roots still sit within the quadratic term of the curve's real part
-    for kt in (0.0, 1e-9, -1e-7, 1e-6):
+@pytest.mark.parametrize("count", [0, 1, 4, 16])
+def test_peak_dip_curves_two_crossing_solves(fixture1, mode1, fit1,
+                                             monkeypatch, count):
+    # every kt is solved in one stacked call per curve
+    calls = _counted(monkeypatch, "_crossings")
+    curves = peak_dip_curves(fixture1, mode1, fit1,
+                             kt_samples=np.linspace(0.001, 0.006, count))
+    assert len(calls) == 2
+    assert curves.omega_a.shape == curves.t_at_dip.shape == (count,)
+
+
+def test_peak_dip_curves_near_the_mode(fixture1, mode1, fit1):
+    # as kt -> 0 the two roots meet at omega0; both still sit within the
+    # quadratic term of the curve's real part
+    kts = (0.0, 1e-9, -1e-7, 1e-6)
+    curves = peak_dip_curves(fixture1, mode1, fit1, kt_samples=kts)
+    for kt, a, b in zip(kts, curves.omega_a, curves.omega_b):
         center = _center(mode1, fit1, kt)
-        for got in _window_root(fixture1, mode1.kappa0 + kt, center):
+        for got in (a, b):
             assert abs(got - center) <= 4.0 * abs(fit1.curvature) * kt ** 2 \
                 + 1e-15
 
 
-def test_window_root_logs_steps_and_residual(fixture1, mode1, fit1, caplog,
-                                            monkeypatch):
-    calls = _counted(monkeypatch, "_hermitian_kernel")
+def test_peak_dip_curves_logs_one_line(fixture1, mode1, fit1, caplog):
     caplog.set_level(logging.DEBUG, logger="latres")
-    kt = FROZEN_KT[1]
-    roots = _window_root(fixture1, mode1.kappa0 + kt, _center(mode1, fit1, kt))
+    curves = peak_dip_curves(fixture1, mode1, fit1, kt_samples=FROZEN_KT)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert len(lines) == 2
-    evals = 0
-    for line, which, got in zip(lines, "ab", roots):
-        head = (f"window root omega_{which} at kappa "
-                f"{mode1.kappa0 + kt:.15g}: omega {got:.15g}, ")
-        assert line.startswith(head)
-        count, width = line[len(head):].split(
-            " brentq evaluations, final bracket ")
-        evals += int(count)
-        # brentq stops once the bracket is under xtol + 4 eps |omega|
-        assert 0.0 <= float(width) <= 1e-16 + 4.0 * np.finfo(float).eps * got
-    # each point is evaluated once: brentq's evaluations include the two
-    # ends of its bracket, which the inertia check evaluated first, and both
-    # brackets start at the given omega
-    assert len(calls) == evals - 1
+    assert len(lines) == 1
+    head, tail = lines[0].split(" Newton steps, ")
+    assert head.startswith("peak/dip curves: 4 kt rows, 4 omega_a and 4 "
+                           "omega_b crossings solved, at most ")
+    assert int(head.rsplit(" ", 1)[1]) >= 1
+    center = _center(mode1, fit1, np.array(FROZEN_KT))
+    gap = np.abs(np.stack([curves.omega_a, curves.omega_b]) - center).max()
+    assert tail == f"max |root - centre| {gap:.2e}"
 
 
 def test_window_root_identities():
@@ -193,26 +205,41 @@ def test_peak_dip_curves_n3_complex_coupling():
     assert np.max(curves.t_at_dip) <= 1e-9
 
 
-def test_window_root_refuses_two_propagating_orders(fixture1):
-    # at kappa = 0.3, omega = 4 both orders of fixture 1 propagate
+def test_peak_dip_curves_refuses_two_propagating_orders(fixture1, mode1,
+                                                        fit1, monkeypatch):
+    # at kappa = 0.3, omega = 4 both orders of fixture 1 propagate; the
+    # refusal comes before any crossing solve
     phi, theta, prop, thr = _classify(2, 0.3, 4.0)
     assert prop.all() and not thr.any()
+    calls = _counted(monkeypatch, "_crossings")
     with pytest.raises(ValueError, match="only propagating order") as exc:
-        _window_root(fixture1, 0.3, 4.0)
+        peak_dip_curves(fixture1, *_aimed(mode1, fit1, 0.3, 4.0), [0.0])
     assert not isinstance(exc.value, NonPropagatingIncidenceError)
+    assert calls == []
 
 
-def test_window_root_refuses_without_one_crossing(fixture1):
-    # at kappa = 0.4 order 0 alone propagates for omega in
-    # (2 - 2 cos 0.4 pi, 2 + 2 cos 0.4 pi), and the T = 1 matrix's
-    # eigenvalue nearest 0 at omega = 2 does not cross 0 in that region
+@pytest.mark.parametrize("kappa, omega, error", [
+    (0.0, 4.0, ThresholdError), (0.5, 0.05, NonPropagatingIncidenceError)])
+def test_peak_dip_curves_refuses_centre(fixture1, mode1, fit1, monkeypatch,
+                                        kappa, omega, error):
+    # a centre on a threshold (chi_0 = -1 at kappa = 0, omega = 4) and one
+    # where order 0 decays are refused before any crossing solve
+    calls = _counted(monkeypatch, "_crossings")
+    with pytest.raises(error):
+        peak_dip_curves(fixture1, *_aimed(mode1, fit1, kappa, omega), [0.0])
+    assert calls == []
+
+
+def test_peak_dip_curves_refuses_without_a_crossing(fixture1, mode1, fit1):
+    # at kappa = 0.4 order 0 alone propagates between the first two
+    # thresholds, 2 -+ 2 cos 0.4 pi, and neither matrix crosses 0 there
     phi, theta, prop, thr = _classify(2, 0.4, 2.0)
     assert prop.tolist() == [True, False] and not thr.any()
-    lo = 2.0 - 2.0 * np.cos(0.4 * np.pi) + resonance.PROBE_OFFSET
-    with pytest.raises(RuntimeError, match=(
-            rf"^omega_a's matrix has 0 zero crossings at kappa=0.4 over "
-            rf"\[{lo}, 2.0\], not one$")):
-        _window_root(fixture1, 0.4, 2.0)
+    lo, hi = np.sort(_thresholds(2, 0.4))[:2]
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"omega_a: no zero crossing at kappa=0.4 in the threshold region "
+            f"({lo}, {hi})")):
+        peak_dip_curves(fixture1, *_aimed(mode1, fit1, 0.4, 2.0), [0.0])
 
 
 def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,

@@ -13,13 +13,22 @@ from latres.cli import main
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _loads(text):
+    """JSON as the CLI must write it: NaN and +-Infinity are refused."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def _validator(name):
     resources = []
     for path in SCHEMA_DIR.glob("*.json"):
-        doc = json.loads(path.read_text())
+        doc = _loads(path.read_text())
         resources.append((doc["$id"], Resource.from_contents(doc)))
     registry = Registry().with_resources(resources)
-    schema = json.loads((SCHEMA_DIR / name).read_text())
+    schema = _loads((SCHEMA_DIR / name).read_text())
     return jsonschema.Draft202012Validator(schema, registry=registry)
 
 
@@ -32,28 +41,28 @@ def config1(tmp_path, fixture1):
 
 def test_config_matches_schema(config1):
     _validator("structure-config.json").validate(
-        json.loads(open(config1).read()))
+        _loads(open(config1).read()))
 
 
 def test_scatter_fourier_schema(config1, tmp_path):
     out = tmp_path / "sol.json"
     assert main(["scatter", "--config", config1, "--out", str(out),
                  "--kappa=0.2", "--omega=1.5"]) == 0
-    _validator("scatter-fourier.json").validate(json.loads(out.read_text()))
+    _validator("scatter-fourier.json").validate(_loads(out.read_text()))
 
 
 def test_scatter_dtn_schema(config1, tmp_path):
     out = tmp_path / "sol.json"
     assert main(["scatter", "--config", config1, "--out", str(out),
                  "--kappa=0.2", "--omega=1.5", "--method=dtn", "--M=6"]) == 0
-    _validator("scatter-dtn.json").validate(json.loads(out.read_text()))
+    _validator("scatter-dtn.json").validate(_loads(out.read_text()))
 
 
 def test_guided_schema(config1, tmp_path):
     out = tmp_path / "modes.json"
     assert main(["guided", "--config", config1, "--out", str(out),
                  "--window=0.02,0.11,0.93,1.02", "--density=80"]) == 0
-    _validator("guided-modes.json").validate(json.loads(out.read_text()))
+    _validator("guided-modes.json").validate(_loads(out.read_text()))
 
 
 def test_dispersion_meta_schema(config1, tmp_path, capsys):
@@ -61,7 +70,7 @@ def test_dispersion_meta_schema(config1, tmp_path, capsys):
                  "--out", str(tmp_path / "d.csv"),
                  "--window=0.02,0.11,0.93,1.02", "--density=80",
                  "--radius=0.003"]) == 0
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("dispersion-meta.json").validate(meta)
 
 
@@ -69,7 +78,7 @@ def test_anomaly_meta_schema(config1, tmp_path, capsys):
     assert main(["anomaly", "--config", config1,
                  "--out", str(tmp_path / "a.csv"),
                  "--window=0.02,0.11,0.93,1.02", "--density=80"]) == 0
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("anomaly-meta.json").validate(meta)
 
 
@@ -80,14 +89,14 @@ def test_bifurcate_meta_schema(tmp_path, bif_params, capsys):
                  "--out", str(tmp_path / "b.csv"),
                  "--gamma0-min=1.0294", "--gamma0-max=1.0296",
                  "--num=2"]) == 0
-    meta = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    meta = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("bifurcate-meta.json").validate(meta)
 
 
 def test_error_schema(config1, capsys):
     assert main(["scatter", "--config", config1,
                  "--kappa=0", "--omega=4"]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("error.json").validate(err)
 
 
@@ -100,6 +109,6 @@ def test_missing_file_error_schema(config1, tmp_path, capsys, argv):
     missing = str(tmp_path / "absent.json")
     argv = [a.format(missing=missing, config=config1) for a in argv]
     assert main(argv) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
     _validator("error.json").validate(err)
     assert err["error"] == "FileNotFoundError"
