@@ -247,9 +247,7 @@ def cmd_bifurcate(args):
         raise ValueError("bifurcate fits the square-root law to at least two "
                          "distinct gamma0 values: give --num >= 2 and "
                          "--gamma0-min != --gamma0-max")
-    branch = trace_branch(params, list(grid),
-                          gamma0_bracket=(args.gamma0_min - 0.5,
-                                          args.gamma0_max + 0.5))
+    branch = trace_branch(params, list(grid))
     _csv(args.out, "gamma0,kappa0,omega0", branch.samples)
     meta = {
         "gamma0_star": branch.gamma0_star,
@@ -263,6 +261,10 @@ def cmd_bifurcate(args):
 
 def cmd_enhance(args):
     params = _params(args)
+    if not (args.kt_min > 0.0 and args.kt_max > 0.0):
+        raise ValueError(f"enhance samples kt on a log scale: --kt-min and "
+                         f"--kt-max must be > 0, got {args.kt_min} and "
+                         f"{args.kt_max}")
     mode = _locate_mode(params, args)
     fit = continue_and_fit_dispersion(params, mode)
     kts = np.logspace(np.log10(args.kt_min), np.log10(args.kt_max), args.num)

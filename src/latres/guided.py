@@ -3,7 +3,8 @@
 A guided mode is a sourceless solution whose propagating coefficients all
 vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
 system, restricted to the evanescent and chain unknowns, becomes singular;
-equivalently K_H z = 0 and W^H z = 0 (`scattering._hermitian_kernel`).
+equivalently K_H z = 0 and W^H z = 0, with K_H the chain kernel without
+the propagating orders' terms and W their w_l (`scattering._chain_kernel`).
 `find_guided_modes` takes its candidates from the zero crossings of K_H's
 eigenvalues, which Sylvester's inertia counts in each threshold region.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
@@ -27,8 +28,7 @@ import numpy as np
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _classify_off_threshold, _thresholds,
                         propagating_count)
-from .scattering import (_assemble, _chain_kernel_derivatives, _chunks,
-                         _hermitian_kernel)
+from .scattering import _assemble, _chain_kernel, _chunks
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -245,8 +245,10 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
     item = 8 * 16 * N * N
     neg = np.empty((len(row), 2), dtype=int)
     for part in _chunks(len(row), 2 * item)[:len(row)]:  # none if no region
-        K_H = _hermitian_kernel(params, kappas[row[part], None],
-                                np.column_stack([lo[part], hi[part]]))[0]
+        kap, om = kappas[row[part], None], np.column_stack([lo[part],
+                                                            hi[part]])
+        _, theta, prop = _classify_off_threshold(N, kap, om)
+        K_H = _chain_kernel(params, kap, om, theta, prop)[0]
         neg[part] = np.sum(np.linalg.eigvalsh(compress(K_H, row[part, None]))
                            < 0.0, axis=-1)
     count = np.maximum(neg[:, 0] - neg[:, 1], 0)
@@ -265,7 +267,10 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
         done = np.empty(active.size, dtype=bool)
         for part in _chunks(active.size, item):
             p = active[part]
-            K_H, dK_H, W, _ = _hermitian_kernel(params, kap[p], om[p])
+            _, theta, prop = _classify_off_threshold(N, kap[p], om[p])
+            K_H, P, _, _, dK_H, _ = _chain_kernel(params, kap[p], om[p],
+                                                  theta, prop)
+            W = params.gammas[:, None] * P * prop[:, None, :]
             lam, V = np.linalg.eigh(compress(K_H, r[p]))
             f, v = lam[np.arange(len(p)), j[p]], V[np.arange(len(p)), :, j[p]]
             a[p] = np.where(f < 0.0, om[p], a[p])
@@ -315,13 +320,15 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     mode as solved, with Im omega_gm = 0 and h' = 0.  A mode is kept when
     (kappa0, Re omega_gm) lies in the window and sigma_min there falls below
     tol; candidates whose polish fails or ends elsewhere are rejected.
-    +-kappa duplicates are then merged (the representative has
-    kappa0 >= 0).  Each mode carries its certificate: |Im omega_gm(kappa0)|,
-    the smallest |eigenvalue| of K, h'(kappa0) and sigma_min.  A DEBUG line
-    on the
-    `latres` logger counts the kappa rows, regions probed, crossings solved
-    and their most Newton steps, the candidates, those rejected or merged,
-    and the modes, and lists each mode's certificate.
+    A mode at kappa0 < 0 is reported at -kappa0 when sigma_min there falls
+    below tol too (as it does for mirror-symmetric structures, such as those
+    with real couplings), and keeps its sign otherwise; duplicates are then
+    merged.  Each mode carries its certificate at the point reported:
+    |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
+    sigma_min.  A DEBUG line on the `latres` logger counts the kappa rows,
+    regions probed, crossings solved and their most Newton steps, the
+    candidates, those rejected or merged, and the modes, and lists each
+    mode's certificate.
     """
     kmin, kmax, wmin, wmax = window
     kappas = np.linspace(kmin, kmax, density)
@@ -356,7 +363,10 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         if sig > tol:
             rejected += 1
             continue
-        kap0 = abs(kap0)  # +-kappa representative
+        if kap0 < 0.0:  # fold onto -kappa0 where that is a mode too
+            flipped = sigma_min(params, BlochPoint(-kap0, om0))
+            if flipped <= tol:
+                kap0, sig = -kap0, flipped
         if any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6 for a, b in seen):
             continue
         seen.append((kap0, om0))
@@ -405,8 +415,9 @@ class EigenvalueTracker:
         self._vref = vref
 
     def value(self, kappa, omega):
-        K, K_om, self._K_kappa = _chain_kernel_derivatives(self.params,
-                                                           kappa, omega)
+        _, theta, _ = _classify_off_threshold(self.params.N, kappa, omega)
+        K, _, _, _, K_om, self._K_kappa = _chain_kernel(self.params, kappa,
+                                                        omega, theta)
         w, V = np.linalg.eig(K)
         if self._vref is None:
             i = int(np.argmin(np.abs(w)))
@@ -421,7 +432,7 @@ class EigenvalueTracker:
         # row i of V^-1
         y = np.linalg.solve(V.T, np.eye(len(w))[i])
         self._vref = v / np.linalg.norm(v)
-        self.d_omega = y @ K_om @ v
+        self.d_omega = y @ K_om() @ v
         self._y, self._v = y, v
         return w[i]
 
@@ -480,8 +491,10 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     kappa = kappa0 + kt at DISPERSION_SAMPLES points out to radius, marching
     outward in both directions, then least-squares fits a polynomial of
     degree DISPERSION_DEGREE in kt and reads the linear and quadratic
-    coefficients.
+    coefficients.  A radius <= 0 raises ValueError.
     """
+    if not radius > 0.0:
+        raise ValueError(f"dispersion fit radius must be > 0, got {radius}")
     kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
     pts = [(0.0, complex(mode.omega0))]
     for sgn in (1.0, -1.0):

@@ -74,7 +74,7 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
     """Root-find omega_a (reflection zero) and omega_b (transmission zero).
 
     With order 0 the only propagating order, K_t = K + w w^H / (N s_0),
-    w = gamma * P[:, 0], is `_hermitian_kernel`'s K_H.  By the matrix
+    w = gamma * P[:, 0], is `_chain_kernel`'s K_H.  By the matrix
     determinant lemma and Sherman-Morrison, t_0 = det K_t / det K and
     r_0 = g / (N s_0 - g) with g = w^H K_t^-1 w, so T = 0 where K_t is
     singular, and T = 1 where det [[K_t, w], [w^H, 0]] = -det K_t g =

@@ -7,9 +7,11 @@ two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
 n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
 (a_minus, b_plus) and the chain coefficients c.  Its matrix, `_assemble`,
 serves only `guided.sigma_min` and `guided.null_vector`, which check a mode
-and give its field; modes are found on `_hermitian_kernel`'s K_H.
-Eliminating the continuity and m = 0 lattice rows by hand leaves the N x N
-chain system K(kappa, omega) z = gamma * (P u_inc).
+and give its field.  Eliminating the continuity and m = 0 lattice rows by
+hand leaves the N x N chain system K(kappa, omega) z = gamma * (P u_inc).
+`_chain_kernel` is the one builder of K: it also gives K_H, K without the
+propagating orders' terms, on which modes are found, and the exact
+derivatives K_omega and K_kappa that the eigenvalue tracker follows.
 
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .structure import (BlochPoint, HarmonicSet, StructureParams,
-                        ThresholdError, _classify, _classify_off_threshold,
-                        classify_harmonics, waveguide_band_matrix)
+                        ThresholdError, _classify, classify_harmonics,
+                        waveguide_band_matrix)
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,89 +110,65 @@ def _fourier(N, kappa):
     return P, Pinv
 
 
-def _chain_kernel(params, kappa, omega, theta):
-    """The reduced chain matrix K, P, P^-1 and s = 2i sin 2 pi theta.
+def _chain_kernel(params, kappa, omega, theta, prop=None):
+    """The reduced chain matrix K, P, P^-1, s and its exact derivatives.
 
-    K = omega - A(kappa) - diag(gamma) P diag(1/s) P^-1 diag(conj gamma), with
-    A the chain's band matrix and P, P^-1 from `_fourier`.  omega may carry
-    leading batch axes, theta then has shape omega.shape + (N,) and K shape
-    omega.shape + (N, N); P and P^-1 depend on kappa only.
-    """
-    N = params.N
-    P, Pinv = _fourier(N, kappa)
-    s = 2j * np.sin(TWO_PI * theta)
-    gam = params.gammas
-    K = (np.asarray(omega)[..., None, None] * np.eye(N)
-         - waveguide_band_matrix(params, kappa)
-         - (gam[:, None] * P / s[..., None, :]) @ (Pinv * np.conj(gam)))
-    return K, P, Pinv, s
-
-
-def _chain_kernel_derivatives(params, kappa, omega):
-    """K at one point, its exact K_omega, and a function that forms K_kappa.
-
-    With X = P diag(1/s) P^-1, K = omega - A - diag(gamma) X diag(conj gamma).
-    The ambient dispersion omega = 4 - 2 cos 2 pi theta - 2 cos 2 pi phi
-    gives d theta / d omega = 1 / (4 pi sin 2 pi theta), so
-    ds/d omega = i cot 2 pi theta, and at fixed omega
+    K = omega - A(kappa) - sum_l w_l u_l / s_l, with A the chain's band
+    matrix, w_l = gamma * P[:, l], u_l = P^-1[l, :] * conj(gamma) (w_l^H / N
+    at real kappa), s_l = 2i sin 2 pi theta_l and P, P^-1 from `_fourier`.
+    omega may carry leading batch axes, theta then has shape omega.shape +
+    (N,) and K shape omega.shape + (N, N).  kappa is a scalar (complex for
+    the tracker), or a real array broadcasting against omega, one point per
+    entry, with A, P and P^-1 built once per distinct kappa.  Where the mask
+    prop (theta's shape) is given, its orders' terms are dropped: with the
+    propagating orders this is K_H, K without their radiation, Hermitian at
+    real points as s_l is real on a decaying order.
+    Returns (K, P, P^-1, s, K_omega, K_kappa); the last two form the exact
+    derivatives of the kept terms when called.  The ambient dispersion
+    omega = 4 - 2 cos 2 pi theta - 2 cos 2 pi phi gives
+    ds/d omega = i cot 2 pi theta, so K_omega = I + sum_l (s_l' / s_l^2)
+    w_l u_l, with s_l' / s_l^2 > 0 on a decaying order (each eigenvalue of
+    K_H rises with slope at least 1), and at fixed omega
     ds/d kappa = -(ds/d omega) 4 pi sin(2 pi phi) / N.  P' = 2 pi i D P and
     (P^-1)' = -2 pi i P^-1 D with D = diag(n / N).  A' comes from the wrap
     entries, the only ones that depend on kappa: they carry e^{+-2 pi i kappa},
     so A' = pi (A(kappa + 1/4) - A(kappa - 1/4)).
-    K_kappa, the costly part, is formed only when asked for.
     """
-    N = params.N
-    phi, theta, _ = _classify_off_threshold(N, kappa, omega)
-    K, P, Pinv, s = _chain_kernel(params, kappa, omega, theta)
-    gam = params.gammas
-    s_om = 1j / np.tan(TWO_PI * theta)
-    outer = gam[:, None] * np.conj(gam)
-    K_om = np.eye(N) + outer * ((P * (s_om / s ** 2)) @ Pinv)
+    N, gam = params.N, params.gammas
+
+    def per_kappa(f):
+        """The N x N matrices f(kappa) returns, each at every point; at an
+        array kappa, f runs once per distinct kappa."""
+        if not np.ndim(kappa):
+            return f(kappa)
+        rows = {}  # each distinct kappa and its index
+        at = [rows.setdefault(k, len(rows)) for k in kappa.ravel().tolist()]
+        return np.array(list(zip(*map(f, rows))))[:, at].reshape(
+            (-1,) + kappa.shape + (N, N))
+
+    A, P, Pinv = per_kappa(lambda k: (waveguide_band_matrix(params, k),
+                                      *_fourier(N, k)))
+    s = 2j * np.sin(TWO_PI * theta)
+    Ws = gam[:, None] * P / s[..., None, :]
+    if prop is not None:
+        Ws = np.where(prop[..., None, :], 0.0, Ws)
+    U = Pinv * np.conj(gam)
+    Y = Ws @ U  # the coupling sum
+    K = np.asarray(omega)[..., None, None] * np.eye(N) - A - Y
+
+    def Ws_ds():  # the w_l s_l' / s_l^2, s' = ds / d omega = i cot 2 pi theta
+        return Ws * (1j / np.tan(TWO_PI * theta) / s)[..., None, :]
 
     def K_kappa():
-        s_kap = -s_om * 4.0 * np.pi * np.sin(TWO_PI * phi) / N
-        X = (P / s) @ Pinv
-        D = np.arange(N)[:, None] / N
-        A_kap = np.pi * (waveguide_band_matrix(params, kappa + 0.25)
-                         - waveguide_band_matrix(params, kappa - 0.25))
-        return -A_kap - outer * (2j * np.pi * (D * X - X * D.T)
-                                 - (P * (s_kap / s ** 2)) @ Pinv)
+        n = np.arange(N)
+        (A_kap,) = per_kappa(lambda k: [np.pi * (
+            waveguide_band_matrix(params, k + 0.25)
+            - waveguide_band_matrix(params, k - 0.25))])
+        sin_phi = np.sin(TWO_PI * (np.add.outer(kappa, n) / N))
+        return (-A_kap - 2j * np.pi * Y * (np.subtract.outer(n, n) / N)
+                - (Ws_ds() * (4.0 * np.pi / N * sin_phi)[..., None, :]) @ U)
 
-    return K, K_om, K_kappa
-
-
-def _hermitian_kernel(params, kappa, omega):
-    """K_H, a function forming dK_H / d omega, W and the propagating mask.
-
-    kappa and omega are real arrays of one shape S, one point per entry;
-    the matrices have shape S + (N, N).  K_H = K + sum_{l in P} w_l w_l^H /
-    (N s_l), w_l = gamma * P[:, l], is K without the radiation terms of the
-    propagating orders P, and W holds their w_l (zero columns elsewhere).
-    As P^-1 = P^H / N and s_l is real on a decaying order, K_H is Hermitian,
-    and dK_H / d omega = I + sum_{l not in P} (s_l' / s_l^2) w_l w_l^H / N
-    with s_l' / s_l^2 > 0, so each eigenvalue rises with slope at least 1.
-    A and P are built once per distinct kappa.
-    """
-    N = params.N
-    kappa, omega = np.broadcast_arrays(np.asarray(kappa, dtype=float),
-                                       np.asarray(omega, dtype=float))
-    _, theta, prop = _classify_off_threshold(N, kappa, omega)
-    rows = {}  # each distinct kappa and its index
-    at = [rows.setdefault(k, len(rows)) for k in kappa.ravel().tolist()]
-    A, P = (np.array(m)[at].reshape(kappa.shape + (N, N)) for m in zip(*(
-        (waveguide_band_matrix(params, k), _fourier(N, k)[0]) for k in rows)))
-    V = params.gammas[:, None] * P  # the w_l of every order
-    Vh = V.conj().swapaxes(-1, -2)
-    # 1 / (N s_l), s_l = 2i sin 2 pi theta_l, on the decaying orders only
-    inv_s = np.where(prop, 0.0, -0.5j / (N * np.sin(TWO_PI * theta)))
-
-    def dK_H():  # s_l' = i cot 2 pi theta_l
-        s_om = 1j / np.tan(TWO_PI * theta)
-        return np.eye(N) + (V * (N * s_om * inv_s ** 2)[..., None, :]) @ Vh
-
-    return (omega[..., None, None] * np.eye(N) - A
-            - (V * inv_s[..., None, :]) @ Vh, dK_H, V * prop[..., None, :],
-            prop)
+    return K, P, Pinv, s, lambda: np.eye(N) + Ws_ds() @ U, K_kappa
 
 
 def _solve_stack(K, rhs, cond_limit):
@@ -314,7 +292,7 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         om, theta, prop = om[ok], theta[ok], prop[ok]
 
     u_inc = a_inc + b_inc
-    K, P, Pinv, s = _chain_kernel(params, kappa, om, theta)
+    K, P, Pinv, s, *_ = _chain_kernel(params, kappa, om, theta)
     z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
     U = u_inc + (Pinv @ (np.conj(gam) * z)[..., None])[..., 0] / s
     a_minus, b_plus = U - a_inc, U - b_inc

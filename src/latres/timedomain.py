@@ -146,8 +146,10 @@ def gaussian_pulse(params: StructureParams, mx: int, kappa: float,
     The envelope is a Gaussian in m centered at `center`, modulated by a
     plane-wave carrier e^{2 pi i theta m}; symmetry 'antisymmetric' makes
     u_{mn} = -u_{-m,n} (so the coupling line value vanishes), 'symmetric'
-    mirrors the pulse evenly.
+    mirrors the pulse evenly.  A width <= 0 raises ValueError.
     """
+    if not width > 0.0:
+        raise ValueError(f"pulse width must be > 0, got {width}")
     m = np.arange(-mx, mx + 1, dtype=float)
     env = np.exp(-((m - center) / width) ** 2) * np.exp(2j * np.pi * theta * m)
     if symmetry == "antisymmetric":

@@ -382,6 +382,37 @@ def test_enhance_csv(config1, tmp_path):
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
+@pytest.mark.parametrize("argv", [["--kt-min=0"], ["--kt-max=-1e-2"]])
+def test_enhance_refuses_kt_bounds(config1, capsys, monkeypatch, argv):
+    # kt runs on a log scale; the refusal comes before the mode search
+    def locate(*args, **kwargs):
+        raise AssertionError("mode search ran")
+
+    monkeypatch.setattr(latres.cli, "_locate_mode", locate)
+    assert main(["enhance", "--config", config1,
+                 "--window=0.02,0.11,0.93,1.02", *argv]) == 2
+    err = _error_doc(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("enhance samples kt on a log scale")
+
+
+def test_dispersion_refuses_zero_radius(config1, capsys):
+    assert main(["dispersion", "--config", config1,
+                 "--window=0.02,0.11,0.93,1.02", "--density=80",
+                 "--radius=0"]) == 2
+    err = _error_doc(capsys)
+    assert err["error"] == "ValueError"
+    assert "radius must be > 0" in err["message"]
+
+
+def test_evolve_refuses_zero_width(config1, capsys):
+    # the pulse width is mx / 8
+    assert main(["evolve", "--config", config1, "--steps=1", "--mx=0"]) == 2
+    err = _error_doc(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"] == "pulse width must be > 0, got 0.0"
+
+
 def test_evolve_csv(config1, tmp_path):
     out = str(tmp_path / "evolve.csv")
     assert main(["evolve", "--config", config1, "--out", out,

@@ -11,9 +11,9 @@ from scipy.optimize import brentq
 import latres.scattering
 from latres import guided
 from latres.structure import (BlochPoint, StructureParams, _classify,
-                              _thresholds, propagating_count, waveguide_bands)
-from latres.scattering import (_chain_kernel_derivatives, _fourier,
-                               _hermitian_kernel, scan_transmission)
+                              _classify_off_threshold, _thresholds,
+                              propagating_count, waveguide_bands)
+from latres.scattering import _chain_kernel, _fourier, scan_transmission
 from latres.guided import (PROBE_OFFSET, EigenvalueTracker, _crossings,
                            continue_and_fit_dispersion, find_guided_modes,
                            sigma_min)
@@ -219,14 +219,21 @@ def _hermitian_cases(draw):
 
 @given(_hermitian_cases())
 def test_hermitian_kernel_property(case):
-    # K_H is Hermitian and dK_H / d omega - I is positive semidefinite at
-    # real points; on the whole spectrum at kappa every threshold region
-    # holds as many crossings as the inertia of K_H at its ends counts, each
-    # a zero of an eigenvalue of K_H
+    # K_H = K + sum_{l in P} w_l w_l^H / (N s_l) is Hermitian and
+    # dK_H / d omega - I is positive semidefinite at real points; on the
+    # whole spectrum at kappa every threshold region holds as many crossings
+    # as the inertia of K_H at its ends counts, each a zero of an eigenvalue
+    # of K_H
     params, kappa, omegas = case
-    K_H, dK_H, W, prop = _hermitian_kernel(params, kappa, omegas)
+    _, theta, prop = _classify_off_threshold(params.N, kappa, omegas)
+    K_H, P, _, s, dK_H, _ = _chain_kernel(params, kappa, omegas, theta, prop)
     dK_H = dK_H()
+    W = params.gammas[:, None] * P * prop[..., None, :]
     scale = np.maximum(1.0, np.abs(K_H).max(axis=(-2, -1)))
+    K = _chain_kernel(params, kappa, omegas, theta)[0]
+    assert np.all(np.abs(K_H - (W / (params.N * s[..., None, :]))
+                         @ W.conj().swapaxes(-1, -2) - K).max(axis=(-2, -1))
+                  <= 1e-13 * scale)
     assert np.all(np.abs(K_H - K_H.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
                   <= 1e-13 * scale)
     assert np.all(np.linalg.eigvalsh(dK_H - np.eye(params.N)).min(axis=-1)
@@ -242,7 +249,8 @@ def test_hermitian_kernel_property(case):
                            [np.inf]])
     for Q in (None, np.linalg.svd(w[:, None])[0][:, 1:]):
         def eigenvalues(x):
-            K = _hermitian_kernel(params, kappa, x)[0]
+            _, theta, prop = _classify_off_threshold(params.N, kappa, x)
+            K = _chain_kernel(params, kappa, x, theta, prop)[0]
             return np.linalg.eigvalsh(K if Q is None else Q.conj().T @ K @ Q)
 
         _, cross = _crossings(params, [kappa], -0.5, 8.5,
@@ -259,6 +267,12 @@ def test_hermitian_kernel_property(case):
                 lam = eigenvalues(x)
                 assert np.abs(lam).min() <= 1e-11 * max(1.0,
                                                         np.abs(lam).max())
+
+
+def _kernel(params, kappa, omega):
+    """_chain_kernel at a point off the thresholds."""
+    _, theta, _ = _classify_off_threshold(params.N, kappa, omega)
+    return _chain_kernel(params, kappa, omega, theta)
 
 
 def _differences(f, x, h=1e-5):
@@ -283,15 +297,11 @@ def test_kernel_derivatives_match_differences(N, complex_gamma):
             if np.min(np.abs(np.abs(chi) - 1.0)) < 0.05:
                 continue  # the differences would straddle a threshold
             for omega in (om, om - 0.01j):
-                _, K_om, K_kappa = _chain_kernel_derivatives(params, kap,
-                                                             omega)
-                K_kap = K_kappa()
+                K_om, K_kap = (d() for d in _kernel(params, kap, omega)[4:])
                 want_om = _differences(
-                    lambda w: _chain_kernel_derivatives(params, kap, w)[0],
-                    omega)
+                    lambda w: _kernel(params, kap, w)[0], omega)
                 want_kap = _differences(
-                    lambda k: _chain_kernel_derivatives(params, k, omega)[0],
-                    kap)
+                    lambda k: _kernel(params, k, omega)[0], kap)
                 for got, want in ((K_om, want_om), (K_kap, want_kap)):
                     assert (np.max(np.abs(got - want))
                             <= 1e-8 * np.max(np.abs(want)))
@@ -405,3 +415,35 @@ def test_standing_mode_n5_complex_coupling():
     modes = find_guided_modes(params, (-0.05, 0.05, 0.2, 1.35), density=40)
     assert len(modes) == 1
     _assert_standing(modes[0])
+
+
+def test_fold_needs_a_mode_at_minus_kappa0(fixture1):
+    # without mirror symmetry (complex couplings, unequal masses) a mode at
+    # kappa0 < 0 has no partner at -kappa0, so it keeps its sign; every
+    # entry, with its null vector and order count, is a mode where reported
+    params = StructureParams(N=3, masses=[1.5, 2.0, 1.0],
+                             springs=[1.2, 0.7, 1.9],
+                             gammas=[0.8 + 0.3j, 2.0 - 1.0j, 1.0 + 0.5j])
+    kmin, kmax, wmin, wmax = window = (-0.45, -0.25, 0.2, 0.6)
+    inside = find_guided_modes(params, window, density=10)
+    assert len(inside) == 8
+    assert all(kmin <= m.kappa0 <= kmax and wmin <= m.omega0 <= wmax
+               for m in inside)
+    whole = find_guided_modes(params, (-0.5, 0.5, wmin, wmax), density=10)
+    assert any(m.kappa0 < 0.0 for m in whole)
+    for m in inside + whole:
+        B, labels = guided._reduced_homogeneous(params, m.kappa0, m.omega0)
+        assert m.sigma == sigma_min(params, BlochPoint(m.kappa0, m.omega0))
+        assert m.sigma <= 1e-8
+        assert tuple(labels) == m.null_labels
+        assert np.linalg.norm(B @ m.null_vector) <= 1e-8 * np.linalg.norm(B)
+        assert m.region_size == propagating_count(params, m.kappa0, m.omega0)
+    # with real couplings -kappa0 is a mode too, and the entry is folded
+    folded = find_guided_modes(fixture1, (-0.2, -0.01, 0.93, 1.02))
+    assert [round(m.kappa0, 7) for m in folded] == [0.0616737]
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.004, float("nan")])
+def test_dispersion_refuses_radius(fixture1, mode1, radius):
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        continue_and_fit_dispersion(fixture1, mode1, radius=radius)

@@ -173,7 +173,7 @@ def test_window_root_identities():
             if thr.any() or prop.tolist() != [True] + [False] * (N - 1):
                 continue
             found += 1
-            K, P, _, s = _chain_kernel(params, kappa, omega, theta)
+            K, P, _, s, *_ = _chain_kernel(params, kappa, omega, theta)
             w = params.gammas * P[:, 0]
             K_t = K + np.outer(w, w.conj()) / (N * s[0])
             assert (np.max(np.abs(K_t - K_t.conj().T))

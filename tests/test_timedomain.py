@@ -108,3 +108,9 @@ def test_evolve_logs_steps_and_drift(fixture1, caplog):
                                "max relative norm drift ")
     assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
         result.norm_drift / result.norms[0], rel=1e-3)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_gaussian_pulse_refuses_width(fixture1, width):
+    with pytest.raises(ValueError, match="pulse width must be > 0"):
+        gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0, width=width)
