@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .structure import (BlochPoint, StructureParams, _complex,
                         classify_harmonics, region_diagram, waveguide_bands)
-from .scattering import (IncidentField, scan_transmission, solve_row,
-                         solve_scattering)
+from .scattering import IncidentField, scan_transmission, solve_scattering
 from .dtn import cross_validate, solve_truncated
 from .guided import continue_and_fit_dispersion, find_guided_modes
-from .resonance import (approx_transmission, enhancement_scan, fit_anomaly,
+from .resonance import (enhancement_scan, fit_anomaly, model_vs_direct,
                         trace_branch)
 from .timedomain import LatticeState, evolve, gaussian_pulse
 from .discrete import green_identity_field, identity_residuals
@@ -212,17 +211,9 @@ def cmd_anomaly(args):
     mode = _locate_mode(params, args)
     dfit = continue_and_fit_dispersion(params, mode)
     afit = fit_anomaly(params, mode, dfit)
-    # direct vs closed-form transmission across the anomaly window
-    rows = []
-    for kt in (-0.003, -0.002, -0.001, 0.001, 0.002, 0.003):
-        half = 8.0 * abs(afit.curvature) * kt ** 2
-        ws = -afit.slope * kt + np.linspace(-half, half, 11)
-        row = solve_row(params, afit.kappa0 + kt, afit.omega0 + ws,
-                        strict=True)
-        t_model = approx_transmission(afit, kt, ws)
-        rows += [(afit.kappa0 + kt, om, T, tm)
-                 for om, T, tm in zip(row.omega, row.T, t_model)]
-    _csv(args.out, "kappa,omega,T_direct,T_approx", rows)
+    rows = model_vs_direct(params, afit, (-0.003, -0.002, -0.001, 0.001,
+                                          0.002, 0.003), 11)
+    _csv(args.out, "kappa,omega,T_direct,T_approx", map(tuple, rows))
     meta = {
         "kappa0": afit.kappa0, "omega0": afit.omega0,
         "linear_coefficient": afit.slope,

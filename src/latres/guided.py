@@ -306,14 +306,15 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                       tol: float = 1e-8):
     """Polish the candidates among K_H's zero crossings on density kappa rows.
 
-    window = (kappa_min, kappa_max, omega_min, omega_max).  The crossings
-    from `_crossings` are linked along kappa into branches by region and
-    eigenvalue index; the candidates are the points of a branch with a
-    propagating order where q = ||W^H v|| / ||W|| (0 at a mode) is no
-    larger than at its neighbours, and every point without one.  Those with
-    a propagating order are polished on the chain kernel K with its exact
-    derivatives (`_polish`): Newton in complex omega follows the zero
-    omega_gm(kappa) of K's tracked eigenvalue, and a bracketed root of
+    window = (kappa_min, kappa_max, omega_min, omega_max), with each min
+    below its max, and density >= 2; otherwise ValueError is raised before
+    any solve.  The crossings from `_crossings` are linked along kappa into
+    branches by region and eigenvalue index; the candidates are the points
+    of a branch with a propagating order where q = ||W^H v|| / ||W|| (0 at a
+    mode) is no larger than at its neighbours, and every point without one.
+    Those with a propagating order are polished on the chain kernel K with
+    its exact derivatives (`_polish`): Newton in complex omega follows the
+    zero omega_gm(kappa) of K's tracked eigenvalue, and a bracketed root of
     h(kappa) = Im d omega_gm / d kappa within two row steps of the candidate
     gives kappa0 (at kappa = 0 a standing mode is tried first).  The others
     lie on the robust branch, a curve of modes where K = K_H, so each is a
@@ -323,7 +324,8 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     A mode at kappa0 < 0 is reported at -kappa0 when sigma_min there falls
     below tol too (as it does for mirror-symmetric structures, such as those
     with real couplings), and keeps its sign otherwise; duplicates are then
-    merged.  Each mode carries its certificate at the point reported:
+    merged.  The window applies before that fold, so a folded mode can lie
+    outside it.  Each mode carries its certificate at the point reported:
     |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
     sigma_min.  A DEBUG line on the `latres` logger counts the kappa rows,
     regions probed, crossings solved and their most Newton steps, the
@@ -331,6 +333,10 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     mode's certificate.
     """
     kmin, kmax, wmin, wmax = window
+    if not (kmin < kmax and wmin < wmax and density >= 2):
+        raise ValueError(f"the mode search needs kappa_min < kappa_max, "
+                         f"omega_min < omega_max and density >= 2, got "
+                         f"window {tuple(window)} and density {density}")
     kappas = np.linspace(kmin, kmax, density)
     probed, cross = _crossings(params, kappas, wmin, wmax)
     branch = cross["region"] * params.N + cross["j"]
@@ -344,7 +350,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     candidates = zip(kappas[cross["row"][pick]], cross["omega"][pick],
                      cross["nprop"][pick])
 
-    reach = 2.0 * (kmax - kmin) / max(density - 1, 1)
+    reach = 2.0 * (kmax - kmin) / (density - 1)
     modes = []
     seen = []
     rejected = 0
@@ -487,23 +493,25 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
                                 radius: float = 0.004) -> DispersionFit:
     """Continue the eigenvalue zero to complex omega on both sides of kappa0.
 
-    Newton-solves the tracked eigenvalue for complex omega at real
-    kappa = kappa0 + kt at DISPERSION_SAMPLES points out to radius, marching
-    outward in both directions, then least-squares fits a polynomial of
+    Solves omega_gm at real kappa = kappa0 + kt for DISPERSION_SAMPLES kt
+    on each side out to radius, marching outward from kappa0 along
+    `_continued_h`'s continuation, then least-squares fits a polynomial of
     degree DISPERSION_DEGREE in kt and reads the linear and quadratic
-    coefficients.  A radius <= 0 raises ValueError.
+    coefficients; the kt = 0 sample is the mode itself, (0, omega0).  A
+    radius <= 0 raises ValueError.  A DEBUG line on the `latres` logger
+    gives the samples, the tracker solves, the fit residual and the
+    imaginary part of the slope.
     """
     if not radius > 0.0:
         raise ValueError(f"dispersion fit radius must be > 0, got {radius}")
     kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
+    h, solved = _continued_h(params, (mode.kappa0, complex(mode.omega0), 0.0,
+                                      None))
+    h(mode.kappa0)  # the tangent at the mode seeds both sides
     pts = [(0.0, complex(mode.omega0))]
-    for sgn in (1.0, -1.0):
-        tracker = EigenvalueTracker(params)
-        tracker.value(mode.kappa0, mode.omega0)  # seed the eigenvector
-        om_prev = complex(mode.omega0)
-        for kt in sgn * kts:
-            om_prev = tracker.solve_omega(mode.kappa0 + kt, om_prev)
-            pts.append((float(kt), om_prev))
+    for kt in np.concatenate([kts, -kts]):
+        h(mode.kappa0 + kt)
+        pts.append((float(kt), solved[mode.kappa0 + kt][1]))
     pts.sort()
     kk = np.array([p[0] for p in pts])
     oo = np.array([p[1] for p in pts])
@@ -512,6 +520,9 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     slope = -coef[1]
     curvature = -coef[2]
     fit_res = float(np.max(np.abs(V @ coef - oo)))
+    log.debug("dispersion fit: %d samples, %d tracker solves, fit residual "
+              "%.2e, Im slope %.2e", len(pts), len(solved), fit_res,
+              slope.imag)
     if abs(slope.imag) > 1e-8:
         raise RuntimeError(
             f"dispersion linear coefficient has imaginary part {slope.imag}")

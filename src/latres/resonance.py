@@ -25,15 +25,14 @@ from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
                         _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
                          _fourier, solve_row, solve_scattering)
-from .guided import (EPS, ConvergenceError, DispersionFit, GuidedMode,
+from .guided import (ConvergenceError, DispersionFit, GuidedMode,
                      _continued_h, _crossings, _h_slope)
 
-# step limit of the two-sided anomaly model's Gauss-Newton fit
-ANOMALY_GN_STEPS = 30
-# approx_error_sup: kt samples, omega samples, window half-width scale
+# approx_error_sup: kt samples, omega samples; the half-width scale of the
+# model-versus-direct window
 ERROR_SUP_KT = 6
 ERROR_SUP_OMEGA = 25
-ERROR_SUP_WINDOW_SCALE = 8.0
+WINDOW_SCALE = 8.0
 # critical-coupling secant: second point, stop step, step limit; the
 # largest branch kappa0
 GAMMA_STEP = 1e-3
@@ -149,8 +148,10 @@ class AnomalyFit:
     of K_c = Q^H K_t Q and K_t (see `peak_dip_curves`; their shared linear
     coefficient must equal -slope); t_bg is the background transmission at
     kappa0 extrapolated to omega0 with r_bg = sqrt(1 - t_bg^2); bg_slope is
-    the linear frequency coefficient of the background; eta is the background
-    parameter of the two-sided model, fitted over the window by Gauss-Newton.
+    the background's relative linear frequency coefficient, d log|T| / d wt;
+    eta is the background parameter of `approx_transmission`,
+    bg_slope / r_bg^2 (0 where r_bg = 0), at which the model's own relative
+    slope at kt = 0, wt = 0, r_bg^2 eta, is bg_slope.
     """
 
     kappa0: float
@@ -170,7 +171,14 @@ class AnomalyFit:
 
 def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
                 curves: PeakDipCurves = None) -> AnomalyFit:
-    """Extract the anomaly coefficients from direct solves around the mode."""
+    """Extract the anomaly coefficients around the mode.
+
+    The peak and dip curvatures are cubic fits of curves (solved here when
+    not given); the background comes from one row solve at kappa0.  A DEBUG
+    line on the `latres` logger gives t_bg, bg_slope, eta, the ordering and
+    the residual of the identity Re(curvature) = r_bg^2 peak_curvature +
+    t_bg^2 dip_curvature.
+    """
     if curves is None:
         curves = peak_dip_curves(params, mode, fit)
     kk = np.concatenate([[0.0], curves.kt])
@@ -193,52 +201,12 @@ def fit_anomaly(params: StructureParams, mode: GuidedMode, fit: DispersionFit,
     r_bg = float(np.sqrt(max(0.0, 1.0 - t_bg ** 2)))
     bg_slope = float(p[1] / t_bg) if t_bg != 0 else 0.0
 
-    # two-sided model fitted over the whole anomaly window
-    data = []
-    for kt in (-0.006, -0.004, -0.002, 0.002, 0.004, 0.006):
-        ws = -fit.slope * kt + np.linspace(-12 * abs(fit.curvature) * kt ** 2,
-                                           12 * abs(fit.curvature) * kt ** 2, 40)
-        Ts = np.abs(_row_pairs(params, mode.kappa0 + kt, mode.omega0 + ws)[1])
-        data.append(np.column_stack([np.full(len(ws), kt), ws, Ts]))
-    data = np.concatenate(data)
-
-    kt, w, T = data.T
-    lin = w + fit.slope * kt
-
-    def model(p_):
-        """The model's |T| on the data and its Jacobian in p_.
-
-        With q = num / den = |T|^2 and den = rest + num,
-        dq = (rest dnum - num drest) / den^2 and d|T| = dq / (2 |T|).
-        """
-        t0, eta, r2_, t2_ = p_
-        dip, peak, bg = lin + t2_ * kt ** 2, lin + r2_ * kt ** 2, 1 + eta * w
-        num = t0 ** 2 * dip ** 2 * bg ** 2
-        rest = (1 - t0 ** 2) * peak ** 2
-        den = rest + num
-        T_ = np.sqrt(num / den)
-        jac = np.column_stack([
-            2 * t0 * dip ** 2 * bg ** 2 * peak ** 2,
-            rest * t0 ** 2 * dip ** 2 * 2 * bg * w,
-            -num * (1 - t0 ** 2) * 2 * peak * kt ** 2,
-            rest * t0 ** 2 * bg ** 2 * 2 * dip * kt ** 2,
-        ]) / (2 * T_ * den ** 2)[:, None]
-        return T_, jac
-
-    p_ = np.array([max(t_bg, 0.1), bg_slope, peak_curv, dip_curv])
-    for _ in range(ANOMALY_GN_STEPS):
-        T_, jac = model(p_)
-        step, _, rank, sv = np.linalg.lstsq(jac, T - T_, rcond=None)
-        if rank < len(p_):
-            raise ConvergenceError(f"anomaly fit: Jacobian of rank {rank}")
-        p_ = p_ + step
-        # roundoff in T - T_ moves the step by up to about eps cond(jac) |p|
-        if np.abs(step).max() * sv[-1] <= 4.0 * EPS * sv[0] * np.abs(p_).max():
-            break
-    else:
-        raise ConvergenceError(f"anomaly fit: no convergence in "
-                               f"{ANOMALY_GN_STEPS} Gauss-Newton steps")
-    eta = float(p_[1])
+    # the model's relative slope at kt = 0, w = 0 is r_bg^2 eta
+    eta = bg_slope / r_bg ** 2 if r_bg != 0 else 0.0
+    log.debug("anomaly fit: t_bg %.7g, bg_slope %.6g, eta %.6g, ordering "
+              "%+d, Re(curvature) - r_bg^2 peak - t_bg^2 dip %.2e", t_bg,
+              bg_slope, eta, ordering, fit.curvature.real - r_bg ** 2
+              * peak_curv - t_bg ** 2 * dip_curv)
 
     return AnomalyFit(
         kappa0=mode.kappa0, omega0=mode.omega0, slope=fit.slope,
@@ -268,21 +236,33 @@ def approx_transmission(fit: AnomalyFit, kt, wt):
     return out if out.ndim else float(out)
 
 
+def model_vs_direct(params: StructureParams, fit: AnomalyFit, kts,
+                    n_omega: int) -> np.ndarray:
+    """Rows (kappa, omega, T_direct, T_approx) across the anomaly window.
+
+    Each kt gets one row solve at kappa0 + kt over n_omega frequencies
+    omega0 + wt, wt within WINDOW_SCALE |curvature| kt^2 of the line
+    wt = -slope kt, and the closed-form model at the same points.
+    """
+    rows = []
+    for kt in kts:
+        half = WINDOW_SCALE * abs(fit.curvature) * kt ** 2
+        ws = -fit.slope * kt + np.linspace(-half, half, n_omega)
+        row = solve_row(params, fit.kappa0 + kt, fit.omega0 + ws, strict=True)
+        rows.append(np.column_stack([np.full(n_omega, fit.kappa0 + kt),
+                                     row.omega, row.T,
+                                     approx_transmission(fit, kt, ws)]))
+    return np.concatenate(rows)
+
+
 def approx_error_sup(params: StructureParams, fit: AnomalyFit,
                      kt_max: float) -> float:
     """Sup of |T_model - T_direct| over the anomaly window of half-width
     kt_max."""
-    worst = 0.0
-    for kt in np.linspace(-kt_max, kt_max, ERROR_SUP_KT):
-        if abs(kt) < 0.05 * kt_max:
-            continue
-        half = ERROR_SUP_WINDOW_SCALE * abs(fit.curvature) * kt ** 2
-        ws = -fit.slope * kt + np.linspace(-half, half, ERROR_SUP_OMEGA)
-        t_direct = np.abs(_row_pairs(params, fit.kappa0 + kt,
-                                     fit.omega0 + ws)[1])
-        t_model = approx_transmission(fit, kt, ws)
-        worst = max(worst, float(np.max(np.abs(t_model - t_direct))))
-    return worst
+    rows = model_vs_direct(params, fit, np.linspace(-kt_max, kt_max,
+                                                    ERROR_SUP_KT),
+                           ERROR_SUP_OMEGA)
+    return float(np.abs(rows[:, 3] - rows[:, 2]).max())
 
 
 def enhancement_scan(params: StructureParams, mode: GuidedMode,

@@ -14,13 +14,13 @@ printed so the discrepancy is inspectable:
   0.9791667; rounded the same way, kappa0 would print as 0.0617.  Whether the published kappa0 was truncated,
   computed less precisely or belongs to a slightly different model is open.
 * criterion 08 -- the background amplitude at the mode is t0 = 0.2883, not
-  0.3143.  Four routes agree on the measured value: the direct solve
+  0.3143.  Three routes agree on the measured value: the direct solve
   |T(kappa0, omega0)| = 0.2883064, the quadratic background fit 0.2883064,
-  the two-sided global fit's own t0 = 0.28829, and the identity
-  Re(curvature) = r0^2*peak_curv + t0^2*dip_curv, whose residual is 8e-5
-  with t0 = 0.2883 and 4.2e-3 with the target.  Every other sub-check of
-  the criterion passes.  This shows the program is self-consistent, not
-  which definition of t0 the published value belongs to.
+  and the identity Re(curvature) = r0^2*peak_curv + t0^2*dip_curv, whose
+  residual is 8e-5 with t0 = 0.2883 and 4.2e-3 with the target.  Every
+  other sub-check of the criterion passes.  This shows the program is
+  self-consistent, not which definition of t0 the published value belongs
+  to.
 
 Criterion 10 checks the enhancement law: the optimally detuned chain
 amplitude scales like |Im omega_gm(kappa0 + kt)|^(-1/2).  On real kappa

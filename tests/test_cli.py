@@ -67,12 +67,23 @@ def test_missing_config_exits(capsys):
         "message": "a --config JSON file with the structure is required"}
 
 
+SEARCH_REFUSED = ("the mode search needs kappa_min < kappa_max, omega_min < "
+                  "omega_max and density >= 2, got window ({}) and density "
+                  "{}")
+
+
 @pytest.mark.parametrize("gammas, window, argv, message", [
     ([1.0, 1.0], "0.0,0.3,0.7,1.2", [], "no guided mode found in the window"),
     ([1.0, 7.0], "0.02,0.11,0.93,1.02", ["--mode-index=5"],
      "mode index 5 out of range (1 found)"),
     ([1.0, 7.0], "0.02,0.11,0.93,1.02", ["--mode-index=-1"],
      "mode index -1 out of range (1 found)"),
+    ([1.0, 7.0], "0.11,0.02,0.93,1.02", [],
+     SEARCH_REFUSED.format("0.11, 0.02, 0.93, 1.02", 60)),
+    ([1.0, 7.0], "0.02,0.11,1.02,0.93", [],
+     SEARCH_REFUSED.format("0.02, 0.11, 1.02, 0.93", 60)),
+    ([1.0, 7.0], "0.02,0.11,0.93,1.02", ["--density=1"],
+     SEARCH_REFUSED.format("0.02, 0.11, 0.93, 1.02", 1)),
 ])
 def test_mode_not_found_exit_code(tmp_path, capsys, gammas, window, argv,
                                   message):

@@ -447,3 +447,40 @@ def test_fold_needs_a_mode_at_minus_kappa0(fixture1):
 def test_dispersion_refuses_radius(fixture1, mode1, radius):
     with pytest.raises(ValueError, match="radius must be > 0"):
         continue_and_fit_dispersion(fixture1, mode1, radius=radius)
+
+
+@pytest.mark.parametrize("window, density", [
+    ((0.11, 0.02, 0.93, 1.02), 30),
+    ((0.02, 0.11, 1.02, 0.93), 30),
+    ((0.02, 0.02, 0.93, 1.02), 30),
+    ((0.02, 0.11, 0.93, 1.02), 1),
+])
+def test_mode_search_refuses_empty_window_and_density(fixture1, monkeypatch,
+                                                      window, density):
+    def solved(*args, **kwargs):
+        raise AssertionError("a crossing solve ran")
+
+    monkeypatch.setattr(guided, "_crossings", solved)
+    with pytest.raises(ValueError, match="the mode search needs kappa_min < "
+                       "kappa_max, omega_min < omega_max and density >= 2"):
+        find_guided_modes(fixture1, window, density=density)
+
+
+def test_dispersion_continues_once_and_logs(fixture1, mode1, caplog,
+                                            monkeypatch):
+    made = []
+
+    def tracker(params):
+        made.append(params)
+        return EigenvalueTracker(params)
+
+    monkeypatch.setattr(guided, "EigenvalueTracker", tracker)
+    caplog.set_level(logging.DEBUG, logger="latres")
+    fit = continue_and_fit_dispersion(fixture1, mode1)
+    # one tracker, `_continued_h`'s: the mode and 10 kt on each side
+    assert len(made) == 1
+    assert fit.samples[10] == (0.0, complex(mode1.omega0))
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert lines == [f"dispersion fit: 21 samples, 21 tracker solves, fit "
+                     f"residual {fit.fit_residual:.2e}, Im slope "
+                     f"{fit.slope_imag:.2e}"]

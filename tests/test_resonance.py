@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from latres import BlochPoint, StructureParams, resonance
-from latres.guided import (ConvergenceError, EigenvalueTracker,
-                           continue_and_fit_dispersion, find_guided_modes)
+from latres.guided import (EigenvalueTracker, continue_and_fit_dispersion,
+                           find_guided_modes)
 from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
                                solve_scattering)
 from latres.structure import ThresholdError, _classify, _thresholds
@@ -256,29 +256,41 @@ def test_eta_stable_under_one_ulp(fixture1, mode1, fit1, curves1,
     assert abs(moved.eta - anomaly1.eta) < 1e-9
 
 
-def test_anomaly_fit_raises_when_out_of_steps(fixture1, mode1, fit1, curves1,
-                                              monkeypatch):
-    # one Gauss-Newton step from the initial guess is far from converged
-    monkeypatch.setattr(resonance, "ANOMALY_GN_STEPS", 1)
-    with pytest.raises(ConvergenceError, match="1 Gauss-Newton steps"):
-        fit_anomaly(fixture1, mode1, fit1, curves1)
-    # the CLI exits 2 on a RuntimeError
-    assert issubclass(ConvergenceError, RuntimeError)
+def test_fit_anomaly_solves_one_row(fixture1, mode1, fit1, curves1,
+                                    monkeypatch):
+    calls = []
+    pairs = resonance._row_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pairs(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "_row_pairs", counted)
+    fit_anomaly(fixture1, mode1, fit1, curves1)
+    assert len(calls) == 1
 
 
-def test_anomaly_fit_raises_on_rank_deficient_jacobian(fixture1, mode1, fit1,
-                                                       curves1, monkeypatch):
-    # a zero singular value would make the stop test's eps cond(jac) |p|
-    # infinite and accept the first iterate
-    lstsq = np.linalg.lstsq
+def test_model_background_slope_is_measured_slope(anomaly1):
+    # at kt = 0 the model's slope in wt at the mode is t_bg * bg_slope
+    d = 1e-7
+    slope = (approx_transmission(anomaly1, 0.0, d)
+             - approx_transmission(anomaly1, 0.0, -d)) / (2.0 * d)
+    assert slope == pytest.approx(anomaly1.t_bg * anomaly1.bg_slope,
+                                  rel=1e-6)
+    assert anomaly1.eta == anomaly1.bg_slope / anomaly1.r_bg ** 2
 
-    def deficient(a, b, rcond=None):
-        x, res, rank, sv = lstsq(a, b, rcond=rcond)
-        return x, res, rank - 1, np.append(sv[:-1], 0.0)
 
-    monkeypatch.setattr(np.linalg, "lstsq", deficient)
-    with pytest.raises(ConvergenceError, match="Jacobian of rank 3"):
-        fit_anomaly(fixture1, mode1, fit1, curves1)
+def test_fit_anomaly_logs_one_line(fixture1, mode1, fit1, curves1, caplog):
+    caplog.set_level(logging.DEBUG, logger="latres")
+    a = fit_anomaly(fixture1, mode1, fit1, curves1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    residual = (fit1.curvature.real - a.r_bg ** 2 * a.peak_curvature
+                - a.t_bg ** 2 * a.dip_curvature)
+    assert abs(residual) < 1e-3
+    assert lines == [f"anomaly fit: t_bg {a.t_bg:.7g}, bg_slope "
+                     f"{a.bg_slope:.6g}, eta {a.eta:.6g}, ordering "
+                     f"{a.ordering_sign:+d}, Re(curvature) - r_bg^2 peak - "
+                     f"t_bg^2 dip {residual:.2e}"]
 
 
 def test_approx_transmission_limits(anomaly1):
