@@ -256,6 +256,9 @@ def cmd_enhance(args):
         raise ValueError(f"enhance samples kt on a log scale: --kt-min and "
                          f"--kt-max must be > 0, got {args.kt_min} and "
                          f"{args.kt_max}")
+    if args.num < 1:
+        raise ValueError(f"enhance needs --num >= 1 kt samples, got "
+                         f"{args.num}")
     mode = _locate_mode(params, args)
     fit = continue_and_fit_dispersion(params, mode)
     kts = np.logspace(np.log10(args.kt_min), np.log10(args.kt_max), args.num)

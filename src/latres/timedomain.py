@@ -4,8 +4,15 @@ The state s = (z, u) evolves by ds/dt = -i H s, where H is the sparse
 `structure.strip_operator`: chain, lattice stencil and coupling along m = 0
 on the strip |m| <= Mx, closed with zero-Dirichlet walls at m = +-Mx and a
 Bloch-twisted wrap in n.  That keeps H exactly Hermitian, so norm
-conservation is limited only by the integrator.  `evolve` builds H once;
-`rk4_step` and `apply_omega` build it per call.
+conservation is limited only by the integrator.
+
+For this linear system one classical RK4 step is s <- p(A) s with
+A = -i dt H and p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the RK4
+amplification polynomial.  `_rk4_factors` writes p(A) as the product of
+four sparse factors A - r_k I over the roots r_k of p, on H's sparsity
+pattern, so a step is four sparse matvecs and no other array work.
+`evolve` builds H and the factors once per call; `rk4_step` and
+`apply_omega` build H per call, and `rk4_step` steps with the same factors.
 """
 
 from __future__ import annotations
@@ -21,6 +28,12 @@ log = logging.getLogger("latres")
 
 # largest relative norm drift `evolve` accepts
 DRIFT_LIMIT = 1e-4
+
+# the roots r_k of p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 = (1/24) prod (x - r_k)
+_RK4_ROOTS = (complex(-0.27055576893229455, 2.5047759043624347),
+              complex(-0.27055576893229455, -2.5047759043624347),
+              complex(-1.7294442310677054, 0.8889743761218658),
+              complex(-1.7294442310677054, -0.8889743761218658))
 
 
 @dataclass(frozen=True)
@@ -67,20 +80,53 @@ def apply_omega(params: StructureParams, state: LatticeState):
     return hs[:len(state.z)], hs[len(state.z):].reshape(state.u.shape)
 
 
-def _rk4(H, s, dt):
-    """One classical Runge-Kutta step of ds/dt = -i H s on a flat vector."""
-    k1 = -1j * (H @ s)
-    k2 = -1j * (H @ (s + 0.5 * dt * k1))
-    k3 = -1j * (H @ (s + 0.5 * dt * k2))
-    k4 = -1j * (H @ (s + dt * k3))
-    return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _stored_diagonal(H):
+    """H with every diagonal entry stored, and their positions in its data.
+
+    H must be in canonical CSR form, as `strip_operator` returns it; a
+    diagonal entry it does not store is added as an explicit zero.
+    """
+    import scipy.sparse as sp
+
+    dim = H.shape[0]
+    rows = np.repeat(np.arange(dim), np.diff(H.indptr))
+    if np.count_nonzero(H.indices == rows) < dim:
+        # the COO -> CSR conversion sums the added zeros into stored entries
+        d = np.arange(dim)
+        H = sp.csr_matrix((np.concatenate([H.data, np.zeros(dim)]),
+                           (np.concatenate([rows, d]),
+                            np.concatenate([H.indices, d]))), shape=H.shape)
+        rows = np.repeat(d, np.diff(H.indptr))
+    return H, np.flatnonzero(H.indices == rows)
+
+
+def _rk4_factors(H, dt):
+    """Four CSR factors B_k of one RK4 step: s <- B_4 B_3 B_2 B_1 s.
+
+    B_k = -i dt H - r_k I, with the 1/24 of p folded into B_1.  The factors
+    share the index arrays of H (with its whole diagonal stored) and differ
+    only in their data.
+    """
+    import scipy.sparse as sp
+
+    H, diag = _stored_diagonal(H)
+    factors = []
+    for r in _RK4_ROOTS:
+        data = (-1j * dt) * H.data
+        data[diag] -= r
+        factors.append(sp.csr_matrix((data, H.indices, H.indptr),
+                                     shape=H.shape))
+    factors[0].data /= 24.0
+    return factors
 
 
 def rk4_step(params: StructureParams, state: LatticeState,
              dt: float) -> LatticeState:
     """One classical Runge-Kutta step of ds/dt = -i H s."""
-    H = strip_operator(params, state.kappa, state.mx)
-    return _unflat(state, _rk4(H, _flat(state), dt), state.t + dt)
+    s = _flat(state)
+    for B in _rk4_factors(strip_operator(params, state.kappa, state.mx), dt):
+        s = B @ s
+    return _unflat(state, s, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -99,30 +145,38 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
            steps: int, record_every: int = 1) -> EvolutionResult:
     """Integrate for `steps` RK4 steps, recording norm and chain energy.
 
-    Raises RuntimeError once the norm drifts by more than DRIFT_LIMIT
-    relative to max(1, initial norm).
+    A non-finite dt or initial state raises ValueError.  RuntimeError is
+    raised once a recorded norm drifts by more than DRIFT_LIMIT relative to
+    max(1, initial norm), or is not finite.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    H = strip_operator(params, state.kappa, state.mx)
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     s, t = _flat(state), state.t
+    if not np.isfinite(s).all():
+        raise ValueError("the initial state must be finite")
+    factors = _rk4_factors(strip_operator(params, state.kappa, state.mx), dt)
     times = [state.t]
     norms = [state.norm()]
     wg = [state.waveguide_energy()]
-    for i in range(steps):
-        s = _rk4(H, s, dt)
-        t = t + dt
-        if (i + 1) % record_every == 0 or i + 1 == steps:
-            state = _unflat(state, s, t)
-            times.append(state.t)
-            norms.append(state.norm())
-            wg.append(state.waveguide_energy())
-            if abs(norms[-1] - norms[0]) > DRIFT_LIMIT * max(1.0, norms[0]):
-                raise RuntimeError(
-                    f"norm drift {abs(norms[-1] - norms[0]):.3e} exceeds "
-                    f"{DRIFT_LIMIT}; reduce dt")
+    # a state that overflows ends in the RuntimeError below, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            for B in factors:
+                s = B @ s
+            t = t + dt
+            if (i + 1) % record_every == 0 or i + 1 == steps:
+                state = _unflat(state, s, t)
+                times.append(state.t)
+                norms.append(state.norm())
+                wg.append(state.waveguide_energy())
+                drift = abs(norms[-1] - norms[0])
+                if not drift <= DRIFT_LIMIT * max(1.0, norms[0]):
+                    raise RuntimeError(f"norm drift {drift:.3e} exceeds "
+                                       f"{DRIFT_LIMIT}; reduce dt")
     result = EvolutionResult(state=state, times=np.array(times),
                              norms=np.array(norms),
                              waveguide_energy=np.array(wg))

@@ -6,7 +6,9 @@ form the solvers do not use:
 - `assemble_system`: the 3N x 3N Fourier system before its reduction to the
   N x N chain kernel K;
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
-- `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria.
+- `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
+- `rk4_stages`: one classical RK4 step of ds/dt = -i H s in its four-stage
+  form, where `timedomain` applies the factored amplification polynomial.
 """
 
 from dataclasses import dataclass
@@ -81,3 +83,12 @@ def guided_mode_criteria_n2(params: StructureParams, kappa: float,
           + (k0 + k1) * (1 / M1 - 1 / M0)
           + 2j * np.sin(np.pi * kappa) * (k1 - k0) / np.sqrt(M0 * M1))
     return c1, c2
+
+
+def rk4_stages(H, s, dt):
+    """One classical Runge-Kutta step of ds/dt = -i H s on a flat vector."""
+    k1 = -1j * (H @ s)
+    k2 = -1j * (H @ (s + 0.5 * dt * k1))
+    k3 = -1j * (H @ (s + 0.5 * dt * k2))
+    k4 = -1j * (H @ (s + dt * k3))
+    return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)

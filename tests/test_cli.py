@@ -407,6 +407,20 @@ def test_enhance_refuses_kt_bounds(config1, capsys, monkeypatch, argv):
     assert err["message"].startswith("enhance samples kt on a log scale")
 
 
+@pytest.mark.parametrize("num", [0, -3])
+def test_enhance_refuses_num(config1, capsys, monkeypatch, num):
+    # with no kt samples the CSV would hold only its header
+    def locate(*args, **kwargs):
+        raise AssertionError("mode search ran")
+
+    monkeypatch.setattr(latres.cli, "_locate_mode", locate)
+    assert main(["enhance", "--config", config1,
+                 "--window=0.02,0.11,0.93,1.02", f"--num={num}"]) == 2
+    assert _error_doc(capsys) == {
+        "error": "ValueError",
+        "message": f"enhance needs --num >= 1 kt samples, got {num}"}
+
+
 def test_dispersion_refuses_zero_radius(config1, capsys):
     assert main(["dispersion", "--config", config1,
                  "--window=0.02,0.11,0.93,1.02", "--density=80",
@@ -422,6 +436,18 @@ def test_evolve_refuses_zero_width(config1, capsys):
     err = _error_doc(capsys)
     assert err["error"] == "ValueError"
     assert err["message"] == "pulse width must be > 0, got 0.0"
+
+
+def test_evolve_overflow_exit_code(config1, tmp_path, capsys):
+    # the one recorded norm is NaN: a failure, not a CSV row
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--config", config1, "--out", str(out),
+                 "--mx=10", "--dt=2", "--steps=400",
+                 "--record-every=1000"]) == 2
+    assert _error_doc(capsys) == {
+        "error": "RuntimeError",
+        "message": "norm drift nan exceeds 0.0001; reduce dt"}
+    assert not out.exists()
 
 
 def test_evolve_csv(config1, tmp_path):
@@ -466,6 +492,9 @@ def test_log_env_variable(config1, tmp_path, monkeypatch):
      "--init-file z must have N=2 entries, got 3"),
     (["--init=file"], {"z": [0, 0], "u": [[0, 0], [0, 0]]},
      "u must be 2-d with an odd number of rows"),
+    (["--init=file"], {"z": [0, 0], "u": [[float("nan"), 0]]},
+     "the initial state must be finite"),
+    (["--dt=nan"], None, "dt must be finite, got nan"),
 ])
 def test_malformed_evolve_exit_code(config1, tmp_path, capsys, flags, doc,
                                     message):

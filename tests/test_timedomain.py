@@ -4,10 +4,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from latres.structure import StructureParams, strip_operator
-from latres.timedomain import (LatticeState, antisymmetrize, apply_omega,
-                               evolve, gaussian_pulse, rk4_step)
+from latres.timedomain import (_RK4_ROOTS, LatticeState, _rk4_factors,
+                               antisymmetrize, apply_omega, evolve,
+                               gaussian_pulse, rk4_step)
+from oracles import rk4_stages
+
+# N = 1 at kappa = 0: the chain diagonal is 0, so one row of H stores no
+# diagonal entry
+N1 = StructureParams(1, [1.0], [1.0], [0.7])
 
 
 def test_state_validation():
@@ -51,6 +59,91 @@ def test_rk4_fourth_order_convergence(fixture1):
         errs.append(np.max(np.abs(s.u - ref.u)))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.5
+
+
+def test_rk4_roots_factor_the_amplification_polynomial():
+    p = [1 / 24, 1 / 6, 1 / 2, 1.0, 1.0]
+    for r in _RK4_ROOTS:
+        assert abs(np.polyval(p, r)) <= 1e-14
+    assert np.allclose(np.poly(_RK4_ROOTS) / 24, p, rtol=0, atol=1e-15)
+
+
+def test_rk4_factors_multiply_to_the_polynomial():
+    H = strip_operator(N1, 0.0, 3)
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    assert np.count_nonzero(H.indices == rows) == H.shape[0] - 1
+    dt = 0.3
+    A = -1j * dt * H.toarray()
+    expected = sum(np.linalg.matrix_power(A, k) / f
+                   for k, f in enumerate((1, 1, 2, 6, 24)))
+    factors = _rk4_factors(H, dt)
+    product = np.eye(H.shape[0])
+    for B in factors:
+        product = B.toarray() @ product
+    assert np.max(np.abs(product - expected)) <= 1e-14
+
+
+def test_rk4_factors_share_the_index_arrays(fixture1):
+    H = strip_operator(fixture1, 0.1, 5)
+    for B in _rk4_factors(H, 0.01):
+        assert np.shares_memory(B.indices, H.indices)
+        assert np.shares_memory(B.indptr, H.indptr)
+
+
+@st.composite
+def strips(draw):
+    """A random structure with complex couplings, a kappa and a strip."""
+    N = draw(st.integers(1, 8))
+    pos = st.lists(st.floats(0.5, 3.0), min_size=N, max_size=N)
+    parts = st.floats(-3.0, 3.0)
+    gammas = [complex(draw(parts), draw(parts)) for _ in range(N)]
+    params = StructureParams(N, draw(pos), draw(pos), gammas)
+    kappa = draw(st.just(0.0) | st.floats(-0.5, 0.5))
+    return params, kappa, draw(st.integers(0, 6))
+
+
+@given(strip=strips(), dt=st.floats(0.01, 0.3), seed=st.integers(0, 2**32))
+@example(strip=(N1, 0.0, 3), dt=0.1, seed=0)
+def test_factored_step_matches_four_stages(strip, dt, seed):
+    params, kappa, mx = strip
+    rng = np.random.default_rng(seed)
+    shape = (2 * mx + 1, params.N)
+    state = LatticeState(
+        z=rng.standard_normal(params.N) + 1j * rng.standard_normal(params.N),
+        u=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        kappa=kappa)
+    H = strip_operator(params, kappa, mx)
+    ref = np.concatenate([state.z, state.u.ravel()])
+    for _ in range(3):
+        state = rk4_step(params, state, dt)
+        ref = rk4_stages(H, ref, dt)
+    got = np.concatenate([state.z, state.u.ravel()])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_evolve_refuses_nonfinite_dt(fixture1, dt):
+    state = gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
+                           width=2.0)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        evolve(fixture1, state, dt=dt, steps=20)
+
+
+def test_evolve_refuses_nonfinite_state(fixture1):
+    u = np.zeros((5, 2), dtype=complex)
+    u[1, 0] = np.nan
+    state = LatticeState(z=np.zeros(2), u=u, kappa=0.0)
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        evolve(fixture1, state, dt=0.01, steps=20)
+
+
+def test_evolve_refuses_overflow(fixture1):
+    # the only recorded norm is NaN: a drift that no comparison catches,
+    # and numpy's overflow warnings would be errors here
+    state = gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
+                           width=2.0)
+    with pytest.raises(RuntimeError, match="norm drift nan exceeds"):
+        evolve(fixture1, state, dt=2.0, steps=400, record_every=1000)
 
 
 def test_antisymmetric_data_never_excites_chain(fixture1):
