@@ -10,12 +10,15 @@ eigenvalues, which Sylvester's inertia counts in each threshold region.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
 kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
 whose local quadratic expansion drives every resonance quantity downstream.
-Candidates are polished on that curve with the exact derivatives K_omega
-and K_kappa: Newton in complex omega finds omega_gm(kappa), and a bracketed
-root of h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its
-maximum, 0, gives kappa0.  The real zero of det K is degenerate (the curve
-only touches the real plane), so it is not solved for directly.  The same
-h (`_continued_h`) locates the coupling bifurcation in `resonance`.
+Every omega_gm comes from one solver, `_omega_gm`: Newton in complex omega
+on K's tracked eigenvalue with the exact derivative K_omega, at many real
+kappa (and, for `resonance`'s bifurcation branch, many couplings) at once,
+one stacked eigenvalue problem per step; it also gives d omega_gm / d kappa
+from K_kappa.  Candidates are polished on the curve by a bracketed root of
+h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its maximum,
+0, which gives kappa0 (`_continued_h`, one point per solve); the dispersion
+samples are one stacked solve.  The real zero of det K is degenerate (the
+curve only touches the real plane), so it is not solved for directly.
 """
 
 from __future__ import annotations
@@ -196,8 +199,7 @@ def _continued_h(params, start):
                                       key=lambda p: abs(p[0] - kappa))
             tracker.reset(v1)
             om = tracker.solve_omega(kappa, om1 + slope1 * (kappa - k1))
-            solved[kappa] = (kappa, om, -tracker.d_kappa / tracker.d_omega,
-                             tracker.eigenvector())
+            solved[kappa] = (kappa, om, tracker.slope, tracker.eigenvector())
         return solved[kappa][2].imag
 
     return h, solved
@@ -400,6 +402,94 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     return modes
 
 
+def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
+    """K's tracked eigenvalue at points (kappa, omega), omega 1-D.
+
+    kappa is one real value for every point, or one per point; vref (points
+    x N) holds each point's reference eigenvector, or is None to take the
+    smallest |eigenvalue|; gammas (points x N), where given, replaces
+    params.gammas point by point.  One stacked `_chain_kernel` and eig; the
+    eigenvalue lambda whose unit eigenvector overlaps the reference most is
+    taken, and ConvergenceError naming kappa is raised where that overlap is
+    below OVERLAP_MIN.  Returns lambda, the right and left eigenvectors v
+    (columns) and y (rows) with y v = 1, and `_chain_kernel`'s K_omega and
+    K_kappa: d lambda = y K' v.
+    """
+    _, theta, _ = _classify_off_threshold(params.N, kappa, omega)
+    K, _, _, _, K_om, K_kap = _chain_kernel(params, kappa, omega, theta,
+                                            gammas=gammas)
+    lam, V = np.linalg.eig(K)  # unit eigenvectors
+    at = np.arange(len(lam))
+    if vref is None:
+        i = np.argmin(np.abs(lam), axis=-1)
+    else:
+        ov = np.abs(vref[:, None, :].conj() @ V)[:, 0]
+        i = np.argmax(ov, axis=-1)
+        lost = ov[at, i] < OVERLAP_MIN
+        if lost.any():
+            p = np.argmax(lost)
+            raise ConvergenceError(
+                f"lost eigenvalue track at (kappa="
+                f"{np.broadcast_to(kappa, omega.shape)[p]}, omega={omega[p]}): "
+                f"best overlap {ov[p, i[p]]:.3f}")
+    # row i of V^-1
+    y = np.linalg.solve(V.swapaxes(-1, -2),
+                        np.eye(params.N)[i, :, None]).swapaxes(-1, -2)
+    return lam[at, i], V[at, :, i, None], y, K_om, K_kap
+
+
+def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
+    """omega_gm at many real kappa at once: Newton on K's tracked eigenvalue.
+
+    kappa and omega_seed are 1-D, one point per entry; vref and gammas are
+    as in `_tracked_eigenvalue`, which gives each step over the points still
+    active; each point tracks its eigenvector from its last step.  omega
+    moves by lambda / lambda_omega, with lambda_omega = y K_omega v exact.
+    A point stops after the step at which |lambda| < NEWTON_TOL or the step
+    is at roundoff, |step| <= 4 eps |omega|; ConvergenceError is raised if
+    one is still active after NEWTON_STEPS steps.  Returns omega_gm,
+    d omega_gm / d kappa = -lambda_kappa / lambda_omega and the unit
+    eigenvector, both at the last point before the stopping step, and each
+    point's steps.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    om = np.array(omega_seed, dtype=complex)
+    n_pts = len(kappa)
+    slope = np.empty(n_pts, dtype=complex)
+    vec = np.empty((n_pts, params.N), dtype=complex)
+    steps = np.zeros(n_pts, dtype=int)
+    # the active points: their index, kappa, omega, eigenvector, couplings
+    idx, k, w = np.arange(n_pts), kappa, om.copy()
+    v_ref = None if vref is None else np.asarray(vref)
+    gam = None if gammas is None else np.asarray(gammas)
+    for n in range(NEWTON_STEPS):
+        if not idx.size:
+            break
+        # a lone point takes the kernel's scalar-kappa path
+        f, v, y, K_om, K_kap = _tracked_eigenvalue(
+            params, k if idx.size > 1 else k[0], w, v_ref, gam)
+        d_om = (y @ K_om() @ v)[:, 0, 0]
+        step = f / d_om
+        w = w - step
+        v_ref = v[..., 0]
+        done = ((np.abs(f) < NEWTON_TOL)
+                | (np.abs(step) <= 4.0 * EPS * np.abs(w)))
+        if done.any():
+            j = idx[done]
+            om[j], vec[j], steps[j] = w[done], v_ref[done], n + 1
+            lam_kap = (y[done] @ K_kap()[done] @ v[done])[:, 0, 0]
+            slope[j] = -lam_kap / d_om[done]
+            keep = ~done
+            idx, k, w, v_ref = idx[keep], k[keep], w[keep], v_ref[keep]
+            if gam is not None:
+                gam = gam[keep]
+    if idx.size:
+        raise ConvergenceError(
+            f"eigenvalue Newton did not converge at kappa={k[0]}: "
+            f"{idx.size} points left after {NEWTON_STEPS} steps")
+    return om, slope, vec, steps
+
+
 class EigenvalueTracker:
     """Follow the smallest-magnitude eigenvalue of the chain kernel K.
 
@@ -408,66 +498,48 @@ class EigenvalueTracker:
     Each `value` call also leaves the eigenvalue's exact derivatives in
     d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
     y the left one, normalised so that y v = 1.  d_kappa forms K_kappa when
-    it is read.
+    it is read.  `solve_omega` does not call `value`: it leaves
+    d omega_gm / d kappa in slope instead.
     """
 
     def __init__(self, params: StructureParams):
         self.params = params
         self._vref = None
         self.d_omega = None
+        self.slope = None
 
     def reset(self, vref=None):
         """Forget the tracked eigenvector, or track the one closest to vref."""
         self._vref = vref
 
+    def _reference(self):
+        return None if self._vref is None else self._vref[None]
+
     def value(self, kappa, omega):
-        _, theta, _ = _classify_off_threshold(self.params.N, kappa, omega)
-        K, _, _, _, K_om, self._K_kappa = _chain_kernel(self.params, kappa,
-                                                        omega, theta)
-        w, V = np.linalg.eig(K)
-        if self._vref is None:
-            i = int(np.argmin(np.abs(w)))
-        else:
-            ov = np.abs(self._vref.conj() @ V)
-            i = int(np.argmax(ov))
-            if ov[i] < OVERLAP_MIN * np.linalg.norm(V[:, i]):
-                raise ConvergenceError(
-                    f"lost eigenvalue track at (kappa={kappa}, omega={omega}): "
-                    f"best overlap {ov[i]:.3f}")
-        v = V[:, i]
-        # row i of V^-1
-        y = np.linalg.solve(V.T, np.eye(len(w))[i])
-        self._vref = v / np.linalg.norm(v)
-        self.d_omega = y @ K_om() @ v
-        self._y, self._v = y, v
-        return w[i]
+        lam, self._v, self._y, K_om, self._K_kappa = _tracked_eigenvalue(
+            self.params, kappa, np.array([omega]), self._reference())
+        self._vref = self._v[0, :, 0]
+        self.d_omega = (self._y @ K_om() @ self._v)[0, 0, 0]
+        return lam[0]
 
     @property
     def d_kappa(self):
-        return self._y @ self._K_kappa() @ self._v
+        return (self._y @ self._K_kappa() @ self._v)[0, 0, 0]
 
     def eigenvector(self):
         return self._vref
 
     def solve_omega(self, kappa, omega_seed):
-        """Newton in omega for a zero of the tracked eigenvalue.
+        """omega_gm at real kappa from omega_seed: `_omega_gm` on one point.
 
-        The step is lambda / (d lambda / d omega), with the exact derivative.
-        Stops after the step at which |lambda| < NEWTON_TOL or the step is at
-        roundoff, |step| <= 4 eps |omega|; d_omega, d_kappa and the tracked
-        eigenvector are then those of the last point before that step.
-        Raises ConvergenceError after NEWTON_STEPS steps.
+        Tracks the eigenvector of the last call (the smallest |eigenvalue|
+        if there is none) and then holds the solve's, with its
+        d omega_gm / d kappa in slope.
         """
-        om = complex(omega_seed)
-        for _ in range(NEWTON_STEPS):
-            val = self.value(kappa, om)
-            step = val / self.d_omega
-            om = om - step
-            if abs(val) < NEWTON_TOL or abs(step) <= 4.0 * EPS * abs(om):
-                return om
-        raise ConvergenceError(
-            f"eigenvalue Newton did not converge at kappa={kappa}: "
-            f"|lambda| = {abs(val):.2e} after {NEWTON_STEPS} steps")
+        om, slope, vec, _ = _omega_gm(self.params, [kappa], [omega_seed],
+                                      self._reference())
+        self._vref, self.slope = vec[0], complex(slope[0])
+        return complex(om[0])
 
 
 @dataclass(frozen=True)
@@ -494,25 +566,25 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     """Continue the eigenvalue zero to complex omega on both sides of kappa0.
 
     Solves omega_gm at real kappa = kappa0 + kt for DISPERSION_SAMPLES kt
-    on each side out to radius, marching outward from kappa0 along
-    `_continued_h`'s continuation, then least-squares fits a polynomial of
-    degree DISPERSION_DEGREE in kt and reads the linear and quadratic
-    coefficients; the kt = 0 sample is the mode itself, (0, omega0).  A
-    radius <= 0 raises ValueError.  A DEBUG line on the `latres` logger
-    gives the samples, the tracker solves, the fit residual and the
-    imaginary part of the slope.
+    on each side out to radius, all in one `_omega_gm` call seeded along the
+    tangent at the mode (solved first, from omega0), then least-squares fits
+    a polynomial of degree DISPERSION_DEGREE in kt and reads the linear and
+    quadratic coefficients; the kt = 0 sample is the mode itself,
+    (0, omega0).  A radius <= 0 raises ValueError.  A DEBUG line on the
+    `latres` logger gives the samples, the points solved, the most Newton
+    steps, the fit residual and the imaginary part of the slope.
     """
     if not radius > 0.0:
         raise ValueError(f"dispersion fit radius must be > 0, got {radius}")
     kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
-    h, solved = _continued_h(params, (mode.kappa0, complex(mode.omega0), 0.0,
-                                      None))
-    h(mode.kappa0)  # the tangent at the mode seeds both sides
-    pts = [(0.0, complex(mode.omega0))]
-    for kt in np.concatenate([kts, -kts]):
-        h(mode.kappa0 + kt)
-        pts.append((float(kt), solved[mode.kappa0 + kt][1]))
-    pts.sort()
+    kts = np.concatenate([kts, -kts])
+    om0, slope0, vec0, steps0 = _omega_gm(params, [mode.kappa0],
+                                          [mode.omega0], None)
+    oms, _, _, steps = _omega_gm(params, mode.kappa0 + kts,
+                                 om0 + slope0 * kts,
+                                 np.repeat(vec0, len(kts), axis=0))
+    pts = sorted([(0.0, complex(mode.omega0))]
+                 + list(zip(kts.tolist(), oms.tolist())))
     kk = np.array([p[0] for p in pts])
     oo = np.array([p[1] for p in pts])
     V = np.vander(kk, DISPERSION_DEGREE + 1, increasing=True)
@@ -520,8 +592,9 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     slope = -coef[1]
     curvature = -coef[2]
     fit_res = float(np.max(np.abs(V @ coef - oo)))
-    log.debug("dispersion fit: %d samples, %d tracker solves, fit residual "
-              "%.2e, Im slope %.2e", len(pts), len(solved), fit_res,
+    log.debug("dispersion fit: %d samples, %d points solved, at most %d "
+              "Newton steps, fit residual %.2e, Im slope %.2e", len(pts),
+              1 + len(kts), max(steps0.max(), steps.max()), fit_res,
               slope.imag)
     if abs(slope.imag) > 1e-8:
         raise RuntimeError(

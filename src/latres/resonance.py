@@ -25,8 +25,8 @@ from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
                         _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
                          _fourier, solve_row, solve_scattering)
-from .guided import (ConvergenceError, DispersionFit, GuidedMode,
-                     _continued_h, _crossings, _h_slope)
+from .guided import (H_SLOPE_DELTA, ConvergenceError, DispersionFit,
+                     GuidedMode, _crossings, _omega_gm)
 
 # approx_error_sup: kt samples, omega samples; the half-width scale of the
 # model-versus-direct window
@@ -39,9 +39,12 @@ GAMMA_STEP = 1e-3
 GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
 BRANCH_KAPPA_MAX = 0.2
-# brentq's stop on a branch kappa0: near gamma0* h' is about 1e-6 and h
-# carries roundoff of about 1e-16, so kappa0 is known to about 1e-10
+# the branch secant's stop on a kappa0 step: near gamma0* h' is about 1e-6
+# and h carries roundoff of about 1e-16, so kappa0 is known to a few 1e-10;
+# its step limit (bisection alone takes a bracket of 0.2^2 in kappa^2 to a
+# step of 1e-10 in kappa in under 50)
 BRANCH_XTOL = 1e-10
+BRANCH_STEPS = 60
 
 log = logging.getLogger("latres")
 
@@ -301,13 +304,17 @@ class BifurcationBranch:
 
 
 def _critical_coupling(params, gamma0_bracket):
-    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, solve count.
+    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, points solved
+    and the most Newton steps.
 
     gamma0* is the root of Im(curvature) = -h'(0)/2 in gamma0 = gammas[0],
     found by a secant from the bracket midpoint and a point GAMMA_STEP
-    above; each gamma0 continues omega_gm(0) from the last.  omega starts at
-    the crossing of K_H's eigenvalues at kappa = 0, omega in [0.05, 3.95],
-    with the smallest q (`_crossings`) at the midpoint.
+    above.  Each gamma0 takes h'(0) from one `_omega_gm` call at kappa in
+    {-H_SLOPE_DELTA, 0, H_SLOPE_DELTA}, seeded along the tangent of the
+    last gamma0's kappa = 0 point (omega_gm, d omega_gm / d kappa,
+    eigenvector).  omega starts at the crossing of K_H's eigenvalues at
+    kappa = 0, omega in [0.05, 3.95], with the smallest q (`_crossings`) at
+    the midpoint.
     """
     lo, hi = gamma0_bracket
     _, cross = _crossings(params.replace_gamma(0, (lo + hi) / 2), [0.0],
@@ -316,15 +323,19 @@ def _critical_coupling(params, gamma0_bracket):
     if not np.isfinite(q).any():
         raise RuntimeError("no crossing of K_H with a propagating order at "
                            "kappa = 0 to start the critical coupling from")
-    point, solves = (0.0, complex(cross["omega"][np.argmin(q)]), 0.0, None), 0
+    point = (complex(cross["omega"][np.argmin(q)]), 0.0, None)
+    kappas = np.array([-H_SLOPE_DELTA, 0.0, H_SLOPE_DELTA])
+    solves, most = 0, 0
 
     def h_prime(g0):
-        nonlocal point, solves
-        h, solved = _continued_h(params.replace_gamma(0, g0), point)
-        h(0.0)
-        f = _h_slope(h, 0.0)
-        point, solves = solved[0.0], solves + len(solved)
-        return f
+        nonlocal point, solves, most
+        om, slope, vec = point
+        om, slope, vec, steps = _omega_gm(
+            params.replace_gamma(0, g0), kappas, om + slope * kappas,
+            None if vec is None else np.repeat(vec[None], 3, axis=0))
+        point = (om[1], slope[1], vec[1])
+        solves, most = solves + 3, max(most, steps.max())
+        return (slope[2].imag - slope[0].imag) / (2.0 * H_SLOPE_DELTA)
 
     g_old, g = (lo + hi) / 2, (lo + hi) / 2 + GAMMA_STEP
     f_old, f = h_prime(g_old), h_prime(g)
@@ -341,7 +352,7 @@ def _critical_coupling(params, gamma0_bracket):
     if not (lo <= g <= hi):
         raise RuntimeError(
             f"bifurcation root gamma0={g} escaped bracket {gamma0_bracket}")
-    return g, point, slope, solves
+    return g, point, slope, solves, most
 
 
 def find_bifurcation(params: StructureParams, gamma0_bracket):
@@ -350,8 +361,8 @@ def find_bifurcation(params: StructureParams, gamma0_bracket):
     For any N, gamma0* is the root of Im(curvature) of omega_gm(0) on the
     chain kernel K, and omega0* = Re omega_gm(0) there.
     """
-    g_star, point, _, _ = _critical_coupling(params, gamma0_bracket)
-    return g_star, point[1].real
+    g_star, point, *_ = _critical_coupling(params, gamma0_bracket)
+    return g_star, point[0].real
 
 
 def trace_branch(params: StructureParams, gamma0_values,
@@ -360,64 +371,106 @@ def trace_branch(params: StructureParams, gamma0_values,
 
     The branch lies on the side g_curvature_sign = -sign(d Im(curvature) /
     d gamma0) of gamma0*.  A gamma0 on the other side raises RuntimeError
-    before any branch solve, so the refusal loads no scipy; a gamma0 with no
-    root below BRANCH_KAPPA_MAX raises it when its own solve gets there.
-    Outwards from gamma0*, each kappa0 is the root on kappa > 0 of
-    h = Im d omega_gm / d kappa (h(0) = 0), continued from the last,
-    bracketed by (1e-6, 1e-3) with its top doubled until h changes sign,
-    then around the square-root law, and solved by brentq to BRANCH_XTOL;
-    the law is fitted on a log-log scale.  A DEBUG line on the `latres`
-    logger gives gamma0*, omega0*, |Im omega_gm(0)|, d Im(curvature) /
-    d gamma0, the tracker solve count (distinct kappa per structure) and
-    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)).
+    before any branch solve.  Every gamma0 is then solved at once, each
+    kappa0 the root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0),
+    with one `_omega_gm` call per step over the gamma0 still active, each
+    point continued along the tangent of its own last solve (the first from
+    gamma0*'s kappa = 0 point).  The bracket starts at (1e-6, 1e-3) and
+    moves up by doubling its top, point by point, until h changes sign; a
+    top past BRANCH_KAPPA_MAX raises RuntimeError for the first such gamma0
+    outwards from gamma0*.  A secant on h(kappa) / kappa in u = kappa^2,
+    nearly linear there, bisecting the bracket where it would leave it,
+    then runs until its kappa step is at most BRANCH_XTOL.  The square-root
+    law is fitted on a log-log scale.  A DEBUG line on the `latres` logger
+    gives gamma0*, omega0*, |Im omega_gm(0)|, d Im(curvature) / d gamma0,
+    the points solved, the most Newton steps and each (gamma0, kappa0,
+    |Im omega_gm(kappa0)|, h'(kappa0)).
     """
     if gamma0_bracket is None:
         gmin = min(gamma0_values)
         gamma0_bracket = (gmin - 0.5, max(gamma0_values) + 0.5)
-    g_star, star, h_prime_slope, solves = _critical_coupling(params,
-                                                             gamma0_bracket)
+    g_star, star, h_prime_slope, solves, most = _critical_coupling(
+        params, gamma0_bracket)
     sign = int(np.sign(h_prime_slope))  # d Im(curvature) = -d h'(0) / 2
     outwards = sorted(gamma0_values, reverse=(sign < 0))
     for g0 in outwards:
         if np.sign(g0 - g_star) != sign:
             raise RuntimeError(f"no branch point for gamma0={g0}: the branch "
                                f"lies on the other side of gamma0*={g_star}")
-    from scipy.optimize import brentq
+    n = len(outwards)
+    gam = np.tile(params.gammas, (n, 1))
+    gam[:, 0] = outwards
+    # each point's last solve: kappa, omega_gm, its slope, eigenvector
+    kl, wl = np.zeros(n), np.full(n, star[0])
+    sl, vl = np.full(n, star[1]), np.repeat(star[2][None], n, axis=0)
 
-    point, samples, certificates = star, [], []
-    for g0 in outwards:
-        h, solved = _continued_h(params.replace_gamma(0, g0), point)
-        lo, hi = 1e-6, 1e-3
-        if samples:  # within 2x of the square-root law from the last one
-            g1, k1, _ = samples[-1]
-            guess = k1 * np.sqrt((g0 - g_star) / (g1 - g_star))
-            lo, hi = guess / 2.0, guess * 2.0
-        while h(lo) * h(hi) > 0.0:
-            hi *= 2.0
-            if hi > BRANCH_KAPPA_MAX:
-                raise RuntimeError(f"no branch point for gamma0={g0} below "
-                                   f"kappa={BRANCH_KAPPA_MAX}")
-        kap0 = brentq(h, lo, hi, xtol=BRANCH_XTOL)
-        h(kap0)
-        point = solved[kap0]
-        samples.append((float(g0), float(kap0), float(point[1].real)))
-        if log.isEnabledFor(logging.DEBUG):  # h' costs two more solves
-            certificates.append((g0, kap0, abs(point[1].imag),
-                                 _h_slope(h, kap0)))
-        solves += len(solved)
-    gs = np.array([s[0] for s in samples])
-    ks = np.array([s[1] for s in samples])
-    dist = np.abs(g_star - gs)
-    if len(samples) >= 2:
-        slope = float(np.polyfit(np.log(dist), np.log(ks), 1)[0])
+    def h_over_kappa(idx, kap):
+        """h(kappa) / kappa at points idx, each continued from its last."""
+        nonlocal solves, most
+        om, slope, vec, steps = _omega_gm(
+            params, kap, wl[idx] + sl[idx] * (kap - kl[idx]), vl[idx],
+            gam[idx])
+        kl[idx], wl[idx], sl[idx], vl[idx] = kap, om, slope, vec
+        solves, most = solves + len(idx), max(most, steps.max())
+        return slope.imag / kap
+
+    every = np.arange(n)
+    lo, hi = np.full(n, 1e-6), np.full(n, 1e-3)
+    g_lo, g_hi = h_over_kappa(every, lo), h_over_kappa(every, hi)
+    grow = np.flatnonzero(g_lo * g_hi > 0.0)
+    while grow.size:
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] *= 2.0
+        over = grow[hi[grow] > BRANCH_KAPPA_MAX]
+        if over.size:
+            raise RuntimeError(f"no branch point for gamma0={outwards[over[0]]}"
+                               f" below kappa={BRANCH_KAPPA_MAX}")
+        g_hi[grow] = h_over_kappa(grow, hi[grow])
+        grow = grow[g_lo[grow] * g_hi[grow] > 0.0]
+    # the bracket (a, b) in u = kappa^2, where h / kappa keeps g_lo's sign
+    # at a, and the secant's last two iterates
+    a, b = lo ** 2, hi ** 2
+    u1, f1, u2, f2 = a.copy(), g_lo.copy(), b.copy(), g_hi.copy()
+    i = every
+    for _ in range(BRANCH_STEPS):
+        if not i.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = u2[i] - f2[i] * (u2[i] - u1[i]) / (f2[i] - f1[i])
+        u = np.where((a[i] < u) & (u < b[i]), u, (a[i] + b[i]) / 2.0)
+        f = h_over_kappa(i, np.sqrt(u))
+        left = np.sign(f) == np.sign(g_lo[i])
+        a[i], b[i] = np.where(left, u, a[i]), np.where(left, b[i], u)
+        done = (np.abs(np.sqrt(u) - np.sqrt(u2[i])) <= BRANCH_XTOL) | (f == 0)
+        u1[i], f1[i], u2[i], f2[i] = u2[i], f2[i], u, f
+        i = i[~done]
+    if i.size:
+        raise ConvergenceError(
+            f"branch secant did not converge for gamma0={outwards[i[0]]} in "
+            f"{BRANCH_STEPS} steps")
+    samples = tuple((float(g0), float(k), float(w.real))
+                    for g0, k, w in zip(outwards, kl, wl))
+    certificates = []
+    if log.isEnabledFor(logging.DEBUG):  # h' costs one more call
+        at, d = np.repeat(every, 2), np.tile([-H_SLOPE_DELTA,
+                                              H_SLOPE_DELTA], n)
+        h = _omega_gm(params, kl[at] + d, wl[at] + sl[at] * d, vl[at],
+                      gam[at])[1].imag
+        solves += 2 * n
+        certificates = zip(outwards, kl, np.abs(wl.imag),
+                           (h[1::2] - h[::2]) / (2.0 * H_SLOPE_DELTA))
+    if n >= 2:
+        dist = np.abs(g_star - np.array(outwards, dtype=float))
+        slope = float(np.polyfit(np.log(dist), np.log(kl), 1)[0])
     else:
         slope = float("nan")
     log.debug("bifurcation branch: gamma0* %.15g, omega0* %.15g, "
               "|Im omega_gm(0)| %.2g, d Im(curvature)/d gamma0 %.6g, %d "
-              "tracker solves, samples (gamma0, kappa0, |Im omega_gm|, h') "
-              "[%s]", g_star, star[1].real, abs(star[1].imag),
-              -h_prime_slope / 2.0, solves, "; ".join(
-                  "(%.15g, %.15g, %.2g, %.6g)" % c for c in certificates))
-    return BifurcationBranch(gamma0_star=g_star, omega0_star=star[1].real,
-                             samples=tuple(samples), sqrt_slope=slope,
+              "points solved, at most %d Newton steps, samples (gamma0, "
+              "kappa0, |Im omega_gm|, h') [%s]", g_star, star[0].real,
+              abs(star[0].imag), -h_prime_slope / 2.0, solves, most,
+              "; ".join("(%.15g, %.15g, %.2g, %.6g)" % c
+                        for c in certificates))
+    return BifurcationBranch(gamma0_star=g_star, omega0_star=star[0].real,
+                             samples=samples, sqrt_slope=slope,
                              g_curvature_sign=sign)

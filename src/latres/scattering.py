@@ -110,7 +110,7 @@ def _fourier(N, kappa):
     return P, Pinv
 
 
-def _chain_kernel(params, kappa, omega, theta, prop=None):
+def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     """The reduced chain matrix K, P, P^-1, s and its exact derivatives.
 
     K = omega - A(kappa) - sum_l w_l u_l / s_l, with A the chain's band
@@ -122,7 +122,9 @@ def _chain_kernel(params, kappa, omega, theta, prop=None):
     entry, with A, P and P^-1 built once per distinct kappa.  Where the mask
     prop (theta's shape) is given, its orders' terms are dropped: with the
     propagating orders this is K_H, K without their radiation, Hermitian at
-    real points as s_l is real on a decaying order.
+    real points as s_l is real on a decaying order.  gammas, of shape
+    omega.shape + (N,), gives each point its own couplings in place of
+    params.gammas (A, P and P^-1 do not depend on them).
     Returns (K, P, P^-1, s, K_omega, K_kappa); the last two form the exact
     derivatives of the kept terms when called.  The ambient dispersion
     omega = 4 - 2 cos 2 pi theta - 2 cos 2 pi phi gives
@@ -134,7 +136,8 @@ def _chain_kernel(params, kappa, omega, theta, prop=None):
     entries, the only ones that depend on kappa: they carry e^{+-2 pi i kappa},
     so A' = pi (A(kappa + 1/4) - A(kappa - 1/4)).
     """
-    N, gam = params.N, params.gammas
+    N = params.N
+    gam = params.gammas if gammas is None else np.asarray(gammas)
 
     def per_kappa(f):
         """The N x N matrices f(kappa) returns, each at every point; at an
@@ -149,10 +152,10 @@ def _chain_kernel(params, kappa, omega, theta, prop=None):
     A, P, Pinv = per_kappa(lambda k: (waveguide_band_matrix(params, k),
                                       *_fourier(N, k)))
     s = 2j * np.sin(TWO_PI * theta)
-    Ws = gam[:, None] * P / s[..., None, :]
+    Ws = gam[..., :, None] * P / s[..., None, :]
     if prop is not None:
         Ws = np.where(prop[..., None, :], 0.0, Ws)
-    U = Pinv * np.conj(gam)
+    U = Pinv * np.conj(gam)[..., None, :]
     Y = Ws @ U  # the coupling sum
     K = np.asarray(omega)[..., None, None] * np.eye(N) - A - Y
 

@@ -207,42 +207,43 @@ def _classify(N, kappa, omega):
     shape + (N,)): an order within THRESHOLD_TOL of chi = +-1 is a threshold,
     theta = 0 or 1/2; an order with |chi| < 1 propagates,
     theta = arccos(chi) / 2 pi; the others decay,
-    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  At a complex
-    point (complex kappa or omega, given as a Python complex or
-    numpy.complex128) both must be scalars; theta is then continued from
-    the real point's branch along a straight path, no order is a threshold,
-    and at real kappa each continued propagating order is checked against
-    the sign law.
+    theta = (0 if chi > 0, else 1/2) + i arccosh|chi| / 2 pi.  Where kappa
+    or omega holds a nonzero imaginary part (scalars or arrays broadcasting
+    against each other) every point is complex: theta is continued from the
+    real point's branch along a straight path, no order is a threshold, and
+    at each point of real kappa each continued propagating order is checked
+    against the sign law.
     """
     phi = (np.asarray(kappa)[..., None] + np.arange(N)) / N
-    real_kappa = not (isinstance(kappa, complex) and kappa.imag != 0.0)
-    if not real_kappa or isinstance(omega, complex) and omega.imag != 0.0:
+    cos = np.cos(TWO_PI * phi)
+    complex_phi = np.iscomplexobj(phi) and phi.imag.any()
+    if complex_phi or np.iscomplexobj(omega) and np.any(np.imag(omega)):
         # The principal arccos already continues the propagating branch; for
         # decaying orders pick the sign that keeps the field bounded.
-        chi = (4.0 - omega) / 2.0 - np.cos(TWO_PI * phi)
-        chi_re = (4.0 - omega.real) / 2.0 - np.cos(TWO_PI * np.real(phi))
-        theta = np.zeros(N, dtype=complex)
-        prop = np.zeros(N, dtype=bool)
-        for l in range(N):
-            p = np.arccos(chi[l] + 0j) / TWO_PI
-            if -1.0 < chi_re[l] < 1.0:
-                theta[l], prop[l] = p, True
-                # the imaginary part of the ambient dispersion with real phi:
-                # sin(2 pi Re theta) 2 sinh(2 pi Im theta) = Im omega, so a
-                # continued order has sign(Im theta) = sign(Im omega)
-                lhs = np.sin(TWO_PI * p.real) * 2.0 * np.sinh(TWO_PI * p.imag)
-                tol = 1e-8 * (1.0 + abs(omega))
-                if real_kappa and abs(lhs - omega.imag) > tol:
-                    raise ValueError(
-                        f"branch-continuation sign law violated at order {l}: "
-                        f"{lhs} vs Im omega = {omega.imag}")
-            else:
-                cand = p if np.imag(p) > 0 else -p
-                theta[l] = cand - np.floor(np.real(cand))
-        return phi, theta, prop, np.zeros(N, dtype=bool)
+        omega = np.asarray(omega)[..., None]
+        chi = (4.0 - omega) / 2.0 - cos
+        chi_re = ((4.0 - omega.real) / 2.0 - np.cos(TWO_PI * phi.real)
+                  if complex_phi else chi.real)
+        p = np.arccos(chi) / TWO_PI
+        prop = np.abs(chi_re) < 1.0
+        cand = np.where(p.imag > 0, p, -p)
+        theta = np.where(prop, p, cand - np.floor(cand.real))
+        # the imaginary part of the ambient dispersion with real phi:
+        # sin(2 pi Re theta) 2 sinh(2 pi Im theta) = Im omega, so a continued
+        # order has sign(Im theta) = sign(Im omega)
+        lhs = np.sin(TWO_PI * p.real) * 2.0 * np.sinh(TWO_PI * p.imag)
+        bad = prop & (np.abs(lhs - omega.imag) > 1e-8 * (1.0 + np.abs(omega)))
+        if complex_phi:
+            bad &= phi.imag == 0.0
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            im = np.broadcast_to(omega.imag, bad.shape)[at]
+            raise ValueError(
+                f"branch-continuation sign law violated at order {at[-1]}: "
+                f"{lhs[at]} vs Im omega = {im}")
+        return phi, theta, prop, np.zeros(prop.shape, dtype=bool)
 
-    chi = (np.asarray((4.0 - omega) / 2.0)[..., None]
-           - np.cos(TWO_PI * phi)).real
+    chi = (np.asarray((4.0 - omega) / 2.0)[..., None] - cos).real
     mag = np.abs(chi)
     # exact for |chi| in [1/2, 2], so that gap <= -tol is |chi| < 1 off the
     # thresholds

@@ -26,8 +26,10 @@ from .structure import StructureParams, strip_operator
 
 log = logging.getLogger("latres")
 
-# largest relative norm drift `evolve` accepts
+# largest relative norm drift `evolve` accepts; steps between its checks
+# that the state is finite, besides the recorded steps
 DRIFT_LIMIT = 1e-4
+FINITE_EVERY = 16
 
 # the roots r_k of p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 = (1/24) prod (x - r_k)
 _RK4_ROOTS = (complex(-0.27055576893229455, 2.5047759043624347),
@@ -147,7 +149,10 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
 
     A non-finite dt or initial state raises ValueError.  RuntimeError is
     raised once a recorded norm drifts by more than DRIFT_LIMIT relative to
-    max(1, initial norm), or is not finite.
+    max(1, initial norm), or is not finite; every FINITE_EVERY steps the
+    state is checked to be finite as well, and one that is not is treated
+    as a record there, so a run that overflows stops within FINITE_EVERY
+    steps.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -168,15 +173,18 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
             for B in factors:
                 s = B @ s
             t = t + dt
-            if (i + 1) % record_every == 0 or i + 1 == steps:
-                state = _unflat(state, s, t)
-                times.append(state.t)
-                norms.append(state.norm())
-                wg.append(state.waveguide_energy())
-                drift = abs(norms[-1] - norms[0])
-                if not drift <= DRIFT_LIMIT * max(1.0, norms[0]):
-                    raise RuntimeError(f"norm drift {drift:.3e} exceeds "
-                                       f"{DRIFT_LIMIT}; reduce dt")
+            # a non-finite state's norm fails the drift test below
+            if ((i + 1) % record_every and i + 1 < steps
+                    and ((i + 1) % FINITE_EVERY or np.isfinite(s).all())):
+                continue
+            state = _unflat(state, s, t)
+            times.append(state.t)
+            norms.append(state.norm())
+            wg.append(state.waveguide_energy())
+            drift = abs(norms[-1] - norms[0])
+            if not drift <= DRIFT_LIMIT * max(1.0, norms[0]):
+                raise RuntimeError(f"norm drift {drift:.3e} exceeds "
+                                   f"{DRIFT_LIMIT}; reduce dt")
     result = EvolutionResult(state=state, times=np.array(times),
                              norms=np.array(norms),
                              waveguide_energy=np.array(wg))

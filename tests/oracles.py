@@ -8,7 +8,12 @@ form the solvers do not use:
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
 - `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
 - `rk4_stages`: one classical RK4 step of ds/dt = -i H s in its four-stage
-  form, where `timedomain` applies the factored amplification polynomial.
+  form, where `timedomain` applies the factored amplification polynomial;
+- `classify_complex_point`: the harmonics at one complex point, order by
+  order, where `structure._classify` works on whole arrays;
+- `chain_kernel_mp`, `omega_gm_mp` and `taylor_mp`: the chain kernel K in
+  mpmath, omega_gm as a root of det K by Newton's method, and the Taylor
+  coefficients of omega_gm from a Cauchy circle, at any precision.
 """
 
 from dataclasses import dataclass
@@ -92,3 +97,104 @@ def rk4_stages(H, s, dt):
     k3 = -1j * (H @ (s + 0.5 * dt * k2))
     k4 = -1j * (H @ (s + dt * k3))
     return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def classify_complex_point(N, kappa, omega):
+    """_classify's complex branch at one point, one order at a time.
+
+    kappa and omega are scalars, at least one with a nonzero imaginary
+    part; returns (phi, theta, prop, thr) as `structure._classify` does.
+    """
+    phi = (np.asarray(kappa)[..., None] + np.arange(N)) / N
+    real_kappa = np.imag(kappa) == 0.0
+    omega = complex(omega)
+    chi = (4.0 - omega) / 2.0 - np.cos(2.0 * np.pi * phi)
+    chi_re = (4.0 - omega.real) / 2.0 - np.cos(2.0 * np.pi * np.real(phi))
+    theta = np.zeros(N, dtype=complex)
+    prop = np.zeros(N, dtype=bool)
+    for l in range(N):
+        p = np.arccos(chi[l] + 0j) / (2.0 * np.pi)
+        if -1.0 < chi_re[l] < 1.0:
+            theta[l], prop[l] = p, True
+            lhs = (np.sin(2.0 * np.pi * p.real) * 2.0
+                   * np.sinh(2.0 * np.pi * p.imag))
+            if real_kappa and abs(lhs - omega.imag) > 1e-8 * (1.0 + abs(omega)):
+                raise ValueError(
+                    f"branch-continuation sign law violated at order {l}: "
+                    f"{lhs} vs Im omega = {omega.imag}")
+        else:
+            cand = p if np.imag(p) > 0 else -p
+            theta[l] = cand - np.floor(np.real(cand))
+    return phi, theta, prop, np.zeros(N, dtype=bool)
+
+
+def chain_kernel_mp(params, kappa, omega):
+    """K(kappa, omega) as an mpmath matrix at the working precision.
+
+    kappa and omega may be complex.  Each order is continued as
+    `structure._classify` continues it: principal arccos where
+    |Re chi| < 1 at Re phi, otherwise the sign of theta with Im theta > 0.
+    K = omega - A(kappa) - sum_l w_l u_l / s_l with w_l = gamma P[:, l],
+    u_l = P^-1[l, :] conj(gamma), s_l = 2i sin 2 pi theta_l.
+    """
+    import mpmath as mp
+
+    N = params.N
+    kappa, omega = mp.mpc(kappa), mp.mpc(omega)
+    two_pi = 2 * mp.pi
+    masses = [mp.mpf(float(x)) for x in params.masses]
+    springs = [mp.mpf(float(x)) for x in params.springs]
+    gam = [mp.mpc(complex(g)) for g in params.gammas]
+    phi = [(kappa + l) / N for l in range(N)]
+    s = []
+    for f in phi:
+        chi = (4 - omega) / 2 - mp.cos(two_pi * f)
+        chi_re = (4 - omega.real) / 2 - mp.cos(two_pi * f.real)
+        p = mp.acos(chi) / two_pi
+        if not -1 < chi_re < 1:
+            p = p if p.imag > 0 else -p
+            p -= mp.floor(p.real)
+        s.append(2j * mp.sin(two_pi * p))
+    A = mp.matrix(N, N)
+    for n in range(N):
+        up = (n + 1) % N
+        c = -springs[n] / mp.sqrt(masses[n] * masses[up])
+        wrap = mp.exp(1j * two_pi * kappa) if up == 0 else 1
+        A[n, n] += (springs[n] + springs[n - 1]) / masses[n]
+        A[n, up] += c * wrap
+        A[up, n] += c / wrap
+    K = mp.matrix(N, N)
+    for n in range(N):
+        for m in range(N):
+            K[n, m] = (omega if n == m else 0) - A[n, m] - sum(
+                gam[n] * mp.exp(1j * two_pi * phi[l] * n)
+                * mp.exp(-1j * two_pi * phi[l] * m) / N * mp.conj(gam[m])
+                / s[l] for l in range(N))
+    return K
+
+
+def omega_gm_mp(params, kappa, omega_seed):
+    """The zero of det K(kappa, .) that Newton's method reaches from the
+    seed, checked to the working precision."""
+    import mpmath as mp
+
+    def det(w):
+        return mp.det(chain_kernel_mp(params, kappa, w))
+
+    return mp.findroot(det, mp.mpc(omega_seed), solver="newton")
+
+
+def taylor_mp(params, kappa0, seed, r=1e-2, M=16):
+    """Taylor coefficients c_k of omega_gm(kappa0 + z), k < M.
+
+    c_k = (1/M) sum_j omega_gm(kappa0 + r e^{2 pi i j/M}) e^{-2 pi i jk/M}
+    / r^k, each point by `omega_gm_mp` from seed(z); the error is about
+    |c_{k+M}| r^M.  The circle must not reach a singularity of omega_gm.
+    """
+    import mpmath as mp
+
+    r = mp.mpf(r)
+    z = [r * mp.expjpi(mp.mpf(2 * j) / M) for j in range(M)]
+    f = [omega_gm_mp(params, kappa0 + zj, seed(complex(zj))) for zj in z]
+    return [sum(fj * mp.expjpi(-mp.mpf(2 * j * k) / M)
+                for j, fj in enumerate(f)) / (M * r ** k) for k in range(M)]

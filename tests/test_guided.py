@@ -14,9 +14,9 @@ from latres.structure import (BlochPoint, StructureParams, _classify,
                               _classify_off_threshold, _thresholds,
                               propagating_count, waveguide_bands)
 from latres.scattering import _chain_kernel, _fourier, scan_transmission
-from latres.guided import (PROBE_OFFSET, EigenvalueTracker, _crossings,
-                           continue_and_fit_dispersion, find_guided_modes,
-                           sigma_min)
+from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
+                           _crossings, _omega_gm, continue_and_fit_dispersion,
+                           find_guided_modes, sigma_min)
 from oracles import guided_mode_criteria_n2
 
 MODE1_KAPPA = 0.06167366437892
@@ -108,7 +108,7 @@ def test_dispersion_slope_matches_exact_slope(gammas, window):
     params = StructureParams(2, [2.0, 1.0], [1.0, 1.0], gammas)
     mode, = find_guided_modes(params, window, density=80)
     tracker = EigenvalueTracker(params)
-    tracker.solve_omega(mode.kappa0, mode.omega0)
+    tracker.value(mode.kappa0, tracker.solve_omega(mode.kappa0, mode.omega0))
     exact = tracker.d_kappa / tracker.d_omega
     fit = continue_and_fit_dispersion(params, mode)
     assert fit.slope == pytest.approx(exact.real, rel=1e-11)
@@ -468,19 +468,71 @@ def test_mode_search_refuses_empty_window_and_density(fixture1, monkeypatch,
 
 def test_dispersion_continues_once_and_logs(fixture1, mode1, caplog,
                                             monkeypatch):
-    made = []
+    calls = []
 
-    def tracker(params):
-        made.append(params)
-        return EigenvalueTracker(params)
+    def omega_gm(params, kappa, omega_seed, vref, gammas=None):
+        out = omega_gm_(params, kappa, omega_seed, vref, gammas)
+        calls.append((len(kappa), out[3].max()))
+        return out
 
-    monkeypatch.setattr(guided, "EigenvalueTracker", tracker)
+    omega_gm_ = guided._omega_gm
+    monkeypatch.setattr(guided, "_omega_gm", omega_gm)
     caplog.set_level(logging.DEBUG, logger="latres")
     fit = continue_and_fit_dispersion(fixture1, mode1)
-    # one tracker, `_continued_h`'s: the mode and 10 kt on each side
-    assert len(made) == 1
+    # two stacked solves: the mode, then 10 kt on each side from its tangent
+    assert [n for n, _ in calls] == [1, 20]
     assert fit.samples[10] == (0.0, complex(mode1.omega0))
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert lines == [f"dispersion fit: 21 samples, 21 tracker solves, fit "
-                     f"residual {fit.fit_residual:.2e}, Im slope "
+    assert lines == [f"dispersion fit: 21 samples, 21 points solved, at most "
+                     f"{max(s for _, s in calls)} Newton steps, fit residual "
+                     f"{fit.fit_residual:.2e}, Im slope "
                      f"{fit.slope_imag:.2e}"]
+
+
+def test_omega_gm_stack_equals_single_points(fixture1, mode1, fit1):
+    # the dispersion samples, solved as one stack and one point at a time
+    kts = np.array([kt for kt, _ in fit1.samples if kt != 0.0])
+    om0, slope0, vec0, _ = _omega_gm(fixture1, [mode1.kappa0],
+                                     [mode1.omega0], None)
+    args = (mode1.kappa0 + kts, om0 + slope0 * kts)
+    om, slope, vec, steps = _omega_gm(fixture1, *args,
+                                      np.repeat(vec0, len(kts), axis=0))
+    for j in range(len(kts)):
+        one = _omega_gm(fixture1, [args[0][j]], [args[1][j]], vec0)
+        assert abs(one[0][0] - om[j]) <= 1e-14
+        assert abs(one[1][0] - slope[j]) <= 1e-14
+        assert abs(abs(one[2][0].conj() @ vec[j]) - 1.0) <= 1e-12
+        assert one[3][0] == steps[j]
+    assert np.abs(om - np.array([w for kt, w in fit1.samples
+                                 if kt != 0.0])).max() <= 1e-14
+
+
+def test_omega_gm_stops_point_by_point(fixture1, mode1):
+    # a converged seed stops after its first step while a far one goes on,
+    # and each ends where it would alone
+    kap = mode1.kappa0
+    om0, slope0, vec0, steps0 = _omega_gm(fixture1, [kap], [mode1.omega0],
+                                          None)
+    assert steps0[0] == 1  # omega0 is a root already
+    om, slope, _, steps = _omega_gm(fixture1, [kap, kap],
+                                    [om0[0], om0[0] + 1e-3],
+                                    np.repeat(vec0, 2, axis=0))
+    assert steps[0] == 1 and steps[1] > 1
+    assert np.abs(om - om0[0]).max() <= 1e-14
+    assert np.abs(slope - slope0[0]).max() <= 1e-14
+    # the far seed alone takes as many steps
+    assert _omega_gm(fixture1, [kap], [om0[0] + 1e-3], vec0)[3][0] == steps[1]
+
+
+def test_omega_gm_lost_track_names_kappa(n3_params):
+    # a reference that mixes every eigenvector about equally overlaps none of
+    # them by OVERLAP_MIN
+    kap, om = 0.02, 1.19 - 1e-3j
+    _, theta, _ = _classify_off_threshold(3, kap, om)
+    V = np.linalg.eig(_chain_kernel(n3_params, kap, om, theta)[0])[1]
+    vref = V.sum(axis=1) / np.linalg.norm(V.sum(axis=1))
+    assert np.abs(vref.conj() @ V).max() < guided.OVERLAP_MIN
+    with pytest.raises(ConvergenceError, match=r"^lost eigenvalue track at "
+                       r"\(kappa=0.02, omega=\(1.19-0.001j\)\): best overlap"):
+        _omega_gm(n3_params, [0.3, kap], [1.19, om],
+                  np.array([V[:, 0], vref]))

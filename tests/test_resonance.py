@@ -424,15 +424,16 @@ def test_branch_logs_certificates(fixture1, caplog):
     assert lines[0].startswith(
         f"bifurcation branch: gamma0* {branch.gamma0_star:.15g}, omega0* "
         f"{branch.omega0_star:.15g}, |Im omega_gm(0)| ")
-    assert " tracker solves, samples (gamma0, kappa0, |Im omega_gm|, h') [(" \
-        in lines[0]
+    assert re.search(r" \d+ points solved, at most \d+ Newton steps, samples "
+                     r"\(gamma0, kappa0, \|Im omega_gm\|, h'\) \[\(", lines[0])
     for g0, kap0, _ in branch.samples:
         assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
 
 
 def test_each_kappa_solved_once(fixture1, monkeypatch):
-    # within one continued h no kappa is solved twice: brentq's bracket ends
-    # and each root's point are read back from the solves already made
+    # within one continued h no kappa is solved twice: the mode polish's
+    # bracket ends and each root's point are read back from the solves
+    # already made; the branch runs on the stacked solver, not the tracker
     solves = []
     solve_omega = EigenvalueTracker.solve_omega
 
@@ -442,7 +443,34 @@ def test_each_kappa_solved_once(fixture1, monkeypatch):
 
     monkeypatch.setattr(EigenvalueTracker, "solve_omega", recording)
     find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=80)
-    trace_branch(fixture1, BENCH_GAMMAS[:3], gamma0_bracket=(0.8, 1.3))
     keys = [(id(tracker), kappa) for tracker, kappa in solves]
     assert len(solves) > 0
     assert len(set(keys)) == len(keys)
+    solves.clear()
+    trace_branch(fixture1, BENCH_GAMMAS[:3], gamma0_bracket=(0.8, 1.3))
+    assert solves == []
+
+
+def test_branch_refuses_wrong_side(fixture1, monkeypatch):
+    # gamma0 above gamma0* is refused before any branch solve
+    def solve(*args, **kwargs):
+        raise AssertionError("a branch solve ran")
+
+    g_star, _ = find_bifurcation(fixture1, (0.8, 1.3))
+    monkeypatch.setattr(resonance, "_omega_gm", solve)
+    monkeypatch.setattr(resonance, "_critical_coupling",
+                        lambda params, bracket: (g_star, None, -1.0, 0, 0))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"no branch point for gamma0=1.03: the branch lies on the other "
+            f"side of gamma0*={g_star}")):
+        trace_branch(fixture1, [1.02, 1.03], gamma0_bracket=(0.8, 1.3))
+
+
+def test_branch_refuses_root_beyond_kappa_max(fixture1, monkeypatch):
+    # kappa0 = 0.00356 at 1.029533513 and more further out: with the cap at
+    # 0.002 both are refused, and the message names the first outwards
+    monkeypatch.setattr(resonance, "BRANCH_KAPPA_MAX", 0.002)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "no branch point for gamma0=1.029533513 below kappa=0.002")):
+        trace_branch(fixture1, [1.0294, 1.029533513, GAMMA0_STAR - 1e-7],
+                     gamma0_bracket=(0.8, 1.3))

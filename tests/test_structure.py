@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import latres.structure
 from latres.scattering import (IncidentField, reconstruct_field,
                                solve_scattering)
 from latres.structure import (BlochPoint, StructureParams, ambient_dispersion,
@@ -10,6 +12,8 @@ from latres.structure import (BlochPoint, StructureParams, ambient_dispersion,
                               region_diagram, strip_operator,
                               waveguide_band_matrix, waveguide_bands,
                               _classify)
+from oracles import classify_complex_point
+import oracles
 
 TWO_PI = 2.0 * np.pi
 
@@ -218,3 +222,61 @@ def test_generator_matches_fourier_solution(N):
         res = H @ s - point.omega * s
         off_walls = np.r_[0:N, 2 * N:len(s) - N]
         assert np.max(np.abs(res[off_walls])) <= 1e-12
+
+
+_complex_points = st.tuples(
+    st.integers(1, 8), st.floats(-0.5, 0.5), st.floats(-0.1, 0.1),
+    st.floats(0.0, 8.0), st.floats(-0.5, 0.5), st.integers(0, 4))
+
+
+@given(_complex_points)
+def test_complex_classify_matches_order_loop(case):
+    # the array branch against the order-by-order loop it replaced, bit for
+    # bit: a scalar point (complex kappa or complex omega), then a row of
+    # n + 1 points whose kappa and omega are spread around it
+    N, k_re, k_im, w_re, w_im, n = case
+    kappa, omega = complex(k_re, k_im), complex(w_re, w_im)
+    assume(kappa.imag or omega.imag)
+    if not kappa.imag:
+        kappa = kappa.real
+    got = _classify(N, kappa, omega)
+    want = classify_complex_point(N, kappa, omega)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    kappas = kappa + np.linspace(0.0, 0.3, n + 1)
+    omegas = omega + np.linspace(0.0, 2.0, n + 1) * (1.0 - 0.01j)
+    phi, theta, prop, thr = _classify(N, kappas, omegas)
+    assert not thr.any()
+    for j in range(n + 1):
+        _, th, pr, _ = classify_complex_point(N, kappas[j], omegas[j])
+        assert np.array_equal(theta[j], th)
+        assert np.array_equal(prop[j], pr)
+
+
+class _OtherSheet:
+    """numpy, with arccos continued onto the other sheet: every continued
+    propagating order then has Im theta of the wrong sign."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def arccos(x):
+        return np.conj(np.arccos(x))
+
+
+def test_sign_law_violation_raises(monkeypatch):
+    monkeypatch.setattr(latres.structure, "np", _OtherSheet())
+    monkeypatch.setattr(oracles, "np", _OtherSheet())
+    # order 0 propagates at (0.06, 0.97); Im omega is -0.01
+    with pytest.raises(ValueError) as want:
+        classify_complex_point(2, 0.06, 0.97 - 0.01j)
+    with pytest.raises(ValueError, match="^branch-continuation sign law "
+                       "violated at order 0: ") as got:
+        _classify(2, 0.06, 0.97 - 0.01j)
+    assert str(got.value) == str(want.value)
+    # in a row, the first point that breaks it is named
+    with pytest.raises(ValueError, match="at order 0: .* vs Im omega = -0.02"):
+        _classify(2, np.array([0.06, 0.06]), np.array([0.97, 0.97 - 0.02j]))
+    # at complex kappa the law is not checked
+    _classify(2, 0.06 + 0.01j, 0.97 - 0.01j)

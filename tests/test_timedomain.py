@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from latres import timedomain
 from latres.structure import StructureParams, strip_operator
 from latres.timedomain import (_RK4_ROOTS, LatticeState, _rk4_factors,
                                antisymmetrize, apply_omega, evolve,
@@ -144,6 +145,29 @@ def test_evolve_refuses_overflow(fixture1):
                            width=2.0)
     with pytest.raises(RuntimeError, match="norm drift nan exceeds"):
         evolve(fixture1, state, dt=2.0, steps=400, record_every=1000)
+
+
+def test_evolve_stops_soon_after_overflow(fixture1, monkeypatch):
+    # the state stops being finite at step 79 of 400 with no record before
+    # step 400: the check every FINITE_EVERY = 16 steps ends the run at 80
+    applied = []
+
+    class Counted:
+        def __init__(self, B):
+            self.B = B
+
+        def __matmul__(self, s):
+            applied.append(1)
+            return self.B @ s
+
+    factors = timedomain._rk4_factors
+    monkeypatch.setattr(timedomain, "_rk4_factors", lambda H, dt: [
+        Counted(B) for B in factors(H, dt)])
+    state = gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
+                           width=2.0)
+    with pytest.raises(RuntimeError, match="norm drift nan exceeds"):
+        evolve(fixture1, state, dt=2.0, steps=400, record_every=1000)
+    assert len(applied) == 4 * 80
 
 
 def test_antisymmetric_data_never_excites_chain(fixture1):
