@@ -1,10 +1,11 @@
 """Guided-mode location and dispersion fitting.
 
 A guided mode is a sourceless solution whose propagating coefficients all
-vanish: an isolated real pair (kappa0, omega0) where the homogeneous 3N
-system, restricted to the evanescent and chain unknowns, becomes singular;
-equivalently K_H z = 0 and W^H z = 0, with K_H the chain kernel without
-the propagating orders' terms and W their w_l (`scattering._chain_kernel`).
+vanish: an isolated real pair (kappa0, omega0) where a chain field z has
+K_H z = 0 and W^H z = 0, with K_H the chain kernel without the propagating
+orders' terms and W their w_l (`scattering._chain_kernel`).  `sigma_min`
+certifies a mode and `null_vector` gives its field, both from one SVD of
+[K_H; W^H].
 `find_guided_modes` takes its candidates from the zero crossings of K_H's
 eigenvalues, which Sylvester's inertia counts in each threshold region.
 Around such a pair the zero set of the tracked eigenvalue of the N x N chain
@@ -31,7 +32,7 @@ import numpy as np
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _classify_off_threshold, _thresholds,
                         propagating_count)
-from .scattering import _assemble, _chain_kernel, _chunks
+from .scattering import _chain_kernel, _chunks
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -70,40 +71,51 @@ class ConvergenceError(RuntimeError):
     """An iteration ran out of steps before meeting its stopping test."""
 
 
-def _reduced_homogeneous(params, kappa, omega):
-    """The homogeneous 3N system without its propagating outgoing columns.
+def _certificate(params, kappa, omega):
+    """M = [K_H; W^H] at real points, with P^-1, s and the propagating mask.
 
-    Returns the 3N x (3N - 2 |P|) matrix and the label (kind, order) of each
-    kept column: the evanescent a_minus, the evanescent b_plus, then every c.
+    Column l of W is w_l = gamma * P[:, l] on a propagating order and 0 on
+    the others, so M z = 0 says K_H z = 0 and that z radiates into no
+    propagating order; the zero rows of W^H change no singular value.
+    omega may be a scalar or 1-D, M then has shape omega.shape + (2N, N).
     """
-    N = params.N
-    _, theta, prop = _classify_off_threshold(N, kappa, omega)
-    labels = ([("a_minus", l) for l in range(N) if not prop[l]]
-              + [("b_plus", l) for l in range(N) if not prop[l]]
-              + [("c", l) for l in range(N)])
-    offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
-    cols = [offset[kind] + l for kind, l in labels]
-    return _assemble(params, kappa, omega, theta)[:, cols], labels
+    _, theta, prop = _classify_off_threshold(params.N, kappa, omega)
+    K_H, P, Pinv, s, _, _ = _chain_kernel(params, kappa, omega, theta, prop)
+    W = params.gammas[:, None] * P * prop[..., None, :]
+    return (np.concatenate([K_H, W.conj().swapaxes(-1, -2)], axis=-2), Pinv,
+            s, prop)
 
 
 def sigma_min(params: StructureParams, point: BlochPoint) -> float:
-    """Normalized smallest singular value of the reduced homogeneous system.
+    """sigma_min / sigma_max of [K_H; W^H] (`_certificate`).
 
-    The columns of the propagating outgoing coefficients are deleted (their
-    amplitudes are forced to zero), leaving an overdetermined
-    3N x (3N - 2 |P|) matrix; the ratio of its smallest to largest singular
-    value vanishes exactly at a guided mode.
+    It vanishes exactly at a guided mode: a chain field z with K_H z = 0
+    and w_l^H z = 0 on every propagating order l.
     """
-    B, _ = _reduced_homogeneous(params, point.kappa, point.omega)
-    s = np.linalg.svd(B, compute_uv=False)
+    M = _certificate(params, point.kappa, point.omega)[0]
+    s = np.linalg.svd(M, compute_uv=False)
     return float(s[-1] / s[0])
 
 
 def null_vector(params: StructureParams, point: BlochPoint):
-    """Reduced null vector (evanescent a_minus, b_plus, then c) at a mode."""
-    B, labels = _reduced_homogeneous(params, point.kappa, point.omega)
-    _, _, Vh = np.linalg.svd(B)
-    return Vh[-1].conj(), labels
+    """The mode's coefficients (evanescent a_minus, b_plus, then c) and labels.
+
+    z is the last right singular vector of [K_H; W^H]; c = P^-1 z, and on
+    each evanescent order a_minus = b_plus = (P^-1 (conj(gamma) z))_l / s_l,
+    `_solve_chain`'s trace without incidence (the propagating ones are 0
+    and left out).  The vector has unit 2-norm, and its c entry of largest
+    modulus (the first on a tie) is real and positive.
+    """
+    M, Pinv, s, prop = _certificate(params, point.kappa, point.omega)
+    z = np.linalg.svd(M)[2][-1].conj()
+    trace = (Pinv @ (np.conj(params.gammas) * z))[~prop] / s[~prop]
+    c = Pinv @ z
+    vec = np.concatenate([trace, trace, c]) * np.conj(c[np.argmax(np.abs(c))])
+    evanescent = np.flatnonzero(~prop).tolist()
+    labels = ([("a_minus", l) for l in evanescent]
+              + [("b_plus", l) for l in evanescent]
+              + [("c", l) for l in range(params.N)])
+    return vec / np.linalg.norm(vec), labels
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,7 @@ class GuidedMode:
 
     kappa0: float
     omega0: float
+    # sigma_min at (kappa0, omega0): roundoff at a mode
     sigma: float
     null_vector: np.ndarray
     null_labels: tuple
@@ -309,11 +322,12 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     """Polish the candidates among K_H's zero crossings on density kappa rows.
 
     window = (kappa_min, kappa_max, omega_min, omega_max), with each min
-    below its max, and density >= 2; otherwise ValueError is raised before
-    any solve.  The crossings from `_crossings` are linked along kappa into
-    branches by region and eigenvalue index; the candidates are the points
-    of a branch with a propagating order where q = ||W^H v|| / ||W|| (0 at a
-    mode) is no larger than at its neighbours, and every point without one.
+    below its max, density >= 2 and tol a finite number > 0; otherwise
+    ValueError is raised before any solve.  The crossings from `_crossings`
+    are linked along kappa into branches by region and eigenvalue index;
+    the candidates are the points of a branch with a propagating order where
+    q = ||W^H v|| / ||W|| (0 at a mode) is no larger than at its neighbours,
+    and every point without one.
     Those with a propagating order are polished on the chain kernel K with
     its exact derivatives (`_polish`): Newton in complex omega follows the
     zero omega_gm(kappa) of K's tracked eigenvalue, and a bracketed root of
@@ -339,6 +353,8 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         raise ValueError(f"the mode search needs kappa_min < kappa_max, "
                          f"omega_min < omega_max and density >= 2, got "
                          f"window {tuple(window)} and density {density}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"the mode search needs a finite tol > 0, got {tol}")
     kappas = np.linspace(kmin, kmax, density)
     probed, cross = _crossings(params, kappas, wmin, wmax)
     branch = cross["region"] * params.N + cross["j"]

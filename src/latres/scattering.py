@@ -2,13 +2,10 @@
 
 The total field is expanded in Fourier orders on each side of the coupling
 line m = 0, u_{mn} = sum_l (incoming + outgoing) e^{2 pi i (theta_l m + phi_l n)},
-and the chain displacement z_n = sum_l c_l e^{2 pi i phi_l n}.  Matching the
-two expansions at m = 0, the m = 0 lattice equation, and the chain equation at
-n = 0..N-1 yields a 3N x 3N linear system for the outgoing coefficients
-(a_minus, b_plus) and the chain coefficients c.  Its matrix, `_assemble`,
-serves only `guided.sigma_min` and `guided.null_vector`, which check a mode
-and give its field.  Eliminating the continuity and m = 0 lattice rows by
-hand leaves the N x N chain system K(kappa, omega) z = gamma * (P u_inc).
+and the chain displacement z_n = sum_l c_l e^{2 pi i phi_l n}.  The two
+expansions match at m = 0, and the m = 0 lattice equation gives the outgoing
+amplitudes from z; the chain equation at n = 0..N-1 then leaves the N x N
+chain system K(kappa, omega) z = gamma * (P u_inc).
 `_chain_kernel` is the one builder of K: it also gives K_H, K without the
 propagating orders' terms, on which modes are found, and the exact
 derivatives K_omega and K_kappa that the eigenvalue tracker follows.
@@ -197,39 +194,6 @@ def _solve_stack(K, rhs, cond_limit):
     for i in np.flatnonzero(near):
         z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
     return z, cond, near
-
-
-def _assemble(params, kappa, omega, theta):
-    """The 3N x 3N matrix B of the Fourier system.
-
-    Unknowns (columns): a_minus_0..a_minus_{N-1}, b_plus_0.., c_0..; rows:
-    continuity at m = 0 (n = 0..N-1), the m = 0 lattice equation, then the
-    chain equation.  omega may carry leading batch axes, theta then has shape
-    omega.shape + (N,) and B shape omega.shape + (3N, 3N).
-    """
-    N = params.N
-    omega = np.asarray(omega)
-    P, _ = _fourier(N, kappa)
-    E = np.exp(2j * np.pi * theta)[..., None, :]
-    gam = params.gammas
-
-    B = np.zeros(omega.shape + (3 * N, 3 * N), dtype=complex)
-
-    # (i) continuity of the two expansions at m = 0
-    B[..., :N, :N] = P
-    B[..., :N, N:2 * N] = -P
-
-    # (ii) lattice equation on the coupling line m = 0, with u at m = -1 from
-    # the left expansion and m = +1 from the right expansion
-    B[..., N:2 * N, :N] = P * E
-    B[..., N:2 * N, N:2 * N] = -P / E
-    B[..., N:2 * N, 2 * N:] = -np.conj(gam)[:, None] * P
-
-    # (iii) chain equation (omega - A) z = gamma u at m = 0
-    B[..., 2 * N:, 2 * N:] = (omega[..., None, None] * np.eye(N)
-                              - waveguide_band_matrix(params, kappa)) @ P
-    B[..., 2 * N:, N:2 * N] = -gam[:, None] * P
-    return B
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ form the solvers do not use:
 
 - `assemble_system`: the 3N x 3N Fourier system before its reduction to the
   N x N chain kernel K;
+- `reduced_homogeneous`: that system without incidence or its propagating
+  outgoing columns, which a guided mode's null vector solves;
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
 - `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
 - `rk4_stages`: one classical RK4 step of ds/dt = -i H s in its four-stage
@@ -20,10 +22,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from latres.scattering import (IncidentField, ScatteringSolution, _assemble,
-                               _fourier, reconstruct_field)
+from latres.scattering import (IncidentField, ScatteringSolution, _fourier,
+                               reconstruct_field)
 from latres.structure import (BlochPoint, HarmonicSet, StructureParams,
-                              _classify_off_threshold, classify_harmonics)
+                              _classify_off_threshold, classify_harmonics,
+                              waveguide_band_matrix)
+
+
+def _assemble(params, kappa, omega, theta):
+    """The 3N x 3N matrix B of the Fourier system.
+
+    Unknowns (columns): a_minus_0..a_minus_{N-1}, b_plus_0.., c_0..; rows:
+    continuity at m = 0 (n = 0..N-1), the m = 0 lattice equation, then the
+    chain equation.  omega may carry leading batch axes, theta then has shape
+    omega.shape + (N,) and B shape omega.shape + (3N, 3N).
+    """
+    N = params.N
+    omega = np.asarray(omega)
+    P, _ = _fourier(N, kappa)
+    E = np.exp(2j * np.pi * theta)[..., None, :]
+    gam = params.gammas
+
+    B = np.zeros(omega.shape + (3 * N, 3 * N), dtype=complex)
+
+    # (i) continuity of the two expansions at m = 0
+    B[..., :N, :N] = P
+    B[..., :N, N:2 * N] = -P
+
+    # (ii) lattice equation on the coupling line m = 0, with u at m = -1 from
+    # the left expansion and m = +1 from the right expansion
+    B[..., N:2 * N, :N] = P * E
+    B[..., N:2 * N, N:2 * N] = -P / E
+    B[..., N:2 * N, 2 * N:] = -np.conj(gam)[:, None] * P
+
+    # (iii) chain equation (omega - A) z = gamma u at m = 0
+    B[..., 2 * N:, 2 * N:] = (omega[..., None, None] * np.eye(N)
+                              - waveguide_band_matrix(params, kappa)) @ P
+    B[..., 2 * N:, N:2 * N] = -gam[:, None] * P
+    return B
 
 
 @dataclass(frozen=True)
@@ -48,6 +84,28 @@ def assemble_system(params: StructureParams, point: BlochPoint,
                         params.gammas * (P @ b)])
     return ScatteringSystem(B=B, F=F,
                             harmonics=classify_harmonics(params, point))
+
+
+def reduced_homogeneous(params, kappa, omega):
+    """The homogeneous 3N system without its propagating outgoing columns.
+
+    omega may carry leading batch axes, as in `_assemble`, where every
+    point has the same propagating orders (else ValueError).  Returns the
+    3N x (3N - 2 |P|) matrices and the label (kind, order) of each kept
+    column: the evanescent a_minus, the evanescent b_plus, then every c.
+    """
+    N = params.N
+    _, theta, prop = _classify_off_threshold(N, kappa, omega)
+    prop = prop.reshape(-1, N)
+    if (prop != prop[0]).any():
+        raise ValueError("the points differ in their propagating orders")
+    evanescent = np.flatnonzero(~prop[0]).tolist()
+    labels = ([("a_minus", l) for l in evanescent]
+              + [("b_plus", l) for l in evanescent]
+              + [("c", l) for l in range(N)])
+    offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
+    cols = [offset[kind] + l for kind, l in labels]
+    return _assemble(params, kappa, omega, theta)[..., cols], labels
 
 
 def lattice_residual(sol: ScatteringSolution, m: int, n: int) -> float:

@@ -38,10 +38,10 @@ import numpy as np
 import pytest
 
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
-                              classify_harmonics, propagating_count)
+                              _classify, classify_harmonics)
 from latres.scattering import IncidentField, solve_scattering
 from latres.dtn import cross_validate, default_truncation
-from latres.guided import find_guided_modes, sigma_min
+from latres.guided import _certificate, find_guided_modes
 from latres.resonance import (approx_error_sup, enhancement_scan,
                               find_bifurcation, fit_anomaly, peak_dip_curves,
                               trace_branch)
@@ -49,6 +49,7 @@ from latres.timedomain import (LatticeState, antisymmetrize, evolve,
                                gaussian_pulse)
 from latres.discrete import (identity_residuals, product_rule_residuals,
                              telescoping_residual)
+from oracles import reduced_homogeneous
 
 
 def _report(num, ok, detail, budget, elapsed):
@@ -77,22 +78,31 @@ def test_criterion_01_guided_mode_pair(fixture1):
 
 
 def test_criterion_02_nonexistence(uniform_coupling):
+    # sigma_min over the single-propagating points of a 200 x 200 grid, one
+    # kappa row at a time: of the oracle's reduced 3N Fourier system, which
+    # holds the gate, and of the library's N-sized [K_H; W^H] (sigma_N),
+    # printed beside it; threshold points are skipped
     t0 = time.time()
-    kappas = np.linspace(-0.5, 0.5, 200)
+    N = uniform_coupling.N
     omegas = np.linspace(0.05, 7.95, 200)
-    worst = np.inf
-    for kap in kappas:
-        for om in omegas:
-            if propagating_count(uniform_coupling, kap, om) != 1:
-                continue
-            try:
-                worst = min(worst, sigma_min(uniform_coupling,
-                                             BlochPoint(kap, om)))
-            except ThresholdError:
-                continue
+    worst = worst_n = np.inf
+    for kap in np.linspace(-0.5, 0.5, 200):
+        _, _, prop, thr = _classify(N, kap, omegas)
+        single = (prop.sum(axis=-1) == 1) & ~thr.any(axis=-1)
+        if not single.any():
+            continue
+        for l in range(N):  # the 3N system keeps the other orders' columns
+            om = omegas[single & prop[:, l]]
+            if om.size:
+                B, _ = reduced_homogeneous(uniform_coupling, kap, om)
+                s = np.linalg.svd(B, compute_uv=False)
+                worst = min(worst, np.min(s[:, -1] / s[:, 0]))
+        M = _certificate(uniform_coupling, kap, omegas[single])[0]
+        s = np.linalg.svd(M, compute_uv=False)
+        worst_n = min(worst_n, np.min(s[:, -1] / s[:, 0]))
     ok = worst > 1e-3
-    _report(2, ok, f"min sigma over single-propagating region = {worst:.4f}",
-            60, time.time() - t0)
+    _report(2, ok, f"min sigma over single-propagating region = {worst:.4f}"
+            f" (3N), sigma_N = {worst_n:.4f}", 60, time.time() - t0)
 
 
 def test_criterion_03_n3_antisymmetric_mode(n3_params):

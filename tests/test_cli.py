@@ -315,6 +315,16 @@ def test_guided_json(config1, tmp_path):
     assert kinds == {"a_minus", "b_plus", "c"}
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_guided_refuses_tol(config1, capsys, tol):
+    assert main(["guided", "--config", config1, f"--tol={tol}",
+                 "--window=-0.5,0.5,0.7,1.25", "--density=60"]) == 2
+    assert _error_doc(capsys) == {
+        "error": "ValueError",
+        "message": f"the mode search needs a finite tol > 0, got "
+                   f"{float(tol)}"}
+
+
 def test_dispersion_csv(config1, tmp_path, capsys):
     out = str(tmp_path / "disp.csv")
     assert main(["dispersion", "--config", config1, "--out", out,

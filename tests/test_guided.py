@@ -17,7 +17,7 @@ from latres.scattering import _chain_kernel, _fourier, scan_transmission
 from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
                            _crossings, _omega_gm, continue_and_fit_dispersion,
                            find_guided_modes, sigma_min)
-from oracles import guided_mode_criteria_n2
+from oracles import guided_mode_criteria_n2, reduced_homogeneous
 
 MODE1_KAPPA = 0.06167366437892
 MODE1_OMEGA = 0.97916666666667
@@ -58,11 +58,27 @@ def test_no_mode_for_uniform_coupling(uniform_coupling):
     assert modes == []
 
 
-def test_mode_null_vector_solves_homogeneous(fixture1, mode1):
-    # the chain part of the null vector is nonzero (the mode lives in the
-    # waveguide) and the reduced system maps the vector to ~0
-    assert np.linalg.norm(mode1.c) > 0.1 * np.linalg.norm(mode1.null_vector)
-    assert mode1.sigma < 1e-12
+def test_mode_null_vector_solves_homogeneous(fixture1, n3_params):
+    # every mode's null vector, found on the N x N chain kernel, solves the
+    # 3N Fourier system without incidence or propagating outgoing columns;
+    # its chain part is nonzero (the mode lives in the waveguide), it has
+    # unit norm and its largest c entry is real and positive
+    for params, window, density in (
+            (fixture1, (-0.5, 0.5, 0.7, 1.25), 60),
+            (n3_params, (-0.05, 0.05, 1.1, 1.3), 40)):
+        modes = find_guided_modes(params, window, density=density)
+        assert modes
+        for m in modes:
+            B, labels = reduced_homogeneous(params, m.kappa0, m.omega0)
+            assert tuple(labels) == m.null_labels
+            assert (np.linalg.norm(B @ m.null_vector)
+                    <= 1e-8 * np.linalg.norm(B))
+            assert m.sigma < 1e-12
+            assert np.linalg.norm(m.null_vector) == pytest.approx(1.0,
+                                                                  abs=1e-15)
+            assert np.linalg.norm(m.c) > 0.1
+            big = m.c[np.argmax(np.abs(m.c))]
+            assert big.real > 0.0 and abs(big.imag) <= 1e-15 * big.real
 
 
 def test_n3_antisymmetric_mode(n3_params):
@@ -432,7 +448,7 @@ def test_fold_needs_a_mode_at_minus_kappa0(fixture1):
     whole = find_guided_modes(params, (-0.5, 0.5, wmin, wmax), density=10)
     assert any(m.kappa0 < 0.0 for m in whole)
     for m in inside + whole:
-        B, labels = guided._reduced_homogeneous(params, m.kappa0, m.omega0)
+        B, labels = reduced_homogeneous(params, m.kappa0, m.omega0)
         assert m.sigma == sigma_min(params, BlochPoint(m.kappa0, m.omega0))
         assert m.sigma <= 1e-8
         assert tuple(labels) == m.null_labels
@@ -464,6 +480,18 @@ def test_mode_search_refuses_empty_window_and_density(fixture1, monkeypatch,
     with pytest.raises(ValueError, match="the mode search needs kappa_min < "
                        "kappa_max, omega_min < omega_max and density >= 2"):
         find_guided_modes(fixture1, window, density=density)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_mode_search_refuses_tol(fixture1, monkeypatch, tol):
+    def solved(*args, **kwargs):
+        raise AssertionError("a crossing solve ran")
+
+    monkeypatch.setattr(guided, "_crossings", solved)
+    with pytest.raises(ValueError, match=f"the mode search needs a finite "
+                       f"tol > 0, got {tol}"):
+        find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=30,
+                          tol=tol)
 
 
 def test_dispersion_continues_once_and_logs(fixture1, mode1, caplog,
