@@ -15,11 +15,13 @@ Every omega_gm comes from one solver, `_omega_gm`: Newton in complex omega
 on K's tracked eigenvalue with the exact derivative K_omega, at many real
 kappa (and, for `resonance`'s bifurcation branch, many couplings) at once,
 one stacked eigenvalue problem per step; it also gives d omega_gm / d kappa
-from K_kappa.  Candidates are polished on the curve by a bracketed root of
-h(kappa) = Im d omega_gm / d kappa, where Im omega_gm reaches its maximum,
-0, which gives kappa0 (`_continued_h`, one point per solve); the dispersion
-samples are one stacked solve.  The real zero of det K is degenerate (the
-curve only touches the real plane), so it is not solved for directly.
+from K_kappa.  All candidates of a search are polished on the curve at
+once, each by a bracketed root of h(kappa) = Im d omega_gm / d kappa, where
+Im omega_gm reaches its maximum, 0, which gives kappa0 (`_polish`: one
+stacked solve per round, and the active-set secant `_bracketed_secant`
+that `resonance.trace_branch` shares); the dispersion samples are one
+stacked solve.  The real zero of det K is degenerate (the curve only
+touches the real plane), so it is not solved for directly.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ OVERLAP_MIN = 0.7
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
 H_SLOPE_DELTA = 1e-6
+# the bracketed secant's step limit (bisection alone takes a bracket of 32
+# to 1e-15 in 55 steps), and the polish's stop on a kappa step
+SECANT_STEPS = 60
+POLISH_XTOL = 1e-15
 # kt samples on each side of kappa0 and polynomial degree of the dispersion
 # fit; the samples are symmetric in kt, so an even degree would let the first
 # unmodelled odd term leak into the slope
@@ -143,79 +149,153 @@ class GuidedMode:
         return self.null_vector[idx]
 
 
+def _bracketed_secant(f, a, b, fa, fb, close):
+    """Roots of f in many brackets (a, b) at once, by an active-set secant.
+
+    f(i, x) gives f at x for the brackets i (indices into a), fa and fb its
+    values at the ends, of opposite signs.  Each bracket steps along the
+    secant through its last two iterates (first its ends), bisecting where
+    that step would leave the bracket, and keeps the sign change.  It stops
+    after the iterate at which close(x, x_last) holds or f is 0 or NaN.
+    Returns each bracket's last iterate and the brackets still active after
+    SECANT_STEPS steps.
+    """
+    a, b = a.copy(), b.copy()
+    x1, f1, x2, f2 = a.copy(), fa.copy(), b.copy(), fb.copy()
+    i = np.arange(len(a))
+    for _ in range(SECANT_STEPS):
+        if not i.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x2[i] - f2[i] * (x2[i] - x1[i]) / (f2[i] - f1[i])
+        x = np.where((a[i] < x) & (x < b[i]), x, (a[i] + b[i]) / 2.0)
+        fx = f(i, x)
+        left = np.sign(fx) == np.sign(fa[i])
+        a[i], b[i] = np.where(left, x, a[i]), np.where(left, b[i], x)
+        done = close(x, x2[i]) | (fx == 0) | np.isnan(fx)
+        x1[i], f1[i], x2[i], f2[i] = x2[i], f2[i], x, fx
+        i = i[~done]
+    return x2, i
+
+
+def _h_prime(params, kappa, omega, slope, vec, gammas=None):
+    """h'(kappa) by a central difference of h = Im d omega_gm / d kappa.
+
+    (kappa, omega, slope, vec) are solved points of omega_gm, gammas (points
+    x N) their couplings where given.  One `_omega_gm` call solves
+    kappa +- H_SLOPE_DELTA, each seeded along its own point's tangent; h' is
+    NaN where a solve fails.
+    """
+    at = np.repeat(np.arange(len(kappa)), 2)
+    d = np.tile([-H_SLOPE_DELTA, H_SLOPE_DELTA], len(kappa))
+    try:
+        h = _omega_gm(params, kappa[at] + d, omega[at] + slope[at] * d,
+                      vec[at], None if gammas is None else gammas[at])[1]
+    except (ConvergenceError, ThresholdError) as err:
+        h = err.solved[1]
+    return (h.imag[1::2] - h.imag[::2]) / (2.0 * H_SLOPE_DELTA)
+
+
 def _polish(params, kappa, omega, reach):
-    """The mode a candidate (kappa, omega) points to.
+    """The modes that candidates (kappa, omega) point to, all at once.
 
-    The candidate has a propagating order (one without lies on the robust
-    branch and is a mode already).  Returns (kappa0, omega_gm(kappa0),
-    h'(kappa0)), with omega_gm complex, or None when the candidate leads to
-    no mode.  kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
-    Im omega_gm peaks, continued from the candidate (`_continued_h`).  The
-    bracket starts at kappa +- reach and, while h keeps one sign on it,
-    steps towards rising Im omega_gm, by a reach that doubles each time, at
-    most GROW_STEPS times; an end where |h| <= H_FLOOR has no sign to trust.
-    Once the bracket holds kappa = 0, a standing mode there
-    (|Im omega_gm(0)| at roundoff) is taken; if there is none, the bracket
-    keeps only the candidate's side of kappa = 0.
+    Each candidate has a propagating order (one without lies on the robust
+    branch and is a mode already).  Returns kappa0, omega_gm(kappa0) and
+    h'(kappa0) (`_h_prime`), kappa0 NaN where a candidate leads to no mode.
+    kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
+    Im omega_gm peaks.  The bracket starts at kappa +- reach and, while h
+    keeps one sign on it, steps towards rising Im omega_gm, by a reach that
+    doubles each time, at most GROW_STEPS times; an end where |h| <= H_FLOOR
+    has no sign to trust.  Once the bracket holds kappa = 0, a standing mode
+    there (|Im omega_gm(0)| at roundoff) is taken, kappa0 = 0.0; if there is
+    none, the bracket keeps only the candidate's side.  `_bracketed_secant`
+    then stops at a kappa step of POLISH_XTOL.  Each round is one
+    `_omega_gm` call over the candidates still active, the first from the
+    candidate's omega and the smallest |eigenvalue|, the others along the
+    tangent of the nearest point the candidate has solved: itself, kappa = 0
+    or a bracket end.  A kappa solved before is read back; a candidate with a
+    failed solve (its h' solves included) is rejected.
     """
-    from scipy.optimize import brentq
+    n = len(kappa)
+    # each candidate's points (kappa, omega_gm, slope, eigenvector) at itself,
+    # kappa = 0, its bracket ends and the secant's last iterate; omega_gm is
+    # NaN where none is solved
+    C, Z, LO, HI, NEW = range(5)
+    pts = np.full((n, 5, 3 + params.N), np.nan, dtype=complex)
 
-    h, solved = _continued_h(params, (kappa, complex(omega), 0.0, None))
-    h(kappa)  # omega_gm at the candidate seeds the bracket ends
-    lo, hi = kappa - reach, kappa + reach
-    step, tried_zero = reach, False
+    def put(i, slot, kap, seed, vref):
+        try:
+            om, slope, vec, _ = _omega_gm(params, kap, seed, vref)
+        except (ConvergenceError, ThresholdError) as err:
+            om, slope, vec, _ = err.solved  # NaN where a point failed
+        pts[i, slot] = np.column_stack([kap, om, slope, vec])
+
+    def solve(i, slot, kap):
+        """Candidates i at kap into slot, from their nearest solved point."""
+        k = np.where(np.isnan(pts[i, :, 1]), np.nan, pts[i, :, 0].real)
+        near = pts[i, np.nanargmin(np.abs(k - kap[:, None]), axis=1)]
+        pts[i, slot] = near  # read back where kap is solved already
+        new = near[:, 0].real != kap
+        if new.any():
+            k1, w1, s1 = near[new, :3].T
+            put(i[new], slot, kap[new], w1 + s1 * (kap[new] - k1.real),
+                near[new, 3:])
+
+    put(np.arange(n), C, kappa, omega + 0j, None)
+    pts[:, LO, 0], pts[:, HI, 0] = kappa - reach, kappa + reach
+    live, secant = ~np.isnan(pts[:, C, 1]), np.zeros(n, dtype=bool)
+    step, root = np.full(n, reach), np.full(n, np.nan)
     for _ in range(GROW_STEPS + 1):
-        if lo < 0.0 < hi and not tried_zero:
-            tried_zero = True
-            h(0.0)
-            om = solved[0.0][1]
-            if abs(om.imag) <= STANDING_IM_TOL * abs(om):
-                return 0.0, om, _h_slope(h, 0.0)
-            if kappa >= 0.0:
-                lo = SIDE_OFFSET * reach
-            else:
-                hi = -SIDE_OFFSET * reach
-        if min(abs(h(lo)), abs(h(hi))) <= H_FLOOR:
-            return None
-        if h(lo) * h(hi) < 0.0:
-            kap0 = brentq(h, lo, hi, xtol=1e-15)
-            h(kap0)
-            return kap0, solved[kap0][1], _h_slope(h, kap0)
-        step *= 2.0
-        if h(hi) > 0.0:
-            lo, hi = hi, hi + step
-        else:
-            lo, hi = lo - step, lo
-    return None
+        # kappa = 0 is tried once, when the bracket first holds it
+        z = np.flatnonzero(live & (pts[:, LO, 0].real < 0.0)
+                           & (pts[:, HI, 0].real > 0.0)
+                           & np.isnan(pts[:, Z, 1]))
+        solve(z, Z, np.zeros(len(z)))
+        om = pts[z, Z, 1]
+        standing = abs(om.imag) <= STANDING_IM_TOL * abs(om)
+        root[z[standing]], live[z] = 0.0, ~standing & ~np.isnan(om)
+        side = z[live[z]]
+        end = np.where(kappa[side] >= 0.0, LO, HI)
+        pts[side, end] = np.nan
+        pts[side, end, 0] = np.where(end == LO, reach, -reach) * SIDE_OFFSET
+        for end in (LO, HI):
+            i = np.flatnonzero(live & np.isnan(pts[:, end, 1]))
+            solve(i, end, pts[i, end, 0].real)
+        h_lo, h_hi = pts[:, LO, 2].imag, pts[:, HI, 2].imag
+        # a failed solve (NaN) rejects its candidate too
+        floor = ~(np.minimum(abs(h_lo), abs(h_hi)) > H_FLOOR)
+        secant |= live & ~floor & (h_lo * h_hi < 0.0)
+        live &= ~floor & ~secant
+        step[live] *= 2.0
+        up, down = live & (h_hi > 0.0), live & ~(h_hi > 0.0)
+        pts[up, LO], pts[down, HI] = pts[up, HI], pts[down, LO]
+        pts[up, HI, 0] += step[up]
+        pts[down, LO, 0] -= step[down]
+        pts[up, HI, 1] = pts[down, LO, 1] = np.nan
+    b = np.flatnonzero(secant)
+    h_lo = pts[b, LO, 2].imag
 
+    def h(j, x):
+        """h at x for brackets j, each iterate kept at the end it replaces."""
+        i = b[j]
+        solve(i, NEW, x)
+        new = pts[i, NEW]
+        left = np.sign(new[:, 2].imag) == np.sign(h_lo[j])
+        pts[i[left], LO], pts[i[~left], HI] = new[left], new[~left]
+        return new[:, 2].imag
 
-def _h_slope(h, kappa):
-    """h'(kappa) by a central difference."""
-    return (h(kappa + H_SLOPE_DELTA) - h(kappa - H_SLOPE_DELTA)) / (
-        2.0 * H_SLOPE_DELTA)
-
-
-def _continued_h(params, start):
-    """h(kappa) = Im d omega_gm / d kappa on one structure, and its points.
-
-    Points are (kappa, omega_gm, d omega_gm / d kappa, eigenvector), held in
-    a dict by kappa: each kappa is solved once, and h answers a solved kappa
-    from it.  Each solve continues from the nearest point solved so far
-    along its tangent, the first from start (of any structure; eigenvector
-    None: the smallest).
-    """
-    tracker, solved = EigenvalueTracker(params), {}
-
-    def h(kappa):
-        if kappa not in solved:
-            k1, om1, slope1, v1 = min(solved.values() or [start],
-                                      key=lambda p: abs(p[0] - kappa))
-            tracker.reset(v1)
-            om = tracker.solve_omega(kappa, om1 + slope1 * (kappa - k1))
-            solved[kappa] = (kappa, om, tracker.slope, tracker.eigenvector())
-        return solved[kappa][2].imag
-
-    return h, solved
+    x, left = _bracketed_secant(h, pts[b, LO, 0].real, pts[b, HI, 0].real,
+                                h_lo, pts[b, HI, 2].imag,
+                                lambda x, y: np.abs(x - y) <= POLISH_XTOL)
+    root[b] = np.where(np.isnan(pts[b, NEW, 1]), np.nan, x)
+    root[b[left]] = np.nan
+    at = pts[np.arange(n), np.where(root == 0.0, Z, NEW)]
+    found = ~np.isnan(root)
+    h_prime = np.full(n, np.nan)
+    if found.any():
+        h_prime[found] = _h_prime(params, root[found], *at[found, 1:3].T,
+                                  at[found, 3:])
+    return np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime
 
 
 def _crossings(params, kappas, wmin, wmax, Q=None):
@@ -328,11 +408,12 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     the candidates are the points of a branch with a propagating order where
     q = ||W^H v|| / ||W|| (0 at a mode) is no larger than at its neighbours,
     and every point without one.
-    Those with a propagating order are polished on the chain kernel K with
-    its exact derivatives (`_polish`): Newton in complex omega follows the
-    zero omega_gm(kappa) of K's tracked eigenvalue, and a bracketed root of
-    h(kappa) = Im d omega_gm / d kappa within two row steps of the candidate
-    gives kappa0 (at kappa = 0 a standing mode is tried first).  The others
+    Those with a propagating order are polished together on the chain
+    kernel K with its exact derivatives (`_polish`): Newton in complex omega
+    follows the zero omega_gm(kappa) of K's tracked eigenvalue, and a
+    bracketed root of h(kappa) = Im d omega_gm / d kappa within two row steps
+    of the candidate gives kappa0 (at kappa = 0 a standing mode is tried
+    first); no omega_gm is solved one point at a time.  The others
     lie on the robust branch, a curve of modes where K = K_H, so each is a
     mode as solved, with Im omega_gm = 0 and h' = 0.  A mode is kept when
     (kappa0, Re omega_gm) lies in the window and sigma_min there falls below
@@ -365,25 +446,24 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                    & (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))
     pick = order[pick]
     pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
-    candidates = zip(kappas[cross["row"][pick]], cross["omega"][pick],
-                     cross["nprop"][pick])
-
-    reach = 2.0 * (kmax - kmin) / (density - 1)
+    roots = kappas[cross["row"][pick]]
+    om_gms = cross["omega"][pick] + 0j
+    h_primes = np.zeros(len(pick))
+    # a candidate with a propagating order is polished, the others are modes
+    polish = cross["nprop"][pick] > 0
+    if polish.any():
+        reach = 2.0 * (kmax - kmin) / (density - 1)
+        roots[polish], om_gms[polish], h_primes[polish] = _polish(
+            params, roots[polish], cross["omega"][pick][polish], reach)
     modes = []
     seen = []
     rejected = 0
-    for kap, om, nprop in candidates:
-        try:
-            found = (_polish(params, kap, om, reach) if nprop
-                     else (kap, om, 0.0))
-        except (ConvergenceError, ThresholdError):
-            found = None
+    for kap0, om_gm, h_prime in zip(roots.tolist(), om_gms.tolist(),
+                                    h_primes.tolist()):
         sig = np.inf
-        if found is not None:
-            kap0, om_gm, h_prime = found
-            om0 = om_gm.real
-            if kmin <= kap0 <= kmax and wmin <= om0 <= wmax:
-                sig = sigma_min(params, BlochPoint(kap0, om0))
+        om0 = om_gm.real
+        if kmin <= kap0 <= kmax and wmin <= om0 <= wmax:  # False if NaN
+            sig = sigma_min(params, BlochPoint(kap0, om0))
         if sig > tol:
             rejected += 1
             continue
@@ -427,9 +507,10 @@ def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
     params.gammas point by point.  One stacked `_chain_kernel` and eig; the
     eigenvalue lambda whose unit eigenvector overlaps the reference most is
     taken, and ConvergenceError naming kappa is raised where that overlap is
-    below OVERLAP_MIN.  Returns lambda, the right and left eigenvectors v
-    (columns) and y (rows) with y v = 1, and `_chain_kernel`'s K_omega and
-    K_kappa: d lambda = y K' v.
+    below OVERLAP_MIN, its points masking those points (as ThresholdError's
+    mask those on a threshold).  Returns lambda, the right and left
+    eigenvectors v (columns) and y (rows) with y v = 1, and `_chain_kernel`'s
+    K_omega and K_kappa: d lambda = y K' v.
     """
     _, theta, _ = _classify_off_threshold(params.N, kappa, omega)
     K, _, _, _, K_om, K_kap = _chain_kernel(params, kappa, omega, theta,
@@ -444,10 +525,12 @@ def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
         lost = ov[at, i] < OVERLAP_MIN
         if lost.any():
             p = np.argmax(lost)
-            raise ConvergenceError(
+            error = ConvergenceError(
                 f"lost eigenvalue track at (kappa="
                 f"{np.broadcast_to(kappa, omega.shape)[p]}, omega={omega[p]}): "
                 f"best overlap {ov[p, i[p]]:.3f}")
+            error.points = lost
+            raise error
     # row i of V^-1
     y = np.linalg.solve(V.swapaxes(-1, -2),
                         np.eye(params.N)[i, :, None]).swapaxes(-1, -2)
@@ -462,28 +545,42 @@ def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
     active; each point tracks its eigenvector from its last step.  omega
     moves by lambda / lambda_omega, with lambda_omega = y K_omega v exact.
     A point stops after the step at which |lambda| < NEWTON_TOL or the step
-    is at roundoff, |step| <= 4 eps |omega|; ConvergenceError is raised if
-    one is still active after NEWTON_STEPS steps.  Returns omega_gm,
+    is at roundoff, |step| <= 4 eps |omega|.  Returns omega_gm,
     d omega_gm / d kappa = -lambda_kappa / lambda_omega and the unit
     eigenvector, both at the last point before the stopping step, and each
-    point's steps.
+    point's steps.  A point on a threshold, one whose track is lost and one
+    still active after NEWTON_STEPS steps fails: it stops with NaN results
+    while the others go on, and the first failure's error is raised at the
+    end, with solved holding the four results of every point.
     """
     kappa = np.asarray(kappa, dtype=float)
-    om = np.array(omega_seed, dtype=complex)
     n_pts = len(kappa)
-    slope = np.empty(n_pts, dtype=complex)
-    vec = np.empty((n_pts, params.N), dtype=complex)
+    om, slope = np.full((2, n_pts), np.nan, dtype=complex)
+    vec = np.full((n_pts, params.N), np.nan, dtype=complex)
     steps = np.zeros(n_pts, dtype=int)
     # the active points: their index, kappa, omega, eigenvector, couplings
-    idx, k, w = np.arange(n_pts), kappa, om.copy()
+    idx, k, w = np.arange(n_pts), kappa, np.array(omega_seed, dtype=complex)
     v_ref = None if vref is None else np.asarray(vref)
     gam = None if gammas is None else np.asarray(gammas)
-    for n in range(NEWTON_STEPS):
-        if not idx.size:
-            break
-        # a lone point takes the kernel's scalar-kappa path
-        f, v, y, K_om, K_kap = _tracked_eigenvalue(
-            params, k if idx.size > 1 else k[0], w, v_ref, gam)
+
+    def keep(active):
+        nonlocal idx, k, w, v_ref, gam
+        idx, k, w = idx[active], k[active], w[active]
+        v_ref = None if v_ref is None else v_ref[active]
+        gam = None if gam is None else gam[active]
+
+    error, n = None, 0
+    while idx.size and n < NEWTON_STEPS:
+        try:
+            # a lone point takes the kernel's scalar-kappa path
+            f, v, y, K_om, K_kap = _tracked_eigenvalue(
+                params, k if idx.size > 1 else k[0], w, v_ref, gam)
+        except (ConvergenceError, ThresholdError) as err:
+            # the failed points stop; the step is taken again without them
+            error = error or err
+            keep(~err.points)
+            continue
+        n += 1
         d_om = (y @ K_om() @ v)[:, 0, 0]
         step = f / d_om
         w = w - step
@@ -492,17 +589,17 @@ def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
                 | (np.abs(step) <= 4.0 * EPS * np.abs(w)))
         if done.any():
             j = idx[done]
-            om[j], vec[j], steps[j] = w[done], v_ref[done], n + 1
+            om[j], vec[j], steps[j] = w[done], v_ref[done], n
             lam_kap = (y[done] @ K_kap()[done] @ v[done])[:, 0, 0]
             slope[j] = -lam_kap / d_om[done]
-            keep = ~done
-            idx, k, w, v_ref = idx[keep], k[keep], w[keep], v_ref[keep]
-            if gam is not None:
-                gam = gam[keep]
+            keep(~done)
     if idx.size:
-        raise ConvergenceError(
+        error = error or ConvergenceError(
             f"eigenvalue Newton did not converge at kappa={k[0]}: "
             f"{idx.size} points left after {NEWTON_STEPS} steps")
+    if error is not None:
+        error.solved = om, slope, vec, steps
+        raise error
     return om, slope, vec, steps
 
 
@@ -515,7 +612,9 @@ class EigenvalueTracker:
     d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
     y the left one, normalised so that y v = 1.  d_kappa forms K_kappa when
     it is read.  `solve_omega` does not call `value`: it leaves
-    d omega_gm / d kappa in slope instead.
+    d omega_gm / d kappa in slope instead.  The library itself calls only
+    `value` (the mode certificate); `solve_omega` serves the benchmark's
+    tracer and the tests.
     """
 
     def __init__(self, params: StructureParams):
@@ -523,10 +622,6 @@ class EigenvalueTracker:
         self._vref = None
         self.d_omega = None
         self.slope = None
-
-    def reset(self, vref=None):
-        """Forget the tracked eigenvector, or track the one closest to vref."""
-        self._vref = vref
 
     def _reference(self):
         return None if self._vref is None else self._vref[None]

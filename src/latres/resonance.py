@@ -25,8 +25,9 @@ from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
                         _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
                          _fourier, solve_row, solve_scattering)
-from .guided import (H_SLOPE_DELTA, ConvergenceError, DispersionFit,
-                     GuidedMode, _crossings, _omega_gm)
+from .guided import (H_SLOPE_DELTA, SECANT_STEPS, ConvergenceError,
+                     DispersionFit, GuidedMode, _bracketed_secant, _crossings,
+                     _h_prime, _omega_gm)
 
 # approx_error_sup: kt samples, omega samples; the half-width scale of the
 # model-versus-direct window
@@ -40,11 +41,10 @@ GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
 BRANCH_KAPPA_MAX = 0.2
 # the branch secant's stop on a kappa0 step: near gamma0* h' is about 1e-6
-# and h carries roundoff of about 1e-16, so kappa0 is known to a few 1e-10;
-# its step limit (bisection alone takes a bracket of 0.2^2 in kappa^2 to a
-# step of 1e-10 in kappa in under 50)
+# and h carries roundoff of about 1e-16, so kappa0 is known to a few 1e-10
+# (bisection alone takes a bracket of 0.2^2 in kappa^2 to a step of 1e-10 in
+# kappa within SECANT_STEPS)
 BRANCH_XTOL = 1e-10
-BRANCH_STEPS = 60
 
 log = logging.getLogger("latres")
 
@@ -112,8 +112,7 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
     t = _thresholds(N, kappa)
     lo = np.where(t < centre[:, None], t, -np.inf).max(axis=1, keepdims=True)
     hi = np.where(t > centre[:, None], t, np.inf).min(axis=1, keepdims=True)
-    w = params.gammas * np.reshape([_fourier(N, k)[0][:, 0] for k in kappa],
-                                   (-1, N))
+    w = params.gammas * _fourier.__wrapped__(N, kappa)[0][..., 0]
     roots, counts, steps = {}, [], 0
     for which, Q in (("a", np.linalg.svd(w[..., None])[0][..., 1:]),
                      ("b", None)):
@@ -378,13 +377,14 @@ def trace_branch(params: StructureParams, gamma0_values,
     gamma0*'s kappa = 0 point).  The bracket starts at (1e-6, 1e-3) and
     moves up by doubling its top, point by point, until h changes sign; a
     top past BRANCH_KAPPA_MAX raises RuntimeError for the first such gamma0
-    outwards from gamma0*.  A secant on h(kappa) / kappa in u = kappa^2,
-    nearly linear there, bisecting the bracket where it would leave it,
-    then runs until its kappa step is at most BRANCH_XTOL.  The square-root
-    law is fitted on a log-log scale.  A DEBUG line on the `latres` logger
-    gives gamma0*, omega0*, |Im omega_gm(0)|, d Im(curvature) / d gamma0,
-    the points solved, the most Newton steps and each (gamma0, kappa0,
-    |Im omega_gm(kappa0)|, h'(kappa0)).
+    outwards from gamma0*.  The guided-mode polish's secant
+    (`guided._bracketed_secant`) then runs on h(kappa) / kappa in
+    u = kappa^2, nearly linear there, until its kappa step is at most
+    BRANCH_XTOL.  The square-root law is fitted on a log-log scale.  A DEBUG
+    line on the `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)|,
+    d Im(curvature) / d gamma0, the points solved, the most Newton steps and
+    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)), h' from
+    `guided._h_prime` (NaN where its solve fails).
     """
     if gamma0_bracket is None:
         gmin = min(gamma0_values)
@@ -427,38 +427,21 @@ def trace_branch(params: StructureParams, gamma0_values,
                                f" below kappa={BRANCH_KAPPA_MAX}")
         g_hi[grow] = h_over_kappa(grow, hi[grow])
         grow = grow[g_lo[grow] * g_hi[grow] > 0.0]
-    # the bracket (a, b) in u = kappa^2, where h / kappa keeps g_lo's sign
-    # at a, and the secant's last two iterates
-    a, b = lo ** 2, hi ** 2
-    u1, f1, u2, f2 = a.copy(), g_lo.copy(), b.copy(), g_hi.copy()
-    i = every
-    for _ in range(BRANCH_STEPS):
-        if not i.size:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = u2[i] - f2[i] * (u2[i] - u1[i]) / (f2[i] - f1[i])
-        u = np.where((a[i] < u) & (u < b[i]), u, (a[i] + b[i]) / 2.0)
-        f = h_over_kappa(i, np.sqrt(u))
-        left = np.sign(f) == np.sign(g_lo[i])
-        a[i], b[i] = np.where(left, u, a[i]), np.where(left, b[i], u)
-        done = (np.abs(np.sqrt(u) - np.sqrt(u2[i])) <= BRANCH_XTOL) | (f == 0)
-        u1[i], f1[i], u2[i], f2[i] = u2[i], f2[i], u, f
-        i = i[~done]
-    if i.size:
+    # the secant runs in u = kappa^2 and stops on a kappa step
+    _, left = _bracketed_secant(
+        lambda i, u: h_over_kappa(i, np.sqrt(u)), lo ** 2, hi ** 2, g_lo,
+        g_hi, lambda u, v: np.abs(np.sqrt(u) - np.sqrt(v)) <= BRANCH_XTOL)
+    if left.size:
         raise ConvergenceError(
-            f"branch secant did not converge for gamma0={outwards[i[0]]} in "
-            f"{BRANCH_STEPS} steps")
+            f"branch secant did not converge for gamma0={outwards[left[0]]} "
+            f"in {SECANT_STEPS} steps")
     samples = tuple((float(g0), float(k), float(w.real))
                     for g0, k, w in zip(outwards, kl, wl))
     certificates = []
     if log.isEnabledFor(logging.DEBUG):  # h' costs one more call
-        at, d = np.repeat(every, 2), np.tile([-H_SLOPE_DELTA,
-                                              H_SLOPE_DELTA], n)
-        h = _omega_gm(params, kl[at] + d, wl[at] + sl[at] * d, vl[at],
-                      gam[at])[1].imag
         solves += 2 * n
         certificates = zip(outwards, kl, np.abs(wl.imag),
-                           (h[1::2] - h[::2]) / (2.0 * H_SLOPE_DELTA))
+                           _h_prime(params, kl, wl, sl, vl, gam))
     if n >= 2:
         dist = np.abs(g_star - np.array(outwards, dtype=float))
         slope = float(np.polyfit(np.log(dist), np.log(kl), 1)[0])

@@ -98,11 +98,13 @@ class NonPropagatingIncidenceError(ValueError):
 def _fourier(N, kappa):
     """P[n, l] = e^{2 pi i phi_l n}, phi_l = (kappa + l) / N, and, as the phi_l
     differ by l/N, its inverse P^-1[l, n] = e^{-2 pi i phi_l n} / N (P^H / N
-    if kappa is real); read-only, as callers share them."""
-    phi = (kappa + np.arange(N)) / N
+    if kappa is real); read-only, as callers share them.  Uncached
+    (`_fourier.__wrapped__`), kappa may be an array, with one pair per
+    entry, of shape kappa.shape + (N, N)."""
+    phi = (np.asarray(kappa)[..., None] + np.arange(N)) / N
     n = np.arange(N)
-    P = np.exp(2j * np.pi * (n[:, None] * phi))
-    Pinv = np.exp(-2j * np.pi * (phi[:, None] * n)) / N
+    P = np.exp(2j * np.pi * (n[:, None] * phi[..., None, :]))
+    Pinv = np.exp(-2j * np.pi * (phi[..., :, None] * n)) / N
     P.flags.writeable = Pinv.flags.writeable = False
     return P, Pinv
 
@@ -116,7 +118,7 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     omega may carry leading batch axes, theta then has shape omega.shape +
     (N,) and K shape omega.shape + (N, N).  kappa is a scalar (complex for
     the tracker), or a real array broadcasting against omega, one point per
-    entry, with A, P and P^-1 built once per distinct kappa.  Where the mask
+    entry, with A, P and P^-1 built for every entry at once.  Where the mask
     prop (theta's shape) is given, its orders' terms are dropped: with the
     propagating orders this is K_H, K without their radiation, Hermitian at
     real points as s_l is real on a decaying order.  gammas, of shape
@@ -136,18 +138,9 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     N = params.N
     gam = params.gammas if gammas is None else np.asarray(gammas)
 
-    def per_kappa(f):
-        """The N x N matrices f(kappa) returns, each at every point; at an
-        array kappa, f runs once per distinct kappa."""
-        if not np.ndim(kappa):
-            return f(kappa)
-        rows = {}  # each distinct kappa and its index
-        at = [rows.setdefault(k, len(rows)) for k in kappa.ravel().tolist()]
-        return np.array(list(zip(*map(f, rows))))[:, at].reshape(
-            (-1,) + kappa.shape + (N, N))
-
-    A, P, Pinv = per_kappa(lambda k: (waveguide_band_matrix(params, k),
-                                      *_fourier(N, k)))
+    A = waveguide_band_matrix(params, kappa)
+    # an array is not hashable, so it bypasses the cache
+    P, Pinv = (_fourier.__wrapped__ if np.ndim(kappa) else _fourier)(N, kappa)
     s = 2j * np.sin(TWO_PI * theta)
     Ws = gam[..., :, None] * P / s[..., None, :]
     if prop is not None:
@@ -161,9 +154,8 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
 
     def K_kappa():
         n = np.arange(N)
-        (A_kap,) = per_kappa(lambda k: [np.pi * (
-            waveguide_band_matrix(params, k + 0.25)
-            - waveguide_band_matrix(params, k - 0.25))])
+        A_kap = np.pi * (waveguide_band_matrix(params, kappa + 0.25)
+                         - waveguide_band_matrix(params, kappa - 0.25))
         sin_phi = np.sin(TWO_PI * (np.add.outer(kappa, n) / N))
         return (-A_kap - 2j * np.pi * Y * (np.subtract.outer(n, n) / N)
                 - (Ws_ds() * (4.0 * np.pi / N * sin_phi)[..., None, :]) @ U)

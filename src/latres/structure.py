@@ -266,11 +266,14 @@ def _thresholds(N, kappa):
 
 
 def _classify_off_threshold(N, kappa, omega):
-    """_classify, refusing the points when an order is a threshold."""
+    """_classify, refusing the points when an order is a threshold; the
+    error's points mask those with one."""
     phi, theta, prop, thr = _classify(N, kappa, omega)
     if thr.any():
-        raise ThresholdError(
+        error = ThresholdError(
             f"harmonic on a threshold curve at (kappa={kappa}, omega={omega})")
+        error.points = thr.any(axis=-1)
+        raise error
     return phi, theta, prop
 
 
@@ -286,17 +289,21 @@ def classify_harmonics(params: StructureParams,
     return HarmonicSet(point, *_classify(params.N, kappa, point.omega))
 
 
-def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
+def waveguide_band_matrix(params: StructureParams, kappa) -> np.ndarray:
     """The N x N Hermitian Floquet matrix of the isolated chain at kappa.
 
     Row n reads ((k_n + k_{n-1})/M_n) z_n - (k_n/sqrt(M_n M_{n+1})) z_{n+1}
     - (k_{n-1}/sqrt(M_n M_{n-1})) z_{n-1}, with wrap-around entries picking up
-    the Bloch factor e^{+-2 pi i kappa}.
+    the Bloch factor e^{+-2 pi i kappa}.  A numpy array kappa gives one
+    matrix per entry, of shape kappa.shape + (N, N), each equal to the
+    scalar call.
     """
     N = params.N
     # Python floats: their arithmetic is numpy's, without its per-scalar cost
     M, k = params.masses.tolist(), params.springs.tolist()
-    B = np.zeros((N, N), dtype=complex)
+    # kappa's axes last, so that B[n, m] is an entry at scalar kappa
+    shape = getattr(kappa, "shape", ())
+    B = np.zeros((N, N) + shape, dtype=complex)
     for n in range(N):
         up = (n + 1) % N
         c = -k[n] / math.sqrt(M[n] * M[up])  # coupling of sites n and n + 1
@@ -304,7 +311,7 @@ def waveguide_band_matrix(params: StructureParams, kappa: float) -> np.ndarray:
         B[n, n] += (k[n] + k[n - 1]) / M[n]
         B[n, up] += c * wrap
         B[up, n] += c / wrap
-    return B
+    return np.moveaxis(B, (0, 1), (-2, -1)) if shape else B
 
 
 def strip_operator(params: StructureParams, kappa: float,

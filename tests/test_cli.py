@@ -158,6 +158,8 @@ for name, argv in (
         ("scatter", ["scatter", "--kappa=0.2", "--omega=1.5"]),
         ("bands", ["bands", "--kappa-grid=0,0.5,3"]),
         ("regions", ["regions", "--kappa-grid=0,0.5,3", "--omega-grid=0,8,3"]),
+        ("guided", ["guided", "--window=0.02,0.11,0.93,1.02"]),
+        ("dispersion", ["dispersion", "--window=0.02,0.11,0.93,1.02"]),
         ("bifurcate refused",
          ["bifurcate", "--gamma0-min=1.0", "--gamma0-max=1.03"]),
         ("scatter --method=dtn refused",
@@ -183,7 +185,8 @@ def test_cli_loads_scipy_only_where_called(config1):
     assert doc.pop("import") == []
     assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
     assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
-                   "regions": [0, []], "bifurcate refused": [2, []],
+                   "regions": [0, []], "guided": [0, []],
+                   "dispersion": [0, []], "bifurcate refused": [2, []],
                    "scatter --method=dtn refused": [2, []]}
 
 

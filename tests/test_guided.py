@@ -1,6 +1,7 @@
 """Guided-mode location, explicit N=2 criteria, and dispersion continuation."""
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ import latres.scattering
 from latres import guided
 from latres.structure import (BlochPoint, StructureParams, _classify,
                               _classify_off_threshold, _thresholds,
-                              propagating_count, waveguide_bands)
+                              propagating_count, waveguide_band_matrix,
+                              waveguide_bands)
 from latres.scattering import _chain_kernel, _fourier, scan_transmission
 from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
                            _crossings, _omega_gm, continue_and_fit_dispersion,
@@ -212,6 +214,28 @@ def test_mode_search_logs_counts(fixture1, caplog):
             f"sigma_min {m.sigma:.2g}]") in lines[0]
 
 
+@pytest.mark.parametrize("N", range(1, 9))
+def test_kernel_on_kappa_arrays_equals_scalar_calls(N):
+    # an array kappa gives, entry by entry, the scalar call's band matrix
+    # and kernel, derivatives included, bit for bit
+    rng = np.random.default_rng([N, 8])
+    params = StructureParams(N=N, masses=rng.uniform(0.5, 3.0, N),
+                             springs=rng.uniform(0.5, 2.0, N),
+                             gammas=rng.uniform(0.5, 3.0, N)
+                             + 1j * rng.uniform(-1.0, 1.0, N))
+    kap = rng.uniform(-0.5, 0.5, 6)
+    om = rng.uniform(0.3, 7.0, 6) - 1j * rng.uniform(0.0, 0.01, 6)
+    theta = _classify(N, kap, om)[1]
+    A = waveguide_band_matrix(params, kap)
+    K, P, Pinv, s, K_om, K_kap = _chain_kernel(params, kap, om, theta)
+    stacked = (K, P, Pinv, s, K_om(), K_kap())
+    for j, k in enumerate(kap.tolist()):
+        assert np.array_equal(A[j], waveguide_band_matrix(params, k))
+        one = _chain_kernel(params, k, complex(om[j]), theta[j])
+        for got, want in zip(stacked, one[:4] + (one[4](), one[5]())):
+            assert np.array_equal(got[j], want)
+
+
 _unit = st.floats(0.5, 2.0)
 
 
@@ -348,29 +372,61 @@ def test_robust_branch_one_entry_per_row(fixture1):
 
 def test_robust_branch_needs_no_tracker(fixture1, monkeypatch):
     # a candidate without a propagating order is a root of K already (K =
-    # K_H there): the tracker runs only while candidates with one are
-    # polished, and the robust-branch entries certify Im omega_gm = 0
-    polishing, calls = [], []
-    polish, solve = guided._polish, EigenvalueTracker.solve_omega
+    # K_H there): only candidates with one are solved for omega_gm (each
+    # starts at the candidate, without a reference eigenvector), and the
+    # robust-branch entries certify Im omega_gm = 0
+    starts = []
+    omega_gm = guided._omega_gm
 
-    def polish_(params, kappa, omega, reach):
-        polishing.append(propagating_count(params, kappa, omega))
-        try:
-            return polish(params, kappa, omega, reach)
-        finally:
-            polishing.pop()
+    def recording(params, kappa, omega_seed, vref, gammas=None):
+        if vref is None:
+            starts.extend(zip(kappa, omega_seed))
+        return omega_gm(params, kappa, omega_seed, vref, gammas)
 
-    def solve_(self, kappa, omega_seed):
-        calls.append(polishing[-1] if polishing else None)
-        return solve(self, kappa, omega_seed)
-
-    monkeypatch.setattr(guided, "_polish", polish_)
-    monkeypatch.setattr(EigenvalueTracker, "solve_omega", solve_)
+    monkeypatch.setattr(guided, "_omega_gm", recording)
     modes = find_guided_modes(fixture1, (-0.5, 0.5, 0.7, 1.25), density=60)
-    assert calls and all(n is not None and n > 0 for n in calls)
+    assert starts and all(propagating_count(fixture1, k, w.real) > 0
+                          for k, w in starts)
     robust = [m for m in modes if m.region_size == 0]
     assert robust
     assert all(m.im_omega == 0.0 and m.h_prime == 0.0 for m in robust)
+
+
+def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
+    # criterion 01's window at density 60 polishes one +-kappa pair in one
+    # stack; when the kappa < 0 candidate loses its track there, it alone
+    # is rejected, and the pair's mode is still reported from kappa > 0
+    window = (-0.5, 0.5, 0.7, 1.25)
+    caplog.set_level(logging.DEBUG, logger="latres")
+
+    def search():
+        caplog.clear()
+        modes = find_guided_modes(fixture1, window, density=60)
+        line, = [r.getMessage() for r in caplog.records if r.name == "latres"]
+        return modes, re.search(r", (\d+) rejected, (\d+) merged ", line)
+
+    want, counts = search()
+    tracked, lost_at = guided._tracked_eigenvalue, []
+
+    def losing(params, kappa, omega, vref, gammas=None):
+        lost = np.broadcast_to(kappa, omega.shape) < 0.0
+        if vref is not None and len(omega) > 1 and lost.any():
+            lost_at.append(len(omega))
+            error = ConvergenceError("lost eigenvalue track")
+            error.points = lost
+            raise error
+        return tracked(params, kappa, omega, vref, gammas)
+
+    monkeypatch.setattr(guided, "_tracked_eigenvalue", losing)
+    got, got_counts = search()
+    assert lost_at == [2]
+    # the lost candidate is counted as rejected, not as its pair's duplicate
+    assert (int(got_counts[1]), int(got_counts[2])) == (
+        int(counts[1]) + 1, int(counts[2]) - 1)
+    assert [(m.null_labels, m.region_size) for m in got] == [
+        (m.null_labels, m.region_size) for m in want]
+    assert all(abs(a.kappa0 - b.kappa0) <= 1e-12
+               and abs(a.omega0 - b.omega0) <= 1e-12 for a, b in zip(got, want))
 
 
 def test_decoupled_standing_mode(decoupled):

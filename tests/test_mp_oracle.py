@@ -15,11 +15,21 @@ tests first ran:
   (`test_acceptance.py`) within 1e-20;
 - `find_bifurcation`'s gamma0* within 1e-10 of the root of Im c2 at
   kappa = 0, from a secant through gamma0 = GAMMA0_STAR -+ 1e-9
-  (`bif_params`).
+  (`bif_params`);
+- the N = 3 complex-coupling standing mode (the structure of
+  `test_guided.test_standing_mode_n3_complex_coupling_matches_chain_oracle`,
+  kappa0 = 0 from the polish's standing-mode test): omega0 within 1e-12,
+  |Im c1| = |h(0)| within 1e-12, slope within 1e-10 and curvature within
+  1e-7 absolute.  The degree-5 fit is off by 4.9e-8 there, worse than on
+  fixture 1; ROADMAP item 2 should tighten that gate to 1e-12.  The nearest
+  threshold lies about 0.9 away in omega (omega = 0 at kappa = 0), so the
+  circle sees no singularity.
 """
 
 import pytest
 
+from latres import StructureParams
+from latres.guided import continue_and_fit_dispersion, find_guided_modes
 from latres.resonance import find_bifurcation
 from oracles import taylor_mp
 
@@ -62,3 +72,18 @@ def test_critical_coupling_matches_oracle(fixture1, bif_params, bif_mode,
     (g1, f1), (g2, f2) = points
     g_star = g1 - f1 * (g2 - g1) / (f2 - f1)
     assert abs(find_bifurcation(fixture1, (0.8, 1.3))[0] - g_star) <= 1e-10
+
+
+def test_n3_complex_coupling_matches_oracle():
+    g1 = 1.1 - 0.4j
+    params = StructureParams(N=3, masses=[1.5, 2.0, 2.0],
+                             springs=[1.2, 0.7, 1.2],
+                             gammas=[0.8 + 0.3j, g1, g1])
+    mode, = find_guided_modes(params, (-0.05, 0.05, 0.6, 1.35), density=40)
+    assert mode.kappa0 == 0.0
+    fit = continue_and_fit_dispersion(params, mode)
+    c = taylor_mp(params, mode.kappa0, _seed(mode.omega0, fit))
+    assert abs(complex(c[0]) - mode.omega0) <= 1e-12
+    assert abs(c[1].imag) <= 1e-12
+    assert abs(complex(-c[1]) - fit.slope) <= 1e-10
+    assert abs(complex(-c[2]) - fit.curvature) <= 1e-7

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latres import BlochPoint, StructureParams, resonance
+from latres import BlochPoint, StructureParams, guided, resonance
 from latres.guided import (EigenvalueTracker, continue_and_fit_dispersion,
                            find_guided_modes)
 from latres.scattering import (NonPropagatingIncidenceError, _chain_kernel,
@@ -430,25 +430,32 @@ def test_branch_logs_certificates(fixture1, caplog):
         assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
 
 
-def test_each_kappa_solved_once(fixture1, monkeypatch):
-    # within one continued h no kappa is solved twice: the mode polish's
-    # bracket ends and each root's point are read back from the solves
-    # already made; the branch runs on the stacked solver, not the tracker
-    solves = []
-    solve_omega = EigenvalueTracker.solve_omega
+def test_each_kappa_solved_once(fixture1, n3_params, monkeypatch):
+    # within one mode search no kappa is solved twice: the bracket ends,
+    # kappa = 0 and each root's point are read back from the solves already
+    # made (the first window's +-kappa candidates share no kappa; in the
+    # second a candidate lies at kappa = 0, where the standing mode is);
+    # neither the searches nor the branch make a tracker solve
+    solved, tracker = [], []
+    omega_gm = guided._omega_gm
 
-    def recording(tracker, kappa, omega_seed):
-        solves.append((tracker, kappa))  # held, so no tracker id is reused
-        return solve_omega(tracker, kappa, omega_seed)
+    def recording(params, kappa, omega_seed, vref, gammas=None):
+        solved.extend(kappa)
+        return omega_gm(params, kappa, omega_seed, vref, gammas)
 
-    monkeypatch.setattr(EigenvalueTracker, "solve_omega", recording)
-    find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=80)
-    keys = [(id(tracker), kappa) for tracker, kappa in solves]
-    assert len(solves) > 0
-    assert len(set(keys)) == len(keys)
-    solves.clear()
+    monkeypatch.setattr(guided, "_omega_gm", recording)
+    monkeypatch.setattr(EigenvalueTracker, "solve_omega",
+                        lambda *args: tracker.append(args))
+    for params, window, density in (
+            (fixture1, (-0.5, 0.5, 0.7, 1.25), 60),
+            (n3_params, (-0.05, 0.05, 1.1, 1.3), 41)):
+        solved.clear()
+        modes = find_guided_modes(params, window, density=density)
+        assert modes and len(solved) > 0
+        assert len(set(solved)) == len(solved)
+    assert [m.kappa0 for m in modes] == [0.0] and 0.0 in solved
     trace_branch(fixture1, BENCH_GAMMAS[:3], gamma0_bracket=(0.8, 1.3))
-    assert solves == []
+    assert tracker == []
 
 
 def test_branch_refuses_wrong_side(fixture1, monkeypatch):
