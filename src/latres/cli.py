@@ -56,10 +56,18 @@ def _csv(path, header, rows):
     _emit(path, [header] + [fmt % row for row in rows])
 
 
-def _grid(spec: str) -> np.ndarray:
-    """Parse 'min,max,num' into a linspace."""
+def _finite(value: float, flag: str) -> float:
+    """value, refused with a ValueError naming flag unless it is finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return value
+
+
+def _grid(spec: str, flag: str) -> np.ndarray:
+    """Parse 'min,max,num' into a linspace; both bounds must be finite."""
     lo, hi, num = spec.split(",")
-    return np.linspace(float(lo), float(hi), int(num))
+    return np.linspace(_finite(float(lo), f"{flag} bounds"),
+                       _finite(float(hi), f"{flag} bounds"), int(num))
 
 
 def _params(args) -> StructureParams:
@@ -74,8 +82,8 @@ def _params(args) -> StructureParams:
 
 def cmd_regions(args):
     params = _params(args)
-    diagram = region_diagram(params, _grid(args.kappa_grid),
-                             _grid(args.omega_grid))
+    diagram = region_diagram(params, _grid(args.kappa_grid, "--kappa-grid"),
+                             _grid(args.omega_grid, "--omega-grid"))
     _csv(args.out, "kappa,omega,num_propagating",
          ((kap, om, diagram.counts[i, j])
           for i, kap in enumerate(diagram.kappa_grid)
@@ -87,7 +95,7 @@ def cmd_bands(args):
     params = _params(args)
     _csv(args.out, "kappa," + ",".join(f"band_{j}" for j in range(params.N)),
          ((kap, *waveguide_bands(params, kap))
-          for kap in _grid(args.kappa_grid)))
+          for kap in _grid(args.kappa_grid, "--kappa-grid")))
     return 0
 
 
@@ -120,7 +128,8 @@ def _cnum(z) -> dict:
 
 def cmd_scatter(args):
     params = _params(args)
-    point = BlochPoint(args.kappa, args.omega)
+    point = BlochPoint(_finite(args.kappa, "--kappa"),
+                       _finite(args.omega, "--omega"))
     incident = _incident_from_args(args, params.N)
     if args.method == "dtn":
         trunc = solve_truncated(params, point, incident, args.M)
@@ -150,8 +159,9 @@ def cmd_scatter(args):
 
 def cmd_scan(args):
     params = _params(args)
-    rows = scan_transmission(params, _grid(args.kappa_grid),
-                             _grid(args.omega_grid), args.order)
+    rows = scan_transmission(params, _grid(args.kappa_grid, "--kappa-grid"),
+                             _grid(args.omega_grid, "--omega-grid"),
+                             args.order)
     _csv(args.out, "kappa,omega,T,R,energy_residual,flags", rows)
     return 0
 
@@ -288,6 +298,7 @@ def _init_state(path, N, kappa) -> LatticeState:
 
 def cmd_evolve(args):
     params = _params(args)
+    _finite(args.kappa, "--kappa")
     if args.init == "file":
         state = _init_state(args.init_file, params.N, args.kappa)
     else:

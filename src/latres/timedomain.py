@@ -6,13 +6,24 @@ on the strip |m| <= Mx, closed with zero-Dirichlet walls at m = +-Mx and a
 Bloch-twisted wrap in n.  That keeps H exactly Hermitian, so norm
 conservation is limited only by the integrator.
 
+H commutes with the mirror m -> -m, so the dynamics splits into two parity
+sectors that never mix.  The even sector is z with e_m = (u_m + u_-m)/2 on
+rows m >= 0; the odd sector is o_m = (u_m - u_-m)/2 on rows m >= 1, and
+never reaches the chain, since o_0 = 0.  `_sector_operator` restricts H to
+the sectors by index arithmetic on its CSR arrays, and only a sector that is
+not exactly zero is stepped: a pulse of pure parity, as `gaussian_pulse`
+makes, steps about half the unknowns, and a general state steps both
+sectors at the strip's full size.  The coordinates are unscaled, so a state
+of pure parity splits and rebuilds exactly.
+
 For this linear system one classical RK4 step is s <- p(A) s with
 A = -i dt H and p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the RK4
 amplification polynomial.  `_rk4_factors` writes p(A) as the product of
-four sparse factors A - r_k I over the roots r_k of p, on H's sparsity
-pattern, so a step is four sparse matvecs and no other array work.
-`evolve` builds H and the factors once per call; `rk4_step` and
-`apply_omega` build H per call, and `rk4_step` steps with the same factors.
+four sparse factors A - r_k I over the roots r_k of p, on the sector
+operator's sparsity pattern, so a step is four sparse matvecs and no other
+array work.  `evolve` builds H, the sector operator and the factors once per
+call and rebuilds the full state once, at the end; `rk4_step` takes the same
+path for one step, and `apply_omega` builds H per call.
 """
 
 from __future__ import annotations
@@ -71,22 +82,97 @@ def _flat(state: LatticeState) -> np.ndarray:
     return np.concatenate([state.z, state.u.ravel()])
 
 
-def _unflat(state: LatticeState, s: np.ndarray, t: float) -> LatticeState:
-    N = len(state.z)
-    return replace(state, z=s[:N], u=s[N:].reshape(state.u.shape), t=t)
-
-
 def apply_omega(params: StructureParams, state: LatticeState):
     """The Hermitian generator applied to a state: (H1 z + G u, G* z + H2 u)."""
     hs = strip_operator(params, state.kappa, state.mx) @ _flat(state)
     return hs[:len(state.z)], hs[len(state.z):].reshape(state.u.shape)
 
 
+def _split(state: LatticeState):
+    """The live m-parity sectors of a state as one vector, and which are live.
+
+    The even sector is (z, e_0, ..., e_Mx) and the odd one (o_1, ..., o_Mx),
+    with e_m = (u_m + u_-m)/2 and o_m = (u_m - u_-m)/2 row by row: unscaled
+    mirror coordinates, so a state of pure parity splits exactly.  A sector
+    that is exactly zero is not live, and the vector holds only live ones.
+    """
+    mx = state.mx
+    up, um = state.u[mx:], state.u[mx::-1]
+    sectors = (np.concatenate([state.z, ((up + um) * 0.5).ravel()]),
+               ((up[1:] - um[1:]) * 0.5).ravel())
+    live = tuple(bool(v.any()) for v in sectors)
+    return np.concatenate([v if on else v[:0]
+                           for v, on in zip(sectors, live)]), live
+
+
+def _join(state: LatticeState, s: np.ndarray, live, t: float) -> LatticeState:
+    """The state whose live sectors are s: u_+-m = e_m +- o_m, the inverse of
+    `_split`, exact for a state of pure parity."""
+    N, mx = len(state.z), state.mx
+    z = np.zeros(N, dtype=complex)
+    u = np.zeros_like(state.u)
+    if live[0]:
+        # a copy, so that the state does not hold the whole sector vector
+        z, even = s[:N].copy(), s[N:(mx + 2) * N].reshape(mx + 1, N)
+        u[mx:] = even
+        u[:mx] = even[:0:-1]
+    if live[1]:
+        odd = s[(mx + 2) * N if live[0] else 0:].reshape(mx, N)
+        u[mx + 1:] += odd
+        u[:mx] -= odd[::-1]
+    return replace(state, z=z, u=u, t=t)
+
+
+def _norm(s: np.ndarray, live, N: int) -> float:
+    """The full state's norm from its live sectors: z and e_0 count once,
+    every row m >= 1 twice (for u_m and u_-m)."""
+    head = s[:2 * N] if live[0] else s[:0]
+    return float(np.sqrt(np.vdot(head, head).real
+                         + 2.0 * np.vdot(s[len(head):], s[len(head):]).real))
+
+
+def _sector_operator(H, N: int, mx: int, live):
+    """H on the live m-parity sectors of the strip, block-diagonal, in CSR.
+
+    Index arithmetic on H's CSR arrays.  The even block keeps the rows of z
+    and of m >= 0 and folds the column of u_-m onto that of u_m, so row
+    m = 0 holds -2 at m = 1.  The odd block keeps the rows m >= 1, whose
+    columns all lie at m >= 0, and drops the column m = 0, where u_0 = 0.
+    """
+    import scipy.sparse as sp
+
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    cols = H.indices
+    # each index's even coordinate: z as it is, u_mn at N (|m| + 1) + n
+    site = np.arange(H.shape[0]) - N
+    fold = np.where(site < 0, site + N,
+                    N * (np.abs(site // N - mx) + 1) + site % N)
+    first = (mx + 2) * N          # the index of u_1,0 in s, and the even size
+    blocks = []
+    if live[0]:
+        keep = (rows < N) | (rows >= first - N)
+        blocks.append((fold[rows[keep]], fold[cols[keep]], H.data[keep]))
+    if live[1]:
+        keep = (rows >= first) & (cols >= first)
+        shift = 0 if live[0] else first
+        blocks.append((rows[keep] - shift, cols[keep] - shift,
+                       H.data[keep]))
+    r, c, v = (np.concatenate([b[k] for b in blocks]) for k in range(3))
+    dim = first * live[0] + mx * N * live[1]
+    # the kept entries stay in row order, so they are CSR arrays already;
+    # only the fold's rows m = 0 hold unsorted and repeated columns
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))])
+    S = sp.csr_matrix((v, c, indptr), shape=(dim, dim))
+    S.sum_duplicates()
+    return S
+
+
 def _stored_diagonal(H):
     """H with every diagonal entry stored, and their positions in its data.
 
-    H must be in canonical CSR form, as `strip_operator` returns it; a
-    diagonal entry it does not store is added as an explicit zero.
+    H must be in canonical CSR form, as `strip_operator` and
+    `_sector_operator` return it; a diagonal entry it does not store is
+    added as an explicit zero.
     """
     import scipy.sparse as sp
 
@@ -122,13 +208,24 @@ def _rk4_factors(H, dt):
     return factors
 
 
+def _stepper(params: StructureParams, state: LatticeState, dt: float):
+    """The live sectors s of a state, which they are, and the RK4 factors
+    that step s; the zero state has no live sector and no factor."""
+    s, live = _split(state)
+    if not s.size:
+        return s, live, []
+    H = strip_operator(params, state.kappa, state.mx)
+    return s, live, _rk4_factors(
+        _sector_operator(H, len(state.z), state.mx, live), dt)
+
+
 def rk4_step(params: StructureParams, state: LatticeState,
              dt: float) -> LatticeState:
     """One classical Runge-Kutta step of ds/dt = -i H s."""
-    s = _flat(state)
-    for B in _rk4_factors(strip_operator(params, state.kappa, state.mx), dt):
+    s, live, factors = _stepper(params, state, dt)
+    for B in factors:
         s = B @ s
-    return _unflat(state, s, state.t + dt)
+    return _join(state, s, live, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -147,6 +244,7 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
            steps: int, record_every: int = 1) -> EvolutionResult:
     """Integrate for `steps` RK4 steps, recording norm and chain energy.
 
+    Only the live m-parity sectors are stepped (see the module docstring).
     A non-finite dt or initial state raises ValueError.  RuntimeError is
     raised once a recorded norm drifts by more than DRIFT_LIMIT relative to
     max(1, initial norm), or is not finite; every FINITE_EVERY steps the
@@ -160,13 +258,17 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    s, t = _flat(state), state.t
-    if not np.isfinite(s).all():
+    if not (np.isfinite(state.z).all() and np.isfinite(state.u).all()):
         raise ValueError("the initial state must be finite")
-    factors = _rk4_factors(strip_operator(params, state.kappa, state.mx), dt)
-    times = [state.t]
-    norms = [state.norm()]
-    wg = [state.waveguide_energy()]
+    N, t = len(state.z), state.t
+    s, live, factors = _stepper(params, state, dt)
+
+    def chain_energy(s):
+        return float(np.vdot(s[:N], s[:N]).real) if live[0] else 0.0
+
+    times = [t]
+    norms = [_norm(s, live, N)]
+    wg = [chain_energy(s)]
     # a state that overflows ends in the RuntimeError below, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
@@ -177,19 +279,20 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
             if ((i + 1) % record_every and i + 1 < steps
                     and ((i + 1) % FINITE_EVERY or np.isfinite(s).all())):
                 continue
-            state = _unflat(state, s, t)
-            times.append(state.t)
-            norms.append(state.norm())
-            wg.append(state.waveguide_energy())
+            times.append(t)
+            norms.append(_norm(s, live, N))
+            wg.append(chain_energy(s))
             drift = abs(norms[-1] - norms[0])
             if not drift <= DRIFT_LIMIT * max(1.0, norms[0]):
                 raise RuntimeError(f"norm drift {drift:.3e} exceeds "
                                    f"{DRIFT_LIMIT}; reduce dt")
-    result = EvolutionResult(state=state, times=np.array(times),
-                             norms=np.array(norms),
+    result = EvolutionResult(state=_join(state, s, live, t),
+                             times=np.array(times), norms=np.array(norms),
                              waveguide_energy=np.array(wg))
-    log.debug("evolve: %d steps of dt %g, %d unknowns, max relative norm "
-              "drift %.3e", steps, dt, len(s),
+    sectors = [name for name, on in zip(("even", "odd"), live) if on]
+    log.debug("evolve: %d steps of dt %g, sectors %s, %d of %d unknowns "
+              "stepped, max relative norm drift %.3e", steps, dt,
+              "+".join(sectors) or "none", len(s), N + state.u.size,
               result.norm_drift / (norms[0] or 1.0))
     return result
 
@@ -208,10 +311,14 @@ def gaussian_pulse(params: StructureParams, mx: int, kappa: float,
     The envelope is a Gaussian in m centered at `center`, modulated by a
     plane-wave carrier e^{2 pi i theta m}; symmetry 'antisymmetric' makes
     u_{mn} = -u_{-m,n} (so the coupling line value vanishes), 'symmetric'
-    mirrors the pulse evenly.  A width <= 0 raises ValueError.
+    mirrors the pulse evenly.  A width <= 0, or a kappa, center or theta
+    that is not finite, raises ValueError.
     """
     if not width > 0.0:
         raise ValueError(f"pulse width must be > 0, got {width}")
+    if not np.isfinite([kappa, center, theta]).all():
+        raise ValueError(f"pulse kappa, center and theta must be finite, "
+                         f"got {kappa}, {center} and {theta}")
     m = np.arange(-mx, mx + 1, dtype=float)
     env = np.exp(-((m - center) / width) ** 2) * np.exp(2j * np.pi * theta * m)
     if symmetry == "antisymmetric":

@@ -239,6 +239,32 @@ def test_malformed_incidence_exit_code(config1, capsys, argv, message):
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scatter", "--kappa=inf", "--omega=1.5"],
+     "--kappa must be finite, got inf"),
+    (["scatter", "--kappa=0.2", "--omega=nan"],
+     "--omega must be finite, got nan"),
+    (["scatter", "--kappa=-inf", "--omega=1.5", "--method=dtn", "--M=4"],
+     "--kappa must be finite, got -inf"),
+    (["bands", "--kappa-grid=0,nan,3"],
+     "--kappa-grid bounds must be finite, got nan"),
+    (["regions", "--kappa-grid=0,0.5,3", "--omega-grid=-inf,8,0"],
+     "--omega-grid bounds must be finite, got -inf"),
+    (["scan", "--kappa-grid=inf,0.5,3", "--omega-grid=1,2,3"],
+     "--kappa-grid bounds must be finite, got inf"),
+    (["evolve", "--kappa=inf", "--steps=1", "--mx=4"],
+     "--kappa must be finite, got inf"),
+    (["evolve", "--kappa=nan", "--steps=1", "--init=file"],
+     "--kappa must be finite, got nan"),
+])
+def test_nonfinite_numbers_exit_code(config1, capsys, argv, message):
+    # refused by name before any solve, with no NaN row on stdout
+    assert main(argv[:1] + ["--config", config1] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _loads(captured.err) == {"error": "ValueError", "message": message}
+
+
 GOOD = {"N": 2, "masses": [2, 1], "springs": [1, 1], "gammas": [1, 7]}
 
 

@@ -91,6 +91,18 @@ def test_rk4_factors_share_the_index_arrays(fixture1):
         assert np.shares_memory(B.indptr, H.indptr)
 
 
+def _parity_state(params, kappa, mx, parity, rng):
+    """A random state that is even or odd in m, or neither ('general')."""
+    shape = (2 * mx + 1, params.N)
+    z = rng.standard_normal(params.N) + 1j * rng.standard_normal(params.N)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if parity == "even":
+        u = u + u[::-1]
+    elif parity == "odd":
+        z, u = np.zeros_like(z), u - u[::-1]
+    return LatticeState(z=z, u=u, kappa=kappa)
+
+
 @st.composite
 def strips(draw):
     """A random structure with complex couplings, a kappa and a strip."""
@@ -107,12 +119,8 @@ def strips(draw):
 @example(strip=(N1, 0.0, 3), dt=0.1, seed=0)
 def test_factored_step_matches_four_stages(strip, dt, seed):
     params, kappa, mx = strip
-    rng = np.random.default_rng(seed)
-    shape = (2 * mx + 1, params.N)
-    state = LatticeState(
-        z=rng.standard_normal(params.N) + 1j * rng.standard_normal(params.N),
-        u=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        kappa=kappa)
+    state = _parity_state(params, kappa, mx, "general",
+                          np.random.default_rng(seed))
     H = strip_operator(params, kappa, mx)
     ref = np.concatenate([state.z, state.u.ravel()])
     for _ in range(3):
@@ -120,6 +128,62 @@ def test_factored_step_matches_four_stages(strip, dt, seed):
         ref = rk4_stages(H, ref, dt)
     got = np.concatenate([state.z, state.u.ravel()])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@given(strip=strips(), dt=st.floats(0.001, 0.01), steps=st.integers(1, 4),
+       parity=st.sampled_from(["general", "even", "odd"]),
+       seed=st.integers(0, 2**32))
+@example(strip=(N1, 0.0, 3), dt=0.01, steps=2, parity="even", seed=0)
+@example(strip=(N1, 0.0, 3), dt=0.01, steps=2, parity="odd", seed=0)
+@example(strip=(N1, 0.0, 0), dt=0.01, steps=2, parity="general", seed=0)
+def test_sector_evolution_matches_full_strip_stages(strip, dt, steps, parity,
+                                                    seed):
+    # the parity sectors on their half strips against the oracle's
+    # four-stage step on the whole strip
+    params, kappa, mx = strip
+    state = _parity_state(params, kappa, mx, parity,
+                          np.random.default_rng(seed))
+    H = strip_operator(params, kappa, mx)
+    ref = np.concatenate([state.z, state.u.ravel()])
+    for _ in range(steps):
+        ref = rk4_stages(H, ref, dt)
+    result = evolve(params, state, dt, steps)
+    got = np.concatenate([result.state.z, result.state.u.ravel()])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert result.norms[-1] == pytest.approx(np.linalg.norm(ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+def test_chained_parity_evolutions_equal_one_call(fixture1, symmetry):
+    # a state of pure parity splits and rebuilds exactly, so a run cut into
+    # calls repeats the one long call bit for bit
+    state = gaussian_pulse(fixture1, mx=20, kappa=0.1, center=-5.0,
+                           width=3.0, symmetry=symmetry)
+    whole = evolve(fixture1, state, 0.01, 60, record_every=10)
+    parts = [evolve(fixture1, state, 0.01, 20, record_every=10)]
+    for _ in range(2):
+        parts.append(evolve(fixture1, parts[-1].state, 0.01, 20,
+                            record_every=10))
+    for field in ("times", "norms", "waveguide_energy"):
+        joined = np.concatenate([getattr(p, field)[1:] for p in parts])
+        assert np.array_equal(joined, getattr(whole, field)[1:])
+    assert np.array_equal(parts[-1].state.z, whole.state.z)
+    assert np.array_equal(parts[-1].state.u, whole.state.u)
+
+
+def test_single_row_strip_has_no_odd_sector(fixture1, caplog):
+    # at mx = 0 the odd sector is empty, so every state is even, and the
+    # zero state has no live sector at all
+    caplog.set_level(logging.DEBUG, logger="latres")
+    state = _parity_state(fixture1, 0.2, 0, "general",
+                          np.random.default_rng(3))
+    evolve(fixture1, state, 0.01, 5)
+    zero = LatticeState(z=np.zeros(2), u=np.zeros((1, 2)), kappa=0.2)
+    result = evolve(fixture1, zero, 0.01, 5)
+    assert not result.state.u.any() and not result.norms.any()
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert ", sectors even, 4 of 4 unknowns stepped" in lines[0]
+    assert ", sectors none, 0 of 4 unknowns stepped" in lines[1]
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf])
@@ -174,10 +238,13 @@ def test_antisymmetric_data_never_excites_chain(fixture1):
     state = gaussian_pulse(fixture1, mx=30, kappa=0.05, center=-12.0,
                            width=4.0, symmetry="antisymmetric")
     state = antisymmetrize(state)
-    assert np.max(np.abs(state.u[state.mx])) < 1e-14   # vanishes on the line
+    assert not state.u[state.mx].any()   # vanishes on the line
+    # only the odd sector is stepped: z stays exactly 0, and the state
+    # exactly antisymmetric
     result = evolve(fixture1, state, dt=0.01, steps=400, record_every=20)
-    assert np.max(result.waveguide_energy) <= 1e-24
-    assert np.max(np.abs(result.state.z)) <= 1e-12
+    assert not result.waveguide_energy.any() and not result.state.z.any()
+    u = result.state.u
+    assert not u[state.mx].any() and np.array_equal(u, -u[::-1])
 
 
 def test_symmetric_pulse_excites_chain(fixture1):
@@ -221,8 +288,9 @@ def test_evolve_logs_steps_and_drift(fixture1, caplog):
     result = evolve(fixture1, state, dt=0.01, steps=30, record_every=10)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
     assert len(lines) == 1
-    assert lines[0].startswith("evolve: 30 steps of dt 0.01, 44 unknowns, "
-                               "max relative norm drift ")
+    assert lines[0].startswith("evolve: 30 steps of dt 0.01, sectors even, "
+                               "24 of 44 unknowns stepped, max relative "
+                               "norm drift ")
     assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
         result.norm_drift / result.norms[0], rel=1e-3)
 
@@ -231,3 +299,12 @@ def test_evolve_logs_steps_and_drift(fixture1, caplog):
 def test_gaussian_pulse_refuses_width(fixture1, width):
     with pytest.raises(ValueError, match="pulse width must be > 0"):
         gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0, width=width)
+
+
+@pytest.mark.parametrize("kwargs", [{"kappa": np.inf}, {"center": np.nan},
+                                    {"theta": -np.inf}])
+def test_gaussian_pulse_refuses_nonfinite(fixture1, kwargs):
+    # refused before numpy warns on the non-finite carrier
+    args = dict(kappa=0.0, center=-5.0, width=2.0, theta=0.25) | kwargs
+    with pytest.raises(ValueError, match="must be finite"):
+        gaussian_pulse(fixture1, mx=10, **args)
