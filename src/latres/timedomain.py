@@ -7,23 +7,24 @@ Bloch-twisted wrap in n.  That keeps H exactly Hermitian, so norm
 conservation is limited only by the integrator.
 
 H commutes with the mirror m -> -m, so the dynamics splits into two parity
-sectors that never mix.  The even sector is z with e_m = (u_m + u_-m)/2 on
-rows m >= 0; the odd sector is o_m = (u_m - u_-m)/2 on rows m >= 1, and
-never reaches the chain, since o_0 = 0.  `_sector_operator` restricts H to
-the sectors by index arithmetic on its CSR arrays, and only a sector that is
-not exactly zero is stepped: a pulse of pure parity, as `gaussian_pulse`
-makes, steps about half the unknowns, and a general state steps both
-sectors at the strip's full size.  The coordinates are unscaled, so a state
-of pure parity splits and rebuilds exactly.
+sectors that never mix.  A state even in m (u_-m = u_m) is fixed by z and
+its rows m >= 0; one odd in m (z = 0, u_-m = -u_m) by its rows m >= 1, and
+never reaches the chain, since u_0 = 0.  `_sector_operator` restricts H to
+either sector by index arithmetic on its CSR arrays, so a pulse of pure
+parity, as `gaussian_pulse` makes, steps about half the unknowns.  A state
+of neither parity is stepped on the whole strip with H itself, as it is:
+splitting it would cost a second operator and round every mirror pair.
+Each vector holds the state's own entries, so every state splits and
+rebuilds exactly.
 
 For this linear system one classical RK4 step is s <- p(A) s with
 A = -i dt H and p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the RK4
 amplification polynomial.  `_rk4_factors` writes p(A) as the product of
-four sparse factors A - r_k I over the roots r_k of p, on the sector
-operator's sparsity pattern, so a step is four sparse matvecs and no other
-array work.  `evolve` builds H, the sector operator and the factors once per
-call and rebuilds the full state once, at the end; `rk4_step` takes the same
-path for one step, and `apply_omega` builds H per call.
+four sparse factors A - r_k I over the roots r_k of p, on the sparsity
+pattern of the operator stepped, so a step is four sparse matvecs and no
+other array work.  `evolve` builds H, the operator it steps and the factors
+once per call and rebuilds the full state once, at the end; `rk4_step`
+takes the same path for one step, and `apply_omega` builds H per call.
 """
 
 from __future__ import annotations
@@ -89,80 +90,77 @@ def apply_omega(params: StructureParams, state: LatticeState):
 
 
 def _split(state: LatticeState):
-    """The live m-parity sectors of a state as one vector, and which are live.
+    """The vector `evolve` steps for a state, and the sector it holds.
 
-    The even sector is (z, e_0, ..., e_Mx) and the odd one (o_1, ..., o_Mx),
-    with e_m = (u_m + u_-m)/2 and o_m = (u_m - u_-m)/2 row by row: unscaled
-    mirror coordinates, so a state of pure parity splits exactly.  A sector
-    that is exactly zero is not live, and the vector holds only live ones.
+    A state of pure parity is stepped on its sector alone: 'even' is
+    (z, u_0, ..., u_Mx) for u_-m = u_m, and 'odd' is (u_1, ..., u_Mx) for
+    z = 0 and u_-m = -u_m.  A state with both parts nonzero is stepped on
+    the whole strip as (z, u), sector 'both'.  Either way the vector holds
+    the state's own entries, so the split and `_join` are exact.  The zero
+    state, and every state at mx = 0, is even.
     """
     mx = state.mx
     up, um = state.u[mx:], state.u[mx::-1]
-    sectors = (np.concatenate([state.z, ((up + um) * 0.5).ravel()]),
-               ((up[1:] - um[1:]) * 0.5).ravel())
-    live = tuple(bool(v.any()) for v in sectors)
-    return np.concatenate([v if on else v[:0]
-                           for v, on in zip(sectors, live)]), live
+    if np.array_equal(up, um):
+        return np.concatenate([state.z, up.ravel()]), "even"
+    if not state.z.any() and np.array_equal(up, -um):
+        return up[1:].ravel(), "odd"
+    return _flat(state), "both"
 
 
-def _join(state: LatticeState, s: np.ndarray, live, t: float) -> LatticeState:
-    """The state whose live sectors are s: u_+-m = e_m +- o_m, the inverse of
-    `_split`, exact for a state of pure parity."""
+def _join(state: LatticeState, s: np.ndarray, sector: str,
+          t: float) -> LatticeState:
+    """The state that s holds at time t, the inverse of `_split`."""
     N, mx = len(state.z), state.mx
-    z = np.zeros(N, dtype=complex)
+    # a copy, so that the state does not hold the whole vector
+    z = np.zeros(N, dtype=complex) if sector == "odd" else s[:N].copy()
+    if sector == "both":
+        return replace(state, z=z, u=s[N:].reshape(state.u.shape), t=t)
     u = np.zeros_like(state.u)
-    if live[0]:
-        # a copy, so that the state does not hold the whole sector vector
-        z, even = s[:N].copy(), s[N:(mx + 2) * N].reshape(mx + 1, N)
-        u[mx:] = even
-        u[:mx] = even[:0:-1]
-    if live[1]:
-        odd = s[(mx + 2) * N if live[0] else 0:].reshape(mx, N)
-        u[mx + 1:] += odd
-        u[:mx] -= odd[::-1]
+    if sector == "even":
+        half = s[N:].reshape(mx + 1, N)
+        u[mx:], u[:mx] = half, half[:0:-1]
+    else:
+        half = s.reshape(mx, N)
+        u[mx + 1:], u[:mx] = half, -half[::-1]
     return replace(state, z=z, u=u, t=t)
 
 
-def _norm(s: np.ndarray, live, N: int) -> float:
-    """The full state's norm from its live sectors: z and e_0 count once,
-    every row m >= 1 twice (for u_m and u_-m)."""
-    head = s[:2 * N] if live[0] else s[:0]
-    return float(np.sqrt(np.vdot(head, head).real
-                         + 2.0 * np.vdot(s[len(head):], s[len(head):]).real))
+def _norm(s: np.ndarray, sector: str, N: int) -> float:
+    """The full state's norm from the vector `_split` made: in a sector,
+    z and u_0 count once and every row m >= 1 twice (for u_m and u_-m)."""
+    once = {"even": 2 * N, "odd": 0, "both": len(s)}[sector]
+    return float(np.sqrt(np.vdot(s[:once], s[:once]).real
+                         + 2.0 * np.vdot(s[once:], s[once:]).real))
 
 
-def _sector_operator(H, N: int, mx: int, live):
-    """H on the live m-parity sectors of the strip, block-diagonal, in CSR.
+def _sector_operator(H, N: int, mx: int, sector: str):
+    """H restricted to the 'even' or 'odd' sector of the strip, in CSR.
 
-    Index arithmetic on H's CSR arrays.  The even block keeps the rows of z
-    and of m >= 0 and folds the column of u_-m onto that of u_m, so row
-    m = 0 holds -2 at m = 1.  The odd block keeps the rows m >= 1, whose
+    Index arithmetic on H's CSR arrays.  The even operator keeps the rows
+    of z and of m >= 0 and folds the column of u_-m onto that of u_m, so row
+    m = 0 holds -2 at m = 1.  The odd operator keeps the rows m >= 1, whose
     columns all lie at m >= 0, and drops the column m = 0, where u_0 = 0.
     """
     import scipy.sparse as sp
 
     rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
     cols = H.indices
-    # each index's even coordinate: z as it is, u_mn at N (|m| + 1) + n
-    site = np.arange(H.shape[0]) - N
-    fold = np.where(site < 0, site + N,
-                    N * (np.abs(site // N - mx) + 1) + site % N)
-    first = (mx + 2) * N          # the index of u_1,0 in s, and the even size
-    blocks = []
-    if live[0]:
+    first = (mx + 2) * N          # the index of u_1,0 in H, and the even size
+    if sector == "even":
+        # each index's even coordinate: z as it is, u_mn at N (|m| + 1) + n
+        site = np.arange(H.shape[0]) - N
+        fold = np.where(site < 0, site + N,
+                        N * (np.abs(site // N - mx) + 1) + site % N)
         keep = (rows < N) | (rows >= first - N)
-        blocks.append((fold[rows[keep]], fold[cols[keep]], H.data[keep]))
-    if live[1]:
+        r, c, dim = fold[rows[keep]], fold[cols[keep]], first
+    else:
         keep = (rows >= first) & (cols >= first)
-        shift = 0 if live[0] else first
-        blocks.append((rows[keep] - shift, cols[keep] - shift,
-                       H.data[keep]))
-    r, c, v = (np.concatenate([b[k] for b in blocks]) for k in range(3))
-    dim = first * live[0] + mx * N * live[1]
+        r, c, dim = rows[keep] - first, cols[keep] - first, mx * N
     # the kept entries stay in row order, so they are CSR arrays already;
-    # only the fold's rows m = 0 hold unsorted and repeated columns
+    # only the even fold's rows m = 0 hold unsorted and repeated columns
     indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))])
-    S = sp.csr_matrix((v, c, indptr), shape=(dim, dim))
+    S = sp.csr_matrix((H.data[keep], c, indptr), shape=(dim, dim))
     S.sum_duplicates()
     return S
 
@@ -209,23 +207,23 @@ def _rk4_factors(H, dt):
 
 
 def _stepper(params: StructureParams, state: LatticeState, dt: float):
-    """The live sectors s of a state, which they are, and the RK4 factors
-    that step s; the zero state has no live sector and no factor."""
-    s, live = _split(state)
-    if not s.size:
-        return s, live, []
+    """The vector s that steps a state, its sector (see `_split`), and the
+    RK4 factors that step s: on the sector operator, or on H itself for a
+    state of both parities."""
+    s, sector = _split(state)
     H = strip_operator(params, state.kappa, state.mx)
-    return s, live, _rk4_factors(
-        _sector_operator(H, len(state.z), state.mx, live), dt)
+    if sector != "both":
+        H = _sector_operator(H, len(state.z), state.mx, sector)
+    return s, sector, _rk4_factors(H, dt)
 
 
 def rk4_step(params: StructureParams, state: LatticeState,
              dt: float) -> LatticeState:
     """One classical Runge-Kutta step of ds/dt = -i H s."""
-    s, live, factors = _stepper(params, state, dt)
+    s, sector, factors = _stepper(params, state, dt)
     for B in factors:
         s = B @ s
-    return _join(state, s, live, state.t + dt)
+    return _join(state, s, sector, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,8 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
            steps: int, record_every: int = 1) -> EvolutionResult:
     """Integrate for `steps` RK4 steps, recording norm and chain energy.
 
-    Only the live m-parity sectors are stepped (see the module docstring).
+    A state of pure parity is stepped on its sector alone, any other on
+    the whole strip (see the module docstring).
     A non-finite dt or initial state raises ValueError.  RuntimeError is
     raised once a recorded norm drifts by more than DRIFT_LIMIT relative to
     max(1, initial norm), or is not finite; every FINITE_EVERY steps the
@@ -261,13 +260,13 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
     if not (np.isfinite(state.z).all() and np.isfinite(state.u).all()):
         raise ValueError("the initial state must be finite")
     N, t = len(state.z), state.t
-    s, live, factors = _stepper(params, state, dt)
+    s, sector, factors = _stepper(params, state, dt)
 
     def chain_energy(s):
-        return float(np.vdot(s[:N], s[:N]).real) if live[0] else 0.0
+        return 0.0 if sector == "odd" else float(np.vdot(s[:N], s[:N]).real)
 
     times = [t]
-    norms = [_norm(s, live, N)]
+    norms = [_norm(s, sector, N)]
     wg = [chain_energy(s)]
     # a state that overflows ends in the RuntimeError below, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -280,19 +279,18 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
                     and ((i + 1) % FINITE_EVERY or np.isfinite(s).all())):
                 continue
             times.append(t)
-            norms.append(_norm(s, live, N))
+            norms.append(_norm(s, sector, N))
             wg.append(chain_energy(s))
             drift = abs(norms[-1] - norms[0])
             if not drift <= DRIFT_LIMIT * max(1.0, norms[0]):
                 raise RuntimeError(f"norm drift {drift:.3e} exceeds "
                                    f"{DRIFT_LIMIT}; reduce dt")
-    result = EvolutionResult(state=_join(state, s, live, t),
+    result = EvolutionResult(state=_join(state, s, sector, t),
                              times=np.array(times), norms=np.array(norms),
                              waveguide_energy=np.array(wg))
-    sectors = [name for name, on in zip(("even", "odd"), live) if on]
     log.debug("evolve: %d steps of dt %g, sectors %s, %d of %d unknowns "
-              "stepped, max relative norm drift %.3e", steps, dt,
-              "+".join(sectors) or "none", len(s), N + state.u.size,
+              "stepped, max relative norm drift %.3e", steps, dt, sector,
+              len(s), N + state.u.size,
               result.norm_drift / (norms[0] or 1.0))
     return result
 
