@@ -302,6 +302,9 @@ def cmd_evolve(args):
     if args.init == "file":
         state = _init_state(args.init_file, params.N, args.kappa)
     else:
+        # the pulse width is mx / 8
+        if args.mx < 1:
+            raise ValueError(f"--mx must be >= 1 for a pulse, got {args.mx}")
         state = gaussian_pulse(params, args.mx, args.kappa,
                                center=-args.mx / 2.0, width=args.mx / 8.0,
                                symmetry=args.init)

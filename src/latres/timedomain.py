@@ -21,10 +21,16 @@ For this linear system one classical RK4 step is s <- p(A) s with
 A = -i dt H and p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the RK4
 amplification polynomial.  `_rk4_factors` writes p(A) as the product of
 four sparse factors A - r_k I over the roots r_k of p, on the sparsity
-pattern of the operator stepped, so a step is four sparse matvecs and no
-other array work.  `evolve` builds H, the operator it steps and the factors
-once per call and rebuilds the full state once, at the end; `rk4_step`
-takes the same path for one step, and `apply_omega` builds H per call.
+pattern of the operator stepped.  For N <= 2 `_stepper` multiplies them
+into one CSR matrix P = p(A): the two n-hops of a site then land on one
+site (n + 1 = n - 1 mod N), so P stores no more entries than the four
+factors together, and a step is one sparse matvec, one call where the
+factors take four, with no more multiply-adds.  For N >= 3 the hops fan
+out and P would store more, so a step stays four matvecs.  Either way a
+step does no other array work.  `evolve` builds H, the operator it steps
+and its step matrices once per call and rebuilds the full state once, at
+the end; `rk4_step` takes the same path for one step, and `apply_omega`
+builds H per call.
 """
 
 from __future__ import annotations
@@ -208,13 +214,21 @@ def _rk4_factors(H, dt):
 
 def _stepper(params: StructureParams, state: LatticeState, dt: float):
     """The vector s that steps a state, its sector (see `_split`), and the
-    RK4 factors that step s: on the sector operator, or on H itself for a
-    state of both parities."""
+    CSR matrices that one RK4 step applies to s in turn.
+
+    They are built on the sector operator, or on H itself for a state of
+    both parities.  For N <= 2 they are one matrix, the product
+    P = B_4 B_3 B_2 B_1 of the RK4 factors, which stores no more entries
+    than the factors do; for N >= 3 they are the four factors.
+    """
     s, sector = _split(state)
     H = strip_operator(params, state.kappa, state.mx)
     if sector != "both":
         H = _sector_operator(H, len(state.z), state.mx, sector)
-    return s, sector, _rk4_factors(H, dt)
+    factors = _rk4_factors(H, dt)
+    if len(state.z) <= 2:
+        factors = [factors[3] @ factors[2] @ factors[1] @ factors[0]]
+    return s, sector, factors
 
 
 def rk4_step(params: StructureParams, state: LatticeState,
@@ -244,12 +258,12 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
 
     A state of pure parity is stepped on its sector alone, any other on
     the whole strip (see the module docstring).
-    A non-finite dt or initial state raises ValueError.  RuntimeError is
-    raised once a recorded norm drifts by more than DRIFT_LIMIT relative to
-    max(1, initial norm), or is not finite; every FINITE_EVERY steps the
-    state is checked to be finite as well, and one that is not is treated
-    as a record there, so a run that overflows stops within FINITE_EVERY
-    steps.
+    A non-finite dt, kappa or initial state raises ValueError.
+    RuntimeError is raised once a recorded norm drifts by more than
+    DRIFT_LIMIT relative to max(1, initial norm), or is not finite; every
+    FINITE_EVERY steps the state is checked to be finite as well, and one
+    that is not is treated as a record there, so a run that overflows stops
+    within FINITE_EVERY steps.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -257,6 +271,8 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
+    if not np.isfinite(state.kappa):
+        raise ValueError(f"kappa must be finite, got {state.kappa}")
     if not (np.isfinite(state.z).all() and np.isfinite(state.u).all()):
         raise ValueError("the initial state must be finite")
     N, t = len(state.z), state.t
@@ -289,8 +305,9 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
                              times=np.array(times), norms=np.array(norms),
                              waveguide_energy=np.array(wg))
     log.debug("evolve: %d steps of dt %g, sectors %s, %d of %d unknowns "
-              "stepped, max relative norm drift %.3e", steps, dt, sector,
-              len(s), N + state.u.size,
+              "stepped, %d matvec%s per step, max relative norm drift %.3e",
+              steps, dt, sector, len(s), N + state.u.size, len(factors),
+              "" if len(factors) == 1 else "s",
               result.norm_drift / (norms[0] or 1.0))
     return result
 
@@ -309,9 +326,11 @@ def gaussian_pulse(params: StructureParams, mx: int, kappa: float,
     The envelope is a Gaussian in m centered at `center`, modulated by a
     plane-wave carrier e^{2 pi i theta m}; symmetry 'antisymmetric' makes
     u_{mn} = -u_{-m,n} (so the coupling line value vanishes), 'symmetric'
-    mirrors the pulse evenly.  A width <= 0, or a kappa, center or theta
-    that is not finite, raises ValueError.
+    mirrors the pulse evenly.  A negative mx, a width <= 0, or a kappa,
+    center or theta that is not finite, raises ValueError.
     """
+    if mx < 0:
+        raise ValueError(f"pulse mx must be >= 0, got {mx}")
     if not width > 0.0:
         raise ValueError(f"pulse width must be > 0, got {width}")
     if not np.isfinite([kappa, center, theta]).all():

@@ -469,14 +469,6 @@ def test_dispersion_refuses_zero_radius(config1, capsys):
     assert "radius must be > 0" in err["message"]
 
 
-def test_evolve_refuses_zero_width(config1, capsys):
-    # the pulse width is mx / 8
-    assert main(["evolve", "--config", config1, "--steps=1", "--mx=0"]) == 2
-    err = _error_doc(capsys)
-    assert err["error"] == "ValueError"
-    assert err["message"] == "pulse width must be > 0, got 0.0"
-
-
 def test_evolve_overflow_exit_code(config1, tmp_path, capsys):
     # the one recorded norm is NaN: a failure, not a CSV row
     out = tmp_path / "evolve.csv"
@@ -534,6 +526,9 @@ def test_log_env_variable(config1, tmp_path, monkeypatch):
     (["--init=file"], {"z": [0, 0], "u": [[float("nan"), 0]]},
      "the initial state must be finite"),
     (["--dt=nan"], None, "dt must be finite, got nan"),
+    # a pulse of width mx / 8 needs mx >= 1
+    (["--mx=0"], None, "--mx must be >= 1 for a pulse, got 0"),
+    (["--mx=-3"], None, "--mx must be >= 1 for a pulse, got -3"),
 ])
 def test_malformed_evolve_exit_code(config1, tmp_path, capsys, flags, doc,
                                     message):

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from latres import timedomain
 from latres.structure import StructureParams, strip_operator
 from latres.timedomain import (_RK4_ROOTS, LatticeState, _rk4_factors,
-                               antisymmetrize, apply_omega, evolve,
-                               gaussian_pulse, rk4_step)
+                               _sector_operator, antisymmetrize,
+                               apply_omega, evolve, gaussian_pulse, rk4_step)
 from oracles import rk4_stages
 
 # N = 1 at kappa = 0: the chain diagonal is 0, so one row of H stores no
 # diagonal entry
 N1 = StructureParams(1, [1.0], [1.0], [0.7])
+N8 = StructureParams(8, list(np.linspace(1.0, 2.0, 8)), [1.0] * 8,
+                     list(np.linspace(0.5, 3.0, 8)))
 
 
 def test_state_validation():
@@ -90,6 +92,31 @@ def test_rk4_factors_share_the_index_arrays(fixture1):
     for B in _rk4_factors(H, 0.01):
         assert np.shares_memory(B.indices, H.indices)
         assert np.shares_memory(B.indptr, H.indptr)
+
+
+def _entries(params, kappa, mx, sector, dt=0.01):
+    """Stored entries of the RK4 factors on a sector, and of their product."""
+    H = strip_operator(params, kappa, mx)
+    if sector != "both":
+        H = _sector_operator(H, params.N, mx, sector)
+    factors = _rk4_factors(H, dt)
+    P = factors[3] @ factors[2] @ factors[1] @ factors[0]
+    return sum(B.nnz for B in factors), P.nnz
+
+
+def test_fused_step_stores_no_more_entries_for_n_up_to_2(fixture1):
+    # the premise of fusing only for N <= 2: the two n-hops of a site land
+    # on one site, so the product stores no more than the four factors; at
+    # N = 8 the hops fan out and the product stores more
+    for params in (N1, fixture1):
+        for mx in (0, 1, 2, 5, 80):
+            # at mx = 0 there is no odd sector
+            for sector in ("even", "odd", "both") if mx else ("even", "both"):
+                factors, fused = _entries(params, 0.1, mx, sector)
+                assert fused <= factors, (params.N, mx, sector)
+    for sector in ("even", "odd", "both"):
+        factors, fused = _entries(N8, 0.1, 80, sector)
+        assert fused > factors, sector
 
 
 def _parity_state(params, kappa, mx, parity, rng):
@@ -205,6 +232,15 @@ def test_evolve_refuses_nonfinite_state(fixture1):
         evolve(fixture1, state, dt=0.01, steps=20)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf])
+def test_evolve_refuses_nonfinite_kappa(fixture1, kappa):
+    # refused before H is built, not blamed on dt after a NaN norm
+    state = replace(gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
+                                   width=2.0), kappa=kappa)
+    with pytest.raises(ValueError, match=f"kappa must be finite, got {kappa}"):
+        evolve(fixture1, state, dt=0.01, steps=20)
+
+
 def test_evolve_refuses_overflow(fixture1):
     # the only recorded norm is NaN: a drift that no comparison catches,
     # and numpy's overflow warnings would be errors here
@@ -217,7 +253,7 @@ def test_evolve_refuses_overflow(fixture1):
 def test_evolve_stops_soon_after_overflow(fixture1, monkeypatch):
     # the state stops being finite at step 79 of 400 with no record before
     # step 400: the check every FINITE_EVERY = 16 steps ends the run at 80
-    applied = []
+    applied, stepped = [], []
 
     class Counted:
         def __init__(self, B):
@@ -227,14 +263,19 @@ def test_evolve_stops_soon_after_overflow(fixture1, monkeypatch):
             applied.append(1)
             return self.B @ s
 
-    factors = timedomain._rk4_factors
-    monkeypatch.setattr(timedomain, "_rk4_factors", lambda H, dt: [
-        Counted(B) for B in factors(H, dt)])
+    stepper = timedomain._stepper
+
+    def counted_stepper(*args):
+        s, sector, matrices = stepper(*args)
+        stepped.append(len(matrices))
+        return s, sector, [Counted(B) for B in matrices]
+
+    monkeypatch.setattr(timedomain, "_stepper", counted_stepper)
     state = gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
                            width=2.0)
     with pytest.raises(RuntimeError, match="norm drift nan exceeds"):
         evolve(fixture1, state, dt=2.0, steps=400, record_every=1000)
-    assert len(applied) == 4 * 80
+    assert len(applied) == stepped[0] * 80
 
 
 def test_antisymmetric_data_never_excites_chain(fixture1):
@@ -289,19 +330,30 @@ def test_evolve_logs_steps_and_drift(fixture1, caplog):
     state = gaussian_pulse(fixture1, mx=10, kappa=0.1, center=-5.0,
                            width=2.0)
     result = evolve(fixture1, state, dt=0.01, steps=30, record_every=10)
+    # N = 8 keeps the four RK4 factors
+    evolve(N8, gaussian_pulse(N8, mx=10, kappa=0.1, center=-5.0, width=2.0),
+           dt=0.01, steps=3)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert len(lines) == 1
+    assert len(lines) == 2
     assert lines[0].startswith("evolve: 30 steps of dt 0.01, sectors even, "
-                               "24 of 44 unknowns stepped, max relative "
-                               "norm drift ")
+                               "24 of 44 unknowns stepped, 1 matvec per "
+                               "step, max relative norm drift ")
     assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
         result.norm_drift / result.norms[0], rel=1e-3)
+    assert lines[1].startswith("evolve: 3 steps of dt 0.01, sectors even, "
+                               "96 of 176 unknowns stepped, 4 matvecs per "
+                               "step, max relative norm drift ")
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0])
 def test_gaussian_pulse_refuses_width(fixture1, width):
     with pytest.raises(ValueError, match="pulse width must be > 0"):
         gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0, width=width)
+
+
+def test_gaussian_pulse_refuses_negative_mx(fixture1):
+    with pytest.raises(ValueError, match="pulse mx must be >= 0, got -3"):
+        gaussian_pulse(fixture1, mx=-3, kappa=0.0, center=-5.0, width=2.0)
 
 
 @pytest.mark.parametrize("kwargs", [{"kappa": np.inf}, {"center": np.nan},
