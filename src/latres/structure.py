@@ -314,36 +314,74 @@ def waveguide_band_matrix(params: StructureParams, kappa) -> np.ndarray:
     return np.moveaxis(B, (0, 1), (-2, -1)) if shape else B
 
 
+def strip_blocks(params: StructureParams, kappa: float, mx: int,
+                 sector: str = "both"):
+    """H of the chain coupled to the strip |m| <= mx, as N x N blocks.
+
+    Returns (rows, cols, kinds, palette): block (rows[i], cols[i]) is
+    palette[kinds[i]], every other block zero.  The palette: the chain block
+    `waveguide_band_matrix`, diag(gamma) (chain row n from lattice site
+    (0, n)), diag(conj gamma), the lattice block (4 minus the n-neighbours,
+    e^{+-2 pi i kappa} across the wrap), -I and -2 I.  Block rows: 'both'
+    is (z, u_-mx, ..., u_mx), zero beyond the walls; 'even' is (z, u_0, ...,
+    u_mx) for u_-m = u_m, so u_0 hops to u_1 with -2 I; 'odd' is (u_1, ...,
+    u_mx) for z = 0 and u_-m = -u_m.
+    """
+    N = params.N
+    n = np.arange(N)
+    up = (n + 1) % N
+    # the hop from (m, n) to (m, n + 1) picks up the twist on the wrap
+    hop = np.where(n == N - 1, np.exp(2j * np.pi * kappa), 1.0)
+    # -0.0 adds nothing, not even the sign of a zero
+    lattice = np.full((N, N), complex(-0.0, -0.0))
+    lattice[n, n] += 4.0
+    lattice[n, up] += -hop
+    lattice[up, n] += -1.0 / hop
+    gamma = np.diag(params.gammas)
+    palette = np.stack([waveguide_band_matrix(params, kappa), gamma,
+                        gamma.conj(), lattice, -np.eye(N), -2.0 * np.eye(N)])
+    dim = {"both": 2 * mx + 2, "even": mx + 2, "odd": mx}[sector]
+    lat = np.arange(sector != "odd", dim)
+    rows, cols = [lat, lat[1:], lat[:-1]], [lat, lat[:-1], lat[1:]]
+    kinds = [3 + 0 * lat, 4 + 0 * lat[1:], 4 + 0 * lat[1:]]
+    if sector != "odd":
+        u0 = 1 if sector == "even" else mx + 1
+        rows, cols = rows + [[0, 0, u0]], cols + [[0, u0, 0]]
+        kinds.append([0, 1, 2])
+        if sector == "even" and mx:
+            kinds[2][0] = 5
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(kinds), palette)
+
+
 def strip_operator(params: StructureParams, kappa: float,
                    mx: int) -> sp.csr_matrix:
     """The Hermitian generator H of the chain coupled to the strip |m| <= mx.
 
     H acts on s = (z, u.ravel()) with u of shape (2 mx + 1, N), rows
-    m = -mx..mx, and zero Dirichlet data beyond them.  The chain block is
-    `waveguide_band_matrix`; the lattice block is 4 u minus the four
-    neighbours, with the factor e^{+-2 pi i kappa} across the n-wrap; the
-    coupling feeds gamma_n u_{0n} into chain row n and conj(gamma_n) z_n
-    into lattice site (0, n).
+    m = -mx..mx: the CSR form of `strip_blocks` on the whole strip.  It
+    stores the chain block's nonzero entries and the whole diagonal of
+    every other block.
     """
     import scipy.sparse as sp
 
     N = params.N
-    n = np.arange(N)
-    site = N + np.arange((2 * mx + 1) * N).reshape(2 * mx + 1, N)
-    nxt = site[:, (n + 1) % N]
-    # the hop from (m, n) to (m, n + 1) picks up the twist on the wrap
-    hop = np.where(n == N - 1, np.exp(2j * np.pi * kappa), 1.0)
-    chain = waveguide_band_matrix(params, kappa)
-    cr, cc = np.nonzero(chain)
-    blocks = [(cr, cc, chain[cr, cc]), (n, site[mx], params.gammas),
-              (site[mx], n, np.conj(params.gammas)), (site, site, 4.0),
-              (site[1:], site[:-1], -1.0), (site[:-1], site[1:], -1.0),
-              (site, nxt, -hop), (nxt, site, -1.0 / hop)]
-    rows, cols, vals = (np.concatenate(
-        [np.broadcast_to(b[k], b[0].shape).ravel() for b in blocks])
-        for k in range(3))
-    dim = N + site.size
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    rows, cols, kinds, palette = strip_blocks(params, kappa, mx)
+    # blocks row by row, which the CSR conversion sorts fastest
+    order = np.lexsort((cols, rows))
+    rows, cols, kinds = rows[order], cols[order], kinds[order]
+    stored = palette != 0
+    stored[1:] |= np.eye(N, dtype=bool)
+    # each kind's stored entries (k, i, j); block b takes its kind's in turn
+    k, i, j = np.nonzero(stored)
+    count = np.bincount(k, minlength=len(palette))[kinds]
+    b = np.repeat(np.arange(len(kinds)), count)
+    e = np.arange(len(b)) + np.repeat(
+        np.searchsorted(k, kinds) - np.cumsum(count) + count, count)
+    dim = N * (2 * mx + 2)
+    return sp.csr_matrix((palette[k[e], i[e], j[e]],
+                          (N * rows[b] + i[e], N * cols[b] + j[e])),
+                         shape=(dim, dim))
 
 
 def waveguide_bands(params: StructureParams, kappa: float) -> np.ndarray:

@@ -1,36 +1,24 @@
 """Explicit time integration of the coupled chain-lattice dynamics.
 
-The state s = (z, u) evolves by ds/dt = -i H s, where H is the sparse
-`structure.strip_operator`: chain, lattice stencil and coupling along m = 0
-on the strip |m| <= Mx, closed with zero-Dirichlet walls at m = +-Mx and a
-Bloch-twisted wrap in n.  That keeps H exactly Hermitian, so norm
-conservation is limited only by the integrator.
+The state s = (z, u) evolves by ds/dt = -i H s, with H the operator of
+`structure.strip_blocks`: chain, lattice stencil and coupling along m = 0 on
+the strip |m| <= Mx, zero-Dirichlet walls beyond m = +-Mx and a
+Bloch-twisted wrap in n.  H is Hermitian, so norm conservation is limited
+only by the integrator.
 
-H commutes with the mirror m -> -m, so the dynamics splits into two parity
-sectors that never mix.  A state even in m (u_-m = u_m) is fixed by z and
-its rows m >= 0; one odd in m (z = 0, u_-m = -u_m) by its rows m >= 1, and
-never reaches the chain, since u_0 = 0.  `_sector_operator` restricts H to
-either sector by index arithmetic on its CSR arrays, so a pulse of pure
-parity, as `gaussian_pulse` makes, steps about half the unknowns.  A state
-of neither parity is stepped on the whole strip with H itself, as it is:
-splitting it would cost a second operator and round every mirror pair.
-Each vector holds the state's own entries, so every state splits and
-rebuilds exactly.
+H commutes with the mirror m -> -m.  A state even in m (u_-m = u_m) is
+stepped as z and its rows m >= 0, one odd in m (z = 0, u_-m = -u_m, which
+never reaches the chain) as its rows m >= 1: a pulse of pure parity, as
+`gaussian_pulse` makes, steps about half the unknowns.  Any other state is
+stepped whole, as splitting it would round every mirror pair.  Every vector
+holds the state's own entries, so every state splits and rebuilds exactly.
 
-For this linear system one classical RK4 step is s <- p(A) s with
-A = -i dt H and p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the RK4
-amplification polynomial.  `_rk4_factors` writes p(A) as the product of
-four sparse factors A - r_k I over the roots r_k of p, on the sparsity
-pattern of the operator stepped.  For N <= 2 `_stepper` multiplies them
-into one CSR matrix P = p(A): the two n-hops of a site then land on one
-site (n + 1 = n - 1 mod N), so P stores no more entries than the four
-factors together, and a step is one sparse matvec, one call where the
-factors take four, with no more multiply-adds.  For N >= 3 the hops fan
-out and P would store more, so a step stays four matvecs.  Either way a
-step does no other array work.  `evolve` builds H, the operator it steps
-and its step matrices once per call and rebuilds the full state once, at
-the end; `rk4_step` takes the same path for one step, and `apply_omega`
-builds H per call.
+One classical RK4 step is s <- p(A) s with A = -i dt H and
+p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.  `_stepper` applies p(A) with numpy
+alone, for every N and sector: one block-Toeplitz product in m, and dense
+rows of p(A) near the chain and the walls.  `evolve` builds it once per
+call; `rk4_step` takes the same path for one step, and `apply_omega` builds
+the CSR H of `structure.strip_operator` per call.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .structure import StructureParams, strip_operator
+from .structure import StructureParams, strip_blocks, strip_operator
 
 log = logging.getLogger("latres")
 
@@ -48,12 +36,6 @@ log = logging.getLogger("latres")
 # that the state is finite, besides the recorded steps
 DRIFT_LIMIT = 1e-4
 FINITE_EVERY = 16
-
-# the roots r_k of p(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 = (1/24) prod (x - r_k)
-_RK4_ROOTS = (complex(-0.27055576893229455, 2.5047759043624347),
-              complex(-0.27055576893229455, -2.5047759043624347),
-              complex(-1.7294442310677054, 0.8889743761218658),
-              complex(-1.7294442310677054, -0.8889743761218658))
 
 
 @dataclass(frozen=True)
@@ -140,103 +122,85 @@ def _norm(s: np.ndarray, sector: str, N: int) -> float:
                          + 2.0 * np.vdot(s[once:], s[once:]).real))
 
 
-def _sector_operator(H, N: int, mx: int, sector: str):
-    """H restricted to the 'even' or 'odd' sector of the strip, in CSR.
-
-    Index arithmetic on H's CSR arrays.  The even operator keeps the rows
-    of z and of m >= 0 and folds the column of u_-m onto that of u_m, so row
-    m = 0 holds -2 at m = 1.  The odd operator keeps the rows m >= 1, whose
-    columns all lie at m >= 0, and drops the column m = 0, where u_0 = 0.
-    """
-    import scipy.sparse as sp
-
-    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
-    cols = H.indices
-    first = (mx + 2) * N          # the index of u_1,0 in H, and the even size
-    if sector == "even":
-        # each index's even coordinate: z as it is, u_mn at N (|m| + 1) + n
-        site = np.arange(H.shape[0]) - N
-        fold = np.where(site < 0, site + N,
-                        N * (np.abs(site // N - mx) + 1) + site % N)
-        keep = (rows < N) | (rows >= first - N)
-        r, c, dim = fold[rows[keep]], fold[cols[keep]], first
-    else:
-        keep = (rows >= first) & (cols >= first)
-        r, c, dim = rows[keep] - first, cols[keep] - first, mx * N
-    # the kept entries stay in row order, so they are CSR arrays already;
-    # only the even fold's rows m = 0 hold unsorted and repeated columns
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))])
-    S = sp.csr_matrix((H.data[keep], c, indptr), shape=(dim, dim))
-    S.sum_duplicates()
-    return S
-
-
-def _stored_diagonal(H):
-    """H with every diagonal entry stored, and their positions in its data.
-
-    H must be in canonical CSR form, as `strip_operator` and
-    `_sector_operator` return it; a diagonal entry it does not store is
-    added as an explicit zero.
-    """
-    import scipy.sparse as sp
-
-    dim = H.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(H.indptr))
-    if np.count_nonzero(H.indices == rows) < dim:
-        # the COO -> CSR conversion sums the added zeros into stored entries
-        d = np.arange(dim)
-        H = sp.csr_matrix((np.concatenate([H.data, np.zeros(dim)]),
-                           (np.concatenate([rows, d]),
-                            np.concatenate([H.indices, d]))), shape=H.shape)
-        rows = np.repeat(d, np.diff(H.indptr))
-    return H, np.flatnonzero(H.indices == rows)
-
-
-def _rk4_factors(H, dt):
-    """Four CSR factors B_k of one RK4 step: s <- B_4 B_3 B_2 B_1 s.
-
-    B_k = -i dt H - r_k I, with the 1/24 of p folded into B_1.  The factors
-    share the index arrays of H (with its whole diagonal stored) and differ
-    only in their data.
-    """
-    import scipy.sparse as sp
-
-    H, diag = _stored_diagonal(H)
-    factors = []
-    for r in _RK4_ROOTS:
-        data = (-1j * dt) * H.data
-        data[diag] -= r
-        factors.append(sp.csr_matrix((data, H.indices, H.indptr),
-                                     shape=H.shape))
-    factors[0].data /= 24.0
-    return factors
+def _rows_of_p(blocks, dt: float, run):
+    """The block rows `ball` within four steps of H of the block rows `run`,
+    for H as `strip_blocks` gives it, and the rows of p(-i dt H) at `run` on
+    them, dense: every path of p from `run` stays in `ball`."""
+    rows, cols, kinds, palette = blocks
+    N = palette.shape[1]
+    ball = np.zeros(rows.max() + 1, dtype=bool)
+    ball[run] = True
+    for _ in range(4):
+        ball[cols[ball[rows]]] = True
+    # A on the rows of ball, and Horner's rule for p on its rows at run
+    at, keep, n = np.cumsum(ball) - 1, ball[rows] & ball[cols], ball.sum()
+    A = np.zeros((n, N, n, N), dtype=complex)
+    A[at[rows[keep]], :, at[cols[keep]], :] = palette[kinds[keep]]
+    A = -1j * dt * A.reshape(n * N, n * N)
+    at = (N * at[run][:, None] + np.arange(N)).ravel()
+    V = A[at] * 0.25
+    for k in (3, 2, 1):
+        V[np.arange(len(at)), at] += 1.0
+        V = (V @ A) * (1.0 / k)
+    V[np.arange(len(at)), at] += 1.0
+    return np.flatnonzero(ball), V
 
 
 def _stepper(params: StructureParams, state: LatticeState, dt: float):
-    """The vector s that steps a state, its sector (see `_split`), and the
-    CSR matrices that one RK4 step applies to s in turn.
+    """The vector s that steps a state, its sector (see `_split`), the
+    function that steps s in place, s <- p(A) s with A = -i dt H, and how
+    many entries of s a step takes from dense rows of p(A).
 
-    They are built on the sector operator, or on H itself for a state of
-    both parities.  For N <= 2 they are one matrix, the product
-    P = B_4 B_3 B_2 B_1 of the RK4 factors, which stores no more entries
-    than the factors do; for N >= 3 they are the four factors.
+    Away from the chain and the walls, row m of p(A) s is T_-4 s_m-4 + ...
+    + T_4 s_m+4, the blocks T_j being row 4 of p(A) on nine lattice rows.
+    s is the rows of a buffer with four zero rows at each end; a step
+    copies every row's nine-row window, as reals, into one (rows, 18 N)
+    array and multiplies it by the stacked T_j into s.  The rows within
+    four steps of z, u_0 or a wall (the first five and last three, and
+    u_-3..u_3 on the whole strip) then take their dense rows of p(A).
     """
-    s, sector = _split(state)
-    H = strip_operator(params, state.kappa, state.mx)
-    if sector != "both":
-        H = _sector_operator(H, len(state.z), state.mx, sector)
-    factors = _rk4_factors(H, dt)
-    if len(state.z) <= 2:
-        factors = [factors[3] @ factors[2] @ factors[1] @ factors[0]]
-    return s, sector, factors
+    vec, sector = _split(state)
+    N, mx = params.N, state.mx
+    blocks = strip_blocks(params, state.kappa, mx, sector)
+    T = _rows_of_p(strip_blocks(params, state.kappa, 9, "odd"), dt, [4])[1].T
+    # the block product in real arithmetic, which BLAS runs faster
+    stack = np.stack([np.stack([T.real, T.imag], -1),
+                      np.stack([-T.imag, T.real], -1)], 1).reshape(18 * N, -1)
+    r = np.arange(len(vec) // N)
+    fix = np.flatnonzero((r < 5) | (r >= len(r) - 3)
+                         | (sector == "both") & (np.abs(r - mx - 1) <= 3))
+    # each run's dense rows, on its own ball, as one block-diagonal P
+    parts = [_rows_of_p(blocks, dt, run)
+             for run in np.split(fix, np.flatnonzero(np.diff(fix) > 1) + 1)]
+    near = np.concatenate([ball for ball, _ in parts])
+    P = np.zeros((len(fix) * N, len(near) * N), dtype=complex)
+    i = j = 0
+    for _, V in parts:
+        P[i:i + V.shape[0], j:j + V.shape[1]] = V
+        i, j = i + V.shape[0], j + V.shape[1]
+    fix, near = ((N * x[:, None] + np.arange(N)).ravel() for x in (fix, near))
+
+    buf = np.zeros((len(r) + 8, 2 * N))
+    grid = buf[4:-4]
+    s = grid.view(complex).reshape(-1)
+    s[:] = vec
+    window = np.empty((len(r), 18 * N))
+    windows = np.lib.stride_tricks.as_strided(buf, window.shape, buf.strides)
+
+    def step():
+        old = s[near]
+        np.copyto(window, windows)
+        np.matmul(window, stack, out=grid)
+        s[fix] = P @ old
+
+    return s, sector, step, len(fix)
 
 
 def rk4_step(params: StructureParams, state: LatticeState,
              dt: float) -> LatticeState:
     """One classical Runge-Kutta step of ds/dt = -i H s."""
-    s, sector, factors = _stepper(params, state, dt)
-    for B in factors:
-        s = B @ s
+    s, sector, step, _ = _stepper(params, state, dt)
+    step()
     return _join(state, s, sector, state.t + dt)
 
 
@@ -276,7 +240,7 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
     if not (np.isfinite(state.z).all() and np.isfinite(state.u).all()):
         raise ValueError("the initial state must be finite")
     N, t = len(state.z), state.t
-    s, sector, factors = _stepper(params, state, dt)
+    s, sector, step, dense = _stepper(params, state, dt)
 
     def chain_energy(s):
         return 0.0 if sector == "odd" else float(np.vdot(s[:N], s[:N]).real)
@@ -287,8 +251,7 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
     # a state that overflows ends in the RuntimeError below, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            for B in factors:
-                s = B @ s
+            step()
             t = t + dt
             # a non-finite state's norm fails the drift test below
             if ((i + 1) % record_every and i + 1 < steps
@@ -305,10 +268,9 @@ def evolve(params: StructureParams, state: LatticeState, dt: float,
                              times=np.array(times), norms=np.array(norms),
                              waveguide_energy=np.array(wg))
     log.debug("evolve: %d steps of dt %g, sectors %s, %d of %d unknowns "
-              "stepped, %d matvec%s per step, max relative norm drift %.3e",
-              steps, dt, sector, len(s), N + state.u.size, len(factors),
-              "" if len(factors) == 1 else "s",
-              result.norm_drift / (norms[0] or 1.0))
+              "stepped, 1 block product and %d dense rows per step, max "
+              "relative norm drift %.3e", steps, dt, sector, len(s),
+              N + state.u.size, dense, result.norm_drift / (norms[0] or 1.0))
     return result
 
 

@@ -10,7 +10,8 @@ form the solvers do not use:
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
 - `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
 - `rk4_stages`: one classical RK4 step of ds/dt = -i H s in its four-stage
-  form, where `timedomain` applies the factored amplification polynomial;
+  form, where `timedomain` applies the amplification polynomial as one
+  block-Toeplitz product and dense rows near the chain and the walls;
 - `classify_complex_point`: the harmonics at one complex point, order by
   order, where `structure._classify` works on whole arrays;
 - `chain_kernel_mp`, `omega_gm_mp` and `taylor_mp`: the chain kernel K in

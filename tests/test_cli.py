@@ -164,6 +164,7 @@ for name, argv in (
          ["bifurcate", "--gamma0-min=1.0", "--gamma0-max=1.03"]),
         ("scatter --method=dtn refused",
          ["scatter", "--kappa=0", "--omega=4", "--method=dtn"]),
+        ("evolve", ["evolve", "--steps=20", "--mx=10", "--record-every=10"]),
         ("scatter --method=dtn",
          ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn"])):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -186,7 +187,8 @@ def test_cli_loads_scipy_only_where_called(config1):
     assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
     assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
                    "regions": [0, []], "guided": [0, []],
-                   "dispersion": [0, []], "bifurcate refused": [2, []],
+                   "dispersion": [0, []], "evolve": [0, []],
+                   "bifurcate refused": [2, []],
                    "scatter --method=dtn refused": [2, []]}
 
 

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from latres import timedomain
 from latres.structure import StructureParams, strip_operator
-from latres.timedomain import (_RK4_ROOTS, LatticeState, _rk4_factors,
-                               _sector_operator, antisymmetrize,
+from latres.timedomain import (LatticeState, _stepper, antisymmetrize,
                                apply_omega, evolve, gaussian_pulse, rk4_step)
 from oracles import rk4_stages
 
-# N = 1 at kappa = 0: the chain diagonal is 0, so one row of H stores no
-# diagonal entry
+# N = 1 at kappa = 0: the chain block is 0 and the lattice block 2
 N1 = StructureParams(1, [1.0], [1.0], [0.7])
 N8 = StructureParams(8, list(np.linspace(1.0, 2.0, 8)), [1.0] * 8,
                      list(np.linspace(0.5, 3.0, 8)))
@@ -65,58 +63,50 @@ def test_rk4_fourth_order_convergence(fixture1):
     assert order > 3.5
 
 
-def test_rk4_roots_factor_the_amplification_polynomial():
-    p = [1 / 24, 1 / 6, 1 / 2, 1.0, 1.0]
-    for r in _RK4_ROOTS:
-        assert abs(np.polyval(p, r)) <= 1e-14
-    assert np.allclose(np.poly(_RK4_ROOTS) / 24, p, rtol=0, atol=1e-15)
+def _sector_generator(params, kappa, mx, sector):
+    """H on a parity sector, dense, from the whole strip's H: the rows of
+    the sector's entries, on the columns that the mirror maps them to."""
+    H = strip_operator(params, kappa, mx).toarray()
+    N = params.N
+    site = N + np.arange((2 * mx + 1) * N).reshape(2 * mx + 1, N)
+    if sector == "both":
+        return H
+    if sector == "even":
+        keep = np.r_[np.arange(N), site[mx:].ravel()]
+        embed = H[:, keep].copy()
+        embed[:, 2 * N:] += H[:, site[:mx][::-1].ravel()]
+    else:
+        keep = site[mx + 1:].ravel()
+        embed = H[:, keep] - H[:, site[:mx][::-1].ravel()]
+    return embed[keep]
 
 
-def test_rk4_factors_multiply_to_the_polynomial():
-    H = strip_operator(N1, 0.0, 3)
-    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
-    assert np.count_nonzero(H.indices == rows) == H.shape[0] - 1
-    dt = 0.3
-    A = -1j * dt * H.toarray()
-    expected = sum(np.linalg.matrix_power(A, k) / f
-                   for k, f in enumerate((1, 1, 2, 6, 24)))
-    factors = _rk4_factors(H, dt)
-    product = np.eye(H.shape[0])
-    for B in factors:
-        product = B.toarray() @ product
-    assert np.max(np.abs(product - expected)) <= 1e-14
-
-
-def test_rk4_factors_share_the_index_arrays(fixture1):
-    H = strip_operator(fixture1, 0.1, 5)
-    for B in _rk4_factors(H, 0.01):
-        assert np.shares_memory(B.indices, H.indices)
-        assert np.shares_memory(B.indptr, H.indptr)
-
-
-def _entries(params, kappa, mx, sector, dt=0.01):
-    """Stored entries of the RK4 factors on a sector, and of their product."""
-    H = strip_operator(params, kappa, mx)
-    if sector != "both":
-        H = _sector_operator(H, params.N, mx, sector)
-    factors = _rk4_factors(H, dt)
-    P = factors[3] @ factors[2] @ factors[1] @ factors[0]
-    return sum(B.nnz for B in factors), P.nnz
-
-
-def test_fused_step_stores_no_more_entries_for_n_up_to_2(fixture1):
-    # the premise of fusing only for N <= 2: the two n-hops of a site land
-    # on one site, so the product stores no more than the four factors; at
-    # N = 8 the hops fan out and the product stores more
-    for params in (N1, fixture1):
-        for mx in (0, 1, 2, 5, 80):
-            # at mx = 0 there is no odd sector
-            for sector in ("even", "odd", "both") if mx else ("even", "both"):
-                factors, fused = _entries(params, 0.1, mx, sector)
-                assert fused <= factors, (params.N, mx, sector)
-    for sector in ("even", "odd", "both"):
-        factors, fused = _entries(N8, 0.1, 80, sector)
-        assert fused > factors, sector
+@pytest.mark.parametrize("params", [N1, StructureParams(
+    2, [2.0, 1.0], [1.0, 0.5], [1.0, 7.0j]), StructureParams(
+    3, [1.0, 2.0, 1.5], [1.0, 0.7, 1.3], [1.0, 2.0 - 1.0j, 0.5j]), N8],
+    ids=["N1", "N2", "N3", "N8"])
+def test_kernel_is_the_amplification_polynomial(params):
+    # entrywise, on unit vectors: small mx is where the dense rows at the
+    # chain and at the walls overlap; at mx = 0 every state is even
+    dt, rng = 0.1, np.random.default_rng(2)
+    for kappa in (0.0, 0.31):
+        for mx in (0, 1, 2, 3, 5, 9, 40):
+            for parity, sector in (("even", "even"), ("odd", "odd"),
+                                   ("general", "both"))[:3 if mx else 1]:
+                state = _parity_state(params, kappa, mx, parity, rng)
+                s, got_sector, step, _ = _stepper(params, state, dt)
+                assert got_sector == sector
+                A = -1j * dt * _sector_generator(params, kappa, mx, sector)
+                expected = sum(np.linalg.matrix_power(A, k) / f
+                               for k, f in enumerate((1, 1, 2, 6, 24)))
+                got = np.empty_like(expected)
+                for j in range(len(s)):
+                    s[:] = 0.0
+                    s[j] = 1.0
+                    step()
+                    got[:, j] = s
+                assert np.max(np.abs(got - expected)) <= 1e-14, (
+                    kappa, mx, sector)
 
 
 def _parity_state(params, kappa, mx, parity, rng):
@@ -190,6 +180,36 @@ def test_chained_evolutions_equal_one_call(fixture1, parity):
     assert np.array_equal(parts[-1].state.u, whole.state.u)
 
 
+@pytest.mark.parametrize("parity", ["even", "odd", "general"])
+def test_wide_strip_matches_four_stages(parity):
+    # at mx = 40 the dense rows at z, at u_0 and at the walls are apart, and
+    # on the whole strip z's row is not next to u_0's
+    state = _parity_state(N8, 0.13, 40, parity, np.random.default_rng(8))
+    H = strip_operator(N8, 0.13, 40)
+    ref = np.concatenate([state.z, state.u.ravel()])
+    for _ in range(50):
+        ref = rk4_stages(H, ref, 0.01)
+    result = evolve(N8, state, 0.01, 50, record_every=10)
+    got = np.concatenate([result.state.z, result.state.u.ravel()])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_long_pulse_matches_four_stages(fixture1):
+    # the benchmark's N = 2 run: a normalised pulse on mx = 80, 2000 steps
+    # in calls of 100
+    state = gaussian_pulse(fixture1, 80, 0.17, center=-40.0, width=10.0,
+                           theta=0.23)
+    state = replace(state, z=state.z / state.norm(), u=state.u / state.norm())
+    H = strip_operator(fixture1, 0.17, 80)
+    ref = np.concatenate([state.z, state.u.ravel()])
+    for _ in range(2000):
+        ref = rk4_stages(H, ref, 0.01)
+    for _ in range(20):
+        state = evolve(fixture1, state, 0.01, 100, record_every=10).state
+    got = np.concatenate([state.z, state.u.ravel()])
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_evolve_steps_the_sector_of_the_state(fixture1, caplog):
     # a state of pure parity steps its half strip, any other the whole
     # strip; at mx = 0 there is no odd sector, so every state is even
@@ -253,29 +273,23 @@ def test_evolve_refuses_overflow(fixture1):
 def test_evolve_stops_soon_after_overflow(fixture1, monkeypatch):
     # the state stops being finite at step 79 of 400 with no record before
     # step 400: the check every FINITE_EVERY = 16 steps ends the run at 80
-    applied, stepped = [], []
-
-    class Counted:
-        def __init__(self, B):
-            self.B = B
-
-        def __matmul__(self, s):
-            applied.append(1)
-            return self.B @ s
-
+    applied = []
     stepper = timedomain._stepper
 
     def counted_stepper(*args):
-        s, sector, matrices = stepper(*args)
-        stepped.append(len(matrices))
-        return s, sector, [Counted(B) for B in matrices]
+        s, sector, step, dense = stepper(*args)
+
+        def counted():
+            applied.append(1)
+            step()
+        return s, sector, counted, dense
 
     monkeypatch.setattr(timedomain, "_stepper", counted_stepper)
     state = gaussian_pulse(fixture1, mx=10, kappa=0.0, center=-5.0,
                            width=2.0)
     with pytest.raises(RuntimeError, match="norm drift nan exceeds"):
         evolve(fixture1, state, dt=2.0, steps=400, record_every=1000)
-    assert len(applied) == stepped[0] * 80
+    assert len(applied) == 80
 
 
 def test_antisymmetric_data_never_excites_chain(fixture1):
@@ -330,19 +344,21 @@ def test_evolve_logs_steps_and_drift(fixture1, caplog):
     state = gaussian_pulse(fixture1, mx=10, kappa=0.1, center=-5.0,
                            width=2.0)
     result = evolve(fixture1, state, dt=0.01, steps=30, record_every=10)
-    # N = 8 keeps the four RK4 factors
     evolve(N8, gaussian_pulse(N8, mx=10, kappa=0.1, center=-5.0, width=2.0),
            dt=0.01, steps=3)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
     assert len(lines) == 2
+    # the even sector has 12 rows, and a step takes rows 0-4 and 9-11 dense
     assert lines[0].startswith("evolve: 30 steps of dt 0.01, sectors even, "
-                               "24 of 44 unknowns stepped, 1 matvec per "
-                               "step, max relative norm drift ")
+                               "24 of 44 unknowns stepped, 1 block product "
+                               "and 16 dense rows per step, max relative "
+                               "norm drift ")
     assert float(lines[0].rsplit(" ", 1)[1]) == pytest.approx(
         result.norm_drift / result.norms[0], rel=1e-3)
     assert lines[1].startswith("evolve: 3 steps of dt 0.01, sectors even, "
-                               "96 of 176 unknowns stepped, 4 matvecs per "
-                               "step, max relative norm drift ")
+                               "96 of 176 unknowns stepped, 1 block product "
+                               "and 64 dense rows per step, max relative "
+                               "norm drift ")
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0])
