@@ -1,12 +1,16 @@
 """Truncated-strip solver closed by the Dirichlet-to-Neumann boundary map.
 
-A second, independent discretization of the same scattering problem: the
-system is omega - H, with H the `structure.strip_operator` of |m| <= M + 1
-that the time-domain integrator also uses, and its halo rows m = +-(M + 1)
-replaced by boundary rows.  These impose outgoing radiation exactly through
-the per-order multiplier (1 - e^{2 pi i theta_l}) acting on boundary traces,
-so the truncation error is zero per harmonic and the solver serves as a
-cross-validation oracle for the Fourier solver.
+A second, independent discretization of the same scattering problem, in
+the site basis: the system is omega - H, with H the generator of the chain
+coupled to the strip |m| <= M + 1 as `structure.strip_blocks` lays it out
+(the blocks the time-domain integrator also steps with), and its halo rows
+m = +-(M + 1) replaced by boundary rows.  These impose outgoing radiation
+exactly through the per-order multiplier (1 - e^{2 pi i theta_l}) acting on
+boundary traces, so the truncation error is zero per harmonic and the
+solver serves as a cross-validation oracle for the Fourier solver.  With
+the unknowns ordered by m, and the chain's sites interleaved with those of
+m = 0, the system is a band of half-width 2N, which LAPACK's banded LU
+solves in one call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import (BlochPoint, HarmonicSet, StructureParams,
-                        ThresholdError, classify_harmonics, strip_operator)
+                        ThresholdError, _block_entries,
+                        classify_harmonics, strip_blocks)
 from .scattering import (IncidentField, reconstruct_field, solve_scattering)
 
 TWO_PI = 2.0 * np.pi
@@ -97,12 +102,17 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
     """Solve the truncated scattering problem with DtN closure at m = -+M.
 
     Rows: (omega - H) s = 0 on the chain and on |m| <= M, with H the
-    `strip_operator` of |m| <= M + 1, and in place of each halo row one
-    boundary row, (u_halo - u_boundary) + (boundary map on the trace)
+    `strip_blocks` generator of |m| <= M + 1, and in place of each halo row
+    one boundary row, (u_halo - u_boundary) + (boundary map on the trace)
     = the matching normal-difference data of the incident field, which per
     propagating order reduces to -2i sin(2 pi theta_l) times its boundary
-    value.  Raises ThresholdError on a threshold curve and ValueError for
-    M < 2, both before scipy loads.
+    value.  The rows are expanded block by block into scalar entries, which
+    fill LAPACK band storage (unknowns ordered u_{-M-1}, ..., u_{-1}, then
+    u_0 and z site by site, then u_1, ..., u_{M+1}) for one `zgbsv` call
+    and give the residual A X - F.  Raises ThresholdError on a threshold
+    curve and ValueError for M < 2, both before scipy loads, and
+    np.linalg.LinAlgError (a ValueError) when the band factor is exactly
+    singular.
     """
     N = params.N
     if incident is None:
@@ -114,40 +124,63 @@ def solve_truncated(params: StructureParams, point: BlochPoint,
         M = default_truncation(hs)
     if M < 2:
         raise ValueError("truncation half-width M must be >= 2")
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import zgbsv
 
-    phi, theta, prop = hs.phi, hs.theta, list(hs.propagating)
+    # omega - H block by block: -palette off the diagonal blocks and
+    # omega I - palette (kind + 6) on them; each halo row h takes I (kind 12)
+    # on its own block and the boundary map minus I (kind 13) on the trace
+    # block next to it, h = u_{-M-1} with u_{-M} and h = u_{M+1} with u_M
+    rows, cols, kinds, palette = strip_blocks(params, np.real(point.kappa),
+                                              M + 1)
+    eye = np.eye(N)
+    palette = np.concatenate([-palette, point.omega * eye - palette,
+                              [eye, dtn_matrix(hs) - eye]])
+    halo, top = 1, 2 * M + 3
+    bulk = (rows != halo) & (rows != top)
+    kinds = np.concatenate([(kinds + 6 * (rows == cols))[bulk], [12, 13] * 2])
+    rows = np.concatenate([rows[bulk], [halo, halo, top, top]])
+    cols = np.concatenate([cols[bulk], [halo, halo + 1, top, top - 1]])
+    row, col, val = _block_entries(rows, cols, kinds, palette, palette != 0)
 
-    H = strip_operator(params, np.real(point.kappa), M + 1).tocoo()
-    dim = H.shape[0]
-    site = N + np.arange(dim - N).reshape(2 * M + 3, N)
-    bulk = np.r_[0:N, site[1:-1].ravel()]   # the chain and |m| <= M
-    keep = np.isin(H.row, bulk)
-    rows, cols = [H.row[keep], bulk], [H.col[keep], bulk]
-    vals = [-H.data[keep], np.full(len(bulk), point.omega)]
-
-    # DtN boundary rows in the halo rows m = -M-1 (incidence from the left,
-    # trace at m = -M) and m = M+1 (incidence from the right, trace at m = M)
-    Tmat = dtn_matrix(hs)
-    waves = np.exp(2j * np.pi * np.outer(phi[prop], np.arange(N)))
+    # the boundary rows' data: per propagating order -2i sin(2 pi theta_l)
+    # times the incident wave's value at the trace
+    dim = N * (2 * M + 4)
     F = np.zeros(dim, dtype=complex)
-    for h, b, amp in ((site[0], site[1], incident.a_inc),
-                      (site[-1], site[-2], incident.b_inc)):
-        rows += [h, h, np.repeat(h, N)]
-        cols += [h, b, np.tile(b, N)]
-        vals += [np.ones(N), -np.ones(N), Tmat.ravel()]
-        F[h] = (-2j * np.sin(TWO_PI * theta[prop]) * amp[prop]
-                * np.exp(-2j * np.pi * theta[prop] * M)) @ waves
+    prop, theta = hs.propagating_mask, hs.theta[hs.propagating_mask]
+    waves = (-2j * np.sin(TWO_PI * theta) * np.exp(-2j * np.pi * theta * M)
+             )[:, None] * np.exp(2j * np.pi * np.outer(hs.phi[prop],
+                                                       np.arange(N)))
+    F[N * halo:N * halo + N] = incident.a_inc[prop] @ waves
+    F[N * top:] = incident.b_inc[prop] @ waves
 
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dim, dim))
-    X = spla.spsolve(A, F)
+    # pos: natural index (z, u_{-M-1}, ..., u_{M+1}) -> band order, the rows
+    # m < 0, then u_0 and z site by site, then the rows m > 0
+    site = np.arange(N)
+    pos = np.arange(dim) - N
+    pos[N * (M + 3):] += N
+    pos[N * (M + 2) + site] = N * (M + 1) + 2 * site
+    pos[site] = N * (M + 1) + 2 * site + 1
+    # both widths come to 2N, from u_0 to u_1; in Fortran order zgbsv
+    # factors ab in place instead of on a copy
+    r, c = pos[row], pos[col]
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex, order="F")
+    ab[kl + ku + r - c, c] = val
+    rhs = np.empty(dim, dtype=complex)
+    rhs[pos] = F
+    _, _, x, info = zgbsv(kl, ku, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"truncated system singular at (kappa={point.kappa}, "
+            f"omega={point.omega}), M={M}")
+    X = x[pos]
+    AX = val * X[col]
+    residual = (np.bincount(row, AX.real, dim)
+                + 1j * np.bincount(row, AX.imag, dim) - F)
     trunc = TruncatedSolution(params=params, point=point, incident=incident,
                               M=M, m_values=np.arange(-M - 1, M + 2),
                               u=X[N:].reshape(2 * M + 3, N), z=X[:N],
-                              residual_vector=A @ X - F)
+                              residual_vector=residual)
     log.debug("solve_truncated: M=%d, %d unknowns, residual %.3e", M, dim,
               trunc.residual)
     return trunc

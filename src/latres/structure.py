@@ -354,6 +354,21 @@ def strip_blocks(params: StructureParams, kappa: float, mx: int,
             np.concatenate(kinds), palette)
 
 
+def _block_entries(rows, cols, kinds, palette, stored):
+    """Scalar triplets (row, col, value) of a block matrix in `strip_blocks`
+    form: block b contributes the entries of palette[kinds[b]] that
+    stored[kinds[b]] marks, block by block in the order of the list."""
+    N = palette.shape[-1]
+    # each kind's stored entries (k, i, j); block b takes its kind's in turn
+    k, i, j = np.nonzero(stored)
+    count = np.bincount(k, minlength=len(palette))[kinds]
+    b = np.repeat(np.arange(len(kinds)), count)
+    e = np.arange(len(b)) + np.repeat(
+        np.searchsorted(k, kinds) - np.cumsum(count) + count, count)
+    return (N * rows[b] + i[e], N * cols[b] + j[e],
+            palette[k[e], i[e], j[e]])
+
+
 def strip_operator(params: StructureParams, kappa: float,
                    mx: int) -> sp.csr_matrix:
     """The Hermitian generator H of the chain coupled to the strip |m| <= mx.
@@ -372,16 +387,9 @@ def strip_operator(params: StructureParams, kappa: float,
     rows, cols, kinds = rows[order], cols[order], kinds[order]
     stored = palette != 0
     stored[1:] |= np.eye(N, dtype=bool)
-    # each kind's stored entries (k, i, j); block b takes its kind's in turn
-    k, i, j = np.nonzero(stored)
-    count = np.bincount(k, minlength=len(palette))[kinds]
-    b = np.repeat(np.arange(len(kinds)), count)
-    e = np.arange(len(b)) + np.repeat(
-        np.searchsorted(k, kinds) - np.cumsum(count) + count, count)
+    row, col, val = _block_entries(rows, cols, kinds, palette, stored)
     dim = N * (2 * mx + 2)
-    return sp.csr_matrix((palette[k[e], i[e], j[e]],
-                          (N * rows[b] + i[e], N * cols[b] + j[e])),
-                         shape=(dim, dim))
+    return sp.csr_matrix((val, (row, col)), shape=(dim, dim))
 
 
 def waveguide_bands(params: StructureParams, kappa: float) -> np.ndarray:

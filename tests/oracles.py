@@ -9,6 +9,9 @@ form the solvers do not use:
   outgoing columns, which a guided mode's null vector solves;
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
 - `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
+- `truncated_system`: the DtN-closed truncated strip as a sparse matrix
+  built from `strip_operator`, where `dtn.solve_truncated` expands
+  `strip_blocks` into LAPACK band storage;
 - `rk4_stages`: one classical RK4 step of ds/dt = -i H s in its four-stage
   form, where `timedomain` applies the amplification polynomial as one
   block-Toeplitz product and dense rows near the chain and the walls;
@@ -25,9 +28,10 @@ import numpy as np
 
 from latres.scattering import (IncidentField, ScatteringSolution, _fourier,
                                reconstruct_field)
+from latres.dtn import default_truncation, dtn_matrix
 from latres.structure import (BlochPoint, HarmonicSet, StructureParams,
                               _classify_off_threshold, classify_harmonics,
-                              waveguide_band_matrix)
+                              strip_operator, waveguide_band_matrix)
 
 
 def _assemble(params, kappa, omega, theta):
@@ -147,6 +151,43 @@ def guided_mode_criteria_n2(params: StructureParams, kappa: float,
           + (k0 + k1) * (1 / M1 - 1 / M0)
           + 2j * np.sin(np.pi * kappa) * (k1 - k0) / np.sqrt(M0 * M1))
     return c1, c2
+
+
+def truncated_system(params: StructureParams, point: BlochPoint,
+                     incident: IncidentField, M: int = None):
+    """(A, F, M) of `dtn.solve_truncated`'s system on (z, u.ravel()), u rows
+    m = -M-1..M+1: A the CSC matrix of omega - H on the chain and |m| <= M,
+    H the `strip_operator` of |m| <= M + 1, with each halo row replaced by
+    I on the halo and the boundary map minus I on the trace next to it;
+    M defaults to `default_truncation`."""
+    import scipy.sparse as sp
+
+    N = params.N
+    hs = classify_harmonics(params, point)
+    if M is None:
+        M = default_truncation(hs)
+    phi, theta, prop = hs.phi, hs.theta, list(hs.propagating)
+    H = strip_operator(params, np.real(point.kappa), M + 1).tocoo()
+    dim = H.shape[0]
+    site = N + np.arange(dim - N).reshape(2 * M + 3, N)
+    bulk = np.r_[0:N, site[1:-1].ravel()]   # the chain and |m| <= M
+    keep = np.isin(H.row, bulk)
+    rows, cols = [H.row[keep], bulk], [H.col[keep], bulk]
+    vals = [-H.data[keep], np.full(len(bulk), point.omega)]
+    Tmat = dtn_matrix(hs)
+    waves = np.exp(2j * np.pi * np.outer(phi[prop], np.arange(N)))
+    F = np.zeros(dim, dtype=complex)
+    for h, b, amp in ((site[0], site[1], incident.a_inc),
+                      (site[-1], site[-2], incident.b_inc)):
+        rows += [h, h, np.repeat(h, N)]
+        cols += [h, b, np.tile(b, N)]
+        vals += [np.ones(N), -np.ones(N), Tmat.ravel()]
+        F[h] = (-2j * np.sin(2 * np.pi * theta[prop]) * amp[prop]
+                * np.exp(-2j * np.pi * theta[prop] * M)) @ waves
+    A = sp.csc_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dim, dim))
+    return A, F, M
 
 
 def rk4_stages(H, s, dt):

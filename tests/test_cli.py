@@ -152,7 +152,8 @@ import latres, latres.cli
 config = sys.argv[1]
 doc = {"import": sorted(m for m in ("scipy.optimize", "scipy.sparse")
                         if m in sys.modules)}
-# the refusals run before the dtn solve, which loads scipy.sparse
+# the refusals run before the dtn solve, which loads scipy.linalg (and so
+# scipy) but not scipy.sparse
 for name, argv in (
         ("scan", ["scan", "--kappa-grid=0.1,0.3,3", "--omega-grid=1.2,1.8,4"]),
         ("scatter", ["scatter", "--kappa=0.2", "--omega=1.5"]),
@@ -184,12 +185,28 @@ def test_cli_loads_scipy_only_where_called(config1):
                           timeout=120, check=True)
     doc = _loads(proc.stdout)
     assert doc.pop("import") == []
-    assert doc.pop("scatter --method=dtn") == [0, ["scipy", "scipy.sparse"]]
+    assert doc.pop("scatter --method=dtn") == [0, ["scipy"]]
     assert doc == {"scan": [0, []], "scatter": [0, []], "bands": [0, []],
                    "regions": [0, []], "guided": [0, []],
                    "dispersion": [0, []], "evolve": [0, []],
                    "bifurcate refused": [2, []],
                    "scatter --method=dtn refused": [2, []]}
+
+
+def test_scatter_dtn_singular_factor_exits(config1, capsys, monkeypatch):
+    """An exactly singular band factor (LAPACK info > 0) is a refusal with a
+    valid error document, not a NaN field."""
+    import scipy.linalg.lapack
+
+    def singular(kl, ku, ab, b, overwrite_ab, overwrite_b):
+        return ab, np.zeros(len(b), dtype=np.int32), b, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgbsv", singular)
+    assert main(["scatter", "--config", config1, "--kappa=0.2",
+                 "--omega=1.5", "--method=dtn", "--M=6"]) == 2
+    err = _error_doc(capsys)
+    assert err["error"] == "LinAlgError"
+    assert "singular at (kappa=0.2, omega=1.5)" in err["message"]
 
 
 def test_cached_parser_reused(config1, capsys):

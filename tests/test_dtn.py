@@ -12,6 +12,8 @@ from latres.scattering import IncidentField, solve_scattering, reconstruct_field
 from latres.dtn import (cross_validate, default_truncation, dtn_apply,
                         dtn_matrix, dtn_multipliers, solve_truncated)
 
+from oracles import truncated_system
+
 POINT = BlochPoint(0.2, 1.5)
 
 
@@ -86,6 +88,53 @@ def test_cross_validation_complex_coupling(N):
         for incident in (IncidentField.unit_left(N),
                          IncidentField.unit_right(N)):
             assert cross_validate(params, point, incident) < 1e-11
+        checked += 1
+
+
+@pytest.mark.parametrize("complex_gamma", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_banded_solve_matches_sparse_oracle(N, complex_gamma):
+    """(z, u) solve `oracles.truncated_system`, the sparse assembly from
+    `strip_operator`, and equal its SuperLU solution.
+
+    Gates: the normwise backward error max|A X - F| / (||A||_inf max|X|
+    + max|F|) and the distance to spsolve's X relative to its max are each
+    at most 1e-12, for left, right and two-sided incidence at M = 2, 3 and
+    the default width.
+    """
+    from scipy.sparse.linalg import spsolve
+
+    rng = np.random.default_rng([N, complex_gamma])
+    gammas = rng.uniform(0.2, 3.0, N)
+    if complex_gamma:
+        gammas = gammas * np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+    params = StructureParams(N, rng.uniform(0.5, 2.0, N),
+                             rng.uniform(0.5, 2.0, N), gammas)
+    checked = 0
+    while checked < 2:
+        point = BlochPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 7.7))
+        hs = classify_harmonics(params, point)
+        taus = hs.theta.imag[~hs.propagating_mask]
+        if 0 not in hs.propagating or hs.has_threshold or (taus < 0.05).any():
+            continue
+        prop = hs.propagating_mask
+        amps = [rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                for _ in range(2)]
+        both = IncidentField(*(np.where(prop, a, 0.0) for a in amps))
+        for incident in (IncidentField.unit_left(N),
+                         IncidentField.unit_right(N), both):
+            for M in (2, 3, None):
+                trunc = solve_truncated(params, point, incident, M)
+                A, F, width = truncated_system(params, point, incident, M)
+                assert trunc.M == width
+                X = np.r_[trunc.z, trunc.u.ravel()]
+                scale = (abs(A).sum(axis=1).max() * np.max(np.abs(X))
+                         + np.max(np.abs(F)))
+                assert np.max(np.abs(A @ X - F)) <= 1e-12 * scale
+                assert np.max(np.abs(trunc.residual_vector - (A @ X - F))
+                              ) <= 1e-14 * scale
+                ref = spsolve(A, F)
+                assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += 1
 
 
