@@ -38,10 +38,11 @@ def _open_out(path):
 
 
 def _emit(path, lines):
+    """Write the lines (at least one), each ended by a newline, in one
+    write."""
     fh, close = _open_out(path)
     try:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n")
     finally:
         if close:
             fh.close()
@@ -54,6 +55,21 @@ def _csv(path, header, rows):
     fmt = ",".join("%s" if isinstance(v, str) else FMT
                    for v in (rows[0] if rows else ()))
     _emit(path, [header] + [fmt % row for row in rows])
+
+
+def _grid_csv(path, header, kappa_grid, omega_grid, fmt, points):
+    """Write a kappa-major grid under header, the bytes `_csv` writes for
+    its rows (kappa, omega, *point).  points runs over the grid in that
+    order, each formatted by fmt; each kappa and each omega is formatted
+    once."""
+    omegas = [FMT % w + "," for w in omega_grid]
+    points = iter(points)
+    lines = [header]
+    for kap in kappa_grid:
+        prefix = FMT % kap + ","
+        # omegas first: zip stops at a row's end without taking a point
+        lines.extend([prefix + w + fmt % p for w, p in zip(omegas, points)])
+    _emit(path, lines)
 
 
 def _finite(value: float, flag: str) -> float:
@@ -84,10 +100,8 @@ def cmd_regions(args):
     params = _params(args)
     diagram = region_diagram(params, _grid(args.kappa_grid, "--kappa-grid"),
                              _grid(args.omega_grid, "--omega-grid"))
-    _csv(args.out, "kappa,omega,num_propagating",
-         ((kap, om, diagram.counts[i, j])
-          for i, kap in enumerate(diagram.kappa_grid)
-          for j, om in enumerate(diagram.omega_grid)))
+    _grid_csv(args.out, "kappa,omega,num_propagating", diagram.kappa_grid,
+              diagram.omega_grid, FMT, diagram.counts.ravel().tolist())
     return 0
 
 
@@ -159,10 +173,11 @@ def cmd_scatter(args):
 
 def cmd_scan(args):
     params = _params(args)
-    rows = scan_transmission(params, _grid(args.kappa_grid, "--kappa-grid"),
-                             _grid(args.omega_grid, "--omega-grid"),
-                             args.order)
-    _csv(args.out, "kappa,omega,T,R,energy_residual,flags", rows)
+    kappas = _grid(args.kappa_grid, "--kappa-grid")
+    omegas = _grid(args.omega_grid, "--omega-grid")
+    rows = scan_transmission(params, kappas, omegas, args.order)
+    _grid_csv(args.out, "kappa,omega,T,R,energy_residual,flags", kappas,
+              omegas, f"{FMT},{FMT},{FMT},%s", (r[2:] for r in rows))
     return 0
 
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
-                        _classify_off_threshold, _thresholds,
-                        propagating_count)
+                        _classify, _classify_off_threshold, _thresholds)
 from .scattering import _chain_kernel, _chunks
 
 TWO_PI = 2.0 * np.pi
@@ -92,15 +91,20 @@ def _certificate(params, kappa, omega):
             s, prop)
 
 
+def _sigma(params, kappa, omega):
+    """`sigma_min` at the points (kappa, omega) of `_certificate`, in one
+    stacked SVD."""
+    s = np.linalg.svd(_certificate(params, kappa, omega)[0], compute_uv=False)
+    return s[..., -1] / s[..., 0]
+
+
 def sigma_min(params: StructureParams, point: BlochPoint) -> float:
     """sigma_min / sigma_max of [K_H; W^H] (`_certificate`).
 
     It vanishes exactly at a guided mode: a chain field z with K_H z = 0
     and w_l^H z = 0 on every propagating order l.
     """
-    M = _certificate(params, point.kappa, point.omega)[0]
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[-1] / s[0])
+    return float(_sigma(params, point.kappa, point.omega))
 
 
 def null_vector(params: StructureParams, point: BlochPoint):
@@ -112,16 +116,26 @@ def null_vector(params: StructureParams, point: BlochPoint):
     and left out).  The vector has unit 2-norm, and its c entry of largest
     modulus (the first on a tie) is real and positive.
     """
-    M, Pinv, s, prop = _certificate(params, point.kappa, point.omega)
-    z = np.linalg.svd(M)[2][-1].conj()
-    trace = (Pinv @ (np.conj(params.gammas) * z))[~prop] / s[~prop]
-    c = Pinv @ z
-    vec = np.concatenate([trace, trace, c]) * np.conj(c[np.argmax(np.abs(c))])
-    evanescent = np.flatnonzero(~prop).tolist()
-    labels = ([("a_minus", l) for l in evanescent]
-              + [("b_plus", l) for l in evanescent]
-              + [("c", l) for l in range(params.N)])
-    return vec / np.linalg.norm(vec), labels
+    return _null_vectors(params, point.kappa, np.array([point.omega]))[0]
+
+
+def _null_vectors(params, kappa, omega):
+    """`null_vector` at the points (kappa, omega) of `_certificate`, omega
+    1-D, from one stacked SVD: a list of (vector, labels)."""
+    M, Pinv, s, prop = _certificate(params, kappa, omega)
+    z = np.linalg.svd(M)[2][:, -1].conj()
+    traces = (Pinv @ (np.conj(params.gammas) * z)[..., None])[..., 0] / s
+    cs = (Pinv @ z[..., None])[..., 0]
+    vectors = []
+    for trace, c, evanescent in zip(traces, cs, ~prop):
+        vec = np.concatenate([trace[evanescent], trace[evanescent], c])
+        vec *= np.conj(c[np.argmax(np.abs(c))])
+        orders = np.flatnonzero(evanescent).tolist()
+        labels = ([("a_minus", l) for l in orders]
+                  + [("b_plus", l) for l in orders]
+                  + [("c", l) for l in range(params.N)])
+        vectors.append((vec / np.linalg.norm(vec), labels))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -424,7 +438,9 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     merged.  The window applies before that fold, so a folded mode can lie
     outside it.  Each mode carries its certificate at the point reported:
     |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
-    sigma_min.  A DEBUG line on the `latres` logger counts the kappa rows,
+    sigma_min; sigma_min, the fold's test, the eigenvalues, the order counts
+    and the null vectors are each one call stacked over the candidates or
+    modes.  A DEBUG line on the `latres` logger counts the kappa rows,
     regions probed, crossings solved and their most Newton steps, the
     candidates, those rejected or merged, and the modes, and lists each
     mode's certificate.
@@ -455,35 +471,39 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         reach = 2.0 * (kmax - kmin) / (density - 1)
         roots[polish], om_gms[polish], h_primes[polish] = _polish(
             params, roots[polish], cross["omega"][pick][polish], reach)
-    modes = []
-    seen = []
-    rejected = 0
-    for kap0, om_gm, h_prime in zip(roots.tolist(), om_gms.tolist(),
-                                    h_primes.tolist()):
-        sig = np.inf
-        om0 = om_gm.real
-        if kmin <= kap0 <= kmax and wmin <= om0 <= wmax:  # False if NaN
-            sig = sigma_min(params, BlochPoint(kap0, om0))
-        if sig > tol:
-            rejected += 1
-            continue
-        if kap0 < 0.0:  # fold onto -kappa0 where that is a mode too
-            flipped = sigma_min(params, BlochPoint(-kap0, om0))
-            if flipped <= tol:
-                kap0, sig = -kap0, flipped
-        if any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6 for a, b in seen):
-            continue
-        seen.append((kap0, om0))
-        vec, labels = null_vector(params, BlochPoint(kap0, om0))
-        # a tracker without a reference takes the smallest |eigenvalue| of K
-        lam = EigenvalueTracker(params).value(kap0, om0)
-        modes.append(GuidedMode(
-            kappa0=float(kap0), omega0=float(om0), sigma=float(sig),
-            null_vector=vec, null_labels=tuple(labels),
-            region_size=propagating_count(params, kap0, om0),
-            im_omega=float(abs(om_gm.imag)),
-            min_eigenvalue=float(abs(lam)),
-            h_prime=float(h_prime)))
+    # the certificates: each is one stacked call over the candidates
+    om0s = om_gms.real
+    sig = np.full(len(pick), np.inf)
+    inside = ((kmin <= roots) & (roots <= kmax)  # False if NaN
+              & (wmin <= om0s) & (om0s <= wmax))
+    sig[inside] = _sigma(params, roots[inside], om0s[inside])
+    kept = sig <= tol
+    rejected = len(pick) - int(kept.sum())
+    kap0s, om0s, om_gms, h_primes, sig = (
+        x[kept] for x in (roots, om0s, om_gms, h_primes, sig))
+    # fold onto -kappa0 where that is a mode too
+    neg = np.flatnonzero(kap0s < 0.0)
+    if neg.size:
+        flipped = _sigma(params, -kap0s[neg], om0s[neg])
+        neg, flipped = neg[flipped <= tol], flipped[flipped <= tol]
+        kap0s[neg], sig[neg] = -kap0s[neg], flipped
+    unique, seen = [], []
+    for i, (kap0, om0) in enumerate(zip(kap0s.tolist(), om0s.tolist())):
+        if not any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6
+                   for a, b in seen):
+            unique.append(i)
+            seen.append((kap0, om0))
+    kap0s, om0s, om_gms, h_primes, sig = (
+        x[unique] for x in (kap0s, om0s, om_gms, h_primes, sig))
+    # without a reference the smallest |eigenvalue| of K is taken
+    lam = _tracked_eigenvalue(params, kap0s, om0s, None)[0]
+    counts = _classify(params.N, kap0s, om0s)[2].sum(axis=-1)
+    modes = [GuidedMode(
+        kappa0=float(kap0s[i]), omega0=float(om0s[i]), sigma=float(sig[i]),
+        null_vector=vec, null_labels=tuple(labels),
+        region_size=int(counts[i]), im_omega=float(abs(om_gms[i].imag)),
+        min_eigenvalue=float(abs(lam[i])), h_prime=float(h_primes[i]))
+        for i, (vec, labels) in enumerate(_null_vectors(params, kap0s, om0s))]
     modes.sort(key=lambda m: (m.kappa0, m.omega0))
     certificates = "; ".join(
         f"({m.kappa0:.15g}, {m.omega0:.15g}): |Im omega_gm| {m.im_omega:.2g}"
@@ -612,9 +632,9 @@ class EigenvalueTracker:
     d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
     y the left one, normalised so that y v = 1.  d_kappa forms K_kappa when
     it is read.  `solve_omega` does not call `value`: it leaves
-    d omega_gm / d kappa in slope instead.  The library itself calls only
-    `value` (the mode certificate); `solve_omega` serves the benchmark's
-    tracer and the tests.
+    d omega_gm / d kappa in slope instead.  The library calls neither (the
+    mode certificate is one `_tracked_eigenvalue` over all modes of a
+    search); the class serves the benchmark's tracer and the tests.
     """
 
     def __init__(self, params: StructureParams):

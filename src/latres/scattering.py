@@ -16,7 +16,7 @@ broadcasting, one stacked SVD gives the condition numbers and one stacked
 solve the well-conditioned members, and the refusals and the T/R and flux
 rules act on the whole row.  `solve_row` (which `scan_transmission` calls
 once per kappa row) runs it with unit left incidence and `solve_scattering`
-on a row of one point, so the two agree point by point by construction.
+on a row of one point, so the two agree point by point within roundoff.
 """
 
 from __future__ import annotations
@@ -123,7 +123,9 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     propagating orders this is K_H, K without their radiation, Hermitian at
     real points as s_l is real on a decaying order.  gammas, of shape
     omega.shape + (N,), gives each point its own couplings in place of
-    params.gammas (A, P and P^-1 do not depend on them).
+    params.gammas (A, P and P^-1 do not depend on them).  At scalar kappa
+    with params.gammas, u_l is shared by every point, and each coupling sum
+    over the stack is one 2-D matrix product.
     Returns (K, P, P^-1, s, K_omega, K_kappa); the last two form the exact
     derivatives of the kept terms when called.  The ambient dispersion
     omega = 4 - 2 cos 2 pi theta - 2 cos 2 pi phi gives
@@ -146,7 +148,13 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     if prop is not None:
         Ws = np.where(prop[..., None, :], 0.0, Ws)
     U = Pinv * np.conj(gam)[..., None, :]
-    Y = Ws @ U  # the coupling sum
+
+    def times_U(X):  # X @ U, as one 2-D product where U is one N x N matrix
+        if U.ndim == 2:
+            return (X.reshape(-1, N) @ U).reshape(X.shape)
+        return X @ U
+
+    Y = times_U(Ws)  # the coupling sum
     K = np.asarray(omega)[..., None, None] * np.eye(N) - A - Y
 
     def Ws_ds():  # the w_l s_l' / s_l^2, s' = ds / d omega = i cot 2 pi theta
@@ -158,9 +166,9 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
                          - waveguide_band_matrix(params, kappa - 0.25))
         sin_phi = np.sin(TWO_PI * (np.add.outer(kappa, n) / N))
         return (-A_kap - 2j * np.pi * Y * (np.subtract.outer(n, n) / N)
-                - (Ws_ds() * (4.0 * np.pi / N * sin_phi)[..., None, :]) @ U)
+                - times_U(Ws_ds() * (4.0 * np.pi / N * sin_phi)[..., None, :]))
 
-    return K, P, Pinv, s, lambda: np.eye(N) + Ws_ds() @ U, K_kappa
+    return K, P, Pinv, s, lambda: np.eye(N) + times_U(Ws_ds()), K_kappa
 
 
 def _solve_stack(K, rhs, cond_limit):
@@ -253,7 +261,7 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     u_inc = a_inc + b_inc
     K, P, Pinv, s, *_ = _chain_kernel(params, kappa, om, theta)
     z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
-    U = u_inc + (Pinv @ (np.conj(gam) * z)[..., None])[..., 0] / s
+    U = u_inc + ((np.conj(gam) * z) @ Pinv.T) / s
     a_minus, b_plus = U - a_inc, U - b_inc
     c = z @ Pinv.T
 
@@ -390,7 +398,8 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
 
     The row is classified at once and solved by `_solve_chain`, the path
     `solve_scattering` takes on a row of one point, so the numbers equal
-    the single-point solver's by construction.  Rows with more than
+    the single-point solver's within roundoff (the stacked products round
+    differently from a row of one).  Rows with more than
     STACK_BYTES of K are solved in chunks.  Points on a threshold or where
     the incident order does not propagate are refused with a flag, or, if
     strict, the first of them raises the single-point solver's error.

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import latres
-from latres.cli import build_parser, main
+from latres.cli import FMT, _csv, _grid_csv, build_parser, main
 from latres.resonance import peak_dip_curves
+from latres.scattering import scan_transmission
+from latres.structure import region_diagram
 
 ERROR_SCHEMA = Path(__file__).resolve().parent.parent / "docs/schemas/error.json"
 
@@ -104,6 +106,80 @@ def test_regions_csv(config1, tmp_path):
     assert len(rows) == 121
     counts = {int(r[2]) for r in rows}
     assert counts <= {0, 1, 2}
+
+
+SCAN_HEADER = "kappa,omega,T,R,energy_residual,flags"
+REGIONS_HEADER = "kappa,omega,num_propagating"
+
+
+def _generic_csv(tmp_path, header, rows):
+    """The bytes the generic `_csv` writes for the full rows."""
+    path = tmp_path / "generic.csv"
+    _csv(str(path), header, rows)
+    return path.read_text()
+
+
+def _writer_csvs(tmp_path, params, kappas, omegas):
+    """(grid writer, generic) texts of the scan and the regions CSV."""
+    path = tmp_path / "grid.csv"
+    rows = scan_transmission(params, kappas, omegas)
+    _grid_csv(str(path), SCAN_HEADER, kappas, omegas, f"{FMT},{FMT},{FMT},%s",
+              (r[2:] for r in rows))
+    texts = [(path.read_text(), _generic_csv(tmp_path, SCAN_HEADER, rows))]
+    diagram = region_diagram(params, kappas, omegas)
+    _grid_csv(str(path), REGIONS_HEADER, kappas, omegas, FMT,
+              diagram.counts.ravel().tolist())
+    texts.append((path.read_text(), _generic_csv(
+        tmp_path, REGIONS_HEADER,
+        [(k, w, diagram.counts[i, j]) for i, k in enumerate(kappas)
+         for j, w in enumerate(omegas)])))
+    return texts
+
+
+@pytest.mark.parametrize("kappas, omegas", [
+    # a kappa of -0.0 first, the threshold point (0, 4) and points where
+    # order 0 does not propagate (7.9)
+    ([-0.0, 0.0, 0.2], [1.5, 4.0, 7.9]),
+    (np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 8.0, 33)),
+    ([], [1.5, 4.0]),
+    ([-0.0, 0.2], []),
+])
+def test_grid_writer_bytes_equal_generic_csv(fixture1, tmp_path, kappas,
+                                             omegas):
+    kappas, omegas = np.asarray(kappas, float), np.asarray(omegas, float)
+    for grid, generic in _writer_csvs(tmp_path, fixture1, kappas, omegas):
+        assert grid == generic
+    scan = _writer_csvs(tmp_path, fixture1, kappas, omegas)[0][0]
+    if not (len(kappas) and len(omegas)):
+        assert scan == SCAN_HEADER + "\n"
+    elif len(omegas) == 3:
+        assert scan.startswith(SCAN_HEADER + "\n-0,1.5,")
+        assert {"nan", "threshold", "incident_not_propagating"} <= set(
+            scan.replace("\n", ",").split(","))
+
+
+@pytest.mark.parametrize("command, header", [("scan", SCAN_HEADER),
+                                             ("regions", REGIONS_HEADER)])
+@pytest.mark.parametrize("kappa_grid, omega_grid", [
+    ("-0.3,-0.0,4", "0,8,41"),  # ends at kappa -0.0; refused rows
+    ("0,0.5,0", "0,8,41"),
+    ("0,0.5,3", "1,2,0"),
+])
+def test_grid_csv_out_matches_stdout_and_generic(config1, fixture1, tmp_path,
+                                                 capsys, command, header,
+                                                 kappa_grid, omega_grid):
+    argv = [command, "--config", config1, f"--kappa-grid={kappa_grid}",
+            f"--omega-grid={omega_grid}"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    kappas, omegas = (np.linspace(*map(float, g.split(",")[:2]),
+                                  int(g.split(",")[2]))
+                      for g in (kappa_grid, omega_grid))
+    texts = dict(zip(("scan", "regions"),
+                     _writer_csvs(tmp_path, fixture1, kappas, omegas)))
+    assert out.read_text() == texts[command][1]
 
 
 def test_bands_csv(config1, tmp_path):

@@ -515,6 +515,39 @@ def test_fold_needs_a_mode_at_minus_kappa0(fixture1):
     assert [round(m.kappa0, 7) for m in folded] == [0.0616737]
 
 
+@pytest.mark.parametrize("case", ["fixture1", "n3", "n3_complex",
+                                  "n3_standing"])
+def test_stacked_certificates_match_per_mode_functions(fixture1, n3_params,
+                                                       case):
+    # a search certifies all its modes in stacked calls; each mode's fields
+    # equal the per-mode functions at the point reported within 1e-12.
+    # fixture 1 folds kappa0 < 0 and has the robust branch, the complex N = 3
+    # structure keeps kappa0 < 0, and the last one has a standing mode with
+    # a propagating order next to robust-branch entries on one side
+    params, window = {
+        "fixture1": (fixture1, (-0.5, 0.5, 0.7, 1.25)),
+        "n3": (n3_params, (-0.5, 0.5, 0.3, 6.0)),
+        "n3_complex": (StructureParams(
+            N=3, masses=[1.5, 2.0, 1.0], springs=[1.2, 0.7, 1.9],
+            gammas=[0.8 + 0.3j, 2.0 - 1.0j, 1.0 + 0.5j]),
+            (-0.5, 0.5, 0.2, 0.6)),
+        "n3_standing": (StructureParams(
+            N=3, masses=[1.5, 2.0, 2.0], springs=[1.2, 0.7, 1.2],
+            gammas=[0.8 + 0.3j, 1.1 - 0.4j, 1.1 - 0.4j]),
+            (-0.5, 0.5, 0.2, 6.0))}[case]
+    modes = find_guided_modes(params, window, density=60)
+    assert len(modes) >= 2
+    for m in modes:
+        point = BlochPoint(m.kappa0, m.omega0)
+        assert abs(m.sigma - sigma_min(params, point)) <= 1e-12
+        lam = EigenvalueTracker(params).value(m.kappa0, m.omega0)
+        assert abs(m.min_eigenvalue - abs(lam)) <= 1e-12
+        assert m.region_size == propagating_count(params, m.kappa0, m.omega0)
+        vec, labels = guided.null_vector(params, point)
+        assert tuple(labels) == m.null_labels
+        assert np.max(np.abs(m.null_vector - vec)) <= 1e-12
+
+
 @pytest.mark.parametrize("radius", [0.0, -0.004, float("nan")])
 def test_dispersion_refuses_radius(fixture1, mode1, radius):
     with pytest.raises(ValueError, match="radius must be > 0"):

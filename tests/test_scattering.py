@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
-                              ambient_dispersion, classify_harmonics)
+                              _classify_off_threshold, ambient_dispersion,
+                              classify_harmonics)
 from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
-                               column_flux, reconstruct_field,
+                               _chain_kernel, column_flux, reconstruct_field,
                                scan_transmission, solve_row, solve_scattering)
 from oracles import assemble_system, lattice_residual
 
@@ -175,6 +176,42 @@ def test_near_threshold_properties(case):
     # incident flux (median 2e-15, the worst at condition 1.1e6), above the
     # 1e-12 gate used away from the thresholds
     assert one.energy_residual <= 1e-10 * one.incident_flux
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A structure with N in 1..8 and complex couplings, a real kappa and up
+    to six real omegas off the thresholds."""
+    N = draw(st.integers(1, 8))
+    params = StructureParams(
+        N, draw(st.lists(_unit, min_size=N, max_size=N)),
+        draw(st.lists(_unit, min_size=N, max_size=N)),
+        draw(st.lists(_amplitude, min_size=N, max_size=N)))
+    kappa = draw(st.floats(-0.5, 0.5))
+    omegas = np.array(draw(st.lists(st.floats(0.05, 7.95), min_size=1,
+                                    max_size=6)))
+    try:
+        _, theta, prop = _classify_off_threshold(N, kappa, omegas)
+    except ThresholdError:
+        assume(False)
+    return params, kappa, omegas, theta, prop
+
+
+@settings(max_examples=60)
+@given(_kernel_cases())
+def test_shared_coupling_matches_stacked_build(case):
+    # at scalar kappa every point shares U and the coupling sums are one 2-D
+    # product; kappa repeated per point builds U per point and takes the
+    # stacked product.  K, K_H and both derivatives agree to roundoff.
+    params, kappa, omegas, theta, prop = case
+    for mask in (None, prop):
+        shared = _chain_kernel(params, kappa, omegas, theta, mask)
+        stacked = _chain_kernel(params, np.full(len(omegas), kappa), omegas,
+                                theta, mask)
+        for a, b in ((shared[0], stacked[0]),
+                     (shared[4](), stacked[4]()), (shared[5](), stacked[5]())):
+            scale = np.abs(b).max(axis=(-2, -1))
+            assert np.all(np.abs(a - b).max(axis=(-2, -1)) <= 1e-14 * scale)
 
 
 def test_frozen_solution_values(fixture1):
