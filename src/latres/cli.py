@@ -216,6 +216,7 @@ def _locate_mode(params, args):
 
 def cmd_dispersion(args):
     params = _params(args)
+    _finite(args.radius, "--radius")
     mode = _locate_mode(params, args)
     fit = continue_and_fit_dispersion(params, mode, radius=args.radius)
     _csv(args.out, "kappa,re_omega,im_omega",
@@ -277,6 +278,8 @@ def cmd_bifurcate(args):
 
 def cmd_enhance(args):
     params = _params(args)
+    _finite(args.kt_min, "--kt-min")
+    _finite(args.kt_max, "--kt-max")
     if not (args.kt_min > 0.0 and args.kt_max > 0.0):
         raise ValueError(f"enhance samples kt on a log scale: --kt-min and "
                          f"--kt-max must be > 0, got {args.kt_min} and "

@@ -14,14 +14,14 @@ whose local quadratic expansion drives every resonance quantity downstream.
 Every omega_gm comes from one solver, `_omega_gm`: Newton in complex omega
 on K's tracked eigenvalue with the exact derivative K_omega, at many real
 kappa (and, for `resonance`'s bifurcation branch, many couplings) at once,
-one stacked eigenvalue problem per step; it also gives d omega_gm / d kappa
-from K_kappa.  All candidates of a search are polished on the curve at
-once, each by a bracketed root of h(kappa) = Im d omega_gm / d kappa, where
-Im omega_gm reaches its maximum, 0, which gives kappa0 (`_polish`: one
-stacked solve per round, and the active-set secant `_bracketed_secant`
-that `resonance.trace_branch` shares); the dispersion samples are one
-stacked solve.  The real zero of det K is degenerate (the curve only
-touches the real plane), so it is not solved for directly.
+one stacked eigenvalue problem per step on rows of one kappa stage of K;
+it gives d omega_gm / d kappa from K_kappa too.  All candidates of a search
+are polished on the curve at once, each by a bracketed root of h(kappa) =
+Im d omega_gm / d kappa, where Im omega_gm reaches its maximum, 0, which
+gives kappa0 (`_polish`: one stacked solve per round, and the active-set
+secant `_bracketed_secant` that `resonance.trace_branch` shares); the
+dispersion samples are one stacked solve.  The real zero of det K is
+degenerate (the curve only touches the real plane), so it is not solved.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .structure import (BlochPoint, StructureParams, ThresholdError,
                         _classify, _classify_off_threshold, _thresholds)
-from .scattering import _chain_kernel, _chunks
+from .scattering import _KappaStage, _chain_kernel, _chunks
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -214,21 +214,22 @@ def _polish(params, kappa, omega, reach):
     """The modes that candidates (kappa, omega) point to, all at once.
 
     Each candidate has a propagating order (one without lies on the robust
-    branch and is a mode already).  Returns kappa0, omega_gm(kappa0) and
-    h'(kappa0) (`_h_prime`), kappa0 NaN where a candidate leads to no mode.
-    kappa0 is a root of h(kappa) = Im d omega_gm / d kappa, where
-    Im omega_gm peaks.  The bracket starts at kappa +- reach and, while h
-    keeps one sign on it, steps towards rising Im omega_gm, by a reach that
-    doubles each time, at most GROW_STEPS times; an end where |h| <= H_FLOOR
-    has no sign to trust.  Once the bracket holds kappa = 0, a standing mode
-    there (|Im omega_gm(0)| at roundoff) is taken, kappa0 = 0.0; if there is
-    none, the bracket keeps only the candidate's side.  `_bracketed_secant`
-    then stops at a kappa step of POLISH_XTOL.  Each round is one
-    `_omega_gm` call over the candidates still active, the first from the
-    candidate's omega and the smallest |eigenvalue|, the others along the
-    tangent of the nearest point the candidate has solved: itself, kappa = 0
-    or a bracket end.  A kappa solved before is read back; a candidate with a
-    failed solve (its h' solves included) is rejected.
+    branch and is a mode already).  Returns kappa0, omega_gm(kappa0),
+    h'(kappa0) (`_h_prime`), kappa0 NaN where a candidate leads to no mode,
+    and the points each `_omega_gm` round solved.  kappa0 is a root of
+    h(kappa) = Im d omega_gm / d kappa, where Im omega_gm peaks.  The bracket
+    starts at kappa +- reach and, while h keeps one sign on it, steps towards
+    rising Im omega_gm, by a reach that doubles each time, at most GROW_STEPS
+    times; an end where |h| <= H_FLOOR has no sign to trust.  Once the
+    bracket holds kappa = 0, a standing mode there (|Im omega_gm(0)| at
+    roundoff) is taken, kappa0 = 0.0; if there is none, the bracket keeps
+    only the candidate's side.  `_bracketed_secant` then stops at a kappa
+    step of POLISH_XTOL.  Each round is one `_omega_gm` call over the
+    candidates still active (both ends of a first bracket in one), the first
+    from the candidate's omega and the smallest |eigenvalue|, the others
+    along the tangent of the nearest point the candidate has solved: itself,
+    kappa = 0 or a bracket end.  A kappa solved before is read back; a
+    candidate with a failed solve (its h' solves included) is rejected.
     """
     n = len(kappa)
     # each candidate's points (kappa, omega_gm, slope, eigenvector) at itself,
@@ -236,8 +237,10 @@ def _polish(params, kappa, omega, reach):
     # NaN where none is solved
     C, Z, LO, HI, NEW = range(5)
     pts = np.full((n, 5, 3 + params.N), np.nan, dtype=complex)
+    solved = []  # the points of each _omega_gm round
 
     def put(i, slot, kap, seed, vref):
+        solved.append(len(kap))
         try:
             om, slope, vec, _ = _omega_gm(params, kap, seed, vref)
         except (ConvergenceError, ThresholdError) as err:
@@ -245,14 +248,15 @@ def _polish(params, kappa, omega, reach):
         pts[i, slot] = np.column_stack([kap, om, slope, vec])
 
     def solve(i, slot, kap):
-        """Candidates i at kap into slot, from their nearest solved point."""
+        """Candidates i at kap into slot(s), from their nearest solved one."""
+        slot = np.broadcast_to(slot, i.shape)
         k = np.where(np.isnan(pts[i, :, 1]), np.nan, pts[i, :, 0].real)
         near = pts[i, np.nanargmin(np.abs(k - kap[:, None]), axis=1)]
         pts[i, slot] = near  # read back where kap is solved already
         new = near[:, 0].real != kap
         if new.any():
             k1, w1, s1 = near[new, :3].T
-            put(i[new], slot, kap[new], w1 + s1 * (kap[new] - k1.real),
+            put(i[new], slot[new], kap[new], w1 + s1 * (kap[new] - k1.real),
                 near[new, 3:])
 
     put(np.arange(n), C, kappa, omega + 0j, None)
@@ -272,9 +276,9 @@ def _polish(params, kappa, omega, reach):
         end = np.where(kappa[side] >= 0.0, LO, HI)
         pts[side, end] = np.nan
         pts[side, end, 0] = np.where(end == LO, reach, -reach) * SIDE_OFFSET
-        for end in (LO, HI):
-            i = np.flatnonzero(live & np.isnan(pts[:, end, 1]))
-            solve(i, end, pts[i, end, 0].real)
+        # both ends, seeded from the candidate or kappa = 0, in one stack
+        i, end = np.nonzero(live[:, None] & np.isnan(pts[:, LO:HI + 1, 1]))
+        solve(i, LO + end, pts[i, LO + end, 0].real)
         h_lo, h_hi = pts[:, LO, 2].imag, pts[:, HI, 2].imag
         # a failed solve (NaN) rejects its candidate too
         floor = ~(np.minimum(abs(h_lo), abs(h_hi)) > H_FLOOR)
@@ -307,9 +311,11 @@ def _polish(params, kappa, omega, reach):
     found = ~np.isnan(root)
     h_prime = np.full(n, np.nan)
     if found.any():
+        solved.append(2 * int(found.sum()))
         h_prime[found] = _h_prime(params, root[found], *at[found, 1:3].T,
                                   at[found, 3:])
-    return np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime
+    return (np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime,
+            solved)
 
 
 def _crossings(params, kappas, wmin, wmax, Q=None):
@@ -325,14 +331,24 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
     loop of Newton steps on lambda_j with the slope v^H K_H' v
     (Hellmann-Feynman), bisecting the bracket where a step would leave it or
     not halve the last step, until |lambda_j| <= NEWTON_TOL max(1, ||K_H||)
-    or the step is at most 4 eps |omega|; stacks go in STACK_BYTES chunks.
-    Returns the regions probed and, per crossing: row, region (each order's
-    state, 0 below its band, 1 in it, 2 above, as base-3 digits), j, nprop,
-    omega, q = ||W^H Q v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and
-    its Newton steps.
+    or the step is at most 4 eps |omega|; stacks go in STACK_BYTES chunks,
+    rows in blocks whose `_KappaStage` fits in it.  Returns the regions
+    probed and, per crossing: row, region (each order's state, 0 below its
+    band, 1 in it, 2 above, as base-3 digits), j, nprop, omega, q =
+    ||W^H Q v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and its Newton
+    steps.
     """
     N = params.N
     kappas = np.asarray(kappas, dtype=float)
+    blocks = _chunks(len(kappas), 5 * 16 * N * N)  # K's kappa stage per row
+    if len(blocks) > 1:
+        w = [np.broadcast_to(x, (len(kappas), 1)) for x in (wmin, wmax)]
+        parts = [_crossings(params, kappas[b], w[0][b], w[1][b],
+                            None if Q is None else Q[b]) for b in blocks]
+        cross = {k: np.concatenate([c[k] + (b.start if k == "row" else 0)
+                                    for b, (_, c) in zip(blocks, parts)])
+                 for k in parts[0][1]}
+        return sum(p for p, _ in parts), cross
     thr = _thresholds(N, kappas)
     ends = np.sort(thr, axis=-1)
     edge = np.full((len(kappas), 1), np.inf)
@@ -352,12 +368,13 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
 
     # the bytes of one point's stacked matrices: K_H, dK_H, W, A, P, ...
     item = 8 * 16 * N * N
+    stage = _KappaStage(params, kappas).rows  # each point takes its row's
     neg = np.empty((len(row), 2), dtype=int)
     for part in _chunks(len(row), 2 * item)[:len(row)]:  # none if no region
         kap, om = kappas[row[part], None], np.column_stack([lo[part],
                                                             hi[part]])
         _, theta, prop = _classify_off_threshold(N, kap, om)
-        K_H = _chain_kernel(params, kap, om, theta, prop)[0]
+        K_H = stage(row[part, None]).at(om, theta, prop)[0]
         neg[part] = np.sum(np.linalg.eigvalsh(compress(K_H, row[part, None]))
                            < 0.0, axis=-1)
     count = np.maximum(neg[:, 0] - neg[:, 1], 0)
@@ -377,9 +394,9 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
         for part in _chunks(active.size, item):
             p = active[part]
             _, theta, prop = _classify_off_threshold(N, kap[p], om[p])
-            K_H, P, _, _, dK_H, _ = _chain_kernel(params, kap[p], om[p],
-                                                  theta, prop)
-            W = params.gammas[:, None] * P * prop[:, None, :]
+            rows = stage(r[p])
+            K_H, _, _, _, dK_H, _ = rows.at(om[p], theta, prop)
+            W = rows.gP * prop[:, None, :]
             lam, V = np.linalg.eigh(compress(K_H, r[p]))
             f, v = lam[np.arange(len(p)), j[p]], V[np.arange(len(p)), :, j[p]]
             a[p] = np.where(f < 0.0, om[p], a[p])
@@ -442,8 +459,8 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     and the null vectors are each one call stacked over the candidates or
     modes.  A DEBUG line on the `latres` logger counts the kappa rows,
     regions probed, crossings solved and their most Newton steps, the
-    candidates, those rejected or merged, and the modes, and lists each
-    mode's certificate.
+    candidates, those rejected or merged, the polish's `_omega_gm` rounds
+    and points, and the modes, and lists each mode's certificate.
     """
     kmin, kmax, wmin, wmax = window
     if not (kmin < kmax and wmin < wmax and density >= 2):
@@ -464,12 +481,12 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
     roots = kappas[cross["row"][pick]]
     om_gms = cross["omega"][pick] + 0j
-    h_primes = np.zeros(len(pick))
+    h_primes, rounds = np.zeros(len(pick)), []
     # a candidate with a propagating order is polished, the others are modes
     polish = cross["nprop"][pick] > 0
     if polish.any():
         reach = 2.0 * (kmax - kmin) / (density - 1)
-        roots[polish], om_gms[polish], h_primes[polish] = _polish(
+        roots[polish], om_gms[polish], h_primes[polish], rounds = _polish(
             params, roots[polish], cross["omega"][pick][polish], reach)
     # the certificates: each is one stacked call over the candidates
     om0s = om_gms.real
@@ -496,7 +513,7 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     kap0s, om0s, om_gms, h_primes, sig = (
         x[unique] for x in (kap0s, om0s, om_gms, h_primes, sig))
     # without a reference the smallest |eigenvalue| of K is taken
-    lam = _tracked_eigenvalue(params, kap0s, om0s, None)[0]
+    lam = _tracked_eigenvalue(_KappaStage(params, kap0s), om0s, None)[0]
     counts = _classify(params.N, kap0s, om0s)[2].sum(axis=-1)
     modes = [GuidedMode(
         kappa0=float(kap0s[i]), omega0=float(om0s[i]), sigma=float(sig[i]),
@@ -511,20 +528,21 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         f"sigma_min {m.sigma:.2g}" for m in modes)
     log.debug("guided-mode search: %d kappa rows, %d regions probed, %d "
               "crossings solved, at most %d Newton steps, %d candidates, %d "
-              "rejected, %d merged as duplicates, certificates [%s], %d "
-              "modes", density, probed, len(cross["omega"]),
-              cross["steps"].max(initial=0), len(pick), rejected,
-              len(pick) - rejected - len(modes), certificates, len(modes))
+              "rejected, %d merged as duplicates, %d polish rounds solving "
+              "%d points, certificates [%s], %d modes", density, probed,
+              len(cross["omega"]), cross["steps"].max(initial=0), len(pick),
+              rejected, len(pick) - rejected - len(modes), len(rounds),
+              sum(rounds), certificates, len(modes))
     return modes
 
 
-def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
+def _tracked_eigenvalue(stage, omega, vref):
     """K's tracked eigenvalue at points (kappa, omega), omega 1-D.
 
-    kappa is one real value for every point, or one per point; vref (points
-    x N) holds each point's reference eigenvector, or is None to take the
-    smallest |eigenvalue|; gammas (points x N), where given, replaces
-    params.gammas point by point.  One stacked `_chain_kernel` and eig; the
+    stage is `_chain_kernel`'s kappa stage (with each point's couplings,
+    where they differ) at one real kappa for every point or one per point;
+    vref (points x N) holds each point's reference eigenvector, or is None
+    to take the smallest |eigenvalue|.  One stacked omega stage and eig; the
     eigenvalue lambda whose unit eigenvector overlaps the reference most is
     taken, and ConvergenceError naming kappa is raised where that overlap is
     below OVERLAP_MIN, its points masking those points (as ThresholdError's
@@ -532,9 +550,8 @@ def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
     eigenvectors v (columns) and y (rows) with y v = 1, and `_chain_kernel`'s
     K_omega and K_kappa: d lambda = y K' v.
     """
-    _, theta, _ = _classify_off_threshold(params.N, kappa, omega)
-    K, _, _, _, K_om, K_kap = _chain_kernel(params, kappa, omega, theta,
-                                            gammas=gammas)
+    _, theta, _ = _classify_off_threshold(stage.params.N, stage.kappa, omega)
+    K, _, _, _, K_om, K_kap = stage.at(omega, theta)
     lam, V = np.linalg.eig(K)  # unit eigenvectors
     at = np.arange(len(lam))
     if vref is None:
@@ -547,23 +564,24 @@ def _tracked_eigenvalue(params, kappa, omega, vref, gammas=None):
             p = np.argmax(lost)
             error = ConvergenceError(
                 f"lost eigenvalue track at (kappa="
-                f"{np.broadcast_to(kappa, omega.shape)[p]}, omega={omega[p]}): "
-                f"best overlap {ov[p, i[p]]:.3f}")
+                f"{np.broadcast_to(stage.kappa, omega.shape)[p]}, omega="
+                f"{omega[p]}): best overlap {ov[p, i[p]]:.3f}")
             error.points = lost
             raise error
     # row i of V^-1
     y = np.linalg.solve(V.swapaxes(-1, -2),
-                        np.eye(params.N)[i, :, None]).swapaxes(-1, -2)
+                        np.eye(K.shape[-1])[i, :, None]).swapaxes(-1, -2)
     return lam[at, i], V[at, :, i, None], y, K_om, K_kap
 
 
 def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
     """omega_gm at many real kappa at once: Newton on K's tracked eigenvalue.
 
-    kappa and omega_seed are 1-D, one point per entry; vref and gammas are
-    as in `_tracked_eigenvalue`, which gives each step over the points still
-    active; each point tracks its eigenvector from its last step.  omega
-    moves by lambda / lambda_omega, with lambda_omega = y K_omega v exact.
+    kappa and omega_seed are 1-D, one point per entry; vref is as in
+    `_tracked_eigenvalue`, gammas (points x N) replaces params.gammas.  Each
+    step takes one kappa stage's rows at the points still active, each
+    tracking its eigenvector from its last step.  omega moves by
+    lambda / lambda_omega, with lambda_omega = y K_omega v exact.
     A point stops after the step at which |lambda| < NEWTON_TOL or the step
     is at roundoff, |step| <= 4 eps |omega|.  Returns omega_gm,
     d omega_gm / d kappa = -lambda_kappa / lambda_omega and the unit
@@ -578,23 +596,20 @@ def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
     om, slope = np.full((2, n_pts), np.nan, dtype=complex)
     vec = np.full((n_pts, params.N), np.nan, dtype=complex)
     steps = np.zeros(n_pts, dtype=int)
-    # the active points: their index, kappa, omega, eigenvector, couplings
-    idx, k, w = np.arange(n_pts), kappa, np.array(omega_seed, dtype=complex)
+    # the active points: their index, kappa stage, omega, eigenvector
+    idx, w = np.arange(n_pts), np.array(omega_seed, dtype=complex)
+    stage = _KappaStage(params, kappa, gammas)
     v_ref = None if vref is None else np.asarray(vref)
-    gam = None if gammas is None else np.asarray(gammas)
 
     def keep(active):
-        nonlocal idx, k, w, v_ref, gam
-        idx, k, w = idx[active], k[active], w[active]
+        nonlocal idx, stage, w, v_ref
+        idx, stage, w = idx[active], stage.rows(active), w[active]
         v_ref = None if v_ref is None else v_ref[active]
-        gam = None if gam is None else gam[active]
 
     error, n = None, 0
     while idx.size and n < NEWTON_STEPS:
         try:
-            # a lone point takes the kernel's scalar-kappa path
-            f, v, y, K_om, K_kap = _tracked_eigenvalue(
-                params, k if idx.size > 1 else k[0], w, v_ref, gam)
+            f, v, y, K_om, K_kap = _tracked_eigenvalue(stage, w, v_ref)
         except (ConvergenceError, ThresholdError) as err:
             # the failed points stop; the step is taken again without them
             error = error or err
@@ -615,8 +630,8 @@ def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
             keep(~done)
     if idx.size:
         error = error or ConvergenceError(
-            f"eigenvalue Newton did not converge at kappa={k[0]}: "
-            f"{idx.size} points left after {NEWTON_STEPS} steps")
+            f"eigenvalue Newton did not converge at kappa={stage.kappa[0]}:"
+            f" {idx.size} points left after {NEWTON_STEPS} steps")
     if error is not None:
         error.solved = om, slope, vec, steps
         raise error
@@ -648,7 +663,8 @@ class EigenvalueTracker:
 
     def value(self, kappa, omega):
         lam, self._v, self._y, K_om, self._K_kappa = _tracked_eigenvalue(
-            self.params, kappa, np.array([omega]), self._reference())
+            _KappaStage(self.params, kappa), np.array([omega]),
+            self._reference())
         self._vref = self._v[0, :, 0]
         self.d_omega = (self._y @ K_om() @ self._v)[0, 0, 0]
         return lam[0]
@@ -701,12 +717,13 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
     tangent at the mode (solved first, from omega0), then least-squares fits
     a polynomial of degree DISPERSION_DEGREE in kt and reads the linear and
     quadratic coefficients; the kt = 0 sample is the mode itself,
-    (0, omega0).  A radius <= 0 raises ValueError.  A DEBUG line on the
-    `latres` logger gives the samples, the points solved, the most Newton
-    steps, the fit residual and the imaginary part of the slope.
+    (0, omega0).  A radius outside (0, inf) raises ValueError.  A DEBUG line
+    on the `latres` logger gives the samples, the points solved, the most
+    Newton steps, the fit residual and the imaginary part of the slope.
     """
-    if not radius > 0.0:
-        raise ValueError(f"dispersion fit radius must be > 0, got {radius}")
+    if not (radius > 0.0 and np.isfinite(radius)):
+        raise ValueError(f"dispersion fit radius must be > 0 and finite, got "
+                         f"{radius}")
     kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
     kts = np.concatenate([kts, -kts])
     om0, slope0, vec0, steps0 = _omega_gm(params, [mode.kappa0],

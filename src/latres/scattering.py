@@ -109,22 +109,73 @@ def _fourier(N, kappa):
     return P, Pinv
 
 
-def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
+class _KappaStage:
+    """`_chain_kernel`'s kappa stage: at(omega, theta, prop) is its omega
+    stage, rows(i) the stage at its points i, and gammas (kappa.shape +
+    (N,)), where given, replaces params.gammas point by point."""
+
+    def __init__(self, params, kappa, gammas=None):
+        gam = params.gammas if gammas is None else np.asarray(gammas)
+        self.params, self.kappa = params, kappa
+        self.A = waveguide_band_matrix(params, kappa)
+        # an array is not hashable, so it bypasses the cache
+        self.P, self.Pinv = (_fourier.__wrapped__ if np.ndim(kappa)
+                             else _fourier)(params.N, kappa)
+        self.gP = gam[..., :, None] * self.P
+        self.U = self.Pinv * np.conj(gam)[..., None, :]
+
+    def rows(self, i):
+        stage = object.__new__(_KappaStage)
+        stage.__dict__ = {k: v if k == "params" else v[i]
+                          for k, v in vars(self).items()}
+        return stage
+
+    def at(self, omega, theta, prop=None):
+        N, U = self.params.N, self.U
+        s = 2j * np.sin(TWO_PI * theta)
+        Ws = self.gP / s[..., None, :]
+        if prop is not None:
+            Ws = np.where(prop[..., None, :], 0.0, Ws)
+
+        def times_U(X):  # X @ U, as one 2-D product where U is N x N
+            if U.ndim == 2:
+                return (X.reshape(-1, N) @ U).reshape(X.shape)
+            return X @ U
+
+        Y = times_U(Ws)  # the coupling sum
+        K = np.asarray(omega)[..., None, None] * np.eye(N) - self.A - Y
+
+        def Ws_ds():  # w_l s_l' / s_l^2, s' = ds / d omega = i cot 2 pi theta
+            return Ws * (1j / np.tan(TWO_PI * theta) / s)[..., None, :]
+
+        def K_kappa():
+            n, kap = np.arange(N), self.kappa
+            A_kap = np.pi * np.subtract(*waveguide_band_matrix(
+                self.params, np.add.outer([0.25, -0.25], kap)))
+            ds = 4.0 * np.pi / N * np.sin(TWO_PI * (np.add.outer(kap, n) / N))
+            return (-A_kap - 2j * np.pi * Y * (np.subtract.outer(n, n) / N)
+                    - times_U(Ws_ds() * ds[..., None, :]))
+
+        return (K, self.P, self.Pinv, s,
+                lambda: np.eye(N) + times_U(Ws_ds()), K_kappa)
+
+
+def _chain_kernel(params, kappa, omega, theta, prop=None):
     """The reduced chain matrix K, P, P^-1, s and its exact derivatives.
 
     K = omega - A(kappa) - sum_l w_l u_l / s_l, with A the chain's band
     matrix, w_l = gamma * P[:, l], u_l = P^-1[l, :] * conj(gamma) (w_l^H / N
     at real kappa), s_l = 2i sin 2 pi theta_l and P, P^-1 from `_fourier`.
+    It is built in two stages, the kappa stage (`_KappaStage`: A, P, P^-1,
+    gamma * P, U = (u_l)), which a caller may build once and take rows of,
+    and its omega stage (`_KappaStage.at`: s, W / s, K, K_omega, K_kappa).
     omega may carry leading batch axes, theta then has shape omega.shape +
     (N,) and K shape omega.shape + (N, N).  kappa is a scalar (complex for
     the tracker), or a real array broadcasting against omega, one point per
-    entry, with A, P and P^-1 built for every entry at once.  Where the mask
-    prop (theta's shape) is given, its orders' terms are dropped: with the
-    propagating orders this is K_H, K without their radiation, Hermitian at
-    real points as s_l is real on a decaying order.  gammas, of shape
-    omega.shape + (N,), gives each point its own couplings in place of
-    params.gammas (A, P and P^-1 do not depend on them).  At scalar kappa
-    with params.gammas, u_l is shared by every point, and each coupling sum
+    entry.  Where the mask prop (theta's shape) is given, its orders' terms
+    are dropped: with the propagating orders this is K_H, K without their
+    radiation, Hermitian at real points as s_l is real on a decaying order.
+    At scalar kappa, u_l is shared by every point, and each coupling sum
     over the stack is one 2-D matrix product.
     Returns (K, P, P^-1, s, K_omega, K_kappa); the last two form the exact
     derivatives of the kept terms when called.  The ambient dispersion
@@ -135,40 +186,9 @@ def _chain_kernel(params, kappa, omega, theta, prop=None, gammas=None):
     ds/d kappa = -(ds/d omega) 4 pi sin(2 pi phi) / N.  P' = 2 pi i D P and
     (P^-1)' = -2 pi i P^-1 D with D = diag(n / N).  A' comes from the wrap
     entries, the only ones that depend on kappa: they carry e^{+-2 pi i kappa},
-    so A' = pi (A(kappa + 1/4) - A(kappa - 1/4)).
+    so A' = pi (A(kappa + 1/4) - A(kappa - 1/4)), one band matrix call.
     """
-    N = params.N
-    gam = params.gammas if gammas is None else np.asarray(gammas)
-
-    A = waveguide_band_matrix(params, kappa)
-    # an array is not hashable, so it bypasses the cache
-    P, Pinv = (_fourier.__wrapped__ if np.ndim(kappa) else _fourier)(N, kappa)
-    s = 2j * np.sin(TWO_PI * theta)
-    Ws = gam[..., :, None] * P / s[..., None, :]
-    if prop is not None:
-        Ws = np.where(prop[..., None, :], 0.0, Ws)
-    U = Pinv * np.conj(gam)[..., None, :]
-
-    def times_U(X):  # X @ U, as one 2-D product where U is one N x N matrix
-        if U.ndim == 2:
-            return (X.reshape(-1, N) @ U).reshape(X.shape)
-        return X @ U
-
-    Y = times_U(Ws)  # the coupling sum
-    K = np.asarray(omega)[..., None, None] * np.eye(N) - A - Y
-
-    def Ws_ds():  # the w_l s_l' / s_l^2, s' = ds / d omega = i cot 2 pi theta
-        return Ws * (1j / np.tan(TWO_PI * theta) / s)[..., None, :]
-
-    def K_kappa():
-        n = np.arange(N)
-        A_kap = np.pi * (waveguide_band_matrix(params, kappa + 0.25)
-                         - waveguide_band_matrix(params, kappa - 0.25))
-        sin_phi = np.sin(TWO_PI * (np.add.outer(kappa, n) / N))
-        return (-A_kap - 2j * np.pi * Y * (np.subtract.outer(n, n) / N)
-                - times_U(Ws_ds() * (4.0 * np.pi / N * sin_phi)[..., None, :]))
-
-    return K, P, Pinv, s, lambda: np.eye(N) + times_U(Ws_ds()), K_kappa
+    return _KappaStage(params, kappa).at(omega, theta, prop)
 
 
 def _solve_stack(K, rhs, cond_limit):

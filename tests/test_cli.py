@@ -351,6 +351,12 @@ def test_malformed_incidence_exit_code(config1, capsys, argv, message):
      "--kappa must be finite, got inf"),
     (["evolve", "--kappa=nan", "--steps=1", "--init=file"],
      "--kappa must be finite, got nan"),
+    (["dispersion", "--window=0.02,0.11,0.93,1.02", "--radius=inf"],
+     "--radius must be finite, got inf"),
+    (["enhance", "--window=0.02,0.11,0.93,1.02", "--kt-min=inf"],
+     "--kt-min must be finite, got inf"),
+    (["enhance", "--window=0.02,0.11,0.93,1.02", "--kt-max=inf"],
+     "--kt-max must be finite, got inf"),
 ])
 def test_nonfinite_numbers_exit_code(config1, capsys, argv, message):
     # refused by name before any solve, with no NaN row on stdout

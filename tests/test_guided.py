@@ -15,7 +15,8 @@ from latres.structure import (BlochPoint, StructureParams, _classify,
                               _classify_off_threshold, _thresholds,
                               propagating_count, waveguide_band_matrix,
                               waveguide_bands)
-from latres.scattering import _chain_kernel, _fourier, scan_transmission
+from latres.scattering import (_KappaStage, _chain_kernel, _fourier,
+                               scan_transmission)
 from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
                            _crossings, _omega_gm, continue_and_fit_dispersion,
                            find_guided_modes, sigma_min)
@@ -197,15 +198,53 @@ def test_mode_search_split_into_chunks_match(fixture1, n3_params,
     assert len(whole) > 2
 
 
-def test_mode_search_logs_counts(fixture1, caplog):
+def test_crossings_build_kappa_stage_per_block(fixture1, monkeypatch):
+    # a chunk limit of one row's kappa stage makes the crossing search build
+    # the stage on one kappa row at a time, never on every row, and find
+    # every crossing as the unsplit search does, omega and q within roundoff
+    # (numpy's elementwise functions may round by an array's length)
+    sizes = []
+
+    class Recording(_KappaStage):
+        def __init__(self, params, kappa, gammas=None):
+            sizes.append(np.size(kappa))
+            super().__init__(params, kappa, gammas)
+
+    def search():
+        return _crossings(fixture1, np.linspace(-0.5, 0.5, 60), 0.7, 1.25)
+
+    whole = search()
+    monkeypatch.setattr(latres.scattering, "STACK_BYTES", 5 * 16 * 2 * 2)
+    monkeypatch.setattr(guided, "_KappaStage", Recording)
+    split = search()
+    assert len(sizes) == 60 and max(sizes) == 1
+    assert split[0] == whole[0] and len(whole[1]["omega"]) > 2
+    for key, value in whole[1].items():
+        assert np.allclose(split[1][key], value, rtol=1e-15, atol=1e-16)
+        assert key in ("omega", "q") or np.array_equal(split[1][key], value)
+
+
+def test_mode_search_logs_counts(fixture1, caplog, monkeypatch):
+    rounds = []
+    omega_gm = guided._omega_gm
+
+    def recording(params, kappa, omega_seed, vref, gammas=None):
+        rounds.append(len(kappa))
+        return omega_gm(params, kappa, omega_seed, vref, gammas)
+
+    monkeypatch.setattr(guided, "_omega_gm", recording)
     caplog.set_level(logging.DEBUG, logger="latres")
     modes = find_guided_modes(fixture1, (0.02, 0.11, 0.93, 1.02), density=30)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
     assert len(lines) == 1
     assert lines[0].startswith("guided-mode search: 30 kappa rows, 30 regions "
                                "probed, 30 crossings solved, at most ")
-    assert " Newton steps, 1 candidates, 0 rejected, 0 merged as " \
-        "duplicates, " in lines[0]
+    # the polish's rounds: the candidate, its first bracket's two ends in
+    # one, the secant's iterates and the two h' points in one
+    assert rounds[:2] == [1, 2] and rounds[-1] == 2
+    assert (f" Newton steps, 1 candidates, 0 rejected, 0 merged as "
+            f"duplicates, {len(rounds)} polish rounds solving {sum(rounds)} "
+            f"points, certificates [") in lines[0]
     assert lines[0].endswith(f", {len(modes)} modes")
     m = modes[0]
     assert (f"certificates [({m.kappa0:.15g}, {m.omega0:.15g}): "
@@ -216,8 +255,9 @@ def test_mode_search_logs_counts(fixture1, caplog):
 
 @pytest.mark.parametrize("N", range(1, 9))
 def test_kernel_on_kappa_arrays_equals_scalar_calls(N):
-    # an array kappa gives, entry by entry, the scalar call's band matrix
-    # and kernel, derivatives included, bit for bit
+    # a kappa stage built on an array, and each of its rows, gives entry by
+    # entry the scalar call's band matrix and kernel, derivatives included,
+    # bit for bit
     rng = np.random.default_rng([N, 8])
     params = StructureParams(N=N, masses=rng.uniform(0.5, 3.0, N),
                              springs=rng.uniform(0.5, 2.0, N),
@@ -227,13 +267,19 @@ def test_kernel_on_kappa_arrays_equals_scalar_calls(N):
     om = rng.uniform(0.3, 7.0, 6) - 1j * rng.uniform(0.0, 0.01, 6)
     theta = _classify(N, kap, om)[1]
     A = waveguide_band_matrix(params, kap)
-    K, P, Pinv, s, K_om, K_kap = _chain_kernel(params, kap, om, theta)
-    stacked = (K, P, Pinv, s, K_om(), K_kap())
+    stage = _KappaStage(params, kap)
+
+    def evaluated(kernel):
+        return kernel[:4] + (kernel[4](), kernel[5]())
+
+    stacked = evaluated(stage.at(om, theta))
     for j, k in enumerate(kap.tolist()):
         assert np.array_equal(A[j], waveguide_band_matrix(params, k))
-        one = _chain_kernel(params, k, complex(om[j]), theta[j])
-        for got, want in zip(stacked, one[:4] + (one[4](), one[5]())):
+        one = evaluated(_chain_kernel(params, k, complex(om[j]), theta[j]))
+        row = evaluated(stage.rows([j]).at(om[[j]], theta[[j]]))
+        for got, from_row, want in zip(stacked, row, one):
             assert np.array_equal(got[j], want)
+            assert np.array_equal(from_row[0], want)
 
 
 _unit = st.floats(0.5, 2.0)
@@ -408,14 +454,14 @@ def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
     want, counts = search()
     tracked, lost_at = guided._tracked_eigenvalue, []
 
-    def losing(params, kappa, omega, vref, gammas=None):
-        lost = np.broadcast_to(kappa, omega.shape) < 0.0
+    def losing(stage, omega, vref):
+        lost = np.broadcast_to(stage.kappa, omega.shape) < 0.0
         if vref is not None and len(omega) > 1 and lost.any():
             lost_at.append(len(omega))
             error = ConvergenceError("lost eigenvalue track")
             error.points = lost
             raise error
-        return tracked(params, kappa, omega, vref, gammas)
+        return tracked(stage, omega, vref)
 
     monkeypatch.setattr(guided, "_tracked_eigenvalue", losing)
     got, got_counts = search()
@@ -548,7 +594,8 @@ def test_stacked_certificates_match_per_mode_functions(fixture1, n3_params,
         assert np.max(np.abs(m.null_vector - vec)) <= 1e-12
 
 
-@pytest.mark.parametrize("radius", [0.0, -0.004, float("nan")])
+@pytest.mark.parametrize("radius", [0.0, -0.004, float("nan"),
+                                    float("inf")])
 def test_dispersion_refuses_radius(fixture1, mode1, radius):
     with pytest.raises(ValueError, match="radius must be > 0"):
         continue_and_fit_dispersion(fixture1, mode1, radius=radius)

@@ -458,6 +458,33 @@ def test_each_kappa_solved_once(fixture1, n3_params, monkeypatch):
     assert tracker == []
 
 
+def test_omega_gm_per_point_gammas_equal_own_solves(fixture1):
+    # stacks with per-point couplings, kappa in {-delta, 0, delta} at two
+    # gamma0 without a reference, and the branch's first bracket ends at
+    # every gamma0 from gamma0*'s kappa = 0 point: each point ends where its
+    # own solve on its structure does, in as many steps
+    _, (om0, slope0, vec0), *_ = resonance._critical_coupling(fixture1,
+                                                              (0.8, 1.3))
+    d, n = guided.H_SLOPE_DELTA, len(BENCH_GAMMAS)
+    stacks = [(np.tile([-d, 0.0, d], 2), np.repeat([1.05, 1.051], 3), None),
+              (np.repeat([1e-6, 1e-3], n), np.tile(BENCH_GAMMAS, 2),
+               np.repeat(vec0[None], 2 * n, axis=0))]
+    for kap, g0, vref in stacks:
+        gammas = np.tile(fixture1.gammas, (len(kap), 1))
+        gammas[:, 0] = g0
+        seed = om0 + slope0 * kap
+        om, slope, vec, steps = guided._omega_gm(fixture1, kap, seed, vref,
+                                                 gammas)
+        for j in range(len(kap)):
+            one = guided._omega_gm(fixture1.replace_gamma(0, g0[j]),
+                                   kap[j:j + 1], seed[j:j + 1],
+                                   None if vref is None else vref[j:j + 1])
+            assert abs(one[0][0] - om[j]) <= 1e-14
+            assert abs(one[1][0] - slope[j]) <= 1e-14
+            assert abs(abs(one[2][0].conj() @ vec[j]) - 1.0) <= 1e-12
+            assert one[3][0] == steps[j]
+
+
 def test_branch_refuses_wrong_side(fixture1, monkeypatch):
     # gamma0 above gamma0* is refused before any branch solve
     def solve(*args, **kwargs):
