@@ -5,22 +5,16 @@ vanish: an isolated real pair (kappa0, omega0) where a chain field z has
 K_H z = 0 and W^H z = 0, with K_H the chain kernel without the propagating
 orders' terms and W their w_l (`scattering._chain_kernel`).  `sigma_min`
 certifies a mode and `null_vector` gives its field, both from one SVD of
-[K_H; W^H].
-`find_guided_modes` takes its candidates from the zero crossings of K_H's
-eigenvalues, which Sylvester's inertia counts in each threshold region.
-Around such a pair the zero set of the tracked eigenvalue of the N x N chain
-kernel K(kappa, omega) defines a complex dispersion curve omega_gm(kappa)
-whose local quadratic expansion drives every resonance quantity downstream.
-Every omega_gm comes from one solver, `_omega_gm`: Newton in complex omega
-on K's tracked eigenvalue with the exact derivative K_omega, at many real
-kappa (and, for `resonance`'s bifurcation branch, many couplings) at once,
-one stacked eigenvalue problem per step on rows of one kappa stage of K;
-it gives d omega_gm / d kappa from K_kappa too.  All candidates of a search
-are polished on the curve at once, each by a bracketed root of h(kappa) =
-Im d omega_gm / d kappa, where Im omega_gm reaches its maximum, 0, which
-gives kappa0 (`_polish`: one stacked solve per round, and the active-set
-secant `_bracketed_secant` that `resonance.trace_branch` shares); the
-dispersion samples are one stacked solve.  The real zero of det K is
+[K_H; W^H].  `find_guided_modes` takes its candidates from the zero
+crossings of K_H's eigenvalues, which Sylvester's inertia counts in each
+threshold region.  Around a mode the zero of the tracked eigenvalue of the
+N x N chain kernel K(kappa, omega) is a complex dispersion curve
+omega_gm(kappa), solved only by `_omega_gm`: stacked Newton in complex
+omega at many real or complex kappa (and couplings) at once.  Its Taylor
+coefficients come only from Cauchy circles in complex kappa (`_taylor`):
+the dispersion slope and curvature, h' = 2 Im c2 and, in `resonance`, the
+critical coupling.  `_polish` takes kappa0 where h(kappa) = Im d omega_gm /
+d kappa vanishes and Im omega_gm peaks at 0; the real zero of det K there is
 degenerate (the curve only touches the real plane), so it is not solved.
 """
 
@@ -55,19 +49,21 @@ PROBE_OFFSET = 1e-7
 # eigenvector overlap below which the tracker reports a lost track
 OVERLAP_MIN = 0.7
 # the tracker's and the crossings' Newton: |lambda| stop (relative to
-# max(1, ||K_H||) for the crossings), step limit; the kappa step of h'
+# max(1, ||K_H||) for the crossings), step limit
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
-H_SLOPE_DELTA = 1e-6
 # the bracketed secant's step limit (bisection alone takes a bracket of 32
 # to 1e-15 in 55 steps), and the polish's stop on a kappa step
 SECANT_STEPS = 60
-POLISH_XTOL = 1e-15
-# kt samples on each side of kappa0 and polynomial degree of the dispersion
-# fit; the samples are symmetric in kt, so an even degree would let the first
-# unmodelled odd term leak into the slope
+POLISH_XTOL = 4e-15
+# `_taylor`'s Cauchy circles: radius in kappa and points.  c_k carries
+# roundoff of about eps |omega| / R^k and aliasing of about |c_(k+M)| R^M,
+# (R / rho)^M relative for a singularity rho away: at R = 3e-2 a mode of
+# gammas (1, 5) with rho near 0.08 takes 2e-9 into c1
+TAYLOR_RADIUS = 1e-2
+TAYLOR_POINTS = 16
+# kt samples on each side of kappa0 in the dispersion CSV
 DISPERSION_SAMPLES = 10
-DISPERSION_DEGREE = 5
 
 log = logging.getLogger("latres")
 
@@ -92,8 +88,7 @@ def _certificate(params, kappa, omega):
 
 
 def _sigma(params, kappa, omega):
-    """`sigma_min` at the points (kappa, omega) of `_certificate`, in one
-    stacked SVD."""
+    """`sigma_min` at the points of `_certificate`, in one stacked SVD."""
     s = np.linalg.svd(_certificate(params, kappa, omega)[0], compute_uv=False)
     return s[..., -1] / s[..., 0]
 
@@ -169,10 +164,9 @@ def _bracketed_secant(f, a, b, fa, fb, close):
     f(i, x) gives f at x for the brackets i (indices into a), fa and fb its
     values at the ends, of opposite signs.  Each bracket steps along the
     secant through its last two iterates (first its ends), bisecting where
-    that step would leave the bracket, and keeps the sign change.  It stops
-    after the iterate at which close(x, x_last) holds or f is 0 or NaN.
-    Returns each bracket's last iterate and the brackets still active after
-    SECANT_STEPS steps.
+    that step would leave the bracket, and keeps the sign change, until
+    close(x, x_last) holds or f is 0 or NaN.  Returns each bracket's last
+    iterate and the brackets still active after SECANT_STEPS steps.
     """
     a, b = a.copy(), b.copy()
     x1, f1, x2, f2 = a.copy(), fa.copy(), b.copy(), fb.copy()
@@ -192,44 +186,59 @@ def _bracketed_secant(f, a, b, fa, fb, close):
     return x2, i
 
 
-def _h_prime(params, kappa, omega, slope, vec, gammas=None):
-    """h'(kappa) by a central difference of h = Im d omega_gm / d kappa.
+def _taylor(params, kappa0, omega0, slope0, vec0, gammas=None, offsets=()):
+    """Taylor coefficients c_k of omega_gm(kappa0 + z) at real points kappa0.
 
-    (kappa, omega, slope, vec) are solved points of omega_gm, gammas (points
-    x N) their couplings where given.  One `_omega_gm` call solves
-    kappa +- H_SLOPE_DELTA, each seeded along its own point's tangent; h' is
-    NaN where a solve fails.
+    c_k = (1/M) sum_j omega_gm(kappa0 + R e^{2 pi i j/M}) e^{-2 pi i jk/M}
+    / R^k, the FFT of each point's Cauchy circle (R = TAYLOR_RADIUS, M =
+    TAYLOR_POINTS; Lyness & Moler 1967).  One `_omega_gm` call solves every
+    circle and each point's real kappa0 + offsets, seeded along the tangent
+    omega0 + slope0 z from eigenvector vec0 (or None), with couplings gammas
+    (points x N) where given.  Returns c (points x M), omega_gm, slope and
+    eigenvector at the offsets (points x offsets) and the Newton steps; a
+    failed solve raises its error, solved holding these (NaN where failed).
     """
-    at = np.repeat(np.arange(len(kappa)), 2)
-    d = np.tile([-H_SLOPE_DELTA, H_SLOPE_DELTA], len(kappa))
+    M, n = TAYLOR_POINTS, len(kappa0)
+    z = np.concatenate([TAYLOR_RADIUS * np.exp(1j * TWO_PI / M * np.arange(M)),
+                        offsets])
+    at, dz, error = np.repeat(np.arange(n), len(z)), np.tile(z, n), None
     try:
-        h = _omega_gm(params, kappa[at] + d, omega[at] + slope[at] * d,
-                      vec[at], None if gammas is None else gammas[at])[1]
+        out = _omega_gm(params, np.asarray(kappa0)[at] + dz,
+                        omega0[at] + slope0[at] * dz,
+                        None if vec0 is None else vec0[at],
+                        None if gammas is None else gammas[at])
     except (ConvergenceError, ThresholdError) as err:
-        h = err.solved[1]
-    return (h.imag[1::2] - h.imag[::2]) / (2.0 * H_SLOPE_DELTA)
+        error, out = err, err.solved
+    om, slope, vec, steps = (x.reshape((n, len(z)) + x.shape[1:]) for x in out)
+    c = np.fft.fft(om[:, :M], axis=-1) / M / TAYLOR_RADIUS ** np.arange(M)
+    out = (c, om[:, M:], slope[:, M:], vec[:, M:], steps)
+    if error is not None:
+        error.solved = out
+        raise error
+    return out
 
 
 def _polish(params, kappa, omega, reach):
     """The modes that candidates (kappa, omega) point to, all at once.
 
     Each candidate has a propagating order (one without lies on the robust
-    branch and is a mode already).  Returns kappa0, omega_gm(kappa0),
-    h'(kappa0) (`_h_prime`), kappa0 NaN where a candidate leads to no mode,
-    and the points each `_omega_gm` round solved.  kappa0 is a root of
-    h(kappa) = Im d omega_gm / d kappa, where Im omega_gm peaks.  The bracket
-    starts at kappa +- reach and, while h keeps one sign on it, steps towards
-    rising Im omega_gm, by a reach that doubles each time, at most GROW_STEPS
-    times; an end where |h| <= H_FLOOR has no sign to trust.  Once the
-    bracket holds kappa = 0, a standing mode there (|Im omega_gm(0)| at
-    roundoff) is taken, kappa0 = 0.0; if there is none, the bracket keeps
-    only the candidate's side.  `_bracketed_secant` then stops at a kappa
-    step of POLISH_XTOL.  Each round is one `_omega_gm` call over the
-    candidates still active (both ends of a first bracket in one), the first
-    from the candidate's omega and the smallest |eigenvalue|, the others
-    along the tangent of the nearest point the candidate has solved: itself,
-    kappa = 0 or a bracket end.  A kappa solved before is read back; a
-    candidate with a failed solve (its h' solves included) is rejected.
+    branch and is a mode already).  Returns kappa0 (NaN where a candidate
+    leads to no mode), omega_gm(kappa0), h'(kappa0) = 2 Im c2 (`_taylor`)
+    and the points each `_omega_gm` round solved.  kappa0 is a root of h =
+    Im d omega_gm / d kappa.  The bracket starts at kappa +- reach and, while
+    h keeps one sign on it, steps towards rising Im omega_gm by a doubling
+    reach, at most GROW_STEPS times; |h| <= H_FLOOR has no sign to trust.
+    Once it holds kappa = 0, a standing mode there (|Im omega_gm(0)| at
+    roundoff) gives kappa0 = 0.0, or else the bracket keeps the candidate's
+    side.  The candidate's point then replaces the end with its sign of h
+    where it lies inside with |h| > H_FLOOR, and `_bracketed_secant` stops
+    at a kappa step of POLISH_XTOL, h's roundoff over |h'| on fixture 1.
+    Each round is one `_omega_gm` call over the candidates still active
+    (both ends of a first bracket in one, every root's circle in the last),
+    the first from the candidate's omega and the smallest |eigenvalue|, the
+    others along the tangent of the nearest point solved: the candidate,
+    kappa = 0 or a bracket end, read back where it is the kappa asked for.
+    A failed solve, its circle's included, rejects its candidate.
     """
     n = len(kappa)
     # each candidate's points (kappa, omega_gm, slope, eigenvector) at itself,
@@ -291,6 +300,12 @@ def _polish(params, kappa, omega, reach):
         pts[down, LO, 0] -= step[down]
         pts[up, HI, 1] = pts[down, LO, 1] = np.nan
     b = np.flatnonzero(secant)
+    # the candidate's own point replaces the end with its sign of h
+    kc, hc = pts[b, C, 0].real, pts[b, C, 2].imag
+    inner = ((pts[b, LO, 0].real < kc) & (kc < pts[b, HI, 0].real)
+             & (abs(hc) > H_FLOOR))
+    end = np.where(np.sign(hc) == np.sign(pts[b, LO, 2].imag), LO, HI)
+    pts[b[inner], end[inner]] = pts[b[inner], C]
     h_lo = pts[b, LO, 2].imag
 
     def h(j, x):
@@ -311,9 +326,13 @@ def _polish(params, kappa, omega, reach):
     found = ~np.isnan(root)
     h_prime = np.full(n, np.nan)
     if found.any():
-        solved.append(2 * int(found.sum()))
-        h_prime[found] = _h_prime(params, root[found], *at[found, 1:3].T,
-                                  at[found, 3:])
+        solved.append(TAYLOR_POINTS * int(found.sum()))
+        try:
+            c = _taylor(params, root[found], *at[found, 1:3].T,
+                        at[found, 3:])[0]
+        except (ConvergenceError, ThresholdError) as err:
+            c = err.solved[0]
+        h_prime[found] = 2.0 * c[:, 2].imag
     return (np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime,
             solved)
 
@@ -325,14 +344,14 @@ def _crossings(params, kappas, wmin, wmax, Q=None):
     (N - 1), orthonormal columns per row), K_H stands for Q^H K_H Q and its
     omega-derivative for Q^H K_H' Q, which is I plus a PSD matrix too.  In a
     threshold region each sorted eigenvalue lambda_j of K_H rises, so it
-    crosses 0 at most once, and does when j lies between the counts of
-    negative eigenvalues (Sylvester's inertia) at the region's ends, probed
-    PROBE_OFFSET inside.  All crossings are then solved in one active-set
-    loop of Newton steps on lambda_j with the slope v^H K_H' v
-    (Hellmann-Feynman), bisecting the bracket where a step would leave it or
-    not halve the last step, until |lambda_j| <= NEWTON_TOL max(1, ||K_H||)
-    or the step is at most 4 eps |omega|; stacks go in STACK_BYTES chunks,
-    rows in blocks whose `_KappaStage` fits in it.  Returns the regions
+    crosses 0 once exactly when j lies between the counts of negative
+    eigenvalues (Sylvester's inertia) at the region's ends, probed
+    PROBE_OFFSET inside.  One active-set loop of Newton steps on lambda_j,
+    slope v^H K_H' v (Hellmann-Feynman), solves them all, bisecting where a
+    step would leave the bracket or not halve the last step, until
+    |lambda_j| <= NEWTON_TOL max(1, ||K_H||) or the step is at most
+    4 eps |omega|; stacks go in STACK_BYTES chunks, rows in blocks whose
+    `_KappaStage` fits in it.  Returns the regions
     probed and, per crossing: row, region (each order's state, 0 below its
     band, 1 in it, 2 above, as base-3 digits), j, nprop, omega, q =
     ||W^H Q v|| / ||W|| (0 if W = 0, where W^H v = 0 holds) and its Newton
@@ -438,29 +457,23 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     are linked along kappa into branches by region and eigenvalue index;
     the candidates are the points of a branch with a propagating order where
     q = ||W^H v|| / ||W|| (0 at a mode) is no larger than at its neighbours,
-    and every point without one.
-    Those with a propagating order are polished together on the chain
-    kernel K with its exact derivatives (`_polish`): Newton in complex omega
-    follows the zero omega_gm(kappa) of K's tracked eigenvalue, and a
-    bracketed root of h(kappa) = Im d omega_gm / d kappa within two row steps
-    of the candidate gives kappa0 (at kappa = 0 a standing mode is tried
-    first); no omega_gm is solved one point at a time.  The others
-    lie on the robust branch, a curve of modes where K = K_H, so each is a
-    mode as solved, with Im omega_gm = 0 and h' = 0.  A mode is kept when
-    (kappa0, Re omega_gm) lies in the window and sigma_min there falls below
-    tol; candidates whose polish fails or ends elsewhere are rejected.
-    A mode at kappa0 < 0 is reported at -kappa0 when sigma_min there falls
-    below tol too (as it does for mirror-symmetric structures, such as those
-    with real couplings), and keeps its sign otherwise; duplicates are then
-    merged.  The window applies before that fold, so a folded mode can lie
-    outside it.  Each mode carries its certificate at the point reported:
-    |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
-    sigma_min; sigma_min, the fold's test, the eigenvalues, the order counts
-    and the null vectors are each one call stacked over the candidates or
-    modes.  A DEBUG line on the `latres` logger counts the kappa rows,
-    regions probed, crossings solved and their most Newton steps, the
-    candidates, those rejected or merged, the polish's `_omega_gm` rounds
-    and points, and the modes, and lists each mode's certificate.
+    and every point without one.  Those with a propagating order are
+    polished together on omega_gm (`_polish`, its bracket starting two row
+    steps out).  The others lie on the robust branch, a curve of modes where
+    K = K_H, so each is a mode as solved, with Im omega_gm = 0 and h' = 0.
+    A mode is kept when (kappa0, Re omega_gm) lies in the window and
+    sigma_min there falls below tol; the others are rejected.  A mode at
+    kappa0 < 0 is reported at -kappa0 when sigma_min there falls below tol
+    too (as for mirror-symmetric structures, such as those with real
+    couplings), and keeps its sign otherwise; duplicates are then merged.
+    The window applies before that fold, so a folded mode can lie outside
+    it.  Each mode carries its certificate at the point reported: |Im
+    omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
+    sigma_min, each one call stacked over the modes.  A DEBUG line on the
+    `latres` logger counts the kappa rows, regions probed, crossings solved
+    and their most Newton steps, the candidates, those rejected or merged,
+    the polish's `_omega_gm` rounds and points, and the modes, and lists
+    each mode's certificate.
     """
     kmin, kmax, wmin, wmax = window
     if not (kmin < kmax and wmin < wmax and density >= 2):
@@ -540,15 +553,14 @@ def _tracked_eigenvalue(stage, omega, vref):
     """K's tracked eigenvalue at points (kappa, omega), omega 1-D.
 
     stage is `_chain_kernel`'s kappa stage (with each point's couplings,
-    where they differ) at one real kappa for every point or one per point;
-    vref (points x N) holds each point's reference eigenvector, or is None
-    to take the smallest |eigenvalue|.  One stacked omega stage and eig; the
-    eigenvalue lambda whose unit eigenvector overlaps the reference most is
-    taken, and ConvergenceError naming kappa is raised where that overlap is
-    below OVERLAP_MIN, its points masking those points (as ThresholdError's
-    mask those on a threshold).  Returns lambda, the right and left
-    eigenvectors v (columns) and y (rows) with y v = 1, and `_chain_kernel`'s
-    K_omega and K_kappa: d lambda = y K' v.
+    where they differ) at one kappa for every point or one per point; vref
+    (points x N) holds each point's reference eigenvector, or is None to take
+    the smallest |eigenvalue|.  One stacked omega stage and eig take the
+    eigenvalue lambda whose unit eigenvector overlaps the reference most;
+    below OVERLAP_MIN, ConvergenceError naming kappa is raised, its points
+    masking those points (as ThresholdError's do).  Returns lambda, the right
+    and left eigenvectors v (columns) and y (rows) with y v = 1, and
+    `_chain_kernel`'s K_omega and K_kappa: d lambda = y K' v.
     """
     _, theta, _ = _classify_off_threshold(stage.params.N, stage.kappa, omega)
     K, _, _, _, K_om, K_kap = stage.at(omega, theta)
@@ -575,23 +587,22 @@ def _tracked_eigenvalue(stage, omega, vref):
 
 
 def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
-    """omega_gm at many real kappa at once: Newton on K's tracked eigenvalue.
+    """omega_gm at many kappa at once: Newton on K's tracked eigenvalue.
 
-    kappa and omega_seed are 1-D, one point per entry; vref is as in
-    `_tracked_eigenvalue`, gammas (points x N) replaces params.gammas.  Each
-    step takes one kappa stage's rows at the points still active, each
-    tracking its eigenvector from its last step.  omega moves by
-    lambda / lambda_omega, with lambda_omega = y K_omega v exact.
-    A point stops after the step at which |lambda| < NEWTON_TOL or the step
-    is at roundoff, |step| <= 4 eps |omega|.  Returns omega_gm,
-    d omega_gm / d kappa = -lambda_kappa / lambda_omega and the unit
-    eigenvector, both at the last point before the stopping step, and each
-    point's steps.  A point on a threshold, one whose track is lost and one
-    still active after NEWTON_STEPS steps fails: it stops with NaN results
-    while the others go on, and the first failure's error is raised at the
-    end, with solved holding the four results of every point.
+    kappa (real or complex) and omega_seed are 1-D, one point per entry;
+    vref is as in `_tracked_eigenvalue`, gammas (points x N) replaces
+    params.gammas.  Each step moves omega by lambda / (y K_omega v) on one
+    kappa stage's rows at the points still active, each tracking its
+    eigenvector from its last step.  A point stops after the step at which
+    |lambda| < NEWTON_TOL or the step is at roundoff, |step| <= 4 eps
+    |omega|.  Returns omega_gm, d omega_gm / d kappa = -lambda_kappa /
+    lambda_omega and the unit eigenvector, both at the last point before the
+    stopping step, and each point's steps.  A point on a threshold, one whose
+    track is lost and one still active after NEWTON_STEPS steps fails: it
+    stops with NaN results while the others go on, and the first failure's
+    error is raised at the end, with solved holding every point's results.
     """
-    kappa = np.asarray(kappa, dtype=float)
+    kappa = np.asarray(kappa)
     n_pts = len(kappa)
     om, slope = np.full((2, n_pts), np.nan, dtype=complex)
     vec = np.full((n_pts, params.N), np.nan, dtype=complex)
@@ -641,22 +652,17 @@ def _omega_gm(params, kappa, omega_seed, vref, gammas=None):
 class EigenvalueTracker:
     """Follow the smallest-magnitude eigenvalue of the chain kernel K.
 
-    Eigenvalues are matched between calls by eigenvector overlap rather than
-    magnitude sorting, so the tracked branch does not swap near its zero.
-    Each `value` call also leaves the eigenvalue's exact derivatives in
-    d_omega and d_kappa: d lambda = y K' v with v the right eigenvector and
-    y the left one, normalised so that y v = 1.  d_kappa forms K_kappa when
-    it is read.  `solve_omega` does not call `value`: it leaves
-    d omega_gm / d kappa in slope instead.  The library calls neither (the
-    mode certificate is one `_tracked_eigenvalue` over all modes of a
-    search); the class serves the benchmark's tracer and the tests.
+    Eigenvalues are matched between calls by eigenvector overlap, so the
+    tracked branch does not swap near its zero.  `value` leaves the exact
+    derivatives d lambda = y K' v (y v = 1) in d_omega and d_kappa, which
+    forms K_kappa when read; `solve_omega` leaves d omega_gm / d kappa in
+    slope.  The library calls neither; the class serves the benchmark's
+    tracer and the tests.
     """
 
     def __init__(self, params: StructureParams):
         self.params = params
-        self._vref = None
-        self.d_omega = None
-        self.slope = None
+        self._vref = self.d_omega = self.slope = None
 
     def _reference(self):
         return None if self._vref is None else self._vref[None]
@@ -677,12 +683,9 @@ class EigenvalueTracker:
         return self._vref
 
     def solve_omega(self, kappa, omega_seed):
-        """omega_gm at real kappa from omega_seed: `_omega_gm` on one point.
-
-        Tracks the eigenvector of the last call (the smallest |eigenvalue|
-        if there is none) and then holds the solve's, with its
-        d omega_gm / d kappa in slope.
-        """
+        """omega_gm at kappa from omega_seed by `_omega_gm`, tracking the
+        last call's eigenvector (or the smallest |eigenvalue|); then holds
+        the solve's, with its d omega_gm / d kappa in slope."""
         om, slope, vec, _ = _omega_gm(self.params, [kappa], [omega_seed],
                                       self._reference())
         self._vref, self.slope = vec[0], complex(slope[0])
@@ -693,8 +696,8 @@ class EigenvalueTracker:
 class DispersionFit:
     """Local expansion omega_gm(kappa0 + kt) = omega0 - slope*kt - curvature*kt^2.
 
-    slope is real (its fitted imaginary part must vanish); Im(curvature) >= 0,
-    equivalently the continued curve stays in the closed lower half plane.
+    slope is real (slope_imag must vanish); Im(curvature) >= 0: the
+    continued curve stays in the closed lower half plane.
     """
 
     kappa0: float
@@ -712,38 +715,36 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
                                 radius: float = 0.004) -> DispersionFit:
     """Continue the eigenvalue zero to complex omega on both sides of kappa0.
 
-    Solves omega_gm at real kappa = kappa0 + kt for DISPERSION_SAMPLES kt
-    on each side out to radius, all in one `_omega_gm` call seeded along the
-    tangent at the mode (solved first, from omega0), then least-squares fits
-    a polynomial of degree DISPERSION_DEGREE in kt and reads the linear and
-    quadratic coefficients; the kt = 0 sample is the mode itself,
-    (0, omega0).  A radius outside (0, inf) raises ValueError.  A DEBUG line
-    on the `latres` logger gives the samples, the points solved, the most
-    Newton steps, the fit residual and the imaginary part of the slope.
+    The slope and curvature are -c1 and -c2, the Taylor coefficients of
+    omega_gm at kappa0 from one Cauchy circle (`_taylor`).  The same
+    `_omega_gm` call, seeded along the tangent at the mode (solved first,
+    from omega0), solves the samples at real kappa = kappa0 + kt for
+    DISPERSION_SAMPLES kt on each side out to radius; the kt = 0 sample is
+    the mode itself, (0, omega0).  fit_residual is the largest gap between
+    the Taylor polynomial and the samples.  A radius outside (0, inf) raises
+    ValueError.  A DEBUG line on the `latres` logger gives the samples, the
+    points solved, the most Newton steps (and those on the circle, with its
+    points), the Taylor-vs-samples residual and |Im c1|.
     """
     if not (radius > 0.0 and np.isfinite(radius)):
         raise ValueError(f"dispersion fit radius must be > 0 and finite, got "
                          f"{radius}")
-    kts = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
-    kts = np.concatenate([kts, -kts])
+    kt = np.linspace(0.0, radius, DISPERSION_SAMPLES + 1)[1:]
+    kt = np.concatenate([-kt[::-1], [0.0], kt])
+    mid = DISPERSION_SAMPLES  # the mode itself, (0, omega0)
     om0, slope0, vec0, steps0 = _omega_gm(params, [mode.kappa0],
                                           [mode.omega0], None)
-    oms, _, _, steps = _omega_gm(params, mode.kappa0 + kts,
-                                 om0 + slope0 * kts,
-                                 np.repeat(vec0, len(kts), axis=0))
-    pts = sorted([(0.0, complex(mode.omega0))]
-                 + list(zip(kts.tolist(), oms.tolist())))
-    kk = np.array([p[0] for p in pts])
-    oo = np.array([p[1] for p in pts])
-    V = np.vander(kk, DISPERSION_DEGREE + 1, increasing=True)
-    coef, res, *_ = np.linalg.lstsq(V, oo, rcond=None)
-    slope = -coef[1]
-    curvature = -coef[2]
-    fit_res = float(np.max(np.abs(V @ coef - oo)))
+    c, om, _, _, steps = _taylor(params, [mode.kappa0], om0, slope0, vec0,
+                                 offsets=np.delete(kt, mid))
+    om = np.insert(om[0], mid, mode.omega0)
+    slope, curvature = -c[0, 1], -c[0, 2]
+    fit_res = float(np.max(np.abs(np.polyval(c[0, ::-1], kt) - om)))
     log.debug("dispersion fit: %d samples, %d points solved, at most %d "
-              "Newton steps, fit residual %.2e, Im slope %.2e", len(pts),
-              1 + len(kts), max(steps0.max(), steps.max()), fit_res,
-              slope.imag)
+              "Newton steps (%d on the circle of %d points), "
+              "Taylor-vs-samples residual %.2e, |Im c1| %.2e", len(kt),
+              1 + steps.size, max(steps0.max(), steps.max()),
+              steps[0, :TAYLOR_POINTS].max(), TAYLOR_POINTS, fit_res,
+              abs(slope.imag))
     if abs(slope.imag) > 1e-8:
         raise RuntimeError(
             f"dispersion linear coefficient has imaginary part {slope.imag}")
@@ -751,4 +752,5 @@ def continue_and_fit_dispersion(params: StructureParams, mode: GuidedMode,
         kappa0=mode.kappa0, omega0=mode.omega0, slope=float(slope.real),
         curvature=complex(curvature), fit_window=float(radius),
         fit_residual=fit_res, slope_imag=float(slope.imag),
-        max_im_omega=float(np.max(oo.imag)), samples=tuple(pts))
+        max_im_omega=float(np.max(om.imag)),
+        samples=tuple(zip(kt.tolist(), om.tolist())))

@@ -6,12 +6,11 @@ that emanate from (kappa0, omega0), where eigenvalues of two Hermitian
 matrices built from the chain kernel cross zero (`guided._crossings`, see
 `peak_dip_curves`).  Their quadratic expansions, together with the complex
 dispersion curve and a smooth background, reproduce the full anomaly through
-a closed-form approximation.  The chain amplitude at the
-optimally detuned frequency scales like |Im omega_gm(kappa0 + kt)|^(-1/2):
-it diverges like 1/kt when Im(curvature) != 0, and like 1/kt^2 at the
-critical coupling, where Im(curvature) = 0 and the decay is quartic in kt.
-That coupling, and the mode branch born there, are traced on the chain
-kernel K for any N.
+a closed-form approximation.  The chain amplitude at the optimally detuned
+frequency scales like |Im omega_gm(kappa0 + kt)|^(-1/2): it diverges like
+1/kt when Im(curvature) != 0, and like 1/kt^2 at the critical coupling,
+where Im(curvature) = 0 and the decay is quartic in kt.  That coupling and
+the mode branch born there are traced on the chain kernel K for any N.
 """
 
 from __future__ import annotations
@@ -25,17 +24,17 @@ from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
                         _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
                          _fourier, solve_row, solve_scattering)
-from .guided import (H_SLOPE_DELTA, SECANT_STEPS, ConvergenceError,
+from .guided import (SECANT_STEPS, TAYLOR_POINTS, ConvergenceError,
                      DispersionFit, GuidedMode, _bracketed_secant, _crossings,
-                     _h_prime, _omega_gm)
+                     _omega_gm, _taylor)
 
 # approx_error_sup: kt samples, omega samples; the half-width scale of the
 # model-versus-direct window
 ERROR_SUP_KT = 6
 ERROR_SUP_OMEGA = 25
 WINDOW_SCALE = 8.0
-# critical-coupling secant: second point, stop step, step limit; the
-# largest branch kappa0
+# critical-coupling secant: second point, stop on its next step, step
+# limit; the largest branch kappa0
 GAMMA_STEP = 1e-3
 GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
@@ -84,13 +83,12 @@ def peak_dip_curves(params: StructureParams, mode: GuidedMode,
     of w's complement.  Both are zero crossings of eigenvalues that rise
     with slope at least 1, solved for every kt at once by `_crossings`: one
     call on K_t for omega_b, one with Q for omega_a.  Each kt's row is the
-    threshold region that holds its centre, the continued dispersion
-    curve's real part omega0 - slope kt - Re(curvature) kt^2, and takes the
-    crossing nearest that centre.  A centre on a threshold, one where order
-    0 is not the only propagating order, and a region without a crossing
-    are refused.  A DEBUG line on the `latres` logger gives the kt rows, the
-    crossings solved for each curve, the most Newton steps and the largest
-    |root - centre|.
+    threshold region that holds its centre, omega0 - slope kt -
+    Re(curvature) kt^2, and takes the crossing nearest that centre.  A
+    centre on a threshold or where order 0 is not the only propagating
+    order, and a region without a crossing, are refused.  A DEBUG line on
+    the `latres` logger gives the kt rows, the crossings solved for each
+    curve, the most Newton steps and the largest |root - centre|.
     """
     if kt_samples is None:
         kt_samples = np.concatenate([np.linspace(-0.006, -0.00075, 8),
@@ -303,17 +301,16 @@ class BifurcationBranch:
 
 
 def _critical_coupling(params, gamma0_bracket):
-    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, points solved
-    and the most Newton steps.
+    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, Im c2 at
+    gamma0*, the secant's steps, the points solved and the most Newton steps.
 
-    gamma0* is the root of Im(curvature) = -h'(0)/2 in gamma0 = gammas[0],
-    found by a secant from the bracket midpoint and a point GAMMA_STEP
-    above.  Each gamma0 takes h'(0) from one `_omega_gm` call at kappa in
-    {-H_SLOPE_DELTA, 0, H_SLOPE_DELTA}, seeded along the tangent of the
-    last gamma0's kappa = 0 point (omega_gm, d omega_gm / d kappa,
-    eigenvector).  omega starts at the crossing of K_H's eigenvalues at
-    kappa = 0, omega in [0.05, 3.95], with the smallest q (`_crossings`) at
-    the midpoint.
+    gamma0* is the root in gamma0 = gammas[0] of h'(0) = 2 Im c2 (c2 =
+    -curvature at kappa = 0), by a secant from the bracket midpoint and a
+    point GAMMA_STEP above, stopped where its next step is at most GAMMA_TOL
+    (2e-13 on fixture 1).  Each gamma0 is one `_taylor` stack of kappa = 0
+    and its circle, seeded from the last gamma0's kappa = 0 point (omega_gm,
+    slope, eigenvector), the first two in one from the crossing of K_H's
+    eigenvalues at kappa = 0, omega in [0.05, 3.95], with the smallest q.
     """
     lo, hi = gamma0_bracket
     _, cross = _crossings(params.replace_gamma(0, (lo + hi) / 2), [0.0],
@@ -323,35 +320,36 @@ def _critical_coupling(params, gamma0_bracket):
         raise RuntimeError("no crossing of K_H with a propagating order at "
                            "kappa = 0 to start the critical coupling from")
     point = (complex(cross["omega"][np.argmin(q)]), 0.0, None)
-    kappas = np.array([-H_SLOPE_DELTA, 0.0, H_SLOPE_DELTA])
     solves, most = 0, 0
 
-    def h_prime(g0):
+    def h_prime(g0):  # at each gamma0 in g0; the last one's kappa = 0 point
         nonlocal point, solves, most
-        om, slope, vec = point
-        om, slope, vec, steps = _omega_gm(
-            params.replace_gamma(0, g0), kappas, om + slope * kappas,
-            None if vec is None else np.repeat(vec[None], 3, axis=0))
-        point = (om[1], slope[1], vec[1])
-        solves, most = solves + 3, max(most, steps.max())
-        return (slope[2].imag - slope[0].imag) / (2.0 * H_SLOPE_DELTA)
+        gam = np.tile(params.gammas, (len(g0), 1))
+        gam[:, 0] = g0
+        om, slope, vec = (None if x is None else np.array([x] * len(g0))
+                          for x in point)
+        c, om, slope, vec, steps = _taylor(params, np.zeros(len(g0)), om,
+                                           slope, vec, gam, offsets=[0.0])
+        point = (om[-1, 0], slope[-1, 0], vec[-1, 0])
+        solves, most = solves + steps.size, max(most, steps.max())
+        return 2.0 * c[:, 2].imag
 
     g_old, g = (lo + hi) / 2, (lo + hi) / 2 + GAMMA_STEP
-    f_old, f = h_prime(g_old), h_prime(g)
-    for _ in range(GAMMA_STEPS):
+    f_old, f = h_prime([g_old, g])
+    for n in range(GAMMA_STEPS + 1):
         slope = (f - f_old) / (g - g_old)
+        if abs(f / slope) <= GAMMA_TOL:
+            break
         g_old, f_old = g, f
         g -= f / slope
-        f = h_prime(g)
-        if abs(g - g_old) <= GAMMA_TOL:
-            break
+        f, = h_prime([g])
     else:
         raise ConvergenceError(f"critical-coupling secant did not converge "
                                f"in {GAMMA_STEPS} steps")
     if not (lo <= g <= hi):
         raise RuntimeError(
             f"bifurcation root gamma0={g} escaped bracket {gamma0_bracket}")
-    return g, point, slope, solves, most
+    return g, point, slope, f / 2.0, n, solves, most
 
 
 def find_bifurcation(params: StructureParams, gamma0_bracket):
@@ -369,28 +367,26 @@ def trace_branch(params: StructureParams, gamma0_values,
     """Follow the mode pair from the bifurcation point away in gammas[0].
 
     The branch lies on the side g_curvature_sign = -sign(d Im(curvature) /
-    d gamma0) of gamma0*.  A gamma0 on the other side raises RuntimeError
-    before any branch solve.  Every gamma0 is then solved at once, each
-    kappa0 the root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0),
-    with one `_omega_gm` call per step over the gamma0 still active, each
-    point continued along the tangent of its own last solve (the first from
-    gamma0*'s kappa = 0 point).  The bracket starts at (1e-6, 1e-3) and
-    moves up by doubling its top, point by point, until h changes sign; a
-    top past BRANCH_KAPPA_MAX raises RuntimeError for the first such gamma0
-    outwards from gamma0*.  The guided-mode polish's secant
-    (`guided._bracketed_secant`) then runs on h(kappa) / kappa in
-    u = kappa^2, nearly linear there, until its kappa step is at most
-    BRANCH_XTOL.  The square-root law is fitted on a log-log scale.  A DEBUG
-    line on the `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)|,
-    d Im(curvature) / d gamma0, the points solved, the most Newton steps and
-    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)), h' from
-    `guided._h_prime` (NaN where its solve fails).
+    d gamma0) of gamma0*; a gamma0 on the other side raises RuntimeError
+    before any branch solve.  Every gamma0 is solved at once, its kappa0 the
+    root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0), with one
+    `_omega_gm` call per step over the gamma0 still active, each continued
+    along the tangent of its last solve (the first from gamma0*'s kappa = 0
+    point).  The bracket (1e-6, 1e-3) doubles its top, point by point, until
+    h changes sign; a top past BRANCH_KAPPA_MAX raises RuntimeError for the
+    first such gamma0 outwards from gamma0*.  `guided._bracketed_secant` then
+    runs on h / kappa in u = kappa^2, nearly linear there, until its kappa
+    step is at most BRANCH_XTOL, and the square-root law is fitted on a
+    log-log scale.  A DEBUG line on the `latres` logger gives gamma0*,
+    omega0*, |Im omega_gm(0)| and Im c2 there, d Im(curvature) / d gamma0,
+    the gamma0 secant's steps, the points solved, the most Newton steps and
+    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)), h' = 2 Im c2
+    from one `guided._taylor` call (NaN where its circle fails).
     """
     if gamma0_bracket is None:
-        gmin = min(gamma0_values)
-        gamma0_bracket = (gmin - 0.5, max(gamma0_values) + 0.5)
-    g_star, star, h_prime_slope, solves, most = _critical_coupling(
-        params, gamma0_bracket)
+        gamma0_bracket = (min(gamma0_values) - 0.5, max(gamma0_values) + 0.5)
+    g_star, star, h_prime_slope, im_c2, secant, solves, most = (
+        _critical_coupling(params, gamma0_bracket))
     sign = int(np.sign(h_prime_slope))  # d Im(curvature) = -d h'(0) / 2
     outwards = sorted(gamma0_values, reverse=(sign < 0))
     for g0 in outwards:
@@ -439,19 +435,21 @@ def trace_branch(params: StructureParams, gamma0_values,
                     for g0, k, w in zip(outwards, kl, wl))
     certificates = []
     if log.isEnabledFor(logging.DEBUG):  # h' costs one more call
-        solves += 2 * n
-        certificates = zip(outwards, kl, np.abs(wl.imag),
-                           _h_prime(params, kl, wl, sl, vl, gam))
-    if n >= 2:
-        dist = np.abs(g_star - np.array(outwards, dtype=float))
-        slope = float(np.polyfit(np.log(dist), np.log(kl), 1)[0])
-    else:
-        slope = float("nan")
+        solves += TAYLOR_POINTS * n
+        try:
+            c = _taylor(params, kl, wl, sl, vl, gam)[0]
+        except (ConvergenceError, ThresholdError) as err:
+            c = err.solved[0]
+        certificates = zip(outwards, kl, np.abs(wl.imag), 2.0 * c[:, 2].imag)
+    dist = np.abs(g_star - np.array(outwards, dtype=float))
+    slope = (float(np.polyfit(np.log(dist), np.log(kl), 1)[0]) if n >= 2
+             else float("nan"))
     log.debug("bifurcation branch: gamma0* %.15g, omega0* %.15g, "
-              "|Im omega_gm(0)| %.2g, d Im(curvature)/d gamma0 %.6g, %d "
-              "points solved, at most %d Newton steps, samples (gamma0, "
-              "kappa0, |Im omega_gm|, h') [%s]", g_star, star[0].real,
-              abs(star[0].imag), -h_prime_slope / 2.0, solves, most,
+              "|Im omega_gm(0)| %.2g, Im c2 %.2e, d Im(curvature)/d gamma0 "
+              "%.6g, %d gamma0 secant steps, %d points solved, at most %d "
+              "Newton steps, samples (gamma0, kappa0, |Im omega_gm|, h') "
+              "[%s]", g_star, star[0].real, abs(star[0].imag), im_c2,
+              -h_prime_slope / 2.0, secant, solves, most,
               "; ".join("(%.15g, %.15g, %.2g, %.6g)" % c
                         for c in certificates))
     return BifurcationBranch(gamma0_star=g_star, omega0_star=star[0].real,

@@ -240,8 +240,8 @@ def test_mode_search_logs_counts(fixture1, caplog, monkeypatch):
     assert lines[0].startswith("guided-mode search: 30 kappa rows, 30 regions "
                                "probed, 30 crossings solved, at most ")
     # the polish's rounds: the candidate, its first bracket's two ends in
-    # one, the secant's iterates and the two h' points in one
-    assert rounds[:2] == [1, 2] and rounds[-1] == 2
+    # one, the secant's iterates and the h' circle in one
+    assert rounds[:2] == [1, 2] and rounds[-1] == guided.TAYLOR_POINTS
     assert (f" Newton steps, 1 candidates, 0 rejected, 0 merged as "
             f"duplicates, {len(rounds)} polish rounds solving {sum(rounds)} "
             f"points, certificates [") in lines[0]
@@ -643,14 +643,21 @@ def test_dispersion_continues_once_and_logs(fixture1, mode1, caplog,
     monkeypatch.setattr(guided, "_omega_gm", omega_gm)
     caplog.set_level(logging.DEBUG, logger="latres")
     fit = continue_and_fit_dispersion(fixture1, mode1)
-    # two stacked solves: the mode, then 10 kt on each side from its tangent
-    assert [n for n, _ in calls] == [1, 20]
+    # two stacked solves: the mode, then the Taylor circle and 10 kt on each
+    # side, all from its tangent
+    M = guided.TAYLOR_POINTS
+    assert [n for n, _ in calls] == [1, M + 20]
     assert fit.samples[10] == (0.0, complex(mode1.omega0))
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert lines == [f"dispersion fit: 21 samples, 21 points solved, at most "
-                     f"{max(s for _, s in calls)} Newton steps, fit residual "
-                     f"{fit.fit_residual:.2e}, Im slope "
-                     f"{fit.slope_imag:.2e}"]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        rf"dispersion fit: 21 samples, {M + 21} points solved, at most "
+        rf"{max(s for _, s in calls)} Newton steps \((\d+) on the circle of "
+        rf"{M} points\), Taylor-vs-samples residual "
+        rf"{fit.fit_residual:.2e}, \|Im c1\| {abs(fit.slope_imag):.2e}",
+        lines[0])
+    assert 1 <= int(re.fullmatch(r".*\((\d+) on.*", lines[0])[1]) <= 4
+    assert fit.fit_residual <= 1e-15
 
 
 def test_omega_gm_stack_equals_single_points(fixture1, mode1, fit1):
@@ -669,6 +676,37 @@ def test_omega_gm_stack_equals_single_points(fixture1, mode1, fit1):
         assert one[3][0] == steps[j]
     assert np.abs(om - np.array([w for kt, w in fit1.samples
                                  if kt != 0.0])).max() <= 1e-14
+
+
+def test_taylor_coefficients_do_not_depend_on_radius(fixture1, mode1,
+                                                     bif_params, monkeypatch):
+    # c1 and c2 from circles of radius 1e-2 and 3e-2 agree, on fixture 1's
+    # mode and on the N = 3 complex-coupling standing mode
+    g1 = 1.1 - 0.4j
+    n3 = StructureParams(N=3, masses=[1.5, 2.0, 2.0], springs=[1.2, 0.7, 1.2],
+                         gammas=[0.8 + 0.3j, g1, g1])
+    mode3, = find_guided_modes(n3, (-0.05, 0.05, 0.6, 1.35), density=40)
+    for params, mode in ((fixture1, mode1), (n3, mode3)):
+        point = _omega_gm(params, [mode.kappa0], [mode.omega0], None)[:3]
+        c = []
+        for r in (1e-2, 3e-2):
+            monkeypatch.setattr(guided, "TAYLOR_RADIUS", r)
+            c.append(guided._taylor(params, [mode.kappa0], *point)[0][0, 1:3])
+        assert np.abs(c[0] - c[1]).max() <= 1e-11
+    # a stack of points with their own couplings gives each point's own
+    # circle: fixture 1's mode, and kappa = 0 at gamma0* and above it
+    monkeypatch.undo()
+    kap = np.array([mode1.kappa0, 0.0, 0.0])
+    g0 = [1.0, bif_params.gammas[0].real, 1.05]
+    om, slope = np.array([mode1.omega0, 0.9779, 0.98]) + 0j, np.zeros(3)
+    gammas = np.tile(fixture1.gammas, (3, 1))
+    gammas[:, 0] = g0
+    c = guided._taylor(fixture1, kap, om, slope, None, gammas)[0]
+    scale = 1e-14 / guided.TAYLOR_RADIUS ** np.arange(guided.TAYLOR_POINTS)
+    for j in range(3):
+        own = guided._taylor(fixture1.replace_gamma(0, g0[j]), kap[j:j + 1],
+                             om[j:j + 1], slope[j:j + 1], None)[0][0]
+        assert np.all(np.abs(own - c[j]) <= scale)
 
 
 def test_omega_gm_stops_point_by_point(fixture1, mode1):

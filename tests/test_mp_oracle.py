@@ -4,26 +4,28 @@ Every frozen mode value elsewhere in the suite was computed by the program
 itself; here omega_gm is a root of det K at 30 digits and its Taylor
 coefficients come from a Cauchy circle of radius 1e-2 with 16 points, whose
 aliasing error (r / R)^16 is far below the gates (the nearest threshold of
-fixture 1 lies about 0.25 away in kappa).  The gates were set before the
-tests first ran:
+fixture 1 lies about 0.25 away in kappa).  The program reads its slope and
+curvature off the same kind of circle in double precision
+(`guided._taylor`), whose roundoff in c2 is a few 1e-13.  The first gates
+were set before the tests first ran; the curvature and gamma0* gates were
+tightened to 1e-12 once the degree-5 fit (about 5e-9 off on fixture 1,
+4.9e-8 on N = 3) and the central difference in gamma0* (3.0e-11) gave way to
+the circles:
 
 - fixture 1 at the program's kappa0: slope within 1e-10, curvature within
-  1e-8 (the degree-5 fit of 21 samples is off by about 5e-9), omega0 within
-  1e-12, and the root of h = Im c1, one Newton step from the program's
-  kappa0, within 1e-12 of it;
+  1e-12, omega0 within 1e-12, and the root of h = Im c1, one Newton step
+  from the program's kappa0, within 1e-12 of it;
 - the 30-digit kappa0 and omega0 = 47/48 quoted for criterion 01
   (`test_acceptance.py`) within 1e-20;
-- `find_bifurcation`'s gamma0* within 1e-10 of the root of Im c2 at
+- `find_bifurcation`'s gamma0* within 1e-12 of the root of Im c2 at
   kappa = 0, from a secant through gamma0 = GAMMA0_STAR -+ 1e-9
   (`bif_params`);
 - the N = 3 complex-coupling standing mode (the structure of
   `test_guided.test_standing_mode_n3_complex_coupling_matches_chain_oracle`,
   kappa0 = 0 from the polish's standing-mode test): omega0 within 1e-12,
   |Im c1| = |h(0)| within 1e-12, slope within 1e-10 and curvature within
-  1e-7 absolute.  The degree-5 fit is off by 4.9e-8 there, worse than on
-  fixture 1; ROADMAP item 2 should tighten that gate to 1e-12.  The nearest
-  threshold lies about 0.9 away in omega (omega = 0 at kappa = 0), so the
-  circle sees no singularity.
+  1e-12 absolute.  The nearest threshold lies about 0.9 away in omega
+  (omega = 0 at kappa = 0), so the circle sees no singularity.
 """
 
 import pytest
@@ -50,7 +52,7 @@ def _seed(omega0, fit):
 def test_dispersion_coefficients_match_oracle(fixture1, mode1, fit1):
     c = taylor_mp(fixture1, mode1.kappa0, _seed(mode1.omega0, fit1))
     assert abs(complex(-c[1]) - fit1.slope) <= 1e-10
-    assert abs(complex(-c[2]) - fit1.curvature) <= 1e-8
+    assert abs(complex(-c[2]) - fit1.curvature) <= 1e-12
     assert abs(c[0].real - mode1.omega0) <= 1e-12
     # h(kappa) = Im c1(kappa) and h' = 2 Im c2: one Newton step
     dk = -c[1].imag / (2 * c[2].imag)
@@ -71,7 +73,7 @@ def test_critical_coupling_matches_oracle(fixture1, bif_params, bif_mode,
         points.append((mp.mpf(g0), c[2].imag))  # -Im(curvature)
     (g1, f1), (g2, f2) = points
     g_star = g1 - f1 * (g2 - g1) / (f2 - f1)
-    assert abs(find_bifurcation(fixture1, (0.8, 1.3))[0] - g_star) <= 1e-10
+    assert abs(find_bifurcation(fixture1, (0.8, 1.3))[0] - g_star) <= 1e-12
 
 
 def test_n3_complex_coupling_matches_oracle():
@@ -86,4 +88,4 @@ def test_n3_complex_coupling_matches_oracle():
     assert abs(complex(c[0]) - mode.omega0) <= 1e-12
     assert abs(c[1].imag) <= 1e-12
     assert abs(complex(-c[1]) - fit.slope) <= 1e-10
-    assert abs(complex(-c[2]) - fit.curvature) <= 1e-7
+    assert abs(complex(-c[2]) - fit.curvature) <= 1e-12

@@ -424,8 +424,13 @@ def test_branch_logs_certificates(fixture1, caplog):
     assert lines[0].startswith(
         f"bifurcation branch: gamma0* {branch.gamma0_star:.15g}, omega0* "
         f"{branch.omega0_star:.15g}, |Im omega_gm(0)| ")
-    assert re.search(r" \d+ points solved, at most \d+ Newton steps, samples "
-                     r"\(gamma0, kappa0, \|Im omega_gm\|, h'\) \[\(", lines[0])
+    # Im c2 at gamma0* is roundoff, and the secant takes a few gamma0 steps
+    # after its first two
+    im_c2, secant = re.search(
+        r", Im c2 (\S+), d Im\(curvature\)/d gamma0 \S+, (\d+) gamma0 "
+        r"secant steps, \d+ points solved, at most \d+ Newton steps, samples "
+        r"\(gamma0, kappa0, \|Im omega_gm\|, h'\) \[\(", lines[0]).groups()
+    assert abs(float(im_c2)) <= 1e-12 and 1 <= int(secant) <= 10
     for g0, kap0, _ in branch.samples:
         assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
 
@@ -465,7 +470,7 @@ def test_omega_gm_per_point_gammas_equal_own_solves(fixture1):
     # own solve on its structure does, in as many steps
     _, (om0, slope0, vec0), *_ = resonance._critical_coupling(fixture1,
                                                               (0.8, 1.3))
-    d, n = guided.H_SLOPE_DELTA, len(BENCH_GAMMAS)
+    d, n = 1e-6, len(BENCH_GAMMAS)
     stacks = [(np.tile([-d, 0.0, d], 2), np.repeat([1.05, 1.051], 3), None),
               (np.repeat([1e-6, 1e-3], n), np.tile(BENCH_GAMMAS, 2),
                np.repeat(vec0[None], 2 * n, axis=0))]
@@ -493,7 +498,8 @@ def test_branch_refuses_wrong_side(fixture1, monkeypatch):
     g_star, _ = find_bifurcation(fixture1, (0.8, 1.3))
     monkeypatch.setattr(resonance, "_omega_gm", solve)
     monkeypatch.setattr(resonance, "_critical_coupling",
-                        lambda params, bracket: (g_star, None, -1.0, 0, 0))
+                        lambda params, bracket: (g_star, None, -1.0, 0.0, 0,
+                                                 0, 0))
     with pytest.raises(RuntimeError, match=re.escape(
             f"no branch point for gamma0=1.03: the branch lies on the other "
             f"side of gamma0*={g_star}")):
