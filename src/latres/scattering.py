@@ -12,11 +12,12 @@ derivatives K_omega and K_kappa that the eigenvalue tracker follows.
 
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
-broadcasting, one stacked SVD gives the condition numbers and one stacked
-solve the well-conditioned members, and the refusals and the T/R and flux
-rules act on the whole row.  `solve_row` (which `scan_transmission` calls
-once per kappa row) runs it with unit left incidence and `solve_scattering`
-on a row of one point, so the two agree point by point within roundoff.
+broadcasting, one stacked solve gives z and K^-1, whose norms certify most
+members well-conditioned (only the others take an SVD), and the refusals
+and the T/R and flux rules act on the whole row.  `solve_row` (which
+`scan_transmission` calls once per kappa row) runs it with unit left
+incidence and `solve_scattering` on a row of one point, so the two agree
+point by point within roundoff.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ STACK_BYTES = 64 * 2 ** 20
 
 # condition number of K above which a solve falls back to least squares
 COND_LIMIT = 1e12
+
+# share of cond_limit under which the bound ||K||_F ||K^-1||_F certifies a
+# member well-conditioned; the margin covers the rounding in K^-1
+CERTIFY_SHARE = 0.5
 
 # flags of the points a row refuses (NaN results)
 THRESHOLD = "threshold"
@@ -191,26 +196,43 @@ def _chain_kernel(params, kappa, omega, theta, prop=None):
     return _KappaStage(params, kappa).at(omega, theta, prop)
 
 
+def _condition(K):
+    """The 2-norm condition numbers of a stack of K by one stacked SVD; inf
+    at an exactly singular member."""
+    sv = np.linalg.svd(K, compute_uv=False)
+    return np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
+                     where=sv[:, -1] > 0)
+
+
 def _solve_stack(K, rhs, cond_limit):
     """Solve a stack of chain systems K z = rhs, one rhs for all members;
-    returns (z, cond, near).
+    returns (z, cond, near), with cond NaN at the members certified.
 
-    One stacked SVD gives the 2-norm condition numbers.  Members at or under
-    cond_limit share one stacked solve; the others (near a guided mode) get a
-    minimum-norm least-squares solution each, since one exactly singular
-    member would make the stacked solve raise for the whole stack.
+    One stacked solve of K [z | X] = [rhs | I] gives z and X = K^-1, and
+    cond_2(K) <= ||K||_F ||X||_F, as ||K||_2 <= ||K||_F (compared squared).
+    A member whose bound is at most CERTIFY_SHARE * cond_limit is certified
+    not near a guided mode and takes no SVD.  The others, or all members if
+    one is exactly singular (the solve then raises for the whole stack), get
+    their exact condition numbers from `_condition`; those above cond_limit
+    get a minimum-norm least-squares solution each.
     """
-    sv = np.linalg.svd(K, compute_uv=False)
-    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
-                     where=sv[:, -1] > 0)
+    B = np.column_stack([rhs, np.eye(len(rhs))])
+    try:
+        zX = np.linalg.solve(K, B)
+    except np.linalg.LinAlgError:
+        zX, rest = None, np.ones(len(K), dtype=bool)
+    else:
+        bound2 = ((abs(K) ** 2).sum(axis=(-2, -1))
+                  * (abs(zX[..., 1:]) ** 2).sum(axis=(-2, -1)))
+        rest = ~(bound2 <= (CERTIFY_SHARE * cond_limit) ** 2)
+    cond = np.full(len(K), np.nan)
+    if rest.any():
+        cond[rest] = _condition(K[rest])
     near = cond > cond_limit
-    b = rhs[None, :, None]  # NumPy 1.x reads a 1-D b as a stack of vectors
-    if not near.any():
-        return np.linalg.solve(K, b)[..., 0], cond, near
-    z = np.empty(K.shape[:-1], dtype=complex)
-    well = ~near
-    if well.any():
-        z[well] = np.linalg.solve(K[well], b)[..., 0]
+    if zX is None:
+        zX = np.empty(K.shape[:-1] + B.shape[-1:], dtype=complex)
+        zX[~near] = np.linalg.solve(K[~near], B)
+    z = zX[..., 0]
     for i in np.flatnonzero(near):
         z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
     return z, cond, near
@@ -218,7 +240,11 @@ def _solve_stack(K, rhs, cond_limit):
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Outgoing and chain coefficients plus energy bookkeeping."""
+    """Outgoing and chain coefficients plus energy bookkeeping.
+
+    `condition`, the 2-norm condition number of K, is read from `_row`, the
+    solve's `ScatteringRow` of one point, which computes it when first read.
+    """
 
     params: StructureParams
     point: BlochPoint
@@ -231,8 +257,12 @@ class ScatteringSolution:
     R: float
     energy_residual: float
     incident_flux: float
-    condition: float
+    _row: "ScatteringRow" = field(repr=False)
     flags: tuple = field(default=())
+
+    @property
+    def condition(self) -> float:
+        return float(self._row.condition[0])
 
 
 def _spread(ok, x):
@@ -250,7 +280,8 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     or with incident amplitude on an order that does not propagate there,
     is refused: flagged with NaN results, or, if strict, the first refused
     point raises ThresholdError or NonPropagatingIncidenceError.  K is
-    stacked over the other points and solved by `_solve_stack`.  Both
+    stacked over the other points and solved by `_solve_stack`; the row
+    keeps K at the points it certified, for their condition numbers.  Both
     outgoing amplitudes follow from the common trace
     U = u_inc + P^-1 (conj(gamma) z) / s: a_minus = U - a_inc and
     b_plus = U - b_inc; and c = P^-1 z.  The fluxes are sums over the
@@ -281,6 +312,9 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     u_inc = a_inc + b_inc
     K, P, Pinv, s, *_ = _chain_kernel(params, kappa, om, theta)
     z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
+    certified = np.isnan(cond)
+    pending = (np.flatnonzero(ok)[certified] if refused
+               else np.flatnonzero(certified)), K[certified]
     U = u_inc + ((np.conj(gam) * z) @ Pinv.T) / s
     a_minus, b_plus = U - a_inc, U - b_inc
     c = z @ Pinv.T
@@ -309,9 +343,10 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         flag[ok] = solved
     return ScatteringRow(kappa=kappa, omega=omega, a_minus=a_minus,
                          b_plus=b_plus, c=c, T=T, R=R, energy_residual=resid,
-                         incident_flux=inc, condition=cond,
+                         incident_flux=inc,
                          flags=tuple(map(_ROW_FLAGS.__getitem__,
-                                         flag.tolist())))
+                                         flag.tolist())),
+                         _cond=cond, _pending=pending)
 
 
 def solve_scattering(params: StructureParams, point: BlochPoint,
@@ -351,8 +386,8 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
     return ScatteringSolution(
         params=params, point=point, incident=incident, harmonics=hs,
         a_minus=row.a_minus[0], b_plus=row.b_plus[0], c=row.c[0], T=T, R=R,
-        energy_residual=float(resid), incident_flux=float(inc),
-        condition=float(row.condition[0]), flags=flags)
+        energy_residual=float(resid), incident_flux=float(inc), _row=row,
+        flags=flags)
 
 
 def reconstruct_field(sol: ScatteringSolution, m, n):
@@ -390,6 +425,11 @@ class ScatteringRow:
     Every array runs over `omega`; a_minus, b_plus and c have a trailing
     order axis.  `flags` holds each point's scan flags; refused points (flag
     `threshold` or `incident_not_propagating`) carry NaN in every array.
+    `condition` is each point's 2-norm condition number of K.  The solve
+    computes it only at the points it could not certify well-conditioned
+    (`_solve_stack`); the row keeps (positions, K) of the others in
+    `_pending` and computes theirs by one stacked SVD when `condition` is
+    first read.
     """
 
     kappa: float
@@ -401,8 +441,16 @@ class ScatteringRow:
     R: np.ndarray
     energy_residual: np.ndarray
     incident_flux: np.ndarray
-    condition: np.ndarray
     flags: tuple
+    _cond: np.ndarray = field(repr=False)
+    _pending: tuple = field(repr=False)
+
+    @functools.cached_property
+    def condition(self):
+        cond = self._cond.copy()
+        at, K = self._pending
+        cond[at] = _condition(K)
+        return cond
 
 
 # flags of a row point, indexed by 2 * multi_prop + near_singular for solved
@@ -434,11 +482,14 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
             for part in _chunks(len(omega), 16 * N * N)]
     if len(rows) == 1:
         return rows[0]
-    # join the chunks' per-point arrays, the fields between omega and flags
+    # join the chunks' per-point arrays, the fields between omega and flags;
+    # their condition numbers are computed here, so that no K is kept
     arrays = (np.concatenate([getattr(r, f.name) for r in rows])
-              for f in fields(ScatteringRow)[2:-1])
+              for f in fields(ScatteringRow)[2:-3])
     return ScatteringRow(kappa, omega, *arrays,
-                         sum((r.flags for r in rows), ()))
+                         sum((r.flags for r in rows), ()),
+                         np.concatenate([r.condition for r in rows]),
+                         ([], np.empty((0, N, N))))
 
 
 def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
@@ -451,18 +502,21 @@ def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
     where the incident order does not propagate with an
     'incident_not_propagating' one.  Any other error reaches the caller.
     A DEBUG line on the `latres` logger counts the points solved and
-    refused, the `near_singular` ones and the worst condition number.
+    refused, the `near_singular` ones and the worst condition number, whose
+    SVDs only that line pays for.
     """
     _unit_amplitudes(params.N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
     rows, counts, worst = [], Counter(), np.nan
+    debug = log.isEnabledFor(logging.DEBUG)
     for kap in np.asarray(kappa_grid, dtype=float):
         row = solve_row(params, kap, omega, incident_order)
         rows.extend(zip([kap] * len(omega), omega.tolist(), row.T.tolist(),
                         row.R.tolist(), row.energy_residual.tolist(),
                         row.flags))
         counts.update(row.flags)
-        worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
+        if debug:
+            worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
     refused = counts[THRESHOLD] + counts[NOT_PROPAGATING]
     log.debug("scan: %d points solved, %d threshold, %d incident not "
               "propagating, %d near_singular, worst condition %.3g",

@@ -7,6 +7,10 @@ form the solvers do not use:
   N x N chain kernel K;
 - `reduced_homogeneous`: that system without incidence or its propagating
   outgoing columns, which a guided mode's null vector solves;
+- `solve_stack_svd`: a stack of chain systems K z = rhs with every
+  member's condition number from a stacked SVD, where
+  `scattering._solve_stack` takes an SVD only of the members its LU solve
+  cannot certify;
 - `lattice_residual`: the bulk lattice equation on a reconstructed field;
 - `guided_mode_criteria_n2`: the closed-form N = 2 guided-mode criteria;
 - `truncated_system`: the DtN-closed truncated strip as a sparse matrix
@@ -111,6 +115,24 @@ def reduced_homogeneous(params, kappa, omega):
     offset = {"a_minus": 0, "b_plus": N, "c": 2 * N}
     cols = [offset[kind] + l for kind, l in labels]
     return _assemble(params, kappa, omega, theta)[..., cols], labels
+
+
+def solve_stack_svd(K, rhs, cond_limit):
+    """(z, cond, near) for a stack of K z = rhs: one stacked SVD gives every
+    2-norm condition number (inf at an exactly singular member); members at
+    or under cond_limit share one stacked solve, the others get a
+    minimum-norm least-squares solution each."""
+    sv = np.linalg.svd(K, compute_uv=False)
+    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
+                     where=sv[:, -1] > 0)
+    near = cond > cond_limit
+    z = np.empty(K.shape[:-1], dtype=complex)
+    well = ~near
+    if well.any():
+        z[well] = np.linalg.solve(K[well], rhs[None, :, None])[..., 0]
+    for i in np.flatnonzero(near):
+        z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
+    return z, cond, near
 
 
 def lattice_residual(sol: ScatteringSolution, m: int, n: int) -> float:

@@ -161,14 +161,16 @@ def _row_with_thresholds(params, kappa, omegas):
 
 def test_rows_split_into_chunks_match(fixture1, monkeypatch):
     # a chunk limit far below one row's stack must leave every scan row bit
-    # for bit as the unsplit run
+    # for bit as the unsplit run, and the condition numbers of a row with
+    # refused points too
     kappas = np.linspace(-0.5, 0.5, 5)
     omegas = _row_with_thresholds(fixture1, 0.0, np.linspace(0.5, 4.5, 61))
 
     def run():
         rows = scan_transmission(fixture1, kappas, omegas)
         numbers = np.array([r[:5] for r in rows], dtype=float)
-        return numbers.tobytes(), [r[5] for r in rows]
+        cond = latres.scattering.solve_row(fixture1, 0.0, omegas).condition
+        return numbers.tobytes(), [r[5] for r in rows], cond.tobytes()
 
     whole = run()
     monkeypatch.setattr(latres.scattering, "STACK_BYTES", 1000)

@@ -11,10 +11,12 @@ from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
                               _classify_off_threshold, ambient_dispersion,
                               classify_harmonics)
-from latres.scattering import (IncidentField, NonPropagatingIncidenceError,
-                               _chain_kernel, column_flux, reconstruct_field,
-                               scan_transmission, solve_row, solve_scattering)
-from oracles import assemble_system, lattice_residual
+from latres.scattering import (CERTIFY_SHARE, COND_LIMIT, IncidentField,
+                               NonPropagatingIncidenceError, _chain_kernel,
+                               _condition, _solve_stack, column_flux,
+                               reconstruct_field, scan_transmission,
+                               solve_row, solve_scattering)
+from oracles import assemble_system, lattice_residual, solve_stack_svd
 
 POINT = BlochPoint(0.2, 1.5)
 MODE1_KAPPA = 0.06167366437892
@@ -319,6 +321,64 @@ def test_near_singular_flagged_at_mode(fixture1, mode1):
         assert sol.flags == flags
 
 
+def _stack_with_sigma_min(rng, N, sigma_min):
+    """One K = U diag(sigma) V^H per entry of sigma_min, with sigma from 1
+    down to it (just 1 at N = 1) and seeded random unitary U and V."""
+    K = []
+    for smin in sigma_min:
+        U, V = (np.linalg.qr(rng.standard_normal((N, N))
+                             + 1j * rng.standard_normal((N, N)))[0]
+                for _ in range(2))
+        K.append((U * np.geomspace(1.0, smin, N)) @ V.conj().T)
+    return np.array(K)
+
+
+def _assert_z_matches(z, z_oracle):
+    err = np.linalg.norm(z - z_oracle, axis=-1)
+    assert (err <= 1e-13 * np.linalg.norm(z_oracle, axis=-1)).all()
+
+
+def test_solve_stack_matches_svd_oracle():
+    # members on both sides of cond = 1e12: the LU solve certifies those
+    # whose bound ||K||_F ||K^-1||_F is under CERTIFY_SHARE * COND_LIMIT,
+    # and only the others take the SVD; the flags, the condition numbers
+    # where they are read and z must be the SVD route's
+    rng = np.random.default_rng(31)
+    sigma_min = [1.0, 1e-4, 1e-10, 3e-12, 1.2e-12, 1.01e-12, 0.99e-12, 8e-13,
+                 1e-14, 1e-17]
+    for N in (1, 2, 3, 8):
+        K = _stack_with_sigma_min(rng, N, rng.permutation(sigma_min))
+        rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        z, cond, near = _solve_stack(K, rhs, COND_LIMIT)
+        z_o, cond_o, near_o = solve_stack_svd(K, rhs, COND_LIMIT)
+        assert (near == near_o).all()
+        read = ~np.isnan(cond)
+        assert (cond[read] == cond_o[read]).all()
+        assert (_condition(K[~read]) == cond_o[~read]).all()
+        assert (cond_o[~read] <= CERTIFY_SHARE * COND_LIMIT).all()
+        # the bound is at most N cond_2, so these are always certified
+        assert not read[cond_o <= 1e10].any()
+        _assert_z_matches(z, z_o)
+        if N > 1:  # certified, SVD'd under the limit, and near members
+            assert (~read).any() and (read & ~near).any() and near.any()
+
+
+def test_solve_stack_exactly_singular_member():
+    # an exact zero pivot makes the stacked LU solve raise for the whole
+    # stack: the singular member is still flagged, with condition inf, and
+    # its neighbours are solved as the SVD route solves them
+    rng = np.random.default_rng(32)
+    for N in (1, 2, 3, 8):
+        K = _stack_with_sigma_min(rng, N, [1.0, 1.0, 1e-6, 1e-14])
+        K[1, -1, :] = K[1, :, -1] = 0.0
+        rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        z, cond, near = _solve_stack(K, rhs, COND_LIMIT)
+        z_o, cond_o, near_o = solve_stack_svd(K, rhs, COND_LIMIT)
+        assert near[1] and cond[1] == np.inf
+        assert (near == near_o).all() and (cond == cond_o).all()
+        _assert_z_matches(z, z_o)
+
+
 def test_scan_rows_and_sentinels(fixture1):
     rows = scan_transmission(fixture1, [0.2], [1.5])
     kap, om, T, R, resid, flags = rows[0]
@@ -432,14 +492,26 @@ def test_scan_logs_counts(fixture1, caplog):
     caplog.set_level(logging.DEBUG, logger="latres")
     scan_transmission(fixture1, [MODE1_KAPPA], [1.5, MODE1_OMEGA, 7.9])
     scan_transmission(fixture1, [0.0], [4.0])
+    # a row whose every point the solve certifies, without an SVD: the line
+    # still reads the exact worst condition number, that of np.linalg.cond
+    omegas = np.linspace(1.2, 3.0, 7)
+    row = solve_row(fixture1, 0.2, omegas)
+    assert (row._pending[0] == np.arange(7)).all()
+    K = _chain_kernel(fixture1, 0.2, omegas,
+                      _classify_off_threshold(2, 0.2, omegas)[1])[0]
+    assert (row.condition == np.linalg.cond(K)).all()
+    scan_transmission(fixture1, [0.2], omegas)
     lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith(
         "scan: 2 points solved, 0 threshold, 1 incident not propagating, "
         "1 near_singular, worst condition ")
     assert float(lines[0].rsplit(" ", 1)[1]) > 1e12
     assert lines[1] == ("scan: 0 points solved, 1 threshold, 0 incident not "
                         "propagating, 0 near_singular, worst condition nan")
+    assert lines[2] == ("scan: 7 points solved, 0 threshold, 0 incident not "
+                        "propagating, 0 near_singular, worst condition "
+                        f"{np.linalg.cond(K).max():.3g}")
 
 
 def test_scan_csv_unchanged_by_debug_log(tmp_path, fixture1, monkeypatch,
