@@ -13,11 +13,11 @@ derivatives K_omega and K_kappa that the eigenvalue tracker follows.
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
 broadcasting, one stacked solve gives z and K^-1, whose norms certify most
-members well-conditioned (only the others take an SVD), and the refusals
-and the T/R and flux rules act on the whole row.  `solve_row` (which
-`scan_transmission` calls once per kappa row) runs it with unit left
-incidence and `solve_scattering` on a row of one point, so the two agree
-point by point within roundoff.
+members well-conditioned (only the others, and a row of one, take an SVD),
+and the refusals and the T/R and flux rules act on the whole row.
+`solve_row` (which `scan_transmission` calls once per kappa row) runs it
+with unit left incidence and `solve_scattering` on a row of one point, so
+the two agree point by point within roundoff.
 """
 
 from __future__ import annotations
@@ -208,30 +208,47 @@ def _solve_stack(K, rhs, cond_limit):
     """Solve a stack of chain systems K z = rhs, one rhs for all members;
     returns (z, cond, near), with cond NaN at the members certified.
 
-    One stacked solve of K [z | X] = [rhs | I] gives z and X = K^-1, and
-    cond_2(K) <= ||K||_F ||X||_F, as ||K||_2 <= ||K||_F (compared squared).
-    A member whose bound is at most CERTIFY_SHARE * cond_limit is certified
-    not near a guided mode and takes no SVD.  The others, or all members if
-    one is exactly singular (the solve then raises for the whole stack), get
-    their exact condition numbers from `_condition`; those above cond_limit
-    get a minimum-norm least-squares solution each.
+    A stack of several members is solved once for K [z | X] = [rhs | I],
+    which gives z and X = K^-1, and cond_2(K) <= ||K||_F ||X||_F, as
+    ||K||_2 <= ||K||_F (compared squared).  A member whose bound is at most
+    CERTIFY_SHARE * cond_limit is certified not near a guided mode and takes
+    no SVD.  The others, every member if one is exactly singular (the solve
+    then raises for the whole stack), and a stack of one, whose condition
+    number the caller prints, get their exact condition numbers from
+    `_condition`; those above cond_limit get a minimum-norm least-squares
+    solution each, and the rest share one stacked solve.
     """
-    B = np.column_stack([rhs, np.eye(len(rhs))])
-    try:
-        zX = np.linalg.solve(K, B)
-    except np.linalg.LinAlgError:
-        zX, rest = None, np.ones(len(K), dtype=bool)
+    certify = len(K) > 1
+    # a 3-D B: NumPy 1.x reads a b of one dimension less than K as a stack
+    # of vectors
+    B = (np.column_stack([rhs, np.eye(len(rhs))])[None] if certify
+         else rhs[None, :, None])
+    zX = None
+    if certify:
+        try:
+            zX = np.linalg.solve(K, B)
+        except np.linalg.LinAlgError:
+            pass
+    if zX is None:
+        cond = _condition(K)
     else:
-        bound2 = ((abs(K) ** 2).sum(axis=(-2, -1))
-                  * (abs(zX[..., 1:]) ** 2).sum(axis=(-2, -1)))
+        # squared Frobenius norms, summed over float views of K and X so
+        # that no temporary the size of K is made
+        Kf, Xf = K.view(float), zX[..., 1:].view(float)
+        bound2 = (np.einsum("ijk,ijk->i", Kf, Kf)
+                  * np.einsum("ijk,ijk->i", Xf, Xf))
         rest = ~(bound2 <= (CERTIFY_SHARE * cond_limit) ** 2)
-    cond = np.full(len(K), np.nan)
-    if rest.any():
-        cond[rest] = _condition(K[rest])
+        cond = np.full(len(K), np.nan)
+        if rest.any():
+            cond[rest] = _condition(K[rest])
     near = cond > cond_limit
     if zX is None:
+        if not near.any():
+            return np.linalg.solve(K, B)[..., 0], cond, near
         zX = np.empty(K.shape[:-1] + B.shape[-1:], dtype=complex)
-        zX[~near] = np.linalg.solve(K[~near], B)
+        well = ~near
+        if well.any():
+            zX[well] = np.linalg.solve(K[well], B)
     z = zX[..., 0]
     for i in np.flatnonzero(near):
         z[i] = np.linalg.lstsq(K[i], rhs, rcond=1e-12)[0]
@@ -240,11 +257,7 @@ def _solve_stack(K, rhs, cond_limit):
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Outgoing and chain coefficients plus energy bookkeeping.
-
-    `condition`, the 2-norm condition number of K, is read from `_row`, the
-    solve's `ScatteringRow` of one point, which computes it when first read.
-    """
+    """Outgoing and chain coefficients plus energy bookkeeping."""
 
     params: StructureParams
     point: BlochPoint
@@ -257,12 +270,8 @@ class ScatteringSolution:
     R: float
     energy_residual: float
     incident_flux: float
-    _row: "ScatteringRow" = field(repr=False)
+    condition: float
     flags: tuple = field(default=())
-
-    @property
-    def condition(self) -> float:
-        return float(self._row.condition[0])
 
 
 def _spread(ok, x):
@@ -281,7 +290,8 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     is refused: flagged with NaN results, or, if strict, the first refused
     point raises ThresholdError or NonPropagatingIncidenceError.  K is
     stacked over the other points and solved by `_solve_stack`; the row
-    keeps K at the points it certified, for their condition numbers.  Both
+    keeps the builder of that K, not K, for the condition numbers of the
+    points it certified.  Both
     outgoing amplitudes follow from the common trace
     U = u_inc + P^-1 (conj(gamma) z) / s: a_minus = U - a_inc and
     b_plus = U - b_inc; and c = P^-1 z.  The fluxes are sums over the
@@ -310,11 +320,9 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         om, theta, prop = om[ok], theta[ok], prop[ok]
 
     u_inc = a_inc + b_inc
-    K, P, Pinv, s, *_ = _chain_kernel(params, kappa, om, theta)
+    kernel = functools.partial(_chain_kernel, params, kappa, om, theta)
+    K, P, Pinv, s = kernel()[:4]  # not the derivatives, which hold Ws, Y
     z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
-    certified = np.isnan(cond)
-    pending = (np.flatnonzero(ok)[certified] if refused
-               else np.flatnonzero(certified)), K[certified]
     U = u_inc + ((np.conj(gam) * z) @ Pinv.T) / s
     a_minus, b_plus = U - a_inc, U - b_inc
     c = z @ Pinv.T
@@ -346,7 +354,9 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
                          incident_flux=inc,
                          flags=tuple(map(_ROW_FLAGS.__getitem__,
                                          flag.tolist())),
-                         _cond=cond, _pending=pending)
+                         _cond=cond,
+                         _kernels=((np.flatnonzero(ok) if refused
+                                    else np.arange(len(omega)), kernel),))
 
 
 def solve_scattering(params: StructureParams, point: BlochPoint,
@@ -386,8 +396,8 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
     return ScatteringSolution(
         params=params, point=point, incident=incident, harmonics=hs,
         a_minus=row.a_minus[0], b_plus=row.b_plus[0], c=row.c[0], T=T, R=R,
-        energy_residual=float(resid), incident_flux=float(inc), _row=row,
-        flags=flags)
+        energy_residual=float(resid), incident_flux=float(inc),
+        condition=float(row._cond[0]), flags=flags)  # exact at a row of one
 
 
 def reconstruct_field(sol: ScatteringSolution, m, n):
@@ -427,9 +437,10 @@ class ScatteringRow:
     `threshold` or `incident_not_propagating`) carry NaN in every array.
     `condition` is each point's 2-norm condition number of K.  The solve
     computes it only at the points it could not certify well-conditioned
-    (`_solve_stack`); the row keeps (positions, K) of the others in
-    `_pending` and computes theirs by one stacked SVD when `condition` is
-    first read.
+    (`_solve_stack`), NaN in `_cond` at the others.  `_kernels` pairs the
+    points of each stack solved with the builder of its K.  When
+    `condition` is first read, each stack's K is built again and its
+    certified points take one stacked SVD, so that the row keeps no K.
     """
 
     kappa: float
@@ -443,13 +454,15 @@ class ScatteringRow:
     incident_flux: np.ndarray
     flags: tuple
     _cond: np.ndarray = field(repr=False)
-    _pending: tuple = field(repr=False)
+    _kernels: tuple = field(repr=False)
 
     @functools.cached_property
     def condition(self):
         cond = self._cond.copy()
-        at, K = self._pending
-        cond[at] = _condition(K)
+        for at, kernel in self._kernels:
+            certified = np.isnan(cond[at])
+            if certified.any():
+                cond[at[certified]] = _condition(kernel()[0][certified])
         return cond
 
 
@@ -476,20 +489,23 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
     incident = IncidentField.unit_left(N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
     phi, theta, prop, thr = _classify(N, kappa, omega)
+    parts = _chunks(len(omega), 16 * N * N)
     rows = [_solve_chain(params, kappa, omega[part],
                          (phi, theta[part], prop[part], thr[part]), incident,
                          COND_LIMIT, strict)
-            for part in _chunks(len(omega), 16 * N * N)]
+            for part in parts]
     if len(rows) == 1:
         return rows[0]
-    # join the chunks' per-point arrays, the fields between omega and flags;
-    # their condition numbers are computed here, so that no K is kept
+    # join the chunks' per-point arrays, the fields between omega and flags,
+    # and their condition numbers and kernels
     arrays = (np.concatenate([getattr(r, f.name) for r in rows])
               for f in fields(ScatteringRow)[2:-3])
     return ScatteringRow(kappa, omega, *arrays,
                          sum((r.flags for r in rows), ()),
-                         np.concatenate([r.condition for r in rows]),
-                         ([], np.empty((0, N, N))))
+                         np.concatenate([r._cond for r in rows]),
+                         tuple((at + part.start, kernel)
+                               for r, part in zip(rows, parts)
+                               for at, kernel in r._kernels))
 
 
 def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
@@ -503,7 +519,7 @@ def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
     'incident_not_propagating' one.  Any other error reaches the caller.
     A DEBUG line on the `latres` logger counts the points solved and
     refused, the `near_singular` ones and the worst condition number, whose
-    SVDs only that line pays for.
+    SVDs, and the K built again for them, only that line pays for.
     """
     _unit_amplitudes(params.N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
@@ -517,6 +533,7 @@ def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
         counts.update(row.flags)
         if debug:
             worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
+        del row  # before the next row is built
     refused = counts[THRESHOLD] + counts[NOT_PROPAGATING]
     log.debug("scan: %d points solved, %d threshold, %d incident not "
               "propagating, %d near_singular, worst condition %.3g",

@@ -361,6 +361,11 @@ def test_solve_stack_matches_svd_oracle():
         _assert_z_matches(z, z_o)
         if N > 1:  # certified, SVD'd under the limit, and near members
             assert (~read).any() and (read & ~near).any() and near.any()
+        # a stack of one takes the SVD: its condition number is always exact
+        for i in range(len(K)):
+            z1, cond1, near1 = _solve_stack(K[i:i + 1], rhs, COND_LIMIT)
+            assert cond1[0] == cond_o[i] and near1[0] == near_o[i]
+            _assert_z_matches(z1, z_o[i:i + 1])
 
 
 def test_solve_stack_exactly_singular_member():
@@ -496,7 +501,11 @@ def test_scan_logs_counts(fixture1, caplog):
     # still reads the exact worst condition number, that of np.linalg.cond
     omegas = np.linspace(1.2, 3.0, 7)
     row = solve_row(fixture1, 0.2, omegas)
-    assert (row._pending[0] == np.arange(7)).all()
+    assert np.isnan(row._cond).all()
+    # the row keeps no stack of K (3-D): it builds K again when read
+    kept = [*vars(row).values(), *(a for _, kernel in row._kernels
+                                   for a in kernel.args)]
+    assert all(np.ndim(a) < 3 for a in kept if isinstance(a, np.ndarray))
     K = _chain_kernel(fixture1, 0.2, omegas,
                       _classify_off_threshold(2, 0.2, omegas)[1])[0]
     assert (row.condition == np.linalg.cond(K)).all()
