@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .structure import (BlochPoint, StructureParams, _complex,
                         classify_harmonics, region_diagram, waveguide_bands)
-from .scattering import IncidentField, scan_transmission, solve_scattering
+from .scattering import IncidentField, _scan_rows, solve_scattering
 from .dtn import cross_validate, solve_truncated
 from .guided import continue_and_fit_dispersion, find_guided_modes
 from .resonance import (enhancement_scan, fit_anomaly, model_vs_direct,
@@ -57,18 +57,24 @@ def _csv(path, header, rows):
     _emit(path, [header] + [fmt % row for row in rows])
 
 
-def _grid_csv(path, header, kappa_grid, omega_grid, fmt, points):
+def _grid_csv(path, header, kappa_grid, omega_grid, fmt, rows):
     """Write a kappa-major grid under header, the bytes `_csv` writes for
-    its rows (kappa, omega, *point).  points runs over the grid in that
-    order, each formatted by fmt; each kappa and each omega is formatted
-    once."""
-    omegas = [FMT % w + "," for w in omega_grid]
-    points = iter(points)
+    its rows (kappa, omega, *point).  rows gives each kappa row's columns,
+    one list over omega_grid per field of a point, formatted by fmt.  Each
+    omega is formatted once, into a cell template, and each kappa row is
+    one format call on a flat tuple of its cells."""
+    cells = [FMT % w + "," + fmt for w in omega_grid]
     lines = [header]
-    for kap in kappa_grid:
+    # strict: rows run to their end, where a scan writes its DEBUG line
+    for kap, columns in zip(kappa_grid, rows, strict=True):
+        if not cells:
+            continue
         prefix = FMT % kap + ","
-        # omegas first: zip stops at a row's end without taking a point
-        lines.extend([prefix + w + fmt % p for w, p in zip(omegas, points)])
+        k = len(columns)
+        flat = [None] * (k * len(cells))
+        for j, column in enumerate(columns):
+            flat[j::k] = column
+        lines.append((prefix + ("\n" + prefix).join(cells)) % tuple(flat))
     _emit(path, lines)
 
 
@@ -101,7 +107,8 @@ def cmd_regions(args):
     diagram = region_diagram(params, _grid(args.kappa_grid, "--kappa-grid"),
                              _grid(args.omega_grid, "--omega-grid"))
     _grid_csv(args.out, "kappa,omega,num_propagating", diagram.kappa_grid,
-              diagram.omega_grid, FMT, diagram.counts.ravel().tolist())
+              diagram.omega_grid, FMT,
+              ((row,) for row in diagram.counts.tolist()))
     return 0
 
 
@@ -175,9 +182,9 @@ def cmd_scan(args):
     params = _params(args)
     kappas = _grid(args.kappa_grid, "--kappa-grid")
     omegas = _grid(args.omega_grid, "--omega-grid")
-    rows = scan_transmission(params, kappas, omegas, args.order)
     _grid_csv(args.out, "kappa,omega,T,R,energy_residual,flags", kappas,
-              omegas, f"{FMT},{FMT},{FMT},%s", (r[2:] for r in rows))
+              omegas, f"{FMT},{FMT},{FMT},%s",
+              _scan_rows(params, kappas, omegas, args.order))
     return 0
 
 

@@ -15,9 +15,9 @@ kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
 broadcasting, one stacked solve gives z and K^-1, whose norms certify most
 members well-conditioned (only the others, and a row of one, take an SVD),
 and the refusals and the T/R and flux rules act on the whole row.
-`solve_row` (which `scan_transmission` calls once per kappa row) runs it
-with unit left incidence and `solve_scattering` on a row of one point, so
-the two agree point by point within roundoff.
+`solve_row` (which a scan calls once per kappa row) runs it with unit left
+incidence and `solve_scattering` on a row of one point, so the two agree
+point by point within roundoff.
 """
 
 from __future__ import annotations
@@ -508,35 +508,55 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
                                for at, kernel in r._kernels))
 
 
-def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
-                      incident_order: int = 0):
-    """T, R, and the conservation residual over a (kappa, omega) grid.
+def _scan_rows(params, kappa_grid, omega_grid, incident_order=0):
+    """The columns (T, R, energy_residual, flags) of each kappa row of a
+    scan, as lists over omega_grid: one `solve_row` call, that is one
+    stacked solve, per row.
 
-    One `solve_row` call, that is one stacked solve, per kappa row.  Yields
-    rows (kappa, omega, T, R, energy_residual, flags); threshold points are
-    skipped in place with a 'threshold' sentinel flag and NaNs, and points
-    where the incident order does not propagate with an
-    'incident_not_propagating' one.  Any other error reaches the caller.
-    A DEBUG line on the `latres` logger counts the points solved and
+    A generator: the incident order is checked when the first row is asked
+    for, and each row's `ScatteringRow` is dropped before its columns are
+    handed out, so that only one is alive at a time.  When the last row is
+    out, a DEBUG line on the `latres` logger counts the points solved and
     refused, the `near_singular` ones and the worst condition number, whose
     SVDs, and the K built again for them, only that line pays for.
     """
     _unit_amplitudes(params.N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
-    rows, counts, worst = [], Counter(), np.nan
+    counts, worst = Counter(), np.nan
     debug = log.isEnabledFor(logging.DEBUG)
     for kap in np.asarray(kappa_grid, dtype=float):
         row = solve_row(params, kap, omega, incident_order)
-        rows.extend(zip([kap] * len(omega), omega.tolist(), row.T.tolist(),
-                        row.R.tolist(), row.energy_residual.tolist(),
-                        row.flags))
         counts.update(row.flags)
         if debug:
             worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
+        columns = (row.T.tolist(), row.R.tolist(),
+                   row.energy_residual.tolist(), row.flags)
         del row  # before the next row is built
+        yield columns
     refused = counts[THRESHOLD] + counts[NOT_PROPAGATING]
     log.debug("scan: %d points solved, %d threshold, %d incident not "
               "propagating, %d near_singular, worst condition %.3g",
-              len(rows) - refused, counts[THRESHOLD], counts[NOT_PROPAGATING],
+              counts.total() - refused, counts[THRESHOLD],
+              counts[NOT_PROPAGATING],
               sum(n for f, n in counts.items() if "near_singular" in f), worst)
+
+
+def scan_transmission(params: StructureParams, kappa_grid, omega_grid,
+                      incident_order: int = 0):
+    """T, R, and the conservation residual over a (kappa, omega) grid.
+
+    Returns a list of rows (kappa, omega, T, R, energy_residual, flags),
+    kappa-major, from `_scan_rows`, one stacked solve per kappa row, which
+    also writes its DEBUG line; threshold points are skipped in place with
+    a 'threshold' sentinel flag and NaNs, and points where the incident
+    order does not propagate with an 'incident_not_propagating' one.  Any
+    other error reaches the caller.
+    """
+    omega = np.asarray(omega_grid, dtype=float).tolist()
+    rows = []
+    # strict: the rows run to their end, and so to the DEBUG line
+    for kap, columns in zip(np.asarray(kappa_grid, dtype=float),
+                            _scan_rows(params, kappa_grid, omega_grid,
+                                       incident_order), strict=True):
+        rows.extend(zip([kap] * len(omega), omega, *columns))
     return rows

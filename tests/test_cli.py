@@ -1,9 +1,11 @@
 """Command-line interface: argument handling, file outputs, validate suite."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import latres
 from latres.cli import FMT, _csv, _grid_csv, build_parser, main
 from latres.resonance import peak_dip_curves
-from latres.scattering import scan_transmission
+from latres.scattering import _ROW_FLAGS, _scan_rows, scan_transmission
 from latres.structure import region_diagram
 
 ERROR_SCHEMA = Path(__file__).resolve().parent.parent / "docs/schemas/error.json"
@@ -110,6 +112,7 @@ def test_regions_csv(config1, tmp_path):
 
 SCAN_HEADER = "kappa,omega,T,R,energy_residual,flags"
 REGIONS_HEADER = "kappa,omega,num_propagating"
+SCAN_FMT = f"{FMT},{FMT},{FMT},%s"
 
 
 def _generic_csv(tmp_path, header, rows):
@@ -120,15 +123,16 @@ def _generic_csv(tmp_path, header, rows):
 
 
 def _writer_csvs(tmp_path, params, kappas, omegas):
-    """(grid writer, generic) texts of the scan and the regions CSV."""
+    """(grid writer, generic) texts of the scan and the regions CSV: the
+    writer takes each row's columns, the generic `_csv` the full rows."""
     path = tmp_path / "grid.csv"
-    rows = scan_transmission(params, kappas, omegas)
-    _grid_csv(str(path), SCAN_HEADER, kappas, omegas, f"{FMT},{FMT},{FMT},%s",
-              (r[2:] for r in rows))
-    texts = [(path.read_text(), _generic_csv(tmp_path, SCAN_HEADER, rows))]
+    _grid_csv(str(path), SCAN_HEADER, kappas, omegas, SCAN_FMT,
+              _scan_rows(params, kappas, omegas))
+    texts = [(path.read_text(), _generic_csv(
+        tmp_path, SCAN_HEADER, scan_transmission(params, kappas, omegas)))]
     diagram = region_diagram(params, kappas, omegas)
     _grid_csv(str(path), REGIONS_HEADER, kappas, omegas, FMT,
-              diagram.counts.ravel().tolist())
+              ((row,) for row in diagram.counts.tolist()))
     texts.append((path.read_text(), _generic_csv(
         tmp_path, REGIONS_HEADER,
         [(k, w, diagram.counts[i, j]) for i, k in enumerate(kappas)
@@ -156,6 +160,37 @@ def test_grid_writer_bytes_equal_generic_csv(fixture1, tmp_path, kappas,
         assert scan.startswith(SCAN_HEADER + "\n-0,1.5,")
         assert {"nan", "threshold", "incident_not_propagating"} <= set(
             scan.replace("\n", ",").split(","))
+
+
+# floats whose text could upset a % template or a column's typing: signed
+# zeros, the smallest subnormal, the largest double, infinities and NaN
+EDGE = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        float("inf"), float("-inf"), float("nan"), 0.0]
+
+
+@pytest.mark.parametrize("kappas", [[-0.0, 5e-324, 1.7976931348623157e308],
+                                    []])
+def test_grid_csv_edge_values_equal_generic_csv(tmp_path, kappas):
+    # every scan flag, NaN rows as a refused point has them, and EDGE in
+    # every float column, each row a rotation of the last
+    omegas = [-0.0, *EDGE[1:6]]
+    flags = list(_ROW_FLAGS)
+    rows = []
+    for i in range(len(kappas)):
+        T, R, resid = ([EDGE[(i + j + c) % len(EDGE)] for j in range(6)]
+                       for c in range(3))
+        T[1] = R[1] = resid[1] = float("nan")
+        rows.append((T, R, resid, flags[i:] + flags[:i]))
+    path = tmp_path / "grid.csv"
+    _grid_csv(str(path), SCAN_HEADER, kappas, omegas, SCAN_FMT, iter(rows))
+    generic = _generic_csv(tmp_path, SCAN_HEADER, [
+        (k, w, *point) for k, columns in zip(kappas, rows)
+        for w, point in zip(omegas, zip(*columns))])
+    assert path.read_text() == generic
+    if kappas:
+        text = generic.replace("\n", ",").split(",")
+        assert {"-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                "nan", "-inf", *_ROW_FLAGS} <= set(text)
 
 
 @pytest.mark.parametrize("command, header", [("scan", SCAN_HEADER),
@@ -324,14 +359,21 @@ def test_scatter_threshold_error_exit_code(config1):
     (["scatter", "--b-inc=[[1, 2]]"], "--b-inc entries must be"),
     (["scan", "--order=3"], "incident order 3 outside 0..1"),
     (["scan", "--order=-1"], "incident order -1 outside 0..1"),
+    (["scan", "--order=3", "--kappa-grid=0.2,0.2,0"],
+     "incident order 3 outside 0..1"),
 ])
-def test_malformed_incidence_exit_code(config1, capsys, argv, message):
+def test_malformed_incidence_exit_code(config1, tmp_path, capsys, argv,
+                                       message):
+    # a scan checks the order before it opens its --out file
+    out = tmp_path / "scan.csv"
     point = (["--kappa=0.2", "--omega=1.5"] if argv[0] == "scatter" else
-             ["--kappa-grid=0.2,0.2,1", "--omega-grid=1.5,1.5,1"])
+             ["--kappa-grid=0.2,0.2,1", "--omega-grid=1.5,1.5,1", "--out",
+              str(out)])
     assert main(argv[:1] + ["--config", config1] + point + argv[1:]) == 2
-    err = _loads(capsys.readouterr().err.strip().splitlines()[-1])
+    err = _error_doc(capsys)
     assert err["error"] == "ValueError"
     assert message in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -410,6 +452,32 @@ def test_scan_csv_and_threads(config1, tmp_path):
     for r in rows:
         t, rr = float(r[2]), float(r[3])
         assert t ** 2 + rr ** 2 == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("level", [logging.WARNING, logging.DEBUG])
+def test_scan_keeps_one_solved_row_alive(config1, tmp_path, monkeypatch,
+                                         caplog, level):
+    # each kappa row's ScatteringRow is dead before the next is solved, and
+    # the last is dead when the scan returns; under DEBUG the rows are also
+    # read for their condition numbers, and the scan's count line is written
+    caplog.set_level(level, logger="latres")
+    solve_row, rows = latres.scattering.solve_row, []
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in rows)
+        row = solve_row(*args, **kwargs)
+        rows.append(weakref.ref(row))
+        return row
+
+    monkeypatch.setattr(latres.scattering, "solve_row", recording)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", config1, "--out", str(out),
+                 "--kappa-grid=0,0.4,4", "--omega-grid=0.5,7.9,9"]) == 0
+    assert len(rows) == 4 and all(ref() is None for ref in rows)
+    assert len(out.read_text().splitlines()) == 1 + 4 * 9
+    lines = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    assert [line[:6] for line in lines] == (
+        ["scan: "] if level == logging.DEBUG else [])
 
 
 def test_scan_resolves_full_anomaly_swing(config1, tmp_path, fixture1, mode1,
@@ -667,11 +735,18 @@ def test_evolve_init_file_entry_forms(config1, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["evolve", "--steps=30", "--mx=10", "--record-every=10"],
     ["scatter", "--kappa=0.2", "--omega=1.5", "--method=dtn", "--M=6"],
+    # threshold points, two propagating orders and points where order 0
+    # does not propagate
+    ["scan", "--kappa-grid=0,0.4,3", "--omega-grid=0,8,41", "--out"],
 ])
-def test_output_unchanged_by_debug_log(config1, monkeypatch, capsys, argv):
+def test_output_unchanged_by_debug_log(config1, tmp_path, monkeypatch, capsys,
+                                       argv):
     outs = []
     for level in ("WARNING", "DEBUG"):
         monkeypatch.setenv("LATRES_LOG", level)
-        assert main(argv[:1] + ["--config", config1] + argv[1:]) == 0
-        outs.append(capsys.readouterr().out)
+        out = tmp_path / f"{level}.csv"
+        to_file = argv[-1] == "--out"
+        assert main(argv[:1] + ["--config", config1] + argv[1:]
+                    + [str(out)] * to_file) == 0
+        outs.append(out.read_text() if to_file else capsys.readouterr().out)
     assert outs[0] == outs[1] != ""
