@@ -39,10 +39,12 @@ GAMMA_STEP = 1e-3
 GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
 BRANCH_KAPPA_MAX = 0.2
-# the branch secant's stop on a kappa0 step: near gamma0* h' is about 1e-6
-# and h carries roundoff of about 1e-16, so kappa0 is known to a few 1e-10
-# (bisection alone takes a bracket of 0.2^2 in kappa^2 to a step of 1e-10 in
-# kappa within SECANT_STEPS)
+# the branch secant's stop on a kappa0 step (bisection alone takes a
+# bracket of 0.2^2 in kappa^2 to a step of 1e-10 in kappa within
+# SECANT_STEPS), not kappa0's accuracy: h carries roundoff of about 1e-16,
+# and |h'(kappa0)| ~ 4 |Im c2| at kappa = 0 falls like gamma0* - gamma0.
+# Against a 30-digit root kappa0 was 1.1e-10 off on fixture 1 at gamma0* -
+# 1e-7, and on an N = 3 structure 6.6e-10 and 4.9e-9 at 1e-6 and 1e-7.
 BRANCH_XTOL = 1e-10
 
 log = logging.getLogger("latres")
@@ -377,11 +379,13 @@ def trace_branch(params: StructureParams, gamma0_values,
     first such gamma0 outwards from gamma0*.  `guided._bracketed_secant` then
     runs on h / kappa in u = kappa^2, nearly linear there, until its kappa
     step is at most BRANCH_XTOL, and the square-root law is fitted on a
-    log-log scale.  A DEBUG line on the `latres` logger gives gamma0*,
-    omega0*, |Im omega_gm(0)| and Im c2 there, d Im(curvature) / d gamma0,
-    the gamma0 secant's steps, the points solved, the most Newton steps and
-    each (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0)), h' = 2 Im c2
-    from one `guided._taylor` call (NaN where its circle fails).
+    log-log scale.  kappa0's error, h's roundoff over |h'(kappa0)| ~ 4 |Im
+    c2|, grows as gamma0 -> gamma0* (see BRANCH_XTOL).  A DEBUG line on the
+    `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)| and Im c2
+    there, d Im(curvature) / d gamma0, the gamma0 secant's steps, the points
+    solved, the most Newton steps and each (gamma0, kappa0,
+    |Im omega_gm(kappa0)|, h'(kappa0)), h' = 2 Im c2 from one
+    `guided._taylor` call (NaN where its circle fails).
     """
     if gamma0_bracket is None:
         gamma0_bracket = (min(gamma0_values) - 0.5, max(gamma0_values) + 0.5)

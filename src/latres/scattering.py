@@ -13,11 +13,12 @@ derivatives K_omega and K_kappa that the eigenvalue tracker follows.
 Every solve takes one path, `_solve_chain`, over a row of frequencies at one
 kappa: P and P^-1 depend on kappa only, so K is stacked over the row by
 broadcasting, one stacked solve gives z and K^-1, whose norms certify most
-members well-conditioned (only the others, and a row of one, take an SVD),
-and the refusals and the T/R and flux rules act on the whole row.
-`solve_row` (which a scan calls once per kappa row) runs it with unit left
-incidence and `solve_scattering` on a row of one point, so the two agree
-point by point within roundoff.
+members well-conditioned (only the others, and a row of one, take an SVD;
+the row keeps the bound or the SVD's condition number, never K), and the
+refusals and the T/R and flux rules act on the whole row.  `solve_row`
+(which a scan calls once per kappa row) runs it with unit left incidence
+and `solve_scattering` on a row of one point, so the two agree point by
+point within roundoff.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +38,8 @@ TWO_PI = 2.0 * np.pi
 
 log = logging.getLogger("latres")
 
-# A row is solved in chunks of at most this many bytes of stacked matrices,
-# so that its memory stays bounded however many frequencies it has.
+# A row's K is built and solved in chunks of at most this many bytes, so
+# that its memory stays bounded however many frequencies it has.
 STACK_BYTES = 64 * 2 ** 20
 
 # condition number of K above which a solve falls back to least squares
@@ -206,17 +207,18 @@ def _condition(K):
 
 def _solve_stack(K, rhs, cond_limit):
     """Solve a stack of chain systems K z = rhs, one rhs for all members;
-    returns (z, cond, near), with cond NaN at the members certified.
+    returns (z, cond, near), with cond the bound at the members certified.
 
     A stack of several members is solved once for K [z | X] = [rhs | I],
     which gives z and X = K^-1, and cond_2(K) <= ||K||_F ||X||_F, as
     ||K||_2 <= ||K||_F (compared squared).  A member whose bound is at most
-    CERTIFY_SHARE * cond_limit is certified not near a guided mode and takes
-    no SVD.  The others, every member if one is exactly singular (the solve
-    then raises for the whole stack), and a stack of one, whose condition
-    number the caller prints, get their exact condition numbers from
-    `_condition`; those above cond_limit get a minimum-norm least-squares
-    solution each, and the rest share one stacked solve.
+    CERTIFY_SHARE * cond_limit is certified not near a guided mode: its
+    cond is the bound, and it takes no SVD.  The others, every member if one
+    is exactly singular (the solve then raises for the whole stack), and a
+    stack of one, whose condition number the caller prints, get their exact
+    condition numbers from `_condition`; those above cond_limit get a
+    minimum-norm least-squares solution each, and the rest share one
+    stacked solve.
     """
     certify = len(K) > 1
     # a 3-D B: NumPy 1.x reads a b of one dimension less than K as a stack
@@ -238,7 +240,7 @@ def _solve_stack(K, rhs, cond_limit):
         bound2 = (np.einsum("ijk,ijk->i", Kf, Kf)
                   * np.einsum("ijk,ijk->i", Xf, Xf))
         rest = ~(bound2 <= (CERTIFY_SHARE * cond_limit) ** 2)
-        cond = np.full(len(K), np.nan)
+        cond = np.sqrt(bound2)
         if rest.any():
             cond[rest] = _condition(K[rest])
     near = cond > cond_limit
@@ -289,17 +291,16 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     or with incident amplitude on an order that does not propagate there,
     is refused: flagged with NaN results, or, if strict, the first refused
     point raises ThresholdError or NonPropagatingIncidenceError.  K is
-    stacked over the other points and solved by `_solve_stack`; the row
-    keeps the builder of that K, not K, for the condition numbers of the
-    points it certified.  Both
-    outgoing amplitudes follow from the common trace
-    U = u_inc + P^-1 (conj(gamma) z) / s: a_minus = U - a_inc and
-    b_plus = U - b_inc; and c = P^-1 z.  The fluxes are sums over the
-    propagating orders weighted by sin 2 pi theta, and the energy residual
-    is |outgoing - incident flux|.  With one propagating order,
-    T = |b_plus| and R = |a_minus| on that order; with several, T and R are
-    flux-weighted (0 without incident flux) and flagged; with none they are
-    NaN.
+    stacked over the other points from one `_KappaStage`, built and solved
+    by `_solve_stack` in chunks of at most STACK_BYTES of K, and the row
+    keeps each point's condition from that solve.  Both outgoing amplitudes
+    follow from the common trace U = u_inc + P^-1 (conj(gamma) z) / s:
+    a_minus = U - a_inc and b_plus = U - b_inc; and c = P^-1 z.  The fluxes
+    are sums over the propagating orders weighted by sin 2 pi theta, and the
+    energy residual is |outgoing - incident flux|.  With one propagating
+    order, T = |b_plus| and R = |a_minus| on that order; with several, T and
+    R are flux-weighted (0 without incident flux) and flagged; with none
+    they are NaN.
     """
     N, gam = params.N, params.gammas
     _, theta, prop, thr = classified
@@ -320,12 +321,17 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         om, theta, prop = om[ok], theta[ok], prop[ok]
 
     u_inc = a_inc + b_inc
-    kernel = functools.partial(_chain_kernel, params, kappa, om, theta)
-    K, P, Pinv, s = kernel()[:4]  # not the derivatives, which hold Ws, Y
-    z, cond, near = _solve_stack(K, gam * (P @ u_inc), cond_limit)
-    U = u_inc + ((np.conj(gam) * z) @ Pinv.T) / s
+    stage = _KappaStage(params, kappa)
+    rhs = gam * (stage.P @ u_inc)
+    chunks = []  # s, z, cond and near of each chunk
+    for part in _chunks(len(om), 16 * N * N):
+        K, _, _, s = stage.at(om[part], theta[part])[:4]
+        chunks.append((s, *_solve_stack(K, rhs, cond_limit)))
+    s, z, cond, near = (chunks[0] if len(chunks) == 1
+                        else map(np.concatenate, zip(*chunks)))
+    U = u_inc + ((np.conj(gam) * z) @ stage.Pinv.T) / s
     a_minus, b_plus = U - a_inc, U - b_inc
-    c = z @ Pinv.T
+    c = z @ stage.Pinv.T
 
     weight = np.where(prop, np.sin(TWO_PI * theta.real), 0.0)
     inc_o = np.abs(a_inc) ** 2 + np.abs(b_inc) ** 2
@@ -351,12 +357,9 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
         flag[ok] = solved
     return ScatteringRow(kappa=kappa, omega=omega, a_minus=a_minus,
                          b_plus=b_plus, c=c, T=T, R=R, energy_residual=resid,
-                         incident_flux=inc,
+                         incident_flux=inc, condition=cond,
                          flags=tuple(map(_ROW_FLAGS.__getitem__,
-                                         flag.tolist())),
-                         _cond=cond,
-                         _kernels=((np.flatnonzero(ok) if refused
-                                    else np.arange(len(omega)), kernel),))
+                                         flag.tolist())))
 
 
 def solve_scattering(params: StructureParams, point: BlochPoint,
@@ -372,9 +375,8 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
     order, has T = R = NaN and no flux balance, and is flagged
     `complex_point`.
     """
-    N = params.N
     if incident is None:
-        incident = IncidentField.unit_left(N)
+        incident = IncidentField.unit_left(params.N)
     hs = classify_harmonics(params, point)
     real = point.is_real
     prop = hs.propagating_mask
@@ -397,7 +399,7 @@ def solve_scattering(params: StructureParams, point: BlochPoint,
         params=params, point=point, incident=incident, harmonics=hs,
         a_minus=row.a_minus[0], b_plus=row.b_plus[0], c=row.c[0], T=T, R=R,
         energy_residual=float(resid), incident_flux=float(inc),
-        condition=float(row._cond[0]), flags=flags)  # exact at a row of one
+        condition=float(row.condition[0]), flags=flags)
 
 
 def reconstruct_field(sol: ScatteringSolution, m, n):
@@ -435,12 +437,10 @@ class ScatteringRow:
     Every array runs over `omega`; a_minus, b_plus and c have a trailing
     order axis.  `flags` holds each point's scan flags; refused points (flag
     `threshold` or `incident_not_propagating`) carry NaN in every array.
-    `condition` is each point's 2-norm condition number of K.  The solve
-    computes it only at the points it could not certify well-conditioned
-    (`_solve_stack`), NaN in `_cond` at the others.  `_kernels` pairs the
-    points of each stack solved with the builder of its K.  When
-    `condition` is first read, each stack's K is built again and its
-    certified points take one stacked SVD, so that the row keeps no K.
+    `condition` is what `_solve_stack` found for each point's K: cond_2(K)
+    wherever it took the SVD (every point whose bound exceeds CERTIFY_SHARE
+    * COND_LIMIT, so every `near_singular` one, and a row of one), and the
+    bound ||K||_F ||K^-1||_F >= cond_2(K) (but for rounding) where certified.
     """
 
     kappa: float
@@ -452,18 +452,8 @@ class ScatteringRow:
     R: np.ndarray
     energy_residual: np.ndarray
     incident_flux: np.ndarray
+    condition: np.ndarray
     flags: tuple
-    _cond: np.ndarray = field(repr=False)
-    _kernels: tuple = field(repr=False)
-
-    @functools.cached_property
-    def condition(self):
-        cond = self._cond.copy()
-        for at, kernel in self._kernels:
-            certified = np.isnan(cond[at])
-            if certified.any():
-                cond[at[certified]] = _condition(kernel()[0][certified])
-        return cond
 
 
 # flags of a row point, indexed by 2 * multi_prop + near_singular for solved
@@ -480,32 +470,14 @@ def solve_row(params: StructureParams, kappa: float, omega_grid,
     The row is classified at once and solved by `_solve_chain`, the path
     `solve_scattering` takes on a row of one point, so the numbers equal
     the single-point solver's within roundoff (the stacked products round
-    differently from a row of one).  Rows with more than
-    STACK_BYTES of K are solved in chunks.  Points on a threshold or where
+    differently from a row of one).  Points on a threshold or where
     the incident order does not propagate are refused with a flag, or, if
     strict, the first of them raises the single-point solver's error.
     """
-    N = params.N
-    incident = IncidentField.unit_left(N, incident_order)
-    omega = np.asarray(omega_grid, dtype=float)
-    phi, theta, prop, thr = _classify(N, kappa, omega)
-    parts = _chunks(len(omega), 16 * N * N)
-    rows = [_solve_chain(params, kappa, omega[part],
-                         (phi, theta[part], prop[part], thr[part]), incident,
-                         COND_LIMIT, strict)
-            for part in parts]
-    if len(rows) == 1:
-        return rows[0]
-    # join the chunks' per-point arrays, the fields between omega and flags,
-    # and their condition numbers and kernels
-    arrays = (np.concatenate([getattr(r, f.name) for r in rows])
-              for f in fields(ScatteringRow)[2:-3])
-    return ScatteringRow(kappa, omega, *arrays,
-                         sum((r.flags for r in rows), ()),
-                         np.concatenate([r._cond for r in rows]),
-                         tuple((at + part.start, kernel)
-                               for r, part in zip(rows, parts)
-                               for at, kernel in r._kernels))
+    N, omega = params.N, np.asarray(omega_grid, dtype=float)
+    return _solve_chain(params, kappa, omega, _classify(N, kappa, omega),
+                        IncidentField.unit_left(N, incident_order),
+                        COND_LIMIT, strict)
 
 
 def _scan_rows(params, kappa_grid, omega_grid, incident_order=0):
@@ -517,25 +489,24 @@ def _scan_rows(params, kappa_grid, omega_grid, incident_order=0):
     for, and each row's `ScatteringRow` is dropped before its columns are
     handed out, so that only one is alive at a time.  When the last row is
     out, a DEBUG line on the `latres` logger counts the points solved and
-    refused, the `near_singular` ones and the worst condition number, whose
-    SVDs, and the K built again for them, only that line pays for.
+    refused and the `near_singular` ones, and gives the largest `condition`
+    of the rows, to which a certified point contributes its bound.
     """
     _unit_amplitudes(params.N, incident_order)
     omega = np.asarray(omega_grid, dtype=float)
     counts, worst = Counter(), np.nan
-    debug = log.isEnabledFor(logging.DEBUG)
     for kap in np.asarray(kappa_grid, dtype=float):
         row = solve_row(params, kap, omega, incident_order)
         counts.update(row.flags)
-        if debug:
-            worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
+        worst = np.fmax.reduce(row.condition, initial=worst)  # skips NaN
         columns = (row.T.tolist(), row.R.tolist(),
                    row.energy_residual.tolist(), row.flags)
         del row  # before the next row is built
         yield columns
     refused = counts[THRESHOLD] + counts[NOT_PROPAGATING]
     log.debug("scan: %d points solved, %d threshold, %d incident not "
-              "propagating, %d near_singular, worst condition %.3g",
+              "propagating, %d near_singular, worst condition (bound at "
+              "certified points) %.3g",
               counts.total() - refused, counts[THRESHOLD],
               counts[NOT_PROPAGATING],
               sum(n for f, n in counts.items() if "near_singular" in f), worst)

@@ -20,6 +20,9 @@ the circles:
 - `find_bifurcation`'s gamma0* within 1e-12 of the root of Im c2 at
   kappa = 0, from a secant through gamma0 = GAMMA0_STAR -+ 1e-9
   (`bif_params`);
+- `trace_branch`'s kappa0 on fixture 1 at gamma0* - 1e-7 within 5e-10 of
+  the root of h = Im c1, one Newton step from it (1.1e-10 measured: h
+  carries about 1e-16 of roundoff and h' is only 4.9e-7 there);
 - the N = 3 complex-coupling standing mode (the structure of
   `test_guided.test_standing_mode_n3_complex_coupling_matches_chain_oracle`,
   kappa0 = 0 from the polish's standing-mode test): omega0 within 1e-12,
@@ -32,7 +35,7 @@ import pytest
 
 from latres import StructureParams
 from latres.guided import continue_and_fit_dispersion, find_guided_modes
-from latres.resonance import find_bifurcation
+from latres.resonance import find_bifurcation, trace_branch
 from oracles import taylor_mp
 
 mp = pytest.importorskip("mpmath")
@@ -74,6 +77,18 @@ def test_critical_coupling_matches_oracle(fixture1, bif_params, bif_mode,
     (g1, f1), (g2, f2) = points
     g_star = g1 - f1 * (g2 - g1) / (f2 - f1)
     assert abs(find_bifurcation(fixture1, (0.8, 1.3))[0] - g_star) <= 1e-12
+
+
+def test_branch_point_matches_oracle(fixture1, bif_mode, bif_fit):
+    bracket = (0.8, 1.3)
+    g_star = find_bifurcation(fixture1, bracket)[0]
+    branch = trace_branch(fixture1, [g_star - 1e-7], gamma0_bracket=bracket)
+    g0, kappa0, _ = branch.samples[0]
+    seed = _seed(bif_mode.omega0, bif_fit)
+    c = taylor_mp(fixture1.replace_gamma(0, g0), kappa0,
+                  lambda z: seed(kappa0 + z))
+    # one Newton step on h = Im c1, h' = 2 Im c2, to the 30-digit root
+    assert abs(c[1].imag / (2 * c[2].imag)) <= 5e-10
 
 
 def test_n3_complex_coupling_matches_oracle():
