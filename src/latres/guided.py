@@ -12,10 +12,13 @@ N x N chain kernel K(kappa, omega) is a complex dispersion curve
 omega_gm(kappa), solved only by `_omega_gm`: stacked Newton in complex
 omega at many real or complex kappa (and couplings) at once.  Its Taylor
 coefficients come only from Cauchy circles in complex kappa (`_taylor`):
-the dispersion slope and curvature, h' = 2 Im c2 and, in `resonance`, the
-critical coupling.  `_polish` takes kappa0 where h(kappa) = Im d omega_gm /
-d kappa vanishes and Im omega_gm peaks at 0; the real zero of det K there is
-degenerate (the curve only touches the real plane), so it is not solved.
+the dispersion slope and curvature, h' = 2 Im c2, the roots of h and, in
+`resonance`, the critical coupling.  `_polish` takes kappa0 where h(kappa) =
+Im d omega_gm / d kappa vanishes and Im omega_gm peaks at 0, as the real
+root of h's Taylor polynomial on one circle around each candidate
+(`_circle_root`) confirmed by one Newton step, with a bracket and secant on
+h as its safeguard; the real zero of det K there is degenerate (the curve
+only touches the real plane), so it is not solved.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ OVERLAP_MIN = 0.7
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
 # the bracketed secant's step limit (bisection alone takes a bracket of 32
-# to 1e-15 in 55 steps), and the polish's stop on a kappa step
+# to 1e-15 in 55 steps), and the polish's stop on a kappa step: the
+# secant's, or the error |h''| dk^2 / (2 |h'|) left by a Newton step dk
 SECANT_STEPS = 60
 POLISH_XTOL = 4e-15
 # `_taylor`'s Cauchy circles: radius in kappa and points.  c_k carries
@@ -218,27 +222,69 @@ def _taylor(params, kappa0, omega0, slope0, vec0, gammas=None, offsets=()):
     return out
 
 
+def _circle_root(c, near):
+    """The real root of h's Taylor polynomial nearest near in each circle.
+
+    c holds `_taylor`'s coefficients (points x M) around real kappa, where
+    h = Im d omega_gm / d kappa is sum_j j Im c_j t^(j - 1) for real t.
+    Every c_j is kept: within the circle the roundoff of c_j adds at most
+    j eps |omega| / R to h, while leaving out j >= M/2 moved a root 0.0095
+    out on fixture 1 by 1.2e-10 and its h' by 9e-8 relative.  Returns per
+    point the real root t with |t| < TAYLOR_RADIUS nearest near (NaN where
+    there is none or c is NaN), and at t: omega_gm = sum_k c_k t^k, h' and
+    h''.
+    """
+    j = np.arange(c.shape[-1])
+    h = j * c.imag  # h = sum_j h_j t^(j - 1)
+    t = np.full(len(c), np.nan)
+    for p in np.flatnonzero(np.isfinite(h).all(axis=-1)):
+        r = np.polynomial.polynomial.polyroots(h[p, 1:])
+        r = r[(r.imag == 0.0) & (np.abs(r) < TAYLOR_RADIUS)].real
+        if r.size:
+            t[p] = r[np.argmin(np.abs(r - near[p]))]
+    tj = t[:, None] ** j
+    return (t, (c * tj).sum(axis=-1),
+            (h[:, 2:] * (j[2:] - 1) * tj[:, :-2]).sum(axis=-1),
+            (h[:, 3:] * (j[3:] - 1) * (j[3:] - 2) * tj[:, :-3]).sum(axis=-1))
+
+
 def _polish(params, kappa, omega, reach):
     """The modes that candidates (kappa, omega) point to, all at once.
 
     Each candidate has a propagating order (one without lies on the robust
-    branch and is a mode already).  Returns kappa0 (NaN where a candidate
-    leads to no mode), omega_gm(kappa0), h'(kappa0) = 2 Im c2 (`_taylor`)
-    and the points each `_omega_gm` round solved.  kappa0 is a root of h =
-    Im d omega_gm / d kappa.  The bracket starts at kappa +- reach and, while
-    h keeps one sign on it, steps towards rising Im omega_gm by a doubling
-    reach, at most GROW_STEPS times; |h| <= H_FLOOR has no sign to trust.
-    Once it holds kappa = 0, a standing mode there (|Im omega_gm(0)| at
-    roundoff) gives kappa0 = 0.0, or else the bracket keeps the candidate's
-    side.  The candidate's point then replaces the end with its sign of h
-    where it lies inside with |h| > H_FLOOR, and `_bracketed_secant` stops
-    at a kappa step of POLISH_XTOL, h's roundoff over |h'| on fixture 1.
-    Each round is one `_omega_gm` call over the candidates still active
-    (both ends of a first bracket in one, every root's circle in the last),
-    the first from the candidate's omega and the smallest |eigenvalue|, the
-    others along the tangent of the nearest point solved: the candidate,
-    kappa = 0 or a bracket end, read back where it is the kappa asked for.
-    A failed solve, its circle's included, rejects its candidate.
+    branch and is a mode already).  kappa0 is a root of h = Im d omega_gm /
+    d kappa.  The first round solves each candidate from its omega and the
+    smallest |eigenvalue|.  A candidate whose first bracket kappa +- reach
+    holds kappa = 0 is then solved there, along its tangent: a standing mode
+    (|Im omega_gm(0)| at roundoff) gives kappa0 = 0.0, h' = 2 Im c2 from a
+    circle at 0.  Every other candidate takes one `_taylor` circle around
+    itself, stacked with those: kappa_hat is the real root of h's Taylor
+    polynomial nearest it (`_circle_root`), and one more round solves
+    omega_gm at kappa_hat, seeded from the polynomial, for a Newton step
+    dk = -h / h' with h' from the circle.  Where that step converges to
+    POLISH_XTOL, |h''| dk^2 <= 2 POLISH_XTOL |h'|, kappa0 = kappa_hat + dk
+    and omega_gm(kappa0) lies along the tangent.
+
+    The safeguard finishes the other candidates (no real root inside the
+    circle, a failed circle or a step that does not converge).  Their
+    bracket starts at kappa +- reach (on the candidate's side of a kappa = 0
+    that is no standing mode) and, while h keeps one sign on it, steps
+    towards rising Im omega_gm by a doubling reach, at most GROW_STEPS
+    times; |h| <= H_FLOOR has no sign to trust.  Once it holds kappa = 0, a
+    standing mode there gives kappa0 = 0.0, or else the bracket keeps the
+    candidate's side.  The candidate's point then replaces the end with its
+    sign of h where it lies inside with |h| > H_FLOOR, `_bracketed_secant`
+    stops at a kappa step of POLISH_XTOL (h's roundoff over |h'| on fixture
+    1), and a circle at each root gives h' = 2 Im c2.  Each safeguard round
+    is one `_omega_gm` call over the candidates still active (both ends of
+    a first bracket in one), seeded along the tangent of the nearest point
+    solved: the candidate, kappa = 0 or a bracket end, read back where it is
+    the kappa asked for.  A failed solve rejects its candidate, as does a
+    failed circle at a root.
+
+    Returns kappa0 (NaN where a candidate leads to no mode), omega_gm(kappa0),
+    h'(kappa0), the gap |kappa_hat - kappa0| where the circle finished the
+    candidate (NaN elsewhere) and the points each `_omega_gm` round solved.
     """
     n = len(kappa)
     # each candidate's points (kappa, omega_gm, slope, eigenvector) at itself,
@@ -268,12 +314,18 @@ def _polish(params, kappa, omega, reach):
             put(i[new], slot[new], kap[new], w1 + s1 * (kap[new] - k1.real),
                 near[new, 3:])
 
-    put(np.arange(n), C, kappa, omega + 0j, None)
-    pts[:, LO, 0], pts[:, HI, 0] = kappa - reach, kappa + reach
-    live, secant = ~np.isnan(pts[:, C, 1]), np.zeros(n, dtype=bool)
-    step, root = np.full(n, reach), np.full(n, np.nan)
-    for _ in range(GROW_STEPS + 1):
-        # kappa = 0 is tried once, when the bracket first holds it
+    def taylor(i, slot):
+        """`_taylor`'s coefficients around the points of candidates i in
+        slot(s), NaN where a circle failed."""
+        solved.append(TAYLOR_POINTS * len(i))
+        p = pts[i, slot]
+        try:
+            return _taylor(params, p[:, 0].real, p[:, 1], p[:, 2], p[:, 3:])[0]
+        except (ConvergenceError, ThresholdError) as err:
+            return err.solved[0]
+
+    def kappa_zero():
+        """kappa = 0, tried once, when a live bracket first holds it."""
         z = np.flatnonzero(live & (pts[:, LO, 0].real < 0.0)
                            & (pts[:, HI, 0].real > 0.0)
                            & np.isnan(pts[:, Z, 1]))
@@ -285,6 +337,41 @@ def _polish(params, kappa, omega, reach):
         end = np.where(kappa[side] >= 0.0, LO, HI)
         pts[side, end] = np.nan
         pts[side, end, 0] = np.where(end == LO, reach, -reach) * SIDE_OFFSET
+
+    put(np.arange(n), C, kappa, omega + 0j, None)
+    pts[:, LO, 0], pts[:, HI, 0] = kappa - reach, kappa + reach
+    live, secant = ~np.isnan(pts[:, C, 1]), np.zeros(n, dtype=bool)
+    step, root = np.full(n, reach), np.full(n, np.nan)
+    omega0 = np.full(n, np.nan, dtype=complex)
+    h_prime, gap = np.full((2, n), np.nan)
+    kappa_zero()
+    # one stack: circles at kappa = 0's standing modes and around the others
+    i = np.flatnonzero(live | (root == 0.0))
+    at = np.where(live[i], C, Z)
+    if i.size:
+        c = taylor(i, at)
+        z, ask = i[at == Z], i[at == C]
+        omega0[z], h_prime[z] = pts[z, Z, 1], 2.0 * c[at == Z, 2].imag
+        root[z[np.isnan(h_prime[z])]] = np.nan
+        t, om_hat, h1, h2 = _circle_root(c[at == C], np.zeros(len(ask)))
+        has = ~np.isnan(t)
+        k, t, om_hat, h1, h2 = (x[has] for x in (ask, t, om_hat, h1, h2))
+        if k.size:
+            solved.append(len(k))
+            try:
+                om, slope, _, _ = _omega_gm(params, kappa[k] + t, om_hat,
+                                            pts[k, C, 3:])
+            except (ConvergenceError, ThresholdError) as err:
+                om, slope, _, _ = err.solved
+            dk = -slope.imag / h1
+            ok = abs(h2) * dk * dk <= 2.0 * POLISH_XTOL * abs(h1)
+            k, dk = k[ok], dk[ok]
+            root[k], omega0[k] = kappa[k] + t[ok] + dk, om[ok] + slope[ok] * dk
+            h_prime[k], gap[k], live[k] = h1[ok], abs(dk), False
+    for _ in range(GROW_STEPS + 1):
+        if not live.any():
+            break
+        kappa_zero()
         # both ends, seeded from the candidate or kappa = 0, in one stack
         i, end = np.nonzero(live[:, None] & np.isnan(pts[:, LO:HI + 1, 1]))
         solve(i, LO + end, pts[i, LO + end, 0].real)
@@ -322,18 +409,13 @@ def _polish(params, kappa, omega, reach):
                                 lambda x, y: np.abs(x - y) <= POLISH_XTOL)
     root[b] = np.where(np.isnan(pts[b, NEW, 1]), np.nan, x)
     root[b[left]] = np.nan
-    at = pts[np.arange(n), np.where(root == 0.0, Z, NEW)]
-    found = ~np.isnan(root)
-    h_prime = np.full(n, np.nan)
-    if found.any():
-        solved.append(TAYLOR_POINTS * int(found.sum()))
-        try:
-            c = _taylor(params, root[found], *at[found, 1:3].T,
-                        at[found, 3:])[0]
-        except (ConvergenceError, ThresholdError) as err:
-            c = err.solved[0]
-        h_prime[found] = 2.0 * c[:, 2].imag
-    return (np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime,
+    # the safeguard's roots, standing ones included, and their circles
+    found = np.flatnonzero(~np.isnan(root) & np.isnan(h_prime))
+    if found.size:
+        at = np.where(root[found] == 0.0, Z, NEW)
+        omega0[found] = pts[found, at, 1]
+        h_prime[found] = 2.0 * taylor(found, at)[:, 2].imag
+    return (np.where(np.isnan(h_prime), np.nan, root), omega0, h_prime, gap,
             solved)
 
 
@@ -458,22 +540,28 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     the candidates are the points of a branch with a propagating order where
     q = ||W^H v|| / ||W|| (0 at a mode) is no larger than at its neighbours,
     and every point without one.  Those with a propagating order are
-    polished together on omega_gm (`_polish`, its bracket starting two row
-    steps out).  The others lie on the robust branch, a curve of modes where
-    K = K_H, so each is a mode as solved, with Im omega_gm = 0 and h' = 0.
-    A mode is kept when (kappa0, Re omega_gm) lies in the window and
-    sigma_min there falls below tol; the others are rejected.  A mode at
-    kappa0 < 0 is reported at -kappa0 when sigma_min there falls below tol
-    too (as for mirror-symmetric structures, such as those with real
-    couplings), and keeps its sign otherwise; duplicates are then merged.
-    The window applies before that fold, so a folded mode can lie outside
-    it.  Each mode carries its certificate at the point reported: |Im
-    omega_gm(kappa0)|, the smallest |eigenvalue| of K, h'(kappa0) and
-    sigma_min, each one call stacked over the modes.  A DEBUG line on the
-    `latres` logger counts the kappa rows, regions probed, crossings solved
-    and their most Newton steps, the candidates, those rejected or merged,
-    the polish's `_omega_gm` rounds and points, and the modes, and lists
-    each mode's certificate.
+    polished together on omega_gm (`_polish`, its safeguard's bracket
+    starting two row steps out).  The others lie on the robust branch, a
+    curve of modes where K = K_H, so each is a mode as solved, with Im
+    omega_gm = 0 and h' = 0.  A mode is kept when (kappa0, Re omega_gm) lies
+    in the window and sigma_min there falls below tol; the others are
+    rejected.  A mode at kappa0 < 0 is reported at -kappa0 when sigma_min
+    there falls below tol too (as for mirror-symmetric structures, such as
+    those with real couplings), and keeps its sign otherwise; duplicates
+    are then merged.  The window applies before that fold, so a folded mode
+    can lie outside it.  A kappa < 0 candidate with a propagating order
+    whose row and omega mirror those of a kappa > 0 one (to 1e-6) is folded
+    before the polish: it is polished only where its mirror gives no kept
+    mode whose -kappa0 passes that sigma_min test.  Each mode carries its
+    certificate at the point reported: |Im omega_gm(kappa0)|, the smallest
+    |eigenvalue| of K, h'(kappa0) and sigma_min, each one call stacked over
+    the modes.  A DEBUG line on the `latres` logger counts the kappa rows,
+    regions probed, crossings solved and their most Newton steps, the
+    candidates, those left to their mirror, rejected or merged, the
+    polish's `_omega_gm` rounds and points, and the modes, and lists each
+    mode's certificate, with what finished a polished one: the circle (and
+    its gap |kappa_hat - kappa0|, the circle's own error), the kappa = 0
+    test or the safeguard.
     """
     kmin, kmax, wmin, wmax = window
     if not (kmin < kmax and wmin < wmax and density >= 2):
@@ -492,39 +580,67 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                    & (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))
     pick = order[pick]
     pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
-    roots = kappas[cross["row"][pick]]
-    om_gms = cross["omega"][pick] + 0j
-    h_primes, rounds = np.zeros(len(pick)), []
+    n = len(pick)
+    roots, omegas = kappas[cross["row"][pick]], cross["omega"][pick]
+    om_gms, h_primes, gaps = omegas + 0j, np.zeros(n), np.full(n, np.nan)
     # a candidate with a propagating order is polished, the others are modes
     polish = cross["nprop"][pick] > 0
-    if polish.any():
-        reach = 2.0 * (kmax - kmin) / (density - 1)
-        roots[polish], om_gms[polish], h_primes[polish], rounds = _polish(
-            params, roots[polish], cross["omega"][pick][polish], reach)
-    # the certificates: each is one stacked call over the candidates
-    om0s = om_gms.real
-    sig = np.full(len(pick), np.inf)
-    inside = ((kmin <= roots) & (roots <= kmax)  # False if NaN
-              & (wmin <= om0s) & (om0s <= wmax))
-    sig[inside] = _sigma(params, roots[inside], om0s[inside])
+    # a kappa < 0 candidate on the mirror row and omega of a kappa > 0 one
+    # (to the merge's 1e-6) waits for that one's mode
+    pair = (polish[:, None] & polish & (roots[:, None] < 0.0) & (roots > 0.0)
+            & (abs(roots[:, None] + roots) < 1e-6)
+            & (abs(omegas[:, None] - omegas) < 1e-6))
+    neg, pos = np.nonzero(pair)
+    mirror, waited = np.full(n, -1), np.zeros(n, dtype=bool)
+    mirror[neg], waited[pos] = pos, True
+    wait = mirror >= 0
+    reach = 2.0 * (kmax - kmin) / (density - 1)
+    sig, flipped = np.full((2, n), np.inf)
+    rounds = []
+
+    def certify(todo):
+        """Polish and certify candidates todo; each step is one stacked call.
+
+        sigma_min is taken at the modes inside the window, and at -kappa0 of
+        those kept at kappa0 < 0 or waited for by a mirror.
+        """
+        i = np.flatnonzero(todo & polish)
+        if i.size:
+            roots[i], om_gms[i], h_primes[i], gaps[i], r = _polish(
+                params, roots[i], omegas[i], reach)
+            rounds.extend(r)
+        i = np.flatnonzero(todo & (kmin <= roots) & (roots <= kmax)
+                           & (wmin <= om_gms.real)  # False if NaN
+                           & (om_gms.real <= wmax))
+        if i.size:
+            sig[i] = _sigma(params, roots[i], om_gms[i].real)
+        i = np.flatnonzero(todo & (sig <= tol) & ((roots < 0.0) | waited))
+        if i.size:
+            flipped[i] = _sigma(params, -roots[i], om_gms[i].real)
+
+    certify(~wait)
+    mirrored = wait & (sig[mirror] <= tol) & (flipped[mirror] <= tol)
+    certify(wait & ~mirrored)
+    finish = np.where(~polish, "", np.where(
+        ~np.isnan(gaps), "circle", np.where(roots == 0.0, "kappa = 0 test",
+                                            "safeguard")))
     kept = sig <= tol
-    rejected = len(pick) - int(kept.sum())
-    kap0s, om0s, om_gms, h_primes, sig = (
-        x[kept] for x in (roots, om0s, om_gms, h_primes, sig))
+    rejected = n - int(kept.sum()) - int(mirrored.sum())
     # fold onto -kappa0 where that is a mode too
-    neg = np.flatnonzero(kap0s < 0.0)
-    if neg.size:
-        flipped = _sigma(params, -kap0s[neg], om0s[neg])
-        neg, flipped = neg[flipped <= tol], flipped[flipped <= tol]
-        kap0s[neg], sig[neg] = -kap0s[neg], flipped
+    fold = kept & (roots < 0.0) & (flipped <= tol)
+    roots[fold], sig[fold] = -roots[fold], flipped[fold]
+    kap0s, om0s, om_gms, h_primes, sig, gaps, finish = (
+        x[kept] for x in (roots, om_gms.real, om_gms, h_primes, sig, gaps,
+                          finish))
     unique, seen = [], []
     for i, (kap0, om0) in enumerate(zip(kap0s.tolist(), om0s.tolist())):
         if not any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6
                    for a, b in seen):
             unique.append(i)
             seen.append((kap0, om0))
-    kap0s, om0s, om_gms, h_primes, sig = (
-        x[unique] for x in (kap0s, om0s, om_gms, h_primes, sig))
+    unique.sort(key=lambda i: (kap0s[i], om0s[i]))
+    kap0s, om0s, om_gms, h_primes, sig, gaps, finish = (
+        x[unique] for x in (kap0s, om0s, om_gms, h_primes, sig, gaps, finish))
     # without a reference the smallest |eigenvalue| of K is taken
     lam = _tracked_eigenvalue(_KappaStage(params, kap0s), om0s, None)[0]
     counts = _classify(params.N, kap0s, om0s)[2].sum(axis=-1)
@@ -534,18 +650,21 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         region_size=int(counts[i]), im_omega=float(abs(om_gms[i].imag)),
         min_eigenvalue=float(abs(lam[i])), h_prime=float(h_primes[i]))
         for i, (vec, labels) in enumerate(_null_vectors(params, kap0s, om0s))]
-    modes.sort(key=lambda m: (m.kappa0, m.omega0))
     certificates = "; ".join(
         f"({m.kappa0:.15g}, {m.omega0:.15g}): |Im omega_gm| {m.im_omega:.2g}"
         f", min|eig K| {m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
-        f"sigma_min {m.sigma:.2g}" for m in modes)
+        f"sigma_min {m.sigma:.2g}"
+        + (f", polished by the {how}" if how else "")
+        + (f" (|kappa_hat - kappa0| {gap:.2g})" if how == "circle" else "")
+        for m, how, gap in zip(modes, finish, gaps))
     log.debug("guided-mode search: %d kappa rows, %d regions probed, %d "
               "crossings solved, at most %d Newton steps, %d candidates, %d "
-              "rejected, %d merged as duplicates, %d polish rounds solving "
-              "%d points, certificates [%s], %d modes", density, probed,
-              len(cross["omega"]), cross["steps"].max(initial=0), len(pick),
-              rejected, len(pick) - rejected - len(modes), len(rounds),
-              sum(rounds), certificates, len(modes))
+              "left to their kappa > 0 mirror, %d rejected, %d merged as "
+              "duplicates, %d polish rounds solving %d points, certificates "
+              "[%s], %d modes", density, probed, len(cross["omega"]),
+              cross["steps"].max(initial=0), n, int(mirrored.sum()),
+              rejected, n - rejected - int(mirrored.sum()) - len(modes),
+              len(rounds), sum(rounds), certificates, len(modes))
     return modes
 
 

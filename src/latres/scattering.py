@@ -205,22 +205,21 @@ def _condition(K):
                      where=sv[:, -1] > 0)
 
 
-def _solve_stack(K, rhs, cond_limit):
+def _solve_stack(K, rhs, cond_limit, certify):
     """Solve a stack of chain systems K z = rhs, one rhs for all members;
     returns (z, cond, near), with cond the bound at the members certified.
 
-    A stack of several members is solved once for K [z | X] = [rhs | I],
-    which gives z and X = K^-1, and cond_2(K) <= ||K||_F ||X||_F, as
-    ||K||_2 <= ||K||_F (compared squared).  A member whose bound is at most
-    CERTIFY_SHARE * cond_limit is certified not near a guided mode: its
-    cond is the bound, and it takes no SVD.  The others, every member if one
-    is exactly singular (the solve then raises for the whole stack), and a
-    stack of one, whose condition number the caller prints, get their exact
-    condition numbers from `_condition`; those above cond_limit get a
-    minimum-norm least-squares solution each, and the rest share one
-    stacked solve.
+    Where certify holds (the stack is part of a row of several points), it
+    is solved once for K [z | X] = [rhs | I], which gives z and X = K^-1,
+    and cond_2(K) <= ||K||_F ||X||_F, as ||K||_2 <= ||K||_F (compared
+    squared).  A member whose bound is at most CERTIFY_SHARE * cond_limit is
+    certified not near a guided mode: its cond is the bound, and it takes no
+    SVD.  The others, every member if one is exactly singular (the solve
+    then raises for the whole stack), and every member of a row of one,
+    whose condition number the caller prints, get their exact condition
+    numbers from `_condition`; those above cond_limit get a minimum-norm
+    least-squares solution each, and the rest share one stacked solve.
     """
-    certify = len(K) > 1
     # a 3-D B: NumPy 1.x reads a b of one dimension less than K as a stack
     # of vectors
     B = (np.column_stack([rhs, np.eye(len(rhs))])[None] if certify
@@ -292,8 +291,9 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     is refused: flagged with NaN results, or, if strict, the first refused
     point raises ThresholdError or NonPropagatingIncidenceError.  K is
     stacked over the other points from one `_KappaStage`, built and solved
-    by `_solve_stack` in chunks of at most STACK_BYTES of K, and the row
-    keeps each point's condition from that solve.  Both outgoing amplitudes
+    by `_solve_stack` in chunks of at most STACK_BYTES of K, certified as
+    one row of several points or of one, and the row keeps each point's
+    condition from that solve.  Both outgoing amplitudes
     follow from the common trace U = u_inc + P^-1 (conj(gamma) z) / s:
     a_minus = U - a_inc and b_plus = U - b_inc; and c = P^-1 z.  The fluxes
     are sums over the propagating orders weighted by sin 2 pi theta, and the
@@ -326,7 +326,7 @@ def _solve_chain(params, kappa, omega, classified, incident, cond_limit,
     chunks = []  # s, z, cond and near of each chunk
     for part in _chunks(len(om), 16 * N * N):
         K, _, _, s = stage.at(om[part], theta[part])[:4]
-        chunks.append((s, *_solve_stack(K, rhs, cond_limit)))
+        chunks.append((s, *_solve_stack(K, rhs, cond_limit, len(om) > 1)))
     s, z, cond, near = (chunks[0] if len(chunks) == 1
                         else map(np.concatenate, zip(*chunks)))
     U = u_inc + ((np.conj(gam) * z) @ stage.Pinv.T) / s

@@ -24,18 +24,23 @@ form the solvers do not use:
 - `chain_kernel_mp`, `omega_gm_mp` and `taylor_mp`: the chain kernel K in
   mpmath, omega_gm as a root of det K by Newton's method, and the Taylor
   coefficients of omega_gm from a Cauchy circle, at any precision.
+- `polish_bracketed`: a guided mode's kappa0 by growing a bracket on h = Im
+  d omega_gm / d kappa and a secant in it, where `guided._polish` takes the
+  root of h's Taylor polynomial on one circle around the candidate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from latres import guided
 from latres.scattering import (IncidentField, ScatteringSolution, _fourier,
                                reconstruct_field)
 from latres.dtn import default_truncation, dtn_matrix
 from latres.structure import (BlochPoint, HarmonicSet, StructureParams,
-                              _classify_off_threshold, classify_harmonics,
-                              strip_operator, waveguide_band_matrix)
+                              ThresholdError, _classify_off_threshold,
+                              classify_harmonics, strip_operator,
+                              waveguide_band_matrix)
 
 
 def _assemble(params, kappa, omega, theta):
@@ -320,3 +325,115 @@ def taylor_mp(params, kappa0, seed, r=1e-2, M=16):
     f = [omega_gm_mp(params, kappa0 + zj, seed(complex(zj))) for zj in z]
     return [sum(fj * mp.expjpi(-mp.mpf(2 * j * k) / M)
                 for j, fj in enumerate(f)) / (M * r ** k) for k in range(M)]
+
+
+def polish_bracketed(params, kappa, omega, reach):
+    """`guided._polish` by bracket and secant alone, without the circle.
+
+    The bracket starts at kappa +- reach and, while h = Im d omega_gm /
+    d kappa keeps one sign on it, steps towards rising Im omega_gm by a
+    doubling reach, at most GROW_STEPS times; |h| <= H_FLOOR has no sign to
+    trust.  Once it holds kappa = 0, a standing mode there (|Im omega_gm(0)|
+    at roundoff) gives kappa0 = 0.0, or else the bracket keeps the
+    candidate's side.  The candidate's point then replaces the end with its
+    sign of h where it lies inside with |h| > H_FLOOR, `_bracketed_secant`
+    stops at a kappa step of POLISH_XTOL, and a circle at each root gives
+    h' = 2 Im c2.  A failed solve, its circle's included, rejects its
+    candidate.  Returns what `_polish` returns, the circle's gaps all NaN.
+    """
+    n = len(kappa)
+    # each candidate's points (kappa, omega_gm, slope, eigenvector) at itself,
+    # kappa = 0, its bracket ends and the secant's last iterate; omega_gm is
+    # NaN where none is solved
+    C, Z, LO, HI, NEW = range(5)
+    pts = np.full((n, 5, 3 + params.N), np.nan, dtype=complex)
+    solved = []  # the points of each _omega_gm round
+
+    def put(i, slot, kap, seed, vref):
+        solved.append(len(kap))
+        try:
+            om, slope, vec, _ = guided._omega_gm(params, kap, seed, vref)
+        except (guided.ConvergenceError, ThresholdError) as err:
+            om, slope, vec, _ = err.solved  # NaN where a point failed
+        pts[i, slot] = np.column_stack([kap, om, slope, vec])
+
+    def solve(i, slot, kap):
+        """Candidates i at kap into slot(s), from their nearest solved one."""
+        slot = np.broadcast_to(slot, i.shape)
+        k = np.where(np.isnan(pts[i, :, 1]), np.nan, pts[i, :, 0].real)
+        near = pts[i, np.nanargmin(np.abs(k - kap[:, None]), axis=1)]
+        pts[i, slot] = near  # read back where kap is solved already
+        new = near[:, 0].real != kap
+        if new.any():
+            k1, w1, s1 = near[new, :3].T
+            put(i[new], slot[new], kap[new], w1 + s1 * (kap[new] - k1.real),
+                near[new, 3:])
+
+    put(np.arange(n), C, kappa, omega + 0j, None)
+    pts[:, LO, 0], pts[:, HI, 0] = kappa - reach, kappa + reach
+    live, secant = ~np.isnan(pts[:, C, 1]), np.zeros(n, dtype=bool)
+    step, root = np.full(n, reach), np.full(n, np.nan)
+    for _ in range(guided.GROW_STEPS + 1):
+        # kappa = 0 is tried once, when the bracket first holds it
+        z = np.flatnonzero(live & (pts[:, LO, 0].real < 0.0)
+                           & (pts[:, HI, 0].real > 0.0)
+                           & np.isnan(pts[:, Z, 1]))
+        solve(z, Z, np.zeros(len(z)))
+        om = pts[z, Z, 1]
+        standing = abs(om.imag) <= guided.STANDING_IM_TOL * abs(om)
+        root[z[standing]], live[z] = 0.0, ~standing & ~np.isnan(om)
+        side = z[live[z]]
+        end = np.where(kappa[side] >= 0.0, LO, HI)
+        pts[side, end] = np.nan
+        pts[side, end, 0] = (np.where(end == LO, reach, -reach)
+                             * guided.SIDE_OFFSET)
+        # both ends, seeded from the candidate or kappa = 0, in one stack
+        i, end = np.nonzero(live[:, None] & np.isnan(pts[:, LO:HI + 1, 1]))
+        solve(i, LO + end, pts[i, LO + end, 0].real)
+        h_lo, h_hi = pts[:, LO, 2].imag, pts[:, HI, 2].imag
+        # a failed solve (NaN) rejects its candidate too
+        floor = ~(np.minimum(abs(h_lo), abs(h_hi)) > guided.H_FLOOR)
+        secant |= live & ~floor & (h_lo * h_hi < 0.0)
+        live &= ~floor & ~secant
+        step[live] *= 2.0
+        up, down = live & (h_hi > 0.0), live & ~(h_hi > 0.0)
+        pts[up, LO], pts[down, HI] = pts[up, HI], pts[down, LO]
+        pts[up, HI, 0] += step[up]
+        pts[down, LO, 0] -= step[down]
+        pts[up, HI, 1] = pts[down, LO, 1] = np.nan
+    b = np.flatnonzero(secant)
+    # the candidate's own point replaces the end with its sign of h
+    kc, hc = pts[b, C, 0].real, pts[b, C, 2].imag
+    inner = ((pts[b, LO, 0].real < kc) & (kc < pts[b, HI, 0].real)
+             & (abs(hc) > guided.H_FLOOR))
+    end = np.where(np.sign(hc) == np.sign(pts[b, LO, 2].imag), LO, HI)
+    pts[b[inner], end[inner]] = pts[b[inner], C]
+    h_lo = pts[b, LO, 2].imag
+
+    def h(j, x):
+        """h at x for brackets j, each iterate kept at the end it replaces."""
+        i = b[j]
+        solve(i, NEW, x)
+        new = pts[i, NEW]
+        left = np.sign(new[:, 2].imag) == np.sign(h_lo[j])
+        pts[i[left], LO], pts[i[~left], HI] = new[left], new[~left]
+        return new[:, 2].imag
+
+    x, left = guided._bracketed_secant(
+        h, pts[b, LO, 0].real, pts[b, HI, 0].real, h_lo, pts[b, HI, 2].imag,
+        lambda x, y: np.abs(x - y) <= guided.POLISH_XTOL)
+    root[b] = np.where(np.isnan(pts[b, NEW, 1]), np.nan, x)
+    root[b[left]] = np.nan
+    at = pts[np.arange(n), np.where(root == 0.0, Z, NEW)]
+    found = ~np.isnan(root)
+    h_prime = np.full(n, np.nan)
+    if found.any():
+        solved.append(guided.TAYLOR_POINTS * int(found.sum()))
+        try:
+            c = guided._taylor(params, root[found], *at[found, 1:3].T,
+                        at[found, 3:])[0]
+        except (guided.ConvergenceError, ThresholdError) as err:
+            c = err.solved[0]
+        h_prime[found] = 2.0 * c[:, 2].imag
+    return (np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime,
+            np.full(n, np.nan), solved)

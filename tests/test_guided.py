@@ -20,7 +20,8 @@ from latres.scattering import (_KappaStage, _chain_kernel, _fourier,
 from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
                            _crossings, _omega_gm, continue_and_fit_dispersion,
                            find_guided_modes, sigma_min)
-from oracles import guided_mode_criteria_n2, reduced_homogeneous
+from oracles import (guided_mode_criteria_n2, polish_bracketed,
+                     reduced_homogeneous)
 
 MODE1_KAPPA = 0.06167366437892
 MODE1_OMEGA = 0.97916666666667
@@ -241,18 +242,21 @@ def test_mode_search_logs_counts(fixture1, caplog, monkeypatch):
     assert len(lines) == 1
     assert lines[0].startswith("guided-mode search: 30 kappa rows, 30 regions "
                                "probed, 30 crossings solved, at most ")
-    # the polish's rounds: the candidate, its first bracket's two ends in
-    # one, the secant's iterates and the h' circle in one
-    assert rounds[:2] == [1, 2] and rounds[-1] == guided.TAYLOR_POINTS
-    assert (f" Newton steps, 1 candidates, 0 rejected, 0 merged as "
-            f"duplicates, {len(rounds)} polish rounds solving {sum(rounds)} "
-            f"points, certificates [") in lines[0]
+    # the polish's rounds: the candidate, the circle around it and the
+    # solve at the circle's root that confirms it
+    assert rounds == [1, guided.TAYLOR_POINTS, 1]
+    assert (" Newton steps, 1 candidates, 0 left to their kappa > 0 mirror, "
+            "0 rejected, 0 merged as duplicates, 3 polish rounds solving "
+            f"{guided.TAYLOR_POINTS + 2} points, certificates [") in lines[0]
     assert lines[0].endswith(f", {len(modes)} modes")
     m = modes[0]
+    gap = re.search(r"\(\|kappa_hat - kappa0\| (\S+)\)\]", lines[0])
     assert (f"certificates [({m.kappa0:.15g}, {m.omega0:.15g}): "
             f"|Im omega_gm| {m.im_omega:.2g}, min|eig K| "
             f"{m.min_eigenvalue:.2g}, h' {m.h_prime:.6g}, "
-            f"sigma_min {m.sigma:.2g}]") in lines[0]
+            f"sigma_min {m.sigma:.2g}, polished by the circle "
+            f"(|kappa_hat - kappa0| {gap[1]})]") in lines[0]
+    assert float(gap[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("N", range(1, 9))
@@ -440,25 +444,23 @@ def test_robust_branch_needs_no_tracker(fixture1, monkeypatch):
     assert all(m.im_omega == 0.0 and m.h_prime == 0.0 for m in robust)
 
 
-def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
-    # criterion 01's window at density 60 polishes one +-kappa pair in one
-    # stack; when the kappa < 0 candidate loses its track there, it alone
-    # is rejected, and the pair's mode is still reported from kappa > 0
-    window = (-0.5, 0.5, 0.7, 1.25)
+def _search_logged(params, window, density, caplog):
+    """find_guided_modes with its DEBUG line."""
     caplog.set_level(logging.DEBUG, logger="latres")
+    caplog.clear()
+    modes = find_guided_modes(params, window, density=density)
+    line, = [r.getMessage() for r in caplog.records if r.name == "latres"]
+    return modes, line
 
-    def search():
-        caplog.clear()
-        modes = find_guided_modes(fixture1, window, density=60)
-        line, = [r.getMessage() for r in caplog.records if r.name == "latres"]
-        return modes, re.search(r", (\d+) rejected, (\d+) merged ", line)
 
-    want, counts = search()
+def _losing_track(monkeypatch, lost_where):
+    """Make `_tracked_eigenvalue` lose its track wherever lost_where(kappa)
+    holds and a reference is given; returns the sizes of the failed calls."""
     tracked, lost_at = guided._tracked_eigenvalue, []
 
     def losing(stage, omega, vref):
-        lost = np.broadcast_to(stage.kappa, omega.shape) < 0.0
-        if vref is not None and len(omega) > 1 and lost.any():
+        lost = lost_where(np.broadcast_to(stage.kappa, omega.shape))
+        if vref is not None and lost.any():
             lost_at.append(len(omega))
             error = ConvergenceError("lost eigenvalue track")
             error.points = lost
@@ -466,15 +468,108 @@ def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
         return tracked(stage, omega, vref)
 
     monkeypatch.setattr(guided, "_tracked_eigenvalue", losing)
-    got, got_counts = search()
-    assert lost_at == [2]
-    # the lost candidate is counted as rejected, not as its pair's duplicate
-    assert (int(got_counts[1]), int(got_counts[2])) == (
-        int(counts[1]) + 1, int(counts[2]) - 1)
+    return lost_at
+
+
+def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
+    # criterion 01's window at density 60 has one +-kappa pair of candidates;
+    # the kappa < 0 one waits for its kappa > 0 mirror.  When the kappa > 0
+    # candidate loses its track, it alone is rejected, and the pair's mode
+    # is still reported, polished from kappa < 0 and folded
+    args = fixture1, (-0.5, 0.5, 0.7, 1.25), 60, caplog
+    counts = r", (\d+) left to their kappa > 0 mirror, (\d+) rejected, (\d+) "
+    want, line = _search_logged(*args)
+    lost_at = _losing_track(monkeypatch, lambda k: k.real > 0.0)
+    got, got_line = _search_logged(*args)
+    assert lost_at == [1]
+    # the lost candidate is counted as rejected, and its mirror is polished
+    n = [int(x) for x in re.search(counts, line).groups()]
+    assert [int(x) for x in re.search(counts, got_line).groups()] == [
+        n[0] - 1, n[1] + 1, n[2]]
     assert [(m.null_labels, m.region_size) for m in got] == [
         (m.null_labels, m.region_size) for m in want]
     assert all(abs(a.kappa0 - b.kappa0) <= 1e-12
                and abs(a.omega0 - b.omega0) <= 1e-12 for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("fault", ["circle fails", "root off"])
+def test_safeguard_finishes_what_the_circle_does_not(fixture1, monkeypatch,
+                                                     caplog, fault):
+    # a circle that fails, or a root kappa_hat that the confirming solve
+    # does not bear out (here moved 1e-4 off), hands its candidate to the
+    # bracket and secant, which find the same mode; the DEBUG certificate
+    # says which finished it
+    args = fixture1, (0.02, 0.11, 0.93, 1.02), 30, caplog
+    (want,), line = _search_logged(*args)
+    assert "polished by the circle (|kappa_hat - kappa0| " in line
+    if fault == "circle fails":
+        # the first circle only: the safeguard's circle at its root solves
+        lost_at = _losing_track(monkeypatch,
+                                lambda k: (k.imag != 0.0) & (not lost_at))
+    else:
+        circle_root = guided._circle_root
+
+        def off(c, near):
+            t, om, h1, h2 = circle_root(c, near)
+            return t + 1e-4, om, h1, h2
+
+        monkeypatch.setattr(guided, "_circle_root", off)
+    (got,), line = _search_logged(*args)
+    assert fault == "root off" or lost_at == [guided.TAYLOR_POINTS]
+    assert line.endswith(", polished by the safeguard], 1 modes")
+    assert abs(got.kappa0 - want.kappa0) <= 1e-13
+    assert abs(got.omega0 - want.omega0) <= 1e-13
+
+
+def _tuned_family():
+    """ROADMAP's tuned family: fixture 1 with m0 in [1.5, 2.5], gamma0 in
+    [0.3, 1] and gamma1 in [4, 9], 30 seeded draws (19 with a traveling
+    mode) on kappa in [0, 0.5], omega in [0.05, 4] at density 60."""
+    draws = np.random.default_rng(7).uniform([1.5, 0.3, 4.0], [2.5, 1.0, 9.0],
+                                              (30, 3))
+    return [(StructureParams(2, [m0, 1.0], [1.0, 1.0], [g0, g1]),
+             (0.0, 0.5, 0.05, 4.0), 60) for m0, g0, g1 in draws]
+
+
+def test_polish_matches_bracketed_oracle(fixture1, n3_params, monkeypatch):
+    # every mode search gives the oracle's modes with the circle's polish as
+    # with bracket and secant alone (`oracles.polish_bracketed`): fixture 1
+    # at three densities, the N = 3 mirror structure (standing mode), an
+    # N = 5 mirror structure with complex couplings (standing mode, a
+    # candidate the safeguard finishes, a rejected one) and the tuned
+    # family; kappa0 and omega0 within 1e-13, h' within 1e-8 relative, in
+    # the same order, and one more mode where the oracle loses it
+    n5 = StructureParams(
+        N=5, masses=[1.0, 2.5, 3.0, 3.0, 2.5],
+        springs=[0.9, 1.3, 0.8, 1.3, 0.9],
+        gammas=[1.2 + 0.2j, 0.7 - 0.5j, 1.4 + 0.6j, 1.4 + 0.6j, 0.7 - 0.5j])
+    cases = [(fixture1, (-0.5, 0.5, 0.7, 1.25), d) for d in (30, 60, 400)]
+    cases += [(n3_params, (-0.05, 0.05, 1.1, 1.3), 80),
+              (n5, (-0.5, 0.5, 0.2, 4.0), 60)] + _tuned_family()
+    got = [find_guided_modes(p, w, density=d) for p, w, d in cases]
+    monkeypatch.setattr(guided, "_polish", polish_bracketed)
+    want = [find_guided_modes(p, w, density=d) for p, w, d in cases]
+    extra = {}
+    for j, (ms, ref) in enumerate(zip(got, want)):
+        same = [any(abs(m.kappa0 - r.kappa0) <= 1e-13
+                    and abs(m.omega0 - r.omega0) <= 1e-13 for r in ref)
+                for m in ms]
+        ms, extra[j] = ([m for m, s in zip(ms, same) if s],
+                        [m for m, s in zip(ms, same) if not s])
+        assert [(m.null_labels, m.region_size) for m in ms] == [
+            (m.null_labels, m.region_size) for m in ref]
+        for m, r in zip(ms, ref):
+            assert abs(m.h_prime - r.h_prime) <= 1e-8 * abs(r.h_prime)
+    # the oracle loses one mode of the family: on draw 29 the first bracket
+    # (0.305, 0.339) also holds h's root near 0.336, a minimum of Im
+    # omega_gm, so h has one sign at both ends and the bracket grows into
+    # the robust branch, where |h| <= H_FLOOR rejects the candidate
+    m, = extra.pop(len(cases) - 1)
+    assert not any(extra.values())
+    assert m.region_size == 1 and abs(m.kappa0 - 0.32235970667684) <= 1e-12
+    assert m.sigma <= 1e-12 and m.im_omega <= 1e-14 and m.h_prime < 0.0
+    assert sum(any(m.region_size > 0 and m.kappa0 != 0.0 for m in ms)
+               for ms in got[-30:]) == 19
 
 
 def test_decoupled_standing_mode(decoupled):

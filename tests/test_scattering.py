@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import latres.scattering
 from latres.cli import main
 from latres.structure import (BlochPoint, StructureParams, ThresholdError,
                               _classify, _classify_off_threshold,
@@ -350,7 +351,7 @@ def test_solve_stack_matches_svd_oracle():
     for N in (1, 2, 3, 8):
         K = _stack_with_sigma_min(rng, N, rng.permutation(sigma_min))
         rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        z, cond, near = _solve_stack(K, rhs, COND_LIMIT)
+        z, cond, near = _solve_stack(K, rhs, COND_LIMIT, True)
         z_o, cond_o, near_o = solve_stack_svd(K, rhs, COND_LIMIT)
         assert (near == near_o).all()
         bound = (np.linalg.norm(K, axis=(1, 2))
@@ -369,11 +370,16 @@ def test_solve_stack_matches_svd_oracle():
         if N > 1:  # certified, SVD'd under the limit, and near members
             assert (certified.any() and (~certified & ~near).any()
                     and near.any())
-        # a stack of one takes the SVD: its condition number is always exact
+        # a row of one takes the SVD: its condition number is always exact;
+        # one member of a longer row is certified as in the whole stack
         for i in range(len(K)):
-            z1, cond1, near1 = _solve_stack(K[i:i + 1], rhs, COND_LIMIT)
+            z1, cond1, near1 = _solve_stack(K[i:i + 1], rhs, COND_LIMIT,
+                                            False)
             assert cond1[0] == cond_o[i] and near1[0] == near_o[i]
             _assert_z_matches(z1, z_o[i:i + 1])
+            z1, cond1, near1 = _solve_stack(K[i:i + 1], rhs, COND_LIMIT,
+                                            True)
+            assert cond1[0] == cond[i] and near1[0] == near[i]
 
 
 def test_solve_stack_exactly_singular_member():
@@ -385,7 +391,7 @@ def test_solve_stack_exactly_singular_member():
         K = _stack_with_sigma_min(rng, N, [1.0, 1.0, 1e-6, 1e-14])
         K[1, -1, :] = K[1, :, -1] = 0.0
         rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        z, cond, near = _solve_stack(K, rhs, COND_LIMIT)
+        z, cond, near = _solve_stack(K, rhs, COND_LIMIT, True)
         z_o, cond_o, near_o = solve_stack_svd(K, rhs, COND_LIMIT)
         assert near[1] and cond[1] == np.inf
         assert (near == near_o).all() and (cond == cond_o).all()
@@ -512,6 +518,27 @@ def test_row_condition_is_exact_or_a_bound(fixture1):
     assert (near[ok] == (exact > COND_LIMIT)).all()
     assert svd.sum() > near.sum() > 0 and (~svd).any()
     assert ok[:-1].all() and np.isnan(row.condition[-1])
+
+
+def test_row_certifies_a_one_point_chunk(fixture1, monkeypatch):
+    # a row of five points split into chunks of two ends in a chunk of one,
+    # which is certified as its neighbours are (the bound, no SVD): every
+    # number of the row is the unsplit row's, bit for bit; a row of one
+    # still reports the exact cond_2
+    omegas = np.linspace(1.2, 1.6, 5)
+    whole = solve_row(fixture1, 0.2, omegas)
+    monkeypatch.setattr(latres.scattering, "STACK_BYTES",
+                        2 * 16 * fixture1.N ** 2)
+    assert [len(range(5)[c]) for c in latres.scattering._chunks(
+        5, 16 * fixture1.N ** 2)] == [2, 2, 1]
+    split = solve_row(fixture1, 0.2, omegas)
+    for name in ("a_minus", "b_plus", "c", "T", "R", "condition"):
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+    assert split.flags == whole.flags
+    K = _chain_kernel(fixture1, 0.2, omegas, _classify(2, 0.2, omegas)[1])[0]
+    assert (split.condition > _condition(K)).all()
+    one = solve_row(fixture1, 0.2, omegas[-1:])
+    assert one.condition[0] == _condition(K[-1:])[0]
 
 
 def test_scan_empty_omega_grid(tmp_path, fixture1):
