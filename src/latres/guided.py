@@ -16,9 +16,9 @@ the dispersion slope and curvature, h' = 2 Im c2, the roots of h and, in
 `resonance`, the critical coupling.  `_polish` takes kappa0 where h(kappa) =
 Im d omega_gm / d kappa vanishes and Im omega_gm peaks at 0, as the real
 root of h's Taylor polynomial on one circle around each candidate
-(`_circle_root`) confirmed by one Newton step, with a bracket and secant on
-h as its safeguard; the real zero of det K there is degenerate (the curve
-only touches the real plane), so it is not solved.
+(`_circle_root`) confirmed by a Newton and a secant step, with a bracket
+and secant on h as its safeguard; the real zero of det K there is
+degenerate (the curve only touches the real plane), so it is not solved.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ NEWTON_TOL = 1e-13
 NEWTON_STEPS = 80
 # the bracketed secant's step limit (bisection alone takes a bracket of 32
 # to 1e-15 in 55 steps), and the polish's stop on a kappa step: the
-# secant's, or the error |h''| dk^2 / (2 |h'|) left by a Newton step dk
+# secant's, or the error |h''| |dk dk2| / (2 |h'|) left by the circle's
+# Newton step dk and secant step dk2
 SECANT_STEPS = 60
 POLISH_XTOL = 4e-15
 # `_taylor`'s Cauchy circles: radius in kappa and points.  c_k carries
@@ -222,26 +223,32 @@ def _taylor(params, kappa0, omega0, slope0, vec0, gammas=None, offsets=()):
     return out
 
 
-def _circle_root(c, near):
-    """The real root of h's Taylor polynomial nearest near in each circle.
+def _circle_root(c):
+    """The real root of h's Taylor polynomial where Im omega_gm peaks, nearest
+    the centre of each circle.
 
     c holds `_taylor`'s coefficients (points x M) around real kappa, where
     h = Im d omega_gm / d kappa is sum_j j Im c_j t^(j - 1) for real t.
     Every c_j is kept: within the circle the roundoff of c_j adds at most
     j eps |omega| / R to h, while leaving out j >= M/2 moved a root 0.0095
-    out on fixture 1 by 1.2e-10 and its h' by 9e-8 relative.  Returns per
-    point the real root t with |t| < TAYLOR_RADIUS nearest near (NaN where
+    out on fixture 1 by 1.2e-10 and its h' by 9e-8 relative.  Only a root
+    with h' < 0 is taken, a maximum of Im omega_gm as at every mode: a
+    mirror-symmetric structure has h(0) = 0 also where kappa = 0 holds no
+    mode but a minimum between the pair +-kappa0.  Returns per point the
+    real root t with |t| < TAYLOR_RADIUS and h'(t) < 0 nearest 0 (NaN where
     there is none or c is NaN), and at t: omega_gm = sum_k c_k t^k, h' and
     h''.
     """
+    P = np.polynomial.polynomial
     j = np.arange(c.shape[-1])
     h = j * c.imag  # h = sum_j h_j t^(j - 1)
     t = np.full(len(c), np.nan)
     for p in np.flatnonzero(np.isfinite(h).all(axis=-1)):
-        r = np.polynomial.polynomial.polyroots(h[p, 1:])
+        r = P.polyroots(h[p, 1:])
         r = r[(r.imag == 0.0) & (np.abs(r) < TAYLOR_RADIUS)].real
+        r = r[P.polyval(r, h[p, 2:] * (j[2:] - 1)) < 0.0]
         if r.size:
-            t[p] = r[np.argmin(np.abs(r - near[p]))]
+            t[p] = r[np.argmin(np.abs(r))]
     tj = t[:, None] ** j
     return (t, (c * tj).sum(axis=-1),
             (h[:, 2:] * (j[2:] - 1) * tj[:, :-2]).sum(axis=-1),
@@ -259,14 +266,17 @@ def _polish(params, kappa, omega, reach):
     (|Im omega_gm(0)| at roundoff) gives kappa0 = 0.0, h' = 2 Im c2 from a
     circle at 0.  Every other candidate takes one `_taylor` circle around
     itself, stacked with those: kappa_hat is the real root of h's Taylor
-    polynomial nearest it (`_circle_root`), and one more round solves
-    omega_gm at kappa_hat, seeded from the polynomial, for a Newton step
-    dk = -h / h' with h' from the circle.  Where that step converges to
-    POLISH_XTOL, |h''| dk^2 <= 2 POLISH_XTOL |h'|, kappa0 = kappa_hat + dk
-    and omega_gm(kappa0) lies along the tangent.
+    polynomial nearest it where h' < 0 (`_circle_root`).  One more round
+    solves omega_gm at kappa_hat, seeded from the polynomial, for a Newton
+    step dk = -h / h' with h' from the circle, and one more at kappa_hat +
+    dk for a secant step dk2 through the two real values of h, so an error
+    of the circle's h' (aliasing) does not stay in kappa0.  Where the
+    secant converges to POLISH_XTOL, |h''| |dk dk2| <= 2 POLISH_XTOL |h'|,
+    kappa0 = kappa_hat + dk + dk2 and omega_gm(kappa0) lies along the
+    tangent.
 
-    The safeguard finishes the other candidates (no real root inside the
-    circle, a failed circle or a step that does not converge).  Their
+    The safeguard finishes the other candidates (no such root inside the
+    circle, a failed circle or a secant that does not converge).  Their
     bracket starts at kappa +- reach (on the candidate's side of a kappa = 0
     that is no standing mode) and, while h keeps one sign on it, steps
     towards rising Im omega_gm by a doubling reach, at most GROW_STEPS
@@ -324,6 +334,15 @@ def _polish(params, kappa, omega, reach):
         except (ConvergenceError, ThresholdError) as err:
             return err.solved[0]
 
+    def confirm(k, x, seed):
+        """omega_gm and its slope at real x for candidates k, tracking their
+        eigenvectors, in one round (NaN where a solve fails)."""
+        solved.append(len(k))
+        try:
+            return _omega_gm(params, x, seed, pts[k, C, 3:])[:2]
+        except (ConvergenceError, ThresholdError) as err:
+            return err.solved[:2]
+
     def kappa_zero():
         """kappa = 0, tried once, when a live bracket first holds it."""
         z = np.flatnonzero(live & (pts[:, LO, 0].real < 0.0)
@@ -353,20 +372,27 @@ def _polish(params, kappa, omega, reach):
         z, ask = i[at == Z], i[at == C]
         omega0[z], h_prime[z] = pts[z, Z, 1], 2.0 * c[at == Z, 2].imag
         root[z[np.isnan(h_prime[z])]] = np.nan
-        t, om_hat, h1, h2 = _circle_root(c[at == C], np.zeros(len(ask)))
+        t, om_hat, h1, h2 = _circle_root(c[at == C])
         has = ~np.isnan(t)
-        k, t, om_hat, h1, h2 = (x[has] for x in (ask, t, om_hat, h1, h2))
+        k, x, om, h1, h2 = (v[has] for v in (ask, kappa[ask] + t, om_hat, h1,
+                                             h2))
+        # Newton from kappa_hat on the circle's h', then a secant step
+        # through the two real solves, which bears no aliasing of h'
         if k.size:
-            solved.append(len(k))
-            try:
-                om, slope, _, _ = _omega_gm(params, kappa[k] + t, om_hat,
-                                            pts[k, C, 3:])
-            except (ConvergenceError, ThresholdError) as err:
-                om, slope, _, _ = err.solved
+            om, slope = confirm(k, x, om)
             dk = -slope.imag / h1
-            ok = abs(h2) * dk * dk <= 2.0 * POLISH_XTOL * abs(h1)
-            k, dk = k[ok], dk[ok]
-            root[k], omega0[k] = kappa[k] + t[ok] + dk, om[ok] + slope[ok] * dk
+            go = np.isfinite(dk)
+            k, x, om, slope, dk, h1, h2 = (
+                v[go] for v in (k, x, om, slope, dk, h1, h2))
+        if k.size:
+            om1, slope1 = confirm(k, x + dk, om + slope * dk)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dk2 = np.where(dk == 0.0, 0.0, slope1.imag * dk
+                               / (slope.imag - slope1.imag))
+            # the secant's error |h''| |dk dk2| / (2 |h'|); NaN fails
+            ok = abs(h2 * dk * dk2) <= 2.0 * POLISH_XTOL * abs(h1)
+            k, dk = k[ok], dk[ok] + dk2[ok]
+            root[k], omega0[k] = x[ok] + dk, om1[ok] + slope1[ok] * dk2[ok]
             h_prime[k], gap[k], live[k] = h1[ok], abs(dk), False
     for _ in range(GROW_STEPS + 1):
         if not live.any():
@@ -549,19 +575,15 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
     there falls below tol too (as for mirror-symmetric structures, such as
     those with real couplings), and keeps its sign otherwise; duplicates
     are then merged.  The window applies before that fold, so a folded mode
-    can lie outside it.  A kappa < 0 candidate with a propagating order
-    whose row and omega mirror those of a kappa > 0 one (to 1e-6) is folded
-    before the polish: it is polished only where its mirror gives no kept
-    mode whose -kappa0 passes that sigma_min test.  Each mode carries its
-    certificate at the point reported: |Im omega_gm(kappa0)|, the smallest
-    |eigenvalue| of K, h'(kappa0) and sigma_min, each one call stacked over
-    the modes.  A DEBUG line on the `latres` logger counts the kappa rows,
-    regions probed, crossings solved and their most Newton steps, the
-    candidates, those left to their mirror, rejected or merged, the
-    polish's `_omega_gm` rounds and points, and the modes, and lists each
-    mode's certificate, with what finished a polished one: the circle (and
-    its gap |kappa_hat - kappa0|, the circle's own error), the kappa = 0
-    test or the safeguard.
+    can lie outside it.  Each mode carries its certificate at the point
+    reported: |Im omega_gm(kappa0)|, the smallest |eigenvalue| of K,
+    h'(kappa0) and sigma_min, each one call stacked over the modes.  A DEBUG
+    line on the `latres` logger counts the kappa rows, regions probed,
+    crossings solved and their most Newton steps, the candidates, those
+    rejected or merged, the polish's `_omega_gm` rounds and points, and the
+    modes, and lists each mode's certificate, with what finished a polished
+    one: the circle (and its gap |kappa_hat - kappa0|, the circle's own
+    error), the kappa = 0 test or the safeguard.
     """
     kmin, kmax, wmin, wmax = window
     if not (kmin < kmax and wmin < wmax and density >= 2):
@@ -580,58 +602,36 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
                    & (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))
     pick = order[pick]
     pick = pick[np.lexsort((cross["omega"][pick], cross["row"][pick]))]
-    n = len(pick)
-    roots, omegas = kappas[cross["row"][pick]], cross["omega"][pick]
-    om_gms, h_primes, gaps = omegas + 0j, np.zeros(n), np.full(n, np.nan)
+    roots = kappas[cross["row"][pick]]
+    om_gms = cross["omega"][pick] + 0j
+    h_primes, gaps = np.zeros(len(pick)), np.full(len(pick), np.nan)
     # a candidate with a propagating order is polished, the others are modes
     polish = cross["nprop"][pick] > 0
-    # a kappa < 0 candidate on the mirror row and omega of a kappa > 0 one
-    # (to the merge's 1e-6) waits for that one's mode
-    pair = (polish[:, None] & polish & (roots[:, None] < 0.0) & (roots > 0.0)
-            & (abs(roots[:, None] + roots) < 1e-6)
-            & (abs(omegas[:, None] - omegas) < 1e-6))
-    neg, pos = np.nonzero(pair)
-    mirror, waited = np.full(n, -1), np.zeros(n, dtype=bool)
-    mirror[neg], waited[pos] = pos, True
-    wait = mirror >= 0
-    reach = 2.0 * (kmax - kmin) / (density - 1)
-    sig, flipped = np.full((2, n), np.inf)
     rounds = []
-
-    def certify(todo):
-        """Polish and certify candidates todo; each step is one stacked call.
-
-        sigma_min is taken at the modes inside the window, and at -kappa0 of
-        those kept at kappa0 < 0 or waited for by a mirror.
-        """
-        i = np.flatnonzero(todo & polish)
-        if i.size:
-            roots[i], om_gms[i], h_primes[i], gaps[i], r = _polish(
-                params, roots[i], omegas[i], reach)
-            rounds.extend(r)
-        i = np.flatnonzero(todo & (kmin <= roots) & (roots <= kmax)
-                           & (wmin <= om_gms.real)  # False if NaN
-                           & (om_gms.real <= wmax))
-        if i.size:
-            sig[i] = _sigma(params, roots[i], om_gms[i].real)
-        i = np.flatnonzero(todo & (sig <= tol) & ((roots < 0.0) | waited))
-        if i.size:
-            flipped[i] = _sigma(params, -roots[i], om_gms[i].real)
-
-    certify(~wait)
-    mirrored = wait & (sig[mirror] <= tol) & (flipped[mirror] <= tol)
-    certify(wait & ~mirrored)
+    if polish.any():
+        reach = 2.0 * (kmax - kmin) / (density - 1)
+        (roots[polish], om_gms[polish], h_primes[polish], gaps[polish],
+         rounds) = _polish(params, roots[polish], cross["omega"][pick][polish],
+                           reach)
     finish = np.where(~polish, "", np.where(
         ~np.isnan(gaps), "circle", np.where(roots == 0.0, "kappa = 0 test",
                                             "safeguard")))
+    # the certificates: each is one stacked call over the candidates
+    om0s = om_gms.real
+    sig = np.full(len(pick), np.inf)
+    inside = ((kmin <= roots) & (roots <= kmax)  # False if NaN
+              & (wmin <= om0s) & (om0s <= wmax))
+    sig[inside] = _sigma(params, roots[inside], om0s[inside])
     kept = sig <= tol
-    rejected = n - int(kept.sum()) - int(mirrored.sum())
-    # fold onto -kappa0 where that is a mode too
-    fold = kept & (roots < 0.0) & (flipped <= tol)
-    roots[fold], sig[fold] = -roots[fold], flipped[fold]
+    rejected = len(pick) - int(kept.sum())
     kap0s, om0s, om_gms, h_primes, sig, gaps, finish = (
-        x[kept] for x in (roots, om_gms.real, om_gms, h_primes, sig, gaps,
-                          finish))
+        x[kept] for x in (roots, om0s, om_gms, h_primes, sig, gaps, finish))
+    # fold onto -kappa0 where that is a mode too
+    neg = np.flatnonzero(kap0s < 0.0)
+    if neg.size:
+        flipped = _sigma(params, -kap0s[neg], om0s[neg])
+        neg, flipped = neg[flipped <= tol], flipped[flipped <= tol]
+        kap0s[neg], sig[neg] = -kap0s[neg], flipped
     unique, seen = [], []
     for i, (kap0, om0) in enumerate(zip(kap0s.tolist(), om0s.tolist())):
         if not any(abs(kap0 - a) < 1e-6 and abs(om0 - b) < 1e-6
@@ -659,12 +659,11 @@ def find_guided_modes(params: StructureParams, window, density: int = 400,
         for m, how, gap in zip(modes, finish, gaps))
     log.debug("guided-mode search: %d kappa rows, %d regions probed, %d "
               "crossings solved, at most %d Newton steps, %d candidates, %d "
-              "left to their kappa > 0 mirror, %d rejected, %d merged as "
-              "duplicates, %d polish rounds solving %d points, certificates "
-              "[%s], %d modes", density, probed, len(cross["omega"]),
-              cross["steps"].max(initial=0), n, int(mirrored.sum()),
-              rejected, n - rejected - int(mirrored.sum()) - len(modes),
-              len(rounds), sum(rounds), certificates, len(modes))
+              "rejected, %d merged as duplicates, %d polish rounds solving "
+              "%d points, certificates [%s], %d modes", density, probed,
+              len(cross["omega"]), cross["steps"].max(initial=0), len(pick),
+              rejected, len(pick) - rejected - len(modes), len(rounds),
+              sum(rounds), certificates, len(modes))
     return modes
 
 

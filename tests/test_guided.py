@@ -17,9 +17,10 @@ from latres.structure import (BlochPoint, StructureParams, _classify,
                               waveguide_bands)
 from latres.scattering import (_KappaStage, _chain_kernel, _fourier,
                                scan_transmission)
-from latres.guided import (PROBE_OFFSET, ConvergenceError, EigenvalueTracker,
-                           _crossings, _omega_gm, continue_and_fit_dispersion,
-                           find_guided_modes, sigma_min)
+from latres.guided import (EPS, PROBE_OFFSET, ConvergenceError,
+                           EigenvalueTracker, _crossings, _omega_gm,
+                           continue_and_fit_dispersion, find_guided_modes,
+                           sigma_min)
 from oracles import (guided_mode_criteria_n2, polish_bracketed,
                      reduced_homogeneous)
 
@@ -243,11 +244,11 @@ def test_mode_search_logs_counts(fixture1, caplog, monkeypatch):
     assert lines[0].startswith("guided-mode search: 30 kappa rows, 30 regions "
                                "probed, 30 crossings solved, at most ")
     # the polish's rounds: the candidate, the circle around it and the
-    # solve at the circle's root that confirms it
-    assert rounds == [1, guided.TAYLOR_POINTS, 1]
-    assert (" Newton steps, 1 candidates, 0 left to their kappa > 0 mirror, "
-            "0 rejected, 0 merged as duplicates, 3 polish rounds solving "
-            f"{guided.TAYLOR_POINTS + 2} points, certificates [") in lines[0]
+    # solves at the circle's root and at its Newton step that confirm it
+    assert rounds == [1, guided.TAYLOR_POINTS, 1, 1]
+    assert (" Newton steps, 1 candidates, 0 rejected, 0 merged as "
+            "duplicates, 4 polish rounds solving "
+            f"{guided.TAYLOR_POINTS + 3} points, certificates [") in lines[0]
     assert lines[0].endswith(f", {len(modes)} modes")
     m = modes[0]
     gap = re.search(r"\(\|kappa_hat - kappa0\| (\S+)\)\]", lines[0])
@@ -472,20 +473,20 @@ def _losing_track(monkeypatch, lost_where):
 
 
 def test_lost_track_rejects_one_candidate(fixture1, monkeypatch, caplog):
-    # criterion 01's window at density 60 has one +-kappa pair of candidates;
-    # the kappa < 0 one waits for its kappa > 0 mirror.  When the kappa > 0
-    # candidate loses its track, it alone is rejected, and the pair's mode
-    # is still reported, polished from kappa < 0 and folded
+    # criterion 01's window at density 60 polishes one +-kappa pair in one
+    # stack; when the kappa < 0 candidate loses its track there (in the
+    # first round, at the first Newton step that tracks), it alone is
+    # rejected, and the pair's mode is still reported from kappa > 0
     args = fixture1, (-0.5, 0.5, 0.7, 1.25), 60, caplog
-    counts = r", (\d+) left to their kappa > 0 mirror, (\d+) rejected, (\d+) "
+    counts = r", (\d+) rejected, (\d+) merged "
     want, line = _search_logged(*args)
-    lost_at = _losing_track(monkeypatch, lambda k: k.real > 0.0)
+    lost_at = _losing_track(monkeypatch, lambda k: k.real < 0.0)
     got, got_line = _search_logged(*args)
-    assert lost_at == [1]
-    # the lost candidate is counted as rejected, and its mirror is polished
+    assert lost_at == [2]
+    # the lost candidate is counted as rejected, no longer as merged
     n = [int(x) for x in re.search(counts, line).groups()]
     assert [int(x) for x in re.search(counts, got_line).groups()] == [
-        n[0] - 1, n[1] + 1, n[2]]
+        n[0] + 1, n[1] - 1]
     assert [(m.null_labels, m.region_size) for m in got] == [
         (m.null_labels, m.region_size) for m in want]
     assert all(abs(a.kappa0 - b.kappa0) <= 1e-12
@@ -509,8 +510,8 @@ def test_safeguard_finishes_what_the_circle_does_not(fixture1, monkeypatch,
     else:
         circle_root = guided._circle_root
 
-        def off(c, near):
-            t, om, h1, h2 = circle_root(c, near)
+        def off(c):
+            t, om, h1, h2 = circle_root(c)
             return t + 1e-4, om, h1, h2
 
         monkeypatch.setattr(guided, "_circle_root", off)
@@ -519,6 +520,37 @@ def test_safeguard_finishes_what_the_circle_does_not(fixture1, monkeypatch,
     assert line.endswith(", polished by the safeguard], 1 modes")
     assert abs(got.kappa0 - want.kappa0) <= 1e-13
     assert abs(got.omega0 - want.omega0) <= 1e-13
+
+
+def test_circle_takes_no_root_at_a_refused_kappa_zero(bif_params,
+                                                      monkeypatch, caplog):
+    # 1e-4 below gamma0* the pair +-kappa0 lies within half a row step of
+    # kappa = 0; at density 11 the symmetric window puts the one candidate
+    # on the kappa = 0 row, which holds no standing mode, but h(0) = 0 there
+    # (a minimum of Im omega_gm between the pair).  The circle takes the
+    # mode's root, where h' < 0, and gives the oracle's mode.  h' is small
+    # so near gamma0*, and both polishes stop where h is at roundoff, so
+    # kappa0 is held to 4 eps / |h'| (1.8e-12 here; each lay 1.1e-13 and
+    # 1.4e-13 from the 30-digit root)
+    params = StructureParams(2, [2.0, 1.0], [1.0, 1.0],
+                             [bif_params.gammas[0] - 1e-4, 7.0])
+    args = params, (-0.05, 0.05, 0.96, 0.995), 11, caplog
+    polish, candidates = guided._polish, []
+
+    def recording(params, kappa, omega, reach):
+        candidates.append(kappa.tolist())
+        return polish(params, kappa, omega, reach)
+
+    monkeypatch.setattr(guided, "_polish", recording)
+    (got,), line = _search_logged(*args)
+    assert candidates == [[0.0]]
+    assert "polished by the circle" in line
+    monkeypatch.setattr(guided, "_polish", polish_bracketed)
+    (want,), _ = _search_logged(*args)
+    assert 0.0 < want.kappa0 < 0.005
+    assert abs(got.kappa0 - want.kappa0) <= 4.0 * EPS / abs(want.h_prime)
+    assert abs(got.omega0 - want.omega0) <= 1e-13
+    assert abs(got.h_prime - want.h_prime) <= 1e-8 * abs(want.h_prime)
 
 
 def _tuned_family():
@@ -563,10 +595,14 @@ def test_polish_matches_bracketed_oracle(fixture1, n3_params, monkeypatch):
     # the oracle loses one mode of the family: on draw 29 the first bracket
     # (0.305, 0.339) also holds h's root near 0.336, a minimum of Im
     # omega_gm, so h has one sign at both ends and the bracket grows into
-    # the robust branch, where |h| <= H_FLOOR rejects the candidate
+    # the robust branch, where |h| <= H_FLOOR rejects the candidate.  The
+    # circle's h' is 1.1e-6 relative off there (aliasing); the secant step
+    # keeps that out of kappa0, held to POLISH_XTOL of the 30-digit root
+    # (`oracles.taylor_mp` at r = 1e-3)
     m, = extra.pop(len(cases) - 1)
     assert not any(extra.values())
-    assert m.region_size == 1 and abs(m.kappa0 - 0.32235970667684) <= 1e-12
+    assert m.region_size == 1
+    assert abs(m.kappa0 - 0.3223597066768433363) <= guided.POLISH_XTOL
     assert m.sigma <= 1e-12 and m.im_omega <= 1e-14 and m.h_prime < 0.0
     assert sum(any(m.region_size > 0 and m.kappa0 != 0.0 for m in ms)
                for ms in got[-30:]) == 19
