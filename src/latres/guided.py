@@ -16,9 +16,10 @@ the dispersion slope and curvature, h' = 2 Im c2, the roots of h and, in
 `resonance`, the critical coupling.  `_polish` takes kappa0 where h(kappa) =
 Im d omega_gm / d kappa vanishes and Im omega_gm peaks at 0, as the real
 root of h's Taylor polynomial on one circle around each candidate
-(`_circle_root`) confirmed by a Newton and a secant step, with a bracket
-and secant on h as its safeguard; the real zero of det K there is
-degenerate (the curve only touches the real plane), so it is not solved.
+(`_circle_root`) confirmed by a Newton and a secant step (`_circle_finish`,
+which `resonance.trace_branch` shares), with a bracket and secant on h as
+its safeguard; the real zero of det K there is degenerate (the curve only
+touches the real plane), so it is not solved.
 """
 
 from __future__ import annotations
@@ -255,6 +256,59 @@ def _circle_root(c):
             (h[:, 3:] * (j[3:] - 1) * (j[3:] - 2) * tj[:, :-3]).sum(axis=-1))
 
 
+def _circle_finish(params, kappa, c, vref, xtol, gammas=None):
+    """Roots of h = Im d omega_gm / d kappa from one circle around each kappa.
+
+    c holds `_taylor`'s coefficients around the real points kappa, vref
+    (points x N) the eigenvector each solve tracks and gammas (points x N)
+    their couplings, where given.  One `_omega_gm` round solves omega_gm at
+    the circle's root kappa_hat (`_circle_root`), seeded from the
+    polynomial, for a Newton step dk = -h / h' with the circle's h', and one
+    more at kappa_hat + dk for a secant step dk2 through the two real values
+    of h, so an error of the circle's h' (aliasing) does not stay in kappa0.
+    Where the secant's error |h''| |dk dk2| / (2 |h'|) is at most xtol,
+    kappa0 = kappa_hat + dk + dk2 and omega_gm(kappa0) lies along the
+    tangent at kappa_hat + dk.  Returns kappa0, omega_gm(kappa0), h'(kappa0)
+    and the gap |kappa_hat - kappa0|, all NaN where the circle holds no root
+    or a step fails, and the Newton steps of each round's points.
+    """
+    t, om, h1, h2 = _circle_root(c)
+    root, gap, h_prime = np.full((3, len(t)), np.nan)
+    omega0 = np.full(len(t), np.nan, dtype=complex)
+    k, steps = np.flatnonzero(~np.isnan(t)), []
+
+    def confirm(x, seed):
+        """omega_gm and its slope at real x for the points k (NaN where a
+        solve fails), in one round."""
+        try:
+            out = _omega_gm(params, x, seed, vref[k],
+                            None if gammas is None else gammas[k])
+        except (ConvergenceError, ThresholdError) as err:
+            out = err.solved
+        steps.append(out[3])
+        return out[:2]
+
+    x = kappa[k] + t[k]
+    if k.size:
+        om, slope = confirm(x, om[k])
+        dk = -slope.imag / h1[k]
+        go = np.isfinite(dk)
+        k, x, om, slope, dk = k[go], x[go], om[go], slope[go], dk[go]
+    if k.size:
+        om1, slope1 = confirm(x + dk, om + slope * dk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (slope1.imag - slope.imag) / dk
+        # the secant's slope, or the circle's h' where they differ by more
+        # than half: between two h at roundoff the secant's slope is noise
+        dk2 = -slope1.imag / np.where(abs(s - h1[k]) <= abs(h1[k]) / 2.0, s,
+                                      h1[k])
+        ok = abs(h2[k] * dk * dk2) <= 2.0 * xtol * abs(h1[k])  # NaN fails
+        k, dk = k[ok], dk[ok] + dk2[ok]
+        root[k], omega0[k] = x[ok] + dk, om1[ok] + slope1[ok] * dk2[ok]
+        h_prime[k], gap[k] = h1[k], abs(dk)
+    return root, omega0, h_prime, gap, steps
+
+
 def _polish(params, kappa, omega, reach):
     """The modes that candidates (kappa, omega) point to, all at once.
 
@@ -265,15 +319,9 @@ def _polish(params, kappa, omega, reach):
     holds kappa = 0 is then solved there, along its tangent: a standing mode
     (|Im omega_gm(0)| at roundoff) gives kappa0 = 0.0, h' = 2 Im c2 from a
     circle at 0.  Every other candidate takes one `_taylor` circle around
-    itself, stacked with those: kappa_hat is the real root of h's Taylor
-    polynomial nearest it where h' < 0 (`_circle_root`).  One more round
-    solves omega_gm at kappa_hat, seeded from the polynomial, for a Newton
-    step dk = -h / h' with h' from the circle, and one more at kappa_hat +
-    dk for a secant step dk2 through the two real values of h, so an error
-    of the circle's h' (aliasing) does not stay in kappa0.  Where the
-    secant converges to POLISH_XTOL, |h''| |dk dk2| <= 2 POLISH_XTOL |h'|,
-    kappa0 = kappa_hat + dk + dk2 and omega_gm(kappa0) lies along the
-    tangent.
+    itself, stacked with those, and `_circle_finish` takes kappa0 from it
+    with a Newton and a secant step to POLISH_XTOL, tracking the
+    candidate's eigenvector.
 
     The safeguard finishes the other candidates (no such root inside the
     circle, a failed circle or a secant that does not converge).  Their
@@ -334,15 +382,6 @@ def _polish(params, kappa, omega, reach):
         except (ConvergenceError, ThresholdError) as err:
             return err.solved[0]
 
-    def confirm(k, x, seed):
-        """omega_gm and its slope at real x for candidates k, tracking their
-        eigenvectors, in one round (NaN where a solve fails)."""
-        solved.append(len(k))
-        try:
-            return _omega_gm(params, x, seed, pts[k, C, 3:])[:2]
-        except (ConvergenceError, ThresholdError) as err:
-            return err.solved[:2]
-
     def kappa_zero():
         """kappa = 0, tried once, when a live bracket first holds it."""
         z = np.flatnonzero(live & (pts[:, LO, 0].real < 0.0)
@@ -372,28 +411,11 @@ def _polish(params, kappa, omega, reach):
         z, ask = i[at == Z], i[at == C]
         omega0[z], h_prime[z] = pts[z, Z, 1], 2.0 * c[at == Z, 2].imag
         root[z[np.isnan(h_prime[z])]] = np.nan
-        t, om_hat, h1, h2 = _circle_root(c[at == C])
-        has = ~np.isnan(t)
-        k, x, om, h1, h2 = (v[has] for v in (ask, kappa[ask] + t, om_hat, h1,
-                                             h2))
-        # Newton from kappa_hat on the circle's h', then a secant step
-        # through the two real solves, which bears no aliasing of h'
-        if k.size:
-            om, slope = confirm(k, x, om)
-            dk = -slope.imag / h1
-            go = np.isfinite(dk)
-            k, x, om, slope, dk, h1, h2 = (
-                v[go] for v in (k, x, om, slope, dk, h1, h2))
-        if k.size:
-            om1, slope1 = confirm(k, x + dk, om + slope * dk)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dk2 = np.where(dk == 0.0, 0.0, slope1.imag * dk
-                               / (slope.imag - slope1.imag))
-            # the secant's error |h''| |dk dk2| / (2 |h'|); NaN fails
-            ok = abs(h2 * dk * dk2) <= 2.0 * POLISH_XTOL * abs(h1)
-            k, dk = k[ok], dk[ok] + dk2[ok]
-            root[k], omega0[k] = x[ok] + dk, om1[ok] + slope1[ok] * dk2[ok]
-            h_prime[k], gap[k], live[k] = h1[ok], abs(dk), False
+        root[ask], omega0[ask], h_prime[ask], gap[ask], steps = (
+            _circle_finish(params, kappa[ask], c[at == C], pts[ask, C, 3:],
+                           POLISH_XTOL))
+        solved.extend(len(s) for s in steps)
+        live[ask] = np.isnan(root[ask])
     for _ in range(GROW_STEPS + 1):
         if not live.any():
             break

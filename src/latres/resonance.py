@@ -24,9 +24,8 @@ from .structure import (BlochPoint, StructureParams, ThresholdError, _classify,
                         _thresholds)
 from .scattering import (IncidentField, NonPropagatingIncidenceError,
                          _fourier, solve_row, solve_scattering)
-from .guided import (SECANT_STEPS, TAYLOR_POINTS, ConvergenceError,
-                     DispersionFit, GuidedMode, _bracketed_secant, _crossings,
-                     _omega_gm, _taylor)
+from .guided import (ConvergenceError, DispersionFit, GuidedMode,
+                     _circle_finish, _crossings, _taylor)
 
 # approx_error_sup: kt samples, omega samples; the half-width scale of the
 # model-versus-direct window
@@ -34,17 +33,16 @@ ERROR_SUP_KT = 6
 ERROR_SUP_OMEGA = 25
 WINDOW_SCALE = 8.0
 # critical-coupling secant: second point, stop on its next step, step
-# limit; the largest branch kappa0
+# limit
 GAMMA_STEP = 1e-3
 GAMMA_TOL = 1e-9
 GAMMA_STEPS = 30
-BRANCH_KAPPA_MAX = 0.2
-# the branch secant's stop on a kappa0 step (bisection alone takes a
-# bracket of 0.2^2 in kappa^2 to a step of 1e-10 in kappa within
-# SECANT_STEPS), not kappa0's accuracy: h carries roundoff of about 1e-16,
-# and |h'(kappa0)| ~ 4 |Im c2| at kappa = 0 falls like gamma0* - gamma0.
-# Against a 30-digit root kappa0 was 1.1e-10 off on fixture 1 at gamma0* -
-# 1e-7, and on an N = 3 structure 6.6e-10 and 4.9e-9 at 1e-6 and 1e-7.
+# the bound on the branch's secant error |h''| |dk dk2| / (2 |h'|), the
+# truncation error its circle step leaves, not kappa0's accuracy: h carries
+# roundoff of a few 1e-16, and |h'(kappa0)| ~ 4 |Im c2| at kappa = 0 falls
+# like gamma0* - gamma0.  Against a 30-digit root kappa0 was 1.5e-10 off on
+# fixture 1 at gamma0* - 1e-7 and 6.4e-11 at 3e-7, and 1.6e-8 on an N = 3
+# structure at 1e-7, where h' is 1.8e-8.
 BRANCH_XTOL = 1e-10
 
 log = logging.getLogger("latres")
@@ -303,8 +301,9 @@ class BifurcationBranch:
 
 
 def _critical_coupling(params, gamma0_bracket):
-    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, Im c2 at
-    gamma0*, the secant's steps, the points solved and the most Newton steps.
+    """gamma0*, omega_gm(0)'s point there, d h'(0)/d gamma0, the circle's
+    Taylor coefficients c_k of omega_gm(kappa) at gamma0*, the secant's
+    steps, the points solved and the most Newton steps.
 
     gamma0* is the root in gamma0 = gammas[0] of h'(0) = 2 Im c2 (c2 =
     -curvature at kappa = 0), by a secant from the bracket midpoint and a
@@ -322,17 +321,17 @@ def _critical_coupling(params, gamma0_bracket):
         raise RuntimeError("no crossing of K_H with a propagating order at "
                            "kappa = 0 to start the critical coupling from")
     point = (complex(cross["omega"][np.argmin(q)]), 0.0, None)
-    solves, most = 0, 0
+    solves, most, row = 0, 0, None
 
-    def h_prime(g0):  # at each gamma0 in g0; the last one's kappa = 0 point
-        nonlocal point, solves, most
+    def h_prime(g0):  # at each gamma0 in g0; the last one's point and circle
+        nonlocal point, row, solves, most
         gam = np.tile(params.gammas, (len(g0), 1))
         gam[:, 0] = g0
         om, slope, vec = (None if x is None else np.array([x] * len(g0))
                           for x in point)
         c, om, slope, vec, steps = _taylor(params, np.zeros(len(g0)), om,
                                            slope, vec, gam, offsets=[0.0])
-        point = (om[-1, 0], slope[-1, 0], vec[-1, 0])
+        point, row = (om[-1, 0], slope[-1, 0], vec[-1, 0]), c[-1]
         solves, most = solves + steps.size, max(most, steps.max())
         return 2.0 * c[:, 2].imag
 
@@ -351,7 +350,7 @@ def _critical_coupling(params, gamma0_bracket):
     if not (lo <= g <= hi):
         raise RuntimeError(
             f"bifurcation root gamma0={g} escaped bracket {gamma0_bracket}")
-    return g, point, slope, f / 2.0, n, solves, most
+    return g, point, slope, row, n, solves, most
 
 
 def find_bifurcation(params: StructureParams, gamma0_bracket):
@@ -370,26 +369,26 @@ def trace_branch(params: StructureParams, gamma0_values,
 
     The branch lies on the side g_curvature_sign = -sign(d Im(curvature) /
     d gamma0) of gamma0*; a gamma0 on the other side raises RuntimeError
-    before any branch solve.  Every gamma0 is solved at once, its kappa0 the
-    root on kappa > 0 of h = Im d omega_gm / d kappa (h(0) = 0), with one
-    `_omega_gm` call per step over the gamma0 still active, each continued
-    along the tangent of its last solve (the first from gamma0*'s kappa = 0
-    point).  The bracket (1e-6, 1e-3) doubles its top, point by point, until
-    h changes sign; a top past BRANCH_KAPPA_MAX raises RuntimeError for the
-    first such gamma0 outwards from gamma0*.  `guided._bracketed_secant` then
-    runs on h / kappa in u = kappa^2, nearly linear there, until its kappa
-    step is at most BRANCH_XTOL, and the square-root law is fitted on a
-    log-log scale.  kappa0's error, h's roundoff over |h'(kappa0)| ~ 4 |Im
-    c2|, grows as gamma0 -> gamma0* (see BRANCH_XTOL).  A DEBUG line on the
-    `latres` logger gives gamma0*, omega0*, |Im omega_gm(0)| and Im c2
-    there, d Im(curvature) / d gamma0, the gamma0 secant's steps, the points
-    solved, the most Newton steps and each (gamma0, kappa0,
-    |Im omega_gm(kappa0)|, h'(kappa0)), h' = 2 Im c2 from one
-    `guided._taylor` call (NaN where its circle fails).
+    before any branch solve.  kappa0 > 0 is the root of h = Im d omega_gm /
+    d kappa where Im omega_gm peaks.  At gamma0* h = 2 Im c2 kappa + 4 Im c4
+    kappa^3 + ... (omega_gm is even there), so kappa0 ~ A sqrt|gamma0* -
+    gamma0| with A = sqrt(|d h'(0) / d gamma0| / (4 |Im c4|)), from the
+    gamma0 secant's slope and its last circle.  Every gamma0 takes one
+    `_taylor` circle around that prediction, in one stack seeded from
+    gamma0*'s polynomial sum c_k kappa^k and eigenvector, and
+    `guided._circle_finish` to BRANCH_XTOL; where that finds no root,
+    RuntimeError names the first such gamma0 outwards from gamma0*.  The
+    square-root law is fitted on a log-log scale.  kappa0's error, h's
+    roundoff over |h'(kappa0)| ~ 4 |Im c2|, grows as gamma0 -> gamma0*.  A
+    DEBUG line on the `latres` logger gives gamma0*, omega0*, |Im
+    omega_gm(0)| and Im c2 there, d Im(curvature) / d gamma0, A, the gamma0
+    secant's steps, the points solved, the most Newton steps and each
+    (gamma0, kappa0, |Im omega_gm(kappa0)|, h'(kappa0), |kappa_hat -
+    kappa0|).
     """
     if gamma0_bracket is None:
         gamma0_bracket = (min(gamma0_values) - 0.5, max(gamma0_values) + 0.5)
-    g_star, star, h_prime_slope, im_c2, secant, solves, most = (
+    g_star, star, h_prime_slope, c, secant, solves, most = (
         _critical_coupling(params, gamma0_bracket))
     sign = int(np.sign(h_prime_slope))  # d Im(curvature) = -d h'(0) / 2
     outwards = sorted(gamma0_values, reverse=(sign < 0))
@@ -400,62 +399,37 @@ def trace_branch(params: StructureParams, gamma0_values,
     n = len(outwards)
     gam = np.tile(params.gammas, (n, 1))
     gam[:, 0] = outwards
-    # each point's last solve: kappa, omega_gm, its slope, eigenvector
-    kl, wl = np.zeros(n), np.full(n, star[0])
-    sl, vl = np.full(n, star[1]), np.repeat(star[2][None], n, axis=0)
-
-    def h_over_kappa(idx, kap):
-        """h(kappa) / kappa at points idx, each continued from its last."""
-        nonlocal solves, most
-        om, slope, vec, steps = _omega_gm(
-            params, kap, wl[idx] + sl[idx] * (kap - kl[idx]), vl[idx],
-            gam[idx])
-        kl[idx], wl[idx], sl[idx], vl[idx] = kap, om, slope, vec
-        solves, most = solves + len(idx), max(most, steps.max())
-        return slope.imag / kap
-
-    every = np.arange(n)
-    lo, hi = np.full(n, 1e-6), np.full(n, 1e-3)
-    g_lo, g_hi = h_over_kappa(every, lo), h_over_kappa(every, hi)
-    grow = np.flatnonzero(g_lo * g_hi > 0.0)
-    while grow.size:
-        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
-        hi[grow] *= 2.0
-        over = grow[hi[grow] > BRANCH_KAPPA_MAX]
-        if over.size:
-            raise RuntimeError(f"no branch point for gamma0={outwards[over[0]]}"
-                               f" below kappa={BRANCH_KAPPA_MAX}")
-        g_hi[grow] = h_over_kappa(grow, hi[grow])
-        grow = grow[g_lo[grow] * g_hi[grow] > 0.0]
-    # the secant runs in u = kappa^2 and stops on a kappa step
-    _, left = _bracketed_secant(
-        lambda i, u: h_over_kappa(i, np.sqrt(u)), lo ** 2, hi ** 2, g_lo,
-        g_hi, lambda u, v: np.abs(np.sqrt(u) - np.sqrt(v)) <= BRANCH_XTOL)
-    if left.size:
-        raise ConvergenceError(
-            f"branch secant did not converge for gamma0={outwards[left[0]]} "
-            f"in {SECANT_STEPS} steps")
+    dist = np.abs(g_star - np.array(outwards, dtype=float))
+    A = np.sqrt(abs(h_prime_slope) / (4.0 * abs(c[4].imag)))
+    centre, vec = A * np.sqrt(dist), np.tile(star[2], (n, 1))
+    P = np.polynomial.polynomial
+    try:
+        circle, *_, steps = _taylor(params, centre, P.polyval(centre, c),
+                                    P.polyval(centre, P.polyder(c)), vec, gam)
+    except (ConvergenceError, ThresholdError) as err:
+        circle, *_, steps = err.solved
+    kl, wl, h1, gap, rounds = _circle_finish(params, centre, circle, vec,
+                                             BRANCH_XTOL, gam)
+    for s in [steps] + rounds:
+        solves, most = solves + s.size, max(most, s.max(initial=0))
+    if np.isnan(kl).any():
+        i = int(np.argmax(np.isnan(kl)))
+        raise RuntimeError(f"no branch point for gamma0={outwards[i]}: h has "
+                           f"no root where Im omega_gm peaks on the circle "
+                           f"around kappa={centre[i]}, or its step failed")
     samples = tuple((float(g0), float(k), float(w.real))
                     for g0, k, w in zip(outwards, kl, wl))
-    certificates = []
-    if log.isEnabledFor(logging.DEBUG):  # h' costs one more call
-        solves += TAYLOR_POINTS * n
-        try:
-            c = _taylor(params, kl, wl, sl, vl, gam)[0]
-        except (ConvergenceError, ThresholdError) as err:
-            c = err.solved[0]
-        certificates = zip(outwards, kl, np.abs(wl.imag), 2.0 * c[:, 2].imag)
-    dist = np.abs(g_star - np.array(outwards, dtype=float))
     slope = (float(np.polyfit(np.log(dist), np.log(kl), 1)[0]) if n >= 2
              else float("nan"))
     log.debug("bifurcation branch: gamma0* %.15g, omega0* %.15g, "
               "|Im omega_gm(0)| %.2g, Im c2 %.2e, d Im(curvature)/d gamma0 "
-              "%.6g, %d gamma0 secant steps, %d points solved, at most %d "
-              "Newton steps, samples (gamma0, kappa0, |Im omega_gm|, h') "
-              "[%s]", g_star, star[0].real, abs(star[0].imag), im_c2,
-              -h_prime_slope / 2.0, secant, solves, most,
-              "; ".join("(%.15g, %.15g, %.2g, %.6g)" % c
-                        for c in certificates))
+              "%.6g, prefactor A %.8g, %d gamma0 secant steps, %d points "
+              "solved, at most %d Newton steps, samples (gamma0, kappa0, "
+              "|Im omega_gm|, h', |kappa_hat - kappa0|) [%s]", g_star,
+              star[0].real, abs(star[0].imag), c[2].imag,
+              -h_prime_slope / 2.0, A, secant, solves, most,
+              "; ".join("(%.15g, %.15g, %.2g, %.6g, %.2g)" % s for s in zip(
+                  outwards, kl, np.abs(wl.imag), h1, gap)))
     return BifurcationBranch(gamma0_star=g_star, omega0_star=star[0].real,
                              samples=samples, sqrt_slope=slope,
                              g_curvature_sign=sign)

@@ -27,13 +27,17 @@ form the solvers do not use:
 - `polish_bracketed`: a guided mode's kappa0 by growing a bracket on h = Im
   d omega_gm / d kappa and a secant in it, where `guided._polish` takes the
   root of h's Taylor polynomial on one circle around the candidate.
+- `branch_bracketed`: the bifurcation branch's kappa0 by the same kind of
+  bracket and a secant on h / kappa in kappa^2, where
+  `resonance.trace_branch` takes it from one circle around the square-root
+  law's prediction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from latres import guided
+from latres import guided, resonance
 from latres.scattering import (IncidentField, ScatteringSolution, _fourier,
                                reconstruct_field)
 from latres.dtn import default_truncation, dtn_matrix
@@ -437,3 +441,61 @@ def polish_bracketed(params, kappa, omega, reach):
         h_prime[found] = 2.0 * c[:, 2].imag
     return (np.where(np.isnan(h_prime), np.nan, root), at[:, 1], h_prime,
             np.full(n, np.nan), solved)
+
+
+def branch_bracketed(params, gamma0_values, gamma0_bracket):
+    """`resonance.trace_branch`'s samples by bracket and secant alone.
+
+    From `resonance._critical_coupling`'s gamma0* (the gamma0 given lie on
+    the branch's side), every gamma0 is solved at once, kappa0 the root on
+    kappa > 0 of h = Im d omega_gm / d kappa, each `_omega_gm` call over
+    the gamma0 still active and each point continued along the tangent of
+    its last solve (the first from gamma0*'s kappa = 0 point).  The bracket
+    (1e-6, 1e-3) doubles its top, point by point, until h changes sign; a
+    top past 0.2 raises RuntimeError.  `guided._bracketed_secant` then
+    runs on h / kappa in u = kappa^2, nearly linear there, until its kappa
+    step is at most `resonance.BRANCH_XTOL`, and a circle at each root gives
+    h' = 2 Im c2.  Returns the samples (gamma0, kappa0, omega0) outwards from
+    gamma0* and h'(kappa0).
+    """
+    g_star, star, h_prime_slope, *_ = resonance._critical_coupling(
+        params, gamma0_bracket)
+    outwards = sorted(gamma0_values, reverse=bool(h_prime_slope < 0))
+    n = len(outwards)
+    gam = np.tile(params.gammas, (n, 1))
+    gam[:, 0] = outwards
+    # each point's last solve: kappa, omega_gm, its slope, eigenvector
+    kl, wl = np.zeros(n), np.full(n, star[0])
+    sl, vl = np.full(n, star[1]), np.repeat(star[2][None], n, axis=0)
+
+    def h_over_kappa(idx, kap):
+        """h(kappa) / kappa at points idx, each continued from its last."""
+        om, slope, vec, _ = guided._omega_gm(
+            params, kap, wl[idx] + sl[idx] * (kap - kl[idx]), vl[idx],
+            gam[idx])
+        kl[idx], wl[idx], sl[idx], vl[idx] = kap, om, slope, vec
+        return slope.imag / kap
+
+    every = np.arange(n)
+    lo, hi = np.full(n, 1e-6), np.full(n, 1e-3)
+    g_lo, g_hi = h_over_kappa(every, lo), h_over_kappa(every, hi)
+    grow = np.flatnonzero(g_lo * g_hi > 0.0)
+    while grow.size:
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] *= 2.0
+        over = grow[hi[grow] > 0.2]
+        if over.size:
+            raise RuntimeError(f"no branch point for gamma0={outwards[over[0]]}"
+                               f" below kappa=0.2")
+        g_hi[grow] = h_over_kappa(grow, hi[grow])
+        grow = grow[g_lo[grow] * g_hi[grow] > 0.0]
+    _, left = guided._bracketed_secant(
+        lambda i, u: h_over_kappa(i, np.sqrt(u)), lo ** 2, hi ** 2, g_lo,
+        g_hi, lambda u, v: (np.abs(np.sqrt(u) - np.sqrt(v))
+                            <= resonance.BRANCH_XTOL))
+    if left.size:
+        raise guided.ConvergenceError(
+            f"branch secant did not converge for gamma0={outwards[left[0]]}")
+    c = guided._taylor(params, kl, wl, sl, vl, gam)[0]
+    return (tuple((float(g0), float(k), float(w.real))
+                  for g0, k, w in zip(outwards, kl, wl)), 2.0 * c[:, 2].imag)

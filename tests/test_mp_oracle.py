@@ -20,9 +20,10 @@ the circles:
 - `find_bifurcation`'s gamma0* within 1e-12 of the root of Im c2 at
   kappa = 0, from a secant through gamma0 = GAMMA0_STAR -+ 1e-9
   (`bif_params`);
-- `trace_branch`'s kappa0 on fixture 1 at gamma0* - 1e-7 within 5e-10 of
-  the root of h = Im c1, one Newton step from it (1.1e-10 measured: h
-  carries about 1e-16 of roundoff and h' is only 4.9e-7 there);
+- `trace_branch`'s kappa0 on fixture 1 at gamma0* - 1e-7, from one circle
+  around the square-root law's prediction, within 5e-10 of the root of
+  h = Im c1, one Newton step from it (1.5e-10 measured: h carries a few
+  1e-16 of roundoff and h' is only 4.9e-7 there);
 - the N = 3 complex-coupling standing mode (the structure of
   `test_guided.test_standing_mode_n3_complex_coupling_matches_chain_oracle`,
   kappa0 = 0 from the polish's standing-mode test): omega0 within 1e-12,

@@ -17,9 +17,12 @@ from latres.structure import ThresholdError, _classify, _thresholds
 from latres.resonance import (approx_error_sup, approx_transmission,
                               enhancement_scan, find_bifurcation, fit_anomaly,
                               peak_dip_curves, trace_branch)
-from oracles import guided_mode_criteria_n2
+from oracles import branch_bracketed, guided_mode_criteria_n2
 
 GAMMA0_STAR = 1.0296335133904082
+# an N = 3 structure whose mode pair is born at gamma0* = 0.7208130
+N3_BRANCH = StructureParams(N=3, masses=[2.0, 1.0, 1.0],
+                            springs=[1.0, 1.0, 1.0], gammas=[0.7, 7.0, 7.0])
 # the benchmark's seed-0 branch couplings on fixture 1
 BENCH_GAMMAS = (1.0296271473759782, 1.0296319015821522, 1.0296325566015647,
                 1.0296332409316922, 1.0296332915931812, 1.029633338618303)
@@ -392,9 +395,7 @@ def test_branch_solves_n2_criteria(fixture1):
 
 
 def test_branch_n3():
-    params = StructureParams(N=3, masses=[2.0, 1.0, 1.0],
-                             springs=[1.0, 1.0, 1.0], gammas=[0.7, 7.0, 7.0])
-    bracket = (0.5, 0.95)
+    params, bracket = N3_BRANCH, (0.5, 0.95)
     g_star, om_star = find_bifurcation(params, bracket)
     assert g_star == pytest.approx(0.7208130, abs=1e-6)
     assert om_star == pytest.approx(0.9264065, abs=1e-6)
@@ -425,14 +426,67 @@ def test_branch_logs_certificates(fixture1, caplog):
         f"bifurcation branch: gamma0* {branch.gamma0_star:.15g}, omega0* "
         f"{branch.omega0_star:.15g}, |Im omega_gm(0)| ")
     # Im c2 at gamma0* is roundoff, and the secant takes a few gamma0 steps
-    # after its first two
-    im_c2, secant = re.search(
-        r", Im c2 (\S+), d Im\(curvature\)/d gamma0 \S+, (\d+) gamma0 "
-        r"secant steps, \d+ points solved, at most \d+ Newton steps, samples "
-        r"\(gamma0, kappa0, \|Im omega_gm\|, h'\) \[\(", lines[0]).groups()
+    # after its first two; each sample's gap |kappa_hat - kappa0| lies well
+    # inside the circle
+    im_c2, secant, samples = re.search(
+        r", Im c2 (\S+), d Im\(curvature\)/d gamma0 \S+, prefactor A \S+, "
+        r"(\d+) gamma0 secant steps, \d+ points solved, at most \d+ Newton "
+        r"steps, samples \(gamma0, kappa0, \|Im omega_gm\|, h', \|kappa_hat "
+        r"- kappa0\|\) \[(.*)\]$", lines[0]).groups()
     assert abs(float(im_c2)) <= 1e-12 and 1 <= int(secant) <= 10
+    gaps = [float(s.split(", ")[-1]) for s in samples[1:-1].split("); (")]
+    assert len(gaps) == 2 and max(gaps) <= 1e-6
     for g0, kap0, _ in branch.samples:
         assert f"({g0:.15g}, {kap0:.15g}, " in lines[0]
+
+
+def test_branch_prefactor(fixture1, caplog):
+    # the square-root law with its predicted prefactor, A = 0.3563984 from
+    # the gamma0 secant's slope and c4 at gamma0* (0.35642086 from a wider
+    # secant): A's own error, about 7e-5, dominates the gap this close to
+    # gamma0*
+    caplog.set_level(logging.DEBUG, logger="latres")
+    dist = np.logspace(-7, -5, 5)
+    branch = trace_branch(fixture1, GAMMA0_STAR - dist,
+                          gamma0_bracket=(0.8, 1.3))
+    A = float(re.search(r", prefactor A (\S+),",
+                        caplog.records[-1].getMessage()).group(1))
+    g_star = branch.gamma0_star
+    for g0, kap0, _ in branch.samples:
+        assert abs(kap0 / (A * np.sqrt(g_star - g0)) - 1.0) <= 2e-4
+
+
+@pytest.mark.parametrize("which", ["bench", "bench seed 2", "criterion 04",
+                                   "README grid", "n3 near", "n3 log-spaced"])
+def test_branch_matches_bracketed_oracle(fixture1, which):
+    # the circle step against the bracket and secant on h / kappa in kappa^2
+    # (`oracles.branch_bracketed`): kappa0 agrees to a few eps / |h'| where
+    # h' is small (h carries roundoff of about 1e-16), omega0 to that times
+    # |d omega_gm / d kappa| < 1, plus 1e-12.  On the bench's seed-2 set h
+    # is at roundoff at both solves of one gamma0, where a plain secant
+    # step put kappa0 2.9e-9 off
+    g_star = find_bifurcation(fixture1, (0.8, 1.3))[0]
+    g3 = find_bifurcation(N3_BRANCH, (0.5, 0.95))[0]
+    seed2 = GAMMA0_STAR - 10.0 ** np.random.default_rng([2, 2]).uniform(
+        -7.0, -4.0, 6)
+    params, gammas, bracket = {
+        "bench": (fixture1, BENCH_GAMMAS, (0.8, 1.3)),
+        "bench seed 2": (fixture1, sorted(seed2), (0.8, 1.3)),
+        "criterion 04": (fixture1, [g_star - d for d in np.logspace(
+            -7, -4, 6)] + [1.029533513], (0.8, 1.3)),
+        "README grid": (fixture1, np.linspace(1.0, 1.029, 8), None),
+        "n3 near": (N3_BRANCH, [g3 - 1e-3], (0.5, 0.95)),
+        "n3 log-spaced": (N3_BRANCH, [g3 - d for d in np.logspace(-7, -4, 6)],
+                          (0.5, 0.95))}[which]
+    branch = trace_branch(params, gammas, gamma0_bracket=bracket)
+    samples, h_prime = branch_bracketed(params, gammas, bracket or (
+        min(gammas) - 0.5, max(gammas) + 0.5))
+    for (g0, kap0, om0), (g_ref, kap_ref, om_ref), hp in zip(
+            branch.samples, samples, h_prime):
+        gate = max(1e-12, 2e-15 / abs(hp))
+        assert g0 == g_ref
+        assert abs(kap0 - kap_ref) <= gate
+        assert abs(om0 - om_ref) <= 1e-12 + gate
 
 
 def test_each_kappa_solved_once(fixture1, n3_params, monkeypatch):
@@ -465,9 +519,9 @@ def test_each_kappa_solved_once(fixture1, n3_params, monkeypatch):
 
 def test_omega_gm_per_point_gammas_equal_own_solves(fixture1):
     # stacks with per-point couplings, kappa in {-delta, 0, delta} at two
-    # gamma0 without a reference, and the branch's first bracket ends at
-    # every gamma0 from gamma0*'s kappa = 0 point: each point ends where its
-    # own solve on its structure does, in as many steps
+    # gamma0 without a reference, and kappa in {1e-6, 1e-3} at every bench
+    # gamma0 from gamma0*'s kappa = 0 point: each point ends where its own
+    # solve on its structure does, in as many steps
     _, (om0, slope0, vec0), *_ = resonance._critical_coupling(fixture1,
                                                               (0.8, 1.3))
     d, n = 1e-6, len(BENCH_GAMMAS)
@@ -496,21 +550,30 @@ def test_branch_refuses_wrong_side(fixture1, monkeypatch):
         raise AssertionError("a branch solve ran")
 
     g_star, _ = find_bifurcation(fixture1, (0.8, 1.3))
-    monkeypatch.setattr(resonance, "_omega_gm", solve)
+    monkeypatch.setattr(guided, "_omega_gm", solve)
     monkeypatch.setattr(resonance, "_critical_coupling",
-                        lambda params, bracket: (g_star, None, -1.0, 0.0, 0,
-                                                 0, 0))
+                        lambda params, bracket: (
+                            g_star, None, -1.0,
+                            np.zeros(guided.TAYLOR_POINTS, dtype=complex), 0,
+                            0, 0))
     with pytest.raises(RuntimeError, match=re.escape(
             f"no branch point for gamma0=1.03: the branch lies on the other "
             f"side of gamma0*={g_star}")):
         trace_branch(fixture1, [1.02, 1.03], gamma0_bracket=(0.8, 1.3))
 
 
-def test_branch_refuses_root_beyond_kappa_max(fixture1, monkeypatch):
-    # kappa0 = 0.00356 at 1.029533513 and more further out: with the cap at
-    # 0.002 both are refused, and the message names the first outwards
-    monkeypatch.setattr(resonance, "BRANCH_KAPPA_MAX", 0.002)
+def test_branch_refuses_circle_without_root(fixture1, monkeypatch):
+    # where the circle holds no root of h the gamma0 is refused; with the
+    # two outer circles emptied the message names the first outwards
+    circle_root = guided._circle_root
+
+    def lose_outer(c):
+        t, *rest = circle_root(c)
+        t[1:] = np.nan
+        return (t, *rest)
+
+    monkeypatch.setattr(guided, "_circle_root", lose_outer)
     with pytest.raises(RuntimeError, match=re.escape(
-            "no branch point for gamma0=1.029533513 below kappa=0.002")):
+            "no branch point for gamma0=1.029533513: ")):
         trace_branch(fixture1, [1.0294, 1.029533513, GAMMA0_STAR - 1e-7],
                      gamma0_bracket=(0.8, 1.3))
